@@ -82,6 +82,7 @@ from .numerics import (
     derive_seed,
     finite_difference_check,
     linear_forward_backward,
+    ranks_from_logits,
     softmax,
 )
 from .partition import (

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import GruModel, encode_batch, padded_items, prefix_states
+from .backbone import (
+    GruModel,
+    encode_batch,
+    last_states,
+    pad_prefixes,
+    padded_items,
+    prefix_states,
+)
 from .corpus import SessionDataset
 from .errors import ContractError, DimensionError
 from .numerics import (
@@ -286,7 +293,9 @@ class FeatureCache:
     session id to its (start, count) block. After a deletion only the
     retrained shard's column and the rewritten sessions' rows need
     recomputation, which is what keeps selective unlearning cheap
-    relative to full retraining.
+    relative to full retraining. ``fit_state`` keeps the cache it trained
+    the fusion layer on; a state loaded from disk has none, and
+    ``execute_unlearn`` builds it lazily on the post-deletion sub-models.
     """
 
     features: np.ndarray                      # (P, K, d)
@@ -450,8 +459,14 @@ class SruModel:
     __call__ = predict
 
     def predict_batch(self, prefixes) -> np.ndarray:
-        """Id-indexed logits rows; index 0 is the pad slot at -inf."""
-        H = np.stack([encode_batch(m, prefixes) for m in self.sub_models], axis=1)
+        """Id-indexed logits rows; index 0 is the pad slot at -inf.
+
+        Prefixes are cleaned and padded once; every sub-model reads the
+        same id matrix (they share the vocabulary and max_len).
+        """
+        ids, lengths = pad_prefixes(self.sub_models[0], prefixes)
+        H = np.stack([last_states(prefix_states(m, ids), lengths) for m in self.sub_models],
+                     axis=1)
         C = self.centroids.c.astype(H.dtype)
         logits, _ = _forward(self.aggregation.store.params, H, C)
         out = np.full((len(prefixes), self.num_items + 1), -np.inf, dtype=logits.dtype)

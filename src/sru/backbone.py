@@ -20,6 +20,7 @@ from .numerics import (
     RngStream,
     adam_step,
     cross_entropy_rows,
+    ranks_from_logits,
     sigmoid,
     xavier_uniform,
 )
@@ -215,23 +216,35 @@ def encode(model: GruModel, prefix) -> np.ndarray:
     return h[0]
 
 
-def encode_batch(model: GruModel, prefixes) -> np.ndarray:
-    """Vectorized encode over many prefixes; returns (n, d)."""
+def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray]:
+    """Clean and right-pad prefixes for ``prefix_states``.
+
+    Returns (ids, lengths): ids is (n, L) with L >= 1, each row holding
+    the prefix with pad ids skipped and cut to the model's last max_len
+    items; lengths[i] is the number of items kept in row i.
+    """
     cleaned = [_clean_prefix(model, p) for p in prefixes]
-    n = len(cleaned)
-    dtype = model.embeddings.dtype
-    if n == 0:
-        return np.zeros((0, model.d), dtype=dtype)
     lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
-    L = max(1, int(lengths.max()))
-    ids = np.zeros((n, L), dtype=np.int64)
+    L = max(1, int(lengths.max())) if cleaned else 1
+    ids = np.zeros((len(cleaned), L), dtype=np.int64)
     for i, c in enumerate(cleaned):
         ids[i, : len(c)] = c
-    states = prefix_states(model, ids)
-    out = np.zeros((n, model.d), dtype=dtype)
+    return ids, lengths
+
+
+def last_states(states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Final state of each row of a ``prefix_states`` block; the zero
+    initial state for an empty prefix. Returns (n, d)."""
+    out = np.zeros((states.shape[0], states.shape[2]), dtype=states.dtype)
     nonzero = lengths > 0
     out[nonzero] = states[nonzero, lengths[nonzero] - 1]
     return out
+
+
+def encode_batch(model: GruModel, prefixes) -> np.ndarray:
+    """Vectorized encode over many prefixes; returns (n, d)."""
+    ids, lengths = pad_prefixes(model, prefixes)
+    return last_states(prefix_states(model, ids), lengths)
 
 
 def prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
@@ -339,14 +352,11 @@ def validation_ndcg(model: GruModel, dataset: SessionDataset, k: int = 20) -> fl
     """Mean NDCG@k over every (prefix, next-item) point of a dataset."""
     ids = padded_items(dataset, model.max_len)
     states = prefix_states(model, ids)
-    inp = ids[:, :-1]
     tgt = ids[:, 1:]
     valid = tgt != 0
     Hv = states[:, :-1][valid]
-    tv = tgt[valid]
-    logits = Hv @ model.embeddings[1:].T
-    own = logits[np.arange(len(tv)), tv - 1]
-    ranks = 1 + (logits > own[:, None]).sum(axis=1)
+    # Id-indexed: column 0 scores the zero pad row and is never ranked.
+    ranks = ranks_from_logits(Hv @ model.embeddings.T, tgt[valid])
     gains = np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0)
     return float(gains.mean())
 

@@ -28,7 +28,13 @@ import numpy as np
 from .aggregation import AggregationConfig, AggregationModel, ShardCentroids
 from .backbone import BackboneConfig, GruModel
 from .corpus import ItemVocab, Session, SessionDataset
-from .errors import ContractError, IntegrityError, StaleArtifactError, VersionError
+from .errors import (
+    ContractError,
+    IntegrityError,
+    ParseError,
+    StaleArtifactError,
+    VersionError,
+)
 from .numerics import ParamStore
 from .partition import ShardAssignment
 
@@ -342,13 +348,34 @@ def load_assignment(csv_path, bin_path, expected_config_hash: str | None = None,
         raise VersionError(f"expected a centroid container, found {metadata.get('kind')!r}")
     k = metadata["k"]
     with open(csv_path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != "session_index,shard_id":
+        lines = handle.read().splitlines()
+    if not lines or lines[0].strip() != "session_index,shard_id":
         raise ContractError(f"{csv_path} is not a partition CSV")
     pairs = []
-    for line in lines[1:]:
-        idx_text, shard_text = line.split(",")
-        pairs.append((int(idx_text), int(shard_text)))
+    seen: set[int] = set()
+    for number, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ParseError(f"{csv_path}: expected session_index,shard_id, got {line!r}",
+                             line_number=number)
+        try:
+            i, c = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"{csv_path}: non-integer field in {line!r}",
+                             line_number=number) from None
+        if i < 0:
+            raise ParseError(f"{csv_path}: negative session index {i}", line_number=number)
+        if not 0 <= c < k:
+            raise ParseError(f"{csv_path}: shard id {c} outside 0..{k - 1}",
+                             line_number=number)
+        if i in seen:
+            raise ParseError(f"{csv_path}: session index {i} listed twice",
+                             line_number=number)
+        seen.add(i)
+        pairs.append((i, c))
     n = max(i for i, _ in pairs) + 1 if pairs else 0
     shard_of = np.full(n, -1, dtype=np.int64)
     members: list[list[int]] = [[] for _ in range(k)]

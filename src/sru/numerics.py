@@ -24,6 +24,8 @@ __all__ = [
     "derive_seed",
     "finite_difference_check",
     "linear_forward_backward",
+    "rank_from_logits",
+    "ranks_from_logits",
     "sigmoid",
     "softmax",
     "softmax_rows",
@@ -134,13 +136,14 @@ def xavier_uniform(stream: RngStream, fan_in: int, fan_out: int, shape, dtype) -
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)), in the input's dtype.
+
+    tanh saturates instead of overflowing, so there is no branch on the
+    sign of x and no masked gather; the result stays in [0, 1].
+    """
+    out = np.tanh(np.asarray(x) * 0.5)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -162,6 +165,35 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def rank_from_logits(logits: np.ndarray, target: int) -> int:
+    """Optimistic rank of ``target`` among items 1..|V|."""
+    logits = np.asarray(logits)
+    if not 1 <= target < logits.shape[0]:
+        raise IndexError(f"target {target} outside item range 1..{logits.shape[0] - 1}")
+    own = logits[target]
+    items = logits[1:]
+    return int(1 + np.count_nonzero(items > own))
+
+
+def ranks_from_logits(block: np.ndarray, targets) -> np.ndarray:
+    """Row-wise rank_from_logits.
+
+    block is (n, |V| + 1) id-indexed logits; column 0 is the pad slot and
+    never counts. ranks[i] is one plus the number of items scoring
+    strictly higher than targets[i] in row i.
+    """
+    block = np.asarray(block)
+    targets = np.asarray(targets, dtype=np.int64)
+    if block.ndim != 2 or targets.shape != (block.shape[0],):
+        raise DimensionError(
+            f"need (n, m) logits and (n,) targets, got {block.shape} and {targets.shape}"
+        )
+    if targets.size and not (targets.min() >= 1 and targets.max() < block.shape[1]):
+        raise IndexError(f"targets outside item range 1..{block.shape[1] - 1}")
+    own = block[np.arange(targets.shape[0]), targets]
+    return 1 + np.count_nonzero(block[:, 1:] > own[:, None], axis=1)
 
 
 def cross_entropy_with_grad(logits: np.ndarray, target: int):

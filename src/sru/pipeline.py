@@ -213,7 +213,12 @@ def _cmd_train_agg(run_dir, config: ExperimentConfig) -> None:
 
 
 def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
-    """Reassemble the framework state from on-disk artifacts."""
+    """Reassemble the framework state from on-disk artifacts.
+
+    The returned state has no feature cache: ``eval`` and
+    ``effectiveness`` never read it, and ``execute_unlearn`` builds it
+    lazily, once, on the post-deletion sub-models.
+    """
     splits = _load_splits(run_dir, config)
     _require(run_dir, "reference", "partition_csv", "partition_bin",
              "shard_centroids", "aggregation")
@@ -240,9 +245,6 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
         agg_config=aggregation.config or config.aggregation_config(),
         aggregation=aggregation,
         seed=config.seed,
-        # Derived, deterministic; rebuilt here so selective unlearning
-        # only has to refresh what the deletions touch.
-        feature_cache=build_feature_cache(sub_models, splits["train"]),
     )
     return state, splits
 

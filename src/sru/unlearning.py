@@ -216,6 +216,9 @@ class SruState:
     agg_config: AggregationConfig
     aggregation: AggregationModel
     seed: int = 0
+    # Per-shard state table of the current corpus. None until needed:
+    # execute_unlearn builds it on first use and updates it incrementally
+    # after that.
     feature_cache: FeatureCache | None = None
 
     def locate(self, session_id: str) -> tuple[int, int]:

@@ -20,7 +20,13 @@ from sru.aggregation import (
     train_aggregation,
     updated_feature_cache,
 )
-from sru.backbone import BackboneConfig, encode, init_gru_model, train_backbone
+from sru.backbone import (
+    BackboneConfig,
+    encode,
+    init_gru_model,
+    prefix_states,
+    train_backbone,
+)
 from sru.corpus import generate_synthetic
 from sru.errors import ContractError, DimensionError
 from sru.numerics import ParamStore, cross_entropy_rows, finite_difference_check
@@ -307,6 +313,54 @@ class TestSruModelPredict:
         out = sru.predict(prefix)
         assert out[0] == -np.inf
         np.testing.assert_allclose(out[1:], logits, rtol=1e-4, atol=1e-5)
+
+    def test_predict_batch_bit_equal_to_per_model_encoding(self):
+        data, _, models, centroids = small_setup(num_sessions=12, k=2)
+        agg = train_aggregation(models, centroids, data,
+                                AggregationConfig(f=8, lr=5e-3, epochs=1, seed=2))
+        sru = SruModel(sub_models=tuple(models), centroids=centroids,
+                       aggregation=agg, max_len=14)
+
+        def old_encode_batch(model, prefixes):
+            # The former encode_batch, which every sub-model ran on its
+            # own: skip pad ids, keep the last max_len items, pad, run
+            # prefix_states, gather each row's last state.
+            cleaned = [[int(i) for i in p if int(i) != 0][-model.max_len:] for p in prefixes]
+            if not cleaned:
+                return np.zeros((0, model.d), dtype=model.embeddings.dtype)
+            lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
+            ids = np.zeros((len(cleaned), max(1, int(lengths.max()))), dtype=np.int64)
+            for i, c in enumerate(cleaned):
+                ids[i, : len(c)] = c
+            states = prefix_states(model, ids)
+            out = np.zeros((len(cleaned), model.d), dtype=model.embeddings.dtype)
+            nonzero = lengths > 0
+            out[nonzero] = states[nonzero, lengths[nonzero] - 1]
+            return out
+
+        def oracle(prefixes):
+            H = np.stack([old_encode_batch(m, prefixes) for m in models], axis=1)
+            logits, _ = _forward(agg.store.params, H, centroids.c.astype(H.dtype))
+            out = np.full((len(prefixes), 31), -np.inf, dtype=logits.dtype)
+            out[:, 1:] = logits
+            return out
+
+        long_prefix = tuple(data.sessions[0].items) * 3
+        assert len(long_prefix) > 14
+        prefixes = [
+            data.sessions[1].items[:3],
+            (0, 0),                                   # only pad ids: empty
+            (),                                       # empty prefix
+            (0,) + data.sessions[2].items[:4] + (0,), # pad ids inside
+            long_prefix,                              # longer than max_len
+            data.sessions[3].items[:1],
+        ]
+        for batch in (prefixes, prefixes[1:2], []):
+            got = sru.predict_batch(batch)
+            want = oracle(batch)
+            assert got.shape == want.shape == (len(batch), 31)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFeatureCache:

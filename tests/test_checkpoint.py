@@ -16,7 +16,13 @@ from sru.checkpoint import (
     save_datasets,
 )
 from sru.corpus import generate_synthetic, split
-from sru.errors import ContractError, IntegrityError, StaleArtifactError, VersionError
+from sru.errors import (
+    ContractError,
+    IntegrityError,
+    ParseError,
+    StaleArtifactError,
+    VersionError,
+)
 from sru.partition import PartitionConfig, balanced_kmeans
 from sru.reports import EffectivenessReport, RankingReport, TimingReport, emit_report
 
@@ -150,6 +156,44 @@ class TestAssignmentRoundTrip:
         assert lines[0] == "session_index,shard_id"
         indices = [int(line.split(",")[0]) for line in lines[1:]]
         assert indices == sorted(indices) == list(range(6))
+
+
+class TestAssignmentParsing:
+    """Malformed partition.csv rows raise ParseError naming their line."""
+
+    def saved(self, tmp_path):
+        H = np.random.default_rng(5).normal(size=(6, 2))
+        assignment = balanced_kmeans(H, PartitionConfig(k=2, seed=0))
+        csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
+        save_assignment(csv_path, bin_path, assignment)
+        return csv_path, bin_path
+
+    def assert_line_rejected(self, tmp_path, bad_row, match):
+        csv_path, bin_path = self.saved(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[3] = bad_row                      # file line 4
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=match) as info:
+            load_assignment(csv_path, bin_path)
+        assert info.value.line_number == 4
+
+    def test_negative_shard_id(self, tmp_path):
+        self.assert_line_rejected(tmp_path, "2,-1", "shard id -1")
+
+    def test_shard_id_not_below_k(self, tmp_path):
+        self.assert_line_rejected(tmp_path, "2,2", "shard id 2")
+
+    def test_non_integer_field(self, tmp_path):
+        self.assert_line_rejected(tmp_path, "2,one", "non-integer")
+
+    def test_wrong_field_count(self, tmp_path):
+        self.assert_line_rejected(tmp_path, "2,0,1", "session_index,shard_id")
+
+    def test_negative_session_index(self, tmp_path):
+        self.assert_line_rejected(tmp_path, "-1,0", "negative session index")
+
+    def test_duplicated_session_index(self, tmp_path):
+        self.assert_line_rejected(tmp_path, "0,1", "session index 0 listed twice")
 
 
 class TestContainerValidation:

@@ -15,6 +15,7 @@ from sru.evaluation import (
     rank_of_target,
     sisa_baseline,
 )
+from sru.numerics import ranks_from_logits
 
 
 def sort_rank_oracle(logits, target):
@@ -49,6 +50,23 @@ class TestRank:
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             rank_from_logits(np.zeros(4), 4)
+
+    def test_block_ranks_equal_single_row_ranks_with_ties(self):
+        rng = np.random.default_rng(5)
+        for rows, items in ((1, 3), (37, 12), (300, 50)):
+            # few distinct values, so ties are frequent; the pad column
+            # sometimes holds the row maximum
+            block = rng.integers(0, 4, size=(rows, items + 1)).astype(np.float32)
+            block[::3, 0] = 10.0
+            targets = rng.integers(1, items + 1, size=rows)
+            want = [rank_from_logits(row, t) for row, t in zip(block, targets)]
+            assert ranks_from_logits(block, targets).tolist() == want
+
+    def test_block_ranks_reject_out_of_range_targets(self):
+        with pytest.raises(IndexError):
+            ranks_from_logits(np.zeros((2, 4)), [1, 4])
+        with pytest.raises(IndexError):
+            ranks_from_logits(np.zeros((2, 4)), [0, 1])
 
     def test_rank_of_target_calls_predictor(self):
         fixed = np.array([-np.inf, 1.0, 3.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,34 @@ from sru.numerics import (
     derive_seed,
     finite_difference_check,
     linear_forward_backward,
+    sigmoid,
     softmax,
 )
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 4e-16), (np.float32, 2.4e-7)])
+    def test_matches_exp_oracle(self, dtype, tol):
+        x = np.random.default_rng(0).uniform(-40.0, 40.0, 20000).astype(dtype)
+        oracle = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        assert np.abs(sigmoid(x).astype(np.float64) - oracle).max() <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_symmetry_and_dtype(self, dtype):
+        x = np.random.default_rng(1).normal(scale=5.0, size=(64, 32)).astype(dtype)
+        out = sigmoid(x)
+        assert out.dtype == dtype and out.shape == x.shape
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(sigmoid(-x), 1.0 - out, rtol=0, atol=2 * eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturates_without_warning(self, dtype):
+        x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+        assert np.all(np.isfinite(out)) and np.all((out >= 0) & (out <= 1))
+        assert out[0] == 0.0 and out[2] == 0.5 and out[-1] == 1.0
 
 
 class TestSoftmax:

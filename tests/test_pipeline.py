@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from sru.checkpoint import load_datasets
+from sru.checkpoint import load_datasets, save_checkpoint
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
-from sru.pipeline import load_state, run_pipeline
-from sru.unlearning import UnlearnRequest, save_requests
+from sru.pipeline import fit_state, load_state, run_pipeline
+from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests, save_requests
 
 TINY = {
     "seed": 7,
@@ -171,6 +171,30 @@ class TestUnlearnStage:
         assert report["audited_requests"] == 1
         assert run_pipeline("eval", config, tmp_path) == 0
 
+    def test_load_state_leaves_feature_cache_unbuilt(self, tmp_path):
+        state, _ = self.prepared(tmp_path, tiny_config())
+        assert state.feature_cache is None
+
+    def test_unlearn_stage_matches_in_memory_incremental_cache(self, tmp_path):
+        # The stage builds the feature cache once on the post-deletion
+        # models; in memory, fit_state's cache is updated incrementally.
+        config = tiny_config()
+        _, splits = self.prepared(tmp_path, config)
+        requests = sample_requests(splits["train"], count=3, strategy="CED",
+                                   n_extra=1, seed=5)
+        req_path = tmp_path / "requests.csv"
+        save_requests(requests, req_path)
+        assert run_pipeline("unlearn", config, tmp_path, requests_path=req_path) == 0
+
+        fitted = fit_state(splits["train"], splits["validation"], config)
+        assert fitted.feature_cache is not None
+        outcome = execute_unlearn(fitted, requests)
+        in_memory = tmp_path / "in_memory_aggregation.sru"
+        save_checkpoint(outcome.state.aggregation, in_memory,
+                        {"config_hash": config.config_hash(), "stage": "train-agg",
+                         "seed": outcome.state.agg_config.seed})
+        assert (tmp_path / "aggregation.sru").read_bytes() == in_memory.read_bytes()
+
     def test_bench_writes_reference_ratio(self, tmp_path):
         config = tiny_config()
         state, _ = self.prepared(tmp_path, config)
@@ -184,6 +208,22 @@ class TestUnlearnStage:
         assert bench["total_ms"] >= bench["aggregation_retrain_ms"]
         assert bench["speedup"] == pytest.approx(
             bench["full_retrain_reference_ms"] / bench["total_ms"], rel=5e-5)
+
+    def test_bench_builds_feature_cache_outside_timed_unlearn(self, tmp_path, monkeypatch):
+        # A loaded state has no feature cache; the timed execute_unlearn
+        # must only update one, never build it from scratch.
+        config = tiny_config()
+        state, _ = self.prepared(tmp_path, config)
+        session = state.shards[1].sessions[0]
+        req_path = tmp_path / "requests.csv"
+        save_requests([UnlearnRequest(session.session_id, 2, "CED", 1)], req_path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("feature cache built inside the timed unlearn")
+
+        monkeypatch.setattr("sru.unlearning.build_feature_cache", no_build)
+        assert run_pipeline("bench", config, tmp_path, requests_path=req_path) == 0
+        assert (tmp_path / "bench.json").exists()
 
 
 class TestAblate:
