@@ -52,7 +52,7 @@ elapsed = time.perf_counter() - started
 
 result = outcome.deletions[0]
 print(f"deleted positions {result.deleted_positions}; "
-      f"survivors {result.modified_session.items}")
+      f"survivors {result.context_full}")
 print(f"phases: sub-model retrain {outcome.timing.sub_model_retrain_ms:.0f}ms, "
       f"fusion retrain {outcome.timing.aggregation_retrain_ms:.0f}ms "
       f"(wall {elapsed:.1f}s)")

@@ -265,26 +265,6 @@ def init_aggregation_model(k: int, d: int, num_items: int,
                             num_items=num_items, config=config)
 
 
-def shard_feature_table(sub_models, dataset: SessionDataset):
-    """Per-position hidden states of every sub-model over one dataset.
-
-    Returns (features, targets) with features (P, K, d) and targets (P,)
-    where P runs over all (prefix, next-item) training points in session
-    index order. Sub-models are only read, never written.
-    """
-    max_len = sub_models[0].max_len
-    ids = padded_items(dataset, max_len)
-    tgt = ids[:, 1:]
-    valid = tgt != 0
-    targets = tgt[valid].astype(np.int64)
-    per_model = []
-    for m in sub_models:
-        states = prefix_states(m, ids)
-        per_model.append(states[:, :-1][valid])
-    features = np.stack(per_model, axis=1)
-    return features, targets
-
-
 @dataclass
 class FeatureCache:
     """Precomputed per-shard state table, reusable across unlearn calls.
@@ -304,33 +284,33 @@ class FeatureCache:
 
 
 def _row_layout(sessions, max_len: int):
+    """(row_slices, targets): each session's (start, count) block of
+    training rows, and the next item at every row."""
     slices: dict[str, tuple[int, int]] = {}
-    total = 0
+    targets: list[int] = []
     for s in sessions:
-        n = max(0, min(len(s), max_len) - 1)
-        slices[s.session_id] = (total, n)
-        total += n
-    return slices, total
+        tail = s.items[-max_len:]
+        slices[s.session_id] = (len(targets), max(0, len(tail) - 1))
+        targets.extend(tail[1:])
+    return slices, np.array(targets, dtype=np.int64)
 
 
 def _pair_states(model, sessions) -> np.ndarray:
     """Stacked prefix states at every training position of the given
     sessions (their last max_len items), session-major order."""
-    tails = [s.items[-model.max_len:] for s in sessions]
-    L = max(len(t) for t in tails)
-    ids = np.zeros((len(tails), L), dtype=np.int64)
-    for i, t in enumerate(tails):
-        ids[i, : len(t)] = t
+    ids, _ = padded_items([s.items for s in sessions], model.max_len)
     states = prefix_states(model, ids)
     valid = ids[:, 1:] != 0
     return states[:, :-1][valid]
 
 
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
-    features, targets = shard_feature_table(sub_models, dataset)
-    slices, total = _row_layout(dataset.sessions, sub_models[0].max_len)
-    if total != features.shape[0]:
-        raise ContractError("feature table does not match the session layout")
+    """Per-position hidden states of every sub-model over one dataset:
+    features (P, K, d) and targets (P,), where P runs over all (prefix,
+    next-item) training points in session order. Sub-models are only
+    read, never written."""
+    slices, targets = _row_layout(dataset.sessions, sub_models[0].max_len)
+    features = np.stack([_pair_states(m, dataset.sessions) for m in sub_models], axis=1)
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 
@@ -349,14 +329,8 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     max_len = sub_models[0].max_len
     dirty = set(dirty_shards)
     changed = set(changed_session_ids)
-    slices, total = _row_layout(dataset.sessions, max_len)
-
-    features = np.empty((total, k, d), dtype=cache.features.dtype)
-    targets = np.empty(total, dtype=np.int64)
-    for s in dataset.sessions:
-        start, n = slices[s.session_id]
-        tail = s.items[-max_len:]
-        targets[start : start + n] = tail[1 : 1 + n]
+    slices, targets = _row_layout(dataset.sessions, max_len)
+    features = np.empty((len(targets), k, d), dtype=cache.features.dtype)
 
     clean_cols = [c for c in range(k) if c not in dirty]
     reusable = [
@@ -408,10 +382,10 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     d = sub_models[0].d
     num_items = train_data.num_items()
 
-    if precomputed is not None:
-        features, targets = precomputed
-    else:
-        features, targets = shard_feature_table(sub_models, train_data)
+    if precomputed is None:
+        cache = build_feature_cache(sub_models, train_data)
+        precomputed = (cache.features, cache.targets)
+    features, targets = precomputed
     C = centroids.c.astype(features.dtype)
     model = init_aggregation_model(k, d, num_items, config)
     store = model.store

@@ -216,20 +216,25 @@ def encode(model: GruModel, prefix) -> np.ndarray:
     return h[0]
 
 
-def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray]:
-    """Clean and right-pad prefixes for ``prefix_states``.
+def padded_items(rows, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad item sequences, each cut to its last ``limit`` items.
 
-    Returns (ids, lengths): ids is (n, L) with L >= 1, each row holding
-    the prefix with pad ids skipped and cut to the model's last max_len
-    items; lengths[i] is the number of items kept in row i.
+    Returns (ids, lengths): ids is (n, L) with L >= 1 and lengths[i] is
+    the number of items kept in row i.
     """
-    cleaned = [_clean_prefix(model, p) for p in prefixes]
-    lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
-    L = max(1, int(lengths.max())) if cleaned else 1
-    ids = np.zeros((len(cleaned), L), dtype=np.int64)
-    for i, c in enumerate(cleaned):
-        ids[i, : len(c)] = c
+    rows = [r[-limit:] for r in rows]
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    L = max(1, int(lengths.max())) if rows else 1
+    ids = np.zeros((len(rows), L), dtype=np.int64)
+    for i, r in enumerate(rows):
+        ids[i, : len(r)] = r
     return ids, lengths
+
+
+def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray]:
+    """``padded_items`` over prefixes with pad ids skipped and every id
+    checked against the model's vocabulary."""
+    return padded_items([_clean_prefix(model, p) for p in prefixes], model.max_len)
 
 
 def last_states(states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -278,17 +283,6 @@ def score(model: GruModel, h: np.ndarray) -> np.ndarray:
 
 
 # -- training -----------------------------------------------------------------
-
-
-def padded_items(dataset: SessionDataset, limit: int) -> np.ndarray:
-    """Right-padded (n, L) id matrix, each session cut to its last
-    ``limit`` items."""
-    rows = [s.items[-limit:] for s in dataset.sessions]
-    L = max(len(r) for r in rows)
-    ids = np.zeros((len(rows), L), dtype=np.int64)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-    return ids
 
 
 def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
@@ -350,7 +344,7 @@ def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float):
 
 def validation_ndcg(model: GruModel, dataset: SessionDataset, k: int = 20) -> float:
     """Mean NDCG@k over every (prefix, next-item) point of a dataset."""
-    ids = padded_items(dataset, model.max_len)
+    ids, _ = padded_items([s.items for s in dataset.sessions], model.max_len)
     states = prefix_states(model, ids)
     tgt = ids[:, 1:]
     valid = tgt != 0
@@ -379,7 +373,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
     model = init_gru_model(dataset.num_items(), config)
     adam = AdamState.for_store(model.store)
     shuffle = RngStream(config.seed, "backbone/shuffle")
-    ids_all = padded_items(dataset, config.max_len)
+    ids_all, _ = padded_items([s.items for s in dataset.sessions], config.max_len)
     n = ids_all.shape[0]
 
     best_metric = -np.inf

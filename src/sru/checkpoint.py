@@ -56,6 +56,23 @@ def _tag_for(arr: np.ndarray) -> int:
     return _DTYPE_TAGS[key]
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    over ``path``: a reader sees the old bytes or the new ones, and a
+    failed write leaves no temporary file behind."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_container(path, tensors: dict[str, np.ndarray], metadata: dict) -> int:
     """Write one container atomically; returns the byte count."""
     parts = [MAGIC, struct.pack("<I", VERSION)]
@@ -76,18 +93,7 @@ def save_container(path, tensors: dict[str, np.ndarray], metadata: dict) -> int:
         parts.append(raw)
     body = b"".join(parts)
     blob = body + struct.pack("<I", zlib.crc32(body))
-
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, blob)
     return len(blob)
 
 
@@ -276,19 +282,19 @@ def load_datasets(path, expected_config_hash: str | None = None,
     vocab = ItemVocab.from_tokens(metadata["vocab"])
     out: dict[str, SessionDataset] = {}
     for tag in metadata["splits"]:
-        offsets = tensors[f"{tag}/offsets"]
-        items = tensors[f"{tag}/items"]
-        clusters = tensors[f"{tag}/clusters"]
+        offsets = tensors[f"{tag}/offsets"].tolist()
+        items = tensors[f"{tag}/items"].tolist()
+        clusters = tensors[f"{tag}/clusters"].tolist()
         times = tensors.get(f"{tag}/times")
-        ids = metadata["session_ids"][tag]
+        times = None if times is None else times.tolist()
         sessions = []
-        for i, sid in enumerate(ids):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
+        for i, sid in enumerate(metadata["session_ids"][tag]):
+            lo, hi = offsets[i], offsets[i + 1]
             sessions.append(Session(
                 session_id=sid,
-                items=tuple(int(v) for v in items[lo:hi]),
-                times=tuple(int(v) for v in times[lo:hi]) if times is not None else None,
-                cluster=None if clusters[i] < 0 else int(clusters[i]),
+                items=tuple(items[lo:hi]),
+                times=None if times is None else tuple(times[lo:hi]),
+                cluster=None if clusters[i] < 0 else clusters[i],
             ))
         out[tag] = SessionDataset(sessions=tuple(sessions), vocab=vocab,
                                   max_len=metadata["max_len"], split_tag=tag)
@@ -318,17 +324,7 @@ def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
         (i, k) for k, member in enumerate(assignment.members) for i in member
     )
     text = "\n".join(["session_index,shard_id", *(f"{i},{k}" for i, k in rows)]) + "\n"
-    directory = os.path.dirname(os.path.abspath(csv_path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".csv-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, csv_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(csv_path, text.encode("utf-8"))
     meta = {
         "kind": "centroids",
         "iterations_run": assignment.iterations_run,
@@ -376,19 +372,15 @@ def load_assignment(csv_path, bin_path, expected_config_hash: str | None = None,
                              line_number=number)
         seen.add(i)
         pairs.append((i, c))
-    n = max(i for i, _ in pairs) + 1 if pairs else 0
-    shard_of = np.full(n, -1, dtype=np.int64)
     members: list[list[int]] = [[] for _ in range(k)]
     for i, c in pairs:
-        shard_of[i] = c
         members[c].append(i)
-    return ShardAssignment(
-        shard_of=shard_of,
-        members=tuple(tuple(sorted(m)) for m in members),
-        centroids=tensors["centroids"],
-        iterations_run=metadata["iterations_run"],
-        delta=metadata["delta"],
-        reseeds=tuple(tuple(r) for r in metadata.get("reseeds", [])),
+    return ShardAssignment.from_members(
+        [sorted(m) for m in members],
+        tensors["centroids"],
+        metadata["iterations_run"],
+        metadata["delta"],
+        tuple(tuple(r) for r in metadata.get("reseeds", [])),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import GruModel, padded_items, prefix_states
+from .backbone import GruModel, encode_batch
 from .corpus import SessionDataset
 from .errors import ContractError
 from .numerics import RngStream
@@ -65,6 +65,19 @@ class ShardAssignment:
     delta: int
     reseeds: tuple = ()                  # (iteration, shard, session) diagnostics
 
+    @classmethod
+    def from_members(cls, members, centroids: np.ndarray, iterations_run: int,
+                     delta: int, reseeds: tuple = ()) -> "ShardAssignment":
+        """Assignment whose shard_of is derived from members; an index up
+        to the largest member that no shard lists maps to -1."""
+        members = tuple(tuple(m) for m in members)
+        shard_of = np.full(max((i for m in members for i in m), default=-1) + 1, -1,
+                           dtype=np.int64)
+        for k, member in enumerate(members):
+            shard_of[list(member)] = k
+        return cls(shard_of=shard_of, members=members, centroids=centroids,
+                   iterations_run=iterations_run, delta=delta, reseeds=reseeds)
+
     @property
     def k(self) -> int:
         return len(self.members)
@@ -88,10 +101,7 @@ def embed_all(reference_model: GruModel, dataset: SessionDataset) -> np.ndarray:
             f"model vocabulary ({reference_model.num_items}) does not match "
             f"dataset ({dataset.num_items()})"
         )
-    ids = padded_items(dataset, reference_model.max_len)
-    states = prefix_states(reference_model, ids)
-    lengths = (ids != 0).sum(axis=1)
-    return states[np.arange(len(dataset)), lengths - 1].copy()
+    return encode_batch(reference_model, [s.items for s in dataset.sessions])
 
 
 def _assign(dist: np.ndarray, delta: int) -> np.ndarray:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .aggregation import build_feature_cache, compute_centroids, train_aggregation
 from .backbone import train_backbone, train_many
@@ -27,15 +25,23 @@ from .checkpoint import (
     save_centroid_state,
     save_checkpoint,
     save_datasets,
+    write_atomic,
 )
 from .config import ExperimentConfig
 from .corpus import generate_synthetic, ingest_log, preprocess, split
-from .errors import ContractError, StageDependencyError
+from .errors import ContractError, ParseError, StageDependencyError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
 from .partition import ShardAssignment, balanced_kmeans, embed_all, make_shards
 from .reports import emit_report
-from .unlearning import SruState, execute_unlearn, load_requests, sample_requests
+from .unlearning import (
+    SruState,
+    deletions_from_json,
+    deletions_to_json,
+    execute_unlearn,
+    load_requests,
+    sample_requests,
+)
 
 SUBCOMMANDS = (
     "preprocess", "pretrain", "partition", "train-shards", "train-agg",
@@ -262,71 +268,11 @@ def _reindexed_assignment(outcome_state: SruState) -> ShardAssignment:
     assignment = outcome_state.assignment
     surviving = sorted(i for member in assignment.members for i in member)
     rank = {original: new for new, original in enumerate(surviving)}
-    members = tuple(
-        tuple(rank[i] for i in member) for member in assignment.members
+    return ShardAssignment.from_members(
+        [[rank[i] for i in member] for member in assignment.members],
+        assignment.centroids, assignment.iterations_run, assignment.delta,
+        assignment.reseeds,
     )
-    shard_of = np.full(len(surviving), -1, dtype=np.int64)
-    for k, member in enumerate(members):
-        for i in member:
-            shard_of[i] = k
-    return ShardAssignment(
-        shard_of=shard_of,
-        members=members,
-        centroids=assignment.centroids,
-        iterations_run=assignment.iterations_run,
-        delta=assignment.delta,
-        reseeds=assignment.reseeds,
-    )
-
-
-def audit_records_to_json(deletions) -> list[dict]:
-    return [
-        {
-            "session_id": r.session_id,
-            "strategy": r.strategy,
-            "n_extra": r.n_extra,
-            "target_position": r.target_position,
-            "target_item": r.target_item,
-            "deleted_positions": list(r.deleted_positions),
-            "original_length": r.original_length,
-            "dropped": r.dropped,
-            "context_prefix": list(r.context_prefix),
-            "context_full": list(r.context_full),
-        }
-        for r in deletions
-    ]
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    session_id: str
-    strategy: str
-    n_extra: int
-    target_position: int
-    target_item: int
-    deleted_positions: tuple
-    original_length: int
-    dropped: bool
-    context_prefix: tuple
-    context_full: tuple
-
-
-def audit_records_from_json(rows) -> list[AuditRecord]:
-    return [
-        AuditRecord(
-            session_id=row["session_id"],
-            strategy=row["strategy"],
-            n_extra=row["n_extra"],
-            target_position=row["target_position"],
-            target_item=row["target_item"],
-            deleted_positions=tuple(row["deleted_positions"]),
-            original_length=row["original_length"],
-            dropped=row["dropped"],
-            context_prefix=tuple(row["context_prefix"]),
-            context_full=tuple(row["context_full"]),
-        )
-        for row in rows
-    ]
 
 
 def _cmd_unlearn(run_dir, config: ExperimentConfig, requests_path,
@@ -357,22 +303,25 @@ def _cmd_unlearn(run_dir, config: ExperimentConfig, requests_path,
                     {"config_hash": chash, "stage": "train-agg",
                      "seed": outcome.state.agg_config.seed})
 
-    audit_path = os.path.join(run_dir, "audit.json")
-    with open(audit_path, "w", encoding="utf-8") as handle:
-        json.dump({"config_hash": chash,
-                   "records": audit_records_to_json(outcome.deletions)},
-                  handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    audit = {"config_hash": chash, "records": deletions_to_json(outcome.deletions)}
+    write_atomic(_path(run_dir, "audit"),
+                 (json.dumps(audit, sort_keys=True, indent=2) + "\n").encode("utf-8"))
     emit_report(outcome.timing, "json", os.path.join(run_dir, "unlearn_timing.json"))
 
 
 def _cmd_effectiveness(run_dir, config: ExperimentConfig) -> None:
     _require(run_dir, "audit")
-    with open(_path(run_dir, "audit"), "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    path = _path(run_dir, "audit")
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc.msg}", line_number=exc.lineno) from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
+        raise ParseError(f"{path}: expected an object with a records list")
     if payload.get("config_hash") != config.config_hash():
         raise StageDependencyError("audit.json was produced under a different config")
-    records = audit_records_from_json(payload["records"])
+    records = deletions_from_json(payload["records"])
     state, _ = load_state(run_dir, config)
     report = hit_effectiveness(state.sru_model(), records,
                                ks=config["effectiveness.ks"],
@@ -392,8 +341,7 @@ def _cmd_bench(run_dir, config: ExperimentConfig, requests_path) -> None:
 
 def _write_csv(path, header: str, rows) -> None:
     body = "\n".join([header, *(",".join(str(v) for v in row) for row in rows)])
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(body + "\n")
+    write_atomic(path, (body + "\n").encode("utf-8"))
 
 
 def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str,

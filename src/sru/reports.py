@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
+from .checkpoint import write_atomic
 from .errors import ContractError
 
 __all__ = ["EffectivenessReport", "RankingReport", "TimingReport", "emit_report"]
@@ -115,20 +114,6 @@ def _rounded(obj):
     return _six_digits(obj)
 
 
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def emit_report(report, fmt: str, path) -> None:
     """Write a report as CSV or JSON with a stable field order.
 
@@ -151,4 +136,4 @@ def emit_report(report, fmt: str, path) -> None:
         text = "\n".join(lines) + "\n"
     else:
         raise ContractError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
-    _atomic_write(path, text)
+    write_atomic(path, text.encode("utf-8"))

@@ -17,7 +17,7 @@ import csv
 import io
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -69,10 +69,36 @@ class DeletionResult:
     target_item: int
     deleted_positions: tuple[int, ...]   # includes the target position
     original_length: int
-    modified_session: Session | None     # None when nothing survived
     dropped: bool                        # survivors < 2, session removed
     context_prefix: tuple[int, ...]      # survivors before the target position
     context_full: tuple[int, ...]        # all survivors
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(DeletionResult))
+
+
+def deletions_to_json(deletions) -> list[dict]:
+    """Audit-trail rows: one JSON-ready dict per DeletionResult."""
+    return [asdict(r) for r in deletions]
+
+
+def deletions_from_json(rows) -> list[DeletionResult]:
+    """Inverse of ``deletions_to_json``; a row with a missing or unknown
+    field raises ParseError naming its record index."""
+    results = []
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ParseError(f"audit record {index} is not an object")
+        missing = [name for name in _RECORD_FIELDS if name not in row]
+        unknown = sorted(set(row) - set(_RECORD_FIELDS))
+        if missing or unknown:
+            raise ParseError(f"audit record {index}: missing fields {missing}, "
+                             f"unknown fields {unknown}")
+        results.append(DeletionResult(**{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in row.items()
+        }))
+    return results
 
 
 def _check_target(session: Session, target_position: int) -> None:
@@ -157,7 +183,6 @@ def _result_for(session: Session, request: UnlearnRequest, own_positions,
     applied to the session (== own_positions for a lone request)."""
     union = set(union_positions if union_positions is not None else own_positions)
     survivors = [p for p in range(len(session)) if p not in union]
-    modified = _rewrite(session, union)
     return DeletionResult(
         session_id=session.session_id,
         strategy=request.strategy,
@@ -166,8 +191,7 @@ def _result_for(session: Session, request: UnlearnRequest, own_positions,
         target_item=session.items[request.target_position],
         deleted_positions=tuple(sorted(set(own_positions))),
         original_length=len(session),
-        modified_session=modified,
-        dropped=modified is None or len(modified) < 2,
+        dropped=len(survivors) < 2,
         context_prefix=tuple(session.items[p] for p in survivors if p < request.target_position),
         context_full=tuple(session.items[p] for p in survivors),
     )
@@ -196,7 +220,7 @@ def apply_deletion(shard: SessionDataset, request: UnlearnRequest,
     if result.dropped:
         del sessions[idx]
     else:
-        sessions[idx] = result.modified_session
+        sessions[idx] = _rewrite(session, set(positions))
     return shard.with_sessions(sessions), result
 
 
@@ -336,7 +360,7 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
                 if i not in drop:
                     drop.append(i)
             else:
-                sessions[i] = result.modified_session
+                sessions[i] = _rewrite(original, deletions_by_session[request.session_id])
         for i in sorted(drop, reverse=True):
             del sessions[i]
         new_shards[k] = state.shards[k].with_sessions(sessions)
@@ -404,19 +428,9 @@ def _prune_assignment(assignment: ShardAssignment, old_shards, new_shards) -> Sh
         ))
     # The pruned map stays keyed by ORIGINAL indices; dropped sessions
     # leave -1 holes, so the full-partition validity check does not apply.
-    size = max((i for m in members for i in m), default=-1) + 1
-    shard_of = np.full(size, -1, dtype=np.int64)
-    for k, member in enumerate(members):
-        for i in member:
-            shard_of[i] = k
-    return ShardAssignment(
-        shard_of=shard_of,
-        members=tuple(members),
-        centroids=assignment.centroids,
-        iterations_run=assignment.iterations_run,
-        delta=assignment.delta,
-        reseeds=assignment.reseeds,
-    )
+    return ShardAssignment.from_members(members, assignment.centroids,
+                                        assignment.iterations_run, assignment.delta,
+                                        assignment.reseeds)
 
 
 # -- request file format -----------------------------------------------------------

@@ -16,7 +16,6 @@ from sru.aggregation import (
     fuse,
     predict_output,
     project,
-    shard_feature_table,
     train_aggregation,
     updated_feature_cache,
 )
@@ -367,8 +366,20 @@ class TestFeatureCache:
     def test_table_matches_layout(self):
         data, _, models, _ = small_setup(num_sessions=10, k=2)
         cache = build_feature_cache(models, data)
-        features, targets = shard_feature_table(models, data)
-        np.testing.assert_array_equal(cache.features, features)
+        # Oracle: every sub-model runs prefix_states over the hand-padded
+        # sessions; row t of a session is the state after its first t + 1
+        # items and its target is item t + 1.
+        tails = [s.items[-14:] for s in data.sessions]
+        ids = np.zeros((len(tails), max(map(len, tails))), dtype=np.int64)
+        for i, tail in enumerate(tails):
+            ids[i, : len(tail)] = tail
+        per_model = [prefix_states(m, ids) for m in models]
+        features, targets = [], []
+        for i, tail in enumerate(tails):
+            for t in range(len(tail) - 1):
+                features.append(np.stack([states[i, t] for states in per_model]))
+                targets.append(tail[t + 1])
+        np.testing.assert_array_equal(cache.features, np.stack(features))
         np.testing.assert_array_equal(cache.targets, targets)
         total = sum(min(len(s), 14) - 1 for s in data.sessions)
         assert cache.features.shape[0] == total
@@ -396,5 +407,6 @@ class TestFeatureCache:
                                         dirty_shards=[1], changed_session_ids=changed)
         full = build_feature_cache(new_models, modified)
         np.testing.assert_array_equal(updated.targets, full.targets)
-        np.testing.assert_allclose(updated.features, full.features, rtol=1e-5, atol=1e-6)
+        assert updated.features.dtype == full.features.dtype
+        assert updated.features.tobytes() == full.features.tobytes()
         assert updated.row_slices == full.row_slices

@@ -164,7 +164,7 @@ class TestUnrolledGradients:
                                   min_len=4, max_len=6)
         config = BackboneConfig(d=6, max_len=6, seed=seed, dtype="float64")
         model = init_gru_model(20, config)
-        ids = padded_items(data, 6)
+        ids, _ = padded_items([s.items for s in data.sessions], 6)
 
         _, positions = sequence_loss_and_grads(model, ids)
         assert positions > 0

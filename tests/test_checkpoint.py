@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sru.checkpoint import (
     save_checkpoint,
     save_container,
     save_datasets,
+    write_atomic,
 )
 from sru.corpus import generate_synthetic, split
 from sru.errors import (
@@ -23,7 +25,7 @@ from sru.errors import (
     StaleArtifactError,
     VersionError,
 )
-from sru.partition import PartitionConfig, balanced_kmeans
+from sru.partition import PartitionConfig, ShardAssignment, balanced_kmeans
 from sru.reports import EffectivenessReport, RankingReport, TimingReport, emit_report
 
 
@@ -147,6 +149,18 @@ class TestAssignmentRoundTrip:
         np.testing.assert_array_equal(loaded.centroids, assignment.centroids)
         assert loaded.delta == assignment.delta
 
+    def test_round_trip_keeps_holes(self, tmp_path):
+        # A pruned map after unlearning: indices 1 and 3 were dropped.
+        assignment = ShardAssignment.from_members(
+            [[0, 4], [2, 5]], np.arange(4.0).reshape(2, 2), 3, 3, ((1, 0, 2),))
+        csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
+        save_assignment(csv_path, bin_path, assignment)
+        loaded = load_assignment(csv_path, bin_path)
+        assert loaded.members == assignment.members
+        assert loaded.shard_of.tolist() == [0, -1, 1, -1, 0, 1]
+        np.testing.assert_array_equal(loaded.centroids, assignment.centroids)
+        assert (loaded.iterations_run, loaded.delta, loaded.reseeds) == (3, 3, ((1, 0, 2),))
+
     def test_csv_is_sorted_with_header(self, tmp_path):
         H = np.random.default_rng(4).normal(size=(6, 2))
         assignment = balanced_kmeans(H, PartitionConfig(k=2, seed=0))
@@ -194,6 +208,46 @@ class TestAssignmentParsing:
 
     def test_duplicated_session_index(self, tmp_path):
         self.assert_line_rejected(tmp_path, "0,1", "session index 0 listed twice")
+
+
+class TestWriteAtomic:
+    def test_replaces_previous_bytes(self, tmp_path):
+        path = tmp_path / "audit.json"
+        path.write_bytes(b"old\n")
+        write_atomic(path, b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["audit.json"]
+
+    def test_write_failing_part_way_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "audit.json"
+        previous = b'{\n  "config_hash": "abc",\n  "records": []\n}\n'
+        path.write_bytes(previous)
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            """File handle that writes half of the data, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, *args, **kw: HalfWrite(real_fdopen(fd, *args, **kw)))
+        with pytest.raises(OSError, match="no space left"):
+            write_atomic(path, b'{"config_hash": "abc", "records": [1, 2, 3]}\n')
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["audit.json"]
 
 
 class TestContainerValidation:

@@ -6,6 +6,7 @@ from sru.corpus import generate_synthetic
 from sru.errors import ContractError
 from sru.partition import (
     PartitionConfig,
+    ShardAssignment,
     balanced_kmeans,
     cluster_purity,
     embed_all,
@@ -149,6 +150,33 @@ class TestMakeShards:
         assignment = balanced_kmeans(H, PartitionConfig(k=2, seed=0))
         with pytest.raises(ContractError):
             make_shards(data, assignment)
+
+
+class TestFromMembers:
+    def test_full_partition_matches_balanced_kmeans(self):
+        H = np.random.default_rng(7).normal(size=(13, 3))
+        assignment = balanced_kmeans(H, PartitionConfig(k=3, seed=4))
+        rebuilt = ShardAssignment.from_members(
+            assignment.members, assignment.centroids, assignment.iterations_run,
+            assignment.delta, assignment.reseeds)
+        assert rebuilt.shard_of.dtype == np.int64
+        np.testing.assert_array_equal(rebuilt.shard_of, assignment.shard_of)
+        assert rebuilt.members == assignment.members
+        rebuilt.validate()
+
+    def test_unlisted_indices_are_holes(self):
+        centroids = np.zeros((3, 2))
+        rebuilt = ShardAssignment.from_members([[0, 4], [], [2, 5]], centroids, 1, 2)
+        assert rebuilt.shard_of.tolist() == [0, -1, 2, -1, 0, 2]
+        assert rebuilt.members == ((0, 4), (), (2, 5))
+        assert rebuilt.k == 3
+        assert rebuilt.centroids is centroids
+        assert (rebuilt.iterations_run, rebuilt.delta, rebuilt.reseeds) == (1, 2, ())
+
+    def test_no_members_gives_empty_map(self):
+        rebuilt = ShardAssignment.from_members([(), ()], np.zeros((2, 1)), 1, 1)
+        assert rebuilt.shard_of.shape == (0,)
+        assert rebuilt.k == 2
 
 
 class TestPurity:

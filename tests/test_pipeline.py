@@ -7,7 +7,14 @@ from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
 from sru.pipeline import fit_state, load_state, run_pipeline
-from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests, save_requests
+from sru.unlearning import (
+    DeletionResult,
+    UnlearnRequest,
+    deletions_to_json,
+    execute_unlearn,
+    sample_requests,
+    save_requests,
+)
 
 TINY = {
     "seed": 7,
@@ -224,6 +231,51 @@ class TestUnlearnStage:
         monkeypatch.setattr("sru.unlearning.build_feature_cache", no_build)
         assert run_pipeline("bench", config, tmp_path, requests_path=req_path) == 0
         assert (tmp_path / "bench.json").exists()
+
+
+class TestAuditFile:
+    """effectiveness reads audit.json before any model artifact, so a bad
+    file fails with ParseError on an otherwise empty run directory."""
+
+    RECORD = DeletionResult(session_id="s1", strategy="CED", n_extra=1, target_position=2,
+                            target_item=7, deleted_positions=(1, 2), original_length=5,
+                            dropped=False, context_prefix=(3,), context_full=(3, 8, 9))
+
+    def write_audit(self, tmp_path, config, rows):
+        text = json.dumps({"config_hash": config.config_hash(), "records": rows},
+                          sort_keys=True, indent=2) + "\n"
+        (tmp_path / "audit.json").write_text(text)
+        return text
+
+    def test_truncated_file_is_parse_error_with_line(self, tmp_path):
+        config = tiny_config()
+        text = self.write_audit(tmp_path, config, deletions_to_json([self.RECORD] * 2))
+        (tmp_path / "audit.json").write_text(text[: len(text) // 2])
+        with pytest.raises(ParseError) as info:
+            run_pipeline("effectiveness", config, tmp_path)
+        assert info.value.line_number == text[: len(text) // 2].count("\n") + 1
+
+    def test_missing_field_is_parse_error_naming_record(self, tmp_path):
+        config = tiny_config()
+        rows = deletions_to_json([self.RECORD] * 2)
+        del rows[1]["context_full"]
+        self.write_audit(tmp_path, config, rows)
+        with pytest.raises(ParseError, match=r"audit record 1: missing fields \['context_full'\]"):
+            run_pipeline("effectiveness", config, tmp_path)
+
+    def test_records_must_be_a_list(self, tmp_path):
+        config = tiny_config()
+        (tmp_path / "audit.json").write_text("[]\n")
+        with pytest.raises(ParseError, match="records list"):
+            run_pipeline("effectiveness", config, tmp_path)
+
+    def test_cli_reports_bad_audit_without_traceback(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        (tmp_path / "audit.json").write_text('{"config_hash": ')
+        assert main(["effectiveness", "--config", str(config_path),
+                     "--run-dir", str(tmp_path)]) == 1
+        assert "error: line 1:" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,8 @@ from sru.unlearning import (
     UnlearnRequest,
     apply_deletion,
     ced_select,
+    deletions_from_json,
+    deletions_to_json,
     execute_unlearn,
     load_requests,
     ned_select,
@@ -137,6 +140,40 @@ class TestApplyDeletion:
     def test_target_must_be_deleted(self):
         with pytest.raises(ContractError):
             apply_deletion(self.make_shard(), UnlearnRequest("s1", 2, "NED", 0), (1,))
+
+
+class TestDeletionJson:
+    def results(self):
+        shard = SessionDataset(sessions=(Session("s1", (1, 2, 3, 4, 5)), Session("s2", (5, 4))),
+                               vocab=vocab4(), max_len=10)
+        _, kept = apply_deletion(shard, UnlearnRequest("s1", 3, "NED", 2), (1, 2, 3))
+        _, dropped = apply_deletion(shard, UnlearnRequest("s2", 0, "CED", 1), (0, 1))
+        return [kept, dropped]
+
+    def test_round_trip_through_json_text(self):
+        results = self.results()
+        text = json.dumps(deletions_to_json(results), sort_keys=True, indent=2)
+        assert deletions_from_json(json.loads(text)) == results
+
+    def test_rows_hold_every_field(self):
+        rows = deletions_to_json(self.results())
+        assert rows[0] == {
+            "session_id": "s1", "strategy": "NED", "n_extra": 2, "target_position": 3,
+            "target_item": 4, "deleted_positions": (1, 2, 3), "original_length": 5,
+            "dropped": False, "context_prefix": (1,), "context_full": (1, 5),
+        }
+        assert rows[1]["dropped"] is True and rows[1]["context_full"] == ()
+
+    def test_unknown_field_names_the_record(self):
+        rows = deletions_to_json(self.results())
+        rows[0]["modified_session"] = None
+        with pytest.raises(ParseError,
+                           match=r"audit record 0: .*unknown fields \['modified_session'\]"):
+            deletions_from_json(rows)
+
+    def test_non_object_record_rejected(self):
+        with pytest.raises(ParseError, match="audit record 0 is not an object"):
+            deletions_from_json([[1, 2]])
 
 
 @pytest.fixture(scope="module")
