@@ -53,9 +53,12 @@ elapsed = time.perf_counter() - started
 result = outcome.deletions[0]
 print(f"deleted positions {result.deleted_positions}; "
       f"survivors {result.context_full}")
-print(f"phases: sub-model retrain {outcome.timing.sub_model_retrain_ms:.0f}ms, "
-      f"fusion retrain {outcome.timing.aggregation_retrain_ms:.0f}ms "
-      f"(wall {elapsed:.1f}s)")
+timing = outcome.timing
+print(f"phases: sub-model retrain {timing.sub_model_retrain_ms:.0f}ms, "
+      f"fusion side {timing.aggregation_retrain_ms:.0f}ms "
+      f"(centroids {timing.centroid_refresh_ms:.0f}ms, "
+      f"feature cache {timing.feature_cache_ms:.0f}ms, "
+      f"fusion training {timing.fusion_training_ms:.0f}ms; wall {elapsed:.1f}s)")
 
 touched = [k for k in range(4)
            if outcome.state.sub_models[k] is not state.sub_models[k]]

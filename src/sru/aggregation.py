@@ -191,53 +191,73 @@ def _forward(params, H, C, with_cache=False):
     Wp, bp = params["W_proj"], params["b_proj"]
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
-    Hp = np.matmul(H.transpose(1, 0, 2), Wp).transpose(1, 0, 2) + bp
+    # Hp is written through a shard-major view so that it stays
+    # C-contiguous in (B, K, d) and every later reshape is free.
+    Hp = np.empty((B, K, d), dtype=np.result_type(H, Wp))
+    np.matmul(H.transpose(1, 0, 2), Wp, out=Hp.transpose(1, 0, 2))
+    Hp += bp
     Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
-    U = Hp * Cp[None, :, :]
-    T_pre = (U.reshape(B * K, d) @ params["W_attn"]).reshape(B, K, f) + params["b_attn"]
+    U = Hp * Cp
+    T_pre = U.reshape(B * K, d) @ params["W_attn"]
+    T_pre += params["b_attn"]
+    T_pre = T_pre.reshape(B, K, f)
     T = np.maximum(T_pre, 0.0)
-    S = T.reshape(B * K, f) @ params["g_attn"]
-    S = S.reshape(B, K)
-    S_shift = S - S.max(axis=1, keepdims=True)
-    expS = np.exp(S_shift)
-    A = expS / expS.sum(axis=1, keepdims=True)
+    S = (T.reshape(B * K, f) @ params["g_attn"]).reshape(B, K)
+    S -= S.max(axis=1, keepdims=True)
+    A = np.exp(S, out=S)
+    A /= (A @ np.ones(K, dtype=A.dtype))[:, None]
     h_fused = np.matmul(A[:, None, :], Hp)[:, 0, :]
-    pre1 = h_fused @ params["W1"] + params["b1"]
+    pre1 = h_fused @ params["W1"]
+    pre1 += params["b1"]
     hidden = np.maximum(pre1, 0.0)
-    logits = hidden @ params["W2"] + params["b2"]
+    logits = hidden @ params["W2"]
+    logits += params["b2"]
     if not with_cache:
         return logits, None
     return logits, (H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden)
 
 
 def _backward(params, grads, cache, dlogits):
-    """Accumulate gradients for all fusion parameters; inputs are frozen."""
+    """Accumulate gradients for all fusion parameters; inputs are frozen.
+
+    Sums over rows are products with a ones vector, which BLAS runs much
+    faster than numpy's axis reductions. The attention pre-activation
+    gradient dT_pre = dS g * M, with the ReLU mask M = [T_pre > 0], is
+    never formed: g factors out, so W_attn's gradient is
+    ((U * dS)^T M) * g, b_attn's is (dS^T M) * g and
+    dU = dS * (M (g W_attn^T)).
+    """
     H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden = cache
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
+    g_attn = params["g_attn"]
+    ones = np.ones(B, dtype=dlogits.dtype)
     grads["W2"] += hidden.T @ dlogits
-    grads["b2"] += dlogits.sum(axis=0)
-    dhidden = dlogits @ params["W2"].T
-    dpre1 = dhidden * (pre1 > 0)
+    grads["b2"] += ones @ dlogits
+    dpre1 = dlogits @ params["W2"].T
+    dpre1 *= hidden > 0
     grads["W1"] += h_fused.T @ dpre1
-    grads["b1"] += dpre1.sum(axis=0)
+    grads["b1"] += ones @ dpre1
     dh_fused = dpre1 @ params["W1"].T
 
     dA = np.matmul(Hp, dh_fused[:, :, None])[:, :, 0]
-    dHp = A[:, :, None] * dh_fused[:, None, :]
-    dS = A * (dA - (A * dA).sum(axis=1, keepdims=True))
-    dT = dS[:, :, None] * params["g_attn"][None, None, :]
-    grads["g_attn"] += T.reshape(B * K, f).T @ dS.reshape(B * K)
-    dT_pre = dT * (T_pre > 0)
-    grads["W_attn"] += U.reshape(B * K, d).T @ dT_pre.reshape(B * K, f)
-    grads["b_attn"] += dT_pre.sum(axis=(0, 1))
-    dU = (dT_pre.reshape(B * K, f) @ params["W_attn"].T).reshape(B, K, d)
+    dS = dA - ((A * dA) @ np.ones(K, dtype=dA.dtype))[:, None]
+    dS *= A
+    dS_rows = dS.reshape(B * K)
+    mask = np.greater(T.reshape(B * K, f), 0, out=np.empty((B * K, f), dtype=T.dtype))
+    grads["g_attn"] += dS_rows @ T.reshape(B * K, f)
+    grads["b_attn"] += (dS_rows @ mask) * g_attn
+    grads["W_attn"] += ((U * dS[:, :, None]).reshape(B * K, d).T @ mask) * g_attn
+    dU = (mask @ (g_attn[:, None] * params["W_attn"].T)).reshape(B, K, d)
+    dU *= dS[:, :, None]
 
-    dHp += dU * Cp[None, :, :]
-    dCp = (dU * Hp).sum(axis=0)
+    dHp = np.einsum("bk,bd->bkd", A, dh_fused)
+    dHp += dU * Cp
+    dU *= Hp
+    dCp = (ones @ dU.reshape(B, K * d)).reshape(K, d)
     grads["W_proj"] += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
     grads["W_proj"] += C[:, :, None] * dCp[:, None, :]
-    grads["b_proj"] += dHp.sum(axis=0) + dCp
+    grads["b_proj"] += (ones @ dHp.reshape(B, K * d)).reshape(K, d) + dCp
 
 
 def init_aggregation_model(k: int, d: int, num_items: int,
@@ -393,20 +413,23 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     shuffle = RngStream(config.seed, "aggregation/shuffle")
 
     P = features.shape[0]
+    # One gather per epoch, into one buffer reused by every epoch:
+    # contiguous batch slices are much cheaper than 60+ scattered
+    # gathers, and two copies of the table never coexist. perm is a
+    # permutation, so mode="clip" only skips take's buffered bounds check.
+    feats_epoch = np.empty_like(features)
     for _ in range(config.epochs):
         perm = shuffle.permutation(P)
-        # One gather per epoch; contiguous batch slices are much cheaper
-        # than 60+ scattered gathers.
-        feats_epoch = features[perm]
+        np.take(features, perm, axis=0, out=feats_epoch, mode="clip")
         targets_epoch = targets[perm]
         loss_sum = 0.0
         for start in range(0, P, config.batch_size):
             Hb = feats_epoch[start : start + config.batch_size]
             tb = targets_epoch[start : start + config.batch_size] - 1
             logits, cache = _forward(store.params, Hb, C, with_cache=True)
-            losses, dlogits = cross_entropy_rows(logits.astype(np.float64), tb)
+            losses, dlogits = cross_entropy_rows(logits, tb)
             loss_sum += float(losses.sum())
-            dlogits = (dlogits / len(tb)).astype(logits.dtype)
+            dlogits /= len(tb)
             store.zero_grads()
             _backward(store.params, store.grads, cache, dlogits)
             adam_step(store, adam, config.lr)

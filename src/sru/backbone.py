@@ -315,9 +315,9 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
     Hv = H[valid]
     tv = tgt[valid] - 1
     logits = Hv @ E[1:].T
-    losses, dlogits = cross_entropy_rows(logits.astype(np.float64), tv)
+    losses, dlogits = cross_entropy_rows(logits, tv)
     loss_sum = float(losses.sum())
-    dlogits = (dlogits / positions).astype(E.dtype)
+    dlogits /= positions
 
     grads = store.grads
     grads["E"][1:] += dlogits.T @ Hv

@@ -218,9 +218,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None, force: bool =
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, force, path)
     kind = metadata.get("kind")
-    store = ParamStore()
-    for name in sorted(tensors):
-        store.add(name, tensors[name])
+    store = ParamStore(tensors)
     if kind == "gru":
         config = None
         if metadata.get("backbone_config"):

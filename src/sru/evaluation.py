@@ -190,11 +190,5 @@ def benchmark_unlearn(state, requests, retrain_config: BackboneConfig | None = N
     train_backbone(full_dataset, config)
     full_ms = (time.perf_counter() - started) * 1e3
 
-    t = outcome.timing
-    return TimingReport(
-        sub_model_retrain_ms=t.sub_model_retrain_ms,
-        aggregation_retrain_ms=t.aggregation_retrain_ms,
-        total_ms=t.total_ms,
-        full_retrain_reference_ms=full_ms,
-        per_shard_ms=dict(t.per_shard_ms),
-    )
+    return replace(outcome.timing, full_retrain_reference_ms=full_ms,
+                   per_shard_ms=dict(outcome.timing.per_shard_ms))

@@ -28,7 +28,6 @@ __all__ = [
     "ranks_from_logits",
     "sigmoid",
     "softmax",
-    "softmax_rows",
     "xavier_uniform",
 ]
 
@@ -81,30 +80,91 @@ class RngStream:
 
 
 class ParamStore:
-    """Named parameters with matching gradient slots.
+    """Named parameters with matching gradient slots, packed flat.
 
     Names are unique; every gradient has the shape and dtype of its
-    parameter. Iteration everywhere is over sorted names.
+    parameter, and all parameters share one dtype. Values live in one
+    contiguous buffer (``values``) and gradients in another
+    (``grad_values``), both in sorted-name order; ``params[name]`` and
+    ``grads[name]`` are views into them. The whole-store operations
+    (``zero_grads``, ``copy``, ``tobytes`` and ``adam_step``) work on the
+    two buffers at once, so their cost does not grow with the number of
+    parameters.
+
+    ``ParamStore(arrays)`` packs a name -> array mapping at once; ``add``
+    repacks both buffers, which detaches the arrays handed out before
+    it: read through ``params`` once the last parameter is added.
+    Entries are written in place (``params[name][...] = x``); a whole-store
+    operation on a store whose ``params`` or ``grads`` entry was replaced
+    or removed raises ContractError naming it. Stores assembled entry by
+    entry (``params[name] = x`` without ``add``) still serve the per-name
+    ``finite_difference_check``.
     """
 
-    def __init__(self):
+    def __init__(self, arrays: dict | None = None):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.values = np.zeros(0)
+        self.grad_values = np.zeros(0)
+        self._views: tuple = ()   # (name, value view, gradient view), sorted
+        if arrays:
+            self._pack({n: np.asarray(a) for n, a in arrays.items()}, {})
 
     def add(self, name: str, value) -> np.ndarray:
         if name in self.params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        arr = np.array(value, copy=True)
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        return arr
+        self._check_packed()
+        self._pack({**self.params, name: np.asarray(value)}, self.grads)
+        return self.params[name]
+
+    def _pack(self, values: dict, grads: dict) -> None:
+        """Copy values, and the gradients present in grads (zeros for the
+        rest), into fresh buffers in sorted-name order."""
+        names = sorted(values)
+        dtype = values[names[0]].dtype
+        odd = [n for n in names if values[n].dtype != dtype]
+        if odd:
+            raise ContractError(f"parameter {odd[0]!r} has dtype {values[odd[0]].dtype} "
+                                f"but {names[0]!r} has {dtype}; a store holds one dtype")
+        total = sum(values[n].size for n in names)
+        self.values = np.empty(total, dtype=dtype)
+        self.grad_values = np.zeros(total, dtype=dtype)
+        views = []
+        offset = 0
+        for n in names:
+            shape = values[n].shape
+            end = offset + values[n].size
+            p = self.values[offset:end].reshape(shape)
+            g = self.grad_values[offset:end].reshape(shape)
+            p[...] = values[n]
+            if n in grads:
+                g[...] = grads[n]
+            self.params[n] = p
+            self.grads[n] = g
+            views.append((n, p, g))
+            offset = end
+        self._views = tuple(views)
+
+    def _check_packed(self) -> None:
+        """Every entry must still be the view into the flat buffers."""
+        for name, p, g in self._views:
+            if self.params.get(name) is not p:
+                raise ContractError(f"parameter {name!r} was replaced or removed; "
+                                    f"write parameters in place")
+            if self.grads.get(name) is not g:
+                raise ContractError(f"parameter {name!r} has no gradient in the store's "
+                                    f"buffer; write gradients in place")
+        if len(self.params) != len(self._views) or len(self.grads) != len(self._views):
+            packed = {n for n, _, _ in self._views}
+            extra = sorted((set(self.params) | set(self.grads)) - packed)
+            raise ContractError(f"parameters {extra} are not packed into the store's buffers")
 
     def names(self) -> list[str]:
         return sorted(self.params)
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0
+        self._check_packed()
+        self.grad_values[...] = 0
 
     def accumulate(self, name: str, grad) -> None:
         g = np.asarray(grad)
@@ -116,18 +176,20 @@ class ParamStore:
         self.grads[name] += g
 
     def copy(self) -> "ParamStore":
+        self._check_packed()
         out = ParamStore()
-        for name in self.names():
-            out.add(name, self.params[name])
-            out.grads[name][...] = self.grads[name]
+        if self._views:
+            out._pack(self.params, self.grads)
         return out
 
     def num_values(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def tobytes(self) -> bytes:
-        """Canonical byte image of the parameter values (sorted by name)."""
-        return b"".join(self.params[n].tobytes() for n in self.names())
+        """Canonical byte image of the parameter values (sorted by name):
+        the value buffer itself."""
+        self._check_packed()
+        return self.values.tobytes()
 
 
 def xavier_uniform(stream: RngStream, fan_in: int, fan_out: int, shape, dtype) -> np.ndarray:
@@ -155,16 +217,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D array."""
-    z = np.asarray(z)
-    if z.ndim != 2 or z.shape[1] == 0:
-        raise DimensionError(f"softmax_rows expects a (n, m) array with m >= 1, got {z.shape}")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def rank_from_logits(logits: np.ndarray, target: int) -> int:
@@ -217,7 +269,11 @@ def cross_entropy_with_grad(logits: np.ndarray, target: int):
 def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     """Row-wise softmax cross-entropy; targets are column indices.
 
-    Returns (losses, dlogits) where dlogits rows are softmax - onehot.
+    Returns (losses, dlogits) where dlogits rows are softmax - onehot,
+    both in the dtype of the logits. The loss is taken in log-sum-exp
+    form, log(sum(exp(s))) - s[target] with s = logits - row max, so no
+    probability is ever passed to log: a float32 loss stays finite (and
+    accurate) where the target's softmax probability underflows to 0.
     """
     logits = np.asarray(logits)
     targets = np.asarray(targets)
@@ -225,10 +281,13 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
         raise DimensionError(
             f"need (n, m) logits and (n,) targets, got {logits.shape} and {targets.shape}"
         )
-    p = softmax_rows(logits)
     rows = np.arange(logits.shape[0])
-    losses = -np.log(p[rows, targets])
-    dlogits = p
+    dlogits = logits - logits.max(axis=1, keepdims=True)
+    own = dlogits[rows, targets]
+    np.exp(dlogits, out=dlogits)
+    total = dlogits.sum(axis=1)
+    losses = np.log(total) - own
+    dlogits /= total[:, None]
     dlogits[rows, targets] -= 1.0
     return losses, dlogits
 
@@ -265,44 +324,52 @@ def linear_forward_backward(x, W, b, upstream_grad=None):
 
 
 class AdamState:
-    """First and second moment estimates for every parameter, plus the
-    shared step counter."""
+    """First and second moment estimates, one flat buffer each, laid out
+    like the store's ``values``; plus the shared step counter."""
 
-    def __init__(self, m: dict, v: dict, t: int = 0):
+    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0):
         self.m = m
         self.v = v
         self.t = t
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "AdamState":
-        m = {n: np.zeros_like(p) for n, p in store.params.items()}
-        v = {n: np.zeros_like(p) for n, p in store.params.items()}
-        return cls(m, v, 0)
+        return cls(np.zeros_like(store.values), np.zeros_like(store.values), 0)
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update, applied in place.
 
-    Parameters are visited in sorted-name order; the order is part of the
-    reproducibility contract.
+    Runs once over the store's flat value and gradient buffers. Adam is
+    elementwise, so this is bit for bit the per-parameter update
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr m_hat / (sqrt(v_hat) + eps), with the same operation order.
+    A store whose entries are no longer views of its buffers raises
+    ContractError naming the parameter.
     """
-    for name in store.names():
-        if name not in store.grads:
-            raise ContractError(f"parameter {name!r} has no gradient")
+    store._check_packed()
+    if state.m.shape != store.values.shape:
+        raise ContractError(f"Adam state holds {state.m.size} values, "
+                            f"the store {store.values.size}")
     state.t += 1
     t = state.t
-    for name in store.names():
-        g = store.grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        store.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = store.grad_values
+    m, v = state.m, state.v
+    m *= beta1
+    step = np.multiply(g, 1.0 - beta1)
+    m += step
+    v *= beta2
+    np.square(g, out=step)
+    step *= 1.0 - beta2
+    v += step
+    denom = np.divide(v, 1.0 - beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1 ** t, out=step)
+    step *= lr
+    step /= denom
+    store.values -= step
 
 
 def finite_difference_check(loss_fn, store: ParamStore, epsilon: float = 1e-5) -> float:

@@ -323,7 +323,16 @@ def _cmd_effectiveness(run_dir, config: ExperimentConfig) -> None:
         raise StageDependencyError("audit.json was produced under a different config")
     records = deletions_from_json(payload["records"])
     state, _ = load_state(run_dir, config)
-    report = hit_effectiveness(state.sru_model(), records,
+    model = state.sru_model()
+    for index, r in enumerate(records):
+        for name, items in (("target_item", (r.target_item,)),
+                            ("context_prefix", r.context_prefix),
+                            ("context_full", r.context_full)):
+            bad = [i for i in items if not 1 <= i <= model.num_items]
+            if bad:
+                raise ParseError(f"{path}: audit record {index}: {name} holds item "
+                                 f"{bad[0]}, outside the vocabulary 1..{model.num_items}")
+    report = hit_effectiveness(model, records,
                                ks=config["effectiveness.ks"],
                                context=config["effectiveness.context"])
     emit_report(report, "json", os.path.join(run_dir, "effectiveness.json"))

@@ -68,18 +68,33 @@ class EffectivenessReport:
 
 @dataclass
 class TimingReport:
-    """Wall-clock phases of one unlearning pass, in milliseconds."""
+    """Wall-clock phases of one unlearning pass, in milliseconds.
+
+    The fusion side is split into three consecutive phases: refreshing
+    the shard centroids, rebuilding the training corpus and its feature
+    cache, and training the fusion layer. ``aggregation_retrain_ms`` is
+    their sum. The sub-model phase plus the three never exceed
+    ``total_ms``; the rest of the total is request resolution and session
+    rewriting.
+    """
 
     sub_model_retrain_ms: float = 0.0
     aggregation_retrain_ms: float = 0.0
     total_ms: float = 0.0
     full_retrain_reference_ms: float | None = None
     per_shard_ms: dict[int, float] = field(default_factory=dict)
+    centroid_refresh_ms: float = 0.0
+    feature_cache_ms: float = 0.0
+    fusion_training_ms: float = 0.0
 
     def __post_init__(self):
         for phase in (self.sub_model_retrain_ms, self.aggregation_retrain_ms):
             if self.total_ms + 1e-6 < phase:
                 raise ContractError("total time is below a component phase")
+        parts = (self.sub_model_retrain_ms + self.centroid_refresh_ms
+                 + self.feature_cache_ms + self.fusion_training_ms)
+        if self.total_ms + 1e-6 < parts:
+            raise ContractError("total time is below the sum of its phases")
 
     @property
     def speedup(self) -> float | None:
@@ -91,6 +106,9 @@ class TimingReport:
         out = {
             "sub_model_retrain_ms": self.sub_model_retrain_ms,
             "aggregation_retrain_ms": self.aggregation_retrain_ms,
+            "centroid_refresh_ms": self.centroid_refresh_ms,
+            "feature_cache_ms": self.feature_cache_ms,
+            "fusion_training_ms": self.fusion_training_ms,
             "total_ms": self.total_ms,
             "per_shard_ms": {str(k): v for k, v in sorted(self.per_shard_ms.items())},
         }

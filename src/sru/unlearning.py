@@ -74,7 +74,15 @@ class DeletionResult:
     context_full: tuple[int, ...]        # all survivors
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(DeletionResult))
+# JSON value types per DeletionResult field, from its annotations. The
+# checks compare exact types, so a boolean is not an integer.
+_SCALAR_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                 "bool": (bool, "true or false")}
+_RECORD_TYPES = {f.name: f.type for f in fields(DeletionResult)}
+_SCALAR_FIELDS = tuple((name, *_SCALAR_TYPES[kind]) for name, kind in _RECORD_TYPES.items()
+                       if kind in _SCALAR_TYPES)
+_SEQUENCE_FIELDS = tuple(name for name, kind in _RECORD_TYPES.items()
+                         if kind == "tuple[int, ...]")
 
 
 def deletions_to_json(deletions) -> list[dict]:
@@ -83,21 +91,30 @@ def deletions_to_json(deletions) -> list[dict]:
 
 
 def deletions_from_json(rows) -> list[DeletionResult]:
-    """Inverse of ``deletions_to_json``; a row with a missing or unknown
-    field raises ParseError naming its record index."""
+    """Inverse of ``deletions_to_json``. A row with a missing or unknown
+    field, or a value of the wrong type (booleans are not integers),
+    raises ParseError naming its record index and the field."""
     results = []
     for index, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ParseError(f"audit record {index} is not an object")
-        missing = [name for name in _RECORD_FIELDS if name not in row]
-        unknown = sorted(set(row) - set(_RECORD_FIELDS))
+        missing = [name for name in _RECORD_TYPES if name not in row]
+        unknown = sorted(set(row) - set(_RECORD_TYPES))
         if missing or unknown:
             raise ParseError(f"audit record {index}: missing fields {missing}, "
                              f"unknown fields {unknown}")
-        results.append(DeletionResult(**{
-            name: tuple(value) if isinstance(value, list) else value
-            for name, value in row.items()
-        }))
+        values = dict(row)
+        for name, kind, expected in _SCALAR_FIELDS:
+            if type(values[name]) is not kind:
+                raise ParseError(f"audit record {index}: field {name!r} must be "
+                                 f"{expected}, got {values[name]!r}")
+        for name in _SEQUENCE_FIELDS:
+            value = values[name]
+            if type(value) not in (list, tuple) or any(type(i) is not int for i in value):
+                raise ParseError(f"audit record {index}: field {name!r} must be "
+                                 f"a list of integers, got {value!r}")
+            values[name] = tuple(value)
+        results.append(DeletionResult(**values))
     return results
 
 
@@ -388,6 +405,7 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         source=state.centroids.source,
         reference_centroids=state.assignment.centroids,
     )
+    cache_started = time.perf_counter()
     new_state = replace(
         state,
         shards=new_shards,
@@ -403,17 +421,24 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     else:
         cache = build_feature_cache(new_models, new_train)
     new_state.feature_cache = cache
+    fusion_started = time.perf_counter()
     new_state.aggregation = train_aggregation(
         new_models, centroids, new_train, state.agg_config,
         precomputed=(cache.features, cache.targets),
     )
-    agg_ms = (time.perf_counter() - agg_started) * 1e3
+    agg_ended = time.perf_counter()
 
+    centroid_ms = (cache_started - agg_started) * 1e3
+    cache_ms = (fusion_started - cache_started) * 1e3
+    fusion_ms = (agg_ended - fusion_started) * 1e3
     timing = TimingReport(
         sub_model_retrain_ms=shard_ms,
-        aggregation_retrain_ms=agg_ms,
+        aggregation_retrain_ms=centroid_ms + cache_ms + fusion_ms,
         total_ms=(time.perf_counter() - started) * 1e3,
         per_shard_ms=per_shard_ms,
+        centroid_refresh_ms=centroid_ms,
+        feature_cache_ms=cache_ms,
+        fusion_training_ms=fusion_ms,
     )
     return UnlearnOutcome(state=new_state, timing=timing, deletions=results)
 

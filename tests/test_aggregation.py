@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,6 +209,66 @@ class TestFusionGradients:
         assert finite_difference_check(loss_fn, store) < 1e-4
 
 
+def reference_backward(params, grads, cache, dlogits):
+    # the direct form of the fusion backward pass (dT_pre formed in full,
+    # axis reductions): the oracle for the factored, BLAS-summed _backward
+    H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden = cache
+    B, K, d = H.shape
+    f = params["b_attn"].shape[0]
+    grads["W2"] += hidden.T @ dlogits
+    grads["b2"] += dlogits.sum(axis=0)
+    dhidden = dlogits @ params["W2"].T
+    dpre1 = dhidden * (pre1 > 0)
+    grads["W1"] += h_fused.T @ dpre1
+    grads["b1"] += dpre1.sum(axis=0)
+    dh_fused = dpre1 @ params["W1"].T
+    dA = np.matmul(Hp, dh_fused[:, :, None])[:, :, 0]
+    dHp = A[:, :, None] * dh_fused[:, None, :]
+    dS = A * (dA - (A * dA).sum(axis=1, keepdims=True))
+    dT = dS[:, :, None] * params["g_attn"][None, None, :]
+    grads["g_attn"] += T.reshape(B * K, f).T @ dS.reshape(B * K)
+    dT_pre = dT * (T_pre > 0)
+    grads["W_attn"] += U.reshape(B * K, d).T @ dT_pre.reshape(B * K, f)
+    grads["b_attn"] += dT_pre.sum(axis=(0, 1))
+    dU = (dT_pre.reshape(B * K, f) @ params["W_attn"].T).reshape(B, K, d)
+    dHp += dU * Cp[None, :, :]
+    dCp = (dU * Hp).sum(axis=0)
+    grads["W_proj"] += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
+    grads["W_proj"] += C[:, :, None] * dCp[:, None, :]
+    grads["b_proj"] += dHp.sum(axis=0) + dCp
+
+
+class TestFusionBackward:
+    # (rows of the table, batch size, K, d, f, d_ff, |V|); the batch is the
+    # table's last slice, so 293 rows at batch 256 is a partial last batch
+    @pytest.mark.parametrize("rows, batch, k, d, f, d_ff, v", [
+        (1, 1, 1, 3, 4, 5, 6),
+        (5, 5, 1, 4, 6, 3, 7),
+        (1, 1, 4, 5, 3, 6, 9),
+        (293, 256, 8, 32, 64, 32, 200),
+        (40, 16, 3, 6, 5, 4, 11),
+    ])
+    def test_matches_reference_backward(self, rows, batch, k, d, f, d_ff, v):
+        rng = np.random.default_rng(rows + k)
+        store = random_fusion_store(k, d, f, d_ff, v, rng)
+        table = rng.normal(size=(rows, k, d))
+        start = (rows - 1) // batch * batch
+        H = table[start : start + batch]
+        C = rng.normal(size=(k, d))
+        logits, cache = _forward(store.params, H, C, with_cache=True)
+        _, dlogits = cross_entropy_rows(logits, rng.integers(0, v, size=H.shape[0]))
+        dlogits /= H.shape[0]
+        # a nonzero start checks that gradients accumulate
+        start_grads = {n: rng.normal(size=p.shape) for n, p in store.params.items()}
+        want = {n: g.copy() for n, g in start_grads.items()}
+        reference_backward(store.params, want, cache, dlogits)
+        got = {n: g.copy() for n, g in start_grads.items()}
+        _backward(store.params, got, cache, dlogits)
+        for name in store.names():
+            scale = np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+
 class TestFusionInvariants:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -278,6 +340,28 @@ class TestTrainAggregation:
         train_aggregation(models, centroids, data,
                           AggregationConfig(f=8, lr=5e-3, epochs=2, seed=1))
         assert [m.params_bytes() for m in models] == before
+
+    def test_one_copy_of_the_feature_table_per_epoch(self):
+        # each epoch's shuffled copy of the table reuses one buffer, so the
+        # traced peak stays well below two copies (a fresh gather per
+        # epoch, made while the previous epoch's copy is still bound, holds
+        # two); batches are small next to the table
+        rng = np.random.default_rng(0)
+        rows, k, d, v = 20000, 2, 16, 20
+        features = rng.normal(size=(rows, k, d)).astype(np.float32)
+        targets = rng.integers(1, v + 1, size=rows)
+        centroids = ShardCentroids(c=rng.normal(size=(k, d)).astype(np.float32))
+        sub_models = [SimpleNamespace(d=d)] * k
+        corpus = SimpleNamespace(num_items=lambda: v)
+        config = AggregationConfig(f=8, epochs=3, batch_size=250, seed=2)
+        tracemalloc.start()
+        try:
+            train_aggregation(sub_models, centroids, corpus, config,
+                              precomputed=(features, targets))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * features.nbytes
 
     def test_no_sub_models_rejected(self):
         data, _, _, _ = small_setup(k=1)

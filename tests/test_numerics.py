@@ -12,6 +12,7 @@ from sru.numerics import (
     ParamStore,
     RngStream,
     adam_step,
+    cross_entropy_rows,
     cross_entropy_with_grad,
     derive_seed,
     finite_difference_check,
@@ -94,6 +95,46 @@ class TestCrossEntropy:
             cross_entropy_with_grad(np.zeros(3), 3)
 
 
+class TestCrossEntropyRows:
+    @staticmethod
+    def float64_oracle(logits, targets):
+        z = logits.astype(np.float64)
+        log_p = z - z.max(axis=1, keepdims=True)
+        log_p -= np.log(np.exp(log_p).sum(axis=1, keepdims=True))
+        rows = np.arange(z.shape[0])
+        grad = np.exp(log_p)
+        grad[rows, targets] -= 1.0
+        return -log_p[rows, targets], grad
+
+    def test_float32_finite_and_close_to_float64_oracle(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(scale=3.0, size=(64, 50)).astype(np.float32)
+        targets = rng.integers(0, 50, size=64)
+        # row 0: the target sits 200 below the best logit, so its softmax
+        # probability underflows to 0 in float32
+        logits[0] = 0.0
+        logits[0, 7] = 100.0
+        logits[0, targets[0] if targets[0] != 7 else 8] = -100.0
+        losses, dlogits = cross_entropy_rows(logits, targets)
+        assert losses.dtype == np.float32 and dlogits.dtype == np.float32
+        assert np.isfinite(losses).all() and np.isfinite(dlogits).all()
+        want_losses, want_grad = self.float64_oracle(logits, targets)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dlogits, want_grad, rtol=0, atol=1e-5)
+        assert losses[0] == pytest.approx(200.0, rel=1e-5)
+
+    def test_float64_keeps_dtype_and_matches_single_row_version(self):
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=(5, 9))
+        targets = rng.integers(0, 9, size=5)
+        losses, dlogits = cross_entropy_rows(logits, targets)
+        assert losses.dtype == np.float64 and dlogits.dtype == np.float64
+        for i in range(5):
+            loss, grad = cross_entropy_with_grad(logits[i], int(targets[i]))
+            assert losses[i] == pytest.approx(loss, rel=1e-12)
+            np.testing.assert_allclose(dlogits[i], grad, rtol=0, atol=1e-15)
+
+
 class TestLinear:
     def test_identity(self):
         y, _ = linear_forward_backward(np.array([1.0, 2.0]), np.eye(2), np.zeros(2))
@@ -145,6 +186,25 @@ def scalar_adam_oracle(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8)
     return w
 
 
+def per_name_adam_reference(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    # Adam one parameter at a time, in sorted-name order: the oracle that
+    # the flat-buffer adam_step must match bit for bit
+    params = {n: p.copy() for n, p in params.items()}
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name in sorted(params):
+            g = grads[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * np.square(g)
+            m_hat = m[name] / (1.0 - beta1 ** t)
+            v_hat = v[name] / (1.0 - beta2 ** t)
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         g = 0.3
@@ -183,6 +243,39 @@ class TestAdam:
         del store.grads["theta"]
         with pytest.raises(ContractError, match="theta"):
             adam_step(store, state, lr=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_per_name_reference(self, dtype):
+        rng = np.random.default_rng(11)
+        shapes = {"W_b": (3, 4), "a": (5,), "k": (2, 2, 3), "z0": (1,)}
+        init = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+        grad_steps = [{n: rng.normal(scale=0.5, size=s).astype(dtype)
+                       for n, s in shapes.items()} for _ in range(20)]
+        store = ParamStore()
+        for name in ("k", "W_b", "z0", "a"):        # added out of order
+            store.add(name, init[name])
+        state = AdamState.for_store(store)
+        for grads in grad_steps:
+            store.zero_grads()
+            for name, g in grads.items():
+                store.accumulate(name, g)
+            adam_step(store, state, lr=0.01)
+        want = per_name_adam_reference(init, grad_steps, lr=0.01)
+        for name in shapes:
+            assert store.params[name].dtype == dtype
+            assert store.params[name].tobytes() == want[name].tobytes(), name
+        assert store.tobytes() == b"".join(want[n].tobytes() for n in sorted(want))
+
+    def test_replaced_parameter_names_it(self):
+        store = ParamStore()
+        store.add("w", np.zeros(3))
+        store.add("u", np.zeros(2))
+        state = AdamState.for_store(store)
+        store.params["w"] = np.ones(3)
+        with pytest.raises(ContractError, match="'w'"):
+            adam_step(store, state, lr=0.1)
+        with pytest.raises(ContractError, match="'w'"):
+            store.zero_grads()
 
 
 class TestFiniteDifferenceCheck:
@@ -248,3 +341,24 @@ class TestParamStore:
         store.add("w", np.zeros((2, 2)))
         with pytest.raises(DimensionError):
             store.accumulate("w", np.zeros(3))
+
+    def test_entries_are_views_of_the_sorted_buffers(self):
+        store = ParamStore()
+        store.add("b", np.array([3.0, 4.0]))
+        store.add("a", np.array([[1.0], [2.0]]))
+        np.testing.assert_array_equal(store.values, [1.0, 2.0, 3.0, 4.0])
+        packed_at_once = ParamStore({"b": [3.0, 4.0], "a": [[1.0], [2.0]]})
+        assert packed_at_once.tobytes() == store.tobytes()
+        assert packed_at_once.params["a"].shape == (2, 1)
+        store.grads["b"][...] = 7.0
+        np.testing.assert_array_equal(store.grad_values, [0.0, 0.0, 7.0, 7.0])
+        twin = store.copy()
+        twin.params["a"][...] = 0.0
+        assert store.params["a"][0, 0] == 1.0
+        np.testing.assert_array_equal(twin.grads["b"], [7.0, 7.0])
+
+    def test_mixed_dtypes_rejected(self):
+        store = ParamStore()
+        store.add("w", np.zeros(2, dtype=np.float32))
+        with pytest.raises(ContractError, match="'u'"):
+            store.add("u", np.zeros(2, dtype=np.float64))

@@ -161,6 +161,11 @@ class TestUnlearnStage:
         assert audit["records"][0]["session_id"] == session.session_id
         timing = json.loads((tmp_path / "unlearn_timing.json").read_text())
         assert timing["total_ms"] > 0
+        phases = ("centroid_refresh_ms", "feature_cache_ms", "fusion_training_ms")
+        assert timing["aggregation_retrain_ms"] == pytest.approx(
+            sum(timing[p] for p in phases), rel=1e-5)
+        assert timing["sub_model_retrain_ms"] + sum(timing[p] for p in phases) \
+            <= timing["total_ms"] * (1 + 1e-5)
 
         after = {k: (tmp_path / f"shard_{k:03d}.sru").read_bytes() for k in range(2)}
         assert after[0] != before[0]      # affected shard rewritten
@@ -276,6 +281,24 @@ class TestAuditFile:
         assert main(["effectiveness", "--config", str(config_path),
                      "--run-dir", str(tmp_path)]) == 1
         assert "error: line 1:" in capsys.readouterr().err
+
+
+class TestAuditVocabulary:
+    @pytest.mark.parametrize("field, value", [
+        ("target_item", 99), ("target_item", 0), ("context_prefix", [3, 41]),
+    ])
+    def test_cli_rejects_item_outside_vocabulary(self, tmp_path, capsys, field, value):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        config = ExperimentConfig.from_file(str(config_path))
+        run_stages(tmp_path, config, ALL_TRAIN_STAGES)
+        record = {**deletions_to_json([TestAuditFile.RECORD])[0], field: value}
+        TestAuditFile().write_audit(tmp_path, config, [record])
+        assert main(["effectiveness", "--config", str(config_path),
+                     "--run-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "audit record 0" in err and field in err
+        assert "Traceback" not in err
 
 
 class TestAblate:

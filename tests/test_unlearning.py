@@ -175,6 +175,24 @@ class TestDeletionJson:
         with pytest.raises(ParseError, match="audit record 0 is not an object"):
             deletions_from_json([[1, 2]])
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("target_item", "7", "an integer"),
+        ("target_item", None, "an integer"),
+        ("target_item", True, "an integer"),
+        ("n_extra", 1.0, "an integer"),
+        ("session_id", 3, "a string"),
+        ("strategy", None, "a string"),
+        ("dropped", 0, "true or false"),
+        ("deleted_positions", [1, "2"], "a list of integers"),
+        ("context_prefix", 4, "a list of integers"),
+        ("context_full", [1, None], "a list of integers"),
+    ])
+    def test_wrong_value_type_names_record_and_field(self, field, value, expected):
+        rows = json.loads(json.dumps(deletions_to_json(self.results())))
+        rows[1][field] = value
+        with pytest.raises(ParseError, match=rf"audit record 1: field '{field}' must be {expected}"):
+            deletions_from_json(rows)
+
 
 @pytest.fixture(scope="module")
 def small_state():
@@ -208,6 +226,15 @@ class TestExecuteUnlearn:
         assert outcome.timing.sub_model_retrain_ms == 0.0
         assert outcome.timing.aggregation_retrain_ms == 0.0
         assert outcome.deletions == []
+
+    def test_timing_phases_fit_in_total(self, small_state):
+        state, _ = small_state
+        session = state.shards[1].sessions[0]
+        timing = execute_unlearn(state, [UnlearnRequest(session.session_id, 2, "NED", 1)]).timing
+        phases = (timing.centroid_refresh_ms, timing.feature_cache_ms, timing.fusion_training_ms)
+        assert all(p > 0 for p in phases)
+        assert timing.aggregation_retrain_ms == pytest.approx(sum(phases), rel=1e-12)
+        assert timing.sub_model_retrain_ms + sum(phases) <= timing.total_ms
 
     def test_only_affected_shard_retrained_and_exact(self, small_state):
         state, _ = small_state
