@@ -31,6 +31,7 @@ from .backbone import (
     score,
     train_backbone,
     train_many,
+    train_many_timed,
 )
 from .checkpoint import (
     load_assignment,
@@ -93,7 +94,7 @@ from .partition import (
     embed_all,
     make_shards,
 )
-from .pipeline import fit_state, load_state, run_pipeline
+from .pipeline import fit_state, load_model, load_state, run_pipeline
 from .reports import EffectivenessReport, RankingReport, TimingReport, emit_report
 from .unlearning import (
     DeletionResult,

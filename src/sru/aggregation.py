@@ -458,12 +458,13 @@ class SruModel:
     def predict_batch(self, prefixes) -> np.ndarray:
         """Id-indexed logits rows; index 0 is the pad slot at -inf.
 
-        Prefixes are cleaned and padded once; every sub-model reads the
-        same id matrix (they share the vocabulary and max_len).
+        Prefixes are cleaned and padded once, each shared prefix chain
+        as one row; every sub-model reads the same id matrix (they share
+        the vocabulary and max_len).
         """
-        ids, lengths = pad_prefixes(self.sub_models[0], prefixes)
-        H = np.stack([last_states(prefix_states(m, ids), lengths) for m in self.sub_models],
-                     axis=1)
+        ids, rows, lengths = pad_prefixes(self.sub_models[0], prefixes)
+        H = np.stack([last_states(prefix_states(m, ids), rows, lengths)
+                      for m in self.sub_models], axis=1)
         C = self.centroids.c.astype(H.dtype)
         logits, _ = _forward(self.aggregation.store.params, H, C)
         out = np.full((len(prefixes), self.num_items + 1), -np.inf, dtype=logits.dtype)

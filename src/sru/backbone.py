@@ -8,6 +8,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,10 +196,10 @@ def gru_cell(params, x, h_prev) -> np.ndarray:
 
 
 def _clean_prefix(model: GruModel, prefix) -> list[int]:
-    items = [int(i) for i in prefix if int(i) != 0]
-    for i in items:
-        if i > model.num_items:
-            raise IndexError(f"item id {i} outside vocabulary of size {model.num_items}")
+    items = [i for i in map(int, prefix) if i != 0]
+    if items and max(items) > model.num_items:
+        bad = next(i for i in items if i > model.num_items)
+        raise IndexError(f"item id {bad} outside vocabulary of size {model.num_items}")
     return items[-model.max_len:]
 
 
@@ -231,25 +232,47 @@ def padded_items(rows, limit: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
-def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray]:
-    """``padded_items`` over prefixes with pad ids skipped and every id
-    checked against the model's vocabulary."""
-    return padded_items([_clean_prefix(model, p) for p in prefixes], model.max_len)
+def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad each shared prefix chain once; returns (ids, rows, lengths).
+
+    Prefixes are cleaned as ``encode`` cleans them (pad ids skipped,
+    last max_len items kept, every id checked against the vocabulary).
+    A cleaned prefix that is a prefix of another one in the batch, or a
+    duplicate of it, is not padded on its own: prefix i is the first
+    lengths[i] items of row rows[i] of ids, and ids holds only the
+    longest distinct prefixes. Sorting finds every such prefix without
+    hashing each one: a prefix of any prefix in the batch is a prefix of
+    its sorted successor, so one walk in reverse sorted order suffices.
+    """
+    cleaned = [_clean_prefix(model, p) for p in prefixes]
+    rows = [0] * len(cleaned)
+    kept: list[list[int]] = []
+    successor = None
+    for i in sorted(range(len(cleaned)), key=cleaned.__getitem__, reverse=True):
+        prefix = cleaned[i]
+        if successor is None or successor[: len(prefix)] != prefix:
+            kept.append(prefix)
+        rows[i] = len(kept) - 1
+        successor = prefix
+    ids, _ = padded_items(kept, model.max_len)
+    lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
+    return ids, np.array(rows, dtype=np.int64), lengths
 
 
-def last_states(states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Final state of each row of a ``prefix_states`` block; the zero
-    initial state for an empty prefix. Returns (n, d)."""
-    out = np.zeros((states.shape[0], states.shape[2]), dtype=states.dtype)
+def last_states(states: np.ndarray, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """State of each prefix from a ``prefix_states`` block: row rows[i]
+    after lengths[i] items, or the zero initial state for an empty
+    prefix. Returns (n, d)."""
+    out = np.zeros((len(rows), states.shape[2]), dtype=states.dtype)
     nonzero = lengths > 0
-    out[nonzero] = states[nonzero, lengths[nonzero] - 1]
+    out[nonzero] = states[rows[nonzero], lengths[nonzero] - 1]
     return out
 
 
 def encode_batch(model: GruModel, prefixes) -> np.ndarray:
     """Vectorized encode over many prefixes; returns (n, d)."""
-    ids, lengths = pad_prefixes(model, prefixes)
-    return last_states(prefix_states(model, ids), lengths)
+    ids, rows, lengths = pad_prefixes(model, prefixes)
+    return last_states(prefix_states(model, ids), rows, lengths)
 
 
 def prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
@@ -408,11 +431,15 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
 
 def _train_pair(pair):
     dataset, config = pair
-    return train_backbone(dataset, config)
+    started = time.perf_counter()
+    model = train_backbone(dataset, config)
+    return model, (time.perf_counter() - started) * 1e3
 
 
-def train_many(datasets, configs, parallel: bool = True) -> list[GruModel]:
-    """Train several independent models, optionally across processes.
+def train_many_timed(datasets, configs, parallel: bool = True) -> list[tuple[GruModel, float]]:
+    """Train several independent models, optionally across processes;
+    returns (model, ms) pairs, each model's training time measured where
+    it trains (in its worker process on the parallel path).
 
     Each model draws only from its own config's named streams, so the
     parallel results are bitwise identical to serial ones.
@@ -425,3 +452,8 @@ def train_many(datasets, configs, parallel: bool = True) -> list[GruModel]:
     workers = min(len(pairs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_train_pair, pairs))
+
+
+def train_many(datasets, configs, parallel: bool = True) -> list[GruModel]:
+    """``train_many_timed`` without the timings."""
+    return [model for model, _ in train_many_timed(datasets, configs, parallel=parallel)]

@@ -63,8 +63,11 @@ def evaluate(predict_fn, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingRepor
     """Score every (prefix, next-item) point of a held-out split.
 
     predict_fn maps a prefix to id-indexed logits; objects exposing
-    predict_batch are evaluated in chunks. Points are visited in session
-    index order so the reduction is reproducible.
+    predict_batch are evaluated in chunks. The points of one session are
+    prefixes of each other, so a model padding through
+    ``backbone.pad_prefixes`` runs the GRU once per session in a chunk,
+    not once per point. Points are visited in session index order so the
+    reduction is reproducible.
     """
     if dataset.split_tag not in ("validation", "test"):
         raise ContractError(

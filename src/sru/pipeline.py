@@ -14,7 +14,12 @@ import json
 import os
 from dataclasses import replace
 
-from .aggregation import build_feature_cache, compute_centroids, train_aggregation
+from .aggregation import (
+    SruModel,
+    build_feature_cache,
+    compute_centroids,
+    train_aggregation,
+)
 from .backbone import train_backbone, train_many
 from .checkpoint import (
     load_assignment,
@@ -218,47 +223,63 @@ def _cmd_train_agg(run_dir, config: ExperimentConfig) -> None:
                      "seed": agg_cfg.seed})
 
 
+def load_model(run_dir, config: ExperimentConfig) -> SruModel:
+    """Load the predictor alone: the fusion layer, then its
+    ``aggregation.k`` shard checkpoints, then the shard centroids, each
+    checked against the config hash. The dataset, the reference encoder
+    and the partition are not read."""
+    _require(run_dir, "shard_centroids", "aggregation")
+    chash = config.config_hash()
+    aggregation = load_checkpoint(_path(run_dir, "aggregation"), expected_config_hash=chash)
+    sub_models = _load_shard_models(run_dir, config, aggregation.k)
+    centroids = load_centroid_state(_path(run_dir, "shard_centroids"),
+                                    expected_config_hash=chash)
+    return SruModel(sub_models=tuple(sub_models), centroids=centroids,
+                    aggregation=aggregation, max_len=sub_models[0].max_len)
+
+
 def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
     """Reassemble the framework state from on-disk artifacts.
 
-    The returned state has no feature cache: ``eval`` and
-    ``effectiveness`` never read it, and ``execute_unlearn`` builds it
-    lazily, once, on the post-deletion sub-models.
+    Loads the dataset splits, the reference encoder and the partition,
+    and takes the predictor from ``load_model``; K is the fusion layer's,
+    and a partition with another K is a ``ContractError``. The returned
+    state has no feature cache: ``execute_unlearn`` builds it lazily,
+    once, on the post-deletion sub-models.
     """
     splits = _load_splits(run_dir, config)
-    _require(run_dir, "reference", "partition_csv", "partition_bin",
-             "shard_centroids", "aggregation")
+    _require(run_dir, "reference", "partition_csv", "partition_bin")
     chash = config.config_hash()
     reference = load_checkpoint(_path(run_dir, "reference"), expected_config_hash=chash)
     assignment = load_assignment(_path(run_dir, "partition_csv"),
                                  _path(run_dir, "partition_bin"),
                                  expected_config_hash=chash)
-    shards = make_shards(splits["train"], assignment)
-    sub_models = _load_shard_models(run_dir, config, assignment.k)
-    centroids = load_centroid_state(_path(run_dir, "shard_centroids"),
-                                    expected_config_hash=chash)
-    aggregation = load_checkpoint(_path(run_dir, "aggregation"), expected_config_hash=chash)
-    shard_configs = [m.config for m in sub_models]
+    model = load_model(run_dir, config)
+    if assignment.k != model.aggregation.k:
+        raise ContractError(
+            f"partition.csv has K={assignment.k} shards but aggregation.sru "
+            f"has K={model.aggregation.k}"
+        )
+    shard_configs = [m.config for m in model.sub_models]
     if any(c is None for c in shard_configs):
         raise ContractError("shard checkpoints are missing their training configs")
     state = SruState(
         reference_model=reference,
         assignment=assignment,
-        shards=shards,
+        shards=make_shards(splits["train"], assignment),
         shard_configs=shard_configs,
-        sub_models=sub_models,
-        centroids=centroids,
-        agg_config=aggregation.config or config.aggregation_config(),
-        aggregation=aggregation,
+        sub_models=list(model.sub_models),
+        centroids=model.centroids,
+        agg_config=model.aggregation.config or config.aggregation_config(),
+        aggregation=model.aggregation,
         seed=config.seed,
     )
     return state, splits
 
 
-def _cmd_eval(run_dir, config: ExperimentConfig, split_tag: str = "test",
-              fmt: str = "json") -> None:
-    state, splits = load_state(run_dir, config)
-    report = evaluate(state.sru_model(), splits[split_tag], ks=config["eval.ks"])
+def _cmd_eval(run_dir, config: ExperimentConfig, split_tag: str = "test") -> None:
+    splits = _load_splits(run_dir, config)
+    report = evaluate(load_model(run_dir, config), splits[split_tag], ks=config["eval.ks"])
     emit_report(report, "json", os.path.join(run_dir, "eval.json"))
     emit_report(report, "csv", os.path.join(run_dir, "eval.csv"))
 
@@ -322,8 +343,7 @@ def _cmd_effectiveness(run_dir, config: ExperimentConfig) -> None:
     if payload.get("config_hash") != config.config_hash():
         raise StageDependencyError("audit.json was produced under a different config")
     records = deletions_from_json(payload["records"])
-    state, _ = load_state(run_dir, config)
-    model = state.sru_model()
+    model = load_model(run_dir, config)
     for index, r in enumerate(records):
         for name, items in (("target_item", (r.target_item,)),
                             ("context_prefix", r.context_prefix),

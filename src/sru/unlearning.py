@@ -32,7 +32,7 @@ from .aggregation import (
     train_aggregation,
     updated_feature_cache,
 )
-from .backbone import BackboneConfig, GruModel, train_backbone, train_many
+from .backbone import BackboneConfig, GruModel, train_many_timed
 from .corpus import Session, SessionDataset
 from .errors import ContractError, ParseError
 from .numerics import RngStream, derive_seed
@@ -262,14 +262,6 @@ class SruState:
     # after that.
     feature_cache: FeatureCache | None = None
 
-    def locate(self, session_id: str) -> tuple[int, int]:
-        """(shard id, index within shard) of a session id."""
-        for k, shard in enumerate(self.shards):
-            for i, s in enumerate(shard.sessions):
-                if s.session_id == session_id:
-                    return k, i
-        raise KeyError(f"session {session_id!r} not found in any shard")
-
     def current_train_dataset(self) -> SessionDataset:
         """The full training corpus as currently stored, in original
         partition order (shards interleaved by original session index)."""
@@ -315,12 +307,13 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         return UnlearnOutcome(state=state, timing=TimingReport(), deletions=[])
 
     # Resolve every request against the call-start sessions.
+    session_home = {s.session_id: (k, i) for k, shard in enumerate(state.shards)
+                    for i, s in enumerate(shard.sessions)}
     deletions_by_session: dict[str, set[int]] = {}
-    session_home: dict[str, tuple[int, int]] = {}
     resolved: list[tuple[UnlearnRequest, tuple[int, ...]]] = []
     for request in requests:
         if request.session_id not in session_home:
-            session_home[request.session_id] = state.locate(request.session_id)
+            raise KeyError(f"session {request.session_id!r} not found in any shard")
         k, i = session_home[request.session_id]
         session = state.shards[k].sessions[i]
         already = deletions_by_session.setdefault(request.session_id, set())
@@ -386,16 +379,11 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     shard_started = time.perf_counter()
     new_models = list(state.sub_models)
     per_shard_ms: dict[int, float] = {}
-    if parallel and len(affected) > 1:
-        retrained = train_many([new_shards[k] for k in affected],
-                               [state.shard_configs[k] for k in affected])
-        for k, m in zip(affected, retrained):
-            new_models[k] = m
-    else:
-        for k in affected:
-            t0 = time.perf_counter()
-            new_models[k] = train_backbone(new_shards[k], state.shard_configs[k])
-            per_shard_ms[k] = (time.perf_counter() - t0) * 1e3
+    retrained = train_many_timed([new_shards[k] for k in affected],
+                                 [state.shard_configs[k] for k in affected], parallel=parallel)
+    for k, (model, ms) in zip(affected, retrained):
+        new_models[k] = model
+        per_shard_ms[k] = ms
     shard_ms = (time.perf_counter() - shard_started) * 1e3
 
     # Refresh centroids of the affected shards, retrain the fusion layer.

@@ -305,6 +305,24 @@ class TestFusionInvariants:
         np.testing.assert_allclose(h_fused, h @ W + b, rtol=1e-12, atol=1e-12)
 
 
+def old_encode_batch(model, prefixes):
+    # The former encode_batch, which padded every prefix on its own row:
+    # skip pad ids, keep the last max_len items, pad, run prefix_states,
+    # gather each row's last state.
+    cleaned = [[int(i) for i in p if int(i) != 0][-model.max_len:] for p in prefixes]
+    if not cleaned:
+        return np.zeros((0, model.d), dtype=model.embeddings.dtype)
+    lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
+    ids = np.zeros((len(cleaned), max(1, int(lengths.max()))), dtype=np.int64)
+    for i, c in enumerate(cleaned):
+        ids[i, : len(c)] = c
+    states = prefix_states(model, ids)
+    out = np.zeros((len(cleaned), model.d), dtype=model.embeddings.dtype)
+    nonzero = lengths > 0
+    out[nonzero] = states[nonzero, lengths[nonzero] - 1]
+    return out
+
+
 def small_setup(num_sessions=20, k=1, seed=3):
     data = generate_synthetic(num_sessions, 30, 2, noise_rate=0.1, seed=seed)
     config = BackboneConfig(d=8, max_len=14, epochs=2, lr=3e-3, seed=seed)
@@ -397,29 +415,12 @@ class TestSruModelPredict:
         assert out[0] == -np.inf
         np.testing.assert_allclose(out[1:], logits, rtol=1e-4, atol=1e-5)
 
-    def test_predict_batch_bit_equal_to_per_model_encoding(self):
+    def fitted(self):
         data, _, models, centroids = small_setup(num_sessions=12, k=2)
         agg = train_aggregation(models, centroids, data,
                                 AggregationConfig(f=8, lr=5e-3, epochs=1, seed=2))
         sru = SruModel(sub_models=tuple(models), centroids=centroids,
                        aggregation=agg, max_len=14)
-
-        def old_encode_batch(model, prefixes):
-            # The former encode_batch, which every sub-model ran on its
-            # own: skip pad ids, keep the last max_len items, pad, run
-            # prefix_states, gather each row's last state.
-            cleaned = [[int(i) for i in p if int(i) != 0][-model.max_len:] for p in prefixes]
-            if not cleaned:
-                return np.zeros((0, model.d), dtype=model.embeddings.dtype)
-            lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
-            ids = np.zeros((len(cleaned), max(1, int(lengths.max()))), dtype=np.int64)
-            for i, c in enumerate(cleaned):
-                ids[i, : len(c)] = c
-            states = prefix_states(model, ids)
-            out = np.zeros((len(cleaned), model.d), dtype=model.embeddings.dtype)
-            nonzero = lengths > 0
-            out[nonzero] = states[nonzero, lengths[nonzero] - 1]
-            return out
 
         def oracle(prefixes):
             H = np.stack([old_encode_batch(m, prefixes) for m in models], axis=1)
@@ -428,6 +429,10 @@ class TestSruModelPredict:
             out[:, 1:] = logits
             return out
 
+        return data, models, sru, oracle
+
+    def test_predict_batch_bit_equal_to_per_model_encoding(self):
+        data, _, sru, oracle = self.fitted()
         long_prefix = tuple(data.sessions[0].items) * 3
         assert len(long_prefix) > 14
         prefixes = [
@@ -442,6 +447,40 @@ class TestSruModelPredict:
             got = sru.predict_batch(batch)
             want = oracle(batch)
             assert got.shape == want.shape == (len(batch), 31)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_shared_prefixes_bit_equal_to_per_prefix_rows(self):
+        # Every prefix of three sessions, shuffled and with duplicates, is
+        # served from one padded row per session, and prefixes that branch
+        # off a chain get rows of their own; the logits must still be
+        # those of padding every prefix on its own row.
+        data, models, sru, oracle = self.fitted()
+        sessions = [data.sessions[i].items for i in (0, 4, 7)]
+        prefixes = [items[:t] for items in sessions for t in range(1, len(items) + 1)]
+        prefixes += prefixes[::3]                                # duplicates
+        a, b, c = sessions[0][:3]
+        x, y = [item for item in range(1, 31) if item != c][:2]
+        prefixes += [
+            (a, b, x), (a, b, y),                                # siblings of a chain
+            (),                                                  # empty prefix
+            (0,) + sessions[1][:3] + (0,),                       # pad ids
+            sessions[2] * 2,                                     # longer than max_len
+        ]
+        assert len(sessions[2] * 2) > 14
+        order = np.random.default_rng(0).permutation(len(prefixes))
+        prefixes = [prefixes[i] for i in order]
+
+        got = sru.predict_batch(prefixes)
+        want = oracle(prefixes)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+        for model in models:
+            got = model.predict_batch(prefixes)
+            logits = old_encode_batch(model, prefixes) @ model.embeddings[1:].T
+            want = np.full((len(prefixes), 31), -np.inf, dtype=logits.dtype)
+            want[:, 1:] = logits
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 

@@ -10,6 +10,7 @@ from sru.backbone import (
     gru_cell_backward,
     gru_cell_forward,
     init_gru_model,
+    pad_prefixes,
     padded_items,
     score,
     sequence_loss_and_grads,
@@ -133,6 +134,32 @@ class TestEncode:
         batch = encode_batch(model, prefixes)
         for row, prefix in zip(batch, prefixes):
             np.testing.assert_allclose(row, encode(model, prefix), rtol=1e-12, atol=1e-15)
+
+    def test_shared_prefixes_padded_once(self):
+        # Prefixes of one chain share its row; an empty prefix shares any
+        # row at length 0; a windowed prefix is cleaned before matching.
+        model = tiny_model(max_len=4)
+        prefixes = [[1, 2], [5], [1, 2, 3], [], [1], [0, 1, 0, 2], [1, 2, 3],
+                    [6, 1, 2, 3, 4], [5, 6], [2, 3], [1, 4], [1, 3]]
+        ids, rows, lengths = pad_prefixes(model, prefixes)
+        assert sorted(map(tuple, ids.tolist())) == [
+            (1, 2, 3, 4), (1, 3, 0, 0), (1, 4, 0, 0), (2, 3, 0, 0), (5, 6, 0, 0)]
+        np.testing.assert_array_equal(lengths, [2, 1, 3, 0, 1, 2, 3, 4, 2, 2, 2, 2])
+        for prefix, row, length in zip(prefixes, rows, lengths):
+            cleaned = [i for i in prefix if i][-4:]
+            assert ids[row, :length].tolist() == cleaned
+        assert rows[0] == rows[2] == rows[4] == rows[5] == rows[6] == rows[7]
+        assert rows[1] == rows[8] != rows[9]
+        assert len({rows[0], rows[10], rows[11]}) == 3
+        batch = encode_batch(model, prefixes)
+        for row, prefix in zip(batch, prefixes):
+            np.testing.assert_allclose(row, encode(model, prefix), rtol=1e-12, atol=1e-15)
+
+    def test_pad_prefixes_of_nothing(self):
+        ids, rows, lengths = pad_prefixes(tiny_model(), [])
+        assert ids.shape[0] == rows.size == lengths.size == 0
+        ids, rows, lengths = pad_prefixes(tiny_model(), [[], [0]])
+        assert ids.shape == (1, 1) and rows.tolist() == [0, 0] and lengths.tolist() == [0, 0]
 
 
 class TestScore:

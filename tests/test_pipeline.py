@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from sru.checkpoint import load_datasets, save_checkpoint
+from sru.checkpoint import load_assignment, load_datasets, save_assignment, save_checkpoint
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
+from sru.partition import ShardAssignment
 from sru.pipeline import fit_state, load_state, run_pipeline
 from sru.unlearning import (
     DeletionResult,
@@ -236,6 +238,55 @@ class TestUnlearnStage:
         monkeypatch.setattr("sru.unlearning.build_feature_cache", no_build)
         assert run_pipeline("bench", config, tmp_path, requests_path=req_path) == 0
         assert (tmp_path / "bench.json").exists()
+
+
+class TestReadPath:
+    """eval and effectiveness load the predictor alone: the fusion layer,
+    its shard checkpoints and the shard centroids."""
+
+    def test_effectiveness_reads_no_dataset_reference_or_partition(self, tmp_path,
+                                                                   monkeypatch):
+        config = tiny_config()
+        run_stages(tmp_path, config, ALL_TRAIN_STAGES)
+        state, _ = load_state(tmp_path, config)
+        requests = [UnlearnRequest(s.sessions[0].session_id, 2, "CED", 1) for s in state.shards]
+        save_requests(requests, tmp_path / "requests.csv")
+        assert run_pipeline("unlearn", config, tmp_path,
+                            requests_path=tmp_path / "requests.csv") == 0
+        (tmp_path / "reference.sru").unlink()
+        (tmp_path / "partition.csv").unlink()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("effectiveness read the dataset or the partition")
+
+        monkeypatch.setattr("sru.pipeline.load_datasets", refuse)
+        monkeypatch.setattr("sru.pipeline.load_assignment", refuse)
+        assert run_pipeline("effectiveness", config, tmp_path) == 0
+        report = json.loads((tmp_path / "effectiveness.json").read_text())
+        assert report["audited_requests"] == len(requests)
+
+    def test_eval_reads_no_reference(self, tmp_path):
+        config = tiny_config()
+        run_stages(tmp_path, config, ALL_TRAIN_STAGES + ("eval",))
+        before = (tmp_path / "eval.json").read_bytes()
+        (tmp_path / "reference.sru").unlink()
+        assert run_pipeline("eval", config, tmp_path) == 0
+        assert (tmp_path / "eval.json").read_bytes() == before
+
+    def test_partition_with_other_k_is_contract_error(self, tmp_path):
+        config = tiny_config()
+        run_stages(tmp_path, config, ALL_TRAIN_STAGES)
+        csv_path, bin_path = tmp_path / "partition.csv", tmp_path / "centroids.sru"
+        old = load_assignment(csv_path, bin_path)
+        half = len(old.members[1]) // 2
+        members = [old.members[0], old.members[1][:half], old.members[1][half:]]
+        centroids = np.vstack([old.centroids, old.centroids[1:]])
+        save_assignment(csv_path, bin_path,
+                        ShardAssignment.from_members(members, centroids, old.iterations_run,
+                                                     old.delta, old.reseeds),
+                        {"config_hash": config.config_hash(), "stage": "partition"})
+        with pytest.raises(ContractError, match="K=3.*K=2"):
+            load_state(tmp_path, config)
 
 
 class TestAuditFile:

@@ -236,6 +236,28 @@ class TestExecuteUnlearn:
         assert timing.aggregation_retrain_ms == pytest.approx(sum(phases), rel=1e-12)
         assert timing.sub_model_retrain_ms + sum(phases) <= timing.total_ms
 
+    def test_per_shard_timing_covers_exactly_the_retrained_shards(self, small_state):
+        state, _ = small_state
+        requests = [UnlearnRequest(state.shards[k].sessions[0].session_id, 2, "NED", 1)
+                    for k in (0, 2)]
+        serial = execute_unlearn(state, requests)
+        assert sorted(serial.timing.per_shard_ms) == [0, 2]
+        assert all(ms > 0 for ms in serial.timing.per_shard_ms.values())
+        assert sum(serial.timing.per_shard_ms.values()) <= serial.timing.sub_model_retrain_ms
+
+    def test_parallel_path_fills_per_shard_timing(self, small_state):
+        state, _ = small_state
+        requests = [UnlearnRequest(state.shards[k].sessions[0].session_id, 2, "NED", 1)
+                    for k in (1, 3)]
+        serial = execute_unlearn(state, requests)
+        parallel = execute_unlearn(state, requests, parallel=True)
+        assert sorted(parallel.timing.per_shard_ms) == [1, 3]
+        assert all(ms > 0 for ms in parallel.timing.per_shard_ms.values())
+        for a, b in zip(serial.state.sub_models, parallel.state.sub_models):
+            assert a.params_bytes() == b.params_bytes()
+        assert (serial.state.aggregation.params_bytes()
+                == parallel.state.aggregation.params_bytes())
+
     def test_only_affected_shard_retrained_and_exact(self, small_state):
         state, _ = small_state
         shard_id = 2
@@ -288,6 +310,13 @@ class TestExecuteUnlearn:
         state, _ = small_state
         with pytest.raises(KeyError):
             execute_unlearn(state, [UnlearnRequest("nope", 0, "NED", 0)])
+
+    def test_unknown_session_among_known_ones_names_it(self, small_state):
+        state, _ = small_state
+        known = [UnlearnRequest(state.shards[k].sessions[-1].session_id, 1, "CED", 0)
+                 for k in range(4)]
+        with pytest.raises(KeyError, match="'nope' not found in any shard"):
+            execute_unlearn(state, known[:2] + [UnlearnRequest("nope", 0, "NED", 0)] + known[2:])
 
     def test_aggregation_retrained_from_scratch(self, small_state):
         state, _ = small_state
