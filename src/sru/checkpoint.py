@@ -299,21 +299,6 @@ def load_datasets(path, expected_config_hash: str | None = None,
     return out
 
 
-def dataset_fingerprint(dataset: SessionDataset) -> str:
-    """Stable content hash of one dataset (ids, items, times, vocab)."""
-    import hashlib
-    h = hashlib.sha256()
-    h.update(",".join(dataset.vocab.tokens).encode())
-    h.update(str(dataset.max_len).encode())
-    for s in dataset.sessions:
-        h.update(s.session_id.encode())
-        h.update(np.asarray(s.items, dtype=np.int64).tobytes())
-        if s.times is not None:
-            h.update(np.asarray(s.times, dtype=np.int64).tobytes())
-        h.update(str(s.cluster).encode())
-    return h.hexdigest()
-
-
 def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
                     extra_metadata: dict | None = None) -> None:
     """Persist the partition as `session_index,shard_id` CSV plus a
@@ -370,6 +355,9 @@ def load_assignment(csv_path, bin_path, expected_config_hash: str | None = None,
                              line_number=number)
         seen.add(i)
         pairs.append((i, c))
+    missing = next((i for i in range(len(pairs)) if i not in seen), None)
+    if missing is not None:
+        raise ParseError(f"{csv_path}: no row for session index {missing}")
     members: list[list[int]] = [[] for _ in range(k)]
     for i, c in pairs:
         members[c].append(i)

@@ -68,15 +68,25 @@ class ShardAssignment:
     @classmethod
     def from_members(cls, members, centroids: np.ndarray, iterations_run: int,
                      delta: int, reseeds: tuple = ()) -> "ShardAssignment":
-        """Assignment whose shard_of is derived from members; an index up
-        to the largest member that no shard lists maps to -1."""
+        """Assignment whose shard_of is derived from members. The members
+        must partition 0..n-1 within capacity (``validate``)."""
         members = tuple(tuple(m) for m in members)
-        shard_of = np.full(max((i for m in members for i in m), default=-1) + 1, -1,
-                           dtype=np.int64)
-        for k, member in enumerate(members):
-            shard_of[list(member)] = k
-        return cls(shard_of=shard_of, members=members, centroids=centroids,
-                   iterations_run=iterations_run, delta=delta, reseeds=reseeds)
+        pairs = sorted((i, k) for k, member in enumerate(members) for i in member)
+        result = cls(shard_of=np.array([k for _, k in pairs], dtype=np.int64),
+                     members=members, centroids=centroids, iterations_run=iterations_run,
+                     delta=delta, reseeds=reseeds)
+        result.validate()
+        return result
+
+    def without(self, dropped) -> "ShardAssignment":
+        """The partition of the corpus left once the session indices in
+        ``dropped`` are removed; later indices shift down to close the gaps."""
+        keep = np.ones(self.shard_of.shape[0], dtype=bool)
+        keep[list(dropped)] = False
+        shard_of = self.shard_of[keep]
+        return ShardAssignment.from_members(
+            [np.flatnonzero(shard_of == k).tolist() for k in range(self.k)],
+            self.centroids, self.iterations_run, self.delta, self.reseeds)
 
     @property
     def k(self) -> int:

@@ -37,7 +37,7 @@ from .corpus import generate_synthetic, ingest_log, preprocess, split
 from .errors import ContractError, ParseError, StageDependencyError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
-from .partition import ShardAssignment, balanced_kmeans, embed_all, make_shards
+from .partition import balanced_kmeans, embed_all, make_shards
 from .reports import emit_report
 from .unlearning import (
     SruState,
@@ -116,8 +116,8 @@ def fit_state(train, validation, config: ExperimentConfig,
                                     precomputed=(cache.features, cache.targets))
     return SruState(
         reference_model=reference,
+        corpus=train,
         assignment=assignment,
-        shards=shards,
         shard_configs=shard_configs,
         sub_models=sub_models,
         centroids=centroids,
@@ -265,8 +265,8 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
         raise ContractError("shard checkpoints are missing their training configs")
     state = SruState(
         reference_model=reference,
+        corpus=splits["train"],
         assignment=assignment,
-        shards=make_shards(splits["train"], assignment),
         shard_configs=shard_configs,
         sub_models=list(model.sub_models),
         centroids=model.centroids,
@@ -284,18 +284,6 @@ def _cmd_eval(run_dir, config: ExperimentConfig, split_tag: str = "test") -> Non
     emit_report(report, "csv", os.path.join(run_dir, "eval.csv"))
 
 
-def _reindexed_assignment(outcome_state: SruState) -> ShardAssignment:
-    """Partition expressed against the post-deletion train split order."""
-    assignment = outcome_state.assignment
-    surviving = sorted(i for member in assignment.members for i in member)
-    rank = {original: new for new, original in enumerate(surviving)}
-    return ShardAssignment.from_members(
-        [[rank[i] for i in member] for member in assignment.members],
-        assignment.centroids, assignment.iterations_run, assignment.delta,
-        assignment.reseeds,
-    )
-
-
 def _cmd_unlearn(run_dir, config: ExperimentConfig, requests_path,
                  parallel: bool = False) -> None:
     if not requests_path:
@@ -311,7 +299,7 @@ def _cmd_unlearn(run_dir, config: ExperimentConfig, requests_path,
                    "test": splits["test"]},
                   {"config_hash": chash, "stage": "preprocess"})
     save_assignment(_path(run_dir, "partition_csv"), _path(run_dir, "partition_bin"),
-                    _reindexed_assignment(outcome.state),
+                    outcome.state.assignment,
                     {"config_hash": chash, "stage": "partition"})
     for k, model in enumerate(outcome.state.sub_models):
         if model is not state.sub_models[k]:

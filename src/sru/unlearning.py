@@ -18,6 +18,7 @@ import io
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .backbone import BackboneConfig, GruModel, train_many_timed
 from .corpus import Session, SessionDataset
 from .errors import ContractError, ParseError
 from .numerics import RngStream, derive_seed
-from .partition import ShardAssignment
+from .partition import ShardAssignment, make_shards
 from .reports import TimingReport
 
 STRATEGIES = ("CED", "NED", "RED")
@@ -179,27 +180,11 @@ def select_positions(session: Session, request: UnlearnRequest,
     return red_select(session, request.target_position, request.n_extra, stream)
 
 
-def _rewrite(session: Session, positions) -> Session | None:
-    survivors = [p for p in range(len(session)) if p not in positions]
-    if not survivors:
-        return None
-    times = None
-    if session.times is not None:
-        times = tuple(session.times[p] for p in survivors)
-    return Session(
-        session_id=session.session_id,
-        items=tuple(session.items[p] for p in survivors),
-        times=times,
-        cluster=session.cluster,
-    )
-
-
 def _result_for(session: Session, request: UnlearnRequest, own_positions,
-                union_positions=None) -> DeletionResult:
+                union_positions) -> DeletionResult:
     """Record one request; contexts reflect the union of all deletions
     applied to the session (== own_positions for a lone request)."""
-    union = set(union_positions if union_positions is not None else own_positions)
-    survivors = [p for p in range(len(session)) if p not in union]
+    survivors = [p for p in range(len(session)) if p not in union_positions]
     return DeletionResult(
         session_id=session.session_id,
         strategy=request.strategy,
@@ -214,31 +199,50 @@ def _result_for(session: Session, request: UnlearnRequest, own_positions,
     )
 
 
-def apply_deletion(shard: SessionDataset, request: UnlearnRequest,
-                   positions) -> tuple[SessionDataset, DeletionResult]:
-    """Rewrite one session of a shard without the given positions.
+def apply_deletion(corpus: SessionDataset,
+                   deletions) -> tuple[SessionDataset, list[DeletionResult]]:
+    """Rewrite a corpus without the deleted positions, in one pass.
 
-    Sessions left with fewer than 2 items are dropped from the shard and
-    flagged; every other session is carried over untouched.
+    ``deletions`` holds (request, positions) pairs whose positions index
+    the sessions as stored in ``corpus``. The positions of all pairs that
+    name one session are unioned and deleted once, and each result's
+    contexts reflect that union. Sessions left with fewer than 2 items
+    are dropped and flagged; every other session is carried over
+    untouched, in corpus order. Results follow the order of ``deletions``.
     """
-    by_id = {s.session_id: i for i, s in enumerate(shard.sessions)}
-    if request.session_id not in by_id:
-        raise KeyError(f"session {request.session_id!r} not found in shard")
-    idx = by_id[request.session_id]
-    session = shard.sessions[idx]
-    for p in positions:
-        if not 0 <= p < len(session):
-            raise IndexError(f"deletion position {p} outside session of length {len(session)}")
-    if request.target_position not in set(positions):
-        raise ContractError("the target position must be among the deletions")
+    index = {s.session_id: i for i, s in enumerate(corpus.sessions)}
+    union: dict[int, set[int]] = {}
+    for request, positions in deletions:
+        if request.session_id not in index:
+            raise KeyError(f"session {request.session_id!r} not found in the corpus")
+        i = index[request.session_id]
+        length = len(corpus.sessions[i])
+        for p in positions:
+            if not 0 <= p < length:
+                raise IndexError(f"deletion position {p} outside session of length {length}")
+        if request.target_position not in set(positions):
+            raise ContractError("the target position must be among the deletions")
+        union.setdefault(i, set()).update(positions)
 
-    result = _result_for(session, request, positions)
-    sessions = list(shard.sessions)
-    if result.dropped:
-        del sessions[idx]
-    else:
-        sessions[idx] = _rewrite(session, set(positions))
-    return shard.with_sessions(sessions), result
+    results = []
+    for request, positions in deletions:
+        i = index[request.session_id]
+        results.append(_result_for(corpus.sessions[i], request, positions, union[i]))
+    sessions = []
+    for i, session in enumerate(corpus.sessions):
+        if i in union:
+            survivors = [p for p in range(len(session)) if p not in union[i]]
+            if len(survivors) < 2:
+                continue
+            session = Session(
+                session_id=session.session_id,
+                items=tuple(session.items[p] for p in survivors),
+                times=None if session.times is None
+                else tuple(session.times[p] for p in survivors),
+                cluster=session.cluster,
+            )
+        sessions.append(session)
+    return corpus.with_sessions(sessions), results
 
 
 # -- framework state -------------------------------------------------------------
@@ -246,11 +250,18 @@ def apply_deletion(shard: SessionDataset, request: UnlearnRequest,
 
 @dataclass
 class SruState:
-    """Everything the unlearning flow needs to retrain selectively."""
+    """Everything the unlearning flow needs to retrain selectively.
+
+    ``corpus`` is the training corpus in stored order, the order
+    ``dataset.sru`` keeps, and ``assignment`` is a full partition of
+    exactly its positions: a session index is a position in ``corpus``.
+    ``shards`` is derived from the two on first use, so neither may be
+    changed in place.
+    """
 
     reference_model: GruModel
+    corpus: SessionDataset
     assignment: ShardAssignment
-    shards: list[SessionDataset]
     shard_configs: list[BackboneConfig]
     sub_models: list[GruModel]
     centroids: ShardCentroids
@@ -262,15 +273,21 @@ class SruState:
     # after that.
     feature_cache: FeatureCache | None = None
 
+    def __post_init__(self):
+        if self.assignment.shard_of.shape[0] != len(self.corpus):
+            raise ContractError(
+                f"partition covers {self.assignment.shard_of.shape[0]} sessions, "
+                f"the training corpus has {len(self.corpus)}"
+            )
+
+    @cached_property
+    def shards(self) -> list[SessionDataset]:
+        """One dataset per sub-model: ``make_shards(corpus, assignment)``."""
+        return make_shards(self.corpus, self.assignment)
+
     def current_train_dataset(self) -> SessionDataset:
-        """The full training corpus as currently stored, in original
-        partition order (shards interleaved by original session index)."""
-        tagged = []
-        for k, shard in enumerate(self.shards):
-            for original_index, s in zip(self.assignment.members[k], shard.sessions):
-                tagged.append((original_index, s))
-        tagged.sort(key=lambda pair: pair[0])
-        return self.shards[0].with_sessions(s for _, s in tagged)
+        """The full training corpus, in stored order."""
+        return self.corpus
 
     def sru_model(self) -> SruModel:
         return SruModel(
@@ -291,10 +308,13 @@ class UnlearnOutcome:
 def execute_unlearn(state: SruState, requests, parallel: bool = False) -> UnlearnOutcome:
     """Apply a batch of unlearning requests and retrain what they touch.
 
-    All target positions refer to sessions as stored when the call
-    starts; per session, deletions from multiple requests are unioned and
-    applied once, and a request whose target position was already deleted
-    by an earlier request in the batch is skipped with a warning.
+    All target positions refer to sessions as stored in the corpus when
+    the call starts; per session, deletions from multiple requests are
+    unioned and applied once, and a request whose target position was
+    already deleted by an earlier request in the batch is skipped with a
+    warning. The corpus is rewritten in one pass (``apply_deletion``);
+    a dropped session leaves it, and the partition is re-indexed to the
+    rewritten corpus, so it stays a full partition without holes.
     Affected sub-models are retrained from scratch on their modified
     shards with their original configs and seeds; untouched sub-models
     are returned as-is, bit for bit. The fusion layer is retrained from
@@ -307,15 +327,14 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         return UnlearnOutcome(state=state, timing=TimingReport(), deletions=[])
 
     # Resolve every request against the call-start sessions.
-    session_home = {s.session_id: (k, i) for k, shard in enumerate(state.shards)
-                    for i, s in enumerate(shard.sessions)}
+    corpus = state.corpus
+    index = {s.session_id: i for i, s in enumerate(corpus.sessions)}
     deletions_by_session: dict[str, set[int]] = {}
     resolved: list[tuple[UnlearnRequest, tuple[int, ...]]] = []
     for request in requests:
-        if request.session_id not in session_home:
+        if request.session_id not in index:
             raise KeyError(f"session {request.session_id!r} not found in any shard")
-        k, i = session_home[request.session_id]
-        session = state.shards[k].sessions[i]
+        session = corpus.sessions[index[request.session_id]]
         already = deletions_by_session.setdefault(request.session_id, set())
         if request.target_position in already:
             warnings.warn(
@@ -351,33 +370,21 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     if not resolved:
         return UnlearnOutcome(state=state, timing=TimingReport(), deletions=[])
 
-    # Rewrite the touched sessions once, per shard.
-    results: list[DeletionResult] = []
-    new_shards = list(state.shards)
-    affected = sorted({session_home[r.session_id][0] for r, _ in resolved})
-    for k in affected:
-        sessions = list(new_shards[k].sessions)
-        drop: list[int] = []
-        for request, own_positions in resolved:
-            if session_home[request.session_id][0] != k:
-                continue
-            i = session_home[request.session_id][1]
-            original = state.shards[k].sessions[i]
-            result = _result_for(original, request, own_positions,
-                                 union_positions=deletions_by_session[request.session_id])
-            results.append(result)
-            if result.dropped:
-                if i not in drop:
-                    drop.append(i)
-            else:
-                sessions[i] = _rewrite(original, deletions_by_session[request.session_id])
-        for i in sorted(drop, reverse=True):
-            del sessions[i]
-        new_shards[k] = state.shards[k].with_sessions(sessions)
+    # Rewrite the corpus once. Results, and so the audit trail, are
+    # grouped by shard in ascending order, in request order within one.
+    shard_of = state.assignment.shard_of
+    resolved.sort(key=lambda pair: shard_of[index[pair[0].session_id]])
+    affected = sorted({int(shard_of[index[r.session_id]]) for r, _ in resolved})
+    new_corpus, results = apply_deletion(corpus, resolved)
+    dropped = {index[r.session_id] for r in results if r.dropped}
+    new_state = replace(state, corpus=new_corpus,
+                        assignment=state.assignment.without(dropped),
+                        sub_models=list(state.sub_models))
+    new_shards = new_state.shards
 
     # Retrain exactly the affected sub-models, from scratch.
     shard_started = time.perf_counter()
-    new_models = list(state.sub_models)
+    new_models = new_state.sub_models
     per_shard_ms: dict[int, float] = {}
     retrained = train_many_timed([new_shards[k] for k in affected],
                                  [state.shard_configs[k] for k in affected], parallel=parallel)
@@ -393,25 +400,18 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         source=state.centroids.source,
         reference_centroids=state.assignment.centroids,
     )
+    new_state.centroids = centroids
     cache_started = time.perf_counter()
-    new_state = replace(
-        state,
-        shards=new_shards,
-        sub_models=new_models,
-        centroids=centroids,
-        assignment=_prune_assignment(state.assignment, state.shards, new_shards),
-    )
-    new_train = new_state.current_train_dataset()
     if state.feature_cache is not None:
-        cache = updated_feature_cache(state.feature_cache, new_models, new_train,
+        cache = updated_feature_cache(state.feature_cache, new_models, new_corpus,
                                       dirty_shards=affected,
                                       changed_session_ids=set(deletions_by_session))
     else:
-        cache = build_feature_cache(new_models, new_train)
+        cache = build_feature_cache(new_models, new_corpus)
     new_state.feature_cache = cache
     fusion_started = time.perf_counter()
     new_state.aggregation = train_aggregation(
-        new_models, centroids, new_train, state.agg_config,
+        new_models, centroids, new_corpus, state.agg_config,
         precomputed=(cache.features, cache.targets),
     )
     agg_ended = time.perf_counter()
@@ -429,21 +429,6 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         fusion_training_ms=fusion_ms,
     )
     return UnlearnOutcome(state=new_state, timing=timing, deletions=results)
-
-
-def _prune_assignment(assignment: ShardAssignment, old_shards, new_shards) -> ShardAssignment:
-    """Drop the original indices of sessions that were removed entirely."""
-    members = []
-    for k, member in enumerate(assignment.members):
-        kept_ids = {s.session_id for s in new_shards[k].sessions}
-        members.append(tuple(
-            idx for idx, s in zip(member, old_shards[k].sessions) if s.session_id in kept_ids
-        ))
-    # The pruned map stays keyed by ORIGINAL indices; dropped sessions
-    # leave -1 holes, so the full-partition validity check does not apply.
-    return ShardAssignment.from_members(members, assignment.centroids,
-                                        assignment.iterations_run, assignment.delta,
-                                        assignment.reseeds)
 
 
 # -- request file format -----------------------------------------------------------

@@ -25,7 +25,7 @@ from sru.errors import (
     StaleArtifactError,
     VersionError,
 )
-from sru.partition import PartitionConfig, ShardAssignment, balanced_kmeans
+from sru.partition import PartitionConfig, balanced_kmeans
 from sru.reports import EffectivenessReport, RankingReport, TimingReport, emit_report
 
 
@@ -147,19 +147,17 @@ class TestAssignmentRoundTrip:
         assert loaded.members == assignment.members
         np.testing.assert_array_equal(loaded.shard_of, assignment.shard_of)
         np.testing.assert_array_equal(loaded.centroids, assignment.centroids)
-        assert loaded.delta == assignment.delta
+        assert (loaded.iterations_run, loaded.delta, loaded.reseeds) == \
+            (assignment.iterations_run, assignment.delta, assignment.reseeds)
 
-    def test_round_trip_keeps_holes(self, tmp_path):
-        # A pruned map after unlearning: indices 1 and 3 were dropped.
-        assignment = ShardAssignment.from_members(
-            [[0, 4], [2, 5]], np.arange(4.0).reshape(2, 2), 3, 3, ((1, 0, 2),))
+    def test_holed_partition_rejected(self, tmp_path):
+        # Indices 1 and 3 are in no shard; the first gap is named.
         csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
-        save_assignment(csv_path, bin_path, assignment)
-        loaded = load_assignment(csv_path, bin_path)
-        assert loaded.members == assignment.members
-        assert loaded.shard_of.tolist() == [0, -1, 1, -1, 0, 1]
-        np.testing.assert_array_equal(loaded.centroids, assignment.centroids)
-        assert (loaded.iterations_run, loaded.delta, loaded.reseeds) == (3, 3, ((1, 0, 2),))
+        H = np.random.default_rng(3).normal(size=(6, 2))
+        save_assignment(csv_path, bin_path, balanced_kmeans(H, PartitionConfig(k=2, seed=0)))
+        csv_path.write_text("session_index,shard_id\n0,0\n2,1\n4,0\n5,1\n")
+        with pytest.raises(ParseError, match="no row for session index 1"):
+            load_assignment(csv_path, bin_path)
 
     def test_csv_is_sorted_with_header(self, tmp_path):
         H = np.random.default_rng(4).normal(size=(6, 2))
@@ -173,7 +171,8 @@ class TestAssignmentRoundTrip:
 
 
 class TestAssignmentParsing:
-    """Malformed partition.csv rows raise ParseError naming their line."""
+    """Malformed partition.csv rows raise ParseError naming their line, and
+    a missing row names its session index."""
 
     def saved(self, tmp_path):
         H = np.random.default_rng(5).normal(size=(6, 2))
@@ -190,6 +189,14 @@ class TestAssignmentParsing:
         with pytest.raises(ParseError, match=match) as info:
             load_assignment(csv_path, bin_path)
         assert info.value.line_number == 4
+
+    def test_missing_row_names_its_session_index(self, tmp_path):
+        csv_path, bin_path = self.saved(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        del lines[3]                            # the row of session index 2
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="no row for session index 2"):
+            load_assignment(csv_path, bin_path)
 
     def test_negative_shard_id(self, tmp_path):
         self.assert_line_rejected(tmp_path, "2,-1", "shard id -1")

@@ -164,14 +164,21 @@ class TestFromMembers:
         assert rebuilt.members == assignment.members
         rebuilt.validate()
 
-    def test_unlisted_indices_are_holes(self):
+    def test_holed_member_list_rejected(self):
+        # Indices 1 and 3 are in no shard.
+        with pytest.raises(ContractError, match="do not form a partition"):
+            ShardAssignment.from_members([[0, 4], [], [2, 5]], np.zeros((3, 2)), 1, 2)
+
+    def test_without_closes_the_gaps(self):
         centroids = np.zeros((3, 2))
-        rebuilt = ShardAssignment.from_members([[0, 4], [], [2, 5]], centroids, 1, 2)
-        assert rebuilt.shard_of.tolist() == [0, -1, 2, -1, 0, 2]
-        assert rebuilt.members == ((0, 4), (), (2, 5))
-        assert rebuilt.k == 3
-        assert rebuilt.centroids is centroids
-        assert (rebuilt.iterations_run, rebuilt.delta, rebuilt.reseeds) == (1, 2, ())
+        assignment = ShardAssignment.from_members([[0, 4], [1], [2, 3, 5]], centroids, 4, 3,
+                                                  ((1, 0, 2),))
+        pruned = assignment.without({1, 3})
+        assert pruned.shard_of.tolist() == [0, 2, 0, 2]
+        assert pruned.members == ((0, 2), (), (1, 3))
+        assert pruned.k == 3
+        assert pruned.centroids is centroids
+        assert (pruned.iterations_run, pruned.delta, pruned.reseeds) == (4, 3, ((1, 0, 2),))
 
     def test_no_members_gives_empty_map(self):
         rebuilt = ShardAssignment.from_members([(), ()], np.zeros((2, 1)), 1, 1)

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from sru.checkpoint import load_assignment, load_datasets, save_assignment, save_checkpoint
+from sru.checkpoint import (
+    load_assignment,
+    load_datasets,
+    save_assignment,
+    save_checkpoint,
+    save_datasets,
+)
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
@@ -209,6 +215,52 @@ class TestUnlearnStage:
                          "seed": outcome.state.agg_config.seed})
         assert (tmp_path / "aggregation.sru").read_bytes() == in_memory.read_bytes()
 
+    def test_chained_unlearn_stages_match_in_memory(self, tmp_path):
+        # Two unlearn stages, the first dropping a whole session, write the
+        # same bytes as the same batches chained in memory and then saved.
+        config = tiny_config()
+        chash = config.config_hash()
+        _, splits = self.prepared(tmp_path, config)
+        state = fit_state(splits["train"], splits["validation"], config)
+        for batch, seed in enumerate((5, 6)):
+            train = load_datasets(tmp_path / "dataset.sru")["train"]
+            requests = sample_requests(train, count=3, strategy="CED", n_extra=1, seed=seed)
+            if batch == 0:
+                taken = {r.session_id for r in requests}
+                victim = next(s for s in train.sessions if s.session_id not in taken)
+                requests.append(UnlearnRequest(victim.session_id, len(victim) - 1, "NED",
+                                               len(victim)))
+            save_requests(requests, tmp_path / f"requests_{batch}.csv")
+            assert run_pipeline("unlearn", config, tmp_path,
+                                requests_path=tmp_path / f"requests_{batch}.csv") == 0
+            outcome = execute_unlearn(state, requests)
+            assert any(d.dropped for d in outcome.deletions) == (batch == 0)
+            state = outcome.state
+
+        memory = tmp_path / "memory"
+        corpus = state.current_train_dataset()
+        save_datasets(memory / "dataset.sru",
+                      {"train": corpus, "validation": splits["validation"],
+                       "test": splits["test"]},
+                      {"config_hash": chash, "stage": "preprocess"})
+        position = {s.session_id: i for i, s in enumerate(corpus.sessions)}
+        old = state.assignment
+        members = [[position[s.session_id] for s in shard.sessions] for shard in state.shards]
+        save_assignment(memory / "partition.csv", memory / "centroids.sru",
+                        ShardAssignment.from_members(members, old.centroids, old.iterations_run,
+                                                     old.delta, old.reseeds),
+                        {"config_hash": chash, "stage": "partition"})
+        for k, model in enumerate(state.sub_models):
+            save_checkpoint(model, memory / f"shard_{k:03d}.sru",
+                            {"config_hash": chash, "stage": "train-shards", "shard_id": k,
+                             "seed": state.shard_configs[k].seed})
+        save_checkpoint(state.aggregation, memory / "aggregation.sru",
+                        {"config_hash": chash, "stage": "train-agg",
+                         "seed": state.agg_config.seed})
+        for name in ("dataset.sru", "partition.csv", "shard_000.sru", "shard_001.sru",
+                     "aggregation.sru"):
+            assert (tmp_path / name).read_bytes() == (memory / name).read_bytes(), name
+
     def test_bench_writes_reference_ratio(self, tmp_path):
         config = tiny_config()
         state, _ = self.prepared(tmp_path, config)
@@ -286,6 +338,15 @@ class TestReadPath:
                                                      old.delta, old.reseeds),
                         {"config_hash": config.config_hash(), "stage": "partition"})
         with pytest.raises(ContractError, match="K=3.*K=2"):
+            load_state(tmp_path, config)
+
+    def test_partition_of_another_corpus_is_contract_error(self, tmp_path):
+        # Without its last row the partition is whole, but one session short.
+        config = tiny_config()
+        run_stages(tmp_path, config, ALL_TRAIN_STAGES)
+        csv_path = tmp_path / "partition.csv"
+        csv_path.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ContractError, match="covers"):
             load_state(tmp_path, config)
 
 

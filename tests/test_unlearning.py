@@ -9,6 +9,7 @@ from sru.backbone import BackboneConfig, init_gru_model, train_backbone
 from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import ContractError, ParseError
 from sru.numerics import RngStream
+from sru.partition import make_shards
 from sru.unlearning import (
     UnlearnRequest,
     apply_deletion,
@@ -113,7 +114,7 @@ class TestApplyDeletion:
     def test_survivors_keep_order(self):
         shard = self.make_shard()
         request = UnlearnRequest("s1", 3, "NED", 2)
-        updated, result = apply_deletion(shard, request, (1, 2, 3))
+        updated, (result,) = apply_deletion(shard, [(request, (1, 2, 3))])
         assert updated.sessions[0].items == (1, 5)  # [a, d]
         assert result.deleted_positions == (1, 2, 3)
         assert not result.dropped
@@ -124,31 +125,40 @@ class TestApplyDeletion:
     def test_session_dropped_below_two_items(self):
         shard = self.make_shard()
         request = UnlearnRequest("s2", 1, "NED", 0)
-        updated, result = apply_deletion(shard, request, (0, 1, 2))
+        updated, (result,) = apply_deletion(shard, [(request, (0, 1, 2))])
         assert result.dropped
         assert [s.session_id for s in updated.sessions] == ["s1"]
 
     def test_untouched_sessions_identical(self):
         shard = self.make_shard()
-        updated, _ = apply_deletion(shard, UnlearnRequest("s1", 0, "RED", 0), (0,))
+        updated, _ = apply_deletion(shard, [(UnlearnRequest("s1", 0, "RED", 0), (0,))])
         assert updated.sessions[1] is shard.sessions[1]
 
     def test_unknown_session_rejected(self):
         with pytest.raises(KeyError):
-            apply_deletion(self.make_shard(), UnlearnRequest("zz", 0, "NED", 0), (0,))
+            apply_deletion(self.make_shard(), [(UnlearnRequest("zz", 0, "NED", 0), (0,))])
 
     def test_target_must_be_deleted(self):
         with pytest.raises(ContractError):
-            apply_deletion(self.make_shard(), UnlearnRequest("s1", 2, "NED", 0), (1,))
+            apply_deletion(self.make_shard(), [(UnlearnRequest("s1", 2, "NED", 0), (1,))])
+
+    def test_requests_on_one_session_share_one_rewrite(self):
+        shard = self.make_shard()
+        updated, results = apply_deletion(shard, [(UnlearnRequest("s1", 1, "NED", 0), (1,)),
+                                                  (UnlearnRequest("s1", 3, "NED", 0), (3,))])
+        assert updated.sessions[0].items == (1, 3, 5)
+        assert [r.deleted_positions for r in results] == [(1,), (3,)]
+        assert all(r.context_full == (1, 3, 5) for r in results)
+        assert results[1].context_prefix == (1, 3)
 
 
 class TestDeletionJson:
     def results(self):
         shard = SessionDataset(sessions=(Session("s1", (1, 2, 3, 4, 5)), Session("s2", (5, 4))),
                                vocab=vocab4(), max_len=10)
-        _, kept = apply_deletion(shard, UnlearnRequest("s1", 3, "NED", 2), (1, 2, 3))
-        _, dropped = apply_deletion(shard, UnlearnRequest("s2", 0, "CED", 1), (0, 1))
-        return [kept, dropped]
+        _, results = apply_deletion(shard, [(UnlearnRequest("s1", 3, "NED", 2), (1, 2, 3)),
+                                            (UnlearnRequest("s2", 0, "CED", 1), (0, 1))])
+        return results
 
     def test_round_trip_through_json_text(self):
         results = self.results()
@@ -305,6 +315,27 @@ class TestExecuteUnlearn:
         with pytest.warns(UserWarning, match="already deleted"):
             outcome = execute_unlearn(state, requests)
         assert len(outcome.deletions) == 1
+
+    def test_results_grouped_by_shard_in_request_order(self, small_state):
+        state, _ = small_state
+        picks = [(3, 0), (0, 0), (3, 1), (1, 0)]
+        requests = [UnlearnRequest(state.shards[k].sessions[i].session_id, 1, "NED", 0)
+                    for k, i in picks]
+        outcome = execute_unlearn(state, requests)
+        order = [requests[j].session_id for j in (1, 3, 0, 2)]
+        assert [d.session_id for d in outcome.deletions] == order
+
+    def test_dropped_session_leaves_a_full_partition_of_the_corpus(self, small_state):
+        state, _ = small_state
+        session = state.shards[2].sessions[1]
+        last = len(session) - 1
+        outcome = execute_unlearn(state, [UnlearnRequest(session.session_id, last, "NED",
+                                                         len(session))])
+        assert outcome.deletions[0].dropped
+        after = outcome.state
+        assert len(after.current_train_dataset()) == len(state.current_train_dataset()) - 1
+        after.assignment.validate()
+        assert make_shards(after.current_train_dataset(), after.assignment) == after.shards
 
     def test_unknown_session_rejected(self, small_state):
         state, _ = small_state
