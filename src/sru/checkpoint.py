@@ -329,7 +329,8 @@ def load_assignment(csv_path, bin_path, expected_config_hash: str | None = None,
     with open(csv_path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0].strip() != "session_index,shard_id":
-        raise ContractError(f"{csv_path} is not a partition CSV")
+        raise ParseError(f"{csv_path}: expected the header session_index,shard_id",
+                         line_number=1)
     pairs = []
     seen: set[int] = set()
     for number, line in enumerate(lines[1:], start=2):

@@ -14,11 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .aggregation import build_feature_cache
 from .backbone import BackboneConfig, train_backbone
 from .corpus import SessionDataset
 from .errors import ContractError
 from .numerics import RngStream, derive_seed, rank_from_logits, ranks_from_logits
 from .reports import EffectivenessReport, RankingReport, TimingReport
+from .unlearning import execute_unlearn
 
 DEFAULT_KS = (10, 20)
 DEFAULT_HIT_KS = (1, 5, 10, 20)
@@ -174,9 +176,6 @@ def benchmark_unlearn(state, requests, retrain_config: BackboneConfig | None = N
     Returns the selective timing with the full-retrain reference filled
     in; .speedup is the ratio.
     """
-    from .aggregation import build_feature_cache
-    from .unlearning import execute_unlearn
-
     if state.feature_cache is None:
         # built before the timer, so that the selective arm is timed on
         # the incremental cache update alone

@@ -1,8 +1,10 @@
 """Staged experiment pipeline over on-disk artifacts.
 
-Every stage consumes the artifacts of earlier stages by path convention
-inside one run directory, stamps its outputs with the configuration
-hash, and refuses to consume artifacts stamped with a different hash.
+Every stage consumes the artifacts of earlier stages inside one run
+directory, stamps its outputs with the configuration hash, and refuses
+to consume artifacts stamped with a different hash. ``ARTIFACTS`` names
+each artifact's files and the stage that writes it; ``_load`` and
+``_save`` do all artifact I/O.
 The whole pipeline is a pure function of (input bytes, config, seed):
 re-running any prefix of stages reproduces identical artifact bytes
 (timing reports aside).
@@ -48,45 +50,102 @@ from .unlearning import (
     sample_requests,
 )
 
-SUBCOMMANDS = (
-    "preprocess", "pretrain", "partition", "train-shards", "train-agg",
-    "eval", "unlearn", "effectiveness", "bench", "ablate",
-)
-
+# The run-directory layout: artifact name -> (file patterns, the stage that
+# writes it). A pattern is formatted with the shard index.
 ARTIFACTS = {
-    "dataset": ("dataset.sru", "preprocess"),
-    "reference": ("reference.sru", "pretrain"),
-    "partition_csv": ("partition.csv", "partition"),
-    "partition_bin": ("centroids.sru", "partition"),
-    "shard_centroids": ("shard_centroids.sru", "train-agg"),
-    "aggregation": ("aggregation.sru", "train-agg"),
-    "audit": ("audit.json", "unlearn"),
+    "dataset": (("dataset.sru",), "preprocess"),
+    "reference": (("reference.sru",), "pretrain"),
+    "partition": (("partition.csv", "centroids.sru"), "partition"),
+    "shard": (("shard_{:03d}.sru",), "train-shards"),
+    "shard_centroids": (("shard_centroids.sru",), "train-agg"),
+    "aggregation": (("aggregation.sru",), "train-agg"),
+    "audit": (("audit.json",), "unlearn"),
 }
 
 
-def _path(run_dir, name: str) -> str:
-    return os.path.join(run_dir, ARTIFACTS[name][0])
+def _paths(run_dir, name: str, k: int = 0) -> list[str]:
+    return [os.path.join(run_dir, pattern.format(k)) for pattern in ARTIFACTS[name][0]]
 
 
-def _require(run_dir, *names) -> None:
-    for name in names:
-        filename, stage = ARTIFACTS[name]
-        if not os.path.exists(os.path.join(run_dir, filename)):
-            raise StageDependencyError(
-                f"missing artifact {filename}; run the '{stage}' stage first"
-            )
+def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0):
+    """Load one artifact: every file of it must exist (else
+    ``StageDependencyError`` naming the stage that writes it), and it must
+    carry the config's hash."""
+    paths = _paths(run_dir, name, k)
+    for path in paths:
+        if not os.path.exists(path):
+            raise StageDependencyError(f"missing artifact {os.path.basename(path)}; "
+                                       f"run the '{ARTIFACTS[name][1]}' stage first")
+    # Looked up on each call, so that a patched loader is the one called.
+    loader = {"dataset": load_datasets, "partition": load_assignment,
+              "shard_centroids": load_centroid_state,
+              "audit": _read_audit}.get(name, load_checkpoint)
+    return loader(*paths, expected_config_hash=config.config_hash())
 
 
-def _shard_path(run_dir, k: int) -> str:
-    return os.path.join(run_dir, f"shard_{k:03d}.sru")
+def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None:
+    """Write one artifact, stamped with the config hash and its stage;
+    model checkpoints also carry their training seed, shards their index."""
+    paths = _paths(run_dir, name, k)
+    stamp = {"config_hash": config.config_hash(), "stage": ARTIFACTS[name][1]}
+    if name in ("reference", "shard", "aggregation"):
+        stamp["seed"] = obj.config.seed
+        if name == "shard":
+            stamp["shard_id"] = k
+        save_checkpoint(obj, *paths, stamp)
+    else:
+        saver = {"dataset": save_datasets, "partition": save_assignment,
+                 "shard_centroids": save_centroid_state, "audit": _write_audit}[name]
+        saver(*paths, obj, stamp)
 
 
-def _require_shards(run_dir, count: int) -> None:
-    for k in range(count):
-        if not os.path.exists(_shard_path(run_dir, k)):
-            raise StageDependencyError(
-                f"missing artifact shard_{k:03d}.sru; run the 'train-shards' stage first"
-            )
+def _write_audit(path, deletions, stamp: dict) -> None:
+    audit = {"config_hash": stamp["config_hash"], "records": deletions_to_json(deletions)}
+    write_atomic(path, (json.dumps(audit, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+def _read_audit(path, expected_config_hash: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc.msg}", line_number=exc.lineno) from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
+        raise ParseError(f"{path}: expected an object with a records list")
+    if payload.get("config_hash") != expected_config_hash:
+        raise StageDependencyError("audit.json was produced under a different config")
+    return deletions_from_json(payload["records"])
+
+
+# -- phases, shared by the in-memory pipeline and the stages --------------------
+
+
+def _pretrain(train, validation, config: ExperimentConfig):
+    val = validation if config["backbone.early_stop"] else None
+    return train_backbone(train, config.backbone_config("pretrain"), val_dataset=val)
+
+
+def _partition(reference, train, config: ExperimentConfig, k: int | None = None):
+    part_cfg = config.partition_config()
+    if k is not None:
+        part_cfg = replace(part_cfg, k=k)
+    return balanced_kmeans(embed_all(reference, train), part_cfg)
+
+
+def _train_shards(shards, config: ExperimentConfig, parallel: bool = False):
+    configs = [config.backbone_config(f"shard-{k}") for k in range(len(shards))]
+    return train_many(shards, configs, parallel=parallel)
+
+
+def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfig):
+    """Centroid refresh, feature cache and fusion training."""
+    agg_cfg = config.aggregation_config()
+    centroids = compute_centroids(sub_models, shards, source=agg_cfg.centroid_source,
+                                  reference_centroids=assignment.centroids)
+    cache = build_feature_cache(sub_models, train)
+    aggregation = train_aggregation(sub_models, centroids, train, agg_cfg,
+                                    precomputed=(cache.features, cache.targets))
+    return centroids, cache, aggregation
 
 
 # -- in-memory pipeline (also used by the ablation recipes and tests) ----------
@@ -95,43 +154,23 @@ def _require_shards(run_dir, count: int) -> None:
 def fit_state(train, validation, config: ExperimentConfig,
               k_override: int | None = None, parallel: bool = False) -> SruState:
     """Run pretraining, partitioning, shard training, and fusion training
-    in memory and return the assembled framework state."""
-    pretrain_cfg = config.backbone_config("pretrain")
-    val = validation if config["backbone.early_stop"] else None
-    reference = train_backbone(train, pretrain_cfg, val_dataset=val)
-
-    part_cfg = config.partition_config()
-    if k_override is not None:
-        part_cfg = replace(part_cfg, k=k_override)
-    assignment = balanced_kmeans(embed_all(reference, train), part_cfg)
+    in memory and return the assembled framework state. Each model keeps
+    the config it was trained under, and unlearning retrains it under that."""
+    reference = _pretrain(train, validation, config)
+    assignment = _partition(reference, train, config, k_override)
     shards = make_shards(train, assignment)
-    shard_configs = [config.backbone_config(f"shard-{k}") for k in range(part_cfg.k)]
-    sub_models = train_many(shards, shard_configs, parallel=parallel)
-
-    agg_cfg = config.aggregation_config()
-    centroids = compute_centroids(sub_models, shards, source=agg_cfg.centroid_source,
-                                  reference_centroids=assignment.centroids)
-    cache = build_feature_cache(sub_models, train)
-    aggregation = train_aggregation(sub_models, centroids, train, agg_cfg,
-                                    precomputed=(cache.features, cache.targets))
-    return SruState(
-        reference_model=reference,
-        corpus=train,
-        assignment=assignment,
-        shard_configs=shard_configs,
-        sub_models=sub_models,
-        centroids=centroids,
-        agg_config=agg_cfg,
-        aggregation=aggregation,
-        seed=config.seed,
-        feature_cache=cache,
-    )
+    sub_models = _train_shards(shards, config, parallel)
+    centroids, cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
+    return SruState(reference_model=reference, corpus=train, assignment=assignment,
+                    shard_configs=[m.config for m in sub_models], sub_models=sub_models,
+                    centroids=centroids, agg_config=aggregation.config,
+                    aggregation=aggregation, seed=config.seed, feature_cache=cache)
 
 
 # -- stage implementations -------------------------------------------------------
 
 
-def _cmd_preprocess(run_dir, config: ExperimentConfig) -> None:
+def _cmd_preprocess(run_dir, config: ExperimentConfig, **_) -> None:
     source = config["data.source"]
     if source == "synthetic":
         dataset = generate_synthetic(
@@ -149,78 +188,37 @@ def _cmd_preprocess(run_dir, config: ExperimentConfig) -> None:
         dataset = preprocess(raw, min_count=config["data.min_count"],
                              max_len=config["data.max_len"])
     train, validation, test = split(dataset, seed=derive_seed(config.seed, "split"))
-    save_datasets(_path(run_dir, "dataset"),
-                  {"train": train, "validation": validation, "test": test},
-                  {"config_hash": config.config_hash(), "stage": "preprocess"})
+    _save(run_dir, config, "dataset", {"train": train, "validation": validation, "test": test})
 
 
-def _load_splits(run_dir, config):
-    _require(run_dir, "dataset")
-    return load_datasets(_path(run_dir, "dataset"),
-                         expected_config_hash=config.config_hash())
+def _cmd_pretrain(run_dir, config: ExperimentConfig, **_) -> None:
+    splits = _load(run_dir, config, "dataset")
+    _save(run_dir, config, "reference",
+          _pretrain(splits["train"], splits["validation"], config))
 
 
-def _cmd_pretrain(run_dir, config: ExperimentConfig) -> None:
-    splits = _load_splits(run_dir, config)
-    val = splits["validation"] if config["backbone.early_stop"] else None
-    model = train_backbone(splits["train"], config.backbone_config("pretrain"),
-                           val_dataset=val)
-    save_checkpoint(model, _path(run_dir, "reference"),
-                    {"config_hash": config.config_hash(), "stage": "pretrain",
-                     "seed": model.config.seed})
+def _cmd_partition(run_dir, config: ExperimentConfig, **_) -> None:
+    train = _load(run_dir, config, "dataset")["train"]
+    reference = _load(run_dir, config, "reference")
+    _save(run_dir, config, "partition", _partition(reference, train, config))
 
 
-def _cmd_partition(run_dir, config: ExperimentConfig) -> None:
-    splits = _load_splits(run_dir, config)
-    _require(run_dir, "reference")
-    reference = load_checkpoint(_path(run_dir, "reference"),
-                                expected_config_hash=config.config_hash())
-    assignment = balanced_kmeans(embed_all(reference, splits["train"]),
-                                 config.partition_config())
-    save_assignment(_path(run_dir, "partition_csv"), _path(run_dir, "partition_bin"),
-                    assignment, {"config_hash": config.config_hash(), "stage": "partition"})
+def _cmd_train_shards(run_dir, config: ExperimentConfig, *, parallel: bool = False,
+                      **_) -> None:
+    train = _load(run_dir, config, "dataset")["train"]
+    assignment = _load(run_dir, config, "partition")
+    for k, model in enumerate(_train_shards(make_shards(train, assignment), config, parallel)):
+        _save(run_dir, config, "shard", model, k)
 
 
-def _cmd_train_shards(run_dir, config: ExperimentConfig, parallel: bool = False) -> None:
-    splits = _load_splits(run_dir, config)
-    _require(run_dir, "partition_csv", "partition_bin")
-    assignment = load_assignment(_path(run_dir, "partition_csv"),
-                                 _path(run_dir, "partition_bin"),
-                                 expected_config_hash=config.config_hash())
-    shards = make_shards(splits["train"], assignment)
-    configs = [config.backbone_config(f"shard-{k}") for k in range(assignment.k)]
-    models = train_many(shards, configs, parallel=parallel)
-    for k, model in enumerate(models):
-        save_checkpoint(model, _shard_path(run_dir, k),
-                        {"config_hash": config.config_hash(), "stage": "train-shards",
-                         "shard_id": k, "seed": configs[k].seed})
-
-
-def _load_shard_models(run_dir, config, count: int):
-    _require_shards(run_dir, count)
-    return [
-        load_checkpoint(_shard_path(run_dir, k), expected_config_hash=config.config_hash())
-        for k in range(count)
-    ]
-
-
-def _cmd_train_agg(run_dir, config: ExperimentConfig) -> None:
-    splits = _load_splits(run_dir, config)
-    _require(run_dir, "partition_csv", "partition_bin")
-    assignment = load_assignment(_path(run_dir, "partition_csv"),
-                                 _path(run_dir, "partition_bin"),
-                                 expected_config_hash=config.config_hash())
-    shards = make_shards(splits["train"], assignment)
-    sub_models = _load_shard_models(run_dir, config, assignment.k)
-    agg_cfg = config.aggregation_config()
-    centroids = compute_centroids(sub_models, shards, source=agg_cfg.centroid_source,
-                                  reference_centroids=assignment.centroids)
-    aggregation = train_aggregation(sub_models, centroids, splits["train"], agg_cfg)
-    save_centroid_state(_path(run_dir, "shard_centroids"), centroids,
-                        {"config_hash": config.config_hash(), "stage": "train-agg"})
-    save_checkpoint(aggregation, _path(run_dir, "aggregation"),
-                    {"config_hash": config.config_hash(), "stage": "train-agg",
-                     "seed": agg_cfg.seed})
+def _cmd_train_agg(run_dir, config: ExperimentConfig, **_) -> None:
+    train = _load(run_dir, config, "dataset")["train"]
+    assignment = _load(run_dir, config, "partition")
+    sub_models = [_load(run_dir, config, "shard", k) for k in range(assignment.k)]
+    centroids, _, aggregation = _train_fusion(sub_models, make_shards(train, assignment),
+                                              assignment, train, config)
+    _save(run_dir, config, "shard_centroids", centroids)
+    _save(run_dir, config, "aggregation", aggregation)
 
 
 def load_model(run_dir, config: ExperimentConfig) -> SruModel:
@@ -228,12 +226,9 @@ def load_model(run_dir, config: ExperimentConfig) -> SruModel:
     ``aggregation.k`` shard checkpoints, then the shard centroids, each
     checked against the config hash. The dataset, the reference encoder
     and the partition are not read."""
-    _require(run_dir, "shard_centroids", "aggregation")
-    chash = config.config_hash()
-    aggregation = load_checkpoint(_path(run_dir, "aggregation"), expected_config_hash=chash)
-    sub_models = _load_shard_models(run_dir, config, aggregation.k)
-    centroids = load_centroid_state(_path(run_dir, "shard_centroids"),
-                                    expected_config_hash=chash)
+    aggregation = _load(run_dir, config, "aggregation")
+    sub_models = [_load(run_dir, config, "shard", k) for k in range(aggregation.k)]
+    centroids = _load(run_dir, config, "shard_centroids")
     return SruModel(sub_models=tuple(sub_models), centroids=centroids,
                     aggregation=aggregation, max_len=sub_models[0].max_len)
 
@@ -243,95 +238,59 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
 
     Loads the dataset splits, the reference encoder and the partition,
     and takes the predictor from ``load_model``; K is the fusion layer's,
-    and a partition with another K is a ``ContractError``. The returned
+    and a partition with another K is a ``ContractError``, as is a shard
+    or fusion checkpoint without its training config. The returned
     state has no feature cache: ``execute_unlearn`` builds it lazily,
     once, on the post-deletion sub-models.
     """
-    splits = _load_splits(run_dir, config)
-    _require(run_dir, "reference", "partition_csv", "partition_bin")
-    chash = config.config_hash()
-    reference = load_checkpoint(_path(run_dir, "reference"), expected_config_hash=chash)
-    assignment = load_assignment(_path(run_dir, "partition_csv"),
-                                 _path(run_dir, "partition_bin"),
-                                 expected_config_hash=chash)
+    splits = _load(run_dir, config, "dataset")
+    reference = _load(run_dir, config, "reference")
+    assignment = _load(run_dir, config, "partition")
     model = load_model(run_dir, config)
     if assignment.k != model.aggregation.k:
         raise ContractError(
             f"partition.csv has K={assignment.k} shards but aggregation.sru "
             f"has K={model.aggregation.k}"
         )
-    shard_configs = [m.config for m in model.sub_models]
-    if any(c is None for c in shard_configs):
-        raise ContractError("shard checkpoints are missing their training configs")
-    state = SruState(
-        reference_model=reference,
-        corpus=splits["train"],
-        assignment=assignment,
-        shard_configs=shard_configs,
-        sub_models=list(model.sub_models),
-        centroids=model.centroids,
-        agg_config=model.aggregation.config or config.aggregation_config(),
-        aggregation=model.aggregation,
-        seed=config.seed,
-    )
+    if any(m.config is None for m in (*model.sub_models, model.aggregation)):
+        raise ContractError("a shard or fusion checkpoint is missing its training config")
+    state = SruState(reference_model=reference, corpus=splits["train"], assignment=assignment,
+                     shard_configs=[m.config for m in model.sub_models],
+                     sub_models=list(model.sub_models), centroids=model.centroids,
+                     agg_config=model.aggregation.config, aggregation=model.aggregation,
+                     seed=config.seed)
     return state, splits
 
 
-def _cmd_eval(run_dir, config: ExperimentConfig, split_tag: str = "test") -> None:
-    splits = _load_splits(run_dir, config)
-    report = evaluate(load_model(run_dir, config), splits[split_tag], ks=config["eval.ks"])
+def _cmd_eval(run_dir, config: ExperimentConfig, *, split_tag: str = "test", **_) -> None:
+    split_data = _load(run_dir, config, "dataset")[split_tag]
+    report = evaluate(load_model(run_dir, config), split_data, ks=config["eval.ks"])
     emit_report(report, "json", os.path.join(run_dir, "eval.json"))
     emit_report(report, "csv", os.path.join(run_dir, "eval.csv"))
 
 
-def _cmd_unlearn(run_dir, config: ExperimentConfig, requests_path,
-                 parallel: bool = False) -> None:
+def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None,
+                 parallel: bool = False, **_) -> None:
     if not requests_path:
         raise ContractError("unlearn requires --requests FILE")
     state, splits = load_state(run_dir, config)
-    requests = load_requests(requests_path)
-    outcome = execute_unlearn(state, requests, parallel=parallel)
-    chash = config.config_hash()
-
-    new_train = outcome.state.current_train_dataset()
-    save_datasets(_path(run_dir, "dataset"),
-                  {"train": new_train, "validation": splits["validation"],
-                   "test": splits["test"]},
-                  {"config_hash": chash, "stage": "preprocess"})
-    save_assignment(_path(run_dir, "partition_csv"), _path(run_dir, "partition_bin"),
-                    outcome.state.assignment,
-                    {"config_hash": chash, "stage": "partition"})
-    for k, model in enumerate(outcome.state.sub_models):
+    outcome = execute_unlearn(state, load_requests(requests_path), parallel=parallel)
+    new = outcome.state
+    _save(run_dir, config, "dataset", {**splits, "train": new.current_train_dataset()})
+    _save(run_dir, config, "partition", new.assignment)
+    for k, model in enumerate(new.sub_models):
         if model is not state.sub_models[k]:
-            save_checkpoint(model, _shard_path(run_dir, k),
-                            {"config_hash": chash, "stage": "train-shards",
-                             "shard_id": k, "seed": outcome.state.shard_configs[k].seed})
-    save_centroid_state(_path(run_dir, "shard_centroids"), outcome.state.centroids,
-                        {"config_hash": chash, "stage": "train-agg"})
-    save_checkpoint(outcome.state.aggregation, _path(run_dir, "aggregation"),
-                    {"config_hash": chash, "stage": "train-agg",
-                     "seed": outcome.state.agg_config.seed})
-
-    audit = {"config_hash": chash, "records": deletions_to_json(outcome.deletions)}
-    write_atomic(_path(run_dir, "audit"),
-                 (json.dumps(audit, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+            _save(run_dir, config, "shard", model, k)
+    _save(run_dir, config, "shard_centroids", new.centroids)
+    _save(run_dir, config, "aggregation", new.aggregation)
+    _save(run_dir, config, "audit", outcome.deletions)
     emit_report(outcome.timing, "json", os.path.join(run_dir, "unlearn_timing.json"))
 
 
-def _cmd_effectiveness(run_dir, config: ExperimentConfig) -> None:
-    _require(run_dir, "audit")
-    path = _path(run_dir, "audit")
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg}", line_number=exc.lineno) from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
-        raise ParseError(f"{path}: expected an object with a records list")
-    if payload.get("config_hash") != config.config_hash():
-        raise StageDependencyError("audit.json was produced under a different config")
-    records = deletions_from_json(payload["records"])
+def _cmd_effectiveness(run_dir, config: ExperimentConfig, **_) -> None:
+    records = _load(run_dir, config, "audit")
     model = load_model(run_dir, config)
+    path = _paths(run_dir, "audit")[0]
     for index, r in enumerate(records):
         for name, items in (("target_item", (r.target_item,)),
                             ("context_prefix", r.context_prefix),
@@ -347,12 +306,11 @@ def _cmd_effectiveness(run_dir, config: ExperimentConfig) -> None:
     emit_report(report, "csv", os.path.join(run_dir, "effectiveness.csv"))
 
 
-def _cmd_bench(run_dir, config: ExperimentConfig, requests_path) -> None:
+def _cmd_bench(run_dir, config: ExperimentConfig, *, requests_path=None, **_) -> None:
     if not requests_path:
         raise ContractError("bench requires --requests FILE")
     state, _ = load_state(run_dir, config)
-    requests = load_requests(requests_path)
-    report = benchmark_unlearn(state, requests)
+    report = benchmark_unlearn(state, load_requests(requests_path))
     emit_report(report, "json", os.path.join(run_dir, "bench.json"))
 
 
@@ -361,9 +319,11 @@ def _write_csv(path, header: str, rows) -> None:
     write_atomic(path, (body + "\n").encode("utf-8"))
 
 
-def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str,
-                shard_counts=(2, 4, 8, 16), deletion_range=(0, 1, 2, 3, 4, 5)) -> None:
-    splits = _load_splits(run_dir, config)
+def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
+                shard_counts=(2, 4, 8, 16), deletion_range=(0, 1, 2, 3, 4, 5), **_) -> None:
+    if mode not in ("shards", "partition", "deletion"):
+        raise ContractError(f"unknown ablation {mode!r}; use shards, partition, or deletion")
+    splits = _load(run_dir, config, "dataset")
     train, validation, test = splits["train"], splits["validation"], splits["test"]
     strategy = config["unlearn.strategy"]
 
@@ -392,7 +352,7 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str,
                    "method,recall_at_20",
                    [("similarity_partition", f"{sru_report.recall[20]:.6g}"),
                     ("random_partition", f"{sisa_report.recall[20]:.6g}")])
-    elif mode == "deletion":
+    else:
         state = fit_state(train, validation, config)
         base = sample_requests(state.current_train_dataset(),
                                count=min(200, len(train) // 2),
@@ -409,35 +369,29 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str,
             rows.append((n, *(f"{report.hit[k]:.6g}" for k in ks)))
         _write_csv(os.path.join(run_dir, "ablate_deletion.csv"),
                    "n_extra," + ",".join(f"hit_at_{k}" for k in ks), rows)
-    else:
-        raise ContractError(f"unknown ablation {mode!r}; use shards, partition, or deletion")
+
+
+STAGES = {
+    "preprocess": _cmd_preprocess,
+    "pretrain": _cmd_pretrain,
+    "partition": _cmd_partition,
+    "train-shards": _cmd_train_shards,
+    "train-agg": _cmd_train_agg,
+    "eval": _cmd_eval,
+    "unlearn": _cmd_unlearn,
+    "effectiveness": _cmd_effectiveness,
+    "bench": _cmd_bench,
+    "ablate": _cmd_ablate,
+}
 
 
 def run_pipeline(subcommand: str, config: ExperimentConfig, run_dir,
                  requests_path=None, parallel: bool = False,
                  split_tag: str = "test", ablate_mode: str | None = None) -> int:
     """Dispatch one pipeline stage; returns a process exit status."""
-    os.makedirs(run_dir, exist_ok=True)
-    if subcommand == "preprocess":
-        _cmd_preprocess(run_dir, config)
-    elif subcommand == "pretrain":
-        _cmd_pretrain(run_dir, config)
-    elif subcommand == "partition":
-        _cmd_partition(run_dir, config)
-    elif subcommand == "train-shards":
-        _cmd_train_shards(run_dir, config, parallel=parallel)
-    elif subcommand == "train-agg":
-        _cmd_train_agg(run_dir, config)
-    elif subcommand == "eval":
-        _cmd_eval(run_dir, config, split_tag=split_tag)
-    elif subcommand == "unlearn":
-        _cmd_unlearn(run_dir, config, requests_path, parallel=parallel)
-    elif subcommand == "effectiveness":
-        _cmd_effectiveness(run_dir, config)
-    elif subcommand == "bench":
-        _cmd_bench(run_dir, config, requests_path)
-    elif subcommand == "ablate":
-        _cmd_ablate(run_dir, config, ablate_mode or "shards")
-    else:
+    if subcommand not in STAGES:
         raise ContractError(f"unknown subcommand {subcommand!r}")
+    os.makedirs(run_dir, exist_ok=True)
+    STAGES[subcommand](run_dir, config, requests_path=requests_path, parallel=parallel,
+                       split_tag=split_tag, mode=ablate_mode)
     return 0

@@ -198,6 +198,14 @@ class TestAssignmentParsing:
         with pytest.raises(ParseError, match="no row for session index 2"):
             load_assignment(csv_path, bin_path)
 
+    @pytest.mark.parametrize("text", ["", "index,shard\n0,0\n", "0,0\n1,1\n"])
+    def test_missing_or_wrong_header_names_file_and_line_1(self, tmp_path, text):
+        csv_path, bin_path = self.saved(tmp_path)
+        csv_path.write_text(text)
+        with pytest.raises(ParseError, match="p.csv: expected the header") as info:
+            load_assignment(csv_path, bin_path)
+        assert info.value.line_number == 1
+
     def test_negative_shard_id(self, tmp_path):
         self.assert_line_rejected(tmp_path, "2,-1", "shard id -1")
 

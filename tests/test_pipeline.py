@@ -1,10 +1,14 @@
 import json
+import re
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sru.checkpoint import (
     load_assignment,
+    load_checkpoint,
     load_datasets,
     save_assignment,
     save_checkpoint,
@@ -145,6 +149,78 @@ class TestStages:
             run_pipeline("train-shards", config, run_dir, parallel=parallel)
         for name in ("shard_000.sru", "shard_001.sru"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def unlearned_run(tmp_path_factory):
+    """A tiny run directory after every training stage and one unlearn,
+    with its request file; tests copy it before changing it."""
+    run_dir = tmp_path_factory.mktemp("unlearned")
+    config = tiny_config()
+    run_stages(run_dir, config, ALL_TRAIN_STAGES)
+    train = load_datasets(run_dir / "dataset.sru")["train"]
+    save_requests(sample_requests(train, count=2, strategy="CED", n_extra=1, seed=3,
+                                  min_target_position=2), run_dir / "requests.csv")
+    assert run_pipeline("unlearn", config, run_dir,
+                        requests_path=run_dir / "requests.csv") == 0
+    return run_dir
+
+
+def copied_run(source, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(source, run_dir)
+    return run_dir
+
+
+class TestStageDependencies:
+    """A stage whose input is missing names the file and the stage that
+    writes it, whichever file of a multi-file artifact is gone."""
+
+    @pytest.mark.parametrize("stage, missing, producer", [
+        ("pretrain", "dataset.sru", "preprocess"),
+        ("partition", "reference.sru", "pretrain"),
+        ("train-shards", "partition.csv", "partition"),
+        ("train-shards", "centroids.sru", "partition"),
+        ("train-agg", "centroids.sru", "partition"),
+        ("train-agg", "shard_001.sru", "train-shards"),
+        ("eval", "dataset.sru", "preprocess"),
+        ("eval", "aggregation.sru", "train-agg"),
+        ("eval", "shard_001.sru", "train-shards"),
+        ("eval", "shard_centroids.sru", "train-agg"),
+        ("unlearn", "reference.sru", "pretrain"),
+        ("unlearn", "centroids.sru", "partition"),
+        ("unlearn", "shard_001.sru", "train-shards"),
+        ("unlearn", "shard_centroids.sru", "train-agg"),
+        ("effectiveness", "audit.json", "unlearn"),
+        ("effectiveness", "shard_centroids.sru", "train-agg"),
+        ("bench", "centroids.sru", "partition"),
+    ])
+    def test_missing_input_names_file_and_producing_stage(self, unlearned_run, tmp_path,
+                                                         stage, missing, producer):
+        run_dir = copied_run(unlearned_run, tmp_path)
+        (run_dir / missing).unlink()
+        expected = f"missing artifact {missing}; run the '{producer}' stage first"
+        with pytest.raises(StageDependencyError, match=re.escape(expected)):
+            run_pipeline(stage, tiny_config(), run_dir,
+                         requests_path=run_dir / "requests.csv")
+
+
+class TestDispatch:
+    def test_unknown_subcommand_is_contract_error(self, tmp_path):
+        with pytest.raises(ContractError, match="unknown subcommand 'train'"):
+            run_pipeline("train", tiny_config(), tmp_path)
+
+    def test_ablate_without_mode_is_contract_error(self, tmp_path):
+        with pytest.raises(ContractError, match="unknown ablation None"):
+            run_pipeline("ablate", tiny_config(), tmp_path)
+
+    def test_eval_scores_the_requested_split(self, unlearned_run, tmp_path):
+        config = tiny_config()
+        run_dir = copied_run(unlearned_run, tmp_path)
+        validation = load_datasets(run_dir / "dataset.sru")["validation"]
+        assert run_pipeline("eval", config, run_dir, split_tag="validation") == 0
+        report = json.loads((run_dir / "eval.json").read_text())
+        assert report["evaluation_points"] == sum(len(s) - 1 for s in validation.sessions)
 
 
 class TestUnlearnStage:
@@ -339,6 +415,19 @@ class TestReadPath:
                         {"config_hash": config.config_hash(), "stage": "partition"})
         with pytest.raises(ContractError, match="K=3.*K=2"):
             load_state(tmp_path, config)
+
+    def test_fusion_checkpoint_without_config_is_contract_error(self, unlearned_run,
+                                                                tmp_path):
+        # Retraining the fusion layer under the current config instead of
+        # its own would silently break exact unlearning.
+        config = tiny_config()
+        run_dir = copied_run(unlearned_run, tmp_path)
+        aggregation = load_checkpoint(run_dir / "aggregation.sru")
+        save_checkpoint(replace(aggregation, config=None), run_dir / "aggregation.sru",
+                        {"config_hash": config.config_hash(), "stage": "train-agg",
+                         "seed": aggregation.config.seed})
+        with pytest.raises(ContractError, match="fusion checkpoint is missing its training"):
+            load_state(run_dir, config)
 
     def test_partition_of_another_corpus_is_contract_error(self, tmp_path):
         # Without its last row the partition is whole, but one session short.
