@@ -6,11 +6,27 @@ from the elementwise product of the projected pair, a convex fusion of
 the projected states, and a two-layer ReLU output network over the item
 set. Sub-models are frozen throughout; only these fusion parameters
 train.
+
+The batched passes compute the attention in folded form. For shard k
+with state rows H_k (B, d), centroid c_k, projection (Wp_k, bp_k) and
+Cp_k = c_k Wp_k + bp_k, the pre-activation is
+
+    T_pre_k = ((H_k Wp_k + bp_k) * Cp_k) W_attn + b_attn = H_k M_k + m_k,
+    M_k = N_k W_attn,  N_k = Wp_k diag(Cp_k),
+    m_k = n_k W_attn + b_attn,  n_k = bp_k * Cp_k.
+
+M_k and m_k depend on the parameters alone, so they are built once per
+batch at K d d f multiply-adds, and the product U = Hp * Cp is never
+formed, in either pass. H is a frozen input, so the backward pass needs
+H_k^T dT_pre_k for M_k and never the gradient of U (see ``_backward``).
+The projected states Hp_k = H_k Wp_k + bp_k are still formed for the
+fused state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,62 +196,106 @@ def predict_output(h_fused: np.ndarray, W1, b1, W2, b2) -> np.ndarray:
 # -- batched forward/backward ---------------------------------------------------
 
 
+class FusionCache(NamedTuple):
+    """What ``_backward`` needs from one ``_forward`` call; the slots keep
+    the order of the pass. N holds the folded N_k = Wp_k diag(Cp_k)."""
+
+    H: np.ndarray          # (B, K, d) frozen shard states
+    C: np.ndarray          # (K, d) centroids
+    Hp: np.ndarray         # (B, K, d) projected states
+    Cp: np.ndarray         # (K, d) projected centroids
+    N: np.ndarray          # (K, d, d)
+    T_pre: np.ndarray      # (B, K, f) attention pre-activations
+    T: np.ndarray          # (B, K, f) their ReLU
+    A: np.ndarray          # (B, K) attention weights
+    h_fused: np.ndarray    # (B, d)
+    pre1: np.ndarray       # (B, d_ff) output-layer pre-activations
+    hidden: np.ndarray     # (B, d_ff) their ReLU
+
+
 def _forward(params, H, C, with_cache=False):
-    """Batched fusion forward pass.
+    """Batched fusion forward pass in folded form.
 
     H is (B, K, d) per-shard states, C is (K, d) centroids. Returns
-    (logits, cache) where logits is (B, |V|). Contractions are phrased
-    as stacked matmuls; the per-shard axis K rides along as the batch
-    dimension of the BLAS calls.
+    (logits, cache) where logits is (B, |V|) and cache is a
+    ``FusionCache`` (None unless ``with_cache``). Shard k's attention
+    pre-activation is H_k M_k + m_k, with M_k and m_k built once per
+    call from the parameters (see the module docstring); U is never
+    formed. Hp and T_pre are each one batched matmul over the
+    shard-major view of H, written through a shard-major view of the
+    output so that both stay C-contiguous in (B, K, .).
     """
-    Wp, bp = params["W_proj"], params["b_proj"]
+    Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
-    # Hp is written through a shard-major view so that it stays
-    # C-contiguous in (B, K, d) and every later reshape is free.
-    Hp = np.empty((B, K, d), dtype=np.result_type(H, Wp))
-    np.matmul(H.transpose(1, 0, 2), Wp, out=Hp.transpose(1, 0, 2))
-    Hp += bp
+    dtype = np.result_type(H, Wp)
     Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
-    U = Hp * Cp
-    T_pre = U.reshape(B * K, d) @ params["W_attn"]
-    T_pre += params["b_attn"]
-    T_pre = T_pre.reshape(B, K, f)
-    T = np.maximum(T_pre, 0.0)
+    N = Wp * Cp[:, None, :]
+    M = N @ W_attn
+    m = (bp * Cp) @ W_attn
+    m += params["b_attn"]
+    H_shards = H.transpose(1, 0, 2)
+    Hp = np.empty((B, K, d), dtype=dtype)
+    np.matmul(H_shards, Wp, out=Hp.transpose(1, 0, 2))
+    Hp += bp
+    T_pre = np.empty((B, K, f), dtype=dtype)
+    np.matmul(H_shards, M, out=T_pre.transpose(1, 0, 2))
+    T_pre += m
+    # Prediction keeps no pre-activations, so its ReLUs run in place.
+    T = np.maximum(T_pre, 0.0, out=None if with_cache else T_pre)
     S = (T.reshape(B * K, f) @ params["g_attn"]).reshape(B, K)
-    S -= S.max(axis=1, keepdims=True)
+    # numpy's row max over a few (K) columns is about 10x slower than
+    # the same max taken down the columns of a contiguous transpose
+    S -= np.ascontiguousarray(S.T).max(axis=0)[:, None]
     A = np.exp(S, out=S)
     A /= (A @ np.ones(K, dtype=A.dtype))[:, None]
     h_fused = np.matmul(A[:, None, :], Hp)[:, 0, :]
     pre1 = h_fused @ params["W1"]
     pre1 += params["b1"]
-    hidden = np.maximum(pre1, 0.0)
+    hidden = np.maximum(pre1, 0.0, out=None if with_cache else pre1)
     logits = hidden @ params["W2"]
     logits += params["b2"]
     if not with_cache:
         return logits, None
-    return logits, (H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden)
+    return logits, FusionCache(H, C, Hp, Cp, N, T_pre, T, A, h_fused, pre1, hidden)
 
 
 def _backward(params, grads, cache, dlogits):
     """Accumulate gradients for all fusion parameters; inputs are frozen.
 
     Sums over rows are products with a ones vector, which BLAS runs much
-    faster than numpy's axis reductions. The attention pre-activation
-    gradient dT_pre = dS g * M, with the ReLU mask M = [T_pre > 0], is
-    never formed: g factors out, so W_attn's gradient is
-    ((U * dS)^T M) * g, b_attn's is (dS^T M) * g and
-    dU = dS * (M (g W_attn^T)).
+    faster than numpy's axis reductions. With dS the score gradient and
+    mask_k = [T_pre_k > 0], the pre-activation gradient of shard k is
+    dT_pre_k = (dS_k g) * mask_k. It is never formed, because g factors
+    out of both folded gradients:
+
+        dM_k = ((H_k * dS_k)^T mask_k) * g       (d, f)
+        dm_k = (dS_k^T mask_k) * g               (f,)
+
+    The chain rule through M_k = N_k W_attn, m_k = n_k W_attn + b_attn,
+    N_k = Wp_k diag(Cp_k), n_k = bp_k * Cp_k and Cp_k = c_k Wp_k + bp_k
+    then runs on (K, d, d)-sized arrays, once per batch:
+
+        dN_k = dM_k W_attn^T,   dn_k = dm_k W_attn^T
+        dW_attn = sum_k N_k^T dM_k + n^T dm,   db_attn = sum_k dm_k
+        dCp_k = colsum(dN_k * Wp_k) + dn_k * bp_k
+        dWp_k = dN_k diag(Cp_k) + c_k^T dCp_k + H_k^T (A_k dh_fused)
+        dbp_k = dn_k * Cp_k + dCp_k + A_k^T dh_fused
+
+    The last terms of dWp and dbp come from the fused state's Hp. The
+    cache is consumed: the ReLU masks are written over the
+    pre-activations T_pre and pre1.
     """
-    H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden = cache
+    H, C, Hp, Cp, N, T_pre, T, A, h_fused, pre1, hidden = cache
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
+    Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
     g_attn = params["g_attn"]
     ones = np.ones(B, dtype=dlogits.dtype)
     grads["W2"] += hidden.T @ dlogits
     grads["b2"] += ones @ dlogits
     dpre1 = dlogits @ params["W2"].T
-    dpre1 *= hidden > 0
+    dpre1 *= np.greater(pre1, 0, out=pre1)
     grads["W1"] += h_fused.T @ dpre1
     grads["b1"] += ones @ dpre1
     dh_fused = dpre1 @ params["W1"].T
@@ -243,21 +303,25 @@ def _backward(params, grads, cache, dlogits):
     dA = np.matmul(Hp, dh_fused[:, :, None])[:, :, 0]
     dS = dA - ((A * dA) @ np.ones(K, dtype=dA.dtype))[:, None]
     dS *= A
-    dS_rows = dS.reshape(B * K)
-    mask = np.greater(T.reshape(B * K, f), 0, out=np.empty((B * K, f), dtype=T.dtype))
-    grads["g_attn"] += dS_rows @ T.reshape(B * K, f)
-    grads["b_attn"] += (dS_rows @ mask) * g_attn
-    grads["W_attn"] += ((U * dS[:, :, None]).reshape(B * K, d).T @ mask) * g_attn
-    dU = (mask @ (g_attn[:, None] * params["W_attn"].T)).reshape(B, K, d)
-    dU *= dS[:, :, None]
-
-    dHp = np.einsum("bk,bd->bkd", A, dh_fused)
-    dHp += dU * Cp
-    dU *= Hp
-    dCp = (ones @ dU.reshape(B, K * d)).reshape(K, d)
-    grads["W_proj"] += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
-    grads["W_proj"] += C[:, :, None] * dCp[:, None, :]
-    grads["b_proj"] += (ones @ dHp.reshape(B, K * d)).reshape(K, d) + dCp
+    grads["g_attn"] += dS.reshape(B * K) @ T.reshape(B * K, f)
+    mask = np.greater(T_pre, 0, out=T_pre).transpose(1, 0, 2)
+    dM = np.matmul((H * dS[:, :, None]).transpose(1, 2, 0), mask)
+    dM *= g_attn
+    dm = np.matmul(dS.T[:, None, :], mask)[:, 0, :]
+    dm *= g_attn
+    n = bp * Cp
+    grads["b_attn"] += np.ones(K, dtype=dm.dtype) @ dm
+    grads["W_attn"] += N.reshape(K * d, d).T @ dM.reshape(K * d, f)
+    grads["W_attn"] += n.T @ dm
+    dN = dM @ W_attn.T
+    dn = dm @ W_attn.T
+    dCp = np.einsum("kij,kij->kj", dN, Wp)
+    dCp += dn * bp
+    dWp = dN * Cp[:, None, :]
+    dWp += C[:, :, None] * dCp[:, None, :]
+    dWp += ((H * A[:, :, None]).reshape(B, K * d).T @ dh_fused).reshape(K, d, d)
+    grads["W_proj"] += dWp
+    grads["b_proj"] += dn * Cp + dCp + A.T @ dh_fused
 
 
 def init_aggregation_model(k: int, d: int, num_items: int,

@@ -186,7 +186,8 @@ def check_config_hash(metadata: dict, expected: str | None, force: bool, path) -
 
 
 def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
-    """Persist a GruModel or AggregationModel."""
+    """Persist a GruModel or AggregationModel, with its per-epoch training
+    loss curve (``loss_history``) in the metadata."""
     extra = dict(extra_metadata or {})
     if isinstance(obj, GruModel):
         meta = {
@@ -195,6 +196,7 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
             "num_items": obj.num_items,
             "max_len": obj.max_len,
             "backbone_config": obj.config.as_dict() if obj.config else None,
+            "loss_history": list(obj.loss_history),
             **extra,
         }
         return save_container(path, dict(obj.store.params), meta)
@@ -207,6 +209,7 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
             "d_ff": obj.d_ff,
             "num_items": obj.num_items,
             "agg_config": obj.config.as_dict() if obj.config else None,
+            "loss_history": list(obj.loss_history),
             **extra,
         }
         return save_container(path, dict(obj.store.params), meta)
@@ -214,24 +217,28 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None, force: bool = False):
-    """Load a model checkpoint back into its typed object."""
+    """Load a model checkpoint back into its typed object; a checkpoint
+    written without a loss curve loads with an empty one."""
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, force, path)
     kind = metadata.get("kind")
     store = ParamStore(tensors)
+    loss_history = list(metadata.get("loss_history", []))
     if kind == "gru":
         config = None
         if metadata.get("backbone_config"):
             config = BackboneConfig.from_dict(metadata["backbone_config"])
         return GruModel(store=store, d=metadata["d"], num_items=metadata["num_items"],
-                        max_len=metadata["max_len"], config=config)
+                        max_len=metadata["max_len"], config=config,
+                        loss_history=loss_history)
     if kind == "aggregation":
         config = None
         if metadata.get("agg_config"):
             config = AggregationConfig.from_dict(metadata["agg_config"])
         return AggregationModel(store=store, k=metadata["k"], d=metadata["d"],
                                 f=metadata["f"], d_ff=metadata["d_ff"],
-                                num_items=metadata["num_items"], config=config)
+                                num_items=metadata["num_items"], config=config,
+                                loss_history=loss_history)
     raise VersionError(f"checkpoint kind {kind!r} is not a model")
 
 
@@ -272,14 +279,25 @@ def save_datasets(path, splits: dict[str, SessionDataset],
 
 
 def load_datasets(path, expected_config_hash: str | None = None,
-                  force: bool = False) -> dict[str, SessionDataset]:
+                  force: bool = False, splits=None) -> dict[str, SessionDataset]:
+    """Load the splits of one dataset container, keyed by tag.
+
+    ``splits`` names the tags to build sessions for (default: all). The
+    whole container is still read and checksummed; a tag the container
+    does not hold is a ``ParseError`` naming the file and the tag.
+    """
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, force, path)
     if metadata.get("kind") != "dataset":
         raise VersionError(f"expected a dataset container, found kind {metadata.get('kind')!r}")
+    tags = metadata["splits"] if splits is None else list(splits)
+    for tag in tags:
+        if tag not in metadata["splits"]:
+            raise ParseError(f"{path}: no split {tag!r}; the file holds "
+                             f"{', '.join(metadata['splits'])}")
     vocab = ItemVocab.from_tokens(metadata["vocab"])
     out: dict[str, SessionDataset] = {}
-    for tag in metadata["splits"]:
+    for tag in tags:
         offsets = tensors[f"{tag}/offsets"].tolist()
         items = tensors[f"{tag}/items"].tolist()
         clusters = tensors[f"{tag}/clusters"].tolist()

@@ -274,6 +274,8 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     form, log(sum(exp(s))) - s[target] with s = logits - row max, so no
     probability is ever passed to log: a float32 loss stays finite (and
     accurate) where the target's softmax probability underflows to 0.
+    The row sum is a product with a ones vector, which BLAS runs several
+    times faster than numpy's axis-1 reduction.
     """
     logits = np.asarray(logits)
     targets = np.asarray(targets)
@@ -285,7 +287,7 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     dlogits = logits - logits.max(axis=1, keepdims=True)
     own = dlogits[rows, targets]
     np.exp(dlogits, out=dlogits)
-    total = dlogits.sum(axis=1)
+    total = dlogits @ np.ones(dlogits.shape[1], dtype=dlogits.dtype)
     losses = np.log(total) - own
     dlogits /= total[:, None]
     dlogits[rows, targets] -= 1.0

@@ -67,10 +67,11 @@ def _paths(run_dir, name: str, k: int = 0) -> list[str]:
     return [os.path.join(run_dir, pattern.format(k)) for pattern in ARTIFACTS[name][0]]
 
 
-def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0):
+def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0, **options):
     """Load one artifact: every file of it must exist (else
     ``StageDependencyError`` naming the stage that writes it), and it must
-    carry the config's hash."""
+    carry the config's hash. ``options`` go to the loader, such as the
+    ``splits`` of the dataset."""
     paths = _paths(run_dir, name, k)
     for path in paths:
         if not os.path.exists(path):
@@ -80,7 +81,7 @@ def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0):
     loader = {"dataset": load_datasets, "partition": load_assignment,
               "shard_centroids": load_centroid_state,
               "audit": _read_audit}.get(name, load_checkpoint)
-    return loader(*paths, expected_config_hash=config.config_hash())
+    return loader(*paths, expected_config_hash=config.config_hash(), **options)
 
 
 def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None:
@@ -192,27 +193,27 @@ def _cmd_preprocess(run_dir, config: ExperimentConfig, **_) -> None:
 
 
 def _cmd_pretrain(run_dir, config: ExperimentConfig, **_) -> None:
-    splits = _load(run_dir, config, "dataset")
+    splits = _load(run_dir, config, "dataset", splits=["train", "validation"])
     _save(run_dir, config, "reference",
           _pretrain(splits["train"], splits["validation"], config))
 
 
 def _cmd_partition(run_dir, config: ExperimentConfig, **_) -> None:
-    train = _load(run_dir, config, "dataset")["train"]
+    train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     reference = _load(run_dir, config, "reference")
     _save(run_dir, config, "partition", _partition(reference, train, config))
 
 
 def _cmd_train_shards(run_dir, config: ExperimentConfig, *, parallel: bool = False,
                       **_) -> None:
-    train = _load(run_dir, config, "dataset")["train"]
+    train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     assignment = _load(run_dir, config, "partition")
     for k, model in enumerate(_train_shards(make_shards(train, assignment), config, parallel)):
         _save(run_dir, config, "shard", model, k)
 
 
 def _cmd_train_agg(run_dir, config: ExperimentConfig, **_) -> None:
-    train = _load(run_dir, config, "dataset")["train"]
+    train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     assignment = _load(run_dir, config, "partition")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(assignment.k)]
     centroids, _, aggregation = _train_fusion(sub_models, make_shards(train, assignment),
@@ -263,7 +264,7 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
 
 
 def _cmd_eval(run_dir, config: ExperimentConfig, *, split_tag: str = "test", **_) -> None:
-    split_data = _load(run_dir, config, "dataset")[split_tag]
+    split_data = _load(run_dir, config, "dataset", splits=[split_tag])[split_tag]
     report = evaluate(load_model(run_dir, config), split_data, ks=config["eval.ks"])
     emit_report(report, "json", os.path.join(run_dir, "eval.json"))
     emit_report(report, "csv", os.path.join(run_dir, "eval.csv"))

@@ -209,33 +209,95 @@ class TestFusionGradients:
         assert finite_difference_check(loss_fn, store) < 1e-4
 
 
-def reference_backward(params, grads, cache, dlogits):
-    # the direct form of the fusion backward pass (dT_pre formed in full,
-    # axis reductions): the oracle for the factored, BLAS-summed _backward
+# The oracle for the folded passes of sru.aggregation: the unfolded
+# _forward and _backward, which form U = Hp * Cp and its gradient dU,
+# copied verbatim (renamed).
+
+
+def unfolded_forward(params, H, C, with_cache=False):
+    """Batched fusion forward pass.
+
+    H is (B, K, d) per-shard states, C is (K, d) centroids. Returns
+    (logits, cache) where logits is (B, |V|). Contractions are phrased
+    as stacked matmuls; the per-shard axis K rides along as the batch
+    dimension of the BLAS calls.
+    """
+    Wp, bp = params["W_proj"], params["b_proj"]
+    B, K, d = H.shape
+    f = params["b_attn"].shape[0]
+    # Hp is written through a shard-major view so that it stays
+    # C-contiguous in (B, K, d) and every later reshape is free.
+    Hp = np.empty((B, K, d), dtype=np.result_type(H, Wp))
+    np.matmul(H.transpose(1, 0, 2), Wp, out=Hp.transpose(1, 0, 2))
+    Hp += bp
+    Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
+    U = Hp * Cp
+    T_pre = U.reshape(B * K, d) @ params["W_attn"]
+    T_pre += params["b_attn"]
+    T_pre = T_pre.reshape(B, K, f)
+    T = np.maximum(T_pre, 0.0)
+    S = (T.reshape(B * K, f) @ params["g_attn"]).reshape(B, K)
+    S -= S.max(axis=1, keepdims=True)
+    A = np.exp(S, out=S)
+    A /= (A @ np.ones(K, dtype=A.dtype))[:, None]
+    h_fused = np.matmul(A[:, None, :], Hp)[:, 0, :]
+    pre1 = h_fused @ params["W1"]
+    pre1 += params["b1"]
+    hidden = np.maximum(pre1, 0.0)
+    logits = hidden @ params["W2"]
+    logits += params["b2"]
+    if not with_cache:
+        return logits, None
+    return logits, (H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden)
+
+
+def unfolded_backward(params, grads, cache, dlogits):
+    """Accumulate gradients for all fusion parameters; inputs are frozen.
+
+    Sums over rows are products with a ones vector, which BLAS runs much
+    faster than numpy's axis reductions. The attention pre-activation
+    gradient dT_pre = dS g * M, with the ReLU mask M = [T_pre > 0], is
+    never formed: g factors out, so W_attn's gradient is
+    ((U * dS)^T M) * g, b_attn's is (dS^T M) * g and
+    dU = dS * (M (g W_attn^T)).
+    """
     H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden = cache
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
+    g_attn = params["g_attn"]
+    ones = np.ones(B, dtype=dlogits.dtype)
     grads["W2"] += hidden.T @ dlogits
-    grads["b2"] += dlogits.sum(axis=0)
-    dhidden = dlogits @ params["W2"].T
-    dpre1 = dhidden * (pre1 > 0)
+    grads["b2"] += ones @ dlogits
+    dpre1 = dlogits @ params["W2"].T
+    dpre1 *= hidden > 0
     grads["W1"] += h_fused.T @ dpre1
-    grads["b1"] += dpre1.sum(axis=0)
+    grads["b1"] += ones @ dpre1
     dh_fused = dpre1 @ params["W1"].T
+
     dA = np.matmul(Hp, dh_fused[:, :, None])[:, :, 0]
-    dHp = A[:, :, None] * dh_fused[:, None, :]
-    dS = A * (dA - (A * dA).sum(axis=1, keepdims=True))
-    dT = dS[:, :, None] * params["g_attn"][None, None, :]
-    grads["g_attn"] += T.reshape(B * K, f).T @ dS.reshape(B * K)
-    dT_pre = dT * (T_pre > 0)
-    grads["W_attn"] += U.reshape(B * K, d).T @ dT_pre.reshape(B * K, f)
-    grads["b_attn"] += dT_pre.sum(axis=(0, 1))
-    dU = (dT_pre.reshape(B * K, f) @ params["W_attn"].T).reshape(B, K, d)
-    dHp += dU * Cp[None, :, :]
-    dCp = (dU * Hp).sum(axis=0)
+    dS = dA - ((A * dA) @ np.ones(K, dtype=dA.dtype))[:, None]
+    dS *= A
+    dS_rows = dS.reshape(B * K)
+    mask = np.greater(T.reshape(B * K, f), 0, out=np.empty((B * K, f), dtype=T.dtype))
+    grads["g_attn"] += dS_rows @ T.reshape(B * K, f)
+    grads["b_attn"] += (dS_rows @ mask) * g_attn
+    grads["W_attn"] += ((U * dS[:, :, None]).reshape(B * K, d).T @ mask) * g_attn
+    dU = (mask @ (g_attn[:, None] * params["W_attn"].T)).reshape(B, K, d)
+    dU *= dS[:, :, None]
+
+    dHp = np.einsum("bk,bd->bkd", A, dh_fused)
+    dHp += dU * Cp
+    dU *= Hp
+    dCp = (ones @ dU.reshape(B, K * d)).reshape(K, d)
     grads["W_proj"] += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
     grads["W_proj"] += C[:, :, None] * dCp[:, None, :]
-    grads["b_proj"] += dHp.sum(axis=0) + dCp
+    grads["b_proj"] += (ones @ dHp.reshape(B, K * d)).reshape(K, d) + dCp
+
+
+def reference_grads(params, grads, H, C, dlogits):
+    """Accumulate the unfolded passes' gradients for (H, C, dlogits)."""
+    _, cache = unfolded_forward(params, H, C, with_cache=True)
+    unfolded_backward(params, grads, cache, dlogits)
 
 
 class TestFusionBackward:
@@ -246,6 +308,7 @@ class TestFusionBackward:
         (5, 5, 1, 4, 6, 3, 7),
         (1, 1, 4, 5, 3, 6, 9),
         (293, 256, 8, 32, 64, 32, 200),
+        (256, 256, 8, 32, 64, 32, 200),
         (40, 16, 3, 6, 5, 4, 11),
     ])
     def test_matches_reference_backward(self, rows, batch, k, d, f, d_ff, v):
@@ -261,12 +324,38 @@ class TestFusionBackward:
         # a nonzero start checks that gradients accumulate
         start_grads = {n: rng.normal(size=p.shape) for n, p in store.params.items()}
         want = {n: g.copy() for n, g in start_grads.items()}
-        reference_backward(store.params, want, cache, dlogits)
+        reference_grads(store.params, want, H, C, dlogits)
         got = {n: g.copy() for n, g in start_grads.items()}
         _backward(store.params, got, cache, dlogits)
         for name in store.names():
             scale = np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+    def test_float32_gradients_match_float64_oracle(self):
+        # The folded M_k = Wp_k diag(Cp_k) W_attn is summed in float32
+        # before H touches it; at the default shapes the float32 gradients
+        # must stay within 1e-4 (relative to each parameter's largest
+        # gradient) of the unfolded float64 ones, for the same dlogits.
+        batch, k, d, f, d_ff, v = 256, 8, 32, 64, 32, 200
+        rng = np.random.default_rng(batch + k)
+        store = random_fusion_store(k, d, f, d_ff, v, rng)
+        H = rng.normal(size=(batch, k, d))
+        C = rng.normal(size=(k, d))
+        logits, _ = unfolded_forward(store.params, H, C)
+        _, dlogits = cross_entropy_rows(logits, rng.integers(0, v, size=H.shape[0]))
+        dlogits /= H.shape[0]
+        want = {n: np.zeros_like(p) for n, p in store.params.items()}
+        reference_grads(store.params, want, H, C, dlogits)
+
+        params32 = {n: p.astype(np.float32) for n, p in store.params.items()}
+        got = {n: np.zeros_like(p) for n, p in params32.items()}
+        _, cache = _forward(params32, H.astype(np.float32), C.astype(np.float32),
+                            with_cache=True)
+        _backward(params32, got, cache, dlogits.astype(np.float32))
+        for name in store.names():
+            assert got[name].dtype == np.float32, name
+            scale = np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= 1e-4 * scale, name
 
 
 class TestFusionInvariants:
@@ -284,7 +373,7 @@ class TestFusionInvariants:
 
         logits, cache = _forward(store.params, H, C, with_cache=True)
         logits_p, cache_p = _forward(params_p, H[:, perm], C[perm], with_cache=True)
-        np.testing.assert_allclose(cache_p[7], cache[7][:, perm], rtol=1e-9)  # A permuted
+        np.testing.assert_allclose(cache_p.A, cache.A[:, perm], rtol=1e-9)
         np.testing.assert_allclose(logits_p, logits, rtol=1e-9, atol=1e-12)
 
     def test_identical_shards_reduce_to_single_projection(self):
@@ -301,7 +390,7 @@ class TestFusionInvariants:
         H = np.tile(h, (1, k, 1))
         C = np.tile(c, (k, 1))
         _, cache = _forward(store.params, H, C, with_cache=True)
-        h_fused = cache[8][0]
+        h_fused = cache.h_fused[0]
         np.testing.assert_allclose(h_fused, h @ W + b, rtol=1e-12, atol=1e-12)
 
 

@@ -129,6 +129,27 @@ class TestDatasetRoundTrip:
         for tag, original in (("train", train), ("validation", val), ("test", test)):
             assert loaded[tag] == original
 
+    def test_requested_split_equals_full_load(self, tmp_path):
+        data = generate_synthetic(30, 30, 3, noise_rate=0.2, seed=4)
+        train, val, test = split(data, seed=1)
+        path = tmp_path / "d.sru"
+        save_datasets(path, {"train": train, "validation": val, "test": test})
+        full = load_datasets(path)
+        for tag in ("train", "validation", "test"):
+            alone = load_datasets(path, splits=[tag])
+            assert list(alone) == [tag]
+            assert alone[tag].split_tag == tag
+            assert alone[tag].vocab.tokens == full[tag].vocab.tokens
+            assert alone[tag].max_len == full[tag].max_len
+            assert alone[tag].sessions == full[tag].sessions
+
+    def test_unknown_split_is_parse_error_naming_file_and_tag(self, tmp_path):
+        data = generate_synthetic(8, 30, 2, seed=5)
+        path = tmp_path / "d.sru"
+        save_datasets(path, {"train": data})
+        with pytest.raises(ParseError, match=r"d\.sru: no split 'test'"):
+            load_datasets(path, splits=["train", "test"])
+
     def test_cluster_labels_survive(self, tmp_path):
         data = generate_synthetic(8, 30, 2, seed=5)
         path = tmp_path / "d.sru"

@@ -18,7 +18,7 @@ from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
 from sru.partition import ShardAssignment
-from sru.pipeline import fit_state, load_state, run_pipeline
+from sru.pipeline import _load, _save, fit_state, load_state, run_pipeline
 from sru.unlearning import (
     DeletionResult,
     UnlearnRequest,
@@ -221,6 +221,28 @@ class TestDispatch:
         assert run_pipeline("eval", config, run_dir, split_tag="validation") == 0
         report = json.loads((run_dir / "eval.json").read_text())
         assert report["evaluation_points"] == sum(len(s) - 1 for s in validation.sessions)
+
+    def test_eval_of_unknown_split_is_parse_error(self, unlearned_run, tmp_path):
+        run_dir = copied_run(unlearned_run, tmp_path)
+        with pytest.raises(ParseError, match=r"dataset\.sru: no split 'holdout'"):
+            run_pipeline("eval", tiny_config(), run_dir, split_tag="holdout")
+
+
+class TestLossHistory:
+    def test_loss_curves_survive_save_and_load(self, tmp_path):
+        config = tiny_config(**{"backbone.early_stop": True})
+        run_stages(tmp_path, config, ("preprocess",))
+        data = _load(tmp_path, config, "dataset")
+        state = fit_state(data["train"], data["validation"], config)
+        models = [("reference", state.reference_model, 0),
+                  *(("shard", m, k) for k, m in enumerate(state.sub_models)),
+                  ("aggregation", state.aggregation, 0)]
+        for name, model, k in models:
+            assert model.loss_history
+            _save(tmp_path, config, name, model, k)
+            loaded = _load(tmp_path, config, name, k)
+            assert loaded.loss_history == model.loss_history, (name, k)
+            assert all(type(x) is float for x in loaded.loss_history)
 
 
 class TestUnlearnStage:
