@@ -59,9 +59,11 @@ from .errors import (
     EmptyDatasetError,
     IntegrityError,
     ParseError,
+    PositionError,
     SruError,
     StageDependencyError,
     StaleArtifactError,
+    UnknownSessionError,
     VersionError,
 )
 from .evaluation import (

@@ -33,7 +33,7 @@ import numpy as np
 from .backbone import (
     GruModel,
     encode_batch,
-    last_states,
+    encode_stacked,
     pad_prefixes,
     padded_items,
     prefix_states,
@@ -523,12 +523,10 @@ class SruModel:
         """Id-indexed logits rows; index 0 is the pad slot at -inf.
 
         Prefixes are cleaned and padded once, each shared prefix chain
-        as one row; every sub-model reads the same id matrix (they share
-        the vocabulary and max_len).
+        as one row; the sub-models read the same id matrix (they share
+        the vocabulary and max_len) in one stacked pass.
         """
-        ids, rows, lengths = pad_prefixes(self.sub_models[0], prefixes)
-        H = np.stack([last_states(prefix_states(m, ids), rows, lengths)
-                      for m in self.sub_models], axis=1)
+        H = encode_stacked(self.sub_models, *pad_prefixes(self.sub_models[0], prefixes))
         C = self.centroids.c.astype(H.dtype)
         logits, _ = _forward(self.aggregation.store.params, H, C)
         out = np.full((len(prefixes), self.num_items + 1), -np.inf, dtype=logits.dtype)

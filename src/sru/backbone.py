@@ -8,8 +8,10 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +21,11 @@ from .numerics import (
     AdamState,
     ParamStore,
     RngStream,
+    _sigmoid_of_half,
     adam_step,
     cross_entropy_rows,
     ranks_from_logits,
-    sigmoid,
+    sigmoid,  # noqa: F401 -- unused; bench/test_bench.py checks its tracer patches it here
     xavier_uniform,
 )
 
@@ -124,7 +127,178 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
                     max_len=config.max_len, config=config)
 
 
-# -- GRU cell ---------------------------------------------------------------
+# -- GRU recurrence -----------------------------------------------------------
+#
+# Every GRU pass runs the two step kernels below: the id-matrix loops
+# (``_run_steps``, and ``encode_stacked`` over several models at once)
+# and the single-step cell. The input side of a step, x W + b for all
+# three gates, does not depend on the recurrence, so it is computed
+# before the time loop: for an id matrix as the tables E [W_z|W_r] +
+# [b_z|b_r] (V+1, 2d) and E W_n + b_n (V+1, d), whose rows each step
+# gathers; for the single-step cell from x. Inside the loop a step costs one (d, 2d) product for the packed z|r
+# gates and one (d, d) product for the candidate. The z|r and n blocks
+# are kept apart so that every whole-block operation runs over
+# contiguous memory; numpy is several times slower over the strided
+# column slices of a (n, 3d) buffer. The training backward pass leaves
+# every weight gradient to products over all steps after its loop.
+
+
+class _GateWeights(NamedTuple):
+    Wzr: np.ndarray   # (d, 2d): [W_z | W_r]
+    bzr: np.ndarray   # (2d,): [b_z | b_r]
+    Wn: np.ndarray    # (d, d)
+    bn: np.ndarray    # (d,)
+    Uzr: np.ndarray   # (d, 2d): [U_z | U_r]
+    Un: np.ndarray    # (d, d)
+
+
+def _gate_weights(params) -> _GateWeights:
+    return _GateWeights(
+        np.concatenate([params["W_z"], params["W_r"]], axis=1),
+        np.concatenate([params["b_z"], params["b_r"]]),
+        params["W_n"],
+        params["b_n"],
+        np.concatenate([params["U_z"], params["U_r"]], axis=1),
+        params["U_n"],
+    )
+
+
+def _stacked_gate_weights(models) -> _GateWeights:
+    """Gate weights of several models along a leading K axis; biases are
+    (K, 1, .) so that they broadcast over rows."""
+    parts = zip(*(_gate_weights(m.store.params) for m in models))
+    Wzr, bzr, Wn, bn, Uzr, Un = (np.stack(p) for p in parts)
+    return _GateWeights(Wzr, bzr[:, None], Wn, bn[:, None], Uzr, Un)
+
+
+def _input_side(w: _GateWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x W + b for rows x (m, d): the z|r block (m, 2d) and the n block (m, d)."""
+    zr = x @ w.Wzr
+    zr += w.bzr
+    n = x @ w.Wn
+    n += w.bn
+    return zr, n
+
+
+def _step_forward(w: _GateWeights, zr, n, h, rh, h_new) -> None:
+    """One GRU step over rows h (b, d), or over a stack of models: h
+    (K, b, d) with weights stacked along a leading K axis.
+
+    On entry zr (.., b, 2d) and n (.., b, d) hold the input side x W + b
+    of the z|r and n gates; on exit they hold the activations. rh and
+    h_new receive r * h and the new state.
+
+    z = sigmoid(x Wz + bz + h Uz)
+    r = sigmoid(x Wr + br + h Ur)
+    n = tanh(x Wn + bn + (r * h) Un)
+    h_new = (1 - z) * h + z * n
+    """
+    d = h.shape[-1]
+    zr += h @ w.Uzr
+    zr *= 0.5
+    _sigmoid_of_half(zr)
+    z = zr[..., :d]
+    np.multiply(zr[..., d:], h, out=rh)
+    n += rh @ w.Un
+    np.tanh(n, out=n)
+    np.multiply(z, n, out=h_new)
+    h_new += (1.0 - z) * h
+
+
+def _step_backward(w: _GateWeights, zr, n, h, rh, dh_new, dzr, dn) -> np.ndarray:
+    """Backward of ``_step_forward``: zr and n hold the step's
+    activations, h and rh its input state and r * h. Writes the gradients
+    of the input side x W + b into dzr (b, 2d) and dn (b, d) and returns
+    the gradient of h."""
+    d = h.shape[1]
+    z, r = zr[:, :d], zr[:, d:]
+    np.multiply(dh_new, z, out=dn)
+    dn *= 1.0 - n * n
+    drh = dn @ w.Un.T
+    dh = dh_new * (1.0 - z)
+    dh += drh * r
+    np.multiply(drh, h, out=dzr[:, d:])
+    np.subtract(n, h, out=dzr[:, :d])
+    dzr[:, :d] *= dh_new
+    dzr *= zr
+    dzr *= 1.0 - zr
+    dh += dzr @ w.Uzr.T
+    return dh
+
+
+def _add_weight_grads(out, x, dx_zr, dx_n, h, rh, dzr, dn) -> None:
+    """Add gate-weight gradients to out (name -> array), one product per
+    packed block.
+
+    W_* and b_* come from inputs x (m, d) against the gradients of their
+    input side dx_zr (m, 2d) and dx_n (m, d); U_* from states h and
+    r * h (m', d) against the gate gradients dzr and dn of the same steps.
+    """
+    d = h.shape[1]
+    ones = np.ones(x.shape[0], dtype=dx_zr.dtype)
+    dWzr = x.T @ dx_zr
+    dbzr = ones @ dx_zr
+    dUzr = h.T @ dzr
+    out["W_z"] += dWzr[:, :d]
+    out["W_r"] += dWzr[:, d:]
+    out["b_z"] += dbzr[:d]
+    out["b_r"] += dbzr[d:]
+    out["U_z"] += dUzr[:, :d]
+    out["U_r"] += dUzr[:, d:]
+    out["W_n"] += x.T @ dx_n
+    out["b_n"] += ones @ dx_n
+    out["U_n"] += rh.T @ dn
+
+
+def _check_ids(ids: np.ndarray, rows: int) -> None:
+    """Every id must index a table of the given number of rows. Checked
+    once per pass, so that the per-step gathers can use take's unbuffered
+    mode="clip", which then never clips."""
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        bad = ids[(ids < 0) | (ids >= rows)][0]
+        raise IndexError(f"item id {bad} outside vocabulary of size {rows - 1}")
+
+
+def _run_steps(w: _GateWeights, tables, ids, out, keep: bool = False):
+    """Run the GRU from the zero state over a right-padded id matrix
+    (n, L), gathering each step's input side from tables, the pair that
+    ``_input_side`` returns for the embeddings. out[t] receives the state
+    after step t (out is (L, n, d)).
+
+    With keep, every step's activations are kept for ``_step_backward``
+    and returned as (L, n, .) stacks (zr, n, rh); otherwise one buffer of
+    each is reused at every step and nothing is returned.
+    """
+    _check_ids(ids, len(tables[0]))
+    L, rows, d = out.shape
+    steps = (L,) if keep else ()
+    zr = np.empty(steps + (rows, 2 * d), dtype=out.dtype)
+    gate_n = np.empty(steps + (rows, d), dtype=out.dtype)
+    rh = np.empty_like(gate_n)
+    h = np.zeros((rows, d), dtype=out.dtype)
+    for t in range(L):
+        step = t if keep else ...
+        np.take(tables[0], ids[:, t], axis=0, out=zr[step], mode="clip")
+        np.take(tables[1], ids[:, t], axis=0, out=gate_n[step], mode="clip")
+        _step_forward(w, zr[step], gate_n[step], h, rh[step], out[t])
+        h = out[t]
+    return (zr, gate_n, rh) if keep else None
+
+
+def _grouped_rows(keys: np.ndarray, blocks, size: int) -> list[np.ndarray]:
+    """Per-key row sums of each block: out[k] sums the rows i of a block
+    with keys[i] == k. Returns one (size, width) array per block."""
+    # the narrowest key type lets numpy's stable sort run as a radix sort
+    order = np.argsort(keys.astype(np.min_scalar_type(size - 1)), kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    sums = []
+    for rows in blocks:
+        out = np.zeros((size, rows.shape[1]), dtype=rows.dtype)
+        grouped = np.take(rows, order, axis=0)
+        out[sorted_keys[starts]] = np.add.reduceat(grouped, starts, axis=0)
+        sums.append(out)
+    return sums
 
 
 def gru_cell_forward(params, x, h_prev):
@@ -139,12 +313,13 @@ def gru_cell_forward(params, x, h_prev):
     h = np.atleast_2d(np.asarray(h_prev))
     if x.shape != h.shape or x.shape[1] != params["W_z"].shape[0]:
         raise DimensionError(f"gru_cell shapes do not conform: x {x.shape}, h {h.shape}")
-    z = sigmoid(x @ params["W_z"] + h @ params["U_z"] + params["b_z"])
-    r = sigmoid(x @ params["W_r"] + h @ params["U_r"] + params["b_r"])
-    rh = r * h
-    n = np.tanh(x @ params["W_n"] + rh @ params["U_n"] + params["b_n"])
-    h_new = (1.0 - z) * h + z * n
-    return h_new, (x, h, z, r, rh, n)
+    w = _gate_weights(params)
+    zr, n = _input_side(w, x)
+    rh = np.empty_like(n)
+    h_new = np.empty_like(n)
+    _step_forward(w, zr, n, h, rh, h_new)
+    d = h.shape[1]
+    return h_new, (x, h, zr[:, :d], zr[:, d:], rh, n)
 
 
 def gru_cell_backward(params, cache, dh_new, out_grads=None):
@@ -157,33 +332,13 @@ def gru_cell_backward(params, cache, dh_new, out_grads=None):
     dh_new = np.atleast_2d(np.asarray(dh_new))
     if out_grads is None:
         out_grads = {name: np.zeros_like(params[name]) for name in GATE_NAMES}
-
-    dz = dh_new * (n - h)
-    dn = dh_new * z
-    dh = dh_new * (1.0 - z)
-
-    dpre_n = dn * (1.0 - n * n)
-    out_grads["W_n"] += x.T @ dpre_n
-    out_grads["U_n"] += rh.T @ dpre_n
-    out_grads["b_n"] += dpre_n.sum(axis=0)
-    drh = dpre_n @ params["U_n"].T
-    dr = drh * h
-    dh += drh * r
-
-    dpre_r = dr * r * (1.0 - r)
-    out_grads["W_r"] += x.T @ dpre_r
-    out_grads["U_r"] += h.T @ dpre_r
-    out_grads["b_r"] += dpre_r.sum(axis=0)
-    dh += dpre_r @ params["U_r"].T
-
-    dpre_z = dz * z * (1.0 - z)
-    out_grads["W_z"] += x.T @ dpre_z
-    out_grads["U_z"] += h.T @ dpre_z
-    out_grads["b_z"] += dpre_z.sum(axis=0)
-    dh += dpre_z @ params["U_z"].T
-
-    dx = dpre_n @ params["W_n"].T + dpre_r @ params["W_r"].T + dpre_z @ params["W_z"].T
-    return dx, dh, out_grads
+    w = _gate_weights(params)
+    zr = np.concatenate([z, r], axis=1)
+    dzr = np.empty_like(zr)
+    dn = np.empty_like(n)
+    dh = _step_backward(w, zr, n, h, rh, dh_new, dzr, dn)
+    _add_weight_grads(out_grads, x, dzr, dn, h, rh, dzr, dn)
+    return dzr @ w.Wzr.T + dn @ w.Wn.T, dh, out_grads
 
 
 def gru_cell(params, x, h_prev) -> np.ndarray:
@@ -195,24 +350,18 @@ def gru_cell(params, x, h_prev) -> np.ndarray:
 # -- encoding and scoring ----------------------------------------------------
 
 
-def _clean_prefix(model: GruModel, prefix) -> list[int]:
-    items = [i for i in map(int, prefix) if i != 0]
-    if items and max(items) > model.num_items:
-        bad = next(i for i in items if i > model.num_items)
-        raise IndexError(f"item id {bad} outside vocabulary of size {model.num_items}")
-    return items[-model.max_len:]
-
-
 def encode(model: GruModel, prefix) -> np.ndarray:
     """Final GRU state after consuming the prefix left to right.
 
     Pad ids are skipped, the prefix is truncated to the model's last
     max_len items, and an empty prefix returns the zero initial state.
+    This is the one-prefix reference: it chains ``gru_cell_forward``
+    item by item, and the batched paths are tested against it.
     """
-    items = _clean_prefix(model, prefix)
+    ids, _, lengths = pad_prefixes(model, [prefix])
     params = model.store.params
     h = np.zeros((1, model.d), dtype=model.embeddings.dtype)
-    for item in items:
+    for item in ids[0, : lengths[0]]:
         h, _ = gru_cell_forward(params, model.embeddings[item][None, :], h)
     return h[0]
 
@@ -242,55 +391,98 @@ def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.
     lengths[i] items of row rows[i] of ids, and ids holds only the
     longest distinct prefixes. Sorting finds every such prefix without
     hashing each one: a prefix of any prefix in the batch is a prefix of
-    its sorted successor, so one walk in reverse sorted order suffices.
+    its sorted successor, so one comparison with the next row in reverse
+    sorted order suffices. Cleaning, sorting and the comparison each run
+    once over all prefixes together, in time linear in their total
+    number of items (plus the sort).
     """
-    cleaned = [_clean_prefix(model, p) for p in prefixes]
-    rows = [0] * len(cleaned)
-    kept: list[list[int]] = []
-    successor = None
-    for i in sorted(range(len(cleaned)), key=cleaned.__getitem__, reverse=True):
-        prefix = cleaned[i]
-        if successor is None or successor[: len(prefix)] != prefix:
-            kept.append(prefix)
-        rows[i] = len(kept) - 1
-        successor = prefix
-    ids, _ = padded_items(kept, model.max_len)
-    lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
-    return ids, np.array(rows, dtype=np.int64), lengths
-
-
-def last_states(states: np.ndarray, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """State of each prefix from a ``prefix_states`` block: row rows[i]
-    after lengths[i] items, or the zero initial state for an empty
-    prefix. Returns (n, d)."""
-    out = np.zeros((len(rows), states.shape[2]), dtype=states.dtype)
-    nonzero = lengths > 0
-    out[nonzero] = states[rows[nonzero], lengths[nonzero] - 1]
-    return out
+    prefixes = list(prefixes)
+    n = len(prefixes)
+    sizes = np.fromiter(map(len, prefixes), dtype=np.int64, count=n)
+    flat = np.fromiter(itertools.chain.from_iterable(prefixes), dtype=np.int64,
+                       count=int(sizes.sum()))
+    outside = (flat < 0) | (flat > model.num_items)
+    if outside.any():
+        bad = flat[outside][0]
+        raise IndexError(f"item id {bad} outside vocabulary of size {model.num_items}")
+    keep = flat != 0
+    items = flat[keep]
+    # kept[j] counts the non-pad ids in flat[:j]; prefix i keeps the items
+    # that end just before items[stop[i]]
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    stop = kept[bounds[1:]]
+    lengths = np.minimum(stop - kept[bounds[:-1]], model.max_len)
+    width = max(1, int(lengths.max())) if n else 1
+    cols = np.arange(width)
+    inside = cols < lengths[:, None]
+    padded = np.zeros((n, width), dtype=np.int64)
+    padded[inside] = items[((stop - lengths)[:, None] + cols)[inside]]
+    # Pads (0) sort below every item, so row order is list order; the
+    # narrowest key type makes the sort several times faster.
+    keys = padded.astype(np.min_scalar_type(model.num_items))
+    walk = np.lexsort(keys.T[::-1])[::-1]
+    ordered = padded[walk]
+    within = cols >= lengths[walk][1:, None]
+    new = np.ones(n, dtype=bool)
+    new[1:] = ~np.all((ordered[1:] == ordered[:-1]) | within, axis=1)
+    rows = np.empty(n, dtype=np.int64)
+    rows[walk] = np.cumsum(new) - 1
+    return ordered[new], rows, lengths
 
 
 def encode_batch(model: GruModel, prefixes) -> np.ndarray:
     """Vectorized encode over many prefixes; returns (n, d)."""
-    ids, rows, lengths = pad_prefixes(model, prefixes)
-    return last_states(prefix_states(model, ids), rows, lengths)
+    return encode_stacked([model], *pad_prefixes(model, prefixes))[:, 0]
+
+
+def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """Final state of every prefix of a ``pad_prefixes`` triple under each
+    of several models that share a vocabulary: (len(rows), K, d).
+
+    Prefix i is row rows[i] of ids after lengths[i] items; an empty
+    prefix keeps the zero state. The models run as one stacked pass, one
+    batched product per gate block and step for all of them, and each
+    prefix's state is taken as soon as the pass reaches its length, so
+    no (L, n, d) block of states is kept.
+    """
+    w = _stacked_gate_weights(models)
+    table_zr, table_n = _input_side(w, np.stack([m.embeddings for m in models]))
+    _check_ids(ids, table_n.shape[1])
+    (n, L), K, d = ids.shape, len(models), table_n.shape[-1]
+    out = np.zeros((len(rows), K, d), dtype=table_n.dtype)
+    zr = np.empty((K, n, 2 * d), dtype=out.dtype)
+    gate_n = np.empty((K, n, d), dtype=out.dtype)
+    rh = np.empty((K, n, d), dtype=out.dtype)
+    h = np.zeros((K, n, d), dtype=out.dtype)
+    h_new = np.empty_like(h)
+    by_length = np.argsort(lengths, kind="stable")
+    # prefixes of length t + 1 are by_length[ends[t] : ends[t + 1]]
+    ends = np.searchsorted(lengths[by_length], np.arange(L + 1), side="right")
+    for t in range(L):
+        np.take(table_zr, ids[:, t], axis=1, out=zr, mode="clip")
+        np.take(table_n, ids[:, t], axis=1, out=gate_n, mode="clip")
+        _step_forward(w, zr, gate_n, h, rh, h_new)
+        h, h_new = h_new, h
+        done = by_length[ends[t] : ends[t + 1]]
+        out[done] = h[:, rows[done]].transpose(1, 0, 2)
+    return out
 
 
 def prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
     """GRU states at every position of a right-padded id matrix (n, L).
 
     states[i, t] is the encoding of ids[i, : t + 1]; entries at or past a
-    row's padding are meaningless and must be masked by the caller.
+    row's padding are meaningless and must be masked by the caller. The
+    result is a (n, L, d) view of a time-major block, so that each step
+    writes and reads contiguous memory. Besides it, the pass holds the
+    input tables (V+1, 3d in all) and one (n, 3d) set of gate buffers.
     """
-    params = model.store.params
-    n, L = ids.shape
-    dtype = model.embeddings.dtype
-    states = np.zeros((n, L, model.d), dtype=dtype)
-    h = np.zeros((n, model.d), dtype=dtype)
-    X = model.embeddings[ids]
-    for t in range(L):
-        h, _ = gru_cell_forward(params, X[:, t], h)
-        states[:, t] = h
-    return states
+    w = _gate_weights(model.store.params)
+    states = np.empty((ids.shape[1], ids.shape[0], model.d), dtype=model.embeddings.dtype)
+    _run_steps(w, _input_side(w, model.embeddings), ids, states)
+    return states.transpose(1, 0, 2)
 
 
 def score(model: GruModel, h: np.ndarray) -> np.ndarray:
@@ -326,15 +518,14 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
         return 0.0, 0
 
     B, T = inp.shape
-    X = E[inp]
-    H = np.zeros((B, T, model.d), dtype=E.dtype)
-    h = np.zeros((B, model.d), dtype=E.dtype)
-    caches = []
-    for t in range(T):
-        h, cache = gru_cell_forward(params, X[:, t], h)
-        H[:, t] = h
-        caches.append(cache)
+    d = model.d
+    w = _gate_weights(params)
+    # Time-major: hs[t + 1] is the state after step t, hs[0] the zero state.
+    hs = np.empty((T + 1, B, d), dtype=E.dtype)
+    hs[0] = 0.0
+    zr, n, rh = _run_steps(w, _input_side(w, E), inp, hs[1:], keep=True)
 
+    H = hs[1:].transpose(1, 0, 2)     # (B, T, d) view
     Hv = H[valid]
     tv = tgt[valid] - 1
     logits = Hv @ E[1:].T
@@ -344,16 +535,23 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
 
     grads = store.grads
     grads["E"][1:] += dlogits.T @ Hv
-    dH = np.zeros_like(H)
-    dH[valid] = dlogits @ E[1:]
+    dH = np.zeros_like(hs[1:])
+    dH.transpose(1, 0, 2)[valid] = dlogits @ E[1:]
 
-    dX = np.zeros_like(X)
-    dh = np.zeros((B, model.d), dtype=E.dtype)
-    gate_grads = {name: grads[name] for name in GATE_NAMES}
+    dzr = np.empty_like(zr)
+    dn = np.empty_like(n)
+    dh = np.zeros((B, d), dtype=E.dtype)
     for t in reversed(range(T)):
-        dx, dh, _ = gru_cell_backward(params, caches[t], dh + dH[:, t], gate_grads)
-        dX[:, t] = dx
-    np.add.at(grads["E"], inp.reshape(-1), dX.reshape(-1, model.d))
+        dh += dH[t]
+        dh = _step_backward(w, zr[t], n[t], hs[t], rh[t], dh, dzr[t], dn[t])
+    dzr = dzr.reshape(T * B, 2 * d)
+    dn = dn.reshape(T * B, d)
+    # Pad steps have zero gradients, so grouping them under id 0 is harmless.
+    dtable_zr, dtable_n = _grouped_rows(inp.T.reshape(-1), (dzr, dn), E.shape[0])
+    _add_weight_grads(grads, E, dtable_zr, dtable_n,
+                      hs[:-1].reshape(T * B, d), rh.reshape(T * B, d), dzr, dn)
+    grads["E"] += dtable_zr @ w.Wzr.T
+    grads["E"] += dtable_n @ w.Wn.T
     grads["E"][0] = 0.0   # the pad row stays frozen
     return loss_sum, positions
 

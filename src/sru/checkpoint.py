@@ -320,7 +320,7 @@ def load_datasets(path, expected_config_hash: str | None = None,
 def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
                     extra_metadata: dict | None = None) -> None:
     """Persist the partition as `session_index,shard_id` CSV plus a
-    binary centroid block."""
+    binary centroid block, whose metadata records the row count."""
     rows = sorted(
         (i, k) for k, member in enumerate(assignment.members) for i in member
     )
@@ -332,6 +332,7 @@ def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
         "delta": assignment.delta,
         "k": assignment.k,
         "reseeds": [list(r) for r in assignment.reseeds],
+        "sessions": len(rows),
         **(extra_metadata or {}),
     }
     save_container(bin_path, {"centroids": assignment.centroids}, meta)
@@ -377,6 +378,10 @@ def load_assignment(csv_path, bin_path, expected_config_hash: str | None = None,
     missing = next((i for i in range(len(pairs)) if i not in seen), None)
     if missing is not None:
         raise ParseError(f"{csv_path}: no row for session index {missing}")
+    expected = metadata.get("sessions")    # absent from files of older versions
+    if expected is not None and expected != len(pairs):
+        raise ParseError(f"{csv_path}: {len(pairs)} rows, but {bin_path} records "
+                         f"{expected} sessions")
     members: list[list[int]] = [[] for _ in range(k)]
     for i, c in pairs:
         members[c].append(i)

@@ -49,6 +49,18 @@ class VersionError(CheckpointError):
     """Unknown magic bytes or unsupported format version."""
 
 
+class PositionError(SruError, IndexError):
+    """A request or deletion position lies outside its session."""
+
+
+class UnknownSessionError(SruError, KeyError):
+    """A request names a session that the corpus does not hold."""
+
+    def __str__(self):
+        # KeyError would quote the message as a repr
+        return str(self.args[0]) if self.args else ""
+
+
 class StageDependencyError(SruError):
     """A pipeline stage ran before the stage it depends on."""
 

@@ -203,10 +203,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     tanh saturates instead of overflowing, so there is no branch on the
     sign of x and no masked gather; the result stays in [0, 1].
     """
-    out = np.tanh(np.asarray(x) * 0.5)
-    out += 1.0
-    out *= 0.5
-    return out
+    # the outer asarray turns the scalar that a 0-d product gives back
+    # into an array that tanh can write into
+    return _sigmoid_of_half(np.asarray(np.asarray(x) * 0.5))
+
+
+def _sigmoid_of_half(a: np.ndarray) -> np.ndarray:
+    """sigmoid(2a) in place over the float array a, which holds x / 2;
+    returns a. Shared by ``sigmoid`` and the GRU step kernel, which
+    halves its packed gate block in place and needs no new array."""
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .aggregation import (
 )
 from .backbone import BackboneConfig, GruModel, train_many_timed
 from .corpus import Session, SessionDataset
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, PositionError, UnknownSessionError
 from .numerics import RngStream, derive_seed
 from .partition import ShardAssignment, make_shards
 from .reports import TimingReport
@@ -56,7 +56,7 @@ class UnlearnRequest:
         if self.n_extra < 0:
             raise ContractError(f"n_extra must be >= 0, got {self.n_extra}")
         if self.target_position < 0:
-            raise IndexError(f"target_position must be >= 0, got {self.target_position}")
+            raise PositionError(f"target_position must be >= 0, got {self.target_position}")
 
 
 @dataclass
@@ -121,7 +121,7 @@ def deletions_from_json(rows) -> list[DeletionResult]:
 
 def _check_target(session: Session, target_position: int) -> None:
     if not 0 <= target_position < len(session):
-        raise IndexError(
+        raise PositionError(
             f"target position {target_position} outside session "
             f"{session.session_id!r} of length {len(session)}"
         )
@@ -214,12 +214,12 @@ def apply_deletion(corpus: SessionDataset,
     union: dict[int, set[int]] = {}
     for request, positions in deletions:
         if request.session_id not in index:
-            raise KeyError(f"session {request.session_id!r} not found in the corpus")
+            raise UnknownSessionError(f"session {request.session_id!r} not found in the corpus")
         i = index[request.session_id]
         length = len(corpus.sessions[i])
         for p in positions:
             if not 0 <= p < length:
-                raise IndexError(f"deletion position {p} outside session of length {length}")
+                raise PositionError(f"deletion position {p} outside session of length {length}")
         if request.target_position not in set(positions):
             raise ContractError("the target position must be among the deletions")
         union.setdefault(i, set()).update(positions)
@@ -333,7 +333,7 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     resolved: list[tuple[UnlearnRequest, tuple[int, ...]]] = []
     for request in requests:
         if request.session_id not in index:
-            raise KeyError(f"session {request.session_id!r} not found in any shard")
+            raise UnknownSessionError(f"session {request.session_id!r} not found in any shard")
         session = corpus.sessions[index[request.session_id]]
         already = deletions_by_session.setdefault(request.session_id, set())
         if request.target_position in already:
@@ -468,7 +468,7 @@ def load_requests(source) -> list[UnlearnRequest]:
             raise ParseError("target_position and N must be integers", lineno) from None
         try:
             requests.append(UnlearnRequest(sid, position, strategy.strip().upper(), n_extra))
-        except (ContractError, IndexError) as exc:
+        except (ContractError, PositionError) as exc:
             raise ParseError(str(exc), lineno) from None
     return requests
 

@@ -1,17 +1,23 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sru.backbone import (
     GATE_NAMES,
     BackboneConfig,
+    GruModel,
     encode,
     encode_batch,
+    encode_stacked,
     gru_cell,
     gru_cell_backward,
     gru_cell_forward,
     init_gru_model,
     pad_prefixes,
     padded_items,
+    prefix_states,
     score,
     sequence_loss_and_grads,
     train_backbone,
@@ -19,7 +25,7 @@ from sru.backbone import (
 )
 from sru.corpus import generate_synthetic, split
 from sru.errors import ContractError, DimensionError
-from sru.numerics import ParamStore, finite_difference_check
+from sru.numerics import ParamStore, cross_entropy_rows, finite_difference_check, sigmoid
 
 
 def zero_params(d):
@@ -277,3 +283,340 @@ class TestTraining:
         stopped = train_backbone(train, config, val_dataset=val)
         rerun = train_backbone(train, config, val_dataset=val)
         assert stopped.params_bytes() == rerun.params_bytes()
+
+
+# -- oracles: the per-step recurrence and the per-prefix padder that the
+# library used before its time-major kernels, copied verbatim (renamed
+# with a parent_ prefix), run in float64.
+
+def parent_gru_cell_forward(params, x, h_prev):
+    """One GRU step on row vectors; x and h_prev are (B, d).
+
+    z = sigmoid(x Wz + h Uz + bz)
+    r = sigmoid(x Wr + h Ur + br)
+    n = tanh(x Wn + (r * h) Un + bn)
+    h_new = (1 - z) * h + z * n
+    """
+    x = np.atleast_2d(np.asarray(x))
+    h = np.atleast_2d(np.asarray(h_prev))
+    if x.shape != h.shape or x.shape[1] != params["W_z"].shape[0]:
+        raise DimensionError(f"gru_cell shapes do not conform: x {x.shape}, h {h.shape}")
+    z = sigmoid(x @ params["W_z"] + h @ params["U_z"] + params["b_z"])
+    r = sigmoid(x @ params["W_r"] + h @ params["U_r"] + params["b_r"])
+    rh = r * h
+    n = np.tanh(x @ params["W_n"] + rh @ params["U_n"] + params["b_n"])
+    h_new = (1.0 - z) * h + z * n
+    return h_new, (x, h, z, r, rh, n)
+
+
+def parent_gru_cell_backward(params, cache, dh_new, out_grads=None):
+    """Backward pass of one GRU step.
+
+    Accumulates parameter gradients into out_grads (a name -> array
+    mapping; created if omitted) and returns (dx, dh_prev, out_grads).
+    """
+    x, h, z, r, rh, n = cache
+    dh_new = np.atleast_2d(np.asarray(dh_new))
+    if out_grads is None:
+        out_grads = {name: np.zeros_like(params[name]) for name in GATE_NAMES}
+
+    dz = dh_new * (n - h)
+    dn = dh_new * z
+    dh = dh_new * (1.0 - z)
+
+    dpre_n = dn * (1.0 - n * n)
+    out_grads["W_n"] += x.T @ dpre_n
+    out_grads["U_n"] += rh.T @ dpre_n
+    out_grads["b_n"] += dpre_n.sum(axis=0)
+    drh = dpre_n @ params["U_n"].T
+    dr = drh * h
+    dh += drh * r
+
+    dpre_r = dr * r * (1.0 - r)
+    out_grads["W_r"] += x.T @ dpre_r
+    out_grads["U_r"] += h.T @ dpre_r
+    out_grads["b_r"] += dpre_r.sum(axis=0)
+    dh += dpre_r @ params["U_r"].T
+
+    dpre_z = dz * z * (1.0 - z)
+    out_grads["W_z"] += x.T @ dpre_z
+    out_grads["U_z"] += h.T @ dpre_z
+    out_grads["b_z"] += dpre_z.sum(axis=0)
+    dh += dpre_z @ params["U_z"].T
+
+    dx = dpre_n @ params["W_n"].T + dpre_r @ params["W_r"].T + dpre_z @ params["W_z"].T
+    return dx, dh, out_grads
+
+
+def parent_clean_prefix(model: GruModel, prefix) -> list[int]:
+    items = [i for i in map(int, prefix) if i != 0]
+    if items and max(items) > model.num_items:
+        bad = next(i for i in items if i > model.num_items)
+        raise IndexError(f"item id {bad} outside vocabulary of size {model.num_items}")
+    return items[-model.max_len:]
+
+
+def parent_pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad each shared prefix chain once; returns (ids, rows, lengths).
+
+    Prefixes are cleaned as ``encode`` cleans them (pad ids skipped,
+    last max_len items kept, every id checked against the vocabulary).
+    A cleaned prefix that is a prefix of another one in the batch, or a
+    duplicate of it, is not padded on its own: prefix i is the first
+    lengths[i] items of row rows[i] of ids, and ids holds only the
+    longest distinct prefixes. Sorting finds every such prefix without
+    hashing each one: a prefix of any prefix in the batch is a prefix of
+    its sorted successor, so one walk in reverse sorted order suffices.
+    """
+    cleaned = [parent_clean_prefix(model, p) for p in prefixes]
+    rows = [0] * len(cleaned)
+    kept: list[list[int]] = []
+    successor = None
+    for i in sorted(range(len(cleaned)), key=cleaned.__getitem__, reverse=True):
+        prefix = cleaned[i]
+        if successor is None or successor[: len(prefix)] != prefix:
+            kept.append(prefix)
+        rows[i] = len(kept) - 1
+        successor = prefix
+    ids, _ = padded_items(kept, model.max_len)
+    lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
+    return ids, np.array(rows, dtype=np.int64), lengths
+
+
+def parent_prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
+    """GRU states at every position of a right-padded id matrix (n, L).
+
+    states[i, t] is the encoding of ids[i, : t + 1]; entries at or past a
+    row's padding are meaningless and must be masked by the caller.
+    """
+    params = model.store.params
+    n, L = ids.shape
+    dtype = model.embeddings.dtype
+    states = np.zeros((n, L, model.d), dtype=dtype)
+    h = np.zeros((n, model.d), dtype=dtype)
+    X = model.embeddings[ids]
+    for t in range(L):
+        h, _ = parent_gru_cell_forward(params, X[:, t], h)
+        states[:, t] = h
+    return states
+
+
+def parent_sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
+    """Unrolled next-item loss over one right-padded batch.
+
+    Writes the analytic gradient of the mean-per-position cross-entropy
+    into the model's store and returns (loss_sum, positions).
+    """
+    store = model.store
+    params = store.params
+    E = params["E"]
+    inp = ids[:, :-1]
+    tgt = ids[:, 1:]
+    valid = tgt != 0          # right-padded, so this also implies inp != 0
+    positions = int(valid.sum())
+    store.zero_grads()
+    if positions == 0:
+        return 0.0, 0
+
+    B, T = inp.shape
+    X = E[inp]
+    H = np.zeros((B, T, model.d), dtype=E.dtype)
+    h = np.zeros((B, model.d), dtype=E.dtype)
+    caches = []
+    for t in range(T):
+        h, cache = parent_gru_cell_forward(params, X[:, t], h)
+        H[:, t] = h
+        caches.append(cache)
+
+    Hv = H[valid]
+    tv = tgt[valid] - 1
+    logits = Hv @ E[1:].T
+    losses, dlogits = cross_entropy_rows(logits, tv)
+    loss_sum = float(losses.sum())
+    dlogits /= positions
+
+    grads = store.grads
+    grads["E"][1:] += dlogits.T @ Hv
+    dH = np.zeros_like(H)
+    dH[valid] = dlogits @ E[1:]
+
+    dX = np.zeros_like(X)
+    dh = np.zeros((B, model.d), dtype=E.dtype)
+    gate_grads = {name: grads[name] for name in GATE_NAMES}
+    for t in reversed(range(T)):
+        dx, dh, _ = parent_gru_cell_backward(params, caches[t], dh + dH[:, t], gate_grads)
+        dX[:, t] = dx
+    np.add.at(grads["E"], inp.reshape(-1), dX.reshape(-1, model.d))
+    grads["E"][0] = 0.0   # the pad row stays frozen
+    return loss_sum, positions
+
+
+def random_model(num_items, d, max_len, seed, dtype="float64"):
+    """A model whose every parameter, biases included, is random."""
+    model = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=seed,
+                                                     dtype=dtype))
+    rng = np.random.default_rng(seed)
+    for name, value in model.store.params.items():
+        value[...] = rng.normal(scale=0.5, size=value.shape)
+    model.store.params["E"][0] = 0.0
+    return model
+
+
+def as_float64(model):
+    store = ParamStore({k: v.astype(np.float64) for k, v in model.store.params.items()})
+    return GruModel(store=store, d=model.d, num_items=model.num_items,
+                    max_len=model.max_len, config=replace(model.config, dtype="float64"))
+
+
+def ragged_ids(rng, n, L, num_items):
+    """Right-padded (n, L) ids; row lengths 1..L, the first row full."""
+    lengths = rng.integers(1, L + 1, size=n)
+    lengths[0] = L
+    ids = rng.integers(1, num_items + 1, size=(n, L))
+    ids[np.arange(L) >= lengths[:, None]] = 0
+    return ids
+
+
+def grads_after(fn, model, ids):
+    loss, positions = fn(model, ids)
+    return loss, positions, {k: v.copy() for k, v in model.store.grads.items()}
+
+
+SHAPES = [(1, 1), (1, 7), (6, 1), (9, 2), (13, 9), (40, 14)]
+
+
+class TestRecurrenceMatchesParent:
+    @pytest.mark.parametrize("n, L", SHAPES)
+    def test_prefix_states(self, n, L):
+        model = random_model(20, 6, 14, seed=n * 100 + L)
+        ids = ragged_ids(np.random.default_rng(L), n, L, 20)
+        np.testing.assert_allclose(prefix_states(model, ids),
+                                   parent_prefix_states(model, ids), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, L", SHAPES)
+    def test_sequence_loss_and_grads(self, n, L):
+        model = random_model(20, 6, 14, seed=n * 100 + L)
+        ids = ragged_ids(np.random.default_rng(L), n, L, 20)
+        loss, positions, grads = grads_after(sequence_loss_and_grads, model, ids)
+        ref_loss, ref_positions, ref = grads_after(parent_sequence_loss_and_grads, model, ids)
+        assert positions == ref_positions == int((ids[:, 1:] != 0).sum())
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        for name in ref:
+            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref[name]).max(), err_msg=name)
+
+    def test_float32_matches_float64_oracle_at_default_shapes(self):
+        model = random_model(200, 32, 14, seed=5, dtype="float32")
+        oracle = as_float64(model)
+        ids = ragged_ids(np.random.default_rng(6), 256, 14, 200)
+        states = prefix_states(model, ids)
+        assert states.dtype == np.float32
+        assert np.abs(states - parent_prefix_states(oracle, ids)).max() <= 1e-5
+        loss, _, grads = grads_after(sequence_loss_and_grads, model, ids)
+        ref_loss, _, ref = grads_after(parent_sequence_loss_and_grads, oracle, ids)
+        assert loss == pytest.approx(ref_loss, rel=1e-5)
+        for name in ref:
+            assert grads[name].dtype == np.float32
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-5 * np.abs(ref[name]).max(), name
+
+    @pytest.mark.parametrize("bad", [21, -1])
+    def test_id_outside_vocabulary_raises(self, bad):
+        # The passes gather without a per-step bounds check, so each
+        # checks its id matrix once.
+        model = random_model(20, 6, 14, seed=1)
+        ids = np.array([[3, 4, 0], [5, bad, 6]])
+        for run in (prefix_states, sequence_loss_and_grads,
+                    lambda m, i: encode_stacked([m], i, np.array([1]), np.array([3]))):
+            with pytest.raises(IndexError, match=f"item id {bad} outside"):
+                run(model, ids)
+
+    def test_prefix_states_holds_no_per_step_input_table(self):
+        # Besides its (n, L, d) result the pass may hold the (V+1, 3d)
+        # input tables and a few (n, 3d) buffers, but never an (n, L, .)
+        # input block.
+        n, L, d = 1600, 14, 32
+        model = random_model(200, d, L, seed=1, dtype="float32")
+        ids = ragged_ids(np.random.default_rng(2), n, L, 200)
+        tracemalloc.start()
+        try:
+            states = prefix_states(model, ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < states.nbytes + 4 * n * 3 * d * 4
+
+
+class TestEncodeStacked:
+    def prefixes(self):
+        rng = np.random.default_rng(4)
+        return random_prefixes(rng, 40, 20) + [[], [0, 0], list(range(1, 21))]
+
+    def test_each_model_bit_equal_to_its_own_pass(self):
+        models = [random_model(20, 6, 9, seed=s) for s in (1, 2, 3)]
+        prefixes = self.prefixes()
+        stacked = encode_stacked(models, *pad_prefixes(models[0], prefixes))
+        assert stacked.shape == (len(prefixes), 3, 6)
+        for k, model in enumerate(models):
+            assert stacked[:, k].tobytes() == encode_batch(model, prefixes).tobytes()
+
+    def test_matches_parent_last_states(self):
+        model = random_model(20, 6, 9, seed=4)
+        prefixes = self.prefixes()
+        cleaned = [[i for i in p if i][-9:] for p in prefixes]
+        ids, _ = padded_items(cleaned, 9)
+        states = parent_prefix_states(model, ids)
+        for i, c in enumerate(cleaned):
+            want = states[i, len(c) - 1] if c else np.zeros(6)
+            np.testing.assert_allclose(encode_batch(model, [prefixes[i]])[0], want,
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            encode_batch(model, prefixes),
+            [states[i, len(c) - 1] if c else np.zeros(6) for i, c in enumerate(cleaned)],
+            rtol=0, atol=1e-12)
+
+    def test_no_prefixes(self):
+        models = [tiny_model(), tiny_model(seed=4)]
+        assert encode_stacked(models, *pad_prefixes(models[0], [])).shape == (0, 2, 4)
+
+
+def random_prefixes(rng, count, num_items):
+    """Prefixes with pads, duplicates, shared chains and runs longer than
+    the window."""
+    prefixes = []
+    for _ in range(count):
+        roll = rng.random()
+        if prefixes and roll < 0.2:
+            prefixes.append(list(prefixes[rng.integers(len(prefixes))]))
+        elif prefixes and roll < 0.4:
+            source = prefixes[rng.integers(len(prefixes))]
+            prefixes.append(list(source[: rng.integers(len(source) + 1)]))
+        else:
+            items = rng.integers(1, num_items + 1, size=rng.integers(0, 12))
+            items[rng.random(items.size) < 0.2] = 0
+            prefixes.append(items.tolist())
+    return prefixes
+
+
+class TestPadPrefixesMatchesParent:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_ids_rows_and_lengths(self, seed):
+        rng = np.random.default_rng(seed)
+        model = tiny_model(num_items=5 + seed, max_len=2 + seed % 5)
+        prefixes = random_prefixes(rng, int(rng.integers(0, 60)), model.num_items)
+        got = pad_prefixes(model, prefixes)
+        want = parent_pad_prefixes(model, prefixes)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_tuples_and_arrays_are_cleaned_alike(self):
+        model = tiny_model(max_len=3)
+        prefixes = [(1, 0, 2), np.array([5, 6, 1, 2]), [], (0,), [4, 4]]
+        for a, b in zip(pad_prefixes(model, prefixes), parent_pad_prefixes(model, prefixes)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_id_outside_vocabulary_raises(self, bad):
+        with pytest.raises(IndexError, match=f"item id {bad} outside"):
+            pad_prefixes(tiny_model(num_items=6), [[1, 2], [3, bad, 9]])
+

@@ -219,6 +219,22 @@ class TestAssignmentParsing:
         with pytest.raises(ParseError, match="no row for session index 2"):
             load_assignment(csv_path, bin_path)
 
+    def test_row_count_differs_from_metadata(self, tmp_path):
+        # Without its last row the file is a whole partition of 5 sessions,
+        # but the centroid container records 6.
+        csv_path, bin_path = self.saved(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ParseError, match=r"p\.csv: 5 rows, but .*c\.sru records 6 sessions"):
+            load_assignment(csv_path, bin_path)
+
+    def test_file_without_row_count_still_loads(self, tmp_path):
+        csv_path, bin_path = self.saved(tmp_path)
+        tensors, metadata = load_container(bin_path)
+        assert metadata.pop("sessions") == 6
+        save_container(bin_path, tensors, metadata)
+        assert len(load_assignment(csv_path, bin_path).shard_of) == 6
+
     @pytest.mark.parametrize("text", ["", "index,shard\n0,0\n", "0,0\n1,1\n"])
     def test_missing_or_wrong_header_names_file_and_line_1(self, tmp_path, text):
         csv_path, bin_path = self.saved(tmp_path)

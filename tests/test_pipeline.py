@@ -452,12 +452,26 @@ class TestReadPath:
             load_state(run_dir, config)
 
     def test_partition_of_another_corpus_is_contract_error(self, tmp_path):
-        # Without its last row the partition is whole, but one session short.
+        # A whole partition that is one session short of the corpus.
+        config = tiny_config()
+        run_stages(tmp_path, config, ALL_TRAIN_STAGES)
+        csv_path, bin_path = tmp_path / "partition.csv", tmp_path / "centroids.sru"
+        old = load_assignment(csv_path, bin_path)
+        last = len(old.shard_of) - 1
+        members = [[i for i in m if i != last] for m in old.members]
+        save_assignment(csv_path, bin_path,
+                        ShardAssignment.from_members(members, old.centroids, old.iterations_run,
+                                                     old.delta, old.reseeds),
+                        {"config_hash": config.config_hash(), "stage": "partition"})
+        with pytest.raises(ContractError, match="covers"):
+            load_state(tmp_path, config)
+
+    def test_partition_missing_its_last_row_is_parse_error(self, tmp_path):
         config = tiny_config()
         run_stages(tmp_path, config, ALL_TRAIN_STAGES)
         csv_path = tmp_path / "partition.csv"
         csv_path.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
-        with pytest.raises(ContractError, match="covers"):
+        with pytest.raises(ParseError, match=r"partition\.csv: \d+ rows, but .*centroids\.sru"):
             load_state(tmp_path, config)
 
 
@@ -566,6 +580,26 @@ class TestCli:
         assert main(["eval", "--config", str(config_path),
                      "--run-dir", str(run_dir)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["{sid},99,CED,0", "no-such-session,0,CED,0"])
+    def test_cli_reports_bad_request_without_traceback(self, unlearned_run, tmp_path,
+                                                       capsys, row):
+        # A target past the end of its session, or an unknown session id:
+        # exit status 1, one error line, and the run directory untouched.
+        run_dir = copied_run(unlearned_run, tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        sid = load_datasets(run_dir / "dataset.sru")["train"].sessions[0].session_id
+        requests = tmp_path / "bad.csv"
+        requests.write_text("session_id,target_position,strategy,N\n"
+                            + row.format(sid=sid) + "\n")
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["unlearn", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--requests", str(requests)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_cli_env_seed_changes_artifacts(self, tmp_path, monkeypatch):
         config_path = tmp_path / "exp.cfg"

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from sru.backbone import BackboneConfig, init_gru_model, train_backbone
 from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
-from sru.errors import ContractError, ParseError
+from sru.errors import (
+    ContractError,
+    ParseError,
+    PositionError,
+    SruError,
+    UnknownSessionError,
+)
 from sru.numerics import RngStream
 from sru.partition import make_shards
 from sru.unlearning import (
@@ -141,6 +147,18 @@ class TestApplyDeletion:
     def test_target_must_be_deleted(self):
         with pytest.raises(ContractError):
             apply_deletion(self.make_shard(), [(UnlearnRequest("s1", 2, "NED", 0), (1,))])
+
+    def test_request_errors_are_typed(self):
+        # Typed as SruError for the CLI, and still as IndexError / KeyError.
+        with pytest.raises(PositionError, match="deletion position 7") as info:
+            apply_deletion(self.make_shard(), [(UnlearnRequest("s1", 0, "NED", 0), (0, 7))])
+        assert isinstance(info.value, SruError) and isinstance(info.value, IndexError)
+        with pytest.raises(UnknownSessionError) as info:
+            apply_deletion(self.make_shard(), [(UnlearnRequest("zz", 0, "NED", 0), (0,))])
+        assert isinstance(info.value, SruError) and isinstance(info.value, KeyError)
+        assert str(info.value) == "session 'zz' not found in the corpus"
+        with pytest.raises(PositionError, match="must be >= 0"):
+            UnlearnRequest("s1", -1, "NED", 0)
 
     def test_requests_on_one_session_share_one_rewrite(self):
         shard = self.make_shard()
@@ -341,6 +359,16 @@ class TestExecuteUnlearn:
         state, _ = small_state
         with pytest.raises(KeyError):
             execute_unlearn(state, [UnlearnRequest("nope", 0, "NED", 0)])
+
+    def test_request_errors_are_typed(self, small_state):
+        state, _ = small_state
+        session = state.corpus.sessions[0]
+        with pytest.raises(PositionError, match="outside session") as info:
+            execute_unlearn(state, [UnlearnRequest(session.session_id, len(session), "CED", 0)])
+        assert isinstance(info.value, SruError) and isinstance(info.value, IndexError)
+        with pytest.raises(UnknownSessionError) as info:
+            execute_unlearn(state, [UnlearnRequest("nope", 0, "NED", 0)])
+        assert isinstance(info.value, SruError) and isinstance(info.value, KeyError)
 
     def test_unknown_session_among_known_ones_names_it(self, small_state):
         state, _ = small_state
