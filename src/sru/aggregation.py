@@ -119,9 +119,22 @@ def compute_centroid(sub_model: GruModel, shard: SessionDataset) -> np.ndarray:
 
 
 def compute_centroids(sub_models, shards, source: str = "submodel",
-                      reference_centroids: np.ndarray | None = None) -> ShardCentroids:
+                      reference_centroids: np.ndarray | None = None,
+                      previous: ShardCentroids | None = None,
+                      affected=()) -> ShardCentroids:
+    """Centroids of every shard under ``source``.
+
+    Given the ``previous`` centroids, a "submodel" refresh re-encodes
+    only the ``affected`` shards and copies every other row: a shard
+    whose sessions and sub-model are unchanged keeps its centroid.
+    """
     if source == "submodel":
-        c = np.stack([compute_centroid(m, s) for m, s in zip(sub_models, shards)])
+        if previous is not None:
+            c = previous.c.copy()
+            for k in affected:
+                c[k] = compute_centroid(sub_models[k], shards[k])
+        else:
+            c = np.stack([compute_centroid(m, s) for m, s in zip(sub_models, shards)])
     elif source == "reference":
         if reference_centroids is None:
             raise ContractError("reference centroids requested but none provided")
@@ -357,14 +370,25 @@ class FeatureCache:
     session id to its (start, count) block. After a deletion only the
     retrained shard's column and the rewritten sessions' rows need
     recomputation, which is what keeps selective unlearning cheap
-    relative to full retraining. ``fit_state`` keeps the cache it trained
-    the fusion layer on; a state loaded from disk has none, and
+    relative to full retraining. ``updated_feature_cache`` does that in
+    the table's own buffer, so a cache has one owner at a time: the
+    ``SruState`` that holds it, which hands it over to the state that
+    ``execute_unlearn`` returns. The update leaves the old cache with
+    ``features = None``, so a second holder of it (a ``replace`` copy of
+    the state) gets a ContractError instead of stale rows. ``copy()``
+    gives a cache its own buffer. ``fit_state`` keeps the cache it
+    trained the fusion layer on; a state loaded from disk has none, and
     ``execute_unlearn`` builds it lazily on the post-deletion sub-models.
     """
 
-    features: np.ndarray                      # (P, K, d)
+    features: np.ndarray | None               # (P, K, d); None once updated
     targets: np.ndarray                       # (P,)
     row_slices: dict[str, tuple[int, int]]
+
+    def copy(self) -> FeatureCache:
+        """A cache with its own buffer, for unlearning one state twice."""
+        return FeatureCache(features=self.features.copy(), targets=self.targets,
+                            row_slices=self.row_slices)
 
 
 def _row_layout(sessions, max_len: int):
@@ -391,47 +415,85 @@ def _pair_states(model, sessions) -> np.ndarray:
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     """Per-position hidden states of every sub-model over one dataset:
     features (P, K, d) and targets (P,), where P runs over all (prefix,
-    next-item) training points in session order. Sub-models are only
+    next-item) training points in session order. Each sub-model's states
+    are written into its column of the one table. Sub-models are only
     read, never written."""
     slices, targets = _row_layout(dataset.sessions, sub_models[0].max_len)
-    features = np.stack([_pair_states(m, dataset.sessions) for m in sub_models], axis=1)
+    dtype = np.result_type(*(m.embeddings.dtype for m in sub_models))
+    features = np.empty((len(targets), len(sub_models), sub_models[0].d), dtype=dtype)
+    for c, model in enumerate(sub_models):
+        features[:, c] = _pair_states(model, dataset.sessions)
     return FeatureCache(features=features, targets=targets, row_slices=slices)
+
+
+# Rows per copy when reused rows move down the table: numpy copies an
+# overlapping slice assignment through a temporary of the whole source.
+_MOVE_ROWS = 1024
 
 
 def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDataset,
                           dirty_shards, changed_session_ids) -> FeatureCache:
-    """Rebuild a cache after deletions, copying every row that cannot
-    have changed.
+    """Update a cache after deletions in its own buffer, keeping every
+    row that cannot have changed.
 
     dirty_shards lists sub-models that were retrained (their whole
     column is recomputed); changed_session_ids lists sessions whose item
     sequence was rewritten (their rows are recomputed under every clean
-    sub-model too).
+    sub-model too). Deletions only remove rows and keep the session
+    order, so each reused session moves to an equal or lower row; the
+    reused runs are moved first, in ascending order, then the fresh rows
+    and dirty columns are overwritten. The result's table is a prefix of
+    ``cache.features``, whose rows are overwritten, so ``cache`` gives up
+    its buffer (its ``features`` becomes None) and updating it again
+    raises ContractError. So does a layout that needs more rows than the
+    buffer holds, or that moves a reused session to a later row.
     """
     k = len(sub_models)
-    d = sub_models[0].d
     max_len = sub_models[0].max_len
-    dirty = set(dirty_shards)
+    dirty = sorted(set(dirty_shards))
     changed = set(changed_session_ids)
     slices, targets = _row_layout(dataset.sessions, max_len)
-    features = np.empty((len(targets), k, d), dtype=cache.features.dtype)
+    buffer = cache.features
+    if buffer is None:
+        raise ContractError(
+            "this feature cache was already updated in place and its buffer belongs "
+            "to the cache that update returned; rebuild it (feature_cache=None)"
+        )
+    if len(targets) > buffer.shape[0] or buffer.shape[1:] != (k, sub_models[0].d):
+        raise ContractError(
+            f"a ({len(targets)}, {k}, {sub_models[0].d}) table does not fit the cached "
+            f"buffer of shape {buffer.shape}"
+        )
+    features = buffer[: len(targets)]
 
+    fresh = []
+    runs: list[list[int]] = []    # [old start, new start, rows], merged where contiguous
+    for s in dataset.sessions:
+        start, n = slices[s.session_id]
+        old = cache.row_slices.get(s.session_id)
+        if s.session_id in changed or old is None:
+            fresh.append(s)
+            continue
+        if old[0] < start or old[1] != n:
+            raise ContractError(
+                f"session {s.session_id!r} moves from rows {_span(old)} to "
+                f"{_span((start, n))}; an in-place update only moves rows down"
+            )
+        if runs and runs[-1][0] + runs[-1][2] == old[0] and runs[-1][1] + runs[-1][2] == start:
+            runs[-1][2] += n
+        else:
+            runs.append([old[0], start, n])
+
+    cache.features = None
     clean_cols = [c for c in range(k) if c not in dirty]
-    reusable = [
-        s for s in dataset.sessions
-        if s.session_id not in changed and s.session_id in cache.row_slices
-    ]
-    if clean_cols and reusable:
-        old_idx = np.concatenate([
-            np.arange(*_span(cache.row_slices[s.session_id])) for s in reusable
-        ])
-        new_idx = np.concatenate([
-            np.arange(*_span(slices[s.session_id])) for s in reusable
-        ])
-        features[np.ix_(new_idx, clean_cols)] = cache.features[np.ix_(old_idx, clean_cols)]
-
-    fresh = [s for s in dataset.sessions
-             if s.session_id in changed or s.session_id not in cache.row_slices]
+    if clean_cols:
+        for old_start, new_start, n in runs:
+            if old_start == new_start:
+                continue
+            for i in range(0, n, _MOVE_ROWS):
+                m = min(_MOVE_ROWS, n - i)
+                dst, src = new_start + i, old_start + i
+                features[dst : dst + m] = buffer[src : src + m]
     if clean_cols and fresh:
         rows = np.concatenate([np.arange(*_span(slices[s.session_id])) for s in fresh])
         for c in clean_cols:
@@ -477,19 +539,17 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     shuffle = RngStream(config.seed, "aggregation/shuffle")
 
     P = features.shape[0]
-    # One gather per epoch, into one buffer reused by every epoch:
-    # contiguous batch slices are much cheaper than 60+ scattered
-    # gathers, and two copies of the table never coexist. perm is a
-    # permutation, so mode="clip" only skips take's buffered bounds check.
-    feats_epoch = np.empty_like(features)
+    # Each batch is gathered into one reused buffer, so no shuffled copy
+    # of the table is made. perm is a permutation, so mode="clip" only
+    # skips take's buffered bounds check.
+    batch = np.empty((min(config.batch_size, P), *features.shape[1:]), dtype=features.dtype)
     for _ in range(config.epochs):
         perm = shuffle.permutation(P)
-        np.take(features, perm, axis=0, out=feats_epoch, mode="clip")
-        targets_epoch = targets[perm]
         loss_sum = 0.0
         for start in range(0, P, config.batch_size):
-            Hb = feats_epoch[start : start + config.batch_size]
-            tb = targets_epoch[start : start + config.batch_size] - 1
+            rows = perm[start : start + config.batch_size]
+            Hb = np.take(features, rows, axis=0, out=batch[: len(rows)], mode="clip")
+            tb = targets[rows] - 1
             logits, cache = _forward(store.params, Hb, C, with_cache=True)
             losses, dlogits = cross_entropy_rows(logits, tb)
             loss_sum += float(losses.sum())
@@ -499,6 +559,12 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
             adam_step(store, adam, config.lr)
         model.loss_history.append(loss_sum / P)
     return model
+
+
+# Rows per fusion forward in prediction: the per-block temporaries stay
+# small enough to be reused from cache, and the logits go straight into
+# the output.
+_PREDICT_ROWS = 256
 
 
 @dataclass
@@ -524,11 +590,17 @@ class SruModel:
 
         Prefixes are cleaned and padded once, each shared prefix chain
         as one row; the sub-models read the same id matrix (they share
-        the vocabulary and max_len) in one stacked pass.
+        the vocabulary and max_len) in one stacked pass. The fusion then
+        runs on blocks of ``_PREDICT_ROWS`` rows.
         """
         H = encode_stacked(self.sub_models, *pad_prefixes(self.sub_models[0], prefixes))
+        params = self.aggregation.store.params
         C = self.centroids.c.astype(H.dtype)
-        logits, _ = _forward(self.aggregation.store.params, H, C)
-        out = np.full((len(prefixes), self.num_items + 1), -np.inf, dtype=logits.dtype)
-        out[:, 1:] = logits
+        out = np.empty((len(prefixes), self.num_items + 1),
+                       dtype=np.result_type(H, params["W_proj"]))
+        out[:, 0] = -np.inf
+        for start in range(0, len(prefixes), _PREDICT_ROWS):
+            stop = start + _PREDICT_ROWS
+            logits, _ = _forward(params, H[start:stop], C)
+            out[start:stop, 1:] = logits
         return out

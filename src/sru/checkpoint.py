@@ -18,6 +18,7 @@ corrupt file never yields a partial model.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -97,76 +98,93 @@ def save_container(path, tensors: dict[str, np.ndarray], metadata: dict) -> int:
     return len(blob)
 
 
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_TAG_NDIM = struct.Struct("<BB")
+_U64 = struct.Struct("<Q")
+
+
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Cursor over the body ``blob[:end]``: each field is decoded in place
+    with ``unpack_from``, and reading past ``end`` is a truncation."""
+
+    def __init__(self, blob: bytearray, end: int):
         self.blob = blob
+        self.end = end
         self.offset = 0
 
-    def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.blob):
+    def skip(self, count: int) -> int:
+        """Advance past ``count`` bytes; returns where they start."""
+        if self.offset + count > self.end:
             raise IntegrityError(
                 f"file truncated: wanted {count} bytes, "
-                f"{len(self.blob) - self.offset} remain",
+                f"{self.end - self.offset} remain",
                 offset=self.offset,
             )
-        out = self.blob[self.offset : self.offset + count]
+        start = self.offset
         self.offset += count
-        return out
+        return start
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(self, fmt: struct.Struct):
+        return fmt.unpack_from(self.blob, self.skip(fmt.size))
+
+    def text(self, count: int) -> str:
+        start = self.skip(count)
+        return self.blob[start : self.offset].decode("utf-8")
 
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read and fully validate one container."""
+    """Read and fully validate one container. The tensors are views of
+    the one buffer the file was read into."""
     with open(path, "rb") as handle:
-        blob = handle.read()
+        blob = bytearray(handle.read())
     if len(blob) < len(MAGIC) + 8:
         raise IntegrityError("file too short to be a checkpoint", offset=len(blob))
     if blob[: len(MAGIC)] != MAGIC:
-        raise VersionError(f"unrecognized magic bytes {blob[:4]!r}; expected {MAGIC!r}")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    (expected_crc,) = struct.unpack("<I", crc_bytes)
-    actual_crc = zlib.crc32(body)
+        raise VersionError(f"unrecognized magic bytes {bytes(blob[:4])!r}; expected {MAGIC!r}")
+    end = len(blob) - 4
+    (expected_crc,) = _U32.unpack_from(blob, end)
+    actual_crc = zlib.crc32(memoryview(blob)[:end])
     if actual_crc != expected_crc:
         raise IntegrityError(
             f"checksum mismatch: stored {expected_crc:#010x}, computed {actual_crc:#010x}",
-            offset=len(body),
+            offset=end,
         )
 
-    reader = _Reader(body)
-    reader.take(len(MAGIC))
-    (version,) = reader.unpack("<I")
+    reader = _Reader(blob, end)
+    reader.skip(len(MAGIC))
+    (version,) = reader.unpack(_U32)
     if version != VERSION:
         raise VersionError(f"unsupported checkpoint version {version}")
-    (meta_len,) = reader.unpack("<I")
+    (meta_len,) = reader.unpack(_U32)
     try:
-        metadata = json.loads(reader.take(meta_len).decode("utf-8"))
+        metadata = json.loads(reader.text(meta_len))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"metadata block unreadable: {exc}", offset=reader.offset) from None
-    (count,) = reader.unpack("<I")
+    (count,) = reader.unpack(_U32)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
-        tag, ndim = reader.unpack("<BB")
+        (name_len,) = reader.unpack(_U16)
+        name = reader.text(name_len)
+        tag, ndim = reader.unpack(_TAG_NDIM)
         if tag not in _TAG_DTYPES:
             raise IntegrityError(f"unknown dtype tag {tag} for tensor {name!r}",
                                  offset=reader.offset)
-        shape = reader.unpack(f"<{ndim}Q") if ndim else ()
-        (nbytes,) = reader.unpack("<Q")
+        shape = reader.unpack(struct.Struct(f"<{ndim}Q"))
+        (nbytes,) = reader.unpack(_U64)
         dtype = _TAG_DTYPES[tag]
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if nbytes != expected:
             raise IntegrityError(
                 f"tensor {name!r}: {nbytes} bytes stored but shape {shape} needs {expected}",
                 offset=reader.offset,
             )
-        raw = reader.take(nbytes)
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if reader.offset != len(body):
+        start = reader.skip(nbytes)
+        tensors[name] = np.frombuffer(blob, dtype=dtype, count=nbytes // dtype.itemsize,
+                                      offset=start).reshape(shape)
+    if reader.offset != end:
         raise IntegrityError(
-            f"{len(body) - reader.offset} unexpected trailing bytes", offset=reader.offset
+            f"{end - reader.offset} unexpected trailing bytes", offset=reader.offset
         )
     return tensors, metadata
 

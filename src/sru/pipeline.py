@@ -291,20 +291,26 @@ def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None,
 def _cmd_effectiveness(run_dir, config: ExperimentConfig, **_) -> None:
     records = _load(run_dir, config, "audit")
     model = load_model(run_dir, config)
-    path = _paths(run_dir, "audit")[0]
-    for index, r in enumerate(records):
-        for name, items in (("target_item", (r.target_item,)),
-                            ("context_prefix", r.context_prefix),
-                            ("context_full", r.context_full)):
-            bad = [i for i in items if not 1 <= i <= model.num_items]
-            if bad:
-                raise ParseError(f"{path}: audit record {index}: {name} holds item "
-                                 f"{bad[0]}, outside the vocabulary 1..{model.num_items}")
+    _check_audit_items(_paths(run_dir, "audit")[0], records, model.num_items)
     report = hit_effectiveness(model, records,
                                ks=config["effectiveness.ks"],
                                context=config["effectiveness.context"])
     emit_report(report, "json", os.path.join(run_dir, "effectiveness.json"))
     emit_report(report, "csv", os.path.join(run_dir, "effectiveness.csv"))
+
+
+def _check_audit_items(path, records, num_items: int) -> None:
+    """Every audited item must lie in 1..num_items; the first one outside
+    is named with its record and field."""
+    bad = next(((index, name, item) for index, r in enumerate(records)
+                for name, items in (("target_item", (r.target_item,)),
+                                    ("context_prefix", r.context_prefix),
+                                    ("context_full", r.context_full))
+                for item in items if not 1 <= item <= num_items), None)
+    if bad is not None:
+        index, name, item = bad
+        raise ParseError(f"{path}: audit record {index}: {name} holds item "
+                         f"{item}, outside the vocabulary 1..{num_items}")
 
 
 def _cmd_bench(run_dir, config: ExperimentConfig, *, requests_path=None, **_) -> None:
@@ -364,7 +370,9 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
         ks = config["effectiveness.ks"]
         for n in deletion_range:
             requests = [replace(r, n_extra=n) for r in base]
-            outcome = execute_unlearn(state, requests)
+            # each call takes over a copy, so the base keeps its cache
+            outcome = execute_unlearn(replace(state, feature_cache=state.feature_cache.copy()),
+                                      requests)
             report = hit_effectiveness(outcome.state.sru_model(), outcome.deletions,
                                        ks=ks, context=config["effectiveness.context"])
             rows.append((n, *(f"{report.hit[k]:.6g}" for k in ks)))

@@ -111,7 +111,7 @@ def deletions_from_json(rows) -> list[DeletionResult]:
                                  f"{expected}, got {values[name]!r}")
         for name in _SEQUENCE_FIELDS:
             value = values[name]
-            if type(value) not in (list, tuple) or any(type(i) is not int for i in value):
+            if type(value) not in (list, tuple) or not {*map(type, value)} <= {int}:
                 raise ParseError(f"audit record {index}: field {name!r} must be "
                                  f"a list of integers, got {value!r}")
             values[name] = tuple(value)
@@ -268,9 +268,10 @@ class SruState:
     agg_config: AggregationConfig
     aggregation: AggregationModel
     seed: int = 0
-    # Per-shard state table of the current corpus. None until needed:
-    # execute_unlearn builds it on first use and updates it incrementally
-    # after that.
+    # Per-shard state table of the current corpus, owned by this state
+    # alone. None until needed: execute_unlearn builds it on first use,
+    # and after that hands it to the state it returns, which updates it
+    # in place; the input state's field becomes None.
     feature_cache: FeatureCache | None = None
 
     def __post_init__(self):
@@ -320,6 +321,13 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     are returned as-is, bit for bit. The fusion layer is retrained from
     scratch on the modified full corpus (skipped when no request
     survives).
+
+    The returned state takes over the input state's feature cache and
+    updates it in place, so no second copy of the table is made; the
+    input state is left with ``feature_cache = None`` and stays valid
+    (unlearning it again rebuilds the cache, with the same result). A
+    copy of the input state made earlier still holds the emptied cache
+    and gets a ContractError; give it ``feature_cache=None`` instead.
     """
     requests = list(requests)
     started = time.perf_counter()
@@ -399,11 +407,14 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         new_models, new_shards,
         source=state.centroids.source,
         reference_centroids=state.assignment.centroids,
+        previous=state.centroids, affected=affected,
     )
     new_state.centroids = centroids
     cache_started = time.perf_counter()
     if state.feature_cache is not None:
-        cache = updated_feature_cache(state.feature_cache, new_models, new_corpus,
+        # updated in its own buffer, so the input state lets go of it
+        old_cache, state.feature_cache = state.feature_cache, None
+        cache = updated_feature_cache(old_cache, new_models, new_corpus,
                                       dirty_shards=affected,
                                       changed_session_ids=set(deletions_by_session))
     else:

@@ -1,5 +1,7 @@
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -313,6 +315,102 @@ class TestContainerValidation:
         tensors, meta = load_container(path)
         assert tensors["t"].shape == (2, 3)
         assert meta["kind"] == "raw"
+
+
+class TestContainerHeaders:
+    """Each header field fails with its own message and offset. The
+    container holds metadata {"kind": "raw"} and one (2, 3) float32
+    tensor named "t"; a body is resealed with a fresh checksum, so that
+    only the framing is wrong."""
+
+    META = b'{"kind":"raw"}'
+
+    def body(self, tmp_path):
+        path = tmp_path / "x.sru"
+        values = np.arange(6, dtype=np.float32).reshape(2, 3)
+        save_container(path, {"t": values}, {"kind": "raw"})
+        return path.read_bytes()[:-4]
+
+    def fields(self):
+        """(name, start, size) of each field after the magic and version."""
+        m = len(self.META)
+        return [("meta_len", 8, 4), ("metadata", 12, m), ("count", 12 + m, 4),
+                ("name_len", 16 + m, 2), ("name", 18 + m, 1), ("tag_ndim", 19 + m, 2),
+                ("shape", 21 + m, 16), ("nbytes", 37 + m, 8), ("values", 45 + m, 24)]
+
+    def load_sealed(self, tmp_path, body):
+        path = tmp_path / "y.sru"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        return load_container(path)
+
+    def test_layout_is_as_documented(self, tmp_path):
+        body = self.body(tmp_path)
+        assert body[12 : 12 + len(self.META)] == self.META
+        assert len(body) == 69 + len(self.META)
+
+    @pytest.mark.parametrize("field", range(9))
+    @pytest.mark.parametrize("depth", ["start", "middle", "last"])
+    def test_truncation_inside_each_field(self, tmp_path, field, depth):
+        name, start, size = self.fields()[field]
+        kept = {"start": 0, "middle": size // 2, "last": size - 1}[depth]
+        body = self.body(tmp_path)[: start + kept]
+        with pytest.raises(IntegrityError) as info:
+            self.load_sealed(tmp_path, body)
+        assert info.value.offset == start, name
+        assert str(info.value) == (f"file truncated: wanted {size} bytes, {kept} remain "
+                                   f"(at byte offset {start})")
+
+    def test_unknown_dtype_tag(self, tmp_path):
+        body = bytearray(self.body(tmp_path))
+        body[19 + len(self.META)] = 9
+        with pytest.raises(IntegrityError) as info:
+            self.load_sealed(tmp_path, bytes(body))
+        assert str(info.value) == (f"unknown dtype tag 9 for tensor 't' "
+                                   f"(at byte offset {21 + len(self.META)})")
+
+    def test_size_mismatch(self, tmp_path):
+        body = bytearray(self.body(tmp_path))
+        body[37 + len(self.META)] = 20
+        with pytest.raises(IntegrityError) as info:
+            self.load_sealed(tmp_path, bytes(body))
+        assert str(info.value) == (f"tensor 't': 20 bytes stored but shape (2, 3) needs 24 "
+                                   f"(at byte offset {45 + len(self.META)})")
+
+    def test_trailing_bytes(self, tmp_path):
+        body = self.body(tmp_path)
+        with pytest.raises(IntegrityError) as info:
+            self.load_sealed(tmp_path, body + b"xy")
+        assert str(info.value) == f"2 unexpected trailing bytes (at byte offset {len(body)})"
+
+    def test_checksum_and_magic_messages(self, tmp_path):
+        body = self.body(tmp_path)
+        path = tmp_path / "y.sru"
+        path.write_bytes(body + b"\0\0\0\0")
+        with pytest.raises(IntegrityError, match="checksum mismatch") as info:
+            load_container(path)
+        assert info.value.offset == len(body)
+        path.write_bytes(b"NOPE" + body[4:] + b"\0\0\0\0")
+        with pytest.raises(VersionError) as info:
+            load_container(path)
+        assert str(info.value) == "unrecognized magic bytes b'NOPE'; expected b'SRU1'"
+
+    def test_tensors_are_writable_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "x.sru"
+        a = np.arange(6, dtype=np.float32).reshape(2, 3)
+        b = np.arange(4, dtype=np.int64)
+        save_container(path, {"a": a, "b": b}, {})
+        tensors, _ = load_container(path)
+        np.testing.assert_array_equal(tensors["a"], a)
+        np.testing.assert_array_equal(tensors["b"], b)
+        assert tensors["a"].flags.writeable
+
+        def owner(array):
+            while isinstance(array, np.ndarray):
+                array = array.base
+            return array.obj if isinstance(array, memoryview) else array
+
+        assert isinstance(owner(tensors["a"]), bytearray)
+        assert owner(tensors["a"]) is owner(tensors["b"])
 
 
 class TestReports:

@@ -18,7 +18,7 @@ from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
 from sru.partition import ShardAssignment
-from sru.pipeline import _load, _save, fit_state, load_state, run_pipeline
+from sru.pipeline import _check_audit_items, _load, _save, fit_state, load_state, run_pipeline
 from sru.unlearning import (
     DeletionResult,
     UnlearnRequest,
@@ -538,6 +538,28 @@ class TestAuditVocabulary:
         assert "Traceback" not in err
 
 
+class TestAuditItemCheck:
+    RECORD = TestAuditFile.RECORD
+
+    def test_names_the_first_item_outside_in_record_order(self):
+        records = [self.RECORD,
+                   replace(self.RECORD, context_prefix=(3, 5), context_full=(3, 0, 50)),
+                   replace(self.RECORD, target_item=41)]
+        with pytest.raises(ParseError, match=r"^audit\.json: audit record 1: context_full "
+                                             r"holds item 0, outside the vocabulary 1\.\.40$"):
+            _check_audit_items("audit.json", records, 40)
+
+    def test_items_inside_pass(self):
+        _check_audit_items("audit.json", [self.RECORD] * 3, 40)
+        _check_audit_items("audit.json", [], 40)
+
+    @pytest.mark.parametrize("item", [0, -3, 41, 10**22])
+    def test_one_item_outside_fails(self, item):
+        record = replace(self.RECORD, context_full=(3, item, 9))
+        with pytest.raises(ParseError, match=f"audit record 1: context_full holds item {item},"):
+            _check_audit_items("audit.json", [self.RECORD, record], 40)
+
+
 class TestAblate:
     def test_partition_ablation_writes_csv(self, tmp_path):
         config = tiny_config()
@@ -557,10 +579,15 @@ class TestAblate:
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ks == [2, 4]
 
-    def test_deletion_ablation_rows(self, tmp_path):
+    def test_deletion_ablation_rows(self, tmp_path, monkeypatch):
         config = tiny_config()
         run_stages(tmp_path, config, ("preprocess",))
         from sru.pipeline import _cmd_ablate
+
+        def no_build(*args):
+            raise AssertionError("each unlearn call should update a copy of the fitted cache")
+
+        monkeypatch.setattr("sru.unlearning.build_feature_cache", no_build)
         _cmd_ablate(tmp_path, config, "deletion", deletion_range=(0, 2))
         lines = (tmp_path / "ablate_deletion.csv").read_text().strip().split("\n")
         assert lines[0].startswith("n_extra,hit_at_1")

@@ -1,10 +1,14 @@
 import io
 import json
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sru.aggregation import build_feature_cache
 from sru.backbone import BackboneConfig, init_gru_model, train_backbone
 from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import (
@@ -17,6 +21,7 @@ from sru.errors import (
 from sru.numerics import RngStream
 from sru.partition import make_shards
 from sru.unlearning import (
+    STRATEGIES,
     UnlearnRequest,
     apply_deletion,
     ced_select,
@@ -214,6 +219,8 @@ class TestDeletionJson:
         ("deleted_positions", [1, "2"], "a list of integers"),
         ("context_prefix", 4, "a list of integers"),
         ("context_full", [1, None], "a list of integers"),
+        ("deleted_positions", [1, True], "a list of integers"),
+        ("context_full", [True], "a list of integers"),
     ])
     def test_wrong_value_type_names_record_and_field(self, field, value, expected):
         rows = json.loads(json.dumps(deletions_to_json(self.results())))
@@ -386,6 +393,127 @@ class TestExecuteUnlearn:
                                   outcome.state.current_train_dataset(),
                                   state.agg_config)
         assert fresh.params_bytes() == outcome.state.aggregation.params_bytes()
+
+
+def with_cache(state):
+    """A copy of the state that owns a freshly built feature cache."""
+    return replace(state, feature_cache=build_feature_cache(state.sub_models, state.corpus))
+
+
+def assert_cache_is_rebuild(state):
+    full = build_feature_cache(state.sub_models, state.corpus)
+    cache = state.feature_cache
+    assert cache.features.dtype == full.features.dtype
+    assert cache.features.tobytes() == full.features.tobytes()
+    assert cache.targets.tobytes() == full.targets.tobytes()
+    assert cache.row_slices == full.row_slices
+
+
+@pytest.fixture(scope="module")
+def wide_state():
+    """Eight shards over 1200 sessions: the feature table (3.4 MB) is the
+    largest array an unlearn call touches."""
+    from sru.config import ExperimentConfig
+    from sru.corpus import split
+    from sru.pipeline import fit_state
+
+    config = ExperimentConfig.defaults(**{
+        "seed": 5, "synthetic.sessions": 1200, "synthetic.items": 40,
+        "synthetic.clusters": 4, "partition.k": 8, "backbone.d": 16,
+        "backbone.epochs": 1, "agg.f": 8, "agg.epochs": 1,
+    })
+    data = generate_synthetic(1200, 40, 4, noise_rate=0.1, seed=5, min_len=6, max_len=10)
+    train, val, _ = split(data, seed=5)
+    return fit_state(train, val, config)
+
+
+class TestFeatureCacheHandover:
+    def requests(self, state):
+        return [UnlearnRequest(state.shards[k].sessions[0].session_id, 2, "NED", 1)
+                for k in (0, 3)]
+
+    def test_new_state_takes_the_cache_and_the_input_stays_valid(self, small_state):
+        state = with_cache(small_state[0])
+        table = state.feature_cache.features
+        requests = self.requests(state)
+        first = execute_unlearn(state, requests)
+        assert state.feature_cache is None
+        assert np.shares_memory(first.state.feature_cache.features, table)
+        assert_cache_is_rebuild(first.state)
+
+        again = execute_unlearn(state, requests)
+        assert state.feature_cache is None
+        for a, b in zip(first.state.sub_models, again.state.sub_models):
+            assert a.params_bytes() == b.params_bytes()
+        assert first.state.centroids.c.tobytes() == again.state.centroids.c.tobytes()
+        assert (first.state.aggregation.params_bytes()
+                == again.state.aggregation.params_bytes())
+        assert (first.state.feature_cache.features.tobytes()
+                == again.state.feature_cache.features.tobytes())
+        assert first.deletions == again.deletions
+
+    def test_a_copy_that_shares_a_handed_over_cache_is_contract_error(self, small_state):
+        # replace() copies the cache reference; after one copy's unlearn
+        # the other's rows are stale, so using them must fail loudly
+        state = with_cache(small_state[0])
+        twin = replace(state)
+        requests = self.requests(state)
+        first = execute_unlearn(state, requests)
+        assert twin.feature_cache is not None and twin.feature_cache.features is None
+        with pytest.raises(ContractError, match="already updated in place"):
+            execute_unlearn(twin, requests)
+        again = execute_unlearn(replace(twin, feature_cache=None), requests)
+        assert (first.state.aggregation.params_bytes()
+                == again.state.aggregation.params_bytes())
+
+    def test_unlearn_allocates_no_second_table(self, wide_state):
+        # the former update wrote a new table beside the old one (2.4x)
+        state = with_cache(wide_state)
+        table = state.feature_cache.features.nbytes
+        requests = [UnlearnRequest(state.shards[1].sessions[0].session_id, 2, "NED", 1)]
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            outcome = execute_unlearn(state, requests)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.state.feature_cache.features.nbytes < table
+        assert peak - start < 1.0 * table
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_in_place_cache_equals_a_rebuild_along_a_chain(self, small_state, data):
+        # Three batches of random requests, one of which names a session
+        # of every shard and drops one of them; after each, the cache
+        # updated in place equals one built from scratch.
+        state = with_cache(small_state[0])
+        every_shard = data.draw(st.integers(0, 2), label="every-shard batch")
+        for step in range(3):
+            sessions = state.corpus.sessions
+            if step == every_shard:
+                picks = [int(np.flatnonzero(state.assignment.shard_of == k)[0])
+                         for k in range(state.assignment.k)]
+            else:
+                picks = data.draw(st.lists(st.integers(0, len(sessions) - 1),
+                                           min_size=1, max_size=4, unique=True))
+            requests = []
+            for j, i in enumerate(picks):
+                s = sessions[i]
+                drop = step == every_shard and j == 0
+                requests.append(UnlearnRequest(
+                    s.session_id,
+                    data.draw(st.integers(0, len(s) - 1)),
+                    "CED" if drop else data.draw(st.sampled_from(STRATEGIES)),
+                    len(s) if drop else data.draw(st.integers(0, 3)),
+                ))
+            outcome = execute_unlearn(state, requests)
+            assert state.feature_cache is None
+            if step == every_shard:
+                assert outcome.deletions[0].dropped
+                assert len(outcome.state.corpus) < len(state.corpus)
+            state = outcome.state
+            assert_cache_is_rebuild(state)
 
 
 class TestRequestFile:
