@@ -129,18 +129,19 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 
 # -- GRU recurrence -----------------------------------------------------------
 #
-# Every GRU pass runs the two step kernels below: the id-matrix loops
-# (``_run_steps``, and ``encode_stacked`` over several models at once)
-# and the single-step cell. The input side of a step, x W + b for all
-# three gates, does not depend on the recurrence, so it is computed
-# before the time loop: for an id matrix as the tables E [W_z|W_r] +
-# [b_z|b_r] (V+1, 2d) and E W_n + b_n (V+1, d), whose rows each step
-# gathers; for the single-step cell from x. Inside the loop a step costs one (d, 2d) product for the packed z|r
-# gates and one (d, d) product for the candidate. The z|r and n blocks
-# are kept apart so that every whole-block operation runs over
-# contiguous memory; numpy is several times slower over the strided
-# column slices of a (n, 3d) buffer. The training backward pass leaves
-# every weight gradient to products over all steps after its loop.
+# Every GRU pass runs the two step kernels below: the training loop
+# (``_run_steps``), the packed inference loop (``_packed_steps``, for one
+# model or several stacked) and the single-step cell. The input side of a
+# step, x W + b for all three gates, does not depend on the recurrence, so
+# it is computed before the time loop: for an id matrix as the tables
+# E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and E W_n + b_n (V+1, d), whose rows
+# each step gathers; for the single-step cell from x. Inside the loop a
+# step costs one (d, 2d) product for the packed z|r gates and one (d, d)
+# product for the candidate. The z|r and n blocks are kept apart so that
+# every whole-block operation runs over contiguous memory; numpy is
+# several times slower over the strided column slices of a (n, 3d)
+# buffer. The training backward pass leaves every weight gradient to
+# products over all steps after its loop.
 
 
 class _GateWeights(NamedTuple):
@@ -259,30 +260,68 @@ def _check_ids(ids: np.ndarray, rows: int) -> None:
         raise IndexError(f"item id {bad} outside vocabulary of size {rows - 1}")
 
 
-def _run_steps(w: _GateWeights, tables, ids, out, keep: bool = False):
-    """Run the GRU from the zero state over a right-padded id matrix
-    (n, L), gathering each step's input side from tables, the pair that
-    ``_input_side`` returns for the embeddings. out[t] receives the state
-    after step t (out is (L, n, d)).
+def _run_steps(w: _GateWeights, tables, ids, out):
+    """Run the GRU from the zero state over every row of a right-padded id
+    matrix (n, L), pads included, gathering each step's input side from
+    tables, the pair that ``_input_side`` returns for the embeddings.
+    out[t] receives the state after step t (out is (L, n, d)).
 
-    With keep, every step's activations are kept for ``_step_backward``
-    and returned as (L, n, .) stacks (zr, n, rh); otherwise one buffer of
-    each is reused at every step and nothing is returned.
+    Every step's activations are kept for ``_step_backward`` and returned
+    as (L, n, .) stacks (zr, n, rh).
     """
     _check_ids(ids, len(tables[0]))
     L, rows, d = out.shape
-    steps = (L,) if keep else ()
-    zr = np.empty(steps + (rows, 2 * d), dtype=out.dtype)
-    gate_n = np.empty(steps + (rows, d), dtype=out.dtype)
+    zr = np.empty((L, rows, 2 * d), dtype=out.dtype)
+    gate_n = np.empty((L, rows, d), dtype=out.dtype)
     rh = np.empty_like(gate_n)
     h = np.zeros((rows, d), dtype=out.dtype)
     for t in range(L):
-        step = t if keep else ...
-        np.take(tables[0], ids[:, t], axis=0, out=zr[step], mode="clip")
-        np.take(tables[1], ids[:, t], axis=0, out=gate_n[step], mode="clip")
-        _step_forward(w, zr[step], gate_n[step], h, rh[step], out[t])
+        np.take(tables[0], ids[:, t], axis=0, out=zr[t], mode="clip")
+        np.take(tables[1], ids[:, t], axis=0, out=gate_n[t], mode="clip")
+        _step_forward(w, zr[t], gate_n[t], h, rh[t], out[t])
         h = out[t]
-    return (zr, gate_n, rh) if keep else None
+    return zr, gate_n, rh
+
+
+def _longest_first(steps: np.ndarray) -> np.ndarray:
+    """Row order for ``_packed_steps``: most steps first, ties in row order."""
+    return np.argsort(-steps, kind="stable")
+
+
+def _packed_steps(w: _GateWeights, tables, ids: np.ndarray, steps: np.ndarray,
+                  order: np.ndarray):
+    """Run the GRU of K stacked models (weights and input tables with a
+    leading K axis) from the zero state over the rows of an id matrix
+    (n, L), row r for its first steps[r] items only.
+
+    The rows run in the ``_longest_first`` order of steps, so at step t
+    the rows with more than t items are the first active[t] of that order
+    and the step runs on those alone: no step runs a pad past a row's
+    end. After step t this yields h (K, active[t], d), the states of rows
+    order[:active[t]]; h is overwritten two steps later, so a consumer
+    copies what it keeps. The pass holds 6 K n d floats of contiguous
+    buffers, each step using a leading part of each.
+    """
+    table_zr, table_n = tables
+    (n, L), K, d = ids.shape, table_n.shape[0], table_n.shape[-1]
+    active = np.count_nonzero(steps[:, None] > np.arange(L), axis=0)
+    cols = ids.T.take(order, axis=1)     # (L, n): step t's ids, longest row first
+    zr_buf = np.empty(K * n * 2 * d, dtype=table_n.dtype)
+    n_buf, rh_buf, h_new_buf = (np.empty(K * n * d, dtype=table_n.dtype) for _ in range(3))
+    h_buf = np.zeros(K * n * d, dtype=table_n.dtype)
+    h = h_buf.reshape(K, n, d)      # the zero state
+    for t in range(L):
+        a = int(active[t])
+        if a == 0:
+            return
+        zr = zr_buf[: K * a * 2 * d].reshape(K, a, 2 * d)
+        gate_n = n_buf[: K * a * d].reshape(K, a, d)
+        h_new = h_new_buf[: K * a * d].reshape(K, a, d)
+        np.take(table_zr, cols[t, :a], axis=1, out=zr, mode="clip")
+        np.take(table_n, cols[t, :a], axis=1, out=gate_n, mode="clip")
+        _step_forward(w, zr, gate_n, h[:, :a], rh_buf[: K * a * d].reshape(K, a, d), h_new)
+        yield h_new
+        h, h_buf, h_new_buf = h_new, h_new_buf, h_buf
 
 
 def _grouped_rows(keys: np.ndarray, blocks, size: int) -> list[np.ndarray]:
@@ -443,45 +482,52 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
 
     Prefix i is row rows[i] of ids after lengths[i] items; an empty
     prefix keeps the zero state. The models run as one stacked pass, one
-    batched product per gate block and step for all of them, and each
-    prefix's state is taken as soon as the pass reaches its length, so
-    no (L, n, d) block of states is kept.
+    batched product per gate block and step for all of them. A row runs
+    only as far as its longest prefix: the rows go longest first, and
+    step t runs on the active[t] rows that still have an item t (see
+    ``_packed_steps``). Each prefix's state is taken as soon as the pass
+    reaches its length, so no (L, n, d) block of states is kept.
     """
     w = _stacked_gate_weights(models)
-    table_zr, table_n = _input_side(w, np.stack([m.embeddings for m in models]))
-    _check_ids(ids, table_n.shape[1])
-    (n, L), K, d = ids.shape, len(models), table_n.shape[-1]
-    out = np.zeros((len(rows), K, d), dtype=table_n.dtype)
-    zr = np.empty((K, n, 2 * d), dtype=out.dtype)
-    gate_n = np.empty((K, n, d), dtype=out.dtype)
-    rh = np.empty((K, n, d), dtype=out.dtype)
-    h = np.zeros((K, n, d), dtype=out.dtype)
-    h_new = np.empty_like(h)
+    tables = _input_side(w, np.stack([m.embeddings for m in models]))
+    _check_ids(ids, tables[1].shape[1])
+    n, K, d = ids.shape[0], len(models), tables[1].shape[-1]
+    out = np.zeros((len(rows), K, d), dtype=tables[1].dtype)
+    steps = np.zeros(n, dtype=np.int64)
+    np.maximum.at(steps, rows, lengths)
+    order = _longest_first(steps)
+    where = np.empty(n, dtype=np.int64)      # where[r]: row r's place in order
+    where[order] = np.arange(n)
     by_length = np.argsort(lengths, kind="stable")
     # prefixes of length t + 1 are by_length[ends[t] : ends[t + 1]]
-    ends = np.searchsorted(lengths[by_length], np.arange(L + 1), side="right")
-    for t in range(L):
-        np.take(table_zr, ids[:, t], axis=1, out=zr, mode="clip")
-        np.take(table_n, ids[:, t], axis=1, out=gate_n, mode="clip")
-        _step_forward(w, zr, gate_n, h, rh, h_new)
-        h, h_new = h_new, h
+    ends = np.searchsorted(lengths[by_length], np.arange(ids.shape[1] + 1), side="right")
+    for t, h in enumerate(_packed_steps(w, tables, ids, steps, order)):
         done = by_length[ends[t] : ends[t + 1]]
-        out[done] = h[:, rows[done]].transpose(1, 0, 2)
+        out[done] = h[:, where[rows[done]]].transpose(1, 0, 2)
     return out
 
 
 def prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
     """GRU states at every position of a right-padded id matrix (n, L).
 
-    states[i, t] is the encoding of ids[i, : t + 1]; entries at or past a
-    row's padding are meaningless and must be masked by the caller. The
-    result is a (n, L, d) view of a time-major block, so that each step
-    writes and reads contiguous memory. Besides it, the pass holds the
-    input tables (V+1, 3d in all) and one (n, 3d) set of gate buffers.
+    states[i, t] is the encoding of ids[i, : t + 1] for every t before
+    the row's last non-pad id; later entries are zero and must be masked
+    by the caller. The rows run longest first, and step t runs on the
+    active[t] rows that still have an item t (see ``_packed_steps``);
+    each step's states go straight to their own rows. The result is a
+    (n, L, d) view of a time-major block, so that each step writes
+    contiguous rows. Besides it, the pass holds the input tables
+    (V+1, 3d in all) and 6 n d floats of step buffers.
     """
-    w = _gate_weights(model.store.params)
-    states = np.empty((ids.shape[1], ids.shape[0], model.d), dtype=model.embeddings.dtype)
-    _run_steps(w, _input_side(w, model.embeddings), ids, states)
+    w = _stacked_gate_weights([model])
+    tables = _input_side(w, model.embeddings[None])
+    _check_ids(ids, tables[1].shape[1])
+    n, L = ids.shape
+    states = np.zeros((L, n, model.d), dtype=model.embeddings.dtype)
+    steps = np.max((ids != 0) * np.arange(1, L + 1), axis=1, initial=0)
+    order = _longest_first(steps)
+    for t, h in enumerate(_packed_steps(w, tables, ids, steps, order)):
+        states[t, order[: h.shape[1]]] = h[0]
     return states.transpose(1, 0, 2)
 
 
@@ -523,7 +569,7 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
     # Time-major: hs[t + 1] is the state after step t, hs[0] the zero state.
     hs = np.empty((T + 1, B, d), dtype=E.dtype)
     hs[0] = 0.0
-    zr, n, rh = _run_steps(w, _input_side(w, E), inp, hs[1:], keep=True)
+    zr, n, rh = _run_steps(w, _input_side(w, E), inp, hs[1:])
 
     H = hs[1:].transpose(1, 0, 2)     # (B, T, d) view
     Hv = H[valid]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .aggregation import AggregationConfig, AggregationModel, ShardCentroids
 from .backbone import BackboneConfig, GruModel
-from .corpus import ItemVocab, Session, SessionDataset
+from .corpus import ItemVocab, Session, SessionDataset, check_sessions
 from .errors import (
     ContractError,
     IntegrityError,
@@ -316,13 +316,16 @@ def load_datasets(path, expected_config_hash: str | None = None,
     vocab = ItemVocab.from_tokens(metadata["vocab"])
     out: dict[str, SessionDataset] = {}
     for tag in tags:
+        session_ids = metadata["session_ids"][tag]
+        _check_item_array(session_ids, tensors[f"{tag}/items"], tensors[f"{tag}/offsets"],
+                          len(vocab))
         offsets = tensors[f"{tag}/offsets"].tolist()
         items = tensors[f"{tag}/items"].tolist()
         clusters = tensors[f"{tag}/clusters"].tolist()
         times = tensors.get(f"{tag}/times")
         times = None if times is None else times.tolist()
         sessions = []
-        for i, sid in enumerate(metadata["session_ids"][tag]):
+        for i, sid in enumerate(session_ids):
             lo, hi = offsets[i], offsets[i + 1]
             sessions.append(Session(
                 session_id=sid,
@@ -330,9 +333,25 @@ def load_datasets(path, expected_config_hash: str | None = None,
                 times=None if times is None else tuple(times[lo:hi]),
                 cluster=None if clusters[i] < 0 else clusters[i],
             ))
-        out[tag] = SessionDataset(sessions=tuple(sessions), vocab=vocab,
-                                  max_len=metadata["max_len"], split_tag=tag)
+        sessions = tuple(sessions)
+        out[tag] = SessionDataset(sessions=sessions, vocab=vocab, max_len=metadata["max_len"],
+                                  split_tag=tag, checked=sessions)
     return out
+
+
+def _check_item_array(session_ids, items: np.ndarray, offsets: np.ndarray,
+                      num_items: int) -> None:
+    """The dataset's session check over one split's flat id array, in one
+    comparison: session i holds items[offsets[i]:offsets[i + 1]]. The
+    first session that fails is checked on its own, which raises the
+    ``ContractError`` that constructing it would."""
+    outside = (items < 1) | (items > num_items)
+    bad = np.diff(offsets) < 2
+    bad[np.searchsorted(offsets, np.flatnonzero(outside), side="right") - 1] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        session = Session(session_ids[i], tuple(items[offsets[i] : offsets[i + 1]].tolist()))
+        check_sessions((session,), num_items)
 
 
 def save_assignment(csv_path, bin_path, assignment: ShardAssignment,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .aggregation import AggregationConfig, CENTROID_SOURCES
 from .backbone import BackboneConfig
@@ -95,6 +95,8 @@ class ExperimentConfig:
     """Validated configuration for one experiment run."""
 
     values: dict
+    # (effective seed, config hash) as ``for_stage`` fixed them
+    _pinned: tuple[int, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -140,8 +142,18 @@ class ExperimentConfig:
 
     # -- derived views -----------------------------------------------------
 
+    def for_stage(self) -> "ExperimentConfig":
+        """This config with its effective seed and hash fixed now: SRU_SEED
+        is read and the canonical text hashed once, and every artifact a
+        stage reads or writes reuses them."""
+        stage = replace(self)
+        object.__setattr__(stage, "_pinned", (self.seed, self.config_hash()))
+        return stage
+
     @property
     def seed(self) -> int:
+        if self._pinned is not None:
+            return self._pinned[0]
         override = os.environ.get("SRU_SEED")
         if override is not None:
             try:
@@ -160,6 +172,8 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
+        if self._pinned is not None:
+            return self._pinned[1]
         payload = self.canonical_text() + f"effective_seed = {self.seed}\n"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

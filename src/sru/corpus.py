@@ -10,8 +10,9 @@ when they batch.
 from __future__ import annotations
 
 import io
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import ContractError, EmptyDatasetError, ParseError
 from .numerics import RngStream
@@ -75,38 +76,52 @@ class Session:
     cluster: int | None = None
 
     def __post_init__(self):
-        if any(i == PAD_ID for i in self.items):
+        if PAD_ID in self.items:
             raise ContractError(f"session {self.session_id!r} contains the pad id")
         if self.times is not None:
             if len(self.times) != len(self.items):
                 raise ContractError(f"session {self.session_id!r}: times/items length mismatch")
-            if any(b < a for a, b in zip(self.times, self.times[1:])):
+            if any(map(operator.lt, self.times[1:], self.times)):
                 raise ContractError(f"session {self.session_id!r}: timestamps decrease")
 
     def __len__(self) -> int:
         return len(self.items)
 
 
+def check_sessions(sessions, num_items: int) -> None:
+    """Every session must hold at least 2 items, each in 1..num_items; the
+    first one that does not raises ``ContractError`` naming it."""
+    for s in sessions:
+        if len(s) < 2:
+            raise ContractError(f"session {s.session_id!r} has fewer than 2 items")
+        if min(s.items) < 1 or max(s.items) > num_items:
+            raise ContractError(f"session {s.session_id!r} has an out-of-vocabulary id")
+
+
 @dataclass(frozen=True)
 class SessionDataset:
-    """A collection of sessions over one shared vocabulary."""
+    """A collection of sessions over one shared vocabulary.
+
+    Each session is checked against the vocabulary once: ``checked``
+    holds sessions that are known to pass (those of a dataset over the
+    same vocabulary, or ones the caller has checked), and only the others
+    are checked here.
+    """
 
     sessions: tuple[Session, ...]
     vocab: ItemVocab
     max_len: int
     split_tag: str = "train"
+    checked: InitVar[tuple[Session, ...]] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         if self.split_tag not in SPLIT_TAGS:
             raise ContractError(f"split_tag must be one of {SPLIT_TAGS}, got {self.split_tag!r}")
         if self.max_len < 2:
             raise ContractError(f"max_len must be >= 2, got {self.max_len}")
-        limit = len(self.vocab) + 1
-        for s in self.sessions:
-            if len(s) < 2:
-                raise ContractError(f"session {s.session_id!r} has fewer than 2 items")
-            if any(not 0 < i < limit for i in s.items):
-                raise ContractError(f"session {s.session_id!r} has an out-of-vocabulary id")
+        if checked is not self.sessions:
+            known = {id(s) for s in checked}
+            check_sessions((s for s in self.sessions if id(s) not in known), len(self.vocab))
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -115,11 +130,14 @@ class SessionDataset:
         return len(self.vocab)
 
     def with_sessions(self, sessions, split_tag=None) -> "SessionDataset":
+        """A dataset over the same vocabulary; sessions carried over from
+        this one are not checked again."""
         return SessionDataset(
             sessions=tuple(sessions),
             vocab=self.vocab,
             max_len=self.max_len,
             split_tag=split_tag or self.split_tag,
+            checked=self.sessions,
         )
 
 

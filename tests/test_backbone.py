@@ -3,11 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sru.backbone import (
     GATE_NAMES,
     BackboneConfig,
     GruModel,
+    _check_ids,
+    _gate_weights,
+    _input_side,
+    _stacked_gate_weights,
+    _step_forward,
     encode,
     encode_batch,
     encode_stacked,
@@ -490,8 +497,12 @@ class TestRecurrenceMatchesParent:
     def test_prefix_states(self, n, L):
         model = random_model(20, 6, 14, seed=n * 100 + L)
         ids = ragged_ids(np.random.default_rng(L), n, L, 20)
-        np.testing.assert_allclose(prefix_states(model, ids),
-                                   parent_prefix_states(model, ids), rtol=0, atol=1e-12)
+        states = prefix_states(model, ids)
+        # the pass stops at each row's last item and leaves the rest zero
+        inside = ids != 0
+        np.testing.assert_allclose(states[inside], parent_prefix_states(model, ids)[inside],
+                                   rtol=0, atol=1e-12)
+        assert not states[~inside].any()
 
     @pytest.mark.parametrize("n, L", SHAPES)
     def test_sequence_loss_and_grads(self, n, L):
@@ -511,7 +522,8 @@ class TestRecurrenceMatchesParent:
         ids = ragged_ids(np.random.default_rng(6), 256, 14, 200)
         states = prefix_states(model, ids)
         assert states.dtype == np.float32
-        assert np.abs(states - parent_prefix_states(oracle, ids)).max() <= 1e-5
+        inside = ids != 0
+        assert np.abs(states - parent_prefix_states(oracle, ids))[inside].max() <= 1e-5
         loss, _, grads = grads_after(sequence_loss_and_grads, model, ids)
         ref_loss, _, ref = grads_after(parent_sequence_loss_and_grads, oracle, ids)
         assert loss == pytest.approx(ref_loss, rel=1e-5)
@@ -620,3 +632,122 @@ class TestPadPrefixesMatchesParent:
         with pytest.raises(IndexError, match=f"item id {bad} outside"):
             pad_prefixes(tiny_model(num_items=6), [[1, 2], [3, bad, 9]])
 
+
+
+# -- packed passes against the all-rows loops they replaced -----------------------
+
+
+def allrows_prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
+    """The all-rows ``prefix_states``: every row runs all L steps, pads
+    included, and states[i, t] is the state after ids[i, : t + 1]."""
+    w = _gate_weights(model.store.params)
+    states = np.empty((ids.shape[1], ids.shape[0], model.d), dtype=model.embeddings.dtype)
+    tables = _input_side(w, model.embeddings)
+    _check_ids(ids, len(tables[0]))
+    L, rows, d = states.shape
+    zr = np.empty((rows, 2 * d), dtype=states.dtype)
+    gate_n = np.empty((rows, d), dtype=states.dtype)
+    rh = np.empty_like(gate_n)
+    h = np.zeros((rows, d), dtype=states.dtype)
+    for t in range(L):
+        np.take(tables[0], ids[:, t], axis=0, out=zr, mode="clip")
+        np.take(tables[1], ids[:, t], axis=0, out=gate_n, mode="clip")
+        _step_forward(w, zr, gate_n, h, rh, states[t])
+        h = states[t]
+    return states.transpose(1, 0, 2)
+
+
+def allrows_encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
+                           lengths: np.ndarray) -> np.ndarray:
+    """The all-rows ``encode_stacked``: every row runs all L steps."""
+    w = _stacked_gate_weights(models)
+    table_zr, table_n = _input_side(w, np.stack([m.embeddings for m in models]))
+    _check_ids(ids, table_n.shape[1])
+    (n, L), K, d = ids.shape, len(models), table_n.shape[-1]
+    out = np.zeros((len(rows), K, d), dtype=table_n.dtype)
+    zr = np.empty((K, n, 2 * d), dtype=out.dtype)
+    gate_n = np.empty((K, n, d), dtype=out.dtype)
+    rh = np.empty((K, n, d), dtype=out.dtype)
+    h = np.zeros((K, n, d), dtype=out.dtype)
+    h_new = np.empty_like(h)
+    by_length = np.argsort(lengths, kind="stable")
+    # prefixes of length t + 1 are by_length[ends[t] : ends[t + 1]]
+    ends = np.searchsorted(lengths[by_length], np.arange(L + 1), side="right")
+    for t in range(L):
+        np.take(table_zr, ids[:, t], axis=1, out=zr, mode="clip")
+        np.take(table_n, ids[:, t], axis=1, out=gate_n, mode="clip")
+        _step_forward(w, zr, gate_n, h, rh, h_new)
+        h, h_new = h_new, h
+        done = by_length[ends[t] : ends[t + 1]]
+        out[done] = h[:, rows[done]].transpose(1, 0, 2)
+    return out
+
+
+BOUND = {"float64": 1e-12, "float32": 1e-6}
+
+
+@st.composite
+def ragged_batches(draw):
+    """(num_items, max_len, dtype, prefixes): prefixes may be empty, hold
+    pads, repeat or extend one another, run past max_len, or all share
+    one length; a batch may hold a single row."""
+    num_items = draw(st.integers(1, 12))
+    max_len = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from(sorted(BOUND)))
+    item = st.integers(0, num_items)
+    shape = draw(st.sampled_from(["ragged", "single", "same length"]))
+    if shape == "single":
+        return num_items, max_len, dtype, [draw(st.lists(item, max_size=2 * max_len))]
+    if shape == "same length":
+        size = draw(st.integers(1, 2 * max_len))
+        rows = draw(st.lists(st.lists(st.integers(1, num_items), min_size=size,
+                                      max_size=size), min_size=1, max_size=8))
+        return num_items, max_len, dtype, rows
+    prefixes = []
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["new", "duplicate", "nested"] if prefixes else ["new"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "new":
+            prefixes.append(draw(st.lists(item, max_size=2 * max_len)))
+        else:
+            source = prefixes[draw(st.integers(0, len(prefixes) - 1))]
+            cut = len(source) if kind == "duplicate" else draw(st.integers(0, len(source)))
+            prefixes.append(list(source[:cut]))
+    return num_items, max_len, dtype, prefixes
+
+
+# a batch whose rows all end at different steps, tried on every run
+RAGGED = (5, 4, "float64", [[1], [2, 3, 4, 5, 1], [], [2, 3], [0, 4], [2, 3, 4]])
+
+
+class TestPackedMatchesAllRows:
+    @settings(max_examples=80, deadline=None)
+    @given(batch=ragged_batches(), k=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(batch=RAGGED, k=2, seed=0)
+    def test_encode_stacked(self, batch, k, seed):
+        num_items, max_len, dtype, prefixes = batch
+        models = [random_model(num_items, 3, max_len, seed + j, dtype) for j in range(k)]
+        triple = pad_prefixes(models[0], prefixes)
+        got = encode_stacked(models, *triple)
+        want = allrows_encode_stacked(models, *triple)
+        assert got.shape == want.shape == (len(prefixes), k, 3)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(got, want, rtol=0, atol=BOUND[dtype])
+        for j, model in enumerate(models):
+            for i, prefix in enumerate(prefixes):
+                np.testing.assert_allclose(got[i, j], encode(model, prefix),
+                                           rtol=0, atol=BOUND[dtype])
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=ragged_batches(), seed=st.integers(0, 2**16))
+    @example(batch=RAGGED, seed=0)
+    def test_prefix_states(self, batch, seed):
+        num_items, max_len, dtype, prefixes = batch
+        model = random_model(num_items, 3, max_len, seed, dtype)
+        ids, lengths = padded_items([[i for i in p if i] for p in prefixes], max_len)
+        got = prefix_states(model, ids)
+        want = allrows_prefix_states(model, ids)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.dtype(dtype)
+        inside = np.arange(ids.shape[1]) < lengths[:, None]
+        np.testing.assert_allclose(got[inside], want[inside], rtol=0, atol=BOUND[dtype])
+        assert not got[~inside].any()

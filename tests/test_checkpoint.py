@@ -19,7 +19,7 @@ from sru.checkpoint import (
     save_datasets,
     write_atomic,
 )
-from sru.corpus import generate_synthetic, split
+from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic, split
 from sru.errors import (
     ContractError,
     IntegrityError,
@@ -158,6 +158,46 @@ class TestDatasetRoundTrip:
         save_datasets(path, {"train": data})
         loaded = load_datasets(path)["train"]
         assert [s.cluster for s in loaded.sessions] == [s.cluster for s in data.sessions]
+
+
+def write_train_split(path, rows):
+    """A dataset container whose train split holds the given (id, items)
+    rows over the vocabulary 1..5, unchecked."""
+    vocab = ItemVocab.from_tokens(["a", "b", "c", "d", "e"])
+    save_datasets(path, {"train": SessionDataset((Session("x", (1, 2)),), vocab, 10)})
+    tensors, metadata = load_container(path)
+    tensors["train/items"] = np.array([i for _, items in rows for i in items], dtype=np.int64)
+    tensors["train/offsets"] = np.cumsum([0] + [len(items) for _, items in rows])
+    tensors["train/clusters"] = np.full(len(rows), -1, dtype=np.int64)
+    metadata["session_ids"]["train"] = [sid for sid, _ in rows]
+    save_container(path, tensors, metadata)
+
+
+BAD_SESSIONS = [((1, 0, 2), "contains the pad id"), ((1, 6), "has an out-of-vocabulary id"),
+                ((3,), "has fewer than 2 items")]
+
+
+class TestDatasetLoadChecks:
+    @pytest.mark.parametrize("items, problem", BAD_SESSIONS)
+    def test_bad_session_is_named(self, tmp_path, items, problem):
+        path = tmp_path / "d.sru"
+        write_train_split(path, [("ok", (1, 5)), ("bad", items), ("ok2", (2, 3, 4))])
+        with pytest.raises(ContractError, match=f"session 'bad' {problem}"):
+            load_datasets(path)
+
+    def test_first_bad_session_is_named(self, tmp_path):
+        path = tmp_path / "d.sru"
+        write_train_split(path, [("ok", (1, 5)), ("short", (2,)), ("pad", (0, 1)),
+                                 ("outside", (9, 1))])
+        with pytest.raises(ContractError, match="session 'short' has fewer than 2 items"):
+            load_datasets(path)
+
+    def test_good_sessions_load(self, tmp_path):
+        path = tmp_path / "d.sru"
+        write_train_split(path, [("ok", (1, 5)), ("ok2", (2, 3, 4))])
+        loaded = load_datasets(path)["train"]
+        assert [(s.session_id, s.items) for s in loaded.sessions] == [
+            ("ok", (1, 5)), ("ok2", (2, 3, 4))]
 
 
 class TestAssignmentRoundTrip:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sru import corpus
 from sru.corpus import (
     ItemVocab,
     Session,
@@ -16,6 +17,8 @@ from sru.corpus import (
     split,
 )
 from sru.errors import ContractError, EmptyDatasetError, ParseError
+from sru.partition import ShardAssignment, make_shards
+from sru.unlearning import UnlearnRequest, apply_deletion
 
 
 def tsv(rows):
@@ -203,3 +206,51 @@ class TestTypes:
         vocab = ItemVocab.from_tokens(["a", "b"])
         with pytest.raises(ContractError):
             SessionDataset(sessions=(Session("s", (1, 3)),), vocab=vocab, max_len=10)
+
+
+class TestSessionChecks:
+    def dataset(self):
+        vocab = ItemVocab.from_tokens(["a", "b", "c", "d", "e"])
+        return SessionDataset((Session("ok", (1, 5)), Session("ok2", (2, 3, 4))), vocab, 10)
+
+    @pytest.mark.parametrize("items, problem", [
+        ((1, 0, 2), "contains the pad id"), ((1, 6), "has an out-of-vocabulary id"),
+        ((3,), "has fewer than 2 items")])
+    def test_new_session_is_named_at_construction(self, items, problem):
+        data = self.dataset()
+        with pytest.raises(ContractError, match=f"session 'bad' {problem}"):
+            data.with_sessions(data.sessions + (Session("bad", items),))
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        check = corpus.check_sessions
+
+        def spy(sessions, num_items):
+            sessions = list(sessions)
+            seen.extend(s.session_id for s in sessions)
+            check(sessions, num_items)
+        monkeypatch.setattr(corpus, "check_sessions", spy)
+        return seen
+
+    def test_carried_over_sessions_are_not_checked_again(self, checked):
+        data = self.dataset()
+        checked.clear()
+        data.with_sessions((data.sessions[1], Session("new", (4, 2))))
+        assert checked == ["new"]
+
+    def test_shards_check_no_session(self, checked):
+        data = generate_synthetic(20, 30, 2, seed=1)
+        assignment = ShardAssignment.from_members(
+            (range(0, 20, 2), range(1, 20, 2)), np.zeros((2, 4)), iterations_run=1, delta=10)
+        checked.clear()
+        shards = make_shards(data, assignment)
+        assert checked == [] and sum(len(s) for s in shards) == 20
+
+    def test_deletion_checks_only_the_rewritten_session(self, checked):
+        data = generate_synthetic(20, 30, 2, seed=1)
+        victim = data.sessions[3]
+        checked.clear()
+        after, _ = apply_deletion(data, [(UnlearnRequest(victim.session_id, 1, "CED", 0), [1])])
+        assert checked == [victim.session_id]
+        assert after.sessions[3].items == victim.items[:1] + victim.items[2:]

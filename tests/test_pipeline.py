@@ -17,6 +17,7 @@ from sru.checkpoint import (
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
+from sru.numerics import derive_seed
 from sru.partition import ShardAssignment
 from sru.pipeline import _check_audit_items, _load, _save, fit_state, load_state, run_pipeline
 from sru.unlearning import (
@@ -203,6 +204,36 @@ class TestStageDependencies:
         with pytest.raises(StageDependencyError, match=re.escape(expected)):
             run_pipeline(stage, tiny_config(), run_dir,
                          requests_path=run_dir / "requests.csv")
+
+
+class TestStageConfig:
+    def test_each_stage_hashes_the_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        canonical_text = ExperimentConfig.canonical_text
+        monkeypatch.setattr(ExperimentConfig, "canonical_text",
+                            lambda self: calls.append(self) or canonical_text(self))
+        config = tiny_config()
+        requests = tmp_path / "requests.csv"
+        for stage in (*ALL_TRAIN_STAGES, "eval", "unlearn", "effectiveness"):
+            if stage == "unlearn":
+                train = load_datasets(tmp_path / "dataset.sru")["train"]
+                save_requests(sample_requests(train, count=2, strategy="CED", n_extra=1,
+                                              seed=3, min_target_position=2), requests)
+            calls.clear()
+            assert run_pipeline(stage, config, tmp_path, requests_path=requests) == 0
+            assert len(calls) == 1, stage
+
+    def test_stage_config_reads_the_seed_override_once(self, monkeypatch):
+        config = tiny_config()
+        monkeypatch.setenv("SRU_SEED", "99")
+        stage_config = config.for_stage()
+        override_hash = config.config_hash()
+        monkeypatch.delenv("SRU_SEED")
+        assert stage_config == config
+        assert stage_config.seed == 99 and config.seed == 7
+        assert stage_config.config_hash() == override_hash != config.config_hash()
+        assert stage_config.backbone_config("pretrain") == replace(
+            config.backbone_config("pretrain"), seed=derive_seed(99, "pretrain"))
 
 
 class TestDispatch:
