@@ -35,8 +35,7 @@ from .backbone import (
     encode_batch,
     encode_stacked,
     pad_prefixes,
-    padded_items,
-    prefix_states,
+    training_points,
 )
 from .corpus import SessionDataset
 from .errors import ContractError, DimensionError
@@ -391,38 +390,30 @@ class FeatureCache:
                             row_slices=self.row_slices)
 
 
-def _row_layout(sessions, max_len: int):
-    """(row_slices, targets): each session's (start, count) block of
-    training rows, and the next item at every row."""
-    slices: dict[str, tuple[int, int]] = {}
-    targets: list[int] = []
-    for s in sessions:
-        tail = s.items[-max_len:]
-        slices[s.session_id] = (len(targets), max(0, len(tail) - 1))
-        targets.extend(tail[1:])
-    return slices, np.array(targets, dtype=np.int64)
-
-
-def _pair_states(model, sessions) -> np.ndarray:
-    """Stacked prefix states at every training position of the given
-    sessions (their last max_len items), session-major order."""
-    ids, _ = padded_items([s.items for s in sessions], model.max_len)
-    states = prefix_states(model, ids)
-    valid = ids[:, 1:] != 0
-    return states[:, :-1][valid]
+def _layout(sessions, max_len: int):
+    """(points, targets, row_slices) of the training rows of sessions:
+    the ``training_points`` of their items, and each session's (start,
+    count) block of rows."""
+    points, targets = training_points([s.items for s in sessions], max_len)
+    counts = np.bincount(points[1], minlength=len(sessions))
+    starts = np.cumsum(counts) - counts
+    slices = dict(zip((s.session_id for s in sessions),
+                      zip(starts.tolist(), counts.tolist())))
+    return points, targets, slices
 
 
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     """Per-position hidden states of every sub-model over one dataset:
     features (P, K, d) and targets (P,), where P runs over all (prefix,
-    next-item) training points in session order. Each sub-model's states
-    are written into its column of the one table. Sub-models are only
-    read, never written."""
-    slices, targets = _row_layout(dataset.sessions, sub_models[0].max_len)
+    next-item) training points in session order. Each sub-model runs its
+    own ``encode_stacked`` pass, written into its column of the one
+    table, so that the pass's result is one column and not a second
+    table. Sub-models are only read, never written."""
+    points, targets, slices = _layout(dataset.sessions, sub_models[0].max_len)
     dtype = np.result_type(*(m.embeddings.dtype for m in sub_models))
     features = np.empty((len(targets), len(sub_models), sub_models[0].d), dtype=dtype)
     for c, model in enumerate(sub_models):
-        features[:, c] = _pair_states(model, dataset.sessions)
+        features[:, c] = encode_stacked([model], *points)[:, 0]
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 
@@ -442,17 +433,18 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     sub-model too). Deletions only remove rows and keep the session
     order, so each reused session moves to an equal or lower row; the
     reused runs are moved first, in ascending order, then the fresh rows
-    and dirty columns are overwritten. The result's table is a prefix of
+    and dirty columns are overwritten: the fresh rows of all clean
+    columns by one stacked pass over the clean sub-models, each dirty
+    column by a pass of its own. The result's table is a prefix of
     ``cache.features``, whose rows are overwritten, so ``cache`` gives up
     its buffer (its ``features`` becomes None) and updating it again
     raises ContractError. So does a layout that needs more rows than the
     buffer holds, or that moves a reused session to a later row.
     """
     k = len(sub_models)
-    max_len = sub_models[0].max_len
     dirty = sorted(set(dirty_shards))
     changed = set(changed_session_ids)
-    slices, targets = _row_layout(dataset.sessions, max_len)
+    points, targets, slices = _layout(dataset.sessions, sub_models[0].max_len)
     buffer = cache.features
     if buffer is None:
         raise ContractError(
@@ -468,11 +460,11 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
 
     fresh = []
     runs: list[list[int]] = []    # [old start, new start, rows], merged where contiguous
-    for s in dataset.sessions:
+    for i, s in enumerate(dataset.sessions):
         start, n = slices[s.session_id]
         old = cache.row_slices.get(s.session_id)
         if s.session_id in changed or old is None:
-            fresh.append(s)
+            fresh.append(i)
             continue
         if old[0] < start or old[1] != n:
             raise ContractError(
@@ -495,11 +487,13 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
                 dst, src = new_start + i, old_start + i
                 features[dst : dst + m] = buffer[src : src + m]
     if clean_cols and fresh:
-        rows = np.concatenate([np.arange(*_span(slices[s.session_id])) for s in fresh])
-        for c in clean_cols:
-            features[rows, c] = _pair_states(sub_models[c], fresh)
+        fresh_points, _ = training_points(
+            [dataset.sessions[i].items for i in fresh], sub_models[0].max_len)
+        rows = np.flatnonzero(np.isin(points[1], fresh))
+        features[rows[:, None], clean_cols] = encode_stacked(
+            [sub_models[c] for c in clean_cols], *fresh_points)
     for c in dirty:
-        features[:, c] = _pair_states(sub_models[c], dataset.sessions)
+        features[:, c] = encode_stacked([sub_models[c]], *points)[:, 0]
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 

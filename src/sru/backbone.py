@@ -24,6 +24,7 @@ from .numerics import (
     _sigmoid_of_half,
     adam_step,
     cross_entropy_rows,
+    ndcg_gains,
     ranks_from_logits,
     sigmoid,  # noqa: F401 -- unused; bench/test_bench.py checks its tracer patches it here
     xavier_uniform,
@@ -130,18 +131,21 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 # -- GRU recurrence -----------------------------------------------------------
 #
 # Every GRU pass runs the two step kernels below: the training loop
-# (``_run_steps``), the packed inference loop (``_packed_steps``, for one
-# model or several stacked) and the single-step cell. The input side of a
-# step, x W + b for all three gates, does not depend on the recurrence, so
-# it is computed before the time loop: for an id matrix as the tables
-# E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and E W_n + b_n (V+1, d), whose rows
-# each step gathers; for the single-step cell from x. Inside the loop a
-# step costs one (d, 2d) product for the packed z|r gates and one (d, d)
-# product for the candidate. The z|r and n blocks are kept apart so that
-# every whole-block operation runs over contiguous memory; numpy is
-# several times slower over the strided column slices of a (n, 3d)
-# buffer. The training backward pass leaves every weight gradient to
-# products over all steps after its loop.
+# (``_run_steps``), the single-step cell, and the one packed inference
+# pass, ``encode_stacked``, for one model or several stacked. Every
+# state that is read rather than trained comes from that pass:
+# predictions and centroids through ``pad_prefixes``, the feature table
+# and the validation metric through ``training_points``. The input side
+# of a step, x W + b for all three gates, does not depend on the
+# recurrence, so it is computed before the time loop: for an id matrix
+# as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and E W_n + b_n
+# (V+1, d), whose rows each step gathers; for the single-step cell from
+# x. Inside the loop a step costs one (d, 2d) product for the packed z|r
+# gates and one (d, d) product for the candidate. The z|r and n blocks
+# are kept apart so that every whole-block operation runs over
+# contiguous memory; numpy is several times slower over the strided
+# column slices of a (n, 3d) buffer. The training backward pass leaves
+# every weight gradient to products over all steps after its loop.
 
 
 class _GateWeights(NamedTuple):
@@ -283,47 +287,6 @@ def _run_steps(w: _GateWeights, tables, ids, out):
     return zr, gate_n, rh
 
 
-def _longest_first(steps: np.ndarray) -> np.ndarray:
-    """Row order for ``_packed_steps``: most steps first, ties in row order."""
-    return np.argsort(-steps, kind="stable")
-
-
-def _packed_steps(w: _GateWeights, tables, ids: np.ndarray, steps: np.ndarray,
-                  order: np.ndarray):
-    """Run the GRU of K stacked models (weights and input tables with a
-    leading K axis) from the zero state over the rows of an id matrix
-    (n, L), row r for its first steps[r] items only.
-
-    The rows run in the ``_longest_first`` order of steps, so at step t
-    the rows with more than t items are the first active[t] of that order
-    and the step runs on those alone: no step runs a pad past a row's
-    end. After step t this yields h (K, active[t], d), the states of rows
-    order[:active[t]]; h is overwritten two steps later, so a consumer
-    copies what it keeps. The pass holds 6 K n d floats of contiguous
-    buffers, each step using a leading part of each.
-    """
-    table_zr, table_n = tables
-    (n, L), K, d = ids.shape, table_n.shape[0], table_n.shape[-1]
-    active = np.count_nonzero(steps[:, None] > np.arange(L), axis=0)
-    cols = ids.T.take(order, axis=1)     # (L, n): step t's ids, longest row first
-    zr_buf = np.empty(K * n * 2 * d, dtype=table_n.dtype)
-    n_buf, rh_buf, h_new_buf = (np.empty(K * n * d, dtype=table_n.dtype) for _ in range(3))
-    h_buf = np.zeros(K * n * d, dtype=table_n.dtype)
-    h = h_buf.reshape(K, n, d)      # the zero state
-    for t in range(L):
-        a = int(active[t])
-        if a == 0:
-            return
-        zr = zr_buf[: K * a * 2 * d].reshape(K, a, 2 * d)
-        gate_n = n_buf[: K * a * d].reshape(K, a, d)
-        h_new = h_new_buf[: K * a * d].reshape(K, a, d)
-        np.take(table_zr, cols[t, :a], axis=1, out=zr, mode="clip")
-        np.take(table_n, cols[t, :a], axis=1, out=gate_n, mode="clip")
-        _step_forward(w, zr, gate_n, h[:, :a], rh_buf[: K * a * d].reshape(K, a, d), h_new)
-        yield h_new
-        h, h_buf, h_new_buf = h_new, h_new_buf, h_buf
-
-
 def _grouped_rows(keys: np.ndarray, blocks, size: int) -> list[np.ndarray]:
     """Per-key row sums of each block: out[k] sums the rows i of a block
     with keys[i] == k. Returns one (size, width) array per block."""
@@ -405,19 +368,48 @@ def encode(model: GruModel, prefix) -> np.ndarray:
     return h[0]
 
 
+def _right_padded(items: np.ndarray, stop: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(n, L) id matrix, L >= 1, whose row i holds the lengths[i] items
+    that end just before items[stop[i]], then pads."""
+    width = max(1, int(lengths.max())) if lengths.size else 1
+    cols = np.arange(width)
+    inside = cols < lengths[:, None]
+    padded = np.zeros((lengths.size, width), dtype=np.int64)
+    padded[inside] = items[((stop - lengths)[:, None] + cols)[inside]]
+    return padded
+
+
 def padded_items(rows, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad item sequences, each cut to its last ``limit`` items.
 
     Returns (ids, lengths): ids is (n, L) with L >= 1 and lengths[i] is
     the number of items kept in row i.
     """
-    rows = [r[-limit:] for r in rows]
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    L = max(1, int(lengths.max())) if rows else 1
-    ids = np.zeros((len(rows), L), dtype=np.int64)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-    return ids, lengths
+    rows = list(rows)
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    items = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                        count=int(sizes.sum()))
+    lengths = np.minimum(sizes, limit)
+    return _right_padded(items, np.cumsum(sizes), lengths), lengths
+
+
+def training_points(sequences, limit: int):
+    """Every (prefix, next item) point of each sequence's last ``limit``
+    items, sequence by sequence and shortest prefix first.
+
+    Returns ((ids, rows, lengths), targets): a ``pad_prefixes`` triple
+    with one padded row per sequence, in which point j is the first
+    lengths[j] items of row rows[j], and targets[j] is the item after
+    them. ``encode_stacked(models, *points)`` is then the table of
+    states at every point, each row running one step short of its end.
+    """
+    ids, sizes = padded_items(sequences, limit)
+    counts = np.maximum(sizes - 1, 0)
+    rows = np.repeat(np.arange(sizes.size), counts)
+    # point j is number j - first[rows[j]] of its row, counted from 0
+    first = np.cumsum(counts) - counts
+    lengths = np.arange(1, rows.size + 1) - first[rows]
+    return (ids, rows, lengths), ids[rows, lengths]
 
 
 def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -445,24 +437,19 @@ def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.
         bad = flat[outside][0]
         raise IndexError(f"item id {bad} outside vocabulary of size {model.num_items}")
     keep = flat != 0
-    items = flat[keep]
     # kept[j] counts the non-pad ids in flat[:j]; prefix i keeps the items
-    # that end just before items[stop[i]]
+    # that end just before flat[keep][stop[i]]
     kept = np.concatenate(([0], np.cumsum(keep)))
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     stop = kept[bounds[1:]]
     lengths = np.minimum(stop - kept[bounds[:-1]], model.max_len)
-    width = max(1, int(lengths.max())) if n else 1
-    cols = np.arange(width)
-    inside = cols < lengths[:, None]
-    padded = np.zeros((n, width), dtype=np.int64)
-    padded[inside] = items[((stop - lengths)[:, None] + cols)[inside]]
+    padded = _right_padded(flat[keep], stop, lengths)
     # Pads (0) sort below every item, so row order is list order; the
     # narrowest key type makes the sort several times faster.
     keys = padded.astype(np.min_scalar_type(model.num_items))
     walk = np.lexsort(keys.T[::-1])[::-1]
     ordered = padded[walk]
-    within = cols >= lengths[walk][1:, None]
+    within = np.arange(padded.shape[1]) >= lengths[walk][1:, None]
     new = np.ones(n, dtype=bool)
     new[1:] = ~np.all((ordered[1:] == ordered[:-1]) | within, axis=1)
     rows = np.empty(n, dtype=np.int64)
@@ -481,54 +468,50 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
     of several models that share a vocabulary: (len(rows), K, d).
 
     Prefix i is row rows[i] of ids after lengths[i] items; an empty
-    prefix keeps the zero state. The models run as one stacked pass, one
-    batched product per gate block and step for all of them. A row runs
-    only as far as its longest prefix: the rows go longest first, and
-    step t runs on the active[t] rows that still have an item t (see
-    ``_packed_steps``). Each prefix's state is taken as soon as the pass
-    reaches its length, so no (L, n, d) block of states is kept.
+    prefix keeps the zero state. This is the one packed inference pass.
+    The models run stacked, one batched product per gate block and step
+    for all of them, and a row runs only as far as its longest prefix:
+    the rows go longest first (ties in row order), so at step t the rows
+    with more than t steps are the leading active[t] ones, and the step
+    runs on those alone. Each prefix's state is taken as soon as the
+    pass reaches its length, so no (L, n, d) block of states is kept.
+    Besides the result, the pass holds the input tables (K, V+1, 3d in
+    all) and 6 K n d floats of step buffers, each step using a leading
+    part of each.
     """
     w = _stacked_gate_weights(models)
-    tables = _input_side(w, np.stack([m.embeddings for m in models]))
-    _check_ids(ids, tables[1].shape[1])
-    n, K, d = ids.shape[0], len(models), tables[1].shape[-1]
-    out = np.zeros((len(rows), K, d), dtype=tables[1].dtype)
+    table_zr, table_n = _input_side(w, np.stack([m.embeddings for m in models]))
+    _check_ids(ids, table_n.shape[1])
+    (n, L), K, d = ids.shape, len(models), table_n.shape[-1]
+    out = np.zeros((len(rows), K, d), dtype=table_n.dtype)
     steps = np.zeros(n, dtype=np.int64)
     np.maximum.at(steps, rows, lengths)
-    order = _longest_first(steps)
+    order = np.argsort(-steps, kind="stable")
     where = np.empty(n, dtype=np.int64)      # where[r]: row r's place in order
     where[order] = np.arange(n)
+    active = np.count_nonzero(steps[:, None] > np.arange(L), axis=0)
+    cols = ids.T.take(order, axis=1)         # (L, n): step t's ids, longest row first
     by_length = np.argsort(lengths, kind="stable")
     # prefixes of length t + 1 are by_length[ends[t] : ends[t + 1]]
-    ends = np.searchsorted(lengths[by_length], np.arange(ids.shape[1] + 1), side="right")
-    for t, h in enumerate(_packed_steps(w, tables, ids, steps, order)):
+    ends = np.searchsorted(lengths[by_length], np.arange(L + 1), side="right")
+    zr_buf = np.empty(K * n * 2 * d, dtype=out.dtype)
+    n_buf, rh_buf, h_new_buf = (np.empty(K * n * d, dtype=out.dtype) for _ in range(3))
+    h_buf = np.zeros(K * n * d, dtype=out.dtype)
+    h = h_buf.reshape(K, n, d)      # the zero state
+    for t in range(L):
+        a = int(active[t])
+        if a == 0:
+            break
+        zr = zr_buf[: K * a * 2 * d].reshape(K, a, 2 * d)
+        gate_n = n_buf[: K * a * d].reshape(K, a, d)
+        h_new = h_new_buf[: K * a * d].reshape(K, a, d)
+        np.take(table_zr, cols[t, :a], axis=1, out=zr, mode="clip")
+        np.take(table_n, cols[t, :a], axis=1, out=gate_n, mode="clip")
+        _step_forward(w, zr, gate_n, h[:, :a], rh_buf[: K * a * d].reshape(K, a, d), h_new)
         done = by_length[ends[t] : ends[t + 1]]
-        out[done] = h[:, where[rows[done]]].transpose(1, 0, 2)
+        out[done] = h_new[:, where[rows[done]]].transpose(1, 0, 2)
+        h, h_buf, h_new_buf = h_new, h_new_buf, h_buf
     return out
-
-
-def prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
-    """GRU states at every position of a right-padded id matrix (n, L).
-
-    states[i, t] is the encoding of ids[i, : t + 1] for every t before
-    the row's last non-pad id; later entries are zero and must be masked
-    by the caller. The rows run longest first, and step t runs on the
-    active[t] rows that still have an item t (see ``_packed_steps``);
-    each step's states go straight to their own rows. The result is a
-    (n, L, d) view of a time-major block, so that each step writes
-    contiguous rows. Besides it, the pass holds the input tables
-    (V+1, 3d in all) and 6 n d floats of step buffers.
-    """
-    w = _stacked_gate_weights([model])
-    tables = _input_side(w, model.embeddings[None])
-    _check_ids(ids, tables[1].shape[1])
-    n, L = ids.shape
-    states = np.zeros((L, n, model.d), dtype=model.embeddings.dtype)
-    steps = np.max((ids != 0) * np.arange(1, L + 1), axis=1, initial=0)
-    order = _longest_first(steps)
-    for t, h in enumerate(_packed_steps(w, tables, ids, steps, order)):
-        states[t, order[: h.shape[1]]] = h[0]
-    return states.transpose(1, 0, 2)
 
 
 def score(model: GruModel, h: np.ndarray) -> np.ndarray:
@@ -611,15 +594,11 @@ def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float):
 
 def validation_ndcg(model: GruModel, dataset: SessionDataset, k: int = 20) -> float:
     """Mean NDCG@k over every (prefix, next-item) point of a dataset."""
-    ids, _ = padded_items([s.items for s in dataset.sessions], model.max_len)
-    states = prefix_states(model, ids)
-    tgt = ids[:, 1:]
-    valid = tgt != 0
-    Hv = states[:, :-1][valid]
+    points, targets = training_points([s.items for s in dataset.sessions], model.max_len)
+    H = encode_stacked([model], *points)[:, 0]
     # Id-indexed: column 0 scores the zero pad row and is never ranked.
-    ranks = ranks_from_logits(Hv @ model.embeddings.T, tgt[valid])
-    gains = np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0)
-    return float(gains.mean())
+    ranks = ranks_from_logits(H @ model.embeddings.T, targets)
+    return float(ndcg_gains(ranks, k).mean())
 
 
 def train_backbone(dataset: SessionDataset, config: BackboneConfig,

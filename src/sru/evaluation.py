@@ -18,7 +18,7 @@ from .aggregation import build_feature_cache
 from .backbone import BackboneConfig, train_backbone
 from .corpus import SessionDataset
 from .errors import ContractError
-from .numerics import RngStream, derive_seed, rank_from_logits, ranks_from_logits
+from .numerics import RngStream, derive_seed, ndcg_gains, rank_from_logits, ranks_from_logits
 from .reports import EffectivenessReport, RankingReport, TimingReport
 from .unlearning import execute_unlearn
 
@@ -36,9 +36,7 @@ def metrics_at_k(rank: int, k: int) -> tuple[float, float]:
     """(recall, ndcg) of a single-target ranking cut at k."""
     if rank < 1 or k < 1:
         raise ContractError(f"rank and K must be >= 1, got rank={rank}, K={k}")
-    if rank > k:
-        return 0.0, 0.0
-    return 1.0, 1.0 / float(np.log2(1.0 + rank))
+    return float(rank <= k), float(ndcg_gains(rank, k))
 
 
 def _eval_points(dataset: SessionDataset):
@@ -83,7 +81,7 @@ def evaluate(predict_fn, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingRepor
     ndcg = {}
     for k in ks:
         recall[k] = float(np.mean(ranks <= k))
-        ndcg[k] = float(np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0).mean())
+        ndcg[k] = float(ndcg_gains(ranks, k).mean())
     return RankingReport(recall=recall, ndcg=ndcg, evaluation_points=len(points))
 
 

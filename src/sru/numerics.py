@@ -257,6 +257,12 @@ def ranks_from_logits(block: np.ndarray, targets) -> np.ndarray:
     return 1 + np.count_nonzero(block[:, 1:] > own[:, None], axis=1)
 
 
+def ndcg_gains(ranks, k: int) -> np.ndarray:
+    """NDCG@k of single-target rankings: 1 / log2(1 + rank) for a rank
+    within k, else 0."""
+    return np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0)
+
+
 def cross_entropy_with_grad(logits: np.ndarray, target: int):
     """Cross-entropy of a single softmax distribution against one target.
 

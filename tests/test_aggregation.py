@@ -28,7 +28,6 @@ from sru.backbone import (
     encode_stacked,
     init_gru_model,
     pad_prefixes,
-    prefix_states,
     train_backbone,
 )
 from sru.corpus import generate_synthetic
@@ -41,6 +40,7 @@ from sru.numerics import (
     cross_entropy_rows,
     finite_difference_check,
 )
+from test_backbone import allrows_prefix_states
 
 
 class TestCentroid:
@@ -433,8 +433,8 @@ class TestFusionInvariants:
 
 def old_encode_batch(model, prefixes):
     # The former encode_batch, which padded every prefix on its own row:
-    # skip pad ids, keep the last max_len items, pad, run prefix_states,
-    # gather each row's last state.
+    # skip pad ids, keep the last max_len items, pad, run the all-rows
+    # state table, gather each row's last state.
     cleaned = [[int(i) for i in p if int(i) != 0][-model.max_len:] for p in prefixes]
     if not cleaned:
         return np.zeros((0, model.d), dtype=model.embeddings.dtype)
@@ -442,7 +442,7 @@ def old_encode_batch(model, prefixes):
     ids = np.zeros((len(cleaned), max(1, int(lengths.max()))), dtype=np.int64)
     for i, c in enumerate(cleaned):
         ids[i, : len(c)] = c
-    states = prefix_states(model, ids)
+    states = allrows_prefix_states(model, ids)
     out = np.zeros((len(cleaned), model.d), dtype=model.embeddings.dtype)
     nonzero = lengths > 0
     out[nonzero] = states[nonzero, lengths[nonzero] - 1]
@@ -663,14 +663,14 @@ class TestFeatureCache:
     def test_table_matches_layout(self):
         data, _, models, _ = small_setup(num_sessions=10, k=2)
         cache = build_feature_cache(models, data)
-        # Oracle: every sub-model runs prefix_states over the hand-padded
-        # sessions; row t of a session is the state after its first t + 1
-        # items and its target is item t + 1.
+        # Oracle: every sub-model runs the all-rows state table over the
+        # hand-padded sessions; row t of a session is the state after its
+        # first t + 1 items and its target is item t + 1.
         tails = [s.items[-14:] for s in data.sessions]
         ids = np.zeros((len(tails), max(map(len, tails))), dtype=np.int64)
         for i, tail in enumerate(tails):
             ids[i, : len(tail)] = tail
-        per_model = [prefix_states(m, ids) for m in models]
+        per_model = [allrows_prefix_states(m, ids) for m in models]
         features, targets = [], []
         for i, tail in enumerate(tails):
             for t in range(len(tail) - 1):
@@ -741,6 +741,34 @@ class TestFeatureCache:
         # one recomputed column and its prefix states; a second table
         # (the former copy-into-a-new-table update) measured 2.1x
         assert peak - start < 1.0 * buffer.nbytes
+
+    def test_one_request_update_runs_one_pass_per_dirty_column(self, monkeypatch):
+        # One rewritten session and one retrained shard at K = 8: the
+        # fresh rows of the seven clean columns come from one stacked
+        # pass, the dirty column from one more, and the table still
+        # equals a rebuild byte for byte.
+        data, models = self.wide_setup()
+        cache = build_feature_cache(models, data)
+        sessions = list(data.sessions)
+        sessions[7] = sessions[7].__class__(session_id=sessions[7].session_id,
+                                            items=sessions[7].items[:-1])
+        modified = data.with_sessions(sessions)
+        models[4] = init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=98))
+        passes = []
+
+        def counted(stacked, *points):
+            passes.append(len(stacked))
+            return encode_stacked(stacked, *points)
+
+        monkeypatch.setattr("sru.aggregation.encode_stacked", counted)
+        updated = updated_feature_cache(cache, models, modified, dirty_shards=[4],
+                                        changed_session_ids={sessions[7].session_id})
+        assert passes == [7, 1]
+        monkeypatch.undo()
+        full = build_feature_cache(models, modified)
+        assert updated.features.tobytes() == full.features.tobytes()
+        np.testing.assert_array_equal(updated.targets, full.targets)
+        assert updated.row_slices == full.row_slices
 
     def test_long_moves_are_chunked(self, monkeypatch):
         # Dropping one item of the first session moves every later row
