@@ -8,9 +8,9 @@ analytic value.
 
 import numpy as np
 
-from sru.aggregation import _backward, _forward
+from sru.aggregation import _forward, _train_step
 from sru.backbone import GATE_NAMES, gru_cell_backward, gru_cell_forward
-from sru.numerics import ParamStore, cross_entropy_rows, finite_difference_check
+from sru.numerics import ParamStore, _Buffers, _softmax_loss, finite_difference_check
 
 rng = np.random.default_rng(3)
 
@@ -55,15 +55,16 @@ targets = rng.integers(0, v, size=batch)
 
 
 def fusion_loss(_store):
-    logits, _ = _forward(full.params, H, C)
-    losses, _ = cross_entropy_rows(logits, targets)
-    return float(losses.mean())
+    # the mean cross-entropy, from the output-layer-and-loss kernel that
+    # both trainers share
+    _, cache = _forward(full.params, H, C)
+    loss_sum, _, _, _ = _softmax_loss(cache.hidden, full.params["W2"].T, full.params["b2"],
+                                      targets, batch)
+    return loss_sum / batch
 
 
-logits, cache = _forward(full.params, H, C, with_cache=True)
-_, dlogits = cross_entropy_rows(logits, targets)
 full.zero_grads()
-_backward(full.params, full.grads, cache, dlogits / batch)
+_train_step(full.params, full.grads, H, C, targets, _Buffers())
 err = finite_difference_check(fusion_loss, full)
 print(f"max relative error over {full.num_values()} coordinates: {err:.2e}")
 print("\nanything below 1e-4 in double precision counts as a pass; "

@@ -81,7 +81,6 @@ from .numerics import (
     ParamStore,
     RngStream,
     adam_step,
-    cross_entropy_with_grad,
     derive_seed,
     finite_difference_check,
     linear_forward_backward,

@@ -21,11 +21,22 @@ formed, in either pass. H is a frozen input, so the backward pass needs
 H_k^T dT_pre_k for M_k and never the gradient of U (see ``_backward``).
 The projected states Hp_k = H_k Wp_k + bp_k are still formed for the
 fused state.
+
+A step runs shard-major: each batch is copied once into a (K, B, d + 1)
+block whose last column is 1, so that every per-shard product is one
+batched matmul over contiguous blocks that also adds its bias, and the
+scores and attention weights are (K, B). The output layer and its loss
+are ``numerics._softmax_loss``, the kernel the GRU trainer uses too, and
+prediction computes its logits with the same ``numerics._logits``. A
+training call takes every per-row array of its steps from one set of
+buffers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +54,10 @@ from .numerics import (
     AdamState,
     ParamStore,
     RngStream,
+    _Buffers,
+    _logits,
+    _softmax_loss,
     adam_step,
-    cross_entropy_rows,
     softmax,
     xavier_uniform,
 )
@@ -209,131 +222,160 @@ def predict_output(h_fused: np.ndarray, W1, b1, W2, b2) -> np.ndarray:
 
 
 class FusionCache(NamedTuple):
-    """What ``_backward`` needs from one ``_forward`` call; the slots keep
-    the order of the pass. N holds the folded N_k = Wp_k diag(Cp_k)."""
+    """What ``_backward`` needs from one ``_hidden_pass``; the slots keep
+    the order of the pass. Every per-row array is shard-major, (K, B, .).
+    H and N carry the biases as an extra row or column (see
+    ``_hidden_pass``). Both ReLUs run in place, so T and hidden hold
+    the activations and their pre-activations are not kept."""
 
-    H: np.ndarray          # (B, K, d) frozen shard states
+    H: np.ndarray          # (K, B, d + 1) frozen shard states, then a ones column
     C: np.ndarray          # (K, d) centroids
-    Hp: np.ndarray         # (B, K, d) projected states
+    Hp: np.ndarray         # (K, B, d) projected states
     Cp: np.ndarray         # (K, d) projected centroids
-    N: np.ndarray          # (K, d, d)
-    T_pre: np.ndarray      # (B, K, f) attention pre-activations
-    T: np.ndarray          # (B, K, f) their ReLU
-    A: np.ndarray          # (B, K) attention weights
+    N: np.ndarray          # (K, d + 1, d): N_k, then the row n_k
+    T: np.ndarray          # (K, B, f) ReLU of the attention pre-activations
+    A: np.ndarray          # (K, B) attention weights
     h_fused: np.ndarray    # (B, d)
-    pre1: np.ndarray       # (B, d_ff) output-layer pre-activations
-    hidden: np.ndarray     # (B, d_ff) their ReLU
+    hidden: np.ndarray     # (B, d_ff) ReLU of the output-layer pre-activations
 
 
-def _forward(params, H, C, with_cache=False):
-    """Batched fusion forward pass in folded form.
+def _hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
+    """The fusion forward pass up to the output layer's hidden rows.
 
-    H is (B, K, d) per-shard states, C is (K, d) centroids. Returns
-    (logits, cache) where logits is (B, |V|) and cache is a
-    ``FusionCache`` (None unless ``with_cache``). Shard k's attention
-    pre-activation is H_k M_k + m_k, with M_k and m_k built once per
-    call from the parameters (see the module docstring); U is never
-    formed. Hp and T_pre are each one batched matmul over the
-    shard-major view of H, written through a shard-major view of the
-    output so that both stay C-contiguous in (B, K, .).
+    H is (B, K, d) per-shard states, C is (K, d) centroids. H is copied
+    once into a shard-major (K, B, d + 1) block whose last column is 1,
+    so that every per-shard product is one batched matmul over
+    contiguous blocks and carries its bias as one more weight row:
+    Hp_k = [H_k 1] [Wp_k; bp_k] and T_pre_k = [H_k 1] [M_k; m_k], with
+    M_k and m_k built once per call from the parameters (see the module
+    docstring); U is never formed. The scores and attention weights are
+    (K, B), so the softmax over shards runs down the columns. Every
+    per-row array is taken from buffers.
     """
     Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
+    d_ff = params["b1"].shape[0]
     dtype = np.result_type(H, Wp)
+    take = buffers.take
+    H1 = take("H", (K, B, d + 1), dtype)
+    H1[:, :, :d] = H.transpose(1, 0, 2)
+    H1[:, :, d] = 1.0
     Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
-    N = Wp * Cp[:, None, :]
-    M = N @ W_attn
-    m = (bp * Cp) @ W_attn
-    m += params["b_attn"]
-    H_shards = H.transpose(1, 0, 2)
-    Hp = np.empty((B, K, d), dtype=dtype)
-    np.matmul(H_shards, Wp, out=Hp.transpose(1, 0, 2))
-    Hp += bp
-    T_pre = np.empty((B, K, f), dtype=dtype)
-    np.matmul(H_shards, M, out=T_pre.transpose(1, 0, 2))
-    T_pre += m
-    # Prediction keeps no pre-activations, so its ReLUs run in place.
-    T = np.maximum(T_pre, 0.0, out=None if with_cache else T_pre)
-    S = (T.reshape(B * K, f) @ params["g_attn"]).reshape(B, K)
-    # numpy's row max over a few (K) columns is about 10x slower than
-    # the same max taken down the columns of a contiguous transpose
-    S -= np.ascontiguousarray(S.T).max(axis=0)[:, None]
-    A = np.exp(S, out=S)
-    A /= (A @ np.ones(K, dtype=A.dtype))[:, None]
-    h_fused = np.matmul(A[:, None, :], Hp)[:, 0, :]
-    pre1 = h_fused @ params["W1"]
-    pre1 += params["b1"]
-    hidden = np.maximum(pre1, 0.0, out=None if with_cache else pre1)
-    logits = hidden @ params["W2"]
-    logits += params["b2"]
-    if not with_cache:
-        return logits, None
-    return logits, FusionCache(H, C, Hp, Cp, N, T_pre, T, A, h_fused, pre1, hidden)
+    Wp1 = np.concatenate((Wp, bp[:, None, :]), axis=1)
+    N1 = Wp1 * Cp[:, None, :]
+    M1 = (N1.reshape(K * (d + 1), d) @ W_attn).reshape(K, d + 1, f)
+    M1[:, d] += params["b_attn"]
+    Hp = np.matmul(H1, Wp1, out=take("Hp", (K, B, d), dtype))
+    T = np.matmul(H1, M1, out=take("T", (K, B, f), dtype))
+    np.maximum(T, 0.0, out=T)
+    A = np.matmul(T.reshape(K * B, f), params["g_attn"],
+                  out=take("A", (K * B,), dtype)).reshape(K, B)
+    A -= A.max(axis=0)
+    np.exp(A, out=A)
+    A /= np.ones(K, dtype=dtype) @ A
+    h_fused = np.matmul(A.T[:, None, :], Hp.transpose(1, 0, 2),
+                        out=take("h_fused", (B, 1, d), dtype))[:, 0, :]
+    hidden = np.matmul(h_fused, params["W1"], out=take("hidden", (B, d_ff), dtype))
+    hidden += params["b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    return FusionCache(H1, C, Hp, Cp, N1, T, A, h_fused, hidden)
 
 
-def _backward(params, grads, cache, dlogits):
-    """Accumulate gradients for all fusion parameters; inputs are frozen.
+def _forward(params, H, C, buffers: _Buffers | None = None):
+    """Batched fusion forward pass: (logits, cache) for (B, K, d) states
+    H and (K, d) centroids C. logits is (B, |V|) and cache the
+    ``FusionCache`` of ``_hidden_pass``; both live in buffers (fresh ones
+    when None). The logits are the training step's, bit for bit: both
+    come from ``numerics._logits``."""
+    buffers = _Buffers() if buffers is None else buffers
+    cache = _hidden_pass(params, H, C, buffers)
+    B, V = H.shape[0], params["b2"].shape[0]
+    logits = _logits(cache.hidden, params["W2"].T, params["b2"],
+                     buffers.take("logits", (B, V), cache.hidden.dtype))
+    return logits, cache
+
+
+def _backward(params, grads, cache: FusionCache, dhidden, buffers: _Buffers) -> None:
+    """Accumulate gradients for every fusion parameter below the output
+    layer, given the gradient dhidden of its hidden rows; inputs are
+    frozen.
 
     Sums over rows are products with a ones vector, which BLAS runs much
-    faster than numpy's axis reductions. With dS the score gradient and
-    mask_k = [T_pre_k > 0], the pre-activation gradient of shard k is
-    dT_pre_k = (dS_k g) * mask_k. It is never formed, because g factors
-    out of both folded gradients:
+    faster than numpy's axis reductions. With dS the (K, B) score
+    gradient, the pre-activation gradient of shard k is
+    dT_pre_k = (dS_k g) * [T_k > 0]. g factors out of the folded
+    gradients, so only dT_k = [T_k > 0] * dS_k is formed, in the buffer
+    of the ReLU T once g's own gradient has read it. The ones column of
+    H gives the bias rows of each product with it for free:
 
-        dM_k = ((H_k * dS_k)^T mask_k) * g       (d, f)
-        dm_k = (dS_k^T mask_k) * g               (f,)
+        [dM_k; dm_k] = ([H_k 1]^T dT_k) * g       (d + 1, f)
 
     The chain rule through M_k = N_k W_attn, m_k = n_k W_attn + b_attn,
     N_k = Wp_k diag(Cp_k), n_k = bp_k * Cp_k and Cp_k = c_k Wp_k + bp_k
-    then runs on (K, d, d)-sized arrays, once per batch:
+    then runs on (K, d + 1, d)-sized arrays, once per batch:
 
-        dN_k = dM_k W_attn^T,   dn_k = dm_k W_attn^T
+        [dN_k; dn_k] = [dM_k; dm_k] W_attn^T
         dW_attn = sum_k N_k^T dM_k + n^T dm,   db_attn = sum_k dm_k
         dCp_k = colsum(dN_k * Wp_k) + dn_k * bp_k
         dWp_k = dN_k diag(Cp_k) + c_k^T dCp_k + H_k^T (A_k dh_fused)
         dbp_k = dn_k * Cp_k + dCp_k + A_k^T dh_fused
 
-    The last terms of dWp and dbp come from the fused state's Hp. The
-    cache is consumed: the ReLU masks are written over the
-    pre-activations T_pre and pre1.
+    The last terms of dWp and dbp come from the fused state's Hp; they
+    are one product, (A_k dh_fused)^T [H_k 1], whose A-weighting runs
+    over dh_fused^T so that it broadcasts along the rows of the batch.
+    The cache is consumed: the ReLU masks are written over hidden and T.
     """
-    H, C, Hp, Cp, N, T_pre, T, A, h_fused, pre1, hidden = cache
-    B, K, d = H.shape
-    f = params["b_attn"].shape[0]
+    H1, C, Hp, Cp, N1, T, A, h_fused, hidden = cache
+    K, B, d = Hp.shape
+    f = T.shape[2]
     Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
     g_attn = params["g_attn"]
-    ones = np.ones(B, dtype=dlogits.dtype)
-    grads["W2"] += hidden.T @ dlogits
-    grads["b2"] += ones @ dlogits
-    dpre1 = dlogits @ params["W2"].T
-    dpre1 *= np.greater(pre1, 0, out=pre1)
+    dtype = dhidden.dtype
+    ones = np.ones(B, dtype=dtype)
+    dpre1 = dhidden
+    dpre1 *= np.greater(hidden, 0, out=hidden)
     grads["W1"] += h_fused.T @ dpre1
     grads["b1"] += ones @ dpre1
-    dh_fused = dpre1 @ params["W1"].T
+    dh_rows = params["W1"] @ dpre1.T      # dh_fused^T, (d, B)
 
-    dA = np.matmul(Hp, dh_fused[:, :, None])[:, :, 0]
-    dS = dA - ((A * dA) @ np.ones(K, dtype=dA.dtype))[:, None]
-    dS *= A
-    grads["g_attn"] += dS.reshape(B * K) @ T.reshape(B * K, f)
-    mask = np.greater(T_pre, 0, out=T_pre).transpose(1, 0, 2)
-    dM = np.matmul((H * dS[:, :, None]).transpose(1, 2, 0), mask)
-    dM *= g_attn
-    dm = np.matmul(dS.T[:, None, :], mask)[:, 0, :]
-    dm *= g_attn
-    n = bp * Cp
-    grads["b_attn"] += np.ones(K, dtype=dm.dtype) @ dm
-    grads["W_attn"] += N.reshape(K * d, d).T @ dM.reshape(K * d, f)
-    grads["W_attn"] += n.T @ dm
-    dN = dM @ W_attn.T
-    dn = dm @ W_attn.T
-    dCp = np.einsum("kij,kij->kj", dN, Wp)
-    dCp += dn * bp
-    dWp = dN * Cp[:, None, :]
-    dWp += C[:, :, None] * dCp[:, None, :]
-    dWp += ((H * A[:, :, None]).reshape(B, K * d).T @ dh_fused).reshape(K, d, d)
-    grads["W_proj"] += dWp
-    grads["b_proj"] += dn * Cp + dCp + A.T @ dh_fused
+    # dA[k, b] = Hp[k, b] . dh_fused[b], one small product per row
+    dA = np.matmul(Hp.transpose(1, 0, 2), dh_rows.T[:, :, None])[:, :, 0]
+    dS = np.multiply(A, dA.T, out=buffers.take("dS", (K, B), dtype))
+    dS -= A * (np.ones(K, dtype=dtype) @ dS)
+    grads["g_attn"] += dS.reshape(K * B) @ T.reshape(K * B, f)
+    dT = np.greater(T, 0, out=T)
+    dT *= dS[:, :, None]
+    dM1 = np.matmul(H1.transpose(0, 2, 1), dT)
+    dM1 *= g_attn
+    grads["b_attn"] += np.ones(K, dtype=dtype) @ dM1[:, d]
+    grads["W_attn"] += N1.reshape(K * (d + 1), d).T @ dM1.reshape(K * (d + 1), f)
+    dN1 = (dM1.reshape(K * (d + 1), f) @ W_attn.T).reshape(K, d + 1, d)
+    Wp1 = np.concatenate((Wp, bp[:, None, :]), axis=1)
+    dCp = np.einsum("kij,kij->kj", dN1, Wp1)
+    dWp1 = dN1 * Cp[:, None, :]
+    dWp1[:, :d] += C[:, :, None] * dCp[:, None, :]
+    dWp1[:, d] += dCp
+    weighted = np.multiply(A[:, None, :], dh_rows, out=buffers.take("KdB", (K, d, B), dtype))
+    dWp1 += np.matmul(weighted, H1).transpose(0, 2, 1)
+    grads["W_proj"] += dWp1[:, :d]
+    grads["b_proj"] += dWp1[:, d]
+
+
+def _train_step(params, grads, H, C, targets, buffers: _Buffers) -> float:
+    """One fusion training step on (B, K, d) states H: accumulates the
+    gradient of the mean cross-entropy against targets (column indices)
+    into grads and returns the loss sum. The output layer and its loss
+    are ``numerics._softmax_loss`` over W2 and b2."""
+    cache = _hidden_pass(params, H, C, buffers)
+    B, V = H.shape[0], params["b2"].shape[0]
+    loss_sum, dW2, db2, dhidden = _softmax_loss(
+        cache.hidden, params["W2"].T, params["b2"], targets, B,
+        buffers.take("logits", (B, V), cache.hidden.dtype))
+    grads["W2"] += dW2.T
+    grads["b2"] += db2
+    _backward(params, grads, cache, dhidden, buffers)
+    return loss_sum
 
 
 def init_aggregation_model(k: int, d: int, num_items: int,
@@ -391,15 +433,17 @@ class FeatureCache:
 
 
 def _layout(sessions, max_len: int):
-    """(points, targets, row_slices) of the training rows of sessions:
-    the ``training_points`` of their items, and each session's (start,
-    count) block of rows."""
-    points, targets = training_points([s.items for s in sessions], max_len)
-    counts = np.bincount(points[1], minlength=len(sessions))
+    """(starts, counts, row_slices) of the training rows of sessions:
+    session i holds rows starts[i] : starts[i] + counts[i], one for each
+    (prefix, next item) point of its last max_len items, in the order of
+    ``training_points``; row_slices maps its id to that (start, count)."""
+    sizes = np.fromiter(map(len, map(attrgetter("items"), sessions)), dtype=np.int64,
+                        count=len(sessions))
+    counts = np.maximum(np.minimum(sizes, max_len) - 1, 0)
     starts = np.cumsum(counts) - counts
-    slices = dict(zip((s.session_id for s in sessions),
+    slices = dict(zip(map(attrgetter("session_id"), sessions),
                       zip(starts.tolist(), counts.tolist())))
-    return points, targets, slices
+    return starts, counts, slices
 
 
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
@@ -409,7 +453,9 @@ def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     own ``encode_stacked`` pass, written into its column of the one
     table, so that the pass's result is one column and not a second
     table. Sub-models are only read, never written."""
-    points, targets, slices = _layout(dataset.sessions, sub_models[0].max_len)
+    max_len = sub_models[0].max_len
+    points, targets = training_points([s.items for s in dataset.sessions], max_len)
+    _, _, slices = _layout(dataset.sessions, max_len)
     dtype = np.result_type(*(m.embeddings.dtype for m in sub_models))
     features = np.empty((len(targets), len(sub_models), sub_models[0].d), dtype=dtype)
     for c, model in enumerate(sub_models):
@@ -431,74 +477,97 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     column is recomputed); changed_session_ids lists sessions whose item
     sequence was rewritten (their rows are recomputed under every clean
     sub-model too). Deletions only remove rows and keep the session
-    order, so each reused session moves to an equal or lower row; the
-    reused runs are moved first, in ascending order, then the fresh rows
-    and dirty columns are overwritten: the fresh rows of all clean
-    columns by one stacked pass over the clean sub-models, each dirty
-    column by a pass of its own. The result's table is a prefix of
-    ``cache.features``, whose rows are overwritten, so ``cache`` gives up
-    its buffer (its ``features`` becomes None) and updating it again
-    raises ContractError. So does a layout that needs more rows than the
-    buffer holds, or that moves a reused session to a later row.
+    order, so each reused session moves to an equal or lower row. The
+    reused runs come from two arrays over the sessions in corpus order,
+    their old and new first rows: a run goes on while both stay
+    contiguous. The runs are moved first, in ascending order, then the
+    fresh rows and dirty columns are overwritten: the fresh rows of all
+    clean columns by one stacked pass over the clean sub-models, each
+    dirty column by a pass of its own over all rows. The targets move
+    and fill alike, into an array of their own. The result's table is a
+    prefix of ``cache.features``, whose rows are overwritten, so
+    ``cache`` gives up its buffer (its ``features`` becomes None) and
+    updating it again raises ContractError. So does a layout that needs
+    more rows than the buffer holds, or that moves a reused session to a
+    later row.
     """
     k = len(sub_models)
+    max_len = sub_models[0].max_len
     dirty = sorted(set(dirty_shards))
     changed = set(changed_session_ids)
-    points, targets, slices = _layout(dataset.sessions, sub_models[0].max_len)
+    sessions = dataset.sessions
+    starts, counts, slices = _layout(sessions, max_len)
+    rows = int(counts.sum())
     buffer = cache.features
     if buffer is None:
         raise ContractError(
             "this feature cache was already updated in place and its buffer belongs "
             "to the cache that update returned; rebuild it (feature_cache=None)"
         )
-    if len(targets) > buffer.shape[0] or buffer.shape[1:] != (k, sub_models[0].d):
+    if rows > buffer.shape[0] or buffer.shape[1:] != (k, sub_models[0].d):
         raise ContractError(
-            f"a ({len(targets)}, {k}, {sub_models[0].d}) table does not fit the cached "
+            f"a ({rows}, {k}, {sub_models[0].d}) table does not fit the cached "
             f"buffer of shape {buffer.shape}"
         )
-    features = buffer[: len(targets)]
+    features = buffer[:rows]
 
-    fresh = []
-    runs: list[list[int]] = []    # [old start, new start, rows], merged where contiguous
-    for i, s in enumerate(dataset.sessions):
-        start, n = slices[s.session_id]
-        old = cache.row_slices.get(s.session_id)
-        if s.session_id in changed or old is None:
-            fresh.append(i)
-            continue
-        if old[0] < start or old[1] != n:
-            raise ContractError(
-                f"session {s.session_id!r} moves from rows {_span(old)} to "
-                f"{_span((start, n))}; an in-place update only moves rows down"
-            )
-        if runs and runs[-1][0] + runs[-1][2] == old[0] and runs[-1][1] + runs[-1][2] == start:
-            runs[-1][2] += n
-        else:
-            runs.append([old[0], start, n])
+    ids = list(map(attrgetter("session_id"), sessions))
+    # each session's (start, count) in the cache; (-1, 0) where it has none
+    old = np.fromiter(chain.from_iterable(map(cache.row_slices.get, ids, repeat((-1, 0)))),
+                      dtype=np.int64, count=2 * len(ids)).reshape(len(ids), 2)
+    fresh = old[:, 0] < 0
+    if changed:
+        fresh |= np.fromiter(map(changed.__contains__, ids), dtype=bool, count=len(ids))
+    kept = np.flatnonzero(~fresh)
+    old_start, new_start, n = old[kept, 0], starts[kept], counts[kept]
+    moved_up = (old_start < new_start) | (old[kept, 1] != n)
+    if moved_up.any():
+        i = int(kept[np.argmax(moved_up)])
+        raise ContractError(
+            f"session {ids[i]!r} moves from rows {_span(old[i])} to "
+            f"{_span((starts[i], counts[i]))}; an in-place update only moves rows down"
+        )
+    runs = []                         # (old start, new start, rows)
+    if kept.size:
+        head = np.ones(kept.size, dtype=bool)
+        head[1:] = ((old_start[1:] != old_start[:-1] + n[:-1])
+                    | (new_start[1:] != new_start[:-1] + n[:-1]))
+        heads = np.flatnonzero(head)
+        runs = list(zip(old_start[heads].tolist(), new_start[heads].tolist(),
+                        np.add.reduceat(n, heads).tolist()))
 
     cache.features = None
     clean_cols = [c for c in range(k) if c not in dirty]
-    if clean_cols:
-        for old_start, new_start, n in runs:
-            if old_start == new_start:
-                continue
-            for i in range(0, n, _MOVE_ROWS):
-                m = min(_MOVE_ROWS, n - i)
-                dst, src = new_start + i, old_start + i
-                features[dst : dst + m] = buffer[src : src + m]
-    if clean_cols and fresh:
-        fresh_points, _ = training_points(
-            [dataset.sessions[i].items for i in fresh], sub_models[0].max_len)
-        rows = np.flatnonzero(np.isin(points[1], fresh))
-        features[rows[:, None], clean_cols] = encode_stacked(
-            [sub_models[c] for c in clean_cols], *fresh_points)
-    for c in dirty:
-        features[:, c] = encode_stacked([sub_models[c]], *points)[:, 0]
+    targets = np.empty(rows, dtype=cache.targets.dtype)
+    for old_first, new_first, m in runs:
+        targets[new_first : new_first + m] = cache.targets[old_first : old_first + m]
+        if not clean_cols or old_first == new_first:
+            continue
+        for i in range(0, m, _MOVE_ROWS):
+            step = min(_MOVE_ROWS, m - i)
+            dst, src = new_first + i, old_first + i
+            features[dst : dst + step] = buffer[src : src + step]
+    fresh = np.flatnonzero(fresh)
+    if fresh.size:
+        fresh_points, targets_fresh = training_points([sessions[i].items for i in fresh],
+                                                      max_len)
+        # the rows of the fresh sessions, in the order of their points
+        first = np.cumsum(counts[fresh]) - counts[fresh]
+        fresh_rows = (np.repeat(starts[fresh] - first, counts[fresh])
+                      + np.arange(len(targets_fresh)))
+        targets[fresh_rows] = targets_fresh
+        if clean_cols:
+            features[fresh_rows[:, None], clean_cols] = encode_stacked(
+                [sub_models[c] for c in clean_cols], *fresh_points)
+    if dirty:
+        points, _ = training_points([s.items for s in sessions], max_len)
+        for c in dirty:
+            features[:, c] = encode_stacked([sub_models[c]], *points)[:, 0]
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 
 def _span(slice_pair):
-    start, n = slice_pair
+    start, n = (int(v) for v in slice_pair)
     return start, start + n
 
 
@@ -535,29 +604,26 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     P = features.shape[0]
     # Each batch is gathered into one reused buffer, so no shuffled copy
     # of the table is made. perm is a permutation, so mode="clip" only
-    # skips take's buffered bounds check.
+    # skips take's buffered bounds check. The steps share one set of
+    # buffers for everything else.
     batch = np.empty((min(config.batch_size, P), *features.shape[1:]), dtype=features.dtype)
+    buffers = _Buffers()
     for _ in range(config.epochs):
         perm = shuffle.permutation(P)
         loss_sum = 0.0
         for start in range(0, P, config.batch_size):
             rows = perm[start : start + config.batch_size]
             Hb = np.take(features, rows, axis=0, out=batch[: len(rows)], mode="clip")
-            tb = targets[rows] - 1
-            logits, cache = _forward(store.params, Hb, C, with_cache=True)
-            losses, dlogits = cross_entropy_rows(logits, tb)
-            loss_sum += float(losses.sum())
-            dlogits /= len(tb)
             store.zero_grads()
-            _backward(store.params, store.grads, cache, dlogits)
+            loss_sum += _train_step(store.params, store.grads, Hb, C, targets[rows] - 1,
+                                    buffers)
             adam_step(store, adam, config.lr)
         model.loss_history.append(loss_sum / P)
     return model
 
 
-# Rows per fusion forward in prediction: the per-block temporaries stay
-# small enough to be reused from cache, and the logits go straight into
-# the output.
+# Rows per fusion forward in prediction: the blocks share one set of
+# buffers, small enough to stay in cache.
 _PREDICT_ROWS = 256
 
 
@@ -593,8 +659,9 @@ class SruModel:
         out = np.empty((len(prefixes), self.num_items + 1),
                        dtype=np.result_type(H, params["W_proj"]))
         out[:, 0] = -np.inf
+        buffers = _Buffers()
         for start in range(0, len(prefixes), _PREDICT_ROWS):
             stop = start + _PREDICT_ROWS
-            logits, _ = _forward(params, H[start:stop], C)
+            logits, _ = _forward(params, H[start:stop], C, buffers)
             out[start:stop, 1:] = logits
         return out

@@ -21,9 +21,10 @@ from .numerics import (
     AdamState,
     ParamStore,
     RngStream,
+    _Buffers,
     _sigmoid_of_half,
+    _softmax_loss,
     adam_step,
-    cross_entropy_rows,
     ndcg_gains,
     ranks_from_logits,
     sigmoid,  # noqa: F401 -- unused; bench/test_bench.py checks its tracer patches it here
@@ -264,20 +265,20 @@ def _check_ids(ids: np.ndarray, rows: int) -> None:
         raise IndexError(f"item id {bad} outside vocabulary of size {rows - 1}")
 
 
-def _run_steps(w: _GateWeights, tables, ids, out):
+def _run_steps(w: _GateWeights, tables, ids, out, buffers: _Buffers):
     """Run the GRU from the zero state over every row of a right-padded id
     matrix (n, L), pads included, gathering each step's input side from
     tables, the pair that ``_input_side`` returns for the embeddings.
     out[t] receives the state after step t (out is (L, n, d)).
 
     Every step's activations are kept for ``_step_backward`` and returned
-    as (L, n, .) stacks (zr, n, rh).
+    as (L, n, .) stacks (zr, n, rh), taken from buffers.
     """
     _check_ids(ids, len(tables[0]))
     L, rows, d = out.shape
-    zr = np.empty((L, rows, 2 * d), dtype=out.dtype)
-    gate_n = np.empty((L, rows, d), dtype=out.dtype)
-    rh = np.empty_like(gate_n)
+    zr = buffers.take("zr", (L, rows, 2 * d), out.dtype)
+    gate_n = buffers.take("n", (L, rows, d), out.dtype)
+    rh = buffers.take("rh", (L, rows, d), out.dtype)
     h = np.zeros((rows, d), dtype=out.dtype)
     for t in range(L):
         np.take(tables[0], ids[:, t], axis=0, out=zr[t], mode="clip")
@@ -529,11 +530,14 @@ def score(model: GruModel, h: np.ndarray) -> np.ndarray:
 # -- training -----------------------------------------------------------------
 
 
-def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
+def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
+                            buffers: _Buffers | None = None):
     """Unrolled next-item loss over one right-padded batch.
 
     Writes the analytic gradient of the mean-per-position cross-entropy
-    into the model's store and returns (loss_sum, positions).
+    into the model's store and returns (loss_sum, positions). The
+    per-step arrays come from buffers (fresh ones when None); the result
+    does not depend on what they held before.
     """
     store = model.store
     params = store.params
@@ -546,29 +550,28 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
     if positions == 0:
         return 0.0, 0
 
+    buffers = _Buffers() if buffers is None else buffers
     B, T = inp.shape
     d = model.d
     w = _gate_weights(params)
     # Time-major: hs[t + 1] is the state after step t, hs[0] the zero state.
-    hs = np.empty((T + 1, B, d), dtype=E.dtype)
+    hs = buffers.take("hs", (T + 1, B, d), E.dtype)
     hs[0] = 0.0
-    zr, n, rh = _run_steps(w, _input_side(w, E), inp, hs[1:])
+    zr, n, rh = _run_steps(w, _input_side(w, E), inp, hs[1:], buffers)
 
     H = hs[1:].transpose(1, 0, 2)     # (B, T, d) view
     Hv = H[valid]
-    tv = tgt[valid] - 1
-    logits = Hv @ E[1:].T
-    losses, dlogits = cross_entropy_rows(logits, tv)
-    loss_sum = float(losses.sum())
-    dlogits /= positions
+    logits = buffers.take("logits", (positions, E.shape[0] - 1), E.dtype)
+    loss_sum, dE, _, dHv = _softmax_loss(Hv, E[1:], None, tgt[valid] - 1, positions, logits)
 
     grads = store.grads
-    grads["E"][1:] += dlogits.T @ Hv
-    dH = np.zeros_like(hs[1:])
-    dH.transpose(1, 0, 2)[valid] = dlogits @ E[1:]
+    grads["E"][1:] += dE
+    dH = buffers.take("dH", (T, B, d), E.dtype)
+    dH[...] = 0.0
+    dH.transpose(1, 0, 2)[valid] = dHv
 
-    dzr = np.empty_like(zr)
-    dn = np.empty_like(n)
+    dzr = buffers.take("dzr", zr.shape, E.dtype)
+    dn = buffers.take("dn", n.shape, E.dtype)
     dh = np.zeros((B, d), dtype=E.dtype)
     for t in reversed(range(T)):
         dh += dH[t]
@@ -585,8 +588,9 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
     return loss_sum, positions
 
 
-def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float):
-    loss_sum, positions = sequence_loss_and_grads(model, ids)
+def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float,
+                buffers: _Buffers):
+    loss_sum, positions = sequence_loss_and_grads(model, ids, buffers)
     if positions:
         adam_step(model.store, adam, lr)
     return loss_sum, positions
@@ -621,6 +625,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
     shuffle = RngStream(config.seed, "backbone/shuffle")
     ids_all, _ = padded_items([s.items for s in dataset.sessions], config.max_len)
     n = ids_all.shape[0]
+    buffers = _Buffers()
 
     best_metric = -np.inf
     best_params = None
@@ -631,7 +636,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
         positions = 0
         for start in range(0, n, config.batch_size):
             batch = ids_all[perm[start : start + config.batch_size]]
-            ls, p = _batch_step(model, adam, batch, config.lr)
+            ls, p = _batch_step(model, adam, batch, config.lr, buffers)
             loss_sum += ls
             positions += p
         model.loss_history.append(loss_sum / max(1, positions))

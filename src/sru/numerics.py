@@ -1,5 +1,6 @@
-"""Dense numeric kernels: linear maps, activations, cross-entropy, Adam,
-named random streams, and a finite-difference gradient oracle.
+"""Dense numeric kernels: linear maps, activations, the output layer with
+its softmax cross-entropy, Adam, named random streams, and a
+finite-difference gradient oracle.
 
 All kernels are deterministic. Parameter iteration follows lexicographic
 name order so that repeated runs are bitwise identical, which the
@@ -9,6 +10,7 @@ exact-unlearning guarantee depends on.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -19,8 +21,6 @@ __all__ = [
     "ParamStore",
     "RngStream",
     "adam_step",
-    "cross_entropy_rows",
-    "cross_entropy_with_grad",
     "derive_seed",
     "finite_difference_check",
     "linear_forward_backward",
@@ -192,6 +192,23 @@ class ParamStore:
         return self.values.tobytes()
 
 
+class _Buffers:
+    """Named flat arrays that grow to the largest request and are then
+    reused: ``take`` returns a C-contiguous view of the leading part of
+    one, so a narrower or shorter batch needs no new memory. Each trainer
+    keeps one for all the batches of a call."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
 def xavier_uniform(stream: RngStream, fan_in: int, fan_out: int, shape, dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return stream.uniform(-limit, limit, shape).astype(dtype)
@@ -263,50 +280,53 @@ def ndcg_gains(ranks, k: int) -> np.ndarray:
     return np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0)
 
 
-def cross_entropy_with_grad(logits: np.ndarray, target: int):
-    """Cross-entropy of a single softmax distribution against one target.
-
-    Returns (loss, dlogits) with loss = -log softmax(logits)[target] and
-    dlogits = softmax(logits) - onehot(target).
-    """
-    logits = np.asarray(logits)
-    if logits.ndim != 1:
-        raise DimensionError(f"logits must be 1-D, got shape {logits.shape}")
-    if not 0 <= target < logits.shape[0]:
-        raise IndexError(f"target {target} out of range for {logits.shape[0]} logits")
-    p = softmax(logits)
-    loss = -np.log(p[target])
-    dlogits = p.copy()
-    dlogits[target] -= 1.0
-    return float(loss), dlogits
+def _logits(hidden: np.ndarray, W: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
+    """Output-layer logits hidden W^T + b for rows hidden (n, h), weights
+    W (V, h) and an optional bias b (V,), written into the leading n rows
+    of out (a reused (>= n, V) buffer; None allocates one)."""
+    n = hidden.shape[0]
+    z = np.empty((n, W.shape[0]), dtype=np.result_type(hidden, W)) if out is None else out[:n]
+    np.matmul(hidden, W.T, out=z)
+    if b is not None:
+        z += b
+    return z
 
 
-def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
-    """Row-wise softmax cross-entropy; targets are column indices.
+def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, scale,
+                  out: np.ndarray | None = None):
+    """Output layer and softmax cross-entropy of rows hidden (n, h).
 
-    Returns (losses, dlogits) where dlogits rows are softmax - onehot,
-    both in the dtype of the logits. The loss is taken in log-sum-exp
+    The logits are ``_logits(hidden, W, b, out)``; targets are their
+    column indices. The loss is the sum over rows, taken in log-sum-exp
     form, log(sum(exp(s))) - s[target] with s = logits - row max, so no
-    probability is ever passed to log: a float32 loss stays finite (and
-    accurate) where the target's softmax probability underflows to 0.
-    The row sum is a product with a ones vector, which BLAS runs several
-    times faster than numpy's axis-1 reduction.
+    probability is ever passed to log: a float32 loss stays finite where
+    the target's probability underflows to 0. The gradients are those of
+    the loss sum divided by ``scale``. Returns (loss_sum, dW, db,
+    dhidden); db is None without a bias.
+
+    Everything runs in the one logits block, which ends up holding
+    (softmax - onehot) / scale: the max is subtracted, exp taken and the
+    rows normalised in place. The row sum is a product with a ones
+    vector, which BLAS runs several times faster than numpy's axis-1
+    reduction.
     """
-    logits = np.asarray(logits)
+    z = _logits(hidden, W, b, out)
+    n, width = z.shape
     targets = np.asarray(targets)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise DimensionError(
-            f"need (n, m) logits and (n,) targets, got {logits.shape} and {targets.shape}"
-        )
-    rows = np.arange(logits.shape[0])
-    dlogits = logits - logits.max(axis=1, keepdims=True)
-    own = dlogits[rows, targets]
-    np.exp(dlogits, out=dlogits)
-    total = dlogits @ np.ones(dlogits.shape[1], dtype=dlogits.dtype)
-    losses = np.log(total) - own
-    dlogits /= total[:, None]
-    dlogits[rows, targets] -= 1.0
-    return losses, dlogits
+    if targets.shape != (n,):
+        raise DimensionError(f"need ({n},) targets for {n} rows, got {targets.shape}")
+    rows = np.arange(n)
+    z -= z.max(axis=1, keepdims=True)
+    own = z[rows, targets]
+    np.exp(z, out=z)
+    total = z @ np.ones(width, dtype=z.dtype)
+    loss_sum = float((np.log(total) - own).sum())
+    z /= total[:, None]
+    z[rows, targets] -= 1.0
+    z /= scale
+    dW = z.T @ hidden
+    db = None if b is None else np.ones(n, dtype=z.dtype) @ z
+    return loss_sum, dW, db, z @ W
 
 
 def linear_forward_backward(x, W, b, upstream_grad=None):

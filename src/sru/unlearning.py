@@ -19,6 +19,8 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -91,32 +93,66 @@ def deletions_to_json(deletions) -> list[dict]:
     return [asdict(r) for r in deletions]
 
 
+# A well-formed record as json.load returns it: exactly the fields, each
+# value of its field's JSON type, and integers inside every sequence.
+_FIELD_KEYS = frozenset(_RECORD_TYPES)
+_FIELD_VALUES = itemgetter(*_RECORD_TYPES)
+_JSON_TYPES = tuple(_SCALAR_TYPES[kind][0] if kind in _SCALAR_TYPES else list
+                    for kind in _RECORD_TYPES.values())
+_SEQUENCE_VALUES = itemgetter(*_SEQUENCE_FIELDS)
+_SEQUENCE_SLOTS = tuple(list(_RECORD_TYPES).index(name) for name in _SEQUENCE_FIELDS)
+
+
+def _well_formed(row) -> bool:
+    return (type(row) is dict and row.keys() == _FIELD_KEYS
+            and tuple(map(type, _FIELD_VALUES(row))) == _JSON_TYPES)
+
+
+def _record(row) -> DeletionResult:
+    values = list(_FIELD_VALUES(row))
+    for i in _SEQUENCE_SLOTS:
+        values[i] = tuple(values[i])
+    return DeletionResult(*values)
+
+
 def deletions_from_json(rows) -> list[DeletionResult]:
     """Inverse of ``deletions_to_json``. A row with a missing or unknown
     field, or a value of the wrong type (booleans are not integers),
-    raises ParseError naming its record index and the field."""
-    results = []
-    for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ParseError(f"audit record {index} is not an object")
-        missing = [name for name in _RECORD_TYPES if name not in row]
-        unknown = sorted(set(row) - set(_RECORD_TYPES))
-        if missing or unknown:
-            raise ParseError(f"audit record {index}: missing fields {missing}, "
-                             f"unknown fields {unknown}")
-        values = dict(row)
-        for name, kind, expected in _SCALAR_FIELDS:
-            if type(values[name]) is not kind:
-                raise ParseError(f"audit record {index}: field {name!r} must be "
-                                 f"{expected}, got {values[name]!r}")
-        for name in _SEQUENCE_FIELDS:
-            value = values[name]
-            if type(value) not in (list, tuple) or not {*map(type, value)} <= {int}:
-                raise ParseError(f"audit record {index}: field {name!r} must be "
-                                 f"a list of integers, got {value!r}")
-            values[name] = tuple(value)
-        results.append(DeletionResult(**values))
-    return results
+    raises ParseError naming its record index and the field.
+
+    Rows as ``json.load`` returns a well-formed audit trail are checked
+    with one comparison of each row's value types and one set of the
+    element types of all sequences; if any row fails that, every row
+    takes the field-by-field checks, which name the first bad one.
+    """
+    rows = list(rows)
+    if all(map(_well_formed, rows)) and {*map(type, chain.from_iterable(
+            chain.from_iterable(map(_SEQUENCE_VALUES, rows))))} <= {int}:
+        return list(map(_record, rows))
+    return [_checked_record(index, row) for index, row in enumerate(rows)]
+
+
+def _checked_record(index: int, row) -> DeletionResult:
+    """One audit record, checked field by field."""
+    if not isinstance(row, dict):
+        raise ParseError(f"audit record {index} is not an object")
+    missing = [name for name in _RECORD_TYPES if name not in row]
+    unknown = sorted(set(row) - set(_RECORD_TYPES))
+    if missing or unknown:
+        raise ParseError(f"audit record {index}: missing fields {missing}, "
+                         f"unknown fields {unknown}")
+    values = dict(row)
+    for name, kind, expected in _SCALAR_FIELDS:
+        if type(values[name]) is not kind:
+            raise ParseError(f"audit record {index}: field {name!r} must be "
+                             f"{expected}, got {values[name]!r}")
+    for name in _SEQUENCE_FIELDS:
+        value = values[name]
+        if type(value) not in (list, tuple) or not {*map(type, value)} <= {int}:
+            raise ParseError(f"audit record {index}: field {name!r} must be "
+                             f"a list of integers, got {value!r}")
+        values[name] = tuple(value)
+    return DeletionResult(**values)
 
 
 def _check_target(session: Session, target_position: int) -> None:

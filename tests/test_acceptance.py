@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sru.aggregation import _backward, _forward
+from sru.aggregation import _forward, _train_step
 from sru.backbone import (
     GATE_NAMES,
     BackboneConfig,
@@ -31,10 +31,11 @@ from sru.evaluation import (
     rank_from_logits,
     sisa_baseline,
 )
-from sru.numerics import ParamStore, RngStream, cross_entropy_rows, finite_difference_check
+from sru.numerics import ParamStore, RngStream, _Buffers, finite_difference_check
 from sru.partition import PartitionConfig, balanced_kmeans, cluster_purity, embed_all
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests
+from reference import cross_entropy_rows, unfolded_forward
 
 CORPUS = dict(num_sessions=2000, vocab_size=200, num_clusters=8,
               min_len=8, max_len=14)
@@ -173,7 +174,7 @@ def test_c2_gradient_fidelity():
             H = rng.normal(size=(batch, k, d))
             C = rng.normal(size=(k, d))
             targets = rng.integers(0, v, size=batch)
-            logits0, probe_cache = _forward(full.params, H, C, with_cache=True)
+            _, probe_cache = unfolded_forward(full.params, H, C, with_cache=True)
             t_pre, pre1, weights = probe_cache[5], probe_cache[9], probe_cache[7]
             if (min(np.abs(t_pre).min(), np.abs(pre1).min()) <= 1e-3
                     or weights.min() <= 1e-4):
@@ -182,9 +183,8 @@ def test_c2_gradient_fidelity():
             # (e.g. a unit active at every example-shard pair shifts all
             # scores uniformly); central differences only see float noise
             # there, so such configurations are redrawn
-            _, dl0 = cross_entropy_rows(logits0, targets)
             full.zero_grads()
-            _backward(full.params, full.grads, probe_cache, dl0 / batch)
+            _train_step(full.params, full.grads, H, C, targets, _Buffers())
             attn_min = min(np.abs(full.grads[n]).min()
                            for n in ("W_attn", "b_attn", "g_attn"))
             if attn_min > 1e-7:
@@ -197,10 +197,8 @@ def test_c2_gradient_fidelity():
             losses, _ = cross_entropy_rows(logits, targets)
             return float(losses.mean())
 
-        logits, cache = _forward(full.params, H, C, with_cache=True)
-        _, dlogits = cross_entropy_rows(logits, targets)
         full.zero_grads()
-        _backward(full.params, full.grads, cache, dlogits / batch)
+        _train_step(full.params, full.grads, H, C, targets, _Buffers())
 
         for names in (("W_proj", "b_proj"),
                       ("W_attn", "b_attn", "g_attn"),

@@ -10,8 +10,8 @@ from sru.aggregation import (
     init_aggregation_model,
     ShardCentroids,
     SruModel,
-    _backward,
     _forward,
+    _train_step,
     attention_scores,
     build_feature_cache,
     compute_centroid,
@@ -36,10 +36,11 @@ from sru.numerics import (
     AdamState,
     ParamStore,
     RngStream,
+    _Buffers,
     adam_step,
-    cross_entropy_rows,
     finite_difference_check,
 )
+from reference import cross_entropy_rows, reference_grads, unfolded_forward
 from test_backbone import allrows_prefix_states
 
 
@@ -239,102 +240,9 @@ class TestFusionGradients:
             losses, _ = cross_entropy_rows(logits, targets)
             return float(losses.mean())
 
-        logits, cache = _forward(store.params, H, C, with_cache=True)
-        _, dlogits = cross_entropy_rows(logits, targets)
         store.zero_grads()
-        _backward(store.params, store.grads, cache, dlogits / batch)
+        _train_step(store.params, store.grads, H, C, targets, _Buffers())
         assert finite_difference_check(loss_fn, store) < 1e-4
-
-
-# The oracle for the folded passes of sru.aggregation: the unfolded
-# _forward and _backward, which form U = Hp * Cp and its gradient dU,
-# copied verbatim (renamed).
-
-
-def unfolded_forward(params, H, C, with_cache=False):
-    """Batched fusion forward pass.
-
-    H is (B, K, d) per-shard states, C is (K, d) centroids. Returns
-    (logits, cache) where logits is (B, |V|). Contractions are phrased
-    as stacked matmuls; the per-shard axis K rides along as the batch
-    dimension of the BLAS calls.
-    """
-    Wp, bp = params["W_proj"], params["b_proj"]
-    B, K, d = H.shape
-    f = params["b_attn"].shape[0]
-    # Hp is written through a shard-major view so that it stays
-    # C-contiguous in (B, K, d) and every later reshape is free.
-    Hp = np.empty((B, K, d), dtype=np.result_type(H, Wp))
-    np.matmul(H.transpose(1, 0, 2), Wp, out=Hp.transpose(1, 0, 2))
-    Hp += bp
-    Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
-    U = Hp * Cp
-    T_pre = U.reshape(B * K, d) @ params["W_attn"]
-    T_pre += params["b_attn"]
-    T_pre = T_pre.reshape(B, K, f)
-    T = np.maximum(T_pre, 0.0)
-    S = (T.reshape(B * K, f) @ params["g_attn"]).reshape(B, K)
-    S -= S.max(axis=1, keepdims=True)
-    A = np.exp(S, out=S)
-    A /= (A @ np.ones(K, dtype=A.dtype))[:, None]
-    h_fused = np.matmul(A[:, None, :], Hp)[:, 0, :]
-    pre1 = h_fused @ params["W1"]
-    pre1 += params["b1"]
-    hidden = np.maximum(pre1, 0.0)
-    logits = hidden @ params["W2"]
-    logits += params["b2"]
-    if not with_cache:
-        return logits, None
-    return logits, (H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden)
-
-
-def unfolded_backward(params, grads, cache, dlogits):
-    """Accumulate gradients for all fusion parameters; inputs are frozen.
-
-    Sums over rows are products with a ones vector, which BLAS runs much
-    faster than numpy's axis reductions. The attention pre-activation
-    gradient dT_pre = dS g * M, with the ReLU mask M = [T_pre > 0], is
-    never formed: g factors out, so W_attn's gradient is
-    ((U * dS)^T M) * g, b_attn's is (dS^T M) * g and
-    dU = dS * (M (g W_attn^T)).
-    """
-    H, C, Hp, Cp, U, T_pre, T, A, h_fused, pre1, hidden = cache
-    B, K, d = H.shape
-    f = params["b_attn"].shape[0]
-    g_attn = params["g_attn"]
-    ones = np.ones(B, dtype=dlogits.dtype)
-    grads["W2"] += hidden.T @ dlogits
-    grads["b2"] += ones @ dlogits
-    dpre1 = dlogits @ params["W2"].T
-    dpre1 *= hidden > 0
-    grads["W1"] += h_fused.T @ dpre1
-    grads["b1"] += ones @ dpre1
-    dh_fused = dpre1 @ params["W1"].T
-
-    dA = np.matmul(Hp, dh_fused[:, :, None])[:, :, 0]
-    dS = dA - ((A * dA) @ np.ones(K, dtype=dA.dtype))[:, None]
-    dS *= A
-    dS_rows = dS.reshape(B * K)
-    mask = np.greater(T.reshape(B * K, f), 0, out=np.empty((B * K, f), dtype=T.dtype))
-    grads["g_attn"] += dS_rows @ T.reshape(B * K, f)
-    grads["b_attn"] += (dS_rows @ mask) * g_attn
-    grads["W_attn"] += ((U * dS[:, :, None]).reshape(B * K, d).T @ mask) * g_attn
-    dU = (mask @ (g_attn[:, None] * params["W_attn"].T)).reshape(B, K, d)
-    dU *= dS[:, :, None]
-
-    dHp = np.einsum("bk,bd->bkd", A, dh_fused)
-    dHp += dU * Cp
-    dU *= Hp
-    dCp = (ones @ dU.reshape(B, K * d)).reshape(K, d)
-    grads["W_proj"] += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
-    grads["W_proj"] += C[:, :, None] * dCp[:, None, :]
-    grads["b_proj"] += (ones @ dHp.reshape(B, K * d)).reshape(K, d) + dCp
-
-
-def reference_grads(params, grads, H, C, dlogits):
-    """Accumulate the unfolded passes' gradients for (H, C, dlogits)."""
-    _, cache = unfolded_forward(params, H, C, with_cache=True)
-    unfolded_backward(params, grads, cache, dlogits)
 
 
 class TestFusionBackward:
@@ -355,15 +263,16 @@ class TestFusionBackward:
         start = (rows - 1) // batch * batch
         H = table[start : start + batch]
         C = rng.normal(size=(k, d))
-        logits, cache = _forward(store.params, H, C, with_cache=True)
-        _, dlogits = cross_entropy_rows(logits, rng.integers(0, v, size=H.shape[0]))
+        logits, _ = _forward(store.params, H, C)
+        targets = rng.integers(0, v, size=H.shape[0])
+        _, dlogits = cross_entropy_rows(logits, targets)
         dlogits /= H.shape[0]
         # a nonzero start checks that gradients accumulate
         start_grads = {n: rng.normal(size=p.shape) for n, p in store.params.items()}
         want = {n: g.copy() for n, g in start_grads.items()}
         reference_grads(store.params, want, H, C, dlogits)
         got = {n: g.copy() for n, g in start_grads.items()}
-        _backward(store.params, got, cache, dlogits)
+        _train_step(store.params, got, H, C, targets, _Buffers())
         for name in store.names():
             scale = np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
@@ -379,16 +288,16 @@ class TestFusionBackward:
         H = rng.normal(size=(batch, k, d))
         C = rng.normal(size=(k, d))
         logits, _ = unfolded_forward(store.params, H, C)
-        _, dlogits = cross_entropy_rows(logits, rng.integers(0, v, size=H.shape[0]))
+        targets = rng.integers(0, v, size=H.shape[0])
+        _, dlogits = cross_entropy_rows(logits, targets)
         dlogits /= H.shape[0]
         want = {n: np.zeros_like(p) for n, p in store.params.items()}
         reference_grads(store.params, want, H, C, dlogits)
 
         params32 = {n: p.astype(np.float32) for n, p in store.params.items()}
         got = {n: np.zeros_like(p) for n, p in params32.items()}
-        _, cache = _forward(params32, H.astype(np.float32), C.astype(np.float32),
-                            with_cache=True)
-        _backward(params32, got, cache, dlogits.astype(np.float32))
+        _train_step(params32, got, H.astype(np.float32), C.astype(np.float32), targets,
+                    _Buffers())
         for name in store.names():
             assert got[name].dtype == np.float32, name
             scale = np.abs(want[name]).max()
@@ -408,9 +317,9 @@ class TestFusionInvariants:
         params_p["W_proj"] = store.params["W_proj"][perm]
         params_p["b_proj"] = store.params["b_proj"][perm]
 
-        logits, cache = _forward(store.params, H, C, with_cache=True)
-        logits_p, cache_p = _forward(params_p, H[:, perm], C[perm], with_cache=True)
-        np.testing.assert_allclose(cache_p.A, cache.A[:, perm], rtol=1e-9)
+        logits, cache = _forward(store.params, H, C)
+        logits_p, cache_p = _forward(params_p, H[:, perm], C[perm])
+        np.testing.assert_allclose(cache_p.A, cache.A[perm], rtol=1e-9)
         np.testing.assert_allclose(logits_p, logits, rtol=1e-9, atol=1e-12)
 
     def test_identical_shards_reduce_to_single_projection(self):
@@ -426,7 +335,7 @@ class TestFusionInvariants:
         store.params["b_proj"][...] = b
         H = np.tile(h, (1, k, 1))
         C = np.tile(c, (k, 1))
-        _, cache = _forward(store.params, H, C, with_cache=True)
+        _, cache = _forward(store.params, H, C)
         h_fused = cache.h_fused[0]
         np.testing.assert_allclose(h_fused, h @ W + b, rtol=1e-12, atol=1e-12)
 
@@ -528,13 +437,10 @@ class TestTrainAggregation:
             loss_sum = 0.0
             for start in range(0, P, config.batch_size):
                 tb = targets[start : start + config.batch_size] - 1
-                logits, fcache = _forward(store.params, table[start : start + config.batch_size],
-                                          centroids.c, with_cache=True)
-                batch_losses, dlogits = cross_entropy_rows(logits, tb)
-                loss_sum += float(batch_losses.sum())
-                dlogits /= len(tb)
                 store.zero_grads()
-                _backward(store.params, store.grads, fcache, dlogits)
+                loss_sum += _train_step(store.params, store.grads,
+                                        table[start : start + config.batch_size],
+                                        centroids.c, tb, _Buffers())
                 adam_step(store, adam, config.lr)
             losses.append(loss_sum / P)
         assert got.loss_history == losses
@@ -658,6 +564,36 @@ class TestPredictBlocks:
         assert np.all(got[:, 0] == -np.inf)
         assert got[:, 1:].tobytes() == logits.tobytes()
 
+    def test_logits_bit_equal_to_the_training_forward(self, monkeypatch):
+        # The training step computes the logits inside the loss kernel;
+        # on the same rows they must be predict_batch's, bit for bit, in
+        # full and in partial blocks.
+        import sru.numerics as numerics
+        data, models, sru, _ = TestSruModelPredict().fitted()
+        rng = np.random.default_rng(5)
+        prefixes = [tuple(rng.integers(1, 31, size=rng.integers(1, 15)).tolist())
+                    for _ in range(300)]
+        got = sru.predict_batch(prefixes)
+        H = encode_stacked(models, *pad_prefixes(models[0], prefixes))
+        seen = []
+        kernel_logits = numerics._logits
+
+        def spy(*args):
+            out = kernel_logits(*args)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(numerics, "_logits", spy)
+        store = sru.aggregation.store
+        buffers = _Buffers()
+        C = sru.centroids.c.astype(H.dtype)
+        for start in range(0, len(prefixes), 256):
+            rows = H[start : start + 256]
+            _train_step(store.params, store.copy().grads, rows, C,
+                        rng.integers(0, 30, size=len(rows)), buffers)
+        assert [len(block) for block in seen] == [256, 44]
+        assert got[:, 1:].tobytes() == np.concatenate(seen).tobytes()
+
 
 class TestFeatureCache:
     def test_table_matches_layout(self):
@@ -706,6 +642,28 @@ class TestFeatureCache:
         np.testing.assert_array_equal(updated.targets, full.targets)
         assert updated.features.dtype == full.features.dtype
         assert updated.features.tobytes() == full.features.tobytes()
+        assert updated.row_slices == full.row_slices
+
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("dirty", [[], [1]])
+    def test_rewritten_first_or_last_session_matches_rebuild(self, where, dirty):
+        # The reused runs end or start at the corpus' edge: the rewritten
+        # session is the first in the corpus, or the last.
+        data, _, models, _ = small_setup(num_sessions=12, k=2)
+        cache = build_feature_cache(models, data)
+        sessions = list(data.sessions)
+        victim = sessions[where]
+        assert len(victim) >= 3
+        sessions[where] = victim.__class__(session_id=victim.session_id,
+                                           items=victim.items[:-1])
+        modified = data.with_sessions(sessions)
+        if dirty:
+            models = [models[0], init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=5))]
+        updated = updated_feature_cache(cache, models, modified, dirty_shards=dirty,
+                                        changed_session_ids={victim.session_id})
+        full = build_feature_cache(models, modified)
+        assert updated.features.tobytes() == full.features.tobytes()
+        assert updated.targets.tobytes() == full.targets.tobytes()
         assert updated.row_slices == full.row_slices
 
     @staticmethod

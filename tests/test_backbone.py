@@ -32,7 +32,8 @@ from sru.backbone import (
 )
 from sru.corpus import generate_synthetic, split
 from sru.errors import ContractError, DimensionError
-from sru.numerics import ParamStore, cross_entropy_rows, finite_difference_check, sigmoid
+from sru.numerics import ParamStore, _Buffers, finite_difference_check, sigmoid
+from reference import cross_entropy_rows
 
 
 def zero_params(d):
@@ -522,6 +523,23 @@ class TestRecurrenceMatchesParent:
         for name in ref:
             np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref[name]).max(), err_msg=name)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_reused_buffers_bit_identical_to_fresh_ones(self, dtype):
+        # One set of buffers serves batches of different widths and row
+        # counts, a short last batch included, as in train_backbone; each
+        # call must give what the same call gives with fresh buffers.
+        model = random_model(40, 8, 14, seed=3, dtype=dtype)
+        rng = np.random.default_rng(4)
+        batches = [ragged_ids(rng, n, L, 40) for n, L in
+                   [(64, 14), (64, 6), (64, 14), (17, 9), (64, 3), (5, 14)]]
+        buffers = _Buffers()
+        for ids in batches:
+            reused = grads_after(lambda m, i: sequence_loss_and_grads(m, i, buffers), model, ids)
+            fresh = grads_after(sequence_loss_and_grads, model, ids)
+            assert reused[:2] == fresh[:2]
+            for name in fresh[2]:
+                assert reused[2][name].tobytes() == fresh[2][name].tobytes(), name
 
     def test_float32_matches_float64_oracle_at_default_shapes(self):
         model = random_model(200, 32, 14, seed=5, dtype="float32")

@@ -11,15 +11,15 @@ from sru.numerics import (
     AdamState,
     ParamStore,
     RngStream,
+    _softmax_loss,
     adam_step,
-    cross_entropy_rows,
-    cross_entropy_with_grad,
     derive_seed,
     finite_difference_check,
     linear_forward_backward,
     sigmoid,
     softmax,
 )
+from reference import cross_entropy_rows, cross_entropy_with_grad
 
 
 class TestSigmoid:
@@ -133,6 +133,71 @@ class TestCrossEntropyRows:
             loss, grad = cross_entropy_with_grad(logits[i], int(targets[i]))
             assert losses[i] == pytest.approx(loss, rel=1e-12)
             np.testing.assert_allclose(dlogits[i], grad, rtol=0, atol=1e-15)
+
+
+def softmax_loss_oracle(hidden, W, b, targets, scale):
+    """The output layer and loss from explicit float64 products and the
+    reference cross-entropy."""
+    hidden, W = hidden.astype(np.float64), W.astype(np.float64)
+    logits = hidden @ W.T
+    if b is not None:
+        logits += b.astype(np.float64)
+    losses, dlogits = cross_entropy_rows(logits, targets)
+    dlogits /= scale
+    db = None if b is None else dlogits.sum(axis=0)
+    return float(losses.sum()), dlogits.T @ hidden, db, dlogits @ W
+
+
+class TestSoftmaxLoss:
+    @staticmethod
+    def case(dtype, with_bias):
+        """Random rows plus two built ones: in row 0 the target holds the
+        row max, and row 1's logits spread by more than 100 with the
+        target at the bottom."""
+        rng = np.random.default_rng(7 + with_bias)
+        n, h, v = 12, 5, 9
+        hidden = rng.normal(size=(n, h))
+        W = rng.normal(size=(v, h))
+        b = rng.normal(size=v) if with_bias else None
+        targets = rng.integers(0, v, size=n)
+        hidden[1] *= 40.0
+        logits = hidden @ W.T + (0.0 if b is None else b)
+        targets[0] = int(np.argmax(logits[0]))
+        targets[1] = int(np.argmin(logits[1]))
+        assert np.ptp(logits[1]) > 100
+        cast = (lambda a: None if a is None else a.astype(dtype))
+        return cast(hidden), cast(W), cast(b), targets
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_float64_oracle(self, dtype, tol, with_bias):
+        hidden, W, b, targets = self.case(dtype, with_bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softmax_loss(hidden, W, b, targets, 4)
+        want = softmax_loss_oracle(hidden, W, b, targets, 4)
+        assert got[0] == pytest.approx(want[0], rel=tol)
+        assert (got[2] is None) == (b is None)
+        for g, w in zip(got[1:], want[1:]):
+            if w is None:
+                continue
+            assert g.dtype == dtype
+            assert np.isfinite(g).all()
+            assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+    def test_reused_buffer_gives_the_same_bits(self):
+        hidden, W, b, targets = self.case(np.float32, True)
+        fresh = _softmax_loss(hidden, W, b, targets, 3)
+        out = np.full((20, W.shape[0]), np.nan, dtype=np.float32)
+        reused = _softmax_loss(hidden, W, b, targets, 3, out)
+        assert reused[0] == fresh[0]
+        for g, w in zip(reused[1:], fresh[1:]):
+            assert g.tobytes() == w.tobytes()
+
+    def test_target_count_must_match_rows(self):
+        hidden, W, b, targets = self.case(np.float64, False)
+        with pytest.raises(DimensionError):
+            _softmax_loss(hidden, W, b, targets[:-1], 1)
 
 
 class TestLinear:

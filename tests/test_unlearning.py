@@ -188,6 +188,21 @@ class TestDeletionJson:
         text = json.dumps(deletions_to_json(results), sort_keys=True, indent=2)
         assert deletions_from_json(json.loads(text)) == results
 
+    def test_well_formed_rows_skip_the_field_checks(self, monkeypatch):
+        # JSON rows of a well-formed trail take the fast path; rows that
+        # hold tuples (straight from deletions_to_json) take the field
+        # checks; both read back the same results.
+        import sru.unlearning as unlearning
+        results = self.results()
+        checked = []
+        field_checks = unlearning._checked_record
+        monkeypatch.setattr(unlearning, "_checked_record",
+                            lambda index, row: checked.append(index) or field_checks(index, row))
+        assert deletions_from_json(json.loads(json.dumps(deletions_to_json(results)))) == results
+        assert checked == []
+        assert deletions_from_json(deletions_to_json(results)) == results
+        assert checked == [0, 1]
+
     def test_rows_hold_every_field(self):
         rows = deletions_to_json(self.results())
         assert rows[0] == {
