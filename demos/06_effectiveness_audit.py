@@ -32,7 +32,7 @@ train, validation, _ = split(data, seed=derive_seed(config.seed, "split"))
 print("assembling the sharded model...")
 state = fit_state(train, validation, config)
 
-requests = sample_requests(state.current_train_dataset(), 120, "NED", 0,
+requests = sample_requests(state.corpus, 120, "NED", 0,
                            seed=31, min_target_position=5)
 print(f"sampled {len(requests)} deletion requests (targets at position >= 5)")
 

@@ -224,7 +224,7 @@ def predict_output(h_fused: np.ndarray, W1, b1, W2, b2) -> np.ndarray:
 class FusionCache(NamedTuple):
     """What ``_backward`` needs from one ``_hidden_pass``; the slots keep
     the order of the pass. Every per-row array is shard-major, (K, B, .).
-    H and N carry the biases as an extra row or column (see
+    H, Wp and N carry the biases as an extra row or column (see
     ``_hidden_pass``). Both ReLUs run in place, so T and hidden hold
     the activations and their pre-activations are not kept."""
 
@@ -232,6 +232,7 @@ class FusionCache(NamedTuple):
     C: np.ndarray          # (K, d) centroids
     Hp: np.ndarray         # (K, B, d) projected states
     Cp: np.ndarray         # (K, d) projected centroids
+    Wp: np.ndarray         # (K, d + 1, d): W_proj_k, then the row b_proj_k
     N: np.ndarray          # (K, d + 1, d): N_k, then the row n_k
     T: np.ndarray          # (K, B, f) ReLU of the attention pre-activations
     A: np.ndarray          # (K, B) attention weights
@@ -247,10 +248,10 @@ def _hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
     so that every per-shard product is one batched matmul over
     contiguous blocks and carries its bias as one more weight row:
     Hp_k = [H_k 1] [Wp_k; bp_k] and T_pre_k = [H_k 1] [M_k; m_k], with
-    M_k and m_k built once per call from the parameters (see the module
-    docstring); U is never formed. The scores and attention weights are
-    (K, B), so the softmax over shards runs down the columns. Every
-    per-row array is taken from buffers.
+    [Wp_k; bp_k], [N_k; n_k] and [M_k; m_k] built once per call from the
+    parameters (see the module docstring); U is never formed. The scores
+    and attention weights are (K, B), so the softmax over shards runs
+    down the columns. Every array the pass makes is taken from buffers.
     """
     Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
     B, K, d = H.shape
@@ -262,9 +263,12 @@ def _hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
     H1[:, :, :d] = H.transpose(1, 0, 2)
     H1[:, :, d] = 1.0
     Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
-    Wp1 = np.concatenate((Wp, bp[:, None, :]), axis=1)
-    N1 = Wp1 * Cp[:, None, :]
-    M1 = (N1.reshape(K * (d + 1), d) @ W_attn).reshape(K, d + 1, f)
+    Wp1 = take("Wp1", (K, d + 1, d), dtype)
+    Wp1[:, :d] = Wp
+    Wp1[:, d] = bp
+    N1 = np.multiply(Wp1, Cp[:, None, :], out=take("N1", (K, d + 1, d), dtype))
+    M1 = np.matmul(N1.reshape(K * (d + 1), d), W_attn,
+                   out=take("M1", (K * (d + 1), f), dtype)).reshape(K, d + 1, f)
     M1[:, d] += params["b_attn"]
     Hp = np.matmul(H1, Wp1, out=take("Hp", (K, B, d), dtype))
     T = np.matmul(H1, M1, out=take("T", (K, B, f), dtype))
@@ -279,7 +283,7 @@ def _hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
     hidden = np.matmul(h_fused, params["W1"], out=take("hidden", (B, d_ff), dtype))
     hidden += params["b1"]
     np.maximum(hidden, 0.0, out=hidden)
-    return FusionCache(H1, C, Hp, Cp, N1, T, A, h_fused, hidden)
+    return FusionCache(H1, C, Hp, Cp, Wp1, N1, T, A, h_fused, hidden)
 
 
 def _forward(params, H, C, buffers: _Buffers | None = None):
@@ -297,9 +301,10 @@ def _forward(params, H, C, buffers: _Buffers | None = None):
 
 
 def _backward(params, grads, cache: FusionCache, dhidden, buffers: _Buffers) -> None:
-    """Accumulate gradients for every fusion parameter below the output
-    layer, given the gradient dhidden of its hidden rows; inputs are
-    frozen.
+    """Write the gradients of every fusion parameter below the output
+    layer into grads, given the gradient dhidden of its hidden rows;
+    inputs are frozen. Each gradient is a single term, written with
+    ``out=`` or one assignment, so grads need not be zeroed first.
 
     Sums over rows are products with a ones vector, which BLAS runs much
     faster than numpy's axis reductions. With dS the (K, B) score
@@ -322,58 +327,59 @@ def _backward(params, grads, cache: FusionCache, dhidden, buffers: _Buffers) -> 
         dbp_k = dn_k * Cp_k + dCp_k + A_k^T dh_fused
 
     The last terms of dWp and dbp come from the fused state's Hp; they
-    are one product, (A_k dh_fused)^T [H_k 1], whose A-weighting runs
-    over dh_fused^T so that it broadcasts along the rows of the batch.
-    The cache is consumed: the ReLU masks are written over hidden and T.
+    are one product, [H_k 1]^T (A_k dh_fused), whose result is laid out
+    like [dWp_k; dbp_k] so that it adds over contiguous memory. The
+    cache is consumed: the ReLU masks are written over hidden and T.
     """
-    H1, C, Hp, Cp, N1, T, A, h_fused, hidden = cache
+    H1, C, Hp, Cp, Wp1, N1, T, A, h_fused, hidden = cache
     K, B, d = Hp.shape
     f = T.shape[2]
-    Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
-    g_attn = params["g_attn"]
+    W_attn, g_attn = params["W_attn"], params["g_attn"]
     dtype = dhidden.dtype
-    ones = np.ones(B, dtype=dtype)
+    take = buffers.take
     dpre1 = dhidden
     dpre1 *= np.greater(hidden, 0, out=hidden)
-    grads["W1"] += h_fused.T @ dpre1
-    grads["b1"] += ones @ dpre1
-    dh_rows = params["W1"] @ dpre1.T      # dh_fused^T, (d, B)
+    np.matmul(h_fused.T, dpre1, out=grads["W1"])
+    np.matmul(np.ones(B, dtype=dtype), dpre1, out=grads["b1"])
+    dh_fused = np.matmul(dpre1, params["W1"].T, out=take("dh_fused", (B, d), dtype))
 
     # dA[k, b] = Hp[k, b] . dh_fused[b], one small product per row
-    dA = np.matmul(Hp.transpose(1, 0, 2), dh_rows.T[:, :, None])[:, :, 0]
-    dS = np.multiply(A, dA.T, out=buffers.take("dS", (K, B), dtype))
+    dA = np.matmul(Hp.transpose(1, 0, 2), dh_fused[:, :, None])[:, :, 0]
+    dS = np.multiply(A, dA.T, out=take("dS", (K, B), dtype))
     dS -= A * (np.ones(K, dtype=dtype) @ dS)
-    grads["g_attn"] += dS.reshape(K * B) @ T.reshape(K * B, f)
+    np.matmul(dS.reshape(K * B), T.reshape(K * B, f), out=grads["g_attn"])
     dT = np.greater(T, 0, out=T)
     dT *= dS[:, :, None]
-    dM1 = np.matmul(H1.transpose(0, 2, 1), dT)
+    dM1 = np.matmul(H1.transpose(0, 2, 1), dT, out=take("dM1", (K, d + 1, f), dtype))
     dM1 *= g_attn
-    grads["b_attn"] += np.ones(K, dtype=dtype) @ dM1[:, d]
-    grads["W_attn"] += N1.reshape(K * (d + 1), d).T @ dM1.reshape(K * (d + 1), f)
-    dN1 = (dM1.reshape(K * (d + 1), f) @ W_attn.T).reshape(K, d + 1, d)
-    Wp1 = np.concatenate((Wp, bp[:, None, :]), axis=1)
+    np.matmul(np.ones(K, dtype=dtype), dM1[:, d], out=grads["b_attn"])
+    np.matmul(N1.reshape(K * (d + 1), d).T, dM1.reshape(K * (d + 1), f),
+              out=grads["W_attn"])
+    dN1 = np.matmul(dM1.reshape(K * (d + 1), f), W_attn.T,
+                    out=take("dN1", (K * (d + 1), d), dtype)).reshape(K, d + 1, d)
     dCp = np.einsum("kij,kij->kj", dN1, Wp1)
-    dWp1 = dN1 * Cp[:, None, :]
+    weighted = np.multiply(A[:, :, None], dh_fused, out=take("KBd", (K, B, d), dtype))
+    dWp1 = np.matmul(H1.transpose(0, 2, 1), weighted, out=take("dWp1", (K, d + 1, d), dtype))
+    dN1 *= Cp[:, None, :]
+    dWp1 += dN1
     dWp1[:, :d] += C[:, :, None] * dCp[:, None, :]
     dWp1[:, d] += dCp
-    weighted = np.multiply(A[:, None, :], dh_rows, out=buffers.take("KdB", (K, d, B), dtype))
-    dWp1 += np.matmul(weighted, H1).transpose(0, 2, 1)
-    grads["W_proj"] += dWp1[:, :d]
-    grads["b_proj"] += dWp1[:, d]
+    grads["W_proj"][...] = dWp1[:, :d]
+    grads["b_proj"][...] = dWp1[:, d]
 
 
 def _train_step(params, grads, H, C, targets, buffers: _Buffers) -> float:
-    """One fusion training step on (B, K, d) states H: accumulates the
+    """One fusion training step on (B, K, d) states H: writes the
     gradient of the mean cross-entropy against targets (column indices)
-    into grads and returns the loss sum. The output layer and its loss
-    are ``numerics._softmax_loss`` over W2 and b2."""
+    into grads, over whatever they held, and returns the loss sum. The
+    output layer and its loss are ``numerics._softmax_loss`` over W2
+    and b2."""
     cache = _hidden_pass(params, H, C, buffers)
     B, V = H.shape[0], params["b2"].shape[0]
-    loss_sum, dW2, db2, dhidden = _softmax_loss(
+    loss_sum, _, _, dhidden = _softmax_loss(
         cache.hidden, params["W2"].T, params["b2"], targets, B,
-        buffers.take("logits", (B, V), cache.hidden.dtype))
-    grads["W2"] += dW2.T
-    grads["b2"] += db2
+        buffers.take("logits", (B, V), cache.hidden.dtype),
+        dW=grads["W2"].T, db=grads["b2"])
     _backward(params, grads, cache, dhidden, buffers)
     return loss_sum
 
@@ -614,7 +620,6 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
         for start in range(0, P, config.batch_size):
             rows = perm[start : start + config.batch_size]
             Hb = np.take(features, rows, axis=0, out=batch[: len(rows)], mode="clip")
-            store.zero_grads()
             loss_sum += _train_step(store.params, store.grads, Hb, C, targets[rows] - 1,
                                     buffers)
             adam_step(store, adam, config.lr)

@@ -4,6 +4,13 @@ The same model class serves as the pretrained reference encoder and as
 every per-shard sub-model. Training is plain full-softmax next-item
 prediction; all gradients are hand-derived and checked against finite
 differences in the test suite.
+
+Both directions of the recurrence run packed: the rows of a batch go in
+order of decreasing step count, so each step runs on the leading rows
+still inside their sequence and no step runs on a pad. Inference
+(``encode_stacked``) keeps only each prefix's final state; training
+(``sequence_loss_and_grads``) keeps every step's arrays in one
+time-major packed layout whose rows are exactly the loss positions.
 """
 
 from __future__ import annotations
@@ -71,7 +78,10 @@ class GruModel:
     """Item embeddings, one GRU cell, and a tied output head.
 
     Embedding row 0 is the padding row; it never contributes to the loss
-    or to rankings. Scores for item v are h . E[v].
+    or to rankings. Scores for item v are h . E[v]. ``loss_history``
+    holds one mean training loss per epoch run; ``best_epoch`` is the
+    1-based epoch whose parameters early stopping restored, or None for a
+    model trained without a validation set.
     """
 
     store: ParamStore
@@ -80,6 +90,7 @@ class GruModel:
     max_len: int
     config: BackboneConfig | None = None
     loss_history: list = field(default_factory=list)
+    best_epoch: int | None = None
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -131,16 +142,17 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 
 # -- GRU recurrence -----------------------------------------------------------
 #
-# Every GRU pass runs the two step kernels below: the training loop
-# (``_run_steps``), the single-step cell, and the one packed inference
-# pass, ``encode_stacked``, for one model or several stacked. Every
-# state that is read rather than trained comes from that pass:
-# predictions and centroids through ``pad_prefixes``, the feature table
-# and the validation metric through ``training_points``. The input side
+# Every GRU pass runs the two step kernels below: the packed training
+# pass, ``sequence_loss_and_grads``, the single-step cell, and the one
+# packed inference pass, ``encode_stacked``, for one model or several
+# stacked. Every state that is read rather than trained comes from that
+# pass: predictions and centroids through ``pad_prefixes``, the feature
+# table and the validation metric through ``training_points``. The input side
 # of a step, x W + b for all three gates, does not depend on the
 # recurrence, so it is computed before the time loop: for an id matrix
 # as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and E W_n + b_n
-# (V+1, d), whose rows each step gathers; for the single-step cell from
+# (V+1, d), whose rows each inference step gathers, and the training
+# pass gathers for all its steps at once; for the single-step cell from
 # x. Inside the loop a step costs one (d, 2d) product for the packed z|r
 # gates and one (d, d) product for the candidate. The z|r and n blocks
 # are kept apart so that every whole-block operation runs over
@@ -263,29 +275,6 @@ def _check_ids(ids: np.ndarray, rows: int) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         bad = ids[(ids < 0) | (ids >= rows)][0]
         raise IndexError(f"item id {bad} outside vocabulary of size {rows - 1}")
-
-
-def _run_steps(w: _GateWeights, tables, ids, out, buffers: _Buffers):
-    """Run the GRU from the zero state over every row of a right-padded id
-    matrix (n, L), pads included, gathering each step's input side from
-    tables, the pair that ``_input_side`` returns for the embeddings.
-    out[t] receives the state after step t (out is (L, n, d)).
-
-    Every step's activations are kept for ``_step_backward`` and returned
-    as (L, n, .) stacks (zr, n, rh), taken from buffers.
-    """
-    _check_ids(ids, len(tables[0]))
-    L, rows, d = out.shape
-    zr = buffers.take("zr", (L, rows, 2 * d), out.dtype)
-    gate_n = buffers.take("n", (L, rows, d), out.dtype)
-    rh = buffers.take("rh", (L, rows, d), out.dtype)
-    h = np.zeros((rows, d), dtype=out.dtype)
-    for t in range(L):
-        np.take(tables[0], ids[:, t], axis=0, out=zr[t], mode="clip")
-        np.take(tables[1], ids[:, t], axis=0, out=gate_n[t], mode="clip")
-        _step_forward(w, zr[t], gate_n[t], h, rh[t], out[t])
-        h = out[t]
-    return zr, gate_n, rh
 
 
 def _grouped_rows(keys: np.ndarray, blocks, size: int) -> list[np.ndarray]:
@@ -530,58 +519,96 @@ def score(model: GruModel, h: np.ndarray) -> np.ndarray:
 # -- training -----------------------------------------------------------------
 
 
+def _packed_layout(ids: np.ndarray):
+    """The packed time-major layout of a right-padded batch ids (B, L):
+    (keys, targets, active). Row i takes steps[i] = max(len_i - 1, 0)
+    steps, one per (prefix, next item) point. The rows go in order of
+    decreasing step count (a stable sort), so at step t the rows still
+    inside their sequence are the leading active[t] ones, and step t's
+    rows follow step t - 1's. Packed row p is then one loss position:
+    keys[p] is the item read at that step and targets[p] the item after
+    it. A row with an item after a pad raises ContractError."""
+    present = ids != 0
+    lengths = np.count_nonzero(present, axis=1)
+    misplaced = present != (np.arange(ids.shape[1]) < lengths[:, None])
+    if misplaced.any():
+        row = int(np.flatnonzero(misplaced.any(axis=1))[0])
+        raise ContractError(f"row {row} of the batch is not right-padded: {ids[row].tolist()}")
+    steps = np.maximum(lengths - 1, 0)
+    order = np.argsort(-steps, kind="stable")
+    T = max(ids.shape[1] - 1, 0)
+    inside = (np.arange(T) < steps[order, None]).T     # (T, B), time-major
+    sorted_ids = ids[order].T                           # (L, B)
+    keys = sorted_ids[:-1][inside]
+    targets = sorted_ids[1:][inside]
+    active = np.count_nonzero(inside, axis=1)
+    return keys, targets, active[active > 0]
+
+
 def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
                             buffers: _Buffers | None = None):
-    """Unrolled next-item loss over one right-padded batch.
+    """Unrolled next-item loss over one right-padded batch, run packed.
 
     Writes the analytic gradient of the mean-per-position cross-entropy
-    into the model's store and returns (loss_sum, positions). The
-    per-step arrays come from buffers (fresh ones when None); the result
-    does not depend on what they held before.
+    into the model's store and returns (loss_sum, positions). This is
+    the training twin of ``encode_stacked``: no step runs on a pad. The
+    rows go in order of decreasing step count (``_packed_layout``), so
+    step t runs forward and backward on the leading active[t] rows
+    alone, and every per-step array lives in one time-major packed
+    layout of positions rows, step t's rows right after step t - 1's, in
+    which every row is a loss position: the states, their inputs, the
+    gate stacks and the keys of ``_grouped_rows``. The output layer reads
+    the states as they are and its hidden-row gradient is the backward
+    pass's input as it is, with no gather of valid rows and no zeroed
+    scatter back. The per-step arrays come from buffers (fresh ones when
+    None); the result does not depend on what they held before.
     """
     store = model.store
     params = store.params
     E = params["E"]
-    inp = ids[:, :-1]
-    tgt = ids[:, 1:]
-    valid = tgt != 0          # right-padded, so this also implies inp != 0
-    positions = int(valid.sum())
+    _check_ids(ids, E.shape[0])
+    keys, targets, active = _packed_layout(ids)
+    positions = keys.size
     store.zero_grads()
     if positions == 0:
         return 0.0, 0
 
     buffers = _Buffers() if buffers is None else buffers
-    B, T = inp.shape
     d = model.d
     w = _gate_weights(params)
-    # Time-major: hs[t + 1] is the state after step t, hs[0] the zero state.
-    hs = buffers.take("hs", (T + 1, B, d), E.dtype)
-    hs[0] = 0.0
-    zr, n, rh = _run_steps(w, _input_side(w, E), inp, hs[1:], buffers)
+    # per step: its first packed row, its rows, and the next step's rows
+    active = active.tolist()
+    firsts = np.cumsum([0] + active[:-1]).tolist()
+    steps = list(zip(firsts, active, active[1:] + [0]))
+    table_zr, table_n = _input_side(w, E)
+    zr = np.take(table_zr, keys, axis=0, out=buffers.take("zr", (positions, 2 * d), E.dtype),
+                 mode="clip")
+    n = np.take(table_n, keys, axis=0, out=buffers.take("n", (positions, d), E.dtype),
+                mode="clip")
+    rh = buffers.take("rh", (positions, d), E.dtype)
+    hs = buffers.take("hs", (positions, d), E.dtype)        # state after each step
+    h_in = buffers.take("h_in", (positions, d), E.dtype)    # state entering it
+    h_in[: active[0]] = 0.0
+    for first, a, nxt in steps:
+        p = slice(first, first + a)
+        _step_forward(w, zr[p], n[p], h_in[p], rh[p], hs[p])
+        h_in[first + a : first + a + nxt] = hs[first : first + nxt]
 
-    H = hs[1:].transpose(1, 0, 2)     # (B, T, d) view
-    Hv = H[valid]
     logits = buffers.take("logits", (positions, E.shape[0] - 1), E.dtype)
-    loss_sum, dE, _, dHv = _softmax_loss(Hv, E[1:], None, tgt[valid] - 1, positions, logits)
-
     grads = store.grads
-    grads["E"][1:] += dE
-    dH = buffers.take("dH", (T, B, d), E.dtype)
-    dH[...] = 0.0
-    dH.transpose(1, 0, 2)[valid] = dHv
+    loss_sum, _, _, dH = _softmax_loss(hs, E[1:], None, targets - 1, positions, logits,
+                                       dW=grads["E"][1:])
 
     dzr = buffers.take("dzr", zr.shape, E.dtype)
     dn = buffers.take("dn", n.shape, E.dtype)
-    dh = np.zeros((B, d), dtype=E.dtype)
-    for t in reversed(range(T)):
-        dh += dH[t]
-        dh = _step_backward(w, zr[t], n[t], hs[t], rh[t], dh, dzr[t], dn[t])
-    dzr = dzr.reshape(T * B, 2 * d)
-    dn = dn.reshape(T * B, d)
-    # Pad steps have zero gradients, so grouping them under id 0 is harmless.
-    dtable_zr, dtable_n = _grouped_rows(inp.T.reshape(-1), (dzr, dn), E.shape[0])
-    _add_weight_grads(grads, E, dtable_zr, dtable_n,
-                      hs[:-1].reshape(T * B, d), rh.reshape(T * B, d), dzr, dn)
+    carry = dH[:0]       # no step follows the last one
+    for first, a, nxt in reversed(steps):
+        p = slice(first, first + a)
+        dh = dH[p]
+        dh[:nxt] += carry
+        carry = _step_backward(w, zr[p], n[p], h_in[p], rh[p], dh, dzr[p], dn[p])
+    dtable_zr, dtable_n = _grouped_rows(keys, (dzr, dn), E.shape[0])
+    _add_weight_grads(grads, E, dtable_zr, dtable_n, h_in, rh, dzr, dn)
     grads["E"] += dtable_zr @ w.Wzr.T
     grads["E"] += dtable_n @ w.Wn.T
     grads["E"][0] = 0.0   # the pad row stays frozen
@@ -613,7 +640,9 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
     the config, and the seed. Session order is shuffled each epoch from
     the model's named stream; with a validation set, training stops once
     NDCG@20 fails to improve for ``config.patience`` epochs and the best
-    parameters are restored.
+    parameters are restored, and ``best_epoch`` records their epoch.
+    ``loss_history`` has one entry for every epoch run, the ones after
+    the best included.
     """
     if dataset.split_tag != "train":
         raise ContractError(f"training data must be tagged 'train', got {dataset.split_tag!r}")
@@ -630,7 +659,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
     best_metric = -np.inf
     best_params = None
     stale = 0
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         perm = shuffle.permutation(n)
         loss_sum = 0.0
         positions = 0
@@ -646,6 +675,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
             if metric > best_metric:
                 best_metric = metric
                 best_params = {k: v.copy() for k, v in model.store.params.items()}
+                model.best_epoch = epoch
                 stale = 0
             else:
                 stale += 1

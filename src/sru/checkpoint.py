@@ -205,7 +205,9 @@ def check_config_hash(metadata: dict, expected: str | None, force: bool, path) -
 
 def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
     """Persist a GruModel or AggregationModel, with its per-epoch training
-    loss curve (``loss_history``) in the metadata."""
+    loss curve (``loss_history``) in the metadata, and for a GruModel the
+    epoch that early stopping restored (``best_epoch``, null without
+    one)."""
     extra = dict(extra_metadata or {})
     if isinstance(obj, GruModel):
         meta = {
@@ -215,6 +217,7 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
             "max_len": obj.max_len,
             "backbone_config": obj.config.as_dict() if obj.config else None,
             "loss_history": list(obj.loss_history),
+            "best_epoch": obj.best_epoch,
             **extra,
         }
         return save_container(path, dict(obj.store.params), meta)
@@ -236,7 +239,8 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
 
 def load_checkpoint(path, expected_config_hash: str | None = None, force: bool = False):
     """Load a model checkpoint back into its typed object; a checkpoint
-    written without a loss curve loads with an empty one."""
+    written without a loss curve loads with an empty one, and a GRU
+    checkpoint without a ``best_epoch`` loads with None."""
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, force, path)
     kind = metadata.get("kind")
@@ -248,7 +252,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None, force: bool =
             config = BackboneConfig.from_dict(metadata["backbone_config"])
         return GruModel(store=store, d=metadata["d"], num_items=metadata["num_items"],
                         max_len=metadata["max_len"], config=config,
-                        loss_history=loss_history)
+                        loss_history=loss_history, best_epoch=metadata.get("best_epoch"))
     if kind == "aggregation":
         config = None
         if metadata.get("agg_config"):

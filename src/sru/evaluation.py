@@ -178,14 +178,14 @@ def benchmark_unlearn(state, requests, retrain_config: BackboneConfig | None = N
         # built before the timer, so that the selective arm is timed on
         # the incremental cache update alone
         state = replace(state, feature_cache=build_feature_cache(
-            state.sub_models, state.current_train_dataset()))
+            state.sub_models, state.corpus))
     outcome = execute_unlearn(state, requests)
 
     config = retrain_config
     if config is None:
         base = state.shard_configs[0]
         config = BackboneConfig(**{**base.as_dict(), "seed": derive_seed(state.seed, "retrain")})
-    full_dataset = outcome.state.current_train_dataset()
+    full_dataset = outcome.state.corpus
     started = time.perf_counter()
     train_backbone(full_dataset, config)
     full_ms = (time.perf_counter() - started) * 1e3

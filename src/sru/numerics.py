@@ -292,23 +292,56 @@ def _logits(hidden: np.ndarray, W: np.ndarray, b, out: np.ndarray | None = None)
     return z
 
 
+def _exp_sum_floor(dtype) -> float:
+    """Smallest row sum of exp(logits - block max) that ``_softmax_loss``
+    accepts: the square root of the dtype's smallest normal number,
+    about 1e-19 in float32 and 1e-154 in float64."""
+    return math.sqrt(np.finfo(dtype).tiny)
+
+
+def _row_max_exp(hidden, W, b, z, rows, targets):
+    """The row-max form of ``_softmax_loss``'s exponentials: recomputes
+    the logits into z, subtracts each row's max, takes exp in place and
+    returns (own, total), the shifted target logits and the row sums."""
+    _logits(hidden, W, b, z)
+    z -= z.max(axis=1, keepdims=True)
+    own = z[rows, targets]
+    np.exp(z, out=z)
+    return own, z @ np.ones(z.shape[1], dtype=z.dtype)
+
+
 def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, scale,
-                  out: np.ndarray | None = None):
+                  out: np.ndarray | None = None, dW: np.ndarray | None = None,
+                  db: np.ndarray | None = None):
     """Output layer and softmax cross-entropy of rows hidden (n, h).
 
     The logits are ``_logits(hidden, W, b, out)``; targets are their
     column indices. The loss is the sum over rows, taken in log-sum-exp
-    form, log(sum(exp(s))) - s[target] with s = logits - row max, so no
+    form, log(sum(exp(s))) - s[target] with s the shifted logits, so no
     probability is ever passed to log: a float32 loss stays finite where
     the target's probability underflows to 0. The gradients are those of
     the loss sum divided by ``scale``. Returns (loss_sum, dW, db,
-    dhidden); db is None without a bias.
+    dhidden); db is None without a bias. dW and db are written into the
+    arrays given for them (dW of W's shape, and like W it may be a
+    transposed view), or into new ones when None.
 
     Everything runs in the one logits block, which ends up holding
-    (softmax - onehot) / scale: the max is subtracted, exp taken and the
-    rows normalised in place. The row sum is a product with a ones
-    vector, which BLAS runs several times faster than numpy's axis-1
-    reduction.
+    (softmax - onehot) / scale. The shift is the block's single max, a
+    scalar: one flat reduction and one scalar subtract, where a per-row
+    max costs a reduction per row and a broadcast subtract. Softmax does
+    not depend on the shift, but a row whose own max lies far below the
+    block's could underflow: when any row's sum of exp falls below
+    ``_exp_sum_floor`` (that row's max then lies at least about 44
+    below the block's in float32, 354 in float64), the block is
+    recomputed with each row's own max subtracted (``_row_max_exp``),
+    so no row's sum can underflow. Above the floor a row's largest term
+    is at least floor / width, so a term can only drop below the
+    smallest normal number where it is below width * floor times that
+    largest term (about 2e-17 at 200 columns in float32), far below
+    rounding. The row sum is a product with a ones vector, which BLAS
+    runs several times faster than numpy's axis-1 reduction. The loss
+    scale is folded into the one normalising divide, by total * scale,
+    and 1 / scale is then subtracted at the targets.
     """
     z = _logits(hidden, W, b, out)
     n, width = z.shape
@@ -316,16 +349,19 @@ def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, sca
     if targets.shape != (n,):
         raise DimensionError(f"need ({n},) targets for {n} rows, got {targets.shape}")
     rows = np.arange(n)
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max()
     own = z[rows, targets]
     np.exp(z, out=z)
     total = z @ np.ones(width, dtype=z.dtype)
+    if total.min() < _exp_sum_floor(z.dtype):
+        own, total = _row_max_exp(hidden, W, b, z, rows, targets)
     loss_sum = float((np.log(total) - own).sum())
+    total *= scale
     z /= total[:, None]
-    z[rows, targets] -= 1.0
-    z /= scale
-    dW = z.T @ hidden
-    db = None if b is None else np.ones(n, dtype=z.dtype) @ z
+    z[rows, targets] -= 1.0 / scale
+    dW = np.matmul(z.T, hidden, out=dW)
+    if b is not None:
+        db = np.matmul(np.ones(n, dtype=z.dtype), z, out=db)
     return loss_sum, dW, db, z @ W
 
 

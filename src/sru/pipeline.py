@@ -277,7 +277,7 @@ def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None,
     state, splits = load_state(run_dir, config)
     outcome = execute_unlearn(state, load_requests(requests_path), parallel=parallel)
     new = outcome.state
-    _save(run_dir, config, "dataset", {**splits, "train": new.current_train_dataset()})
+    _save(run_dir, config, "dataset", {**splits, "train": new.corpus})
     _save(run_dir, config, "partition", new.assignment)
     for k, model in enumerate(new.sub_models):
         if model is not state.sub_models[k]:
@@ -339,7 +339,7 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
         for k in shard_counts:
             state = fit_state(train, validation, config, k_override=k)
             report = evaluate(state.sru_model(), test, ks=(20,))
-            requests = sample_requests(state.current_train_dataset(),
+            requests = sample_requests(state.corpus,
                                        count=min(20, len(train) // 4),
                                        strategy=strategy,
                                        n_extra=config["unlearn.n_extra"],
@@ -361,7 +361,7 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
                     ("random_partition", f"{sisa_report.recall[20]:.6g}")])
     else:
         state = fit_state(train, validation, config)
-        base = sample_requests(state.current_train_dataset(),
+        base = sample_requests(state.corpus,
                                count=min(200, len(train) // 2),
                                strategy=strategy, n_extra=0,
                                seed=derive_seed(config.seed, "ablate-deletion"),

@@ -323,7 +323,9 @@ class SruState:
         return make_shards(self.corpus, self.assignment)
 
     def current_train_dataset(self) -> SessionDataset:
-        """The full training corpus, in stored order."""
+        """The full training corpus, in stored order: ``self.corpus``,
+        which the library and demos read directly. The method stays only
+        because the benchmark harness (``bench/workloads.py``) calls it."""
         return self.corpus
 
     def sru_model(self) -> SruModel:

@@ -267,11 +267,11 @@ class TestFusionBackward:
         targets = rng.integers(0, v, size=H.shape[0])
         _, dlogits = cross_entropy_rows(logits, targets)
         dlogits /= H.shape[0]
-        # a nonzero start checks that gradients accumulate
-        start_grads = {n: rng.normal(size=p.shape) for n, p in store.params.items()}
-        want = {n: g.copy() for n, g in start_grads.items()}
+        # the step writes every gradient over what the slots held, so a
+        # NaN start must not show through
+        want = {n: np.zeros_like(p) for n, p in store.params.items()}
         reference_grads(store.params, want, H, C, dlogits)
-        got = {n: g.copy() for n, g in start_grads.items()}
+        got = {n: np.full_like(p, np.nan) for n, p in store.params.items()}
         _train_step(store.params, got, H, C, targets, _Buffers())
         for name in store.names():
             scale = np.abs(want[name]).max()

@@ -502,6 +502,27 @@ def point_states(model, ids):
     return encode_stacked([model], *points)[:, 0], points
 
 
+@st.composite
+def training_batches(draw):
+    """(num_items, max_len, ids): a right-padded batch of rows that hold
+    0, 1 or max_len items or any number between; or rows that all have
+    one length; or rows of at most one item, a batch with no target."""
+    num_items = draw(st.integers(1, 12))
+    max_len = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["ragged", "same length", "no target"]))
+    if shape == "ragged":
+        size = st.sampled_from([0, 1, max_len]) | st.integers(0, max_len)
+        sizes = draw(st.lists(size, min_size=n, max_size=n))
+    elif shape == "same length":
+        sizes = [draw(st.integers(0, max_len))] * n
+    else:
+        sizes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    rows = [draw(st.lists(st.integers(1, num_items), min_size=m, max_size=m)) for m in sizes]
+    ids, _ = padded_items(rows, max_len)
+    return num_items, max_len, ids
+
+
 class TestRecurrenceMatchesParent:
     @pytest.mark.parametrize("n, L", SHAPES)
     def test_prefix_states(self, n, L):
@@ -523,6 +544,57 @@ class TestRecurrenceMatchesParent:
         for name in ref:
             np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref[name]).max(), err_msg=name)
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=training_batches(), seed=st.integers(0, 2**16))
+    @example(batch=(5, 4, np.array([[1, 0, 0, 0], [2, 3, 4, 5], [0, 0, 0, 0], [2, 3, 0, 0]])),
+             seed=0)
+    def test_packed_sequence_loss_on_ragged_batches(self, batch, seed):
+        # the packed trainer against the all-rows oracle, with rows that
+        # take no step, one step or every step, all rows of one length,
+        # and batches without a single target. With one item the oracle's
+        # loss and gradients are exactly 0 and the block-shifted softmax
+        # leaves rounding there, so a bound on an exact 0 is 1e-12 (per
+        # position for the loss sum).
+        num_items, max_len, ids = batch
+        model = random_model(num_items, 3, max_len, seed)
+        loss, positions, grads = grads_after(sequence_loss_and_grads, model, ids)
+        ref_loss, ref_positions, ref = grads_after(parent_sequence_loss_and_grads, model, ids)
+        assert positions == ref_positions == int((ids[:, 1:] != 0).sum())
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0 if ref_loss else 1e-12 * positions)
+        for name in ref:
+            scale = np.abs(ref[name]).max() or 1.0
+            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
+    def test_batch_that_is_not_right_padded_raises(self):
+        model = random_model(20, 6, 14, seed=1)
+        with pytest.raises(ContractError, match="row 1 of the batch is not right-padded"):
+            sequence_loss_and_grads(model, np.array([[3, 4, 5], [5, 0, 6]]))
+
+    def test_training_pass_holds_no_padded_stack(self):
+        # One full row and 255 rows of two items: 268 positions in a
+        # (256, 14) batch of 3328 padded steps. The packed pass may hold
+        # a (positions, V) logits block, about a dozen (positions, d)
+        # state, gate and gradient arrays, the (V+1, 3d) input tables and
+        # their gradients, and a few (B, L) index arrays; a single padded
+        # (T, B, 5d) block of states and gates would not fit.
+        B, L, V, d = 256, 14, 200, 32
+        model = random_model(V, d, L, seed=1, dtype="float32")
+        ids = np.zeros((B, L), dtype=np.int64)
+        ids[:, :2] = np.random.default_rng(2).integers(1, V + 1, size=(B, 2))
+        ids[0] = np.arange(1, L + 1)
+        positions = L - 1 + B - 1
+        tracemalloc.start()
+        try:
+            _, got = sequence_loss_and_grads(model, ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == positions
+        bound = 4 * (positions * (V + 16 * d) + 4 * (V + 1) * 3 * d) + 8 * 6 * B * L
+        assert peak < bound
+        assert bound < 4 * (L - 1) * B * 5 * d
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_reused_buffers_bit_identical_to_fresh_ones(self, dtype):

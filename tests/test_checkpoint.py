@@ -45,6 +45,20 @@ class TestModelRoundTrip:
         assert loaded.config == model.config
         assert loaded.num_items == 20
 
+    def test_gru_best_epoch_round_trip(self, tmp_path):
+        model = init_gru_model(20, BackboneConfig(d=8, max_len=10, seed=3))
+        path = tmp_path / "m.sru"
+        save_checkpoint(model, path)
+        assert load_checkpoint(path).best_epoch is None
+        model.best_epoch = 4
+        save_checkpoint(model, path)
+        assert load_checkpoint(path).best_epoch == 4
+        # a checkpoint written before the field existed loads with None
+        tensors, metadata = load_container(path)
+        del metadata["best_epoch"]
+        save_container(path, tensors, metadata)
+        assert load_checkpoint(path).best_epoch is None
+
     def test_aggregation_round_trip_bitwise(self, tmp_path):
         model = init_aggregation_model(4, 8, 30, AggregationConfig(f=6, seed=5))
         path = tmp_path / "a.sru"

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sru import numerics
 from sru.errors import ContractError, DeterminismError, DimensionError
 from sru.numerics import (
     AdamState,
     ParamStore,
     RngStream,
+    _Buffers,
+    _exp_sum_floor,
     _softmax_loss,
     adam_step,
     derive_seed,
@@ -148,6 +151,24 @@ def softmax_loss_oracle(hidden, W, b, targets, scale):
     return float(losses.sum()), dlogits.T @ hidden, db, dlogits @ W
 
 
+@pytest.fixture(scope="module")
+def default_state():
+    """A state fitted at the default config (seed 7)."""
+    from sru.config import ExperimentConfig
+    from sru.corpus import generate_synthetic, split
+    from sru.numerics import derive_seed
+    from sru.pipeline import fit_state
+
+    config = ExperimentConfig.defaults()
+    data = generate_synthetic(
+        num_sessions=config["synthetic.sessions"], vocab_size=config["synthetic.items"],
+        num_clusters=config["synthetic.clusters"], noise_rate=config["synthetic.noise"],
+        seed=derive_seed(config.seed, "synthetic"), min_len=config["synthetic.min_len"],
+        max_len=config["synthetic.max_len"])
+    train, validation, _ = split(data, seed=derive_seed(config.seed, "split"))
+    return fit_state(train, validation, config)
+
+
 class TestSoftmaxLoss:
     @staticmethod
     def case(dtype, with_bias):
@@ -198,6 +219,87 @@ class TestSoftmaxLoss:
         hidden, W, b, targets = self.case(np.float64, False)
         with pytest.raises(DimensionError):
             _softmax_loss(hidden, W, b, targets[:-1], 1)
+
+    # -- the block-max shift and its row-max fallback
+
+    @staticmethod
+    def fallbacks(monkeypatch) -> list:
+        """Record each call of the row-max fallback."""
+        calls = []
+        fallback = numerics._row_max_exp
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return fallback(*args)
+
+        monkeypatch.setattr(numerics, "_row_max_exp", spy)
+        return calls
+
+    @staticmethod
+    def check_against_oracle(hidden, W, targets, dtype, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softmax_loss(hidden, W, None, targets, 3)
+        want = softmax_loss_oracle(hidden, W, None, targets, 3)
+        assert got[0] == pytest.approx(want[0], rel=tol)
+        for g, w in zip(got[1:], want[1:]):
+            if w is not None:
+                assert g.dtype == dtype
+                assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+    @staticmethod
+    def block(dtype, gap_of_row_1):
+        """Logits = hidden exactly (W is the identity): four random rows,
+        then row 1 moved so that its max lies gap_of_row_1(rest) below
+        the block's, where rest are its logits less their max."""
+        rng = np.random.default_rng(11)
+        hidden = rng.normal(scale=2.0, size=(4, 6))
+        rest = hidden[1] - hidden[1].max()
+        hidden[1] = np.delete(hidden, 1, axis=0).max() - gap_of_row_1(rest) + rest
+        return hidden.astype(dtype), np.eye(6, dtype=dtype), rng.integers(0, 6, size=4)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_row_maxima_200_apart(self, dtype, tol, monkeypatch):
+        # Float32's exp(-200) is 0, so that row's sum underflows and the
+        # block falls back to row maxima; float64 stays above its floor.
+        calls = self.fallbacks(monkeypatch)
+        hidden, W, targets = self.block(dtype, lambda rest: 200.0)
+        self.check_against_oracle(hidden, W, targets, dtype, tol)
+        assert calls == ([4] if dtype == np.float32 else [])
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_row_just_inside_the_floor(self, dtype, tol, monkeypatch):
+        # row 1's sum of exp(logits - block max) is twice the floor
+        calls = self.fallbacks(monkeypatch)
+        floor = _exp_sum_floor(dtype)
+        hidden, W, targets = self.block(
+            dtype, lambda rest: np.log(np.exp(rest).sum()) - np.log(2 * floor))
+        shifted = hidden.astype(np.float64) - hidden.max()
+        assert 1.5 * floor < np.exp(shifted[1]).sum() < 2.5 * floor
+        self.check_against_oracle(hidden, W, targets, dtype, tol)
+        assert calls == []
+
+    def test_fast_path_on_default_batches(self, default_state, monkeypatch):
+        # A fallback that always ran would pass every other test; the
+        # trained default-config models must take the block shift on a
+        # shard batch and on a fusion batch.
+        from sru.aggregation import _train_step
+        from sru.backbone import padded_items, sequence_loss_and_grads
+
+        calls = self.fallbacks(monkeypatch)
+        state = default_state
+        model = state.sub_models[0]
+        ids, _ = padded_items([s.items for s in state.shards[0].sessions], model.max_len)
+        _, positions = sequence_loss_and_grads(model, ids)
+        assert positions > 1000
+        store = state.aggregation.store.copy()
+        cache = state.feature_cache
+        rows = slice(0, 256)
+        _train_step(store.params, store.grads, cache.features[rows],
+                    state.centroids.c.astype(cache.features.dtype),
+                    cache.targets[rows] - 1, _Buffers())
+        assert np.isfinite(store.grad_values).all()
+        assert calls == []
 
 
 class TestLinear:

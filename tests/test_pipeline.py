@@ -14,6 +14,7 @@ from sru.checkpoint import (
     save_checkpoint,
     save_datasets,
 )
+from sru.backbone import train_backbone
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
@@ -274,6 +275,20 @@ class TestLossHistory:
             loaded = _load(tmp_path, config, name, k)
             assert loaded.loss_history == model.loss_history, (name, k)
             assert all(type(x) is float for x in loaded.loss_history)
+
+    def test_best_epoch_survives_save_and_load(self, tmp_path):
+        config = tiny_config(**{"backbone.early_stop": True, "backbone.epochs": 20,
+                                "backbone.patience": 2, "backbone.lr": 0.1})
+        run_stages(tmp_path, config, ("preprocess", "pretrain"))
+        reference = _load(tmp_path, config, "reference")
+        # one loss per epoch run, the epochs after the best included
+        assert 1 <= reference.best_epoch < len(reference.loss_history) < 20
+        # the restored parameters are the best epoch's: as many epochs
+        # without a validation set give the same bytes
+        train = _load(tmp_path, config, "dataset", splits=["train"])["train"]
+        plain = train_backbone(train, replace(reference.config, epochs=reference.best_epoch))
+        assert plain.best_epoch is None
+        assert plain.params_bytes() == reference.params_bytes()
 
 
 class TestUnlearnStage:
