@@ -13,22 +13,15 @@ from .aggregation import (
     AggregationModel,
     ShardCentroids,
     SruModel,
-    attention_scores,
     compute_centroid,
     compute_centroids,
-    fuse,
-    predict_output,
-    project,
     train_aggregation,
 )
 from .backbone import (
     BackboneConfig,
     GruModel,
-    encode,
     encode_batch,
-    gru_cell,
     init_gru_model,
-    score,
     train_backbone,
     train_many,
     train_many_timed,
@@ -71,9 +64,6 @@ from .evaluation import (
     benchmark_unlearn,
     evaluate,
     hit_effectiveness,
-    metrics_at_k,
-    rank_from_logits,
-    rank_of_target,
     sisa_baseline,
 )
 from .numerics import (
@@ -83,9 +73,7 @@ from .numerics import (
     adam_step,
     derive_seed,
     finite_difference_check,
-    linear_forward_backward,
     ranks_from_logits,
-    softmax,
 )
 from .partition import (
     PartitionConfig,

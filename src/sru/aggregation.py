@@ -7,8 +7,8 @@ the projected states, and a two-layer ReLU output network over the item
 set. Sub-models are frozen throughout; only these fusion parameters
 train.
 
-The batched passes compute the attention in folded form. For shard k
-with state rows H_k (B, d), centroid c_k, projection (Wp_k, bp_k) and
+Both passes compute the attention in folded form. For shard k with
+state rows H_k (B, d), centroid c_k, projection (Wp_k, bp_k) and
 Cp_k = c_k Wp_k + bp_k, the pre-activation is
 
     T_pre_k = ((H_k Wp_k + bp_k) * Cp_k) W_attn + b_attn = H_k M_k + m_k,
@@ -49,7 +49,7 @@ from .backbone import (
     training_points,
 )
 from .corpus import SessionDataset
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .numerics import (
     AdamState,
     ParamStore,
@@ -58,7 +58,6 @@ from .numerics import (
     _logits,
     _softmax_loss,
     adam_step,
-    softmax,
     xavier_uniform,
 )
 
@@ -156,69 +155,7 @@ def compute_centroids(sub_models, shards, source: str = "submodel",
     return ShardCentroids(c=c, source=source)
 
 
-# -- single-example operations -------------------------------------------------
-
-
-def project(h_k: np.ndarray, c_k: np.ndarray, W_k: np.ndarray, b_k: np.ndarray):
-    """Apply one shard's affine map to its state and centroid alike."""
-    h_k = np.asarray(h_k)
-    c_k = np.asarray(c_k)
-    if W_k.shape != (h_k.shape[0], h_k.shape[0]) or b_k.shape != h_k.shape or c_k.shape != h_k.shape:
-        raise DimensionError(
-            f"projection shapes do not conform: h {h_k.shape}, c {c_k.shape}, "
-            f"W {W_k.shape}, b {b_k.shape}"
-        )
-    return h_k @ W_k + b_k, c_k @ W_k + b_k
-
-
-def attention_scores(h_proj, c_proj, W_attn: np.ndarray, b_attn: np.ndarray,
-                     g: np.ndarray) -> np.ndarray:
-    """Attention weights over shards from projected (state, centroid) pairs.
-
-    score_k = g . relu((h'_k * c'_k) W_attn + b_attn); the weights are the
-    softmax over scores, hence a probability vector of length K.
-    """
-    h_proj = np.asarray(h_proj)
-    c_proj = np.asarray(c_proj)
-    if h_proj.shape != c_proj.shape or h_proj.ndim != 2:
-        raise DimensionError(
-            f"need matching (k, d) arrays, got {h_proj.shape} and {c_proj.shape}"
-        )
-    if W_attn.shape[0] != h_proj.shape[1] or b_attn.shape != (W_attn.shape[1],) \
-            or g.shape != (W_attn.shape[1],):
-        raise DimensionError(
-            f"attention parameter shapes do not conform: W {W_attn.shape}, "
-            f"b {b_attn.shape}, g {g.shape}"
-        )
-    u = h_proj * c_proj
-    t = np.maximum(u @ W_attn + b_attn, 0.0)
-    return softmax(t @ g)
-
-
-def fuse(a: np.ndarray, h_proj) -> np.ndarray:
-    """Convex combination of projected states with attention weights."""
-    a = np.asarray(a)
-    h_proj = np.asarray(h_proj)
-    if a.ndim != 1 or h_proj.shape[0] != a.shape[0]:
-        raise DimensionError(f"weights {a.shape} do not match states {h_proj.shape}")
-    if abs(float(a.sum()) - 1.0) > 1e-5:
-        raise ContractError("attention weights must sum to 1")
-    return a @ h_proj
-
-
-def predict_output(h_fused: np.ndarray, W1, b1, W2, b2) -> np.ndarray:
-    """Two-layer ReLU network mapping a fused state to item logits
-    (compact, index v - 1 for item v)."""
-    h_fused = np.asarray(h_fused)
-    if W1.shape[0] != h_fused.shape[0] or W2.shape[0] != W1.shape[1]:
-        raise DimensionError(
-            f"output network shapes do not conform: h {h_fused.shape}, "
-            f"W1 {W1.shape}, W2 {W2.shape}"
-        )
-    return np.maximum(h_fused @ W1 + b1, 0.0) @ W2 + b2
-
-
-# -- batched forward/backward ---------------------------------------------------
+# -- forward and backward passes -----------------------------------------------
 
 
 class FusionCache(NamedTuple):
@@ -644,11 +581,6 @@ class SruModel:
     @property
     def num_items(self) -> int:
         return self.aggregation.num_items
-
-    def predict(self, prefix) -> np.ndarray:
-        return self.predict_batch([prefix])[0]
-
-    __call__ = predict
 
     def predict_batch(self, prefixes) -> np.ndarray:
         """Id-indexed logits rows; index 0 is the pad slot at -inf.

@@ -50,7 +50,12 @@ class BackboneConfig:
     lr: float = 1e-3
     seed: int = 0
     patience: int = 3          # early stopping, only when a validation set is given
-    dtype: str = "float32"     # "float64" for gradient-check instances
+    # "float64" is for gradient checks. Byte-exact unlearning (C1) holds
+    # in float32, the pipeline's dtype, and not in float64: there a row's
+    # state can change in the last bit with the rows that share its steps
+    # in ``encode_stacked``, so the feature cache that unlearning updates
+    # in place can differ from a rebuilt one by about 1e-16.
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.d < 1 or self.batch_size < 1:
@@ -99,18 +104,8 @@ class GruModel:
     def params_bytes(self) -> bytes:
         return self.store.tobytes()
 
-    # -- inference ---------------------------------------------------------
-
-    def encode(self, prefix) -> np.ndarray:
-        return encode(self, prefix)
-
-    def predict(self, prefix) -> np.ndarray:
-        """Id-indexed logits (index 0 is the pad slot, fixed at -inf)."""
-        return score(self, encode(self, prefix))
-
-    __call__ = predict
-
     def predict_batch(self, prefixes) -> np.ndarray:
+        """Id-indexed logits rows; index 0 is the pad slot at -inf."""
         h = encode_batch(self, prefixes)
         logits = h @ self.embeddings[1:].T
         out = np.full((len(prefixes), self.num_items + 1), -np.inf, dtype=logits.dtype)
@@ -333,29 +328,7 @@ def gru_cell_backward(params, cache, dh_new, out_grads=None):
     return dzr @ w.Wzr.T + dn @ w.Wn.T, dh, out_grads
 
 
-def gru_cell(params, x, h_prev) -> np.ndarray:
-    """Single-vector convenience wrapper around gru_cell_forward."""
-    h_new, _ = gru_cell_forward(params, x, h_prev)
-    return h_new[0]
-
-
-# -- encoding and scoring ----------------------------------------------------
-
-
-def encode(model: GruModel, prefix) -> np.ndarray:
-    """Final GRU state after consuming the prefix left to right.
-
-    Pad ids are skipped, the prefix is truncated to the model's last
-    max_len items, and an empty prefix returns the zero initial state.
-    This is the one-prefix reference: it chains ``gru_cell_forward``
-    item by item, and the batched paths are tested against it.
-    """
-    ids, _, lengths = pad_prefixes(model, [prefix])
-    params = model.store.params
-    h = np.zeros((1, model.d), dtype=model.embeddings.dtype)
-    for item in ids[0, : lengths[0]]:
-        h, _ = gru_cell_forward(params, model.embeddings[item][None, :], h)
-    return h[0]
+# -- padding and encoding ----------------------------------------------------
 
 
 def _right_padded(items: np.ndarray, stop: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -405,8 +378,9 @@ def training_points(sequences, limit: int):
 def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pad each shared prefix chain once; returns (ids, rows, lengths).
 
-    Prefixes are cleaned as ``encode`` cleans them (pad ids skipped,
-    last max_len items kept, every id checked against the vocabulary).
+    Each prefix is cleaned first: its pad ids are skipped, its last
+    max_len items are kept, and every id is checked against the
+    vocabulary (IndexError naming the first one outside it).
     A cleaned prefix that is a prefix of another one in the batch, or a
     duplicate of it, is not padded on its own: prefix i is the first
     lengths[i] items of row rows[i] of ids, and ids holds only the
@@ -448,7 +422,9 @@ def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def encode_batch(model: GruModel, prefixes) -> np.ndarray:
-    """Vectorized encode over many prefixes; returns (n, d)."""
+    """Final GRU state of each prefix, read left to right after
+    ``pad_prefixes`` cleans it; an empty prefix keeps the zero state.
+    Returns (n, d)."""
     return encode_stacked([model], *pad_prefixes(model, prefixes))[:, 0]
 
 
@@ -501,18 +477,6 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
         done = by_length[ends[t] : ends[t + 1]]
         out[done] = h_new[:, where[rows[done]]].transpose(1, 0, 2)
         h, h_buf, h_new_buf = h_new, h_new_buf, h_buf
-    return out
-
-
-def score(model: GruModel, h: np.ndarray) -> np.ndarray:
-    """Tied-head logits indexed by item id; the pad slot 0 is -inf."""
-    h = np.asarray(h)
-    if h.shape != (model.d,):
-        raise DimensionError(f"hidden state must have shape ({model.d},), got {h.shape}")
-    logits = model.embeddings[1:] @ h
-    out = np.empty(model.num_items + 1, dtype=logits.dtype)
-    out[0] = -np.inf
-    out[1:] = logits
     return out
 
 

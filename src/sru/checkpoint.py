@@ -189,14 +189,14 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, metadata
 
 
-def check_config_hash(metadata: dict, expected: str | None, force: bool, path) -> None:
-    if expected is None or force:
+def check_config_hash(metadata: dict, expected: str | None, path) -> None:
+    if expected is None:
         return
     found = metadata.get("config_hash")
     if found != expected:
         raise StaleArtifactError(
             f"{path} was produced under config hash {found}, current is {expected}; "
-            "rerun the upstream stage or pass force"
+            "rerun the upstream stage"
         )
 
 
@@ -237,12 +237,12 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
     raise ContractError(f"cannot checkpoint object of type {type(obj).__name__}")
 
 
-def load_checkpoint(path, expected_config_hash: str | None = None, force: bool = False):
+def load_checkpoint(path, expected_config_hash: str | None = None):
     """Load a model checkpoint back into its typed object; a checkpoint
     written without a loss curve loads with an empty one, and a GRU
     checkpoint without a ``best_epoch`` loads with None."""
     tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, force, path)
+    check_config_hash(metadata, expected_config_hash, path)
     kind = metadata.get("kind")
     store = ParamStore(tensors)
     loss_history = list(metadata.get("loss_history", []))
@@ -301,7 +301,7 @@ def save_datasets(path, splits: dict[str, SessionDataset],
 
 
 def load_datasets(path, expected_config_hash: str | None = None,
-                  force: bool = False, splits=None) -> dict[str, SessionDataset]:
+                  splits=None) -> dict[str, SessionDataset]:
     """Load the splits of one dataset container, keyed by tag.
 
     ``splits`` names the tags to build sessions for (default: all). The
@@ -309,7 +309,7 @@ def load_datasets(path, expected_config_hash: str | None = None,
     does not hold is a ``ParseError`` naming the file and the tag.
     """
     tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, force, path)
+    check_config_hash(metadata, expected_config_hash, path)
     if metadata.get("kind") != "dataset":
         raise VersionError(f"expected a dataset container, found kind {metadata.get('kind')!r}")
     tags = metadata["splits"] if splits is None else list(splits)
@@ -379,10 +379,10 @@ def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
     save_container(bin_path, {"centroids": assignment.centroids}, meta)
 
 
-def load_assignment(csv_path, bin_path, expected_config_hash: str | None = None,
-                    force: bool = False) -> ShardAssignment:
+def load_assignment(csv_path, bin_path,
+                    expected_config_hash: str | None = None) -> ShardAssignment:
     tensors, metadata = load_container(bin_path)
-    check_config_hash(metadata, expected_config_hash, force, bin_path)
+    check_config_hash(metadata, expected_config_hash, bin_path)
     if metadata.get("kind") != "centroids":
         raise VersionError(f"expected a centroid container, found {metadata.get('kind')!r}")
     k = metadata["k"]
@@ -441,10 +441,9 @@ def save_centroid_state(path, centroids: ShardCentroids,
     return save_container(path, {"c": centroids.c}, meta)
 
 
-def load_centroid_state(path, expected_config_hash: str | None = None,
-                        force: bool = False) -> ShardCentroids:
+def load_centroid_state(path, expected_config_hash: str | None = None) -> ShardCentroids:
     tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, force, path)
+    check_config_hash(metadata, expected_config_hash, path)
     if metadata.get("kind") != "shard_centroids":
         raise VersionError(f"expected shard centroids, found {metadata.get('kind')!r}")
     return ShardCentroids(c=tensors["c"], source=metadata["source"])

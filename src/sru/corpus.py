@@ -364,13 +364,3 @@ def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
         sessions=tuple(sessions), vocab=vocab, max_len=max_len, split_tag="train"
     )
 
-
-def dataset_to_raw(dataset: SessionDataset) -> dict[str, list[tuple[str, int]]]:
-    """Rebuild the raw event-group form of a dataset (token space)."""
-    out: dict[str, list[tuple[str, int]]] = {}
-    for s in dataset.sessions:
-        times = s.times if s.times is not None else tuple(range(len(s)))
-        out[s.session_id] = [
-            (dataset.vocab.token_of(item), ts) for item, ts in zip(s.items, times)
-        ]
-    return out

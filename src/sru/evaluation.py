@@ -18,25 +18,12 @@ from .aggregation import build_feature_cache
 from .backbone import BackboneConfig, train_backbone
 from .corpus import SessionDataset
 from .errors import ContractError
-from .numerics import RngStream, derive_seed, ndcg_gains, rank_from_logits, ranks_from_logits
+from .numerics import RngStream, derive_seed, ndcg_gains, ranks_from_logits
 from .reports import EffectivenessReport, RankingReport, TimingReport
 from .unlearning import execute_unlearn
 
 DEFAULT_KS = (10, 20)
 DEFAULT_HIT_KS = (1, 5, 10, 20)
-
-
-def rank_of_target(predict_fn, prefix, target: int) -> int:
-    """Rank of the true next item under a predictor; whole item set,
-    pad excluded."""
-    return rank_from_logits(predict_fn(prefix), target)
-
-
-def metrics_at_k(rank: int, k: int) -> tuple[float, float]:
-    """(recall, ndcg) of a single-target ranking cut at k."""
-    if rank < 1 or k < 1:
-        raise ContractError(f"rank and K must be >= 1, got rank={rank}, K={k}")
-    return float(rank <= k), float(ndcg_gains(rank, k))
 
 
 def _eval_points(dataset: SessionDataset):
@@ -45,30 +32,37 @@ def _eval_points(dataset: SessionDataset):
             yield session.items[:t], session.items[t]
 
 
-def _ranks_for_points(predict_fn, points, chunk: int = 4096) -> np.ndarray:
+def _predict_batch_of(predictor):
+    """The predictor's ``predict_batch``, which maps a list of prefixes to
+    an (n, |V| + 1) block of id-indexed logits; ContractError without one."""
+    predict_batch = getattr(predictor, "predict_batch", None)
+    if predict_batch is None:
+        raise ContractError(f"a predictor needs a predict_batch method; "
+                            f"{type(predictor).__name__} has none")
+    return predict_batch
+
+
+def _ranks_for_points(predict_batch, points, chunk: int = 4096) -> np.ndarray:
     prefixes = [p for p, _ in points]
     targets = np.array([t for _, t in points], dtype=np.int64)
     ranks = np.empty(len(points), dtype=np.int64)
     for start in range(0, len(points), chunk):
-        block_prefixes = prefixes[start : start + chunk]
-        if hasattr(predict_fn, "predict_batch"):
-            block = predict_fn.predict_batch(block_prefixes)
-        else:
-            block = np.stack([predict_fn(p) for p in block_prefixes])
+        block = predict_batch(prefixes[start : start + chunk])
         ranks[start : start + chunk] = ranks_from_logits(block, targets[start : start + chunk])
     return ranks
 
 
-def evaluate(predict_fn, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingReport:
+def evaluate(predictor, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingReport:
     """Score every (prefix, next-item) point of a held-out split.
 
-    predict_fn maps a prefix to id-indexed logits; objects exposing
-    predict_batch are evaluated in chunks. The points of one session are
-    prefixes of each other, so a model padding through
+    The predictor's ``predict_batch`` maps a list of prefixes to rows of
+    id-indexed logits; the points are scored in chunks. The points of
+    one session are prefixes of each other, so a model padding through
     ``backbone.pad_prefixes`` runs the GRU once per session in a chunk,
     not once per point. Points are visited in session index order so the
     reduction is reproducible.
     """
+    predict_batch = _predict_batch_of(predictor)
     if dataset.split_tag not in ("validation", "test"):
         raise ContractError(
             f"evaluate expects a validation or test split, got {dataset.split_tag!r}"
@@ -76,7 +70,7 @@ def evaluate(predict_fn, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingRepor
     points = list(_eval_points(dataset))
     if not points:
         raise ContractError("no evaluation points in dataset")
-    ranks = _ranks_for_points(predict_fn, points)
+    ranks = _ranks_for_points(predict_batch, points)
     recall = {}
     ndcg = {}
     for k in ks:
@@ -85,16 +79,18 @@ def evaluate(predict_fn, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingRepor
     return RankingReport(recall=recall, ndcg=ndcg, evaluation_points=len(points))
 
 
-def hit_effectiveness(predict_fn, deletion_results, ks=DEFAULT_HIT_KS,
+def hit_effectiveness(predictor, deletion_results, ks=DEFAULT_HIT_KS,
                       context: str = "prefix") -> EffectivenessReport:
     """Fraction of deleted targets re-surfacing in the top-K.
 
     Each audited request feeds the unlearned model the items that
     survived deletion (by default only those before the target's
     original position) and checks whether the deleted target still ranks
-    within K. Requests with an empty surviving context are skipped and
-    counted separately. Lower hit ratios mean better unlearning.
+    within K, ranked through the predictor's ``predict_batch``. Requests
+    with an empty surviving context are skipped and counted separately.
+    Lower hit ratios mean better unlearning.
     """
+    predict_batch = _predict_batch_of(predictor)
     if context not in ("prefix", "full"):
         raise ContractError(f"context must be 'prefix' or 'full', got {context!r}")
     audited: list[tuple[tuple[int, ...], int]] = []
@@ -107,7 +103,7 @@ def hit_effectiveness(predict_fn, deletion_results, ks=DEFAULT_HIT_KS,
         audited.append((ctx, result.target_item))
     if not audited:
         raise ContractError("no requests with non-empty context to audit")
-    ranks = _ranks_for_points(predict_fn, audited)
+    ranks = _ranks_for_points(predict_batch, audited)
     hit = {k: float(np.mean(ranks <= k)) for k in ks}
     return EffectivenessReport(hit=hit, audited_requests=len(audited),
                                skipped_empty_prefix=skipped)
@@ -123,11 +119,6 @@ class SisaModel:
 
     sub_models: tuple
     num_items: int
-
-    def predict(self, prefix) -> np.ndarray:
-        return self.predict_batch([prefix])[0]
-
-    __call__ = predict
 
     def predict_batch(self, prefixes) -> np.ndarray:
         acc = None

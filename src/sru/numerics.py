@@ -1,6 +1,6 @@
-"""Dense numeric kernels: linear maps, activations, the output layer with
-its softmax cross-entropy, Adam, named random streams, and a
-finite-difference gradient oracle.
+"""Dense numeric kernels: activations, the output layer with its softmax
+cross-entropy, rankings of id-indexed logits, Adam, named random streams,
+and a finite-difference gradient oracle.
 
 All kernels are deterministic. Parameter iteration follows lexicographic
 name order so that repeated runs are bitwise identical, which the
@@ -23,11 +23,8 @@ __all__ = [
     "adam_step",
     "derive_seed",
     "finite_difference_check",
-    "linear_forward_backward",
-    "rank_from_logits",
     "ranks_from_logits",
     "sigmoid",
-    "softmax",
     "xavier_uniform",
 ]
 
@@ -166,15 +163,6 @@ class ParamStore:
         self._check_packed()
         self.grad_values[...] = 0
 
-    def accumulate(self, name: str, grad) -> None:
-        g = np.asarray(grad)
-        if g.shape != self.params[name].shape:
-            raise DimensionError(
-                f"gradient for {name!r} has shape {g.shape}, "
-                f"parameter has {self.params[name].shape}"
-            )
-        self.grads[name] += g
-
     def copy(self) -> "ParamStore":
         self._check_packed()
         out = ParamStore()
@@ -235,32 +223,13 @@ def _sigmoid_of_half(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax of a 1-D vector with max-subtraction for stability."""
-    z = np.asarray(z)
-    if z.ndim != 1 or z.size == 0:
-        raise DimensionError(f"softmax expects a non-empty 1-D vector, got shape {z.shape}")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def rank_from_logits(logits: np.ndarray, target: int) -> int:
-    """Optimistic rank of ``target`` among items 1..|V|."""
-    logits = np.asarray(logits)
-    if not 1 <= target < logits.shape[0]:
-        raise IndexError(f"target {target} outside item range 1..{logits.shape[0] - 1}")
-    own = logits[target]
-    items = logits[1:]
-    return int(1 + np.count_nonzero(items > own))
-
-
 def ranks_from_logits(block: np.ndarray, targets) -> np.ndarray:
-    """Row-wise rank_from_logits.
+    """Optimistic rank of each row's target among items 1..|V|.
 
     block is (n, |V| + 1) id-indexed logits; column 0 is the pad slot and
     never counts. ranks[i] is one plus the number of items scoring
-    strictly higher than targets[i] in row i.
+    strictly higher than targets[i] in row i, so tied items share the
+    best rank. A one-row block ranks a single prediction.
     """
     block = np.asarray(block)
     targets = np.asarray(targets, dtype=np.int64)
@@ -363,37 +332,6 @@ def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, sca
     if b is not None:
         db = np.matmul(np.ones(n, dtype=z.dtype), z, out=db)
     return loss_sum, dW, db, z @ W
-
-
-def linear_forward_backward(x, W, b, upstream_grad=None):
-    """Affine map y = x W + b with optional analytic backward pass.
-
-    x may be a single row vector (n,) or a batch (B, n). When
-    upstream_grad is given (same shape as y), returns
-    (y, (dx, dW, db)); otherwise (y, None).
-    """
-    x = np.asarray(x)
-    W = np.asarray(W)
-    b = np.asarray(b)
-    xr = np.atleast_2d(x)
-    if W.ndim != 2 or xr.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
-        raise DimensionError(
-            f"shapes do not conform for y = xW + b: x {x.shape}, W {W.shape}, b {b.shape}"
-        )
-    yr = xr @ W + b
-    y = yr[0] if x.ndim == 1 else yr
-    if upstream_grad is None:
-        return y, None
-    g = np.asarray(upstream_grad)
-    if g.shape != y.shape:
-        raise DimensionError(f"upstream gradient {g.shape} does not match output {y.shape}")
-    gr = np.atleast_2d(g)
-    dx = gr @ W.T
-    dW = xr.T @ gr
-    db = gr.sum(axis=0)
-    if x.ndim == 1:
-        dx = dx[0]
-    return y, (dx, dW, db)
 
 
 class AdamState:

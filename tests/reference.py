@@ -1,19 +1,41 @@
 """Reference versions that only the tests use, kept as oracles for the
-library's batched kernels.
+library's batched paths.
 
-``cross_entropy_with_grad`` and ``cross_entropy_rows`` are the former
-softmax cross-entropy of ``sru.numerics``, moved here unchanged once
-both trainers ran their output layer and loss through
-``numerics._softmax_loss``. ``unfolded_forward`` and
-``unfolded_backward`` are the fusion passes before the attention fold.
+Each one works on a single example, and the tests hold the library's
+batched path to it:
+
+- ``softmax``, ``cross_entropy_with_grad`` and ``cross_entropy_rows``
+  for the output-layer-and-loss kernel ``numerics._softmax_loss``;
+- ``gru_cell`` and ``encode``, the one-prefix GRU pass, for
+  ``backbone.encode_batch`` and ``backbone.encode_stacked``;
+- ``project``, ``attention_scores``, ``fuse`` and ``predict_output``,
+  the one-prefix fusion chain, for ``aggregation.SruModel.predict_batch``;
+- ``unfolded_forward`` and ``unfolded_backward``, the fusion passes
+  before the attention fold, for ``aggregation._forward`` and
+  ``aggregation._backward``;
+- ``dataset_to_raw``, the inverse of ``corpus.preprocess``'s input, for
+  its idempotence.
+
+Every one of them was library code once and moved here unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sru.errors import DimensionError
-from sru.numerics import softmax
+from sru.backbone import GruModel, gru_cell_forward, pad_prefixes
+from sru.corpus import SessionDataset
+from sru.errors import ContractError, DimensionError
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of a 1-D vector with max-subtraction for stability."""
+    z = np.asarray(z)
+    if z.ndim != 1 or z.size == 0:
+        raise DimensionError(f"softmax expects a non-empty 1-D vector, got shape {z.shape}")
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def cross_entropy_with_grad(logits: np.ndarray, target: int):
@@ -60,6 +82,87 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     dlogits /= total[:, None]
     dlogits[rows, targets] -= 1.0
     return losses, dlogits
+
+
+def gru_cell(params, x, h_prev) -> np.ndarray:
+    """Single-vector convenience wrapper around gru_cell_forward."""
+    h_new, _ = gru_cell_forward(params, x, h_prev)
+    return h_new[0]
+
+
+def encode(model: GruModel, prefix) -> np.ndarray:
+    """Final GRU state after consuming the prefix left to right.
+
+    Pad ids are skipped, the prefix is truncated to the model's last
+    max_len items, and an empty prefix returns the zero initial state.
+    This is the one-prefix reference: it chains ``gru_cell_forward``
+    item by item, and the batched paths are tested against it.
+    """
+    ids, _, lengths = pad_prefixes(model, [prefix])
+    params = model.store.params
+    h = np.zeros((1, model.d), dtype=model.embeddings.dtype)
+    for item in ids[0, : lengths[0]]:
+        h, _ = gru_cell_forward(params, model.embeddings[item][None, :], h)
+    return h[0]
+
+
+def project(h_k: np.ndarray, c_k: np.ndarray, W_k: np.ndarray, b_k: np.ndarray):
+    """Apply one shard's affine map to its state and centroid alike."""
+    h_k = np.asarray(h_k)
+    c_k = np.asarray(c_k)
+    if W_k.shape != (h_k.shape[0], h_k.shape[0]) or b_k.shape != h_k.shape or c_k.shape != h_k.shape:
+        raise DimensionError(
+            f"projection shapes do not conform: h {h_k.shape}, c {c_k.shape}, "
+            f"W {W_k.shape}, b {b_k.shape}"
+        )
+    return h_k @ W_k + b_k, c_k @ W_k + b_k
+
+
+def attention_scores(h_proj, c_proj, W_attn: np.ndarray, b_attn: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """Attention weights over shards from projected (state, centroid) pairs.
+
+    score_k = g . relu((h'_k * c'_k) W_attn + b_attn); the weights are the
+    softmax over scores, hence a probability vector of length K.
+    """
+    h_proj = np.asarray(h_proj)
+    c_proj = np.asarray(c_proj)
+    if h_proj.shape != c_proj.shape or h_proj.ndim != 2:
+        raise DimensionError(
+            f"need matching (k, d) arrays, got {h_proj.shape} and {c_proj.shape}"
+        )
+    if W_attn.shape[0] != h_proj.shape[1] or b_attn.shape != (W_attn.shape[1],) \
+            or g.shape != (W_attn.shape[1],):
+        raise DimensionError(
+            f"attention parameter shapes do not conform: W {W_attn.shape}, "
+            f"b {b_attn.shape}, g {g.shape}"
+        )
+    u = h_proj * c_proj
+    t = np.maximum(u @ W_attn + b_attn, 0.0)
+    return softmax(t @ g)
+
+
+def fuse(a: np.ndarray, h_proj) -> np.ndarray:
+    """Convex combination of projected states with attention weights."""
+    a = np.asarray(a)
+    h_proj = np.asarray(h_proj)
+    if a.ndim != 1 or h_proj.shape[0] != a.shape[0]:
+        raise DimensionError(f"weights {a.shape} do not match states {h_proj.shape}")
+    if abs(float(a.sum()) - 1.0) > 1e-5:
+        raise ContractError("attention weights must sum to 1")
+    return a @ h_proj
+
+
+def predict_output(h_fused: np.ndarray, W1, b1, W2, b2) -> np.ndarray:
+    """Two-layer ReLU network mapping a fused state to item logits
+    (compact, index v - 1 for item v)."""
+    h_fused = np.asarray(h_fused)
+    if W1.shape[0] != h_fused.shape[0] or W2.shape[0] != W1.shape[1]:
+        raise DimensionError(
+            f"output network shapes do not conform: h {h_fused.shape}, "
+            f"W1 {W1.shape}, W2 {W2.shape}"
+        )
+    return np.maximum(h_fused @ W1 + b1, 0.0) @ W2 + b2
 
 
 # The oracle for the folded passes of sru.aggregation: the unfolded
@@ -151,3 +254,25 @@ def reference_grads(params, grads, H, C, dlogits):
     """Accumulate the unfolded passes' gradients for (H, C, dlogits)."""
     _, cache = unfolded_forward(params, H, C, with_cache=True)
     unfolded_backward(params, grads, cache, dlogits)
+
+
+def dataset_to_raw(dataset: SessionDataset) -> dict[str, list[tuple[str, int]]]:
+    """Rebuild the raw event-group form of a dataset (token space)."""
+    out: dict[str, list[tuple[str, int]]] = {}
+    for s in dataset.sessions:
+        times = s.times if s.times is not None else tuple(range(len(s)))
+        out[s.session_id] = [
+            (dataset.vocab.token_of(item), ts) for item, ts in zip(s.items, times)
+        ]
+    return out
+
+
+class FixedPredictor:
+    """A predictor whose ``predict_batch`` gives every prefix the same
+    id-indexed logits row."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits)
+
+    def predict_batch(self, prefixes) -> np.ndarray:
+        return np.tile(self.logits, (len(prefixes), 1))

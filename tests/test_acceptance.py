@@ -27,15 +27,20 @@ from sru.evaluation import (
     benchmark_unlearn,
     evaluate,
     hit_effectiveness,
-    metrics_at_k,
-    rank_from_logits,
     sisa_baseline,
 )
-from sru.numerics import ParamStore, RngStream, _Buffers, finite_difference_check
+from sru.numerics import (
+    ParamStore,
+    RngStream,
+    _Buffers,
+    finite_difference_check,
+    ndcg_gains,
+    ranks_from_logits,
+)
 from sru.partition import PartitionConfig, balanced_kmeans, cluster_purity, embed_all
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests
-from reference import cross_entropy_rows, unfolded_forward
+from reference import FixedPredictor, cross_entropy_rows, unfolded_forward
 
 CORPUS = dict(num_sessions=2000, vocab_size=200, num_clusters=8,
               min_len=8, max_len=14)
@@ -321,12 +326,15 @@ def test_c7_metric_oracle_equivalence():
         if rng.random() < 0.2:  # exercise ties
             logits[1:] = np.round(logits[1:], 1)
         target = int(rng.integers(1, v + 1))
-        assert rank_from_logits(logits, target) == sort_rank_oracle(logits, target)
+        rank = ranks_from_logits(logits[None, :], [target])[0]
+        assert rank == sort_rank_oracle(logits, target)
 
     for _ in range(1000):
         rank = int(rng.integers(1, 200))
         k = int(rng.integers(1, 60))
-        recall, ndcg = metrics_at_k(rank, k)
+        ranks = np.array([rank])
+        recall = float((ranks <= k)[0])
+        ndcg = float(ndcg_gains(ranks, k)[0])
         assert recall == (1.0 if rank <= k else 0.0)
         expected_ndcg = 1.0 / np.log2(1.0 + rank) if rank <= k else 0.0
         assert abs(ndcg - expected_ndcg) < 1e-9
@@ -344,9 +352,8 @@ def test_c7_metric_oracle_equivalence():
         batch = int(rng.integers(5, 40))
         results = [Result((int(rng.integers(1, v + 1)),), int(rng.integers(1, v + 1)))
                    for _ in range(batch)]
-        predictor = lambda prefix: table
         ks = (1, 3, 10)
-        report = hit_effectiveness(predictor, results, ks=ks)
+        report = hit_effectiveness(FixedPredictor(table), results, ks=ks)
         for k in ks:
             expected = np.mean([
                 sort_rank_oracle(table, r.target_item) <= k for r in results

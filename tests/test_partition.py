@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sru.backbone import BackboneConfig, encode, train_backbone
+from sru.backbone import BackboneConfig, train_backbone
 from sru.corpus import generate_synthetic
 from sru.errors import ContractError
 from sru.partition import (
@@ -12,6 +12,7 @@ from sru.partition import (
     embed_all,
     make_shards,
 )
+from reference import encode
 
 
 def trained_reference(data, d=16, epochs=6, seed=5):
