@@ -68,8 +68,8 @@ CENTROID_SOURCES = ("submodel", "reference")
 class AggregationConfig:
     f: int = 64                 # attention width
     d_ff: int | None = None     # output hidden width; None means d
-    lr: float = 5e-3
-    epochs: int = 10
+    lr: float = 2e-2
+    epochs: int = 3
     batch_size: int = 256
     seed: int = 0
     centroid_source: str = "submodel"

@@ -45,9 +45,9 @@ GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_n", "U_n", "b_n")
 class BackboneConfig:
     d: int = 32
     max_len: int = 10
-    epochs: int = 20
+    epochs: int = 10
     batch_size: int = 256
-    lr: float = 1e-3
+    lr: float = 3e-3
     seed: int = 0
     patience: int = 3          # early stopping, only when a validation set is given
     # "float64" is for gradient checks. Byte-exact unlearning (C1) holds

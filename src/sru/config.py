@@ -32,7 +32,9 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     return ks
 
 
-# name -> (parser, default); defaults are desk-scale.
+# name -> (parser, default); defaults are desk-scale. The model knobs read
+# their defaults from the config dataclasses, so a config built directly
+# trains as the pipeline does.
 SCHEMA: dict = {
     "seed": (int, 7),
     "data.source": (str, "synthetic"),
@@ -44,22 +46,22 @@ SCHEMA: dict = {
     "synthetic.noise": (float, 0.1),
     "synthetic.min_len": (int, 8),
     "synthetic.max_len": (int, 14),
-    "backbone.d": (int, 32),
-    "backbone.epochs": (int, 10),
-    "backbone.batch_size": (int, 256),
-    "backbone.lr": (float, 3e-3),
+    "backbone.d": (int, BackboneConfig.d),
+    "backbone.epochs": (int, BackboneConfig.epochs),
+    "backbone.batch_size": (int, BackboneConfig.batch_size),
+    "backbone.lr": (float, BackboneConfig.lr),
     "backbone.early_stop": (_parse_bool, False),
-    "backbone.patience": (int, 3),
-    "partition.k": (int, 8),
+    "backbone.patience": (int, BackboneConfig.patience),
+    "partition.k": (int, PartitionConfig.k),
     "partition.delta": (int, 0),       # 0 means ceil(|D| / k)
-    "partition.max_iters": (int, 50),
-    "partition.tol": (float, 1e-6),
-    "agg.f": (int, 64),
+    "partition.max_iters": (int, PartitionConfig.max_iters),
+    "partition.tol": (float, PartitionConfig.centroid_tol),
+    "agg.f": (int, AggregationConfig.f),
     "agg.d_ff": (int, 0),              # 0 means backbone.d
-    "agg.lr": (float, 5e-3),
-    "agg.epochs": (int, 5),
-    "agg.batch_size": (int, 256),
-    "agg.centroid_source": (str, "submodel"),
+    "agg.lr": (float, AggregationConfig.lr),
+    "agg.epochs": (int, AggregationConfig.epochs),
+    "agg.batch_size": (int, AggregationConfig.batch_size),
+    "agg.centroid_source": (str, AggregationConfig.centroid_source),
     "unlearn.strategy": (str, "CED"),
     "unlearn.n_extra": (int, 2),
     "eval.ks": (_parse_ks, (10, 20)),

@@ -1,4 +1,7 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Shared fixtures, and one PASS/FAIL line per acceptance criterion after
+the run."""
+
+import pytest
 
 CRITERIA = {
     "test_c1": "C1 exact-unlearning equivalence",
@@ -36,3 +39,30 @@ def pytest_terminal_summary(terminalreporter):
             continue
         status = "PASS" if outcome == "passed" else outcome.upper()
         terminalreporter.write_line(f"ACCEPTANCE {title}: {status}")
+
+
+@pytest.fixture(scope="session")
+def default_splits():
+    """(train, validation, test) of the default config's corpus (seed 7)."""
+    from sru.config import ExperimentConfig
+    from sru.corpus import generate_synthetic, split
+    from sru.numerics import derive_seed
+
+    config = ExperimentConfig.defaults()
+    data = generate_synthetic(
+        num_sessions=config["synthetic.sessions"], vocab_size=config["synthetic.items"],
+        num_clusters=config["synthetic.clusters"], noise_rate=config["synthetic.noise"],
+        seed=derive_seed(config.seed, "synthetic"), min_len=config["synthetic.min_len"],
+        max_len=config["synthetic.max_len"])
+    return split(data, seed=derive_seed(config.seed, "split"))
+
+
+@pytest.fixture(scope="session")
+def default_state(default_splits):
+    """A state fitted at the default config on ``default_splits``. Shared
+    by the whole session, so a test must not change it in place."""
+    from sru.config import ExperimentConfig
+    from sru.pipeline import fit_state
+
+    train, validation, _ = default_splits
+    return fit_state(train, validation, ExperimentConfig.defaults())

@@ -149,24 +149,6 @@ def softmax_loss_oracle(hidden, W, b, targets, scale):
     return float(losses.sum()), dlogits.T @ hidden, db, dlogits @ W
 
 
-@pytest.fixture(scope="module")
-def default_state():
-    """A state fitted at the default config (seed 7)."""
-    from sru.config import ExperimentConfig
-    from sru.corpus import generate_synthetic, split
-    from sru.numerics import derive_seed
-    from sru.pipeline import fit_state
-
-    config = ExperimentConfig.defaults()
-    data = generate_synthetic(
-        num_sessions=config["synthetic.sessions"], vocab_size=config["synthetic.items"],
-        num_clusters=config["synthetic.clusters"], noise_rate=config["synthetic.noise"],
-        seed=derive_seed(config.seed, "synthetic"), min_len=config["synthetic.min_len"],
-        max_len=config["synthetic.max_len"])
-    train, validation, _ = split(data, seed=derive_seed(config.seed, "split"))
-    return fit_state(train, validation, config)
-
-
 class TestSoftmaxLoss:
     @staticmethod
     def case(dtype, with_bias):

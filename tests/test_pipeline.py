@@ -1,7 +1,7 @@
 import json
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,12 +14,13 @@ from sru.checkpoint import (
     save_checkpoint,
     save_datasets,
 )
-from sru.backbone import train_backbone
+from sru.aggregation import AggregationConfig
+from sru.backbone import BackboneConfig, train_backbone
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
 from sru.numerics import derive_seed
-from sru.partition import ShardAssignment
+from sru.partition import PartitionConfig, ShardAssignment
 from sru.pipeline import _check_audit_items, _load, _save, fit_state, load_state, run_pipeline
 from sru.unlearning import (
     DeletionResult,
@@ -96,6 +97,19 @@ class TestConfig:
 
     def test_hash_changes_with_values(self):
         assert tiny_config().config_hash() != tiny_config(seed=8).config_hash()
+
+    def test_schema_defaults_agree_with_the_config_classes(self):
+        # Every SCHEMA key that feeds a config field must give the bare
+        # dataclass's value. The seed is derived per model and max_len
+        # comes from the data keys, so neither is a default of its own.
+        config = ExperimentConfig.defaults()
+        derived = {"seed", "max_len"}
+        for built, bare in ((config.backbone_config("pretrain"), BackboneConfig()),
+                            (config.partition_config(), PartitionConfig()),
+                            (config.aggregation_config(), AggregationConfig())):
+            got = {k: v for k, v in asdict(built).items() if k not in derived}
+            want = {k: v for k, v in asdict(bare).items() if k not in derived}
+            assert got == want, type(bare).__name__
 
 
 def run_stages(run_dir, config, stages):
