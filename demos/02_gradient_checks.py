@@ -8,7 +8,7 @@ analytic value.
 
 import numpy as np
 
-from sru.aggregation import _forward, _train_step
+from sru.aggregation import _FusionPass
 from sru.backbone import GATE_NAMES, gru_cell_backward, gru_cell_forward
 from sru.numerics import ParamStore, _Buffers, _softmax_loss, finite_difference_check
 
@@ -49,7 +49,9 @@ full.add("W1", rng.normal(scale=0.5, size=(d, d_ff)))
 full.add("b1", rng.normal(scale=0.2, size=d_ff))
 full.add("W2", rng.normal(scale=0.5, size=(d_ff, v)))
 full.add("b2", rng.normal(scale=0.2, size=v))
-H = rng.normal(size=(batch, k, d))
+# feature-table rows: each shard's state, then a ones column
+H = np.ones((batch, k, d + 1))
+H[:, :, :d] = rng.normal(size=(batch, k, d))
 C = rng.normal(size=(k, d))
 targets = rng.integers(0, v, size=batch)
 
@@ -57,14 +59,14 @@ targets = rng.integers(0, v, size=batch)
 def fusion_loss(_store):
     # the mean cross-entropy, from the output-layer-and-loss kernel that
     # both trainers share
-    _, cache = _forward(full.params, H, C)
-    loss_sum, _, _, _ = _softmax_loss(cache.hidden, full.params["W2"].T, full.params["b2"],
+    hidden = _FusionPass(full.params, C, H, _Buffers()).forward()
+    loss_sum, _, _, _ = _softmax_loss(hidden, full.params["W2"].T, full.params["b2"],
                                       targets, batch)
     return loss_sum / batch
 
 
 full.zero_grads()
-_train_step(full.params, full.grads, H, C, targets, _Buffers())
+_FusionPass(full.params, C, H, _Buffers(), full.grads).step(targets)
 err = finite_difference_check(fusion_loss, full)
 print(f"max relative error over {full.num_values()} coordinates: {err:.2e}")
 print("\nanything below 1e-4 in double precision counts as a pass; "

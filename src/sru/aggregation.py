@@ -18,18 +18,21 @@ Cp_k = c_k Wp_k + bp_k, the pre-activation is
 M_k and m_k depend on the parameters alone, so they are built once per
 batch at K d d f multiply-adds, and the product U = Hp * Cp is never
 formed, in either pass. H is a frozen input, so the backward pass needs
-H_k^T dT_pre_k for M_k and never the gradient of U (see ``_backward``).
-The projected states Hp_k = H_k Wp_k + bp_k are still formed for the
-fused state.
+H_k^T dT_pre_k for M_k and never the gradient of U (see
+``_FusionPass.step``). The projected states Hp_k = H_k Wp_k + bp_k are
+still formed for the fused state.
 
-A step runs shard-major: each batch is copied once into a (K, B, d + 1)
-block whose last column is 1, so that every per-shard product is one
-batched matmul over contiguous blocks that also adds its bias, and the
-scores and attention weights are (K, B). The output layer and its loss
-are ``numerics._softmax_loss``, the kernel the GRU trainer uses too, and
-prediction computes its logits with the same ``numerics._logits``. A
-training call takes every per-row array of its steps from one set of
-buffers.
+The feature table stores each training point's K states as a
+(K, d + 1) block whose last column is 1. A step gathers its batch with
+one ``np.take`` into a reused (B, K, d + 1) buffer and runs shard-major
+on that buffer's (K, B, d + 1) view, with no copy: every per-shard
+product is one batched matmul that also adds its bias, and the scores
+and attention weights are (K, B). Prediction copies each block of rows
+into one reused buffer of that shape. Both run one ``_FusionPass``,
+built once per training call (or prediction) and row count, so that a
+step issues only numpy kernels. The output layer and its loss are
+``numerics._softmax_loss``, the kernel the GRU trainer uses too, and
+prediction computes its logits with the same ``numerics._logits``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from .numerics import (
     RngStream,
     _Buffers,
     _logits,
+    _loss_consts,
     _softmax_loss,
     adam_step,
     xavier_uniform,
@@ -158,167 +161,203 @@ def compute_centroids(sub_models, shards, source: str = "submodel",
 # -- forward and backward passes -----------------------------------------------
 
 
-class FusionCache(NamedTuple):
-    """What ``_backward`` needs from one ``_hidden_pass``; the slots keep
-    the order of the pass. Every per-row array is shard-major, (K, B, .).
-    H, Wp and N carry the biases as an extra row or column (see
-    ``_hidden_pass``). Both ReLUs run in place, so T and hidden hold
-    the activations and their pre-activations are not kept."""
+class _FusionPass:
+    """The fusion pass over one block of B rows, built once per training
+    call (or prediction) and row count, so that a step issues only
+    numpy kernels.
 
-    H: np.ndarray          # (K, B, d + 1) frozen shard states, then a ones column
-    C: np.ndarray          # (K, d) centroids
-    Hp: np.ndarray         # (K, B, d) projected states
-    Cp: np.ndarray         # (K, d) projected centroids
-    Wp: np.ndarray         # (K, d + 1, d): W_proj_k, then the row b_proj_k
-    N: np.ndarray          # (K, d + 1, d): N_k, then the row n_k
-    T: np.ndarray          # (K, B, f) ReLU of the attention pre-activations
-    A: np.ndarray          # (K, B) attention weights
-    h_fused: np.ndarray    # (B, d)
-    hidden: np.ndarray     # (B, d_ff) ReLU of the output-layer pre-activations
-
-
-def _hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
-    """The fusion forward pass up to the output layer's hidden rows.
-
-    H is (B, K, d) per-shard states, C is (K, d) centroids. H is copied
-    once into a shard-major (K, B, d + 1) block whose last column is 1,
-    so that every per-shard product is one batched matmul over
-    contiguous blocks and carries its bias as one more weight row:
+    H is the (B, K, d + 1) block the pass reads: feature-table rows,
+    whose last column is 1. The caller writes each batch into it, and
+    its shard-major (K, B, d + 1) view feeds every per-shard product
+    without a copy, carrying the bias as one more weight row:
     Hp_k = [H_k 1] [Wp_k; bp_k] and T_pre_k = [H_k 1] [M_k; m_k], with
-    [Wp_k; bp_k], [N_k; n_k] and [M_k; m_k] built once per call from the
-    parameters (see the module docstring); U is never formed. The scores
+    [Wp_k; bp_k], [N_k; n_k] and [M_k; m_k] rebuilt from the parameters
+    each step (see the module docstring); U is never formed. The scores
     and attention weights are (K, B), so the softmax over shards runs
-    down the columns. Every array the pass makes is taken from buffers.
+    down the columns.
+
+    Everything else is built here: the arrays of both passes, taken from
+    buffers (which passes over fewer rows share), their reshaped and
+    transposed views, the views of the parameters and gradients, the
+    ones vectors, the (B, .) zero blocks both ReLUs compare against
+    (numpy runs that faster than a comparison with the scalar 0), the
+    centroids with a ones column, and the loss kernel's constants. The
+    parameters and gradients are read and written in place through
+    those views, so they must stay the arrays given here. Without grads
+    the pass only runs forward.
     """
-    Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
-    B, K, d = H.shape
-    f = params["b_attn"].shape[0]
-    d_ff = params["b1"].shape[0]
-    dtype = np.result_type(H, Wp)
-    take = buffers.take
-    H1 = take("H", (K, B, d + 1), dtype)
-    H1[:, :, :d] = H.transpose(1, 0, 2)
-    H1[:, :, d] = 1.0
-    Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
-    Wp1 = take("Wp1", (K, d + 1, d), dtype)
-    Wp1[:, :d] = Wp
-    Wp1[:, d] = bp
-    N1 = np.multiply(Wp1, Cp[:, None, :], out=take("N1", (K, d + 1, d), dtype))
-    M1 = np.matmul(N1.reshape(K * (d + 1), d), W_attn,
-                   out=take("M1", (K * (d + 1), f), dtype)).reshape(K, d + 1, f)
-    M1[:, d] += params["b_attn"]
-    Hp = np.matmul(H1, Wp1, out=take("Hp", (K, B, d), dtype))
-    T = np.matmul(H1, M1, out=take("T", (K, B, f), dtype))
-    np.maximum(T, 0.0, out=T)
-    A = np.matmul(T.reshape(K * B, f), params["g_attn"],
-                  out=take("A", (K * B,), dtype)).reshape(K, B)
-    A -= A.max(axis=0)
-    np.exp(A, out=A)
-    A /= np.ones(K, dtype=dtype) @ A
-    h_fused = np.matmul(A.T[:, None, :], Hp.transpose(1, 0, 2),
-                        out=take("h_fused", (B, 1, d), dtype))[:, 0, :]
-    hidden = np.matmul(h_fused, params["W1"], out=take("hidden", (B, d_ff), dtype))
-    hidden += params["b1"]
-    np.maximum(hidden, 0.0, out=hidden)
-    return FusionCache(H1, C, Hp, Cp, Wp1, N1, T, A, h_fused, hidden)
 
+    def __init__(self, params, C, H, buffers: _Buffers, grads=None):
+        B, K, d1 = H.shape
+        d = d1 - 1
+        f = params["b_attn"].shape[0]
+        d_ff = params["b1"].shape[0]
+        V = params["b2"].shape[0]
+        dtype = np.result_type(H, params["W_proj"])
+        take = buffers.take
+        self.params, self.grads, self.B = params, grads, B
+        self.H = H
+        self.H1 = H.transpose(1, 0, 2)                       # (K, B, d + 1)
+        self.C3 = C[:, None, :]
+        self.Cp3 = take("Cp", (K, 1, d), dtype)
+        self.Cp = self.Cp3[:, 0, :]
+        self.Wp1 = take("Wp1", (K, d + 1, d), dtype)         # [W_proj_k; b_proj_k]
+        self.Wp1_top, self.Wp1_bias = self.Wp1[:, :d], self.Wp1[:, d]
+        self.N1_2d = take("N1", (K * (d + 1), d), dtype)     # [N_k; n_k]
+        self.N1 = self.N1_2d.reshape(K, d + 1, d)
+        self.M1_2d = take("M1", (K * (d + 1), f), dtype)     # [M_k; m_k]
+        self.M1 = self.M1_2d.reshape(K, d + 1, f)
+        self.M1_bias = self.M1[:, d]
+        self.Hp = take("Hp", (K, B, d), dtype)
+        self.Hp_T = self.Hp.transpose(1, 0, 2)
+        self.T = take("T", (K, B, f), dtype)
+        self.T_2d = self.T.reshape(K * B, f)
+        self.zero_T = take("zero_T", (B, f), dtype)          # broadcast over the shards
+        self.zero_T.fill(0)
+        self.A_flat = take("A", (K * B,), dtype)
+        self.A = self.A_flat.reshape(K, B)
+        self.A_T3 = self.A.T[:, None, :]
+        self.A_max = take("A_max", (B,), dtype)
+        self.A_sum = take("A_sum", (B,), dtype)
+        self.ones_K = np.ones(K, dtype=dtype)
+        self.h_fused3 = take("h_fused", (B, 1, d), dtype)
+        self.h_fused = self.h_fused3[:, 0, :]
+        self.hidden = take("hidden", (B, d_ff), dtype)
+        self.zero_hidden = take("zero_hidden", (B, d_ff), dtype)
+        self.zero_hidden.fill(0)
+        self.W2_T = params["W2"].T
+        self.logits_rows = take("logits", (B, V), dtype)
+        if grads is None:
+            return
+        self.consts = _loss_consts(B, V, dtype)
+        self.ones_B = self.consts.ones_rows
+        self.gW2_T = grads["W2"].T
+        self.W1_T = params["W1"].T
+        self.W_attn_T = params["W_attn"].T
+        self.H1_T = self.H1.transpose(0, 2, 1)               # (K, d + 1, B)
+        self.N1_T = self.N1_2d.T
+        self.C1_3 = np.ones((K, d + 1, 1), dtype=dtype)      # [c_k 1], as a column
+        self.C1_3[:, :d, 0] = C
+        self.h_fused_T = self.h_fused.T
+        self.dh_fused = take("dh_fused", (B, d), dtype)
+        self.dh_fused3 = self.dh_fused[:, :, None]
+        self.dA3 = take("dA", (B, K, 1), dtype)
+        self.dA_T = self.dA3[:, :, 0].T
+        self.dS = take("dS", (K, B), dtype)
+        self.dS3 = self.dS[:, :, None]
+        self.dS_flat = self.dS.reshape(K * B)
+        self.dS_sum = take("dS_sum", (B,), dtype)
+        self.A_dS_sum = take("A_dS_sum", (K, B), dtype)
+        self.A3 = self.A[:, :, None]
+        self.dM1_2d = take("dM1", (K * (d + 1), f), dtype)
+        self.dM1 = self.dM1_2d.reshape(K, d + 1, f)
+        self.dM1_bias = self.dM1[:, d]
+        self.dN1_2d = take("dN1", (K * (d + 1), d), dtype)
+        self.dN1 = self.dN1_2d.reshape(K, d + 1, d)
+        self.dCp = take("dCp", (K, d), dtype)
+        self.dCp3 = self.dCp[:, None, :]
+        self.weighted = take("KBd", (K, B, d), dtype)
+        self.dWp1 = take("dWp1", (K, d + 1, d), dtype)
+        self.dWp1_top, self.dWp1_bias = self.dWp1[:, :d], self.dWp1[:, d]
 
-def _forward(params, H, C, buffers: _Buffers | None = None):
-    """Batched fusion forward pass: (logits, cache) for (B, K, d) states
-    H and (K, d) centroids C. logits is (B, |V|) and cache the
-    ``FusionCache`` of ``_hidden_pass``; both live in buffers (fresh ones
-    when None). The logits are the training step's, bit for bit: both
-    come from ``numerics._logits``."""
-    buffers = _Buffers() if buffers is None else buffers
-    cache = _hidden_pass(params, H, C, buffers)
-    B, V = H.shape[0], params["b2"].shape[0]
-    logits = _logits(cache.hidden, params["W2"].T, params["b2"],
-                     buffers.take("logits", (B, V), cache.hidden.dtype))
-    return logits, cache
+    def forward(self) -> np.ndarray:
+        """The pass up to the output layer's hidden rows, (B, d_ff), on
+        the rows in H. Both ReLUs run in place, so T and hidden hold the
+        activations and their pre-activations are not kept."""
+        p = self.params
+        Wp, bp = p["W_proj"], p["b_proj"]
+        np.matmul(self.C3, Wp, out=self.Cp3)
+        self.Cp += bp
+        np.copyto(self.Wp1_top, Wp)
+        np.copyto(self.Wp1_bias, bp)
+        np.multiply(self.Wp1, self.Cp3, out=self.N1)
+        np.matmul(self.N1_2d, p["W_attn"], out=self.M1_2d)
+        self.M1_bias += p["b_attn"]
+        np.matmul(self.H1, self.Wp1, out=self.Hp)
+        T = np.matmul(self.H1, self.M1, out=self.T)
+        np.maximum(T, self.zero_T, out=T)
+        A = self.A
+        np.matmul(self.T_2d, p["g_attn"], out=self.A_flat)
+        A -= np.max(A, axis=0, out=self.A_max)
+        np.exp(A, out=A)
+        A /= np.matmul(self.ones_K, A, out=self.A_sum)
+        np.matmul(self.A_T3, self.Hp_T, out=self.h_fused3)
+        hidden = np.matmul(self.h_fused, p["W1"], out=self.hidden)
+        hidden += p["b1"]
+        np.maximum(hidden, self.zero_hidden, out=hidden)
+        return hidden
 
+    def logits(self) -> np.ndarray:
+        """(B, |V|) logits of the rows in H, from ``numerics._logits``:
+        the training step's, bit for bit."""
+        return _logits(self.forward(), self.W2_T, self.params["b2"], self.logits_rows)
 
-def _backward(params, grads, cache: FusionCache, dhidden, buffers: _Buffers) -> None:
-    """Write the gradients of every fusion parameter below the output
-    layer into grads, given the gradient dhidden of its hidden rows;
-    inputs are frozen. Each gradient is a single term, written with
-    ``out=`` or one assignment, so grads need not be zeroed first.
+    def step(self, targets) -> float:
+        """One training step on the rows in H: writes the gradient of the
+        mean cross-entropy against targets (B column indices) into
+        grads, over whatever they held, and returns the loss sum. The
+        output layer and its loss are ``numerics._softmax_loss`` over W2
+        and b2.
 
-    Sums over rows are products with a ones vector, which BLAS runs much
-    faster than numpy's axis reductions. With dS the (K, B) score
-    gradient, the pre-activation gradient of shard k is
-    dT_pre_k = (dS_k g) * [T_k > 0]. g factors out of the folded
-    gradients, so only dT_k = [T_k > 0] * dS_k is formed, in the buffer
-    of the ReLU T once g's own gradient has read it. The ones column of
-    H gives the bias rows of each product with it for free:
+        Below the output layer, sums over rows are products with a ones
+        vector, which BLAS runs much faster than numpy's axis reductions.
+        With dS the (K, B) score gradient, the pre-activation gradient of
+        shard k is dT_pre_k = (dS_k g) * [T_k > 0]. g factors out of the
+        folded gradients, so only dT_k = [T_k > 0] * dS_k is formed, in
+        the buffer of the ReLU T once g's own gradient has read it. The
+        ones column of H gives the bias rows of each product with it for
+        free:
 
-        [dM_k; dm_k] = ([H_k 1]^T dT_k) * g       (d + 1, f)
+            [dM_k; dm_k] = ([H_k 1]^T dT_k) * g       (d + 1, f)
 
-    The chain rule through M_k = N_k W_attn, m_k = n_k W_attn + b_attn,
-    N_k = Wp_k diag(Cp_k), n_k = bp_k * Cp_k and Cp_k = c_k Wp_k + bp_k
-    then runs on (K, d + 1, d)-sized arrays, once per batch:
+        The chain rule through M_k = N_k W_attn, m_k = n_k W_attn + b_attn,
+        N_k = Wp_k diag(Cp_k), n_k = bp_k * Cp_k and Cp_k = c_k Wp_k + bp_k
+        then runs on (K, d + 1, d)-sized arrays, once per batch:
 
-        [dN_k; dn_k] = [dM_k; dm_k] W_attn^T
-        dW_attn = sum_k N_k^T dM_k + n^T dm,   db_attn = sum_k dm_k
-        dCp_k = colsum(dN_k * Wp_k) + dn_k * bp_k
-        dWp_k = dN_k diag(Cp_k) + c_k^T dCp_k + H_k^T (A_k dh_fused)
-        dbp_k = dn_k * Cp_k + dCp_k + A_k^T dh_fused
+            [dN_k; dn_k] = [dM_k; dm_k] W_attn^T
+            dW_attn = sum_k N_k^T dM_k + n^T dm,   db_attn = sum_k dm_k
+            dCp_k = colsum(dN_k * Wp_k) + dn_k * bp_k
+            dWp_k = dN_k diag(Cp_k) + c_k^T dCp_k + H_k^T (A_k dh_fused)
+            dbp_k = dn_k * Cp_k + dCp_k + A_k^T dh_fused
 
-    The last terms of dWp and dbp come from the fused state's Hp; they
-    are one product, [H_k 1]^T (A_k dh_fused), whose result is laid out
-    like [dWp_k; dbp_k] so that it adds over contiguous memory. The
-    cache is consumed: the ReLU masks are written over hidden and T.
-    """
-    H1, C, Hp, Cp, Wp1, N1, T, A, h_fused, hidden = cache
-    K, B, d = Hp.shape
-    f = T.shape[2]
-    W_attn, g_attn = params["W_attn"], params["g_attn"]
-    dtype = dhidden.dtype
-    take = buffers.take
-    dpre1 = dhidden
-    dpre1 *= np.greater(hidden, 0, out=hidden)
-    np.matmul(h_fused.T, dpre1, out=grads["W1"])
-    np.matmul(np.ones(B, dtype=dtype), dpre1, out=grads["b1"])
-    dh_fused = np.matmul(dpre1, params["W1"].T, out=take("dh_fused", (B, d), dtype))
+        The last terms of dWp and dbp come from the fused state's Hp;
+        they are one product, [H_k 1]^T (A_k dh_fused), whose result is
+        laid out like [dWp_k; dbp_k] so that it adds over contiguous
+        memory, and so is [c_k 1]^T dCp_k. The ReLU masks are written
+        over hidden and T.
+        """
+        p, g = self.params, self.grads
+        hidden = self.forward()
+        loss_sum, _, _, dpre1 = _softmax_loss(
+            hidden, self.W2_T, p["b2"], targets, self.B, self.logits_rows,
+            dW=self.gW2_T, db=g["b2"], consts=self.consts)
+        dpre1 *= np.greater(hidden, self.zero_hidden, out=hidden)
+        np.matmul(self.h_fused_T, dpre1, out=g["W1"])
+        np.matmul(self.ones_B, dpre1, out=g["b1"])
+        np.matmul(dpre1, self.W1_T, out=self.dh_fused)
 
-    # dA[k, b] = Hp[k, b] . dh_fused[b], one small product per row
-    dA = np.matmul(Hp.transpose(1, 0, 2), dh_fused[:, :, None])[:, :, 0]
-    dS = np.multiply(A, dA.T, out=take("dS", (K, B), dtype))
-    dS -= A * (np.ones(K, dtype=dtype) @ dS)
-    np.matmul(dS.reshape(K * B), T.reshape(K * B, f), out=grads["g_attn"])
-    dT = np.greater(T, 0, out=T)
-    dT *= dS[:, :, None]
-    dM1 = np.matmul(H1.transpose(0, 2, 1), dT, out=take("dM1", (K, d + 1, f), dtype))
-    dM1 *= g_attn
-    np.matmul(np.ones(K, dtype=dtype), dM1[:, d], out=grads["b_attn"])
-    np.matmul(N1.reshape(K * (d + 1), d).T, dM1.reshape(K * (d + 1), f),
-              out=grads["W_attn"])
-    dN1 = np.matmul(dM1.reshape(K * (d + 1), f), W_attn.T,
-                    out=take("dN1", (K * (d + 1), d), dtype)).reshape(K, d + 1, d)
-    dCp = np.einsum("kij,kij->kj", dN1, Wp1)
-    weighted = np.multiply(A[:, :, None], dh_fused, out=take("KBd", (K, B, d), dtype))
-    dWp1 = np.matmul(H1.transpose(0, 2, 1), weighted, out=take("dWp1", (K, d + 1, d), dtype))
-    dN1 *= Cp[:, None, :]
-    dWp1 += dN1
-    dWp1[:, :d] += C[:, :, None] * dCp[:, None, :]
-    dWp1[:, d] += dCp
-    grads["W_proj"][...] = dWp1[:, :d]
-    grads["b_proj"][...] = dWp1[:, d]
-
-
-def _train_step(params, grads, H, C, targets, buffers: _Buffers) -> float:
-    """One fusion training step on (B, K, d) states H: writes the
-    gradient of the mean cross-entropy against targets (column indices)
-    into grads, over whatever they held, and returns the loss sum. The
-    output layer and its loss are ``numerics._softmax_loss`` over W2
-    and b2."""
-    cache = _hidden_pass(params, H, C, buffers)
-    B, V = H.shape[0], params["b2"].shape[0]
-    loss_sum, _, _, dhidden = _softmax_loss(
-        cache.hidden, params["W2"].T, params["b2"], targets, B,
-        buffers.take("logits", (B, V), cache.hidden.dtype),
-        dW=grads["W2"].T, db=grads["b2"])
-    _backward(params, grads, cache, dhidden, buffers)
-    return loss_sum
+        # dA[k, b] = Hp[k, b] . dh_fused[b], one small product per row
+        np.matmul(self.Hp_T, self.dh_fused3, out=self.dA3)
+        A, dS = self.A, self.dS
+        np.multiply(A, self.dA_T, out=dS)
+        dS -= np.multiply(A, np.matmul(self.ones_K, dS, out=self.dS_sum), out=self.A_dS_sum)
+        np.matmul(self.dS_flat, self.T_2d, out=g["g_attn"])
+        dT = np.greater(self.T, self.zero_T, out=self.T)
+        dT *= self.dS3
+        dM1 = np.matmul(self.H1_T, dT, out=self.dM1)
+        dM1 *= p["g_attn"]
+        np.matmul(self.ones_K, self.dM1_bias, out=g["b_attn"])
+        np.matmul(self.N1_T, self.dM1_2d, out=g["W_attn"])
+        np.matmul(self.dM1_2d, self.W_attn_T, out=self.dN1_2d)
+        np.einsum("kij,kij->kj", self.dN1, self.Wp1, out=self.dCp)
+        np.multiply(self.A3, self.dh_fused, out=self.weighted)
+        dWp1 = np.matmul(self.H1_T, self.weighted, out=self.dWp1)
+        self.dN1 *= self.Cp3
+        dWp1 += self.dN1
+        dWp1 += np.multiply(self.C1_3, self.dCp3, out=self.dN1)
+        np.copyto(g["W_proj"], self.dWp1_top)
+        np.copyto(g["b_proj"], self.dWp1_bias)
+        return loss_sum
 
 
 def init_aggregation_model(k: int, d: int, num_items: int,
@@ -363,9 +402,14 @@ class FeatureCache:
     gives a cache its own buffer. ``fit_state`` keeps the cache it
     trained the fusion layer on; a state loaded from disk has none, and
     ``execute_unlearn`` builds it lazily on the post-deletion sub-models.
+
+    Each row holds one training point's K states with a ones column
+    after them, the layout the fusion pass reads (see the module
+    docstring): ``features[:, :, :d]`` are the states and
+    ``features[:, :, d]`` is 1.
     """
 
-    features: np.ndarray | None               # (P, K, d); None once updated
+    features: np.ndarray | None               # (P, K, d + 1); None once updated
     targets: np.ndarray                       # (P,)
     row_slices: dict[str, tuple[int, int]]
 
@@ -391,18 +435,22 @@ def _layout(sessions, max_len: int):
 
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     """Per-position hidden states of every sub-model over one dataset:
-    features (P, K, d) and targets (P,), where P runs over all (prefix,
-    next-item) training points in session order. Each sub-model runs its
-    own ``encode_stacked`` pass, written into its column of the one
-    table, so that the pass's result is one column and not a second
-    table. Sub-models are only read, never written."""
+    features (P, K, d + 1), the states with a ones column after them, and
+    targets (P,), where P runs over all (prefix, next-item) training
+    points in session order. The ones column is written once; each
+    sub-model runs its own ``encode_stacked`` pass, written into the
+    states of its column of the one table, so that the pass's result is
+    one column and not a second table. Sub-models are only read, never
+    written."""
     max_len = sub_models[0].max_len
     points, targets = training_points([s.items for s in dataset.sessions], max_len)
     _, _, slices = _layout(dataset.sessions, max_len)
     dtype = np.result_type(*(m.embeddings.dtype for m in sub_models))
-    features = np.empty((len(targets), len(sub_models), sub_models[0].d), dtype=dtype)
+    d = sub_models[0].d
+    features = np.empty((len(targets), len(sub_models), d + 1), dtype=dtype)
+    features[:, :, d] = 1.0
     for c, model in enumerate(sub_models):
-        features[:, c] = encode_stacked([model], *points)[:, 0]
+        features[:, c, :d] = encode_stacked([model], *points)[:, 0]
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 
@@ -423,18 +471,20 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     order, so each reused session moves to an equal or lower row. The
     reused runs come from two arrays over the sessions in corpus order,
     their old and new first rows: a run goes on while both stay
-    contiguous. The runs are moved first, in ascending order, then the
-    fresh rows and dirty columns are overwritten: the fresh rows of all
-    clean columns by one stacked pass over the clean sub-models, each
-    dirty column by a pass of its own over all rows. The targets move
-    and fill alike, into an array of their own. The result's table is a
-    prefix of ``cache.features``, whose rows are overwritten, so
-    ``cache`` gives up its buffer (its ``features`` becomes None) and
-    updating it again raises ContractError. So does a layout that needs
-    more rows than the buffer holds, or that moves a reused session to a
-    later row.
+    contiguous. The runs are moved first, in ascending order, as whole
+    rows that carry their ones column, then the states of the fresh rows
+    and dirty columns are overwritten (``[..., :d]``; every row of the
+    buffer already holds its ones): the fresh rows of all clean columns
+    by one stacked pass over the clean sub-models, each dirty column by a
+    pass of its own over all rows. The targets move and fill alike, into
+    an array of their own. The result's table is a prefix of
+    ``cache.features``, whose rows are overwritten, so ``cache`` gives up
+    its buffer (its ``features`` becomes None) and updating it again
+    raises ContractError. So does a layout that needs more rows than the
+    buffer holds, or that moves a reused session to a later row.
     """
     k = len(sub_models)
+    d = sub_models[0].d
     max_len = sub_models[0].max_len
     dirty = sorted(set(dirty_shards))
     changed = set(changed_session_ids)
@@ -447,9 +497,9 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
             "this feature cache was already updated in place and its buffer belongs "
             "to the cache that update returned; rebuild it (feature_cache=None)"
         )
-    if rows > buffer.shape[0] or buffer.shape[1:] != (k, sub_models[0].d):
+    if rows > buffer.shape[0] or buffer.shape[1:] != (k, d + 1):
         raise ContractError(
-            f"a ({rows}, {k}, {sub_models[0].d}) table does not fit the cached "
+            f"a ({rows}, {k}, {d + 1}) table does not fit the cached "
             f"buffer of shape {buffer.shape}"
         )
     features = buffer[:rows]
@@ -500,12 +550,12 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
                       + np.arange(len(targets_fresh)))
         targets[fresh_rows] = targets_fresh
         if clean_cols:
-            features[fresh_rows[:, None], clean_cols] = encode_stacked(
+            features[fresh_rows[:, None], clean_cols, :d] = encode_stacked(
                 [sub_models[c] for c in clean_cols], *fresh_points)
     if dirty:
         points, _ = training_points([s.items for s in sessions], max_len)
         for c in dirty:
-            features[:, c] = encode_stacked([sub_models[c]], *points)[:, 0]
+            features[:, c, :d] = encode_stacked([sub_models[c]], *points)[:, 0]
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 
@@ -524,7 +574,9 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     they never change during these epochs) and the fusion stack is
     optimized with Adam under the config's seed. ``precomputed`` may
     carry a (features, targets) pair from a FeatureCache to skip the
-    state computation.
+    state computation; it is checked once per call, and a table that is
+    not (P, K, d + 1) for these sub-models, whose last column is not 1,
+    or whose P is not the number of targets is a ContractError.
     """
     k = len(sub_models)
     if k == 0:
@@ -538,6 +590,7 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
         cache = build_feature_cache(sub_models, train_data)
         precomputed = (cache.features, cache.targets)
     features, targets = precomputed
+    _check_table(features, targets, k, d)
     C = centroids.c.astype(features.dtype)
     model = init_aggregation_model(k, d, num_items, config)
     store = model.store
@@ -547,21 +600,47 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     P = features.shape[0]
     # Each batch is gathered into one reused buffer, so no shuffled copy
     # of the table is made. perm is a permutation, so mode="clip" only
-    # skips take's buffered bounds check. The steps share one set of
-    # buffers for everything else.
-    batch = np.empty((min(config.batch_size, P), *features.shape[1:]), dtype=features.dtype)
+    # skips take's buffered bounds check. A batch has one of at most two
+    # row counts, the full one and the last one's, and each gets its
+    # pass (the full one first, so that the other's arrays are a prefix
+    # of its buffers) and its slice of the target buffer.
+    batch = np.empty((min(config.batch_size, P), k, d + 1), dtype=features.dtype)
+    batch_targets = np.empty(len(batch), dtype=targets.dtype)
     buffers = _Buffers()
+    steps = {}
+    for n in sorted({len(batch), P % config.batch_size} - {0}, reverse=True):
+        steps[n] = (_FusionPass(store.params, C, batch[:n], buffers, store.grads),
+                    batch_targets[:n])
     for _ in range(config.epochs):
         perm = shuffle.permutation(P)
         loss_sum = 0.0
         for start in range(0, P, config.batch_size):
             rows = perm[start : start + config.batch_size]
-            Hb = np.take(features, rows, axis=0, out=batch[: len(rows)], mode="clip")
-            loss_sum += _train_step(store.params, store.grads, Hb, C, targets[rows] - 1,
-                                    buffers)
+            fusion, step_targets = steps[len(rows)]
+            np.take(features, rows, axis=0, out=fusion.H, mode="clip")
+            np.take(targets, rows, out=step_targets, mode="clip")
+            step_targets -= 1
+            loss_sum += fusion.step(step_targets)
             adam_step(store, adam, config.lr)
         model.loss_history.append(loss_sum / P)
     return model
+
+
+def _check_table(features, targets, k: int, d: int) -> None:
+    """A precomputed (features, targets) pair must be a (P, k, d + 1)
+    table whose last column is 1 and P targets."""
+    if targets.ndim != 1 or features.shape != (len(targets), k, d + 1):
+        raise ContractError(
+            f"expected a (P, {k}, {d + 1}) feature table and (P,) targets for one P, "
+            f"found {features.shape} and {targets.shape}"
+        )
+    ones = features[:, :, d] == 1.0
+    if not ones.all():
+        row, col = np.argwhere(~ones)[0]
+        raise ContractError(
+            f"the last column of the {features.shape} feature table must be 1.0, "
+            f"found {features[row, col, d]} in row {row}, shard {col}"
+        )
 
 
 # Rows per fusion forward in prediction: the blocks share one set of
@@ -588,17 +667,23 @@ class SruModel:
         Prefixes are cleaned and padded once, each shared prefix chain
         as one row; the sub-models read the same id matrix (they share
         the vocabulary and max_len) in one stacked pass. The fusion then
-        runs on blocks of ``_PREDICT_ROWS`` rows.
+        runs on blocks of ``_PREDICT_ROWS`` rows, each copied into one
+        reused block whose last column is 1, the feature table's layout.
         """
         H = encode_stacked(self.sub_models, *pad_prefixes(self.sub_models[0], prefixes))
+        n, k, d = H.shape
         params = self.aggregation.store.params
         C = self.centroids.c.astype(H.dtype)
-        out = np.empty((len(prefixes), self.num_items + 1),
-                       dtype=np.result_type(H, params["W_proj"]))
+        out = np.empty((n, self.num_items + 1), dtype=np.result_type(H, params["W_proj"]))
         out[:, 0] = -np.inf
+        block = np.empty((min(n, _PREDICT_ROWS), k, d + 1), dtype=H.dtype)
+        block[:, :, d] = 1.0
         buffers = _Buffers()
-        for start in range(0, len(prefixes), _PREDICT_ROWS):
-            stop = start + _PREDICT_ROWS
-            logits, _ = _forward(params, H[start:stop], C, buffers)
-            out[start:stop, 1:] = logits
+        fusion = None
+        for start in range(0, n, _PREDICT_ROWS):
+            rows = H[start : start + _PREDICT_ROWS]
+            if fusion is None or fusion.B != len(rows):
+                fusion = _FusionPass(params, C, block[: len(rows)], buffers)
+            fusion.H[:, :, :d] = rows
+            out[start : start + len(rows), 1:] = fusion.logits()
         return out

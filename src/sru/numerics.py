@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,6 +269,22 @@ def _exp_sum_floor(dtype) -> float:
     return math.sqrt(np.finfo(dtype).tiny)
 
 
+class _LossConsts(NamedTuple):
+    """What ``_softmax_loss`` builds from its block's shape and dtype
+    alone. A trainer whose blocks all have one shape builds them once
+    with ``_loss_consts`` and passes them to every call."""
+
+    rows: np.ndarray        # (n,) row index
+    ones_rows: np.ndarray   # (n,) ones, for the sums over rows
+    ones_cols: np.ndarray   # (width,) ones, for the sums over columns
+    floor: float            # ``_exp_sum_floor`` of the dtype
+
+
+def _loss_consts(n: int, width: int, dtype) -> _LossConsts:
+    return _LossConsts(np.arange(n), np.ones(n, dtype=dtype), np.ones(width, dtype=dtype),
+                       _exp_sum_floor(dtype))
+
+
 def _row_max_exp(hidden, W, b, z, rows, targets):
     """The row-max form of ``_softmax_loss``'s exponentials: recomputes
     the logits into z, subtracts each row's max, takes exp in place and
@@ -281,7 +298,7 @@ def _row_max_exp(hidden, W, b, z, rows, targets):
 
 def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, scale,
                   out: np.ndarray | None = None, dW: np.ndarray | None = None,
-                  db: np.ndarray | None = None):
+                  db: np.ndarray | None = None, consts: _LossConsts | None = None):
     """Output layer and softmax cross-entropy of rows hidden (n, h).
 
     The logits are ``_logits(hidden, W, b, out)``; targets are their
@@ -292,7 +309,8 @@ def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, sca
     the loss sum divided by ``scale``. Returns (loss_sum, dW, db,
     dhidden); db is None without a bias. dW and db are written into the
     arrays given for them (dW of W's shape, and like W it may be a
-    transposed view), or into new ones when None.
+    transposed view), or into new ones when None. ``consts`` are the
+    block's ``_loss_consts``, built here when None.
 
     Everything runs in the one logits block, which ends up holding
     (softmax - onehot) / scale. The shift is the block's single max, a
@@ -317,12 +335,13 @@ def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, sca
     targets = np.asarray(targets)
     if targets.shape != (n,):
         raise DimensionError(f"need ({n},) targets for {n} rows, got {targets.shape}")
-    rows = np.arange(n)
+    consts = _loss_consts(n, width, z.dtype) if consts is None else consts
+    rows = consts.rows
     z -= z.max()
     own = z[rows, targets]
     np.exp(z, out=z)
-    total = z @ np.ones(width, dtype=z.dtype)
-    if total.min() < _exp_sum_floor(z.dtype):
+    total = z @ consts.ones_cols
+    if total.min() < consts.floor:
         own, total = _row_max_exp(hidden, W, b, z, rows, targets)
     loss_sum = float((np.log(total) - own).sum())
     total *= scale
@@ -330,7 +349,7 @@ def _softmax_loss(hidden: np.ndarray, W: np.ndarray, b, targets: np.ndarray, sca
     z[rows, targets] -= 1.0 / scale
     dW = np.matmul(z.T, hidden, out=dW)
     if b is not None:
-        db = np.matmul(np.ones(n, dtype=z.dtype), z, out=db)
+        db = np.matmul(consts.ones_rows, z, out=db)
     return loss_sum, dW, db, z @ W
 
 

@@ -11,8 +11,9 @@ batched path to it:
 - ``project``, ``attention_scores``, ``fuse`` and ``predict_output``,
   the one-prefix fusion chain, for ``aggregation.SruModel.predict_batch``;
 - ``unfolded_forward`` and ``unfolded_backward``, the fusion passes
-  before the attention fold, for ``aggregation._forward`` and
-  ``aggregation._backward``;
+  before the attention fold, and ``copying_forward`` and
+  ``copying_train_step``, the folded passes before the feature table
+  carried its ones column, for ``aggregation._FusionPass``;
 - ``dataset_to_raw``, the inverse of ``corpus.preprocess``'s input, for
   its idempotence.
 
@@ -21,11 +22,14 @@ Every one of them was library code once and moved here unchanged.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from sru.backbone import GruModel, gru_cell_forward, pad_prefixes
 from sru.corpus import SessionDataset
 from sru.errors import ContractError, DimensionError
+from sru.numerics import _Buffers, _logits, _softmax_loss
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -254,6 +258,177 @@ def reference_grads(params, grads, H, C, dlogits):
     """Accumulate the unfolded passes' gradients for (H, C, dlogits)."""
     _, cache = unfolded_forward(params, H, C, with_cache=True)
     unfolded_backward(params, grads, cache, dlogits)
+
+
+# The oracle for the library's fusion pass, ``aggregation._FusionPass``:
+# the step as it was before the feature table carried its ones column,
+# which copies each (B, K, d) batch into a shard-major (K, B, d + 1)
+# block and takes every array from named buffers per call, copied
+# verbatim (renamed). "The module docstring" below is that of
+# ``sru.aggregation``.
+
+
+class FusionCache(NamedTuple):
+    """What ``copying_backward`` needs from one ``copying_hidden_pass``; the slots keep
+    the order of the pass. Every per-row array is shard-major, (K, B, .).
+    H, Wp and N carry the biases as an extra row or column (see
+    ``copying_hidden_pass``). Both ReLUs run in place, so T and hidden hold
+    the activations and their pre-activations are not kept."""
+
+    H: np.ndarray          # (K, B, d + 1) frozen shard states, then a ones column
+    C: np.ndarray          # (K, d) centroids
+    Hp: np.ndarray         # (K, B, d) projected states
+    Cp: np.ndarray         # (K, d) projected centroids
+    Wp: np.ndarray         # (K, d + 1, d): W_proj_k, then the row b_proj_k
+    N: np.ndarray          # (K, d + 1, d): N_k, then the row n_k
+    T: np.ndarray          # (K, B, f) ReLU of the attention pre-activations
+    A: np.ndarray          # (K, B) attention weights
+    h_fused: np.ndarray    # (B, d)
+    hidden: np.ndarray     # (B, d_ff) ReLU of the output-layer pre-activations
+
+
+def copying_hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
+    """The fusion forward pass up to the output layer's hidden rows.
+
+    H is (B, K, d) per-shard states, C is (K, d) centroids. H is copied
+    once into a shard-major (K, B, d + 1) block whose last column is 1,
+    so that every per-shard product is one batched matmul over
+    contiguous blocks and carries its bias as one more weight row:
+    Hp_k = [H_k 1] [Wp_k; bp_k] and T_pre_k = [H_k 1] [M_k; m_k], with
+    [Wp_k; bp_k], [N_k; n_k] and [M_k; m_k] built once per call from the
+    parameters (see the module docstring); U is never formed. The scores
+    and attention weights are (K, B), so the softmax over shards runs
+    down the columns. Every array the pass makes is taken from buffers.
+    """
+    Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
+    B, K, d = H.shape
+    f = params["b_attn"].shape[0]
+    d_ff = params["b1"].shape[0]
+    dtype = np.result_type(H, Wp)
+    take = buffers.take
+    H1 = take("H", (K, B, d + 1), dtype)
+    H1[:, :, :d] = H.transpose(1, 0, 2)
+    H1[:, :, d] = 1.0
+    Cp = np.matmul(C[:, None, :], Wp)[:, 0, :] + bp
+    Wp1 = take("Wp1", (K, d + 1, d), dtype)
+    Wp1[:, :d] = Wp
+    Wp1[:, d] = bp
+    N1 = np.multiply(Wp1, Cp[:, None, :], out=take("N1", (K, d + 1, d), dtype))
+    M1 = np.matmul(N1.reshape(K * (d + 1), d), W_attn,
+                   out=take("M1", (K * (d + 1), f), dtype)).reshape(K, d + 1, f)
+    M1[:, d] += params["b_attn"]
+    Hp = np.matmul(H1, Wp1, out=take("Hp", (K, B, d), dtype))
+    T = np.matmul(H1, M1, out=take("T", (K, B, f), dtype))
+    np.maximum(T, 0.0, out=T)
+    A = np.matmul(T.reshape(K * B, f), params["g_attn"],
+                  out=take("A", (K * B,), dtype)).reshape(K, B)
+    A -= A.max(axis=0)
+    np.exp(A, out=A)
+    A /= np.ones(K, dtype=dtype) @ A
+    h_fused = np.matmul(A.T[:, None, :], Hp.transpose(1, 0, 2),
+                        out=take("h_fused", (B, 1, d), dtype))[:, 0, :]
+    hidden = np.matmul(h_fused, params["W1"], out=take("hidden", (B, d_ff), dtype))
+    hidden += params["b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    return FusionCache(H1, C, Hp, Cp, Wp1, N1, T, A, h_fused, hidden)
+
+
+def copying_forward(params, H, C, buffers: _Buffers | None = None):
+    """Batched fusion forward pass: (logits, cache) for (B, K, d) states
+    H and (K, d) centroids C. logits is (B, |V|) and cache the
+    ``FusionCache`` of ``copying_hidden_pass``; both live in buffers (fresh ones
+    when None). The logits are the training step's, bit for bit: both
+    come from ``numerics._logits``."""
+    buffers = _Buffers() if buffers is None else buffers
+    cache = copying_hidden_pass(params, H, C, buffers)
+    B, V = H.shape[0], params["b2"].shape[0]
+    logits = _logits(cache.hidden, params["W2"].T, params["b2"],
+                     buffers.take("logits", (B, V), cache.hidden.dtype))
+    return logits, cache
+
+
+def copying_backward(params, grads, cache: FusionCache, dhidden, buffers: _Buffers) -> None:
+    """Write the gradients of every fusion parameter below the output
+    layer into grads, given the gradient dhidden of its hidden rows;
+    inputs are frozen. Each gradient is a single term, written with
+    ``out=`` or one assignment, so grads need not be zeroed first.
+
+    Sums over rows are products with a ones vector, which BLAS runs much
+    faster than numpy's axis reductions. With dS the (K, B) score
+    gradient, the pre-activation gradient of shard k is
+    dT_pre_k = (dS_k g) * [T_k > 0]. g factors out of the folded
+    gradients, so only dT_k = [T_k > 0] * dS_k is formed, in the buffer
+    of the ReLU T once g's own gradient has read it. The ones column of
+    H gives the bias rows of each product with it for free:
+
+        [dM_k; dm_k] = ([H_k 1]^T dT_k) * g       (d + 1, f)
+
+    The chain rule through M_k = N_k W_attn, m_k = n_k W_attn + b_attn,
+    N_k = Wp_k diag(Cp_k), n_k = bp_k * Cp_k and Cp_k = c_k Wp_k + bp_k
+    then runs on (K, d + 1, d)-sized arrays, once per batch:
+
+        [dN_k; dn_k] = [dM_k; dm_k] W_attn^T
+        dW_attn = sum_k N_k^T dM_k + n^T dm,   db_attn = sum_k dm_k
+        dCp_k = colsum(dN_k * Wp_k) + dn_k * bp_k
+        dWp_k = dN_k diag(Cp_k) + c_k^T dCp_k + H_k^T (A_k dh_fused)
+        dbp_k = dn_k * Cp_k + dCp_k + A_k^T dh_fused
+
+    The last terms of dWp and dbp come from the fused state's Hp; they
+    are one product, [H_k 1]^T (A_k dh_fused), whose result is laid out
+    like [dWp_k; dbp_k] so that it adds over contiguous memory. The
+    cache is consumed: the ReLU masks are written over hidden and T.
+    """
+    H1, C, Hp, Cp, Wp1, N1, T, A, h_fused, hidden = cache
+    K, B, d = Hp.shape
+    f = T.shape[2]
+    W_attn, g_attn = params["W_attn"], params["g_attn"]
+    dtype = dhidden.dtype
+    take = buffers.take
+    dpre1 = dhidden
+    dpre1 *= np.greater(hidden, 0, out=hidden)
+    np.matmul(h_fused.T, dpre1, out=grads["W1"])
+    np.matmul(np.ones(B, dtype=dtype), dpre1, out=grads["b1"])
+    dh_fused = np.matmul(dpre1, params["W1"].T, out=take("dh_fused", (B, d), dtype))
+
+    # dA[k, b] = Hp[k, b] . dh_fused[b], one small product per row
+    dA = np.matmul(Hp.transpose(1, 0, 2), dh_fused[:, :, None])[:, :, 0]
+    dS = np.multiply(A, dA.T, out=take("dS", (K, B), dtype))
+    dS -= A * (np.ones(K, dtype=dtype) @ dS)
+    np.matmul(dS.reshape(K * B), T.reshape(K * B, f), out=grads["g_attn"])
+    dT = np.greater(T, 0, out=T)
+    dT *= dS[:, :, None]
+    dM1 = np.matmul(H1.transpose(0, 2, 1), dT, out=take("dM1", (K, d + 1, f), dtype))
+    dM1 *= g_attn
+    np.matmul(np.ones(K, dtype=dtype), dM1[:, d], out=grads["b_attn"])
+    np.matmul(N1.reshape(K * (d + 1), d).T, dM1.reshape(K * (d + 1), f),
+              out=grads["W_attn"])
+    dN1 = np.matmul(dM1.reshape(K * (d + 1), f), W_attn.T,
+                    out=take("dN1", (K * (d + 1), d), dtype)).reshape(K, d + 1, d)
+    dCp = np.einsum("kij,kij->kj", dN1, Wp1)
+    weighted = np.multiply(A[:, :, None], dh_fused, out=take("KBd", (K, B, d), dtype))
+    dWp1 = np.matmul(H1.transpose(0, 2, 1), weighted, out=take("dWp1", (K, d + 1, d), dtype))
+    dN1 *= Cp[:, None, :]
+    dWp1 += dN1
+    dWp1[:, :d] += C[:, :, None] * dCp[:, None, :]
+    dWp1[:, d] += dCp
+    grads["W_proj"][...] = dWp1[:, :d]
+    grads["b_proj"][...] = dWp1[:, d]
+
+
+def copying_train_step(params, grads, H, C, targets, buffers: _Buffers) -> float:
+    """One fusion training step on (B, K, d) states H: writes the
+    gradient of the mean cross-entropy against targets (column indices)
+    into grads, over whatever they held, and returns the loss sum. The
+    output layer and its loss are ``numerics._softmax_loss`` over W2
+    and b2."""
+    cache = copying_hidden_pass(params, H, C, buffers)
+    B, V = H.shape[0], params["b2"].shape[0]
+    loss_sum, _, _, dhidden = _softmax_loss(
+        cache.hidden, params["W2"].T, params["b2"], targets, B,
+        buffers.take("logits", (B, V), cache.hidden.dtype),
+        dW=grads["W2"].T, db=grads["b2"])
+    copying_backward(params, grads, cache, dhidden, buffers)
+    return loss_sum
 
 
 def dataset_to_raw(dataset: SessionDataset) -> dict[str, list[tuple[str, int]]]:

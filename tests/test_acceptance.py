@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from sru.aggregation import _forward, _train_step
 from sru.backbone import (
     GATE_NAMES,
     BackboneConfig,
@@ -32,7 +31,6 @@ from sru.evaluation import (
 from sru.numerics import (
     ParamStore,
     RngStream,
-    _Buffers,
     finite_difference_check,
     ndcg_gains,
     ranks_from_logits,
@@ -41,6 +39,7 @@ from sru.partition import PartitionConfig, balanced_kmeans, cluster_purity, embe
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests
 from reference import FixedPredictor, cross_entropy_rows, unfolded_forward
+from test_aggregation import fusion_forward, fusion_step
 
 CORPUS = dict(num_sessions=2000, vocab_size=200, num_clusters=8,
               min_len=8, max_len=14)
@@ -189,7 +188,7 @@ def test_c2_gradient_fidelity():
             # scores uniformly); central differences only see float noise
             # there, so such configurations are redrawn
             full.zero_grads()
-            _train_step(full.params, full.grads, H, C, targets, _Buffers())
+            fusion_step(full.params, full.grads, H, C, targets)
             attn_min = min(np.abs(full.grads[n]).min()
                            for n in ("W_attn", "b_attn", "g_attn"))
             if attn_min > 1e-7:
@@ -198,12 +197,12 @@ def test_c2_gradient_fidelity():
             raise AssertionError("could not draw a well-conditioned configuration")
 
         def fusion_loss(_s):
-            logits, _ = _forward(full.params, H, C)
+            logits, _ = fusion_forward(full.params, H, C)
             losses, _ = cross_entropy_rows(logits, targets)
             return float(losses.mean())
 
         full.zero_grads()
-        _train_step(full.params, full.grads, H, C, targets, _Buffers())
+        fusion_step(full.params, full.grads, H, C, targets)
 
         for names in (("W_proj", "b_proj"),
                       ("W_attn", "b_attn", "g_attn"),

@@ -11,8 +11,7 @@ from sru.aggregation import (
     init_aggregation_model,
     ShardCentroids,
     SruModel,
-    _forward,
-    _train_step,
+    _FusionPass,
     build_feature_cache,
     compute_centroid,
     compute_centroids,
@@ -40,6 +39,8 @@ from sru.numerics import (
 )
 from reference import (
     attention_scores,
+    copying_forward,
+    copying_train_step,
     cross_entropy_rows,
     encode,
     fuse,
@@ -232,6 +233,27 @@ def random_fusion_store(k, d, f, d_ff, v, rng) -> ParamStore:
     return store
 
 
+def ones_block(H):
+    """(B, K, d) states as the (B, K, d + 1) feature-table rows, with
+    their ones column, that a fusion pass reads."""
+    B, K, d = H.shape
+    block = np.ones((B, K, d + 1), dtype=H.dtype)
+    block[:, :, :d] = H
+    return block
+
+
+def fusion_forward(params, H, C):
+    """(logits, pass) of the library's fusion pass over (B, K, d) states
+    H; the pass holds the attention weights A and the fused states."""
+    fusion = _FusionPass(params, C, ones_block(H), _Buffers())
+    return fusion.logits(), fusion
+
+
+def fusion_step(params, grads, H, C, targets) -> float:
+    """One library training step over (B, K, d) states H."""
+    return _FusionPass(params, C, ones_block(H), _Buffers(), grads).step(targets)
+
+
 class TestFusionGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_full_stack_passes_finite_differences(self, seed):
@@ -243,12 +265,12 @@ class TestFusionGradients:
         targets = rng.integers(0, v, size=batch)
 
         def loss_fn(s):
-            logits, _ = _forward(s.params, H, C)
+            logits, _ = fusion_forward(s.params, H, C)
             losses, _ = cross_entropy_rows(logits, targets)
             return float(losses.mean())
 
         store.zero_grads()
-        _train_step(store.params, store.grads, H, C, targets, _Buffers())
+        fusion_step(store.params, store.grads, H, C, targets)
         assert finite_difference_check(loss_fn, store) < 1e-4
 
 
@@ -270,7 +292,7 @@ class TestFusionBackward:
         start = (rows - 1) // batch * batch
         H = table[start : start + batch]
         C = rng.normal(size=(k, d))
-        logits, _ = _forward(store.params, H, C)
+        logits, _ = fusion_forward(store.params, H, C)
         targets = rng.integers(0, v, size=H.shape[0])
         _, dlogits = cross_entropy_rows(logits, targets)
         dlogits /= H.shape[0]
@@ -279,7 +301,7 @@ class TestFusionBackward:
         want = {n: np.zeros_like(p) for n, p in store.params.items()}
         reference_grads(store.params, want, H, C, dlogits)
         got = {n: np.full_like(p, np.nan) for n, p in store.params.items()}
-        _train_step(store.params, got, H, C, targets, _Buffers())
+        fusion_step(store.params, got, H, C, targets)
         for name in store.names():
             scale = np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
@@ -303,8 +325,7 @@ class TestFusionBackward:
 
         params32 = {n: p.astype(np.float32) for n, p in store.params.items()}
         got = {n: np.zeros_like(p) for n, p in params32.items()}
-        _train_step(params32, got, H.astype(np.float32), C.astype(np.float32), targets,
-                    _Buffers())
+        fusion_step(params32, got, H.astype(np.float32), C.astype(np.float32), targets)
         for name in store.names():
             assert got[name].dtype == np.float32, name
             scale = np.abs(want[name]).max()
@@ -324,8 +345,8 @@ class TestFusionInvariants:
         params_p["W_proj"] = store.params["W_proj"][perm]
         params_p["b_proj"] = store.params["b_proj"][perm]
 
-        logits, cache = _forward(store.params, H, C)
-        logits_p, cache_p = _forward(params_p, H[:, perm], C[perm])
+        logits, cache = fusion_forward(store.params, H, C)
+        logits_p, cache_p = fusion_forward(params_p, H[:, perm], C[perm])
         np.testing.assert_allclose(cache_p.A, cache.A[perm], rtol=1e-9)
         np.testing.assert_allclose(logits_p, logits, rtol=1e-9, atol=1e-12)
 
@@ -342,7 +363,7 @@ class TestFusionInvariants:
         store.params["b_proj"][...] = b
         H = np.tile(h, (1, k, 1))
         C = np.tile(c, (k, 1))
-        _, cache = _forward(store.params, H, C)
+        _, cache = fusion_forward(store.params, H, C)
         h_fused = cache.h_fused[0]
         np.testing.assert_allclose(h_fused, h @ W + b, rtol=1e-12, atol=1e-12)
 
@@ -407,7 +428,7 @@ class TestTrainAggregation:
         # shuffled copy of the table per epoch measured 1.26x, this 0.21x)
         rng = np.random.default_rng(1)
         rows, k, d, v = 20000, 2, 16, 20
-        features = rng.normal(size=(rows, k, d)).astype(np.float32)
+        features = ones_block(rng.normal(size=(rows, k, d)).astype(np.float32))
         targets = rng.integers(1, v + 1, size=rows)
         centroids = ShardCentroids(c=rng.normal(size=(k, d)).astype(np.float32))
         sub_models = [SimpleNamespace(d=d)] * k
@@ -445,9 +466,10 @@ class TestTrainAggregation:
             for start in range(0, P, config.batch_size):
                 tb = targets[start : start + config.batch_size] - 1
                 store.zero_grads()
-                loss_sum += _train_step(store.params, store.grads,
-                                        table[start : start + config.batch_size],
-                                        centroids.c, tb, _Buffers())
+                fusion = _FusionPass(store.params, centroids.c,
+                                     table[start : start + config.batch_size], _Buffers(),
+                                     store.grads)
+                loss_sum += fusion.step(tb)
                 adam_step(store, adam, config.lr)
             losses.append(loss_sum / P)
         assert got.loss_history == losses
@@ -458,6 +480,101 @@ class TestTrainAggregation:
         with pytest.raises(ContractError):
             train_aggregation([], ShardCentroids(c=np.zeros((0, 8))), data,
                               AggregationConfig(seed=0))
+
+
+class TestCopyingStepOracle:
+    """The library's pass reads each batch through a view of the
+    feature table's rows, ones column included, with everything else
+    built once per call; the step it replaced copied each (B, K, d) batch
+    into a shard-major block and took its arrays per step. Training and
+    prediction must give that step's bytes."""
+
+    @staticmethod
+    def fitted():
+        data, _, models, centroids = small_setup(num_sessions=30, k=2)
+        config = AggregationConfig(f=8, epochs=3, batch_size=64, seed=6)
+        cache = build_feature_cache(models, data)
+        model = train_aggregation(models, centroids, data, config,
+                                  precomputed=(cache.features, cache.targets))
+        return data, models, centroids, config, cache, model
+
+    def test_training_gives_the_copying_steps_bytes(self):
+        data, models, centroids, config, cache, got = self.fitted()
+        P = len(cache.targets)
+        assert P > config.batch_size and P % config.batch_size     # a short last batch
+        H = cache.features[:, :, :-1]
+        C = centroids.c.astype(H.dtype)
+        model = init_aggregation_model(2, 8, data.num_items(), config)
+        store, adam = model.store, AdamState.for_store(model.store)
+        shuffle = RngStream(config.seed, "aggregation/shuffle")
+        buffers = _Buffers()
+        losses = []
+        for _ in range(config.epochs):
+            perm = shuffle.permutation(P)
+            loss_sum = 0.0
+            for start in range(0, P, config.batch_size):
+                rows = perm[start : start + config.batch_size]
+                loss_sum += copying_train_step(store.params, store.grads, H[rows], C,
+                                               cache.targets[rows] - 1, buffers)
+                adam_step(store, adam, config.lr)
+            losses.append(loss_sum / P)
+        assert got.loss_history == losses
+        assert got.params_bytes() == store.tobytes()
+
+    def test_predict_batch_gives_the_copying_forwards_bytes(self):
+        _, models, centroids, _, _, agg = self.fitted()
+        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg,
+                       max_len=14)
+        rng = np.random.default_rng(8)
+        prefixes = [tuple(rng.integers(1, 31, size=rng.integers(1, 15)).tolist())
+                    for _ in range(300)]                       # a full and a short block
+        got = sru.predict_batch(prefixes)
+        H = encode_stacked(models, *pad_prefixes(models[0], prefixes))
+        want, _ = copying_forward(agg.store.params, H, centroids.c.astype(H.dtype))
+        assert got.dtype == want.dtype
+        assert np.all(got[:, 0] == -np.inf)
+        assert got[:, 1:].tobytes() == want.tobytes()
+
+
+class TestPrecomputedTable:
+    """train_aggregation checks a precomputed table once per call."""
+
+    @staticmethod
+    def train(table, targets):
+        data, _, models, centroids = small_setup(num_sessions=12, k=2)
+        return train_aggregation(models, centroids, data,
+                                 AggregationConfig(f=8, epochs=1, seed=1),
+                                 precomputed=(table, targets))
+
+    @staticmethod
+    def table():
+        data, _, models, _ = small_setup(num_sessions=12, k=2)
+        cache = build_feature_cache(models, data)
+        return cache.features, cache.targets
+
+    @pytest.mark.parametrize("case", ["old layout", "wrong d", "wrong K", "short targets"])
+    def test_a_wrong_shape_is_contract_error(self, case):
+        features, targets = self.table()
+        P, K, d1 = features.shape
+        assert (K, d1) == (2, 9)
+        table, targets = {
+            "old layout": (features[:, :, :-1], targets),
+            "wrong d": (np.ones((P, K, d1 + 1), features.dtype), targets),
+            "wrong K": (np.ones((P, K + 1, d1), features.dtype), targets),
+            "short targets": (features, targets[:-1]),
+        }[case]
+        with pytest.raises(ContractError) as err:
+            self.train(table, targets)
+        message = str(err.value)
+        assert "(P, 2, 9)" in message
+        assert f"found {table.shape} and {targets.shape}" in message
+
+    def test_a_last_column_other_than_one_is_contract_error(self):
+        features, targets = self.table()
+        features = features.copy()
+        features[3, 1, -1] = 0.5
+        with pytest.raises(ContractError, match=r"must be 1\.0, found 0\.5 in row 3, shard 1"):
+            self.train(features, targets)
 
 
 class TestDefaultSchedule:
@@ -520,7 +637,7 @@ class TestSruModelPredict:
 
         def oracle(prefixes):
             H = np.stack([old_encode_batch(m, prefixes) for m in models], axis=1)
-            logits, _ = _forward(agg.store.params, H, centroids.c.astype(H.dtype))
+            logits, _ = copying_forward(agg.store.params, H, centroids.c.astype(H.dtype))
             out = np.full((len(prefixes), 31), -np.inf, dtype=logits.dtype)
             out[:, 1:] = logits
             return out
@@ -590,7 +707,8 @@ class TestPredictBlocks:
                     for _ in range(n)]
         got = sru.predict_batch(prefixes)
         H = encode_stacked(models, *pad_prefixes(models[0], prefixes))
-        logits, _ = _forward(sru.aggregation.store.params, H, sru.centroids.c.astype(H.dtype))
+        logits, _ = fusion_forward(sru.aggregation.store.params, H,
+                                   sru.centroids.c.astype(H.dtype))
         assert got.shape == (n, 31) and got.dtype == logits.dtype
         assert np.all(got[:, 0] == -np.inf)
         assert got[:, 1:].tobytes() == logits.tobytes()
@@ -619,9 +737,9 @@ class TestPredictBlocks:
         buffers = _Buffers()
         C = sru.centroids.c.astype(H.dtype)
         for start in range(0, len(prefixes), 256):
-            rows = H[start : start + 256]
-            _train_step(store.params, store.copy().grads, rows, C,
-                        rng.integers(0, 30, size=len(rows)), buffers)
+            rows = ones_block(H[start : start + 256])
+            fusion = _FusionPass(store.params, C, rows, buffers, store.copy().grads)
+            fusion.step(rng.integers(0, 30, size=len(rows)))
         assert [len(block) for block in seen] == [256, 44]
         assert got[:, 1:].tobytes() == np.concatenate(seen).tobytes()
 
@@ -643,7 +761,8 @@ class TestFeatureCache:
             for t in range(len(tail) - 1):
                 features.append(np.stack([states[i, t] for states in per_model]))
                 targets.append(tail[t + 1])
-        np.testing.assert_array_equal(cache.features, np.stack(features))
+        np.testing.assert_array_equal(cache.features[:, :, :-1], np.stack(features))
+        assert np.all(cache.features[:, :, -1] == 1.0)
         np.testing.assert_array_equal(cache.targets, targets)
         total = sum(min(len(s), 14) - 1 for s in data.sessions)
         assert cache.features.shape[0] == total

@@ -14,6 +14,7 @@ from sru.numerics import (
     RngStream,
     _Buffers,
     _exp_sum_floor,
+    _loss_consts,
     _softmax_loss,
     adam_step,
     derive_seed,
@@ -195,6 +196,20 @@ class TestSoftmaxLoss:
         for g, w in zip(reused[1:], fresh[1:]):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_prebuilt_consts_give_the_same_bits(self, with_bias):
+        # a trainer builds the row index, the ones vectors and the floor
+        # once per block shape; the kernel's result must not move
+        hidden, W, b, targets = self.case(np.float32, with_bias)
+        fresh = _softmax_loss(hidden, W, b, targets, 3)
+        consts = _loss_consts(hidden.shape[0], W.shape[0], np.float32)
+        built = _softmax_loss(hidden, W, b, targets, 3, consts=consts)
+        assert built[0] == fresh[0]
+        for g, w in zip(built[1:], fresh[1:]):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.tobytes() == w.tobytes()
+
     def test_target_count_must_match_rows(self):
         hidden, W, b, targets = self.case(np.float64, False)
         with pytest.raises(DimensionError):
@@ -263,7 +278,7 @@ class TestSoftmaxLoss:
         # A fallback that always ran would pass every other test; the
         # trained default-config models must take the block shift on a
         # shard batch and on a fusion batch.
-        from sru.aggregation import _train_step
+        from sru.aggregation import _FusionPass
         from sru.backbone import padded_items, sequence_loss_and_grads
 
         calls = self.fallbacks(monkeypatch)
@@ -275,9 +290,9 @@ class TestSoftmaxLoss:
         store = state.aggregation.store.copy()
         cache = state.feature_cache
         rows = slice(0, 256)
-        _train_step(store.params, store.grads, cache.features[rows],
-                    state.centroids.c.astype(cache.features.dtype),
-                    cache.targets[rows] - 1, _Buffers())
+        fusion = _FusionPass(store.params, state.centroids.c.astype(cache.features.dtype),
+                             cache.features[rows], _Buffers(), store.grads)
+        fusion.step(cache.targets[rows] - 1)
         assert np.isfinite(store.grad_values).all()
         assert calls == []
 
