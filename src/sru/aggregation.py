@@ -438,10 +438,9 @@ def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     features (P, K, d + 1), the states with a ones column after them, and
     targets (P,), where P runs over all (prefix, next-item) training
     points in session order. The ones column is written once; each
-    sub-model runs its own ``encode_stacked`` pass, written into the
-    states of its column of the one table, so that the pass's result is
-    one column and not a second table. Sub-models are only read, never
-    written."""
+    sub-model runs its own ``encode_stacked`` pass, which writes straight
+    into the states of its column of the one table, so no pass makes a
+    second table or a copy. Sub-models are only read, never written."""
     max_len = sub_models[0].max_len
     points, targets = training_points([s.items for s in dataset.sessions], max_len)
     _, _, slices = _layout(dataset.sessions, max_len)
@@ -450,7 +449,7 @@ def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     features = np.empty((len(targets), len(sub_models), d + 1), dtype=dtype)
     features[:, :, d] = 1.0
     for c, model in enumerate(sub_models):
-        features[:, c, :d] = encode_stacked([model], *points)[:, 0]
+        encode_stacked([model], *points, out=features[:, c : c + 1, :d])
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 
@@ -476,12 +475,13 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     and dirty columns are overwritten (``[..., :d]``; every row of the
     buffer already holds its ones): the fresh rows of all clean columns
     by one stacked pass over the clean sub-models, each dirty column by a
-    pass of its own over all rows. The targets move and fill alike, into
-    an array of their own. The result's table is a prefix of
-    ``cache.features``, whose rows are overwritten, so ``cache`` gives up
-    its buffer (its ``features`` becomes None) and updating it again
-    raises ContractError. So does a layout that needs more rows than the
-    buffer holds, or that moves a reused session to a later row.
+    pass of its own over all rows that writes straight into it. The
+    targets move and fill alike, into an array of their own. The
+    result's table is a prefix of ``cache.features``, whose rows are
+    overwritten, so ``cache`` gives up its buffer (its ``features``
+    becomes None) and updating it again raises ContractError. So does a
+    layout that needs more rows than the buffer holds, or that moves a
+    reused session to a later row.
     """
     k = len(sub_models)
     d = sub_models[0].d
@@ -555,7 +555,7 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     if dirty:
         points, _ = training_points([s.items for s in sessions], max_len)
         for c in dirty:
-            features[:, c, :d] = encode_stacked([sub_models[c]], *points)[:, 0]
+            encode_stacked([sub_models[c]], *points, out=features[:, c : c + 1, :d])
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 

@@ -16,6 +16,7 @@ time-major packed layout whose rows are exactly the loss positions.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -429,9 +430,11 @@ def encode_batch(model: GruModel, prefixes) -> np.ndarray:
 
 
 def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
-                   lengths: np.ndarray) -> np.ndarray:
+                   lengths: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Final state of every prefix of a ``pad_prefixes`` triple under each
-    of several models that share a vocabulary: (len(rows), K, d).
+    of several models that share a vocabulary: (len(rows), K, d), written
+    into ``out`` when given (any view of that shape and the models'
+    dtype, such as one column of a wider table) and returned.
 
     Prefix i is row rows[i] of ids after lengths[i] items; an empty
     prefix keeps the zero state. This is the one packed inference pass.
@@ -449,7 +452,11 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
     table_zr, table_n = _input_side(w, np.stack([m.embeddings for m in models]))
     _check_ids(ids, table_n.shape[1])
     (n, L), K, d = ids.shape, len(models), table_n.shape[-1]
-    out = np.zeros((len(rows), K, d), dtype=table_n.dtype)
+    if out is None:
+        out = np.empty((len(rows), K, d), dtype=table_n.dtype)
+    elif out.shape != (len(rows), K, d) or out.dtype != table_n.dtype:
+        raise DimensionError(f"out must be {(len(rows), K, d)} {table_n.dtype}, "
+                             f"got {out.shape} {out.dtype}")
     steps = np.zeros(n, dtype=np.int64)
     np.maximum.at(steps, rows, lengths)
     order = np.argsort(-steps, kind="stable")
@@ -460,6 +467,7 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
     by_length = np.argsort(lengths, kind="stable")
     # prefixes of length t + 1 are by_length[ends[t] : ends[t + 1]]
     ends = np.searchsorted(lengths[by_length], np.arange(L + 1), side="right")
+    out[by_length[: ends[0]]] = 0.0          # empty prefixes keep the zero state
     zr_buf = np.empty(K * n * 2 * d, dtype=out.dtype)
     n_buf, rh_buf, h_new_buf = (np.empty(K * n * d, dtype=out.dtype) for _ in range(3))
     h_buf = np.zeros(K * n * d, dtype=out.dtype)
@@ -658,24 +666,52 @@ def _train_pair(pair):
     return model, (time.perf_counter() - started) * 1e3
 
 
-def train_many_timed(datasets, configs, parallel: bool = True) -> list[tuple[GruModel, float]]:
-    """Train several independent models, optionally across processes;
-    returns (model, ms) pairs, each model's training time measured where
-    it trains (in its worker process on the parallel path).
+def _training_workers(models: int) -> int:
+    """Processes that train ``models`` independent models: as many as the
+    usable CPUs hold processes of the BLAS pin's thread count, and no
+    more than there are models; 1 means in process.
 
-    Each model draws only from its own config's named streams, so the
-    parallel results are bitwise identical to serial ones.
+    Usable CPUs are the affinity mask's. BLAS threads come from the first
+    of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a positive
+    integer, else they are every usable CPU, which is what an unpinned
+    BLAS takes: forking beside it would only oversubscribe the CPUs. The
+    library reads the pin and never sets it.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:           # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, min(models, cpus // threads))
+
+
+def train_many_timed(datasets, configs) -> list[tuple[GruModel, float]]:
+    """Train several independent models; returns (model, ms) pairs, each
+    model's training time measured where it trains.
+
+    ``_training_workers`` picks the number of processes. With one, the
+    models train one after another in this process; otherwise a process
+    pool trains them, so the times can add up to more than the call's
+    wall time. Each model draws only from its own config's named
+    streams, so both paths give bitwise identical models.
     """
     pairs = list(zip(datasets, configs))
-    if not parallel or len(pairs) < 2:
+    workers = _training_workers(len(pairs))
+    if workers == 1:
         return [_train_pair(p) for p in pairs]
-    import os
     from concurrent.futures import ProcessPoolExecutor
-    workers = min(len(pairs), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_train_pair, pairs))
 
 
-def train_many(datasets, configs, parallel: bool = True) -> list[GruModel]:
+def train_many(datasets, configs) -> list[GruModel]:
     """``train_many_timed`` without the timings."""
-    return [model for model, _ in train_many_timed(datasets, configs, parallel=parallel)]
+    return [model for model, _ in train_many_timed(datasets, configs)]

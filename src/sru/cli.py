@@ -32,16 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_stage("preprocess", "build the train/validation/test dataset artifact")
     add_stage("pretrain", "train the reference session encoder")
     add_stage("partition", "shard sessions by balanced k-means over reference states")
-    add_stage("train-shards", "train one sub-model per shard",
-              **{"--parallel": dict(action="store_true",
-                                    help="train shards across processes")})
+    add_stage("train-shards", "train one sub-model per shard")
     add_stage("train-agg", "train the attentive fusion layer")
     add_stage("eval", "score the fused model on a held-out split",
               **{"--split": dict(choices=("validation", "test"), default="test")})
     add_stage("unlearn", "apply deletion requests and retrain what they touch",
               **{"--requests": dict(required=True,
-                                    help="CSV: session_id,target_position,strategy,N"),
-                 "--parallel": dict(action="store_true")})
+                                    help="CSV: session_id,target_position,strategy,N")})
     add_stage("effectiveness", "audit whether deleted items can be re-inferred")
     add_stage("bench", "time selective unlearning against full retraining",
               **{"--requests": dict(required=True)})
@@ -62,7 +59,6 @@ def main(argv=None) -> int:
             config,
             args.run_dir,
             requests_path=getattr(args, "requests", None),
-            parallel=getattr(args, "parallel", False),
             split_tag=getattr(args, "split", "test"),
             ablate_mode=getattr(args, "mode", None),
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import build_feature_cache
-from .backbone import BackboneConfig, train_backbone
+from .backbone import BackboneConfig, train_backbone, train_many
 from .corpus import SessionDataset
 from .errors import ContractError
 from .numerics import RngStream, derive_seed, ndcg_gains, ranks_from_logits
@@ -142,15 +142,14 @@ def random_equal_shards(dataset: SessionDataset, k: int, seed: int) -> list[Sess
 
 def sisa_baseline(dataset: SessionDataset, k: int, config: BackboneConfig,
                   seed: int | None = None) -> SisaModel:
-    """Train the random-partition, mean-of-logits ensemble."""
+    """Train the random-partition, mean-of-logits ensemble; its shards
+    train through ``train_many``, like SRU's."""
     seed = config.seed if seed is None else seed
     shards = random_equal_shards(dataset, k, seed)
-    models = []
-    for i, shard in enumerate(shards):
-        shard_config = BackboneConfig(**{**config.as_dict(),
-                                         "seed": derive_seed(seed, f"sisa-shard-{i}")})
-        models.append(train_backbone(shard, shard_config))
-    return SisaModel(sub_models=tuple(models), num_items=dataset.num_items())
+    configs = [BackboneConfig(**{**config.as_dict(),
+                                 "seed": derive_seed(seed, f"sisa-shard-{i}")})
+               for i in range(len(shards))]
+    return SisaModel(sub_models=tuple(train_many(shards, configs)), num_items=dataset.num_items())
 
 
 # -- efficiency benchmark --------------------------------------------------------

@@ -133,9 +133,9 @@ def _partition(reference, train, config: ExperimentConfig, k: int | None = None)
     return balanced_kmeans(embed_all(reference, train), part_cfg)
 
 
-def _train_shards(shards, config: ExperimentConfig, parallel: bool = False):
+def _train_shards(shards, config: ExperimentConfig):
     configs = [config.backbone_config(f"shard-{k}") for k in range(len(shards))]
-    return train_many(shards, configs, parallel=parallel)
+    return train_many(shards, configs)
 
 
 def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfig):
@@ -153,14 +153,16 @@ def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfi
 
 
 def fit_state(train, validation, config: ExperimentConfig,
-              k_override: int | None = None, parallel: bool = False) -> SruState:
+              k_override: int | None = None) -> SruState:
     """Run pretraining, partitioning, shard training, and fusion training
     in memory and return the assembled framework state. Each model keeps
-    the config it was trained under, and unlearning retrains it under that."""
+    the config it was trained under, and unlearning retrains it under that.
+    The shards train across as many processes as ``train_many`` finds
+    free cores for, with the same bytes as in process."""
     reference = _pretrain(train, validation, config)
     assignment = _partition(reference, train, config, k_override)
     shards = make_shards(train, assignment)
-    sub_models = _train_shards(shards, config, parallel)
+    sub_models = _train_shards(shards, config)
     centroids, cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
     return SruState(reference_model=reference, corpus=train, assignment=assignment,
                     shard_configs=[m.config for m in sub_models], sub_models=sub_models,
@@ -204,11 +206,10 @@ def _cmd_partition(run_dir, config: ExperimentConfig, **_) -> None:
     _save(run_dir, config, "partition", _partition(reference, train, config))
 
 
-def _cmd_train_shards(run_dir, config: ExperimentConfig, *, parallel: bool = False,
-                      **_) -> None:
+def _cmd_train_shards(run_dir, config: ExperimentConfig, **_) -> None:
     train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     assignment = _load(run_dir, config, "partition")
-    for k, model in enumerate(_train_shards(make_shards(train, assignment), config, parallel)):
+    for k, model in enumerate(_train_shards(make_shards(train, assignment), config)):
         _save(run_dir, config, "shard", model, k)
 
 
@@ -270,12 +271,11 @@ def _cmd_eval(run_dir, config: ExperimentConfig, *, split_tag: str = "test", **_
     emit_report(report, "csv", os.path.join(run_dir, "eval.csv"))
 
 
-def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None,
-                 parallel: bool = False, **_) -> None:
+def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None, **_) -> None:
     if not requests_path:
         raise ContractError("unlearn requires --requests FILE")
     state, splits = load_state(run_dir, config)
-    outcome = execute_unlearn(state, load_requests(requests_path), parallel=parallel)
+    outcome = execute_unlearn(state, load_requests(requests_path))
     new = outcome.state
     _save(run_dir, config, "dataset", {**splits, "train": new.corpus})
     _save(run_dir, config, "partition", new.assignment)
@@ -395,14 +395,14 @@ STAGES = {
 
 
 def run_pipeline(subcommand: str, config: ExperimentConfig, run_dir,
-                 requests_path=None, parallel: bool = False,
-                 split_tag: str = "test", ablate_mode: str | None = None) -> int:
+                 requests_path=None, split_tag: str = "test",
+                 ablate_mode: str | None = None) -> int:
     """Dispatch one pipeline stage; returns a process exit status. The
     stage runs under ``config.for_stage()``: its seed and hash are fixed
     when it starts."""
     if subcommand not in STAGES:
         raise ContractError(f"unknown subcommand {subcommand!r}")
     os.makedirs(run_dir, exist_ok=True)
-    STAGES[subcommand](run_dir, config.for_stage(), requests_path=requests_path, parallel=parallel,
+    STAGES[subcommand](run_dir, config.for_stage(), requests_path=requests_path,
                        split_tag=split_tag, mode=ablate_mode)
     return 0

@@ -75,7 +75,10 @@ class TimingReport:
     cache, and training the fusion layer. ``aggregation_retrain_ms`` is
     their sum. The sub-model phase plus the three never exceed
     ``total_ms``; the rest of the total is request resolution and session
-    rewriting.
+    rewriting. ``retrain_workers`` is the number of processes that
+    retrained the affected sub-models: 1 means in process, 0 that none
+    was retrained. Above 1 the ``per_shard_ms`` times overlap, so their
+    sum can exceed ``sub_model_retrain_ms``.
     """
 
     sub_model_retrain_ms: float = 0.0
@@ -83,6 +86,7 @@ class TimingReport:
     total_ms: float = 0.0
     full_retrain_reference_ms: float | None = None
     per_shard_ms: dict[int, float] = field(default_factory=dict)
+    retrain_workers: int = 0
     centroid_refresh_ms: float = 0.0
     feature_cache_ms: float = 0.0
     fusion_training_ms: float = 0.0
@@ -111,6 +115,7 @@ class TimingReport:
             "fusion_training_ms": self.fusion_training_ms,
             "total_ms": self.total_ms,
             "per_shard_ms": {str(k): v for k, v in sorted(self.per_shard_ms.items())},
+            "retrain_workers": self.retrain_workers,
         }
         if self.full_retrain_reference_ms is not None:
             out["full_retrain_reference_ms"] = self.full_retrain_reference_ms

@@ -35,7 +35,7 @@ from .aggregation import (
     train_aggregation,
     updated_feature_cache,
 )
-from .backbone import BackboneConfig, GruModel, train_many_timed
+from .backbone import BackboneConfig, GruModel, _training_workers, train_many_timed
 from .corpus import Session, SessionDataset
 from .errors import ContractError, ParseError, PositionError, UnknownSessionError
 from .numerics import RngStream, derive_seed
@@ -344,7 +344,7 @@ class UnlearnOutcome:
     deletions: list[DeletionResult]
 
 
-def execute_unlearn(state: SruState, requests, parallel: bool = False) -> UnlearnOutcome:
+def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     """Apply a batch of unlearning requests and retrain what they touch.
 
     All target positions refer to sessions as stored in the corpus when
@@ -356,7 +356,9 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     rewritten corpus, so it stays a full partition without holes.
     Affected sub-models are retrained from scratch on their modified
     shards with their original configs and seeds; untouched sub-models
-    are returned as-is, bit for bit. The fusion layer is retrained from
+    are returned as-is, bit for bit; several of them train across processes
+    where ``train_many_timed`` finds the cores, and the timing report's
+    ``retrain_workers`` says how many. The fusion layer is retrained from
     scratch on the modified full corpus (skipped when no request
     survives).
 
@@ -433,7 +435,7 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
     new_models = new_state.sub_models
     per_shard_ms: dict[int, float] = {}
     retrained = train_many_timed([new_shards[k] for k in affected],
-                                 [state.shard_configs[k] for k in affected], parallel=parallel)
+                                 [state.shard_configs[k] for k in affected])
     for k, (model, ms) in zip(affected, retrained):
         new_models[k] = model
         per_shard_ms[k] = ms
@@ -473,6 +475,7 @@ def execute_unlearn(state: SruState, requests, parallel: bool = False) -> Unlear
         aggregation_retrain_ms=centroid_ms + cache_ms + fusion_ms,
         total_ms=(time.perf_counter() - started) * 1e3,
         per_shard_ms=per_shard_ms,
+        retrain_workers=_training_workers(len(affected)),
         centroid_refresh_ms=centroid_ms,
         feature_cache_ms=cache_ms,
         fusion_training_ms=fusion_ms,

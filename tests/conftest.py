@@ -66,3 +66,29 @@ def default_state(default_splits):
 
     train, validation, _ = default_splits
     return fit_state(train, validation, ExperimentConfig.defaults())
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """``cores(n)`` makes ``n`` CPUs usable and pins BLAS to one thread,
+    so that ``train_many`` trains n models at a time: in process for
+    n = 1, across a process pool above. ``cores.pools`` lists the
+    ``max_workers`` of every process pool started since."""
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **options):
+            pools.append(max_workers)
+            super().__init__(max_workers, **options)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    use.pools = pools
+    return use

@@ -864,9 +864,9 @@ class TestFeatureCache:
         models[4] = init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=98))
         passes = []
 
-        def counted(stacked, *points):
+        def counted(stacked, *points, **options):
             passes.append(len(stacked))
-            return encode_stacked(stacked, *points)
+            return encode_stacked(stacked, *points, **options)
 
         monkeypatch.setattr("sru.aggregation.encode_stacked", counted)
         updated = updated_feature_cache(cache, models, modified, dirty_shards=[4],

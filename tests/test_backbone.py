@@ -15,6 +15,7 @@ from sru.backbone import (
     _input_side,
     _stacked_gate_weights,
     _step_forward,
+    _training_workers,
     encode_batch,
     encode_stacked,
     gru_cell_backward,
@@ -279,16 +280,50 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_backbone(val, BackboneConfig(d=4, max_len=10, epochs=1, seed=0))
 
-    def test_parallel_training_matches_serial(self):
+    def test_parallel_training_matches_serial(self, cores):
         data = generate_synthetic(60, 30, 2, noise_rate=0.1, seed=13)
         shards = [data.with_sessions(data.sessions[:30]),
                   data.with_sessions(data.sessions[30:])]
         configs = [BackboneConfig(d=8, max_len=14, epochs=2, lr=3e-3, seed=s)
                    for s in (21, 22)]
-        serial = train_many(shards, configs, parallel=False)
-        parallel = train_many(shards, configs, parallel=True)
+        cores(1)
+        serial = train_many(shards, configs)
+        assert cores.pools == []
+        cores(2)
+        parallel = train_many(shards, configs)
+        assert cores.pools == [2]
         for a, b in zip(serial, parallel):
             assert a.params_bytes() == b.params_bytes()
+
+    @pytest.mark.parametrize("cpus, env, models, workers", [
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 8, 1),           # one usable CPU
+        (2, {}, 8, 1),                                      # BLAS unpinned takes every CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 8, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 8, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 8, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "4"}, 8, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, 8, 1),           # more threads than CPUs
+        (4, {"OPENBLAS_NUM_THREADS": "two"}, 8, 1),         # does not parse: every CPU
+        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 8, 2),
+        (4, {"OMP_NUM_THREADS": "1"}, 8, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),           # no more workers than models
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),           # fewer than 2 models
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 0, 1),
+    ])
+    def test_worker_rule(self, monkeypatch, cpus, env, models, workers):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert _training_workers(models) == workers
+
+    def test_worker_rule_without_cpu_affinity_counts_every_cpu(self, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _training_workers(8) == 3
 
     def test_early_stopping_restores_best(self):
         data = generate_synthetic(80, 30, 2, noise_rate=0.2, seed=5)
@@ -693,6 +728,28 @@ class TestEncodeStacked:
     def test_no_prefixes(self):
         models = [tiny_model(), tiny_model(seed=4)]
         assert encode_stacked(models, *pad_prefixes(models[0], [])).shape == (0, 2, 4)
+
+    def test_writes_into_a_column_of_a_wider_table(self):
+        models = [random_model(20, 6, 9, seed=s) for s in (1, 2)]
+        prefixes = self.prefixes()
+        points = pad_prefixes(models[0], prefixes)
+        want = encode_stacked(models[1:], *points)
+        table = np.full((len(prefixes), 2, 7), np.nan)
+        got = encode_stacked(models[1:], *points, out=table[:, 1:2, :6])
+        assert np.shares_memory(got, table)
+        assert table[:, 1:2, :6].tobytes() == want.tobytes()
+        empty = [i for i, p in enumerate(prefixes) if not any(p)]
+        assert empty and not table[empty, 1, :6].any()
+        assert np.isnan(table[:, 0]).all() and np.isnan(table[:, 1, 6]).all()
+
+    def test_out_of_another_shape_or_dtype_rejected(self):
+        models = [random_model(20, 6, 9, seed=1)]
+        points = pad_prefixes(models[0], self.prefixes())
+        n = len(points[1])
+        for out in (np.empty((n, 1, 5)), np.empty((n - 1, 1, 6)),
+                    np.empty((n, 1, 6), dtype=np.float32)):
+            with pytest.raises(DimensionError):
+                encode_stacked(models, *points, out=out)
 
 
 def random_prefixes(rng, count, num_items):

@@ -157,12 +157,14 @@ class TestStages:
         with pytest.raises(StaleArtifactError):
             run_pipeline("pretrain", changed, tmp_path)
 
-    def test_parallel_train_shards_matches_serial(self, tmp_path):
+    def test_parallel_train_shards_matches_serial(self, tmp_path, cores):
         config = tiny_config()
         dir_a, dir_b = tmp_path / "serial", tmp_path / "parallel"
-        for run_dir, parallel in ((dir_a, False), (dir_b, True)):
+        for run_dir, cpus in ((dir_a, 1), (dir_b, 2)):
+            cores(cpus)
             run_stages(run_dir, config, ("preprocess", "pretrain", "partition"))
-            run_pipeline("train-shards", config, run_dir, parallel=parallel)
+            run_pipeline("train-shards", config, run_dir)
+        assert cores.pools == [2]
         for name in ("shard_000.sru", "shard_001.sru"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
@@ -332,6 +334,7 @@ class TestUnlearnStage:
             sum(timing[p] for p in phases), rel=1e-5)
         assert timing["sub_model_retrain_ms"] + sum(timing[p] for p in phases) \
             <= timing["total_ms"] * (1 + 1e-5)
+        assert timing["retrain_workers"] == 1     # one shard retrains in process
 
         after = {k: (tmp_path / f"shard_{k:03d}.sru").read_bytes() for k in range(2)}
         assert after[0] != before[0]      # affected shard rewritten

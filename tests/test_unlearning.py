@@ -286,21 +286,26 @@ class TestExecuteUnlearn:
         assert timing.aggregation_retrain_ms == pytest.approx(sum(phases), rel=1e-12)
         assert timing.sub_model_retrain_ms + sum(phases) <= timing.total_ms
 
-    def test_per_shard_timing_covers_exactly_the_retrained_shards(self, small_state):
+    def test_per_shard_timing_covers_exactly_the_retrained_shards(self, small_state, cores):
         state, _ = small_state
         requests = [UnlearnRequest(state.shards[k].sessions[0].session_id, 2, "NED", 1)
                     for k in (0, 2)]
+        cores(1)      # in process, so the shard times add up inside the phase
         serial = execute_unlearn(state, requests)
         assert sorted(serial.timing.per_shard_ms) == [0, 2]
         assert all(ms > 0 for ms in serial.timing.per_shard_ms.values())
         assert sum(serial.timing.per_shard_ms.values()) <= serial.timing.sub_model_retrain_ms
 
-    def test_parallel_path_fills_per_shard_timing(self, small_state):
+    def test_parallel_path_fills_per_shard_timing(self, small_state, cores):
         state, _ = small_state
         requests = [UnlearnRequest(state.shards[k].sessions[0].session_id, 2, "NED", 1)
                     for k in (1, 3)]
+        cores(1)
         serial = execute_unlearn(state, requests)
-        parallel = execute_unlearn(state, requests, parallel=True)
+        assert serial.timing.retrain_workers == 1 and cores.pools == []
+        cores(2)
+        parallel = execute_unlearn(state, requests)
+        assert parallel.timing.retrain_workers == 2 and cores.pools == [2]
         assert sorted(parallel.timing.per_shard_ms) == [1, 3]
         assert all(ms > 0 for ms in parallel.timing.per_shard_ms.values())
         for a, b in zip(serial.state.sub_models, parallel.state.sub_models):
