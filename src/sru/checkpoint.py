@@ -361,11 +361,12 @@ def _check_item_array(session_ids, items: np.ndarray, offsets: np.ndarray,
 def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
                     extra_metadata: dict | None = None) -> None:
     """Persist the partition as `session_index,shard_id` CSV plus a
-    binary centroid block, whose metadata records the row count."""
-    rows = sorted(
-        (i, k) for k, member in enumerate(assignment.members) for i in member
-    )
-    text = "\n".join(["session_index,shard_id", *(f"{i},{k}" for i, k in rows)]) + "\n"
+    binary centroid block, whose metadata records the row count. The CSV
+    is the text form of ``shard_of``: one row per session index, in index
+    order."""
+    shard_of = assignment.shard_of.tolist()
+    text = "\n".join(["session_index,shard_id",
+                      *(f"{i},{k}" for i, k in enumerate(shard_of))]) + "\n"
     write_atomic(csv_path, text.encode("utf-8"))
     meta = {
         "kind": "centroids",
@@ -373,7 +374,7 @@ def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
         "delta": assignment.delta,
         "k": assignment.k,
         "reseeds": [list(r) for r in assignment.reseeds],
-        "sessions": len(rows),
+        "sessions": len(shard_of),
         **(extra_metadata or {}),
     }
     save_container(bin_path, {"centroids": assignment.centroids}, meta)
@@ -385,14 +386,16 @@ def load_assignment(csv_path, bin_path,
     check_config_hash(metadata, expected_config_hash, bin_path)
     if metadata.get("kind") != "centroids":
         raise VersionError(f"expected a centroid container, found {metadata.get('kind')!r}")
-    k = metadata["k"]
+    k = tensors["centroids"].shape[0]          # one centroid row per shard
+    if metadata.get("k") != k:
+        raise ParseError(f"{bin_path}: records k={metadata.get('k')}, "
+                         f"but holds {k} centroid rows")
     with open(csv_path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0].strip() != "session_index,shard_id":
         raise ParseError(f"{csv_path}: expected the header session_index,shard_id",
                          line_number=1)
-    pairs = []
-    seen: set[int] = set()
+    shard_of: dict[int, int] = {}
     for number, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -411,23 +414,20 @@ def load_assignment(csv_path, bin_path,
         if not 0 <= c < k:
             raise ParseError(f"{csv_path}: shard id {c} outside 0..{k - 1}",
                              line_number=number)
-        if i in seen:
+        if i in shard_of:
             raise ParseError(f"{csv_path}: session index {i} listed twice",
                              line_number=number)
-        seen.add(i)
-        pairs.append((i, c))
-    missing = next((i for i in range(len(pairs)) if i not in seen), None)
+        shard_of[i] = c
+    n = len(shard_of)
+    missing = next((i for i in range(n) if i not in shard_of), None)
     if missing is not None:
         raise ParseError(f"{csv_path}: no row for session index {missing}")
     expected = metadata.get("sessions")    # absent from files of older versions
-    if expected is not None and expected != len(pairs):
-        raise ParseError(f"{csv_path}: {len(pairs)} rows, but {bin_path} records "
+    if expected is not None and expected != n:
+        raise ParseError(f"{csv_path}: {n} rows, but {bin_path} records "
                          f"{expected} sessions")
-    members: list[list[int]] = [[] for _ in range(k)]
-    for i, c in pairs:
-        members[c].append(i)
-    return ShardAssignment.from_members(
-        [sorted(m) for m in members],
+    return ShardAssignment(
+        np.array([shard_of[i] for i in range(n)], dtype=np.int64),
         tensors["centroids"],
         metadata["iterations_run"],
         metadata["delta"],

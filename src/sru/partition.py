@@ -12,7 +12,8 @@ the capacity bound delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,54 +55,51 @@ class PartitionConfig:
         return delta
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardAssignment:
-    """Disjoint, capacity-bounded map of session indices to shards."""
+    """Disjoint, capacity-bounded map of session indices to shards.
 
-    shard_of: np.ndarray                 # (n,) int shard id per session index
-    members: tuple[tuple[int, ...], ...]  # per-shard sorted session indices
+    ``shard_of`` is the partition's one stored form. The shard count is
+    the number of centroid rows, so an empty shard still counts, and
+    ``members`` is derived from ``shard_of``. Construction checks the
+    partition (``validate``), so an invalid one cannot be built.
+    """
+
+    shard_of: np.ndarray                 # (n,) int64 shard id per session index
     centroids: np.ndarray                # (k, d) in the reference hidden space
     iterations_run: int
     delta: int
     reseeds: tuple = ()                  # (iteration, shard, session) diagnostics
 
-    @classmethod
-    def from_members(cls, members, centroids: np.ndarray, iterations_run: int,
-                     delta: int, reseeds: tuple = ()) -> "ShardAssignment":
-        """Assignment whose shard_of is derived from members. The members
-        must partition 0..n-1 within capacity (``validate``)."""
-        members = tuple(tuple(m) for m in members)
-        pairs = sorted((i, k) for k, member in enumerate(members) for i in member)
-        result = cls(shard_of=np.array([k for _, k in pairs], dtype=np.int64),
-                     members=members, centroids=centroids, iterations_run=iterations_run,
-                     delta=delta, reseeds=reseeds)
-        result.validate()
-        return result
+    def __post_init__(self):
+        object.__setattr__(self, "shard_of", np.asarray(self.shard_of, dtype=np.int64))
+        self.validate()
 
     def without(self, dropped) -> "ShardAssignment":
         """The partition of the corpus left once the session indices in
         ``dropped`` are removed; later indices shift down to close the gaps."""
         keep = np.ones(self.shard_of.shape[0], dtype=bool)
         keep[list(dropped)] = False
-        shard_of = self.shard_of[keep]
-        return ShardAssignment.from_members(
-            [np.flatnonzero(shard_of == k).tolist() for k in range(self.k)],
-            self.centroids, self.iterations_run, self.delta, self.reseeds)
+        return replace(self, shard_of=self.shard_of[keep])
 
     @property
     def k(self) -> int:
-        return len(self.members)
+        return self.centroids.shape[0]
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Each shard's session indices, in ascending order."""
+        return tuple(tuple(np.flatnonzero(self.shard_of == c).tolist()) for c in range(self.k))
 
     def validate(self) -> None:
-        n = self.shard_of.shape[0]
-        seen = [i for member in self.members for i in member]
-        if sorted(seen) != list(range(n)):
-            raise ContractError("shards do not form a partition of the sessions")
-        for k, member in enumerate(self.members):
-            if len(member) > self.delta:
-                raise ContractError(f"shard {k} exceeds capacity {self.delta}")
-            if any(self.shard_of[i] != k for i in member):
-                raise ContractError("members and shard_of disagree")
+        """Every shard id lies in 0..k-1 and no shard holds more than delta
+        sessions."""
+        ids = self.shard_of
+        if ids.ndim != 1 or ids.size and (ids.min() < 0 or ids.max() >= self.k):
+            raise ContractError(f"shard_of must be a vector of shard ids in 0..{self.k - 1}")
+        load = np.bincount(ids, minlength=self.k)
+        if load.max(initial=0) > self.delta:
+            raise ContractError(f"shard {int(load.argmax())} exceeds capacity {self.delta}")
 
 
 def embed_all(reference_model: GruModel, dataset: SessionDataset) -> np.ndarray:
@@ -117,19 +115,17 @@ def embed_all(reference_model: GruModel, dataset: SessionDataset) -> np.ndarray:
 def _assign(dist: np.ndarray, delta: int) -> np.ndarray:
     """Scan all (session, shard) pairs in ascending distance order.
 
-    Ties break on (session index, shard id). Every session lands on its
-    nearest shard that still has capacity at the moment it is reached.
+    Ties break on (session index, shard id): the stable sort keeps equal
+    distances in the row-major order of the (session, shard) grid. Every
+    session lands on its nearest shard that still has capacity at the
+    moment it is reached.
     """
     n, k = dist.shape
-    sessions = np.repeat(np.arange(n), k)
-    shards = np.tile(np.arange(k), n)
-    order = np.lexsort((shards, sessions, dist.reshape(-1)))
-    assignment = np.full(n, -1, dtype=np.int64)
-    load = np.zeros(k, dtype=np.int64)
+    assignment = [-1] * n
+    load = [0] * k
     remaining = n
-    for pair in order:
-        s = sessions[pair]
-        c = shards[pair]
+    for pair in np.argsort(dist.reshape(-1), kind="stable").tolist():
+        s, c = divmod(pair, k)
         if assignment[s] >= 0 or load[c] >= delta:
             continue
         assignment[s] = c
@@ -137,7 +133,7 @@ def _assign(dist: np.ndarray, delta: int) -> np.ndarray:
         remaining -= 1
         if remaining == 0:
             break
-    return assignment
+    return np.array(assignment, dtype=np.int64)
 
 
 def balanced_kmeans(H: np.ndarray, config: PartitionConfig,
@@ -192,19 +188,8 @@ def balanced_kmeans(H: np.ndarray, config: PartitionConfig,
         if movement < config.centroid_tol:
             break
 
-    members = tuple(
-        tuple(int(i) for i in np.flatnonzero(assignment == c)) for c in range(k)
-    )
-    result = ShardAssignment(
-        shard_of=assignment,
-        members=members,
-        centroids=centroids,
-        iterations_run=iterations,
-        delta=delta,
-        reseeds=tuple(reseeds),
-    )
-    result.validate()
-    return result
+    return ShardAssignment(shard_of=assignment, centroids=centroids, iterations_run=iterations,
+                           delta=delta, reseeds=tuple(reseeds))
 
 
 def make_shards(dataset: SessionDataset, assignment: ShardAssignment) -> list[SessionDataset]:

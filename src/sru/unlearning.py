@@ -17,7 +17,7 @@ import csv
 import io
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -90,7 +90,7 @@ _SEQUENCE_FIELDS = tuple(name for name, kind in _RECORD_TYPES.items()
 
 def deletions_to_json(deletions) -> list[dict]:
     """Audit-trail rows: one JSON-ready dict per DeletionResult."""
-    return [asdict(r) for r in deletions]
+    return [{name: getattr(r, name) for name in _RECORD_TYPES} for r in deletions]
 
 
 # A well-formed record as json.load returns it: exactly the fields, each

@@ -15,9 +15,12 @@ batched path to it:
   ``copying_train_step``, the folded passes before the feature table
   carried its ones column, for ``aggregation._FusionPass``;
 - ``dataset_to_raw``, the inverse of ``corpus.preprocess``'s input, for
-  its idempotence.
+  its idempotence;
+- ``assign``, the capacity-bounded scan over numpy scalars, for
+  ``partition._assign``.
 
 Every one of them was library code once and moved here unchanged.
+``assignment_from_members`` builds test partitions from member lists.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from sru.backbone import GruModel, gru_cell_forward, pad_prefixes
 from sru.corpus import SessionDataset
 from sru.errors import ContractError, DimensionError
 from sru.numerics import _Buffers, _logits, _softmax_loss
+from sru.partition import ShardAssignment
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -440,6 +444,43 @@ def dataset_to_raw(dataset: SessionDataset) -> dict[str, list[tuple[str, int]]]:
             (dataset.vocab.token_of(item), ts) for item, ts in zip(s.items, times)
         ]
     return out
+
+
+def assign(dist: np.ndarray, delta: int) -> np.ndarray:
+    """Scan all (session, shard) pairs in ascending distance order.
+
+    Ties break on (session index, shard id). Every session lands on its
+    nearest shard that still has capacity at the moment it is reached.
+    """
+    n, k = dist.shape
+    sessions = np.repeat(np.arange(n), k)
+    shards = np.tile(np.arange(k), n)
+    order = np.lexsort((shards, sessions, dist.reshape(-1)))
+    assignment = np.full(n, -1, dtype=np.int64)
+    load = np.zeros(k, dtype=np.int64)
+    remaining = n
+    for pair in order:
+        s = sessions[pair]
+        c = shards[pair]
+        if assignment[s] >= 0 or load[c] >= delta:
+            continue
+        assignment[s] = c
+        load[c] += 1
+        remaining -= 1
+        if remaining == 0:
+            break
+    return assignment
+
+
+def assignment_from_members(members, centroids, iterations_run, delta,
+                            reseeds=()) -> ShardAssignment:
+    """The partition whose shard k holds the session indices ``members[k]``,
+    which must cover 0..n-1 once."""
+    members = [list(m) for m in members]
+    shard_of = np.full(sum(map(len, members)), -1, dtype=np.int64)
+    for k, member in enumerate(members):
+        shard_of[member] = k
+    return ShardAssignment(shard_of, centroids, iterations_run, delta, reseeds)
 
 
 class FixedPredictor:

@@ -2,10 +2,14 @@ import inspect
 import json
 import os
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sru.aggregation import AggregationConfig, init_aggregation_model
 from sru.backbone import BackboneConfig, init_gru_model
@@ -30,7 +34,7 @@ from sru.errors import (
     StaleArtifactError,
     VersionError,
 )
-from sru.partition import PartitionConfig, balanced_kmeans
+from sru.partition import PartitionConfig, ShardAssignment, balanced_kmeans
 from sru.reports import EffectivenessReport, RankingReport, TimingReport, emit_report
 
 
@@ -246,6 +250,29 @@ class TestAssignmentRoundTrip:
         assert (loaded.iterations_run, loaded.delta, loaded.reseeds) == \
             (assignment.iterations_run, assignment.delta, assignment.reseeds)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_partitions_keep_shard_of_and_bytes(self, data):
+        # Empty shards allowed; the CSV is shard_of as text, in index order.
+        k = data.draw(st.integers(1, 5), label="shards")
+        shard_of = data.draw(st.lists(st.integers(0, k - 1), max_size=40), label="shard_of")
+        delta = max(shard_of.count(c) for c in range(k)) + data.draw(st.integers(0, 2))
+        centroids = np.arange(k * 3.0).reshape(k, 3) / 7
+        assignment = ShardAssignment(shard_of, centroids, 5, delta, ((2, 0, 1),))
+        with tempfile.TemporaryDirectory() as tmp:
+            first = Path(tmp, "p.csv"), Path(tmp, "c.sru")
+            again = Path(tmp, "p2.csv"), Path(tmp, "c2.sru")
+            save_assignment(*first, assignment)
+            loaded = load_assignment(*first)
+            save_assignment(*again, loaded)
+            assert first[0].read_text() == "session_index,shard_id\n" + "".join(
+                f"{i},{c}\n" for i, c in enumerate(shard_of))
+            assert [p.read_bytes() for p in first] == [p.read_bytes() for p in again]
+        assert loaded.shard_of.dtype == np.int64 and loaded.shard_of.tolist() == shard_of
+        assert loaded.members == assignment.members
+        np.testing.assert_array_equal(loaded.centroids, centroids)
+        assert (loaded.iterations_run, loaded.delta, loaded.reseeds) == (5, delta, ((2, 0, 1),))
+
     def test_holed_partition_rejected(self, tmp_path):
         # Indices 1 and 3 are in no shard; the first gap is named.
         csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
@@ -309,6 +336,16 @@ class TestAssignmentParsing:
         assert metadata.pop("sessions") == 6
         save_container(bin_path, tensors, metadata)
         assert len(load_assignment(csv_path, bin_path).shard_of) == 6
+
+    def test_shard_count_differs_from_centroid_rows(self, tmp_path):
+        # K is the number of centroid rows; a container whose k disagrees
+        # is rejected by name before any row is checked against either.
+        csv_path, bin_path = self.saved(tmp_path)
+        tensors, metadata = load_container(bin_path)
+        metadata["k"] = 3
+        save_container(bin_path, tensors, metadata)
+        with pytest.raises(ParseError, match=r"c\.sru: records k=3, but holds 2 centroid rows"):
+            load_assignment(csv_path, bin_path)
 
     @pytest.mark.parametrize("text", ["", "index,shard\n0,0\n", "0,0\n1,1\n"])
     def test_missing_or_wrong_header_names_file_and_line_1(self, tmp_path, text):

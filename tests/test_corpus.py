@@ -16,9 +16,9 @@ from sru.corpus import (
     split,
 )
 from sru.errors import ContractError, EmptyDatasetError, ParseError
-from sru.partition import ShardAssignment, make_shards
+from sru.partition import make_shards
 from sru.unlearning import UnlearnRequest, apply_deletion
-from reference import dataset_to_raw
+from reference import assignment_from_members, dataset_to_raw
 
 
 def tsv(rows):
@@ -241,7 +241,7 @@ class TestSessionChecks:
 
     def test_shards_check_no_session(self, checked):
         data = generate_synthetic(20, 30, 2, seed=1)
-        assignment = ShardAssignment.from_members(
+        assignment = assignment_from_members(
             (range(0, 20, 2), range(1, 20, 2)), np.zeros((2, 4)), iterations_run=1, delta=10)
         checked.clear()
         shards = make_shards(data, assignment)

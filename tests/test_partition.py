@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sru.backbone import BackboneConfig, train_backbone
 from sru.corpus import generate_synthetic
@@ -7,12 +11,13 @@ from sru.errors import ContractError
 from sru.partition import (
     PartitionConfig,
     ShardAssignment,
+    _assign,
     balanced_kmeans,
     cluster_purity,
     embed_all,
     make_shards,
 )
-from reference import encode
+from reference import assign, assignment_from_members, encode
 
 
 def trained_reference(data, d=16, epochs=6, seed=5):
@@ -153,27 +158,46 @@ class TestMakeShards:
             make_shards(data, assignment)
 
 
-class TestFromMembers:
-    def test_full_partition_matches_balanced_kmeans(self):
+class TestAssign:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_scalar_scan(self, data):
+        # Rounded distances tie often; delta from the tightest capacity up.
+        n = data.draw(st.integers(1, 30), label="sessions")
+        k = data.draw(st.integers(1, 6), label="shards")
+        values = data.draw(st.lists(st.floats(0, 4), min_size=n * k, max_size=n * k))
+        dist = np.round(np.array(values).reshape(n, k), data.draw(st.integers(0, 2)))
+        delta = math.ceil(n / k) + data.draw(st.integers(0, 2), label="slack")
+        got = _assign(dist, delta)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, assign(dist, delta))
+
+
+class TestShardAssignment:
+    def test_member_lists_rebuild_balanced_kmeans(self):
         H = np.random.default_rng(7).normal(size=(13, 3))
         assignment = balanced_kmeans(H, PartitionConfig(k=3, seed=4))
-        rebuilt = ShardAssignment.from_members(
+        rebuilt = assignment_from_members(
             assignment.members, assignment.centroids, assignment.iterations_run,
             assignment.delta, assignment.reseeds)
-        assert rebuilt.shard_of.dtype == np.int64
+        assert rebuilt.shard_of.dtype == assignment.shard_of.dtype == np.int64
         np.testing.assert_array_equal(rebuilt.shard_of, assignment.shard_of)
         assert rebuilt.members == assignment.members
-        rebuilt.validate()
 
-    def test_holed_member_list_rejected(self):
-        # Indices 1 and 3 are in no shard.
-        with pytest.raises(ContractError, match="do not form a partition"):
-            ShardAssignment.from_members([[0, 4], [], [2, 5]], np.zeros((3, 2)), 1, 2)
+    @pytest.mark.parametrize("shard_of, delta, match", [
+        ([0, -1, 1], 3, r"shard ids in 0\.\.2"),
+        ([0, 3, 1], 3, r"shard ids in 0\.\.2"),
+        ([[0, 1], [2, 0]], 3, "vector"),
+        ([0, 2, 2, 1, 2], 2, "shard 2 exceeds capacity 2"),
+    ])
+    def test_construction_rejects_an_invalid_partition(self, shard_of, delta, match):
+        with pytest.raises(ContractError, match=match):
+            ShardAssignment(np.array(shard_of), np.zeros((3, 2)), 1, delta)
 
     def test_without_closes_the_gaps(self):
         centroids = np.zeros((3, 2))
-        assignment = ShardAssignment.from_members([[0, 4], [1], [2, 3, 5]], centroids, 4, 3,
-                                                  ((1, 0, 2),))
+        assignment = assignment_from_members([[0, 4], [1], [2, 3, 5]], centroids, 4, 3,
+                                             ((1, 0, 2),))
         pruned = assignment.without({1, 3})
         assert pruned.shard_of.tolist() == [0, 2, 0, 2]
         assert pruned.members == ((0, 2), (), (1, 3))
@@ -181,10 +205,35 @@ class TestFromMembers:
         assert pruned.centroids is centroids
         assert (pruned.iterations_run, pruned.delta, pruned.reseeds) == (4, 3, ((1, 0, 2),))
 
-    def test_no_members_gives_empty_map(self):
-        rebuilt = ShardAssignment.from_members([(), ()], np.zeros((2, 1)), 1, 1)
-        assert rebuilt.shard_of.shape == (0,)
-        assert rebuilt.k == 2
+    def test_no_sessions_keeps_every_shard(self):
+        empty = ShardAssignment([], np.zeros((2, 1)), 1, 1)
+        assert empty.shard_of.shape == (0,) and empty.shard_of.dtype == np.int64
+        assert empty.k == 2 and empty.members == ((), ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_without_matches_the_partition_of_the_kept_ids(self, data):
+        k = data.draw(st.integers(1, 5), label="shards")
+        shard_of = data.draw(st.lists(st.integers(0, k - 1), max_size=30), label="shard_of")
+        delta = max(shard_of.count(c) for c in range(k)) + data.draw(st.integers(0, 2))
+        dropped = data.draw(st.sets(st.sampled_from(range(len(shard_of)))) if shard_of
+                            else st.just(set()), label="dropped")
+        assignment = ShardAssignment(shard_of, np.arange(k * 2.0).reshape(k, 2), 3, delta,
+                                     ((1, 0, 0),))
+        for c, member in enumerate(assignment.members):
+            assert member == tuple(i for i, s in enumerate(shard_of) if s == c)
+
+        pruned = assignment.without(dropped)
+        position = {i: p for p, i in enumerate(i for i in range(len(shard_of))
+                                               if i not in dropped)}
+        rebuilt = assignment_from_members(
+            [[position[i] for i in member if i in position] for member in assignment.members],
+            assignment.centroids, 3, delta, ((1, 0, 0),))
+        np.testing.assert_array_equal(pruned.shard_of, rebuilt.shard_of)
+        assert pruned.members == rebuilt.members
+        assert all(list(m) == sorted(m) for m in pruned.members)
+        assert (pruned.k, pruned.delta, pruned.iterations_run, pruned.reseeds) == \
+            (k, delta, 3, ((1, 0, 0),))
 
 
 class TestPurity:

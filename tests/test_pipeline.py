@@ -20,7 +20,7 @@ from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
 from sru.numerics import derive_seed
-from sru.partition import PartitionConfig, ShardAssignment
+from sru.partition import PartitionConfig
 from sru.pipeline import _check_audit_items, _load, _save, fit_state, load_state, run_pipeline
 from sru.unlearning import (
     DeletionResult,
@@ -30,6 +30,7 @@ from sru.unlearning import (
     sample_requests,
     save_requests,
 )
+from reference import assignment_from_members
 
 TINY = {
     "seed": 7,
@@ -408,8 +409,8 @@ class TestUnlearnStage:
         old = state.assignment
         members = [[position[s.session_id] for s in shard.sessions] for shard in state.shards]
         save_assignment(memory / "partition.csv", memory / "centroids.sru",
-                        ShardAssignment.from_members(members, old.centroids, old.iterations_run,
-                                                     old.delta, old.reseeds),
+                        assignment_from_members(members, old.centroids, old.iterations_run,
+                                                old.delta, old.reseeds),
                         {"config_hash": chash, "stage": "partition"})
         for k, model in enumerate(state.sub_models):
             save_checkpoint(model, memory / f"shard_{k:03d}.sru",
@@ -495,8 +496,8 @@ class TestReadPath:
         members = [old.members[0], old.members[1][:half], old.members[1][half:]]
         centroids = np.vstack([old.centroids, old.centroids[1:]])
         save_assignment(csv_path, bin_path,
-                        ShardAssignment.from_members(members, centroids, old.iterations_run,
-                                                     old.delta, old.reseeds),
+                        assignment_from_members(members, centroids, old.iterations_run,
+                                                old.delta, old.reseeds),
                         {"config_hash": config.config_hash(), "stage": "partition"})
         with pytest.raises(ContractError, match="K=3.*K=2"):
             load_state(tmp_path, config)
@@ -523,8 +524,8 @@ class TestReadPath:
         last = len(old.shard_of) - 1
         members = [[i for i in m if i != last] for m in old.members]
         save_assignment(csv_path, bin_path,
-                        ShardAssignment.from_members(members, old.centroids, old.iterations_run,
-                                                     old.delta, old.reseeds),
+                        assignment_from_members(members, old.centroids, old.iterations_run,
+                                                old.delta, old.reseeds),
                         {"config_hash": config.config_hash(), "stage": "partition"})
         with pytest.raises(ContractError, match="covers"):
             load_state(tmp_path, config)

@@ -1,7 +1,9 @@
 import io
 import json
+import os
+import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from sru.errors import (
 )
 from sru.numerics import RngStream
 from sru.partition import make_shards
+from sru.pipeline import _write_audit
 from sru.unlearning import (
     STRATEGIES,
+    DeletionResult,
     UnlearnRequest,
     apply_deletion,
     ced_select,
@@ -211,6 +215,27 @@ class TestDeletionJson:
             "dropped": False, "context_prefix": (1,), "context_full": (1, 5),
         }
         assert rows[1]["dropped"] is True and rows[1]["context_full"] == ()
+
+    positions = st.lists(st.integers(0, 10**6), max_size=6).map(tuple)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+        DeletionResult, session_id=st.text(max_size=8), strategy=st.sampled_from(STRATEGIES),
+        n_extra=st.integers(0, 99), target_position=st.integers(0, 99),
+        target_item=st.integers(1, 10**6), deleted_positions=positions,
+        original_length=st.integers(0, 99), dropped=st.booleans(),
+        context_prefix=positions, context_full=positions), max_size=8))
+    def test_rows_are_the_asdict_form_and_write_the_same_audit(self, results):
+        rows = deletions_to_json(results)
+        assert rows == [asdict(r) for r in results]
+        assert [list(row) for row in rows] == [list(asdict(r)) for r in results]
+        expected = json.dumps({"config_hash": "h", "records": [asdict(r) for r in results]},
+                              sort_keys=True, indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "audit.json")
+            _write_audit(path, results, {"config_hash": "h"})
+            with open(path, "rb") as handle:
+                assert handle.read() == expected.encode("utf-8")
 
     def test_unknown_field_names_the_record(self):
         rows = deletions_to_json(self.results())
