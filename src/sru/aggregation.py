@@ -37,7 +37,7 @@ prediction computes its logits with the same ``numerics._logits``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -85,15 +85,7 @@ class AggregationConfig:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "f": self.f, "d_ff": self.d_ff, "lr": self.lr, "epochs": self.epochs,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "centroid_source": self.centroid_source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AggregationConfig":
-        return cls(**data)
+        return asdict(self)
 
 
 @dataclass
@@ -111,14 +103,32 @@ class ShardCentroids:
 
 @dataclass
 class AggregationModel:
+    """The fusion parameters plus the config they were trained under;
+    every size is read from a parameter's shape."""
+
     store: ParamStore
-    k: int
-    d: int
-    f: int
-    d_ff: int
-    num_items: int
-    config: AggregationConfig | None = None
+    config: AggregationConfig
     loss_history: list = field(default_factory=list)
+
+    @property
+    def k(self) -> int:
+        return self.store.params["W_proj"].shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.store.params["W_proj"].shape[1]
+
+    @property
+    def f(self) -> int:
+        return self.store.params["b_attn"].shape[0]
+
+    @property
+    def d_ff(self) -> int:
+        return self.store.params["b1"].shape[0]
+
+    @property
+    def num_items(self) -> int:
+        return self.store.params["b2"].shape[0]
 
     def params_bytes(self) -> bytes:
         return self.store.tobytes()
@@ -381,8 +391,7 @@ def init_aggregation_model(k: int, d: int, num_items: int,
     store.add("b1", np.zeros(d_ff, dtype=dtype))
     store.add("W2", xavier_uniform(stream, d_ff, num_items, (d_ff, num_items), dtype))
     store.add("b2", np.zeros(num_items, dtype=dtype))
-    return AggregationModel(store=store, k=k, d=d, f=config.f, d_ff=d_ff,
-                            num_items=num_items, config=config)
+    return AggregationModel(store=store, config=config)
 
 
 @dataclass
@@ -655,7 +664,6 @@ class SruModel:
     sub_models: tuple
     centroids: ShardCentroids
     aggregation: AggregationModel
-    max_len: int
 
     @property
     def num_items(self) -> int:

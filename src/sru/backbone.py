@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -68,15 +68,7 @@ class BackboneConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d, "max_len": self.max_len, "epochs": self.epochs,
-            "batch_size": self.batch_size, "lr": self.lr, "seed": self.seed,
-            "patience": self.patience, "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackboneConfig":
-        return cls(**data)
+        return asdict(self)
 
 
 @dataclass
@@ -87,20 +79,31 @@ class GruModel:
     or to rankings. Scores for item v are h . E[v]. ``loss_history``
     holds one mean training loss per epoch run; ``best_epoch`` is the
     1-based epoch whose parameters early stopping restored, or None for a
-    model trained without a validation set.
+    model trained without a validation set. A model is its parameters
+    plus the config it was trained under: ``d`` and ``num_items`` are
+    read from E's shape, ``max_len`` from the config.
     """
 
     store: ParamStore
-    d: int
-    num_items: int
-    max_len: int
-    config: BackboneConfig | None = None
+    config: BackboneConfig
     loss_history: list = field(default_factory=list)
     best_epoch: int | None = None
 
     @property
     def embeddings(self) -> np.ndarray:
         return self.store.params["E"]
+
+    @property
+    def d(self) -> int:
+        return self.embeddings.shape[1]
+
+    @property
+    def num_items(self) -> int:
+        return self.embeddings.shape[0] - 1
+
+    @property
+    def max_len(self) -> int:
+        return self.config.max_len
 
     def params_bytes(self) -> bytes:
         return self.store.tobytes()
@@ -132,8 +135,7 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
             store.add(name, np.zeros(d, dtype=dtype))
         else:
             store.add(name, xavier_uniform(stream, d, d, (d, d), dtype))
-    return GruModel(store=store, d=d, num_items=num_items,
-                    max_len=config.max_len, config=config)
+    return GruModel(store=store, config=config)
 
 
 # -- GRU recurrence -----------------------------------------------------------

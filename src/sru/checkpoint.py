@@ -27,7 +27,7 @@ import zlib
 import numpy as np
 
 from .aggregation import AggregationConfig, AggregationModel, ShardCentroids
-from .backbone import BackboneConfig, GruModel
+from .backbone import GATE_NAMES, BackboneConfig, GruModel
 from .corpus import ItemVocab, Session, SessionDataset, check_sessions
 from .errors import (
     ContractError,
@@ -203,65 +203,89 @@ def check_config_hash(metadata: dict, expected: str | None, path) -> None:
 # -- typed wrappers ----------------------------------------------------------------
 
 
+def _gru_layout(config: BackboneConfig, d, num_items, max_len):
+    """The tensor shapes that a GRU checkpoint's recorded sizes give, and
+    the sizes its training config fixes."""
+    shapes = {name: (d,) if name.startswith("b") else (d, d) for name in GATE_NAMES}
+    return {**shapes, "E": (num_items + 1, d)}, {"d": config.d, "max_len": config.max_len}
+
+
+def _aggregation_layout(config: AggregationConfig, k, d, f, d_ff, num_items):
+    """``_gru_layout`` for a fusion checkpoint."""
+    return ({"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
+             "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
+             "b2": (num_items,)},
+            {"f": config.f, "d_ff": config.d_ff or d})
+
+
+# kind -> (model class, config class, the config's metadata key, the
+# sizes the metadata records, the layout those sizes give)
+_MODELS = {
+    "gru": (GruModel, BackboneConfig, "backbone_config", ("d", "num_items", "max_len"),
+            _gru_layout),
+    "aggregation": (AggregationModel, AggregationConfig, "agg_config",
+                    ("k", "d", "f", "d_ff", "num_items"), _aggregation_layout),
+}
+
+
 def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
-    """Persist a GruModel or AggregationModel, with its per-epoch training
-    loss curve (``loss_history``) in the metadata, and for a GruModel the
-    epoch that early stopping restored (``best_epoch``, null without
-    one)."""
-    extra = dict(extra_metadata or {})
-    if isinstance(obj, GruModel):
-        meta = {
-            "kind": "gru",
-            "d": obj.d,
-            "num_items": obj.num_items,
-            "max_len": obj.max_len,
-            "backbone_config": obj.config.as_dict() if obj.config else None,
-            "loss_history": list(obj.loss_history),
-            "best_epoch": obj.best_epoch,
-            **extra,
-        }
-        return save_container(path, dict(obj.store.params), meta)
-    if isinstance(obj, AggregationModel):
-        meta = {
-            "kind": "aggregation",
-            "k": obj.k,
-            "d": obj.d,
-            "f": obj.f,
-            "d_ff": obj.d_ff,
-            "num_items": obj.num_items,
-            "agg_config": obj.config.as_dict() if obj.config else None,
-            "loss_history": list(obj.loss_history),
-            **extra,
-        }
-        return save_container(path, dict(obj.store.params), meta)
-    raise ContractError(f"cannot checkpoint object of type {type(obj).__name__}")
+    """Persist a GruModel or AggregationModel: its tensors, and in the
+    metadata its training config, its sizes and its per-epoch training
+    loss curve (``loss_history``), and for a GruModel the epoch that early
+    stopping restored (``best_epoch``, null without one)."""
+    kind = next((kind for kind, spec in _MODELS.items() if isinstance(obj, spec[0])), None)
+    if kind is None:
+        raise ContractError(f"cannot checkpoint object of type {type(obj).__name__}")
+    _, _, config_key, size_keys, _ = _MODELS[kind]
+    meta = {"kind": kind, config_key: obj.config.as_dict(),
+            **{key: getattr(obj, key) for key in size_keys},
+            "loss_history": list(obj.loss_history)}
+    if kind == "gru":
+        meta["best_epoch"] = obj.best_epoch
+    return save_container(path, dict(obj.store.params), {**meta, **(extra_metadata or {})})
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None):
     """Load a model checkpoint back into its typed object; a checkpoint
     written without a loss curve loads with an empty one, and a GRU
-    checkpoint without a ``best_epoch`` loads with None."""
+    checkpoint without a ``best_epoch`` loads with None.
+
+    The model is read from its tensors and its training config, so both
+    are checked against the recorded sizes first: a missing or unreadable
+    config, tensors other than the model's, or a recorded size that
+    disagrees with the tensor shapes or the config raise IntegrityError
+    naming the file.
+    """
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
     kind = metadata.get("kind")
-    store = ParamStore(tensors)
-    loss_history = list(metadata.get("loss_history", []))
+    if kind not in _MODELS:
+        raise VersionError(f"checkpoint kind {kind!r} is not a model")
+    model_class, config_class, config_key, size_keys, layout = _MODELS[kind]
+    try:
+        config = config_class(**metadata[config_key])
+    except (KeyError, TypeError, ContractError) as exc:
+        raise IntegrityError(f"{path}: no readable training config {config_key!r} "
+                             f"({type(exc).__name__}: {exc})") from None
+    sizes = {key: metadata.get(key) for key in size_keys}
+    if not {int}.issuperset(map(type, sizes.values())):
+        raise IntegrityError(f"{path}: recorded sizes {sizes} are not all integers")
+    found = {name: t.shape for name, t in tensors.items()}
+    expected, fixed = layout(config, **sizes)
+    if found != expected:
+        wrong = sorted(name for name in found.keys() | expected.keys()
+                       if found.get(name) != expected.get(name))
+        raise IntegrityError(f"{path}: the tensors disagree with the recorded sizes {sizes}: "
+                             + ", ".join(f"{name} is {found.get(name, 'absent')}, expected "
+                                         f"{expected.get(name, 'absent')}" for name in wrong))
+    if not fixed.items() <= sizes.items():
+        raise IntegrityError(f"{path}: recorded sizes {sizes} disagree with the "
+                             f"training config's {fixed}")
+    model = model_class(store=ParamStore(tensors), config=config,
+                        loss_history=list(metadata.get("loss_history", [])))
     if kind == "gru":
-        config = None
-        if metadata.get("backbone_config"):
-            config = BackboneConfig.from_dict(metadata["backbone_config"])
-        return GruModel(store=store, d=metadata["d"], num_items=metadata["num_items"],
-                        max_len=metadata["max_len"], config=config,
-                        loss_history=loss_history, best_epoch=metadata.get("best_epoch"))
-    if kind == "aggregation":
-        config = None
-        if metadata.get("agg_config"):
-            config = AggregationConfig.from_dict(metadata["agg_config"])
-        return AggregationModel(store=store, k=metadata["k"], d=metadata["d"],
-                                f=metadata["f"], d_ff=metadata["d_ff"],
-                                num_items=metadata["num_items"], config=config,
-                                loss_history=loss_history)
-    raise VersionError(f"checkpoint kind {kind!r} is not a model")
+        model.best_epoch = metadata.get("best_epoch")
+    return model
 
 
 def save_datasets(path, splits: dict[str, SessionDataset],

@@ -184,12 +184,12 @@ class ExperimentConfig:
             return self.values["synthetic.max_len"]
         return self.values["data.max_len"]
 
-    def backbone_config(self, label: str, epochs: int | None = None) -> BackboneConfig:
+    def backbone_config(self, label: str) -> BackboneConfig:
         v = self.values
         return BackboneConfig(
             d=v["backbone.d"],
             max_len=self.model_max_len(),
-            epochs=epochs if epochs is not None else v["backbone.epochs"],
+            epochs=v["backbone.epochs"],
             batch_size=v["backbone.batch_size"],
             lr=v["backbone.lr"],
             seed=derive_seed(self.seed, label),

@@ -300,7 +300,7 @@ def _cluster_transitions(block: list[int], stream: RngStream) -> dict[int, tuple
 
 
 def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
-                       markov_order: int = 1, noise_rate: float = 0.0,
+                       noise_rate: float = 0.0,
                        seed: int = 0, min_len: int = 8, max_len: int = 14) -> SessionDataset:
     """Desk-scale synthetic corpus with planted session clusters.
 
@@ -310,8 +310,6 @@ def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
     chain state still advances). The generating cluster is recorded on
     every session for partition-quality diagnostics.
     """
-    if markov_order != 1:
-        raise ContractError(f"only first-order chains are supported, got order {markov_order}")
     if vocab_size < num_clusters * 10:
         raise ContractError(
             f"vocab_size must be >= 10 * num_clusters ({num_clusters * 10}), got {vocab_size}"

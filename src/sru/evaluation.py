@@ -146,8 +146,7 @@ def sisa_baseline(dataset: SessionDataset, k: int, config: BackboneConfig,
     train through ``train_many``, like SRU's."""
     seed = config.seed if seed is None else seed
     shards = random_equal_shards(dataset, k, seed)
-    configs = [BackboneConfig(**{**config.as_dict(),
-                                 "seed": derive_seed(seed, f"sisa-shard-{i}")})
+    configs = [replace(config, seed=derive_seed(seed, f"sisa-shard-{i}"))
                for i in range(len(shards))]
     return SisaModel(sub_models=tuple(train_many(shards, configs)), num_items=dataset.num_items())
 
@@ -155,7 +154,7 @@ def sisa_baseline(dataset: SessionDataset, k: int, config: BackboneConfig,
 # -- efficiency benchmark --------------------------------------------------------
 
 
-def benchmark_unlearn(state, requests, retrain_config: BackboneConfig | None = None) -> TimingReport:
+def benchmark_unlearn(state, requests) -> TimingReport:
     """Wall-clock of selective unlearning versus full retraining.
 
     Arm one runs execute_unlearn on the state. Arm two trains one
@@ -171,13 +170,9 @@ def benchmark_unlearn(state, requests, retrain_config: BackboneConfig | None = N
             state.sub_models, state.corpus))
     outcome = execute_unlearn(state, requests)
 
-    config = retrain_config
-    if config is None:
-        base = state.shard_configs[0]
-        config = BackboneConfig(**{**base.as_dict(), "seed": derive_seed(state.seed, "retrain")})
-    full_dataset = outcome.state.corpus
+    config = replace(state.sub_models[0].config, seed=derive_seed(state.seed, "retrain"))
     started = time.perf_counter()
-    train_backbone(full_dataset, config)
+    train_backbone(outcome.state.corpus, config)
     full_ms = (time.perf_counter() - started) * 1e3
 
     return replace(outcome.timing, full_retrain_reference_ms=full_ms,

@@ -24,6 +24,7 @@ from .aggregation import (
 )
 from .backbone import train_backbone, train_many
 from .checkpoint import (
+    check_config_hash,
     load_assignment,
     load_centroid_state,
     load_checkpoint,
@@ -113,8 +114,7 @@ def _read_audit(path, expected_config_hash: str):
             raise ParseError(f"{path}: {exc.msg}", line_number=exc.lineno) from None
     if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
         raise ParseError(f"{path}: expected an object with a records list")
-    if payload.get("config_hash") != expected_config_hash:
-        raise StageDependencyError("audit.json was produced under a different config")
+    check_config_hash(payload, expected_config_hash, path)
     return deletions_from_json(payload["records"])
 
 
@@ -165,9 +165,8 @@ def fit_state(train, validation, config: ExperimentConfig,
     sub_models = _train_shards(shards, config)
     centroids, cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
     return SruState(reference_model=reference, corpus=train, assignment=assignment,
-                    shard_configs=[m.config for m in sub_models], sub_models=sub_models,
-                    centroids=centroids, agg_config=aggregation.config,
-                    aggregation=aggregation, seed=config.seed, feature_cache=cache)
+                    sub_models=sub_models, centroids=centroids, aggregation=aggregation,
+                    seed=config.seed, feature_cache=cache)
 
 
 # -- stage implementations -------------------------------------------------------
@@ -231,8 +230,7 @@ def load_model(run_dir, config: ExperimentConfig) -> SruModel:
     aggregation = _load(run_dir, config, "aggregation")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(aggregation.k)]
     centroids = _load(run_dir, config, "shard_centroids")
-    return SruModel(sub_models=tuple(sub_models), centroids=centroids,
-                    aggregation=aggregation, max_len=sub_models[0].max_len)
+    return SruModel(sub_models=tuple(sub_models), centroids=centroids, aggregation=aggregation)
 
 
 def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
@@ -240,10 +238,11 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
 
     Loads the dataset splits, the reference encoder and the partition,
     and takes the predictor from ``load_model``; K is the fusion layer's,
-    and a partition with another K is a ``ContractError``, as is a shard
-    or fusion checkpoint without its training config. The returned
-    state has no feature cache: ``execute_unlearn`` builds it lazily,
-    once, on the post-deletion sub-models.
+    and a partition with another K is a ``ContractError``. Each model
+    carries the training config from its checkpoint, which unlearning
+    retrains it under. The returned state has no feature cache:
+    ``execute_unlearn`` builds it lazily, once, on the post-deletion
+    sub-models.
     """
     splits = _load(run_dir, config, "dataset")
     reference = _load(run_dir, config, "reference")
@@ -254,13 +253,9 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
             f"partition.csv has K={assignment.k} shards but aggregation.sru "
             f"has K={model.aggregation.k}"
         )
-    if any(m.config is None for m in (*model.sub_models, model.aggregation)):
-        raise ContractError("a shard or fusion checkpoint is missing its training config")
     state = SruState(reference_model=reference, corpus=splits["train"], assignment=assignment,
-                     shard_configs=[m.config for m in model.sub_models],
                      sub_models=list(model.sub_models), centroids=model.centroids,
-                     agg_config=model.aggregation.config, aggregation=model.aggregation,
-                     seed=config.seed)
+                     aggregation=model.aggregation, seed=config.seed)
     return state, splits
 
 

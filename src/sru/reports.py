@@ -82,7 +82,6 @@ class TimingReport:
     """
 
     sub_model_retrain_ms: float = 0.0
-    aggregation_retrain_ms: float = 0.0
     total_ms: float = 0.0
     full_retrain_reference_ms: float | None = None
     per_shard_ms: dict[int, float] = field(default_factory=dict)
@@ -99,6 +98,10 @@ class TimingReport:
                  + self.feature_cache_ms + self.fusion_training_ms)
         if self.total_ms + 1e-6 < parts:
             raise ContractError("total time is below the sum of its phases")
+
+    @property
+    def aggregation_retrain_ms(self) -> float:
+        return self.centroid_refresh_ms + self.feature_cache_ms + self.fusion_training_ms
 
     @property
     def speedup(self) -> float | None:

@@ -19,8 +19,6 @@ import time
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -77,15 +75,16 @@ class DeletionResult:
     context_full: tuple[int, ...]        # all survivors
 
 
-# JSON value types per DeletionResult field, from its annotations. The
-# checks compare exact types, so a boolean is not an integer.
-_SCALAR_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-                 "bool": (bool, "true or false")}
-_RECORD_TYPES = {f.name: f.type for f in fields(DeletionResult)}
-_SCALAR_FIELDS = tuple((name, *_SCALAR_TYPES[kind]) for name, kind in _RECORD_TYPES.items()
-                       if kind in _SCALAR_TYPES)
-_SEQUENCE_FIELDS = tuple(name for name, kind in _RECORD_TYPES.items()
-                         if kind == "tuple[int, ...]")
+# Per DeletionResult field, in field order, from its annotation: the JSON
+# types its value may have, their name, and whether it is a sequence of
+# integers. The checks compare exact types, so a boolean is not an
+# integer; a sequence is a list as json.load returns it, or a tuple
+# straight from ``deletions_to_json``.
+_JSON_TYPES = {"str": ((str,), "a string", False), "int": ((int,), "an integer", False),
+               "bool": ((bool,), "true or false", False),
+               "tuple[int, ...]": ((list, tuple), "a list of integers", True)}
+_RECORD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(DeletionResult)}
+_INT = {int}
 
 
 def deletions_to_json(deletions) -> list[dict]:
@@ -93,66 +92,28 @@ def deletions_to_json(deletions) -> list[dict]:
     return [{name: getattr(r, name) for name in _RECORD_TYPES} for r in deletions]
 
 
-# A well-formed record as json.load returns it: exactly the fields, each
-# value of its field's JSON type, and integers inside every sequence.
-_FIELD_KEYS = frozenset(_RECORD_TYPES)
-_FIELD_VALUES = itemgetter(*_RECORD_TYPES)
-_JSON_TYPES = tuple(_SCALAR_TYPES[kind][0] if kind in _SCALAR_TYPES else list
-                    for kind in _RECORD_TYPES.values())
-_SEQUENCE_VALUES = itemgetter(*_SEQUENCE_FIELDS)
-_SEQUENCE_SLOTS = tuple(list(_RECORD_TYPES).index(name) for name in _SEQUENCE_FIELDS)
-
-
-def _well_formed(row) -> bool:
-    return (type(row) is dict and row.keys() == _FIELD_KEYS
-            and tuple(map(type, _FIELD_VALUES(row))) == _JSON_TYPES)
-
-
-def _record(row) -> DeletionResult:
-    values = list(_FIELD_VALUES(row))
-    for i in _SEQUENCE_SLOTS:
-        values[i] = tuple(values[i])
-    return DeletionResult(*values)
-
-
 def deletions_from_json(rows) -> list[DeletionResult]:
     """Inverse of ``deletions_to_json``. A row with a missing or unknown
     field, or a value of the wrong type (booleans are not integers),
-    raises ParseError naming its record index and the field.
-
-    Rows as ``json.load`` returns a well-formed audit trail are checked
-    with one comparison of each row's value types and one set of the
-    element types of all sequences; if any row fails that, every row
-    takes the field-by-field checks, which name the first bad one.
-    """
-    rows = list(rows)
-    if all(map(_well_formed, rows)) and {*map(type, chain.from_iterable(
-            chain.from_iterable(map(_SEQUENCE_VALUES, rows))))} <= {int}:
-        return list(map(_record, rows))
-    return [_checked_record(index, row) for index, row in enumerate(rows)]
-
-
-def _checked_record(index: int, row) -> DeletionResult:
-    """One audit record, checked field by field."""
-    if not isinstance(row, dict):
-        raise ParseError(f"audit record {index} is not an object")
-    missing = [name for name in _RECORD_TYPES if name not in row]
-    unknown = sorted(set(row) - set(_RECORD_TYPES))
-    if missing or unknown:
-        raise ParseError(f"audit record {index}: missing fields {missing}, "
-                         f"unknown fields {unknown}")
-    values = dict(row)
-    for name, kind, expected in _SCALAR_FIELDS:
-        if type(values[name]) is not kind:
-            raise ParseError(f"audit record {index}: field {name!r} must be "
-                             f"{expected}, got {values[name]!r}")
-    for name in _SEQUENCE_FIELDS:
-        value = values[name]
-        if type(value) not in (list, tuple) or not {*map(type, value)} <= {int}:
-            raise ParseError(f"audit record {index}: field {name!r} must be "
-                             f"a list of integers, got {value!r}")
-        values[name] = tuple(value)
-    return DeletionResult(**values)
+    raises ParseError naming its record index and the field."""
+    records = []
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ParseError(f"audit record {index} is not an object")
+        if row.keys() != _RECORD_TYPES.keys():
+            missing = [name for name in _RECORD_TYPES if name not in row]
+            unknown = sorted(set(row) - set(_RECORD_TYPES))
+            raise ParseError(f"audit record {index}: missing fields {missing}, "
+                             f"unknown fields {unknown}")
+        values = []
+        for name, (kinds, expected, sequence) in _RECORD_TYPES.items():
+            value = row[name]
+            if type(value) not in kinds or sequence and not _INT.issuperset(map(type, value)):
+                raise ParseError(f"audit record {index}: field {name!r} must be "
+                                 f"{expected}, got {value!r}")
+            values.append(tuple(value) if sequence else value)
+        records.append(DeletionResult(*values))
+    return records
 
 
 def _check_target(session: Session, target_position: int) -> None:
@@ -292,16 +253,16 @@ class SruState:
     ``dataset.sru`` keeps, and ``assignment`` is a full partition of
     exactly its positions: a session index is a position in ``corpus``.
     ``shards`` is derived from the two on first use, so neither may be
-    changed in place.
+    changed in place. Each model keeps the config it was trained under,
+    which unlearning retrains it with: ``shard_configs`` and
+    ``agg_config`` read them.
     """
 
     reference_model: GruModel
     corpus: SessionDataset
     assignment: ShardAssignment
-    shard_configs: list[BackboneConfig]
     sub_models: list[GruModel]
     centroids: ShardCentroids
-    agg_config: AggregationConfig
     aggregation: AggregationModel
     seed: int = 0
     # Per-shard state table of the current corpus, owned by this state
@@ -316,6 +277,14 @@ class SruState:
                 f"partition covers {self.assignment.shard_of.shape[0]} sessions, "
                 f"the training corpus has {len(self.corpus)}"
             )
+
+    @property
+    def shard_configs(self) -> list[BackboneConfig]:
+        return [m.config for m in self.sub_models]
+
+    @property
+    def agg_config(self) -> AggregationConfig:
+        return self.aggregation.config
 
     @cached_property
     def shards(self) -> list[SessionDataset]:
@@ -333,7 +302,6 @@ class SruState:
             sub_models=tuple(self.sub_models),
             centroids=self.centroids,
             aggregation=self.aggregation,
-            max_len=self.sub_models[0].max_len,
         )
 
 
@@ -435,7 +403,7 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     new_models = new_state.sub_models
     per_shard_ms: dict[int, float] = {}
     retrained = train_many_timed([new_shards[k] for k in affected],
-                                 [state.shard_configs[k] for k in affected])
+                                 [state.sub_models[k].config for k in affected])
     for k, (model, ms) in zip(affected, retrained):
         new_models[k] = model
         per_shard_ms[k] = ms
@@ -462,7 +430,7 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     new_state.feature_cache = cache
     fusion_started = time.perf_counter()
     new_state.aggregation = train_aggregation(
-        new_models, centroids, new_corpus, state.agg_config,
+        new_models, centroids, new_corpus, state.aggregation.config,
         precomputed=(cache.features, cache.targets),
     )
     agg_ended = time.perf_counter()
@@ -472,7 +440,6 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     fusion_ms = (agg_ended - fusion_started) * 1e3
     timing = TimingReport(
         sub_model_retrain_ms=shard_ms,
-        aggregation_retrain_ms=centroid_ms + cache_ms + fusion_ms,
         total_ms=(time.perf_counter() - started) * 1e3,
         per_shard_ms=per_shard_ms,
         retrain_workers=_training_workers(len(affected)),

@@ -523,8 +523,7 @@ class TestCopyingStepOracle:
 
     def test_predict_batch_gives_the_copying_forwards_bytes(self):
         _, models, centroids, _, _, agg = self.fitted()
-        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg,
-                       max_len=14)
+        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg)
         rng = np.random.default_rng(8)
         prefixes = [tuple(rng.integers(1, 31, size=rng.integers(1, 15)).tolist())
                     for _ in range(300)]                       # a full and a short block
@@ -606,8 +605,7 @@ class TestSruModelPredict:
         data, shards, models, centroids = small_setup(num_sessions=12, k=2)
         config = AggregationConfig(f=8, lr=5e-3, epochs=2, seed=2)
         agg = train_aggregation(models, centroids, data, config)
-        sru = SruModel(sub_models=tuple(models), centroids=centroids,
-                       aggregation=agg, max_len=14)
+        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg)
 
         prefix = data.sessions[0].items[:4]
         params = agg.store.params
@@ -632,8 +630,7 @@ class TestSruModelPredict:
         data, _, models, centroids = small_setup(num_sessions=12, k=2)
         agg = train_aggregation(models, centroids, data,
                                 AggregationConfig(f=8, lr=5e-3, epochs=1, seed=2))
-        sru = SruModel(sub_models=tuple(models), centroids=centroids,
-                       aggregation=agg, max_len=14)
+        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg)
 
         def oracle(prefixes):
             H = np.stack([old_encode_batch(m, prefixes) for m in models], axis=1)

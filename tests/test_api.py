@@ -2,15 +2,18 @@
 through ``predict_batch``, and the single-prefix reference versions of the
 batched paths live in ``tests/reference.py``, not under ``sru``."""
 
+import dataclasses
 import importlib
 
 import pytest
 
 import sru
-from sru.aggregation import SruModel
-from sru.backbone import GruModel
+from sru.aggregation import AggregationConfig, AggregationModel, SruModel
+from sru.backbone import BackboneConfig, GruModel
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore
+from sru.reports import TimingReport
+from sru.unlearning import SruState
 
 SINGLE_PREFIX_NAMES = {
     "aggregation": ("attention_scores", "fuse", "predict_output", "project"),
@@ -41,3 +44,28 @@ def test_model_predicts_only_in_batches(model_class):
     assert callable(getattr(model_class, "predict_batch", None))
     for name in ("predict", "__call__", "encode"):
         assert name not in vars(model_class), name
+
+
+# Each fact has one stored form: a model stores its parameters and its
+# config, and every size, config list and phase sum is read from them.
+STORED_FIELDS = {
+    GruModel: {"store", "config", "loss_history", "best_epoch"},
+    AggregationModel: {"store", "config", "loss_history"},
+    SruModel: {"sub_models", "centroids", "aggregation"},
+    SruState: {"reference_model", "corpus", "assignment", "sub_models", "centroids",
+               "aggregation", "seed", "feature_cache"},
+    TimingReport: {"sub_model_retrain_ms", "total_ms", "full_retrain_reference_ms",
+                   "per_shard_ms", "retrain_workers", "centroid_refresh_ms",
+                   "feature_cache_ms", "fusion_training_ms"},
+}
+
+
+@pytest.mark.parametrize("cls", STORED_FIELDS, ids=lambda c: c.__name__)
+def test_stored_fields_are_exactly_these(cls):
+    assert {f.name for f in dataclasses.fields(cls)} == STORED_FIELDS[cls]
+
+
+@pytest.mark.parametrize("cls", [BackboneConfig, AggregationConfig], ids=lambda c: c.__name__)
+def test_configs_are_built_by_their_constructor_alone(cls):
+    assert not hasattr(cls, "from_dict")
+    assert cls(**cls().as_dict()) == cls()

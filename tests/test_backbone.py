@@ -513,8 +513,7 @@ def random_model(num_items, d, max_len, seed, dtype="float64"):
 
 def as_float64(model):
     store = ParamStore({k: v.astype(np.float64) for k, v in model.store.params.items()})
-    return GruModel(store=store, d=model.d, num_items=model.num_items,
-                    max_len=model.max_len, config=replace(model.config, dtype="float64"))
+    return GruModel(store=store, config=replace(model.config, dtype="float64"))
 
 
 def ragged_ids(rng, n, L, num_items):

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import struct
 import tempfile
 import zlib
@@ -80,6 +81,80 @@ class TestModelRoundTrip:
         save_checkpoint(model, p1, {"config_hash": "x"})
         save_checkpoint(model, p2, {"config_hash": "x"})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# kind -> (a fresh model, its config's metadata key and size field, the
+# sizes it records)
+MODEL_KINDS = {
+    "gru": (lambda: init_gru_model(12, BackboneConfig(d=4, max_len=10, seed=1)),
+            "backbone_config", "d", ("d", "num_items", "max_len")),
+    "aggregation": (lambda: init_aggregation_model(3, 4, 12,
+                                                   AggregationConfig(f=5, d_ff=6, seed=2)),
+                    "agg_config", "f", ("k", "d", "f", "d_ff", "num_items")),
+}
+CHANGES = [(kind, change) for kind, (_, _, _, sizes) in MODEL_KINDS.items()
+           for change in (*sizes, "config size", "missing tensor", "extra tensor",
+                          "missing config")]
+
+
+class TestModelLoadChecks:
+    """A model is read from its tensors and its config, so the loader
+    checks them against the sizes the file records."""
+
+    @pytest.mark.parametrize("kind, change", CHANGES)
+    def test_file_that_disagrees_with_itself_is_named(self, tmp_path, kind, change):
+        make, config_key, config_size, sizes = MODEL_KINDS[kind]
+        path = tmp_path / f"{kind}.sru"
+        save_checkpoint(make(), path)
+        tensors, metadata = load_container(path)
+        tensors = dict(tensors)
+        if change in sizes:
+            metadata[change] += 1
+        elif change == "config size":
+            metadata[config_key][config_size] += 1
+        elif change == "missing tensor":
+            del tensors[sorted(tensors)[-1]]
+        elif change == "extra tensor":
+            tensors["extra"] = np.zeros(2, dtype=np.float32)
+        else:
+            del metadata[config_key]
+        save_container(path, tensors, metadata)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [None, "4", 4.5, True])
+    def test_size_that_is_not_an_integer(self, tmp_path, value):
+        path = tmp_path / "m.sru"
+        save_checkpoint(MODEL_KINDS["gru"][0](), path)
+        tensors, metadata = load_container(path)
+        save_container(path, tensors, {**metadata, "d": value})
+        with pytest.raises(IntegrityError, match="are not all integers"):
+            load_checkpoint(path)
+
+    def test_config_with_an_unknown_field(self, tmp_path):
+        path = tmp_path / "m.sru"
+        save_checkpoint(MODEL_KINDS["gru"][0](), path)
+        tensors, metadata = load_container(path)
+        metadata["backbone_config"]["width"] = 3
+        save_container(path, tensors, metadata)
+        with pytest.raises(IntegrityError, match="no readable training config 'backbone_config'"):
+            load_checkpoint(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 6), num_items=st.integers(1, 9), max_len=st.integers(2, 20),
+           k=st.integers(1, 4), f=st.integers(1, 6), d_ff=st.integers(0, 6))
+    def test_sizes_are_read_from_the_tensors(self, d, num_items, max_len, k, f, d_ff):
+        gru = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=1))
+        assert (gru.d, gru.num_items, gru.max_len) == (d, num_items, max_len)
+        agg = init_aggregation_model(k, d, num_items,
+                                     AggregationConfig(f=f, d_ff=d_ff or None, seed=2))
+        assert (agg.k, agg.d, agg.f, agg.d_ff, agg.num_items) == (k, d, f, d_ff or d, num_items)
+        with tempfile.TemporaryDirectory() as tmp:
+            for model in (gru, agg):
+                first, second = Path(tmp, "first.sru"), Path(tmp, "second.sru")
+                save_checkpoint(model, first, {"config_hash": "h"})
+                save_checkpoint(load_checkpoint(first), second, {"config_hash": "h"})
+                assert first.read_bytes() == second.read_bytes()
 
 
 class TestCorruption:
@@ -566,11 +641,10 @@ class TestReports:
 
     def test_timing_report_invariant(self):
         with pytest.raises(ContractError):
-            TimingReport(sub_model_retrain_ms=5.0, aggregation_retrain_ms=0.0,
-                         total_ms=1.0)
+            TimingReport(sub_model_retrain_ms=5.0, total_ms=1.0)
 
     def test_speedup_property(self):
-        report = TimingReport(sub_model_retrain_ms=1.0, aggregation_retrain_ms=1.0,
+        report = TimingReport(sub_model_retrain_ms=1.0, fusion_training_ms=1.0,
                               total_ms=2.5, full_retrain_reference_ms=10.0)
         assert report.speedup == 4.0
 

@@ -8,17 +8,24 @@ import pytest
 
 from sru.checkpoint import (
     load_assignment,
-    load_checkpoint,
+    load_container,
     load_datasets,
     save_assignment,
     save_checkpoint,
+    save_container,
     save_datasets,
 )
 from sru.aggregation import AggregationConfig
 from sru.backbone import BackboneConfig, train_backbone
 from sru.cli import main
 from sru.config import ExperimentConfig
-from sru.errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
+from sru.errors import (
+    ContractError,
+    IntegrityError,
+    ParseError,
+    StageDependencyError,
+    StaleArtifactError,
+)
 from sru.numerics import derive_seed
 from sru.partition import PartitionConfig
 from sru.pipeline import _check_audit_items, _load, _save, fit_state, load_state, run_pipeline
@@ -502,18 +509,28 @@ class TestReadPath:
         with pytest.raises(ContractError, match="K=3.*K=2"):
             load_state(tmp_path, config)
 
-    def test_fusion_checkpoint_without_config_is_contract_error(self, unlearned_run,
-                                                                tmp_path):
+    def test_fusion_checkpoint_without_config_is_integrity_error(self, unlearned_run,
+                                                                 tmp_path):
         # Retraining the fusion layer under the current config instead of
         # its own would silently break exact unlearning.
-        config = tiny_config()
         run_dir = copied_run(unlearned_run, tmp_path)
-        aggregation = load_checkpoint(run_dir / "aggregation.sru")
-        save_checkpoint(replace(aggregation, config=None), run_dir / "aggregation.sru",
-                        {"config_hash": config.config_hash(), "stage": "train-agg",
-                         "seed": aggregation.config.seed})
-        with pytest.raises(ContractError, match="fusion checkpoint is missing its training"):
-            load_state(run_dir, config)
+        tensors, metadata = load_container(run_dir / "aggregation.sru")
+        del metadata["agg_config"]
+        save_container(run_dir / "aggregation.sru", tensors, metadata)
+        with pytest.raises(IntegrityError, match=r"aggregation\.sru: no readable training "
+                                                 r"config 'agg_config'"):
+            load_state(run_dir, tiny_config())
+
+    def test_fusion_checkpoint_recording_another_k_is_integrity_error(self, unlearned_run,
+                                                                      tmp_path):
+        # Read as recorded, k=1 would load one shard and then fail as a
+        # partition mismatch; the loader names the file that is wrong.
+        run_dir = copied_run(unlearned_run, tmp_path)
+        tensors, metadata = load_container(run_dir / "aggregation.sru")
+        save_container(run_dir / "aggregation.sru", tensors, {**metadata, "k": 1})
+        with pytest.raises(IntegrityError, match=r"aggregation\.sru: the tensors disagree "
+                                                 r"with the recorded sizes \{'k': 1,"):
+            load_state(run_dir, tiny_config())
 
     def test_partition_of_another_corpus_is_contract_error(self, tmp_path):
         # A whole partition that is one session short of the corpus.
@@ -567,6 +584,15 @@ class TestAuditFile:
         del rows[1]["context_full"]
         self.write_audit(tmp_path, config, rows)
         with pytest.raises(ParseError, match=r"audit record 1: missing fields \['context_full'\]"):
+            run_pipeline("effectiveness", config, tmp_path)
+
+    def test_audit_of_another_config_is_stale(self, tmp_path):
+        config = tiny_config()
+        self.write_audit(tmp_path, tiny_config(seed=8), deletions_to_json([self.RECORD]))
+        message = (f"{tmp_path / 'audit.json'} was produced under config hash "
+                   f"{tiny_config(seed=8).config_hash()}, current is {config.config_hash()}; "
+                   "rerun the upstream stage")
+        with pytest.raises(StaleArtifactError, match=f"^{re.escape(message)}$"):
             run_pipeline("effectiveness", config, tmp_path)
 
     def test_records_must_be_a_list(self, tmp_path):

@@ -192,20 +192,22 @@ class TestDeletionJson:
         text = json.dumps(deletions_to_json(results), sort_keys=True, indent=2)
         assert deletions_from_json(json.loads(text)) == results
 
-    def test_well_formed_rows_skip_the_field_checks(self, monkeypatch):
-        # JSON rows of a well-formed trail take the fast path; rows that
-        # hold tuples (straight from deletions_to_json) take the field
-        # checks; both read back the same results.
-        import sru.unlearning as unlearning
-        results = self.results()
-        checked = []
-        field_checks = unlearning._checked_record
-        monkeypatch.setattr(unlearning, "_checked_record",
-                            lambda index, row: checked.append(index) or field_checks(index, row))
-        assert deletions_from_json(json.loads(json.dumps(deletions_to_json(results)))) == results
-        assert checked == []
-        assert deletions_from_json(deletions_to_json(results)) == results
-        assert checked == [0, 1]
+    positions = st.lists(st.integers(0, 10**6), max_size=6).map(tuple)
+    deletion_results = st.lists(st.builds(
+        DeletionResult, session_id=st.text(max_size=8), strategy=st.sampled_from(STRATEGIES),
+        n_extra=st.integers(0, 99), target_position=st.integers(0, 99),
+        target_item=st.integers(1, 10**6), deleted_positions=positions,
+        original_length=st.integers(0, 99), dropped=st.booleans(),
+        context_prefix=positions, context_full=positions), max_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(deletion_results)
+    def test_json_rows_and_tuple_rows_read_back_equal(self, results):
+        # json.load gives the sequence fields as lists, deletions_to_json
+        # holds them as tuples; one decoder reads both back alike.
+        rows = deletions_to_json(results)
+        assert deletions_from_json(json.loads(json.dumps(rows))) == results
+        assert deletions_from_json(rows) == results
 
     def test_rows_hold_every_field(self):
         rows = deletions_to_json(self.results())
@@ -216,15 +218,8 @@ class TestDeletionJson:
         }
         assert rows[1]["dropped"] is True and rows[1]["context_full"] == ()
 
-    positions = st.lists(st.integers(0, 10**6), max_size=6).map(tuple)
-
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.builds(
-        DeletionResult, session_id=st.text(max_size=8), strategy=st.sampled_from(STRATEGIES),
-        n_extra=st.integers(0, 99), target_position=st.integers(0, 99),
-        target_item=st.integers(1, 10**6), deleted_positions=positions,
-        original_length=st.integers(0, 99), dropped=st.booleans(),
-        context_prefix=positions, context_full=positions), max_size=8))
+    @given(deletion_results)
     def test_rows_are_the_asdict_form_and_write_the_same_audit(self, results):
         rows = deletions_to_json(results)
         assert rows == [asdict(r) for r in results]
@@ -310,6 +305,17 @@ class TestExecuteUnlearn:
         assert all(p > 0 for p in phases)
         assert timing.aggregation_retrain_ms == pytest.approx(sum(phases), rel=1e-12)
         assert timing.sub_model_retrain_ms + sum(phases) <= timing.total_ms
+
+    def test_state_reads_each_config_from_its_model(self, small_state):
+        state, config = small_state
+        session = state.shards[1].sessions[0]
+        after = execute_unlearn(state, [UnlearnRequest(session.session_id, 2, "NED", 1)]).state
+        for s in (state, after):
+            assert s.shard_configs == [m.config for m in s.sub_models]
+            assert s.agg_config == s.aggregation.config
+        assert after.shard_configs == state.shard_configs == [
+            config.backbone_config(f"shard-{k}") for k in range(4)]
+        assert after.agg_config == state.agg_config == config.aggregation_config()
 
     def test_per_shard_timing_covers_exactly_the_retrained_shards(self, small_state, cores):
         state, _ = small_state
