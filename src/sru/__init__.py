@@ -72,7 +72,6 @@ from .numerics import (
     RngStream,
     adam_step,
     derive_seed,
-    finite_difference_check,
     ranks_from_logits,
 )
 from .partition import (

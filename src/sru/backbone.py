@@ -291,46 +291,6 @@ def _grouped_rows(keys: np.ndarray, blocks, size: int) -> list[np.ndarray]:
     return sums
 
 
-def gru_cell_forward(params, x, h_prev):
-    """One GRU step on row vectors; x and h_prev are (B, d).
-
-    z = sigmoid(x Wz + h Uz + bz)
-    r = sigmoid(x Wr + h Ur + br)
-    n = tanh(x Wn + (r * h) Un + bn)
-    h_new = (1 - z) * h + z * n
-    """
-    x = np.atleast_2d(np.asarray(x))
-    h = np.atleast_2d(np.asarray(h_prev))
-    if x.shape != h.shape or x.shape[1] != params["W_z"].shape[0]:
-        raise DimensionError(f"gru_cell shapes do not conform: x {x.shape}, h {h.shape}")
-    w = _gate_weights(params)
-    zr, n = _input_side(w, x)
-    rh = np.empty_like(n)
-    h_new = np.empty_like(n)
-    _step_forward(w, zr, n, h, rh, h_new)
-    d = h.shape[1]
-    return h_new, (x, h, zr[:, :d], zr[:, d:], rh, n)
-
-
-def gru_cell_backward(params, cache, dh_new, out_grads=None):
-    """Backward pass of one GRU step.
-
-    Accumulates parameter gradients into out_grads (a name -> array
-    mapping; created if omitted) and returns (dx, dh_prev, out_grads).
-    """
-    x, h, z, r, rh, n = cache
-    dh_new = np.atleast_2d(np.asarray(dh_new))
-    if out_grads is None:
-        out_grads = {name: np.zeros_like(params[name]) for name in GATE_NAMES}
-    w = _gate_weights(params)
-    zr = np.concatenate([z, r], axis=1)
-    dzr = np.empty_like(zr)
-    dn = np.empty_like(n)
-    dh = _step_backward(w, zr, n, h, rh, dh_new, dzr, dn)
-    _add_weight_grads(out_grads, x, dzr, dn, h, rh, dzr, dn)
-    return dzr @ w.Wzr.T + dn @ w.Wn.T, dh, out_grads
-
-
 # -- padding and encoding ----------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Bit-exact binary persistence for models, datasets, and centroids.
+"""Bit-exact binary persistence for models, datasets, partitions and centroids.
 
 Container layout (little-endian throughout):
 
@@ -12,7 +12,7 @@ Tensors are written in sorted name order and the metadata JSON is
 canonical (sorted keys, compact separators), so identical inputs always
 produce identical files. Loads fully validate magic, version, shapes,
 and the checksum before any object is constructed; a truncated or
-corrupt file never yields a partial model.
+corrupt file never yields a partial model, and its error names the file.
 """
 
 from __future__ import annotations
@@ -105,22 +105,25 @@ _U64 = struct.Struct("<Q")
 
 
 class _Reader:
-    """Cursor over the body ``blob[:end]``: each field is decoded in place
-    with ``unpack_from``, and reading past ``end`` is a truncation."""
+    """Cursor over the body ``blob[:end]`` of the file at ``path``: each
+    field is decoded in place with ``unpack_from``, and reading past
+    ``end`` is a truncation."""
 
-    def __init__(self, blob: bytearray, end: int):
+    def __init__(self, path, blob: bytearray, end: int):
+        self.path = path
         self.blob = blob
         self.end = end
         self.offset = 0
 
+    def error(self, message: str) -> IntegrityError:
+        """An ``IntegrityError`` naming the file and the current offset."""
+        return IntegrityError(f"{self.path}: {message}", offset=self.offset)
+
     def skip(self, count: int) -> int:
         """Advance past ``count`` bytes; returns where they start."""
         if self.offset + count > self.end:
-            raise IntegrityError(
-                f"file truncated: wanted {count} bytes, "
-                f"{self.end - self.offset} remain",
-                offset=self.offset,
-            )
+            raise self.error(f"file truncated: wanted {count} bytes, "
+                             f"{self.end - self.offset} remain")
         start = self.offset
         self.offset += count
         return start
@@ -135,32 +138,35 @@ class _Reader:
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read and fully validate one container. The tensors are views of
-    the one buffer the file was read into."""
+    the one buffer the file was read into. Every ``IntegrityError`` and
+    ``VersionError`` message starts with the path."""
     with open(path, "rb") as handle:
         blob = bytearray(handle.read())
     if len(blob) < len(MAGIC) + 8:
-        raise IntegrityError("file too short to be a checkpoint", offset=len(blob))
+        raise IntegrityError(f"{path}: file too short to be a checkpoint", offset=len(blob))
     if blob[: len(MAGIC)] != MAGIC:
-        raise VersionError(f"unrecognized magic bytes {bytes(blob[:4])!r}; expected {MAGIC!r}")
+        raise VersionError(f"{path}: unrecognized magic bytes {bytes(blob[:4])!r}; "
+                           f"expected {MAGIC!r}")
     end = len(blob) - 4
     (expected_crc,) = _U32.unpack_from(blob, end)
     actual_crc = zlib.crc32(memoryview(blob)[:end])
     if actual_crc != expected_crc:
         raise IntegrityError(
-            f"checksum mismatch: stored {expected_crc:#010x}, computed {actual_crc:#010x}",
+            f"{path}: checksum mismatch: stored {expected_crc:#010x}, "
+            f"computed {actual_crc:#010x}",
             offset=end,
         )
 
-    reader = _Reader(blob, end)
+    reader = _Reader(path, blob, end)
     reader.skip(len(MAGIC))
     (version,) = reader.unpack(_U32)
     if version != VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
+        raise VersionError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = reader.unpack(_U32)
     try:
         metadata = json.loads(reader.text(meta_len))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"metadata block unreadable: {exc}", offset=reader.offset) from None
+        raise reader.error(f"metadata block unreadable: {exc}") from None
     (count,) = reader.unpack(_U32)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -168,24 +174,19 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
         name = reader.text(name_len)
         tag, ndim = reader.unpack(_TAG_NDIM)
         if tag not in _TAG_DTYPES:
-            raise IntegrityError(f"unknown dtype tag {tag} for tensor {name!r}",
-                                 offset=reader.offset)
+            raise reader.error(f"unknown dtype tag {tag} for tensor {name!r}")
         shape = reader.unpack(struct.Struct(f"<{ndim}Q"))
         (nbytes,) = reader.unpack(_U64)
         dtype = _TAG_DTYPES[tag]
         expected = math.prod(shape) * dtype.itemsize
         if nbytes != expected:
-            raise IntegrityError(
-                f"tensor {name!r}: {nbytes} bytes stored but shape {shape} needs {expected}",
-                offset=reader.offset,
-            )
+            raise reader.error(
+                f"tensor {name!r}: {nbytes} bytes stored but shape {shape} needs {expected}")
         start = reader.skip(nbytes)
         tensors[name] = np.frombuffer(blob, dtype=dtype, count=nbytes // dtype.itemsize,
                                       offset=start).reshape(shape)
     if reader.offset != end:
-        raise IntegrityError(
-            f"{end - reader.offset} unexpected trailing bytes", offset=reader.offset
-        )
+        raise reader.error(f"{end - reader.offset} unexpected trailing bytes")
     return tensors, metadata
 
 
@@ -204,18 +205,19 @@ def check_config_hash(metadata: dict, expected: str | None, path) -> None:
 
 
 def _gru_layout(config: BackboneConfig, d, num_items, max_len):
-    """The tensor shapes that a GRU checkpoint's recorded sizes give, and
-    the sizes its training config fixes."""
+    """The tensor shapes that a GRU checkpoint's recorded sizes give, the
+    sizes its training config fixes, and the dtype it trains in."""
     shapes = {name: (d,) if name.startswith("b") else (d, d) for name in GATE_NAMES}
-    return {**shapes, "E": (num_items + 1, d)}, {"d": config.d, "max_len": config.max_len}
+    return ({**shapes, "E": (num_items + 1, d)}, {"d": config.d, "max_len": config.max_len},
+            config.np_dtype())
 
 
 def _aggregation_layout(config: AggregationConfig, k, d, f, d_ff, num_items):
-    """``_gru_layout`` for a fusion checkpoint."""
+    """``_gru_layout`` for a fusion checkpoint, which is always float32."""
     return ({"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
              "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
              "b2": (num_items,)},
-            {"f": config.f, "d_ff": config.d_ff or d})
+            {"f": config.f, "d_ff": config.d_ff or d}, np.float32)
 
 
 # kind -> (model class, config class, the config's metadata key, the
@@ -252,15 +254,16 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
 
     The model is read from its tensors and its training config, so both
     are checked against the recorded sizes first: a missing or unreadable
-    config, tensors other than the model's, or a recorded size that
-    disagrees with the tensor shapes or the config raise IntegrityError
-    naming the file.
+    config, tensors other than the model's, a recorded size that
+    disagrees with the tensor shapes or the config, or a tensor in
+    another dtype than the model trains in raise IntegrityError naming
+    the file.
     """
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
     kind = metadata.get("kind")
     if kind not in _MODELS:
-        raise VersionError(f"checkpoint kind {kind!r} is not a model")
+        raise VersionError(f"{path}: checkpoint kind {kind!r} is not a model")
     model_class, config_class, config_key, size_keys, layout = _MODELS[kind]
     try:
         config = config_class(**metadata[config_key])
@@ -271,7 +274,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     if not {int}.issuperset(map(type, sizes.values())):
         raise IntegrityError(f"{path}: recorded sizes {sizes} are not all integers")
     found = {name: t.shape for name, t in tensors.items()}
-    expected, fixed = layout(config, **sizes)
+    expected, fixed, dtype = layout(config, **sizes)
     if found != expected:
         wrong = sorted(name for name in found.keys() | expected.keys()
                        if found.get(name) != expected.get(name))
@@ -281,6 +284,10 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     if not fixed.items() <= sizes.items():
         raise IntegrityError(f"{path}: recorded sizes {sizes} disagree with the "
                              f"training config's {fixed}")
+    wrong = sorted(name for name, t in tensors.items() if t.dtype != dtype)
+    if wrong:
+        raise IntegrityError(f"{path}: the model trains in {np.dtype(dtype)}, but "
+                             + ", ".join(f"{name} is {tensors[name].dtype}" for name in wrong))
     model = model_class(store=ParamStore(tensors), config=config,
                         loss_history=list(metadata.get("loss_history", [])))
     if kind == "gru":
@@ -335,7 +342,8 @@ def load_datasets(path, expected_config_hash: str | None = None,
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
     if metadata.get("kind") != "dataset":
-        raise VersionError(f"expected a dataset container, found kind {metadata.get('kind')!r}")
+        raise VersionError(f"{path}: expected a dataset container, "
+                           f"found kind {metadata.get('kind')!r}")
     tags = metadata["splits"] if splits is None else list(splits)
     for tag in tags:
         if tag not in metadata["splits"]:
@@ -382,81 +390,40 @@ def _check_item_array(session_ids, items: np.ndarray, offsets: np.ndarray,
         check_sessions((session,), num_items)
 
 
-def save_assignment(csv_path, bin_path, assignment: ShardAssignment,
-                    extra_metadata: dict | None = None) -> None:
-    """Persist the partition as `session_index,shard_id` CSV plus a
-    binary centroid block, whose metadata records the row count. The CSV
-    is the text form of ``shard_of``: one row per session index, in index
-    order."""
-    shard_of = assignment.shard_of.tolist()
-    text = "\n".join(["session_index,shard_id",
-                      *(f"{i},{k}" for i, k in enumerate(shard_of))]) + "\n"
-    write_atomic(csv_path, text.encode("utf-8"))
-    meta = {
-        "kind": "centroids",
-        "iterations_run": assignment.iterations_run,
-        "delta": assignment.delta,
-        "k": assignment.k,
-        "reseeds": [list(r) for r in assignment.reseeds],
-        "sessions": len(shard_of),
-        **(extra_metadata or {}),
-    }
-    save_container(bin_path, {"centroids": assignment.centroids}, meta)
+def save_assignment(path, assignment: ShardAssignment,
+                    extra_metadata: dict | None = None) -> int:
+    """Persist the partition in one container: ``shard_of`` and the
+    centroids as tensors, the k-means diagnostics as metadata. The shard
+    and session counts are the tensors' shapes, not stored apart."""
+    meta = {"kind": "partition", "iterations_run": assignment.iterations_run,
+            "delta": assignment.delta, "reseeds": [list(r) for r in assignment.reseeds],
+            **(extra_metadata or {})}
+    return save_container(path, {"shard_of": assignment.shard_of,
+                                 "centroids": assignment.centroids}, meta)
 
 
-def load_assignment(csv_path, bin_path,
-                    expected_config_hash: str | None = None) -> ShardAssignment:
-    tensors, metadata = load_container(bin_path)
-    check_config_hash(metadata, expected_config_hash, bin_path)
-    if metadata.get("kind") != "centroids":
-        raise VersionError(f"expected a centroid container, found {metadata.get('kind')!r}")
-    k = tensors["centroids"].shape[0]          # one centroid row per shard
-    if metadata.get("k") != k:
-        raise ParseError(f"{bin_path}: records k={metadata.get('k')}, "
-                         f"but holds {k} centroid rows")
-    with open(csv_path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].strip() != "session_index,shard_id":
-        raise ParseError(f"{csv_path}: expected the header session_index,shard_id",
-                         line_number=1)
-    shard_of: dict[int, int] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError(f"{csv_path}: expected session_index,shard_id, got {line!r}",
-                             line_number=number)
-        try:
-            i, c = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"{csv_path}: non-integer field in {line!r}",
-                             line_number=number) from None
-        if i < 0:
-            raise ParseError(f"{csv_path}: negative session index {i}", line_number=number)
-        if not 0 <= c < k:
-            raise ParseError(f"{csv_path}: shard id {c} outside 0..{k - 1}",
-                             line_number=number)
-        if i in shard_of:
-            raise ParseError(f"{csv_path}: session index {i} listed twice",
-                             line_number=number)
-        shard_of[i] = c
-    n = len(shard_of)
-    missing = next((i for i in range(n) if i not in shard_of), None)
-    if missing is not None:
-        raise ParseError(f"{csv_path}: no row for session index {missing}")
-    expected = metadata.get("sessions")    # absent from files of older versions
-    if expected is not None and expected != n:
-        raise ParseError(f"{csv_path}: {n} rows, but {bin_path} records "
-                         f"{expected} sessions")
-    return ShardAssignment(
-        np.array([shard_of[i] for i in range(n)], dtype=np.int64),
-        tensors["centroids"],
-        metadata["iterations_run"],
-        metadata["delta"],
-        tuple(tuple(r) for r in metadata.get("reseeds", [])),
-    )
+def load_assignment(path, expected_config_hash: str | None = None) -> ShardAssignment:
+    """Load a partition container. Tensors other than an int64
+    ``shard_of`` vector and a 2-D ``centroids`` matrix, or a partition
+    that ``ShardAssignment`` rejects, raise IntegrityError naming the
+    file."""
+    tensors, metadata = load_container(path)
+    check_config_hash(metadata, expected_config_hash, path)
+    if metadata.get("kind") != "partition":
+        raise VersionError(f"{path}: expected a partition container, "
+                           f"found kind {metadata.get('kind')!r}")
+    shard_of, centroids = tensors.get("shard_of"), tensors.get("centroids")
+    if (tensors.keys() != {"shard_of", "centroids"} or shard_of.dtype != np.int64
+            or shard_of.ndim != 1 or centroids.ndim != 2):
+        found = ", ".join(f"{name} {t.dtype} {t.shape}" for name, t in sorted(tensors.items()))
+        raise IntegrityError(f"{path}: expected an int64 shard_of vector and a 2-D centroids "
+                             f"matrix, found {found or 'no tensors'}")
+    try:
+        return ShardAssignment(shard_of, centroids, metadata["iterations_run"],
+                               metadata["delta"], tuple(map(tuple, metadata["reseeds"])))
+    except (KeyError, TypeError, ContractError) as exc:
+        raise IntegrityError(f"{path}: not a valid partition "
+                             f"({type(exc).__name__}: {exc})") from None
 
 
 def save_centroid_state(path, centroids: ShardCentroids,
@@ -469,5 +436,5 @@ def load_centroid_state(path, expected_config_hash: str | None = None) -> ShardC
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
     if metadata.get("kind") != "shard_centroids":
-        raise VersionError(f"expected shard centroids, found {metadata.get('kind')!r}")
+        raise VersionError(f"{path}: expected shard centroids, found {metadata.get('kind')!r}")
     return ShardCentroids(c=tensors["c"], source=metadata["source"])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DeterminismError, DimensionError
+from .errors import ContractError, DimensionError
 
 __all__ = [
     "AdamState",
@@ -23,7 +23,6 @@ __all__ = [
     "RngStream",
     "adam_step",
     "derive_seed",
-    "finite_difference_check",
     "ranks_from_logits",
     "sigmoid",
     "xavier_uniform",
@@ -95,8 +94,8 @@ class ParamStore:
     Entries are written in place (``params[name][...] = x``); a whole-store
     operation on a store whose ``params`` or ``grads`` entry was replaced
     or removed raises ContractError naming it. Stores assembled entry by
-    entry (``params[name] = x`` without ``add``) still serve the per-name
-    ``finite_difference_check``.
+    entry (``params[name] = x`` without ``add``) still serve per-name
+    reads, such as the test suite's finite-difference check.
     """
 
     def __init__(self, arrays: dict | None = None):
@@ -400,40 +399,3 @@ def adam_step(store: ParamStore, state: AdamState, lr: float,
     step *= lr
     step /= denom
     store.values -= step
-
-
-def finite_difference_check(loss_fn, store: ParamStore, epsilon: float = 1e-5) -> float:
-    """Compare analytic gradients in ``store.grads`` against central
-    finite differences of ``loss_fn``.
-
-    ``loss_fn`` is called as loss_fn(store) -> float and must be
-    deterministic; it is evaluated twice up front and a mismatch raises
-    DeterminismError. Returns the maximum over all coordinates of
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-
-    Run this with float64 parameters; float32 has too little headroom
-    for epsilon around 1e-5.
-    """
-    first = float(loss_fn(store))
-    second = float(loss_fn(store))
-    if first != second:
-        raise DeterminismError(
-            f"loss_fn returned {first!r} then {second!r} for identical parameters"
-        )
-    worst = 0.0
-    for name in store.names():
-        p = store.params[name]
-        analytic = store.grads[name]
-        flat = p.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up = float(loss_fn(store))
-            flat[i] = orig - epsilon
-            down = float(loss_fn(store))
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(1e-8, abs(aflat[i]) + abs(numeric))
-            worst = max(worst, abs(aflat[i] - numeric) / denom)
-    return worst

@@ -2,9 +2,9 @@
 
 Every stage consumes the artifacts of earlier stages inside one run
 directory, stamps its outputs with the configuration hash, and refuses
-to consume artifacts stamped with a different hash. ``ARTIFACTS`` names
-each artifact's files and the stage that writes it; ``_load`` and
-``_save`` do all artifact I/O.
+to consume artifacts stamped with a different hash. Each artifact is one
+file; ``ARTIFACTS`` names it and the stage that writes it, and ``_load``
+and ``_save`` do all artifact I/O.
 The whole pipeline is a pure function of (input bytes, config, seed):
 re-running any prefix of stages reproduces identical artifact bytes
 (timing reports aside).
@@ -51,54 +51,52 @@ from .unlearning import (
     sample_requests,
 )
 
-# The run-directory layout: artifact name -> (file patterns, the stage that
+# The run-directory layout: artifact name -> (file pattern, the stage that
 # writes it). A pattern is formatted with the shard index.
 ARTIFACTS = {
-    "dataset": (("dataset.sru",), "preprocess"),
-    "reference": (("reference.sru",), "pretrain"),
-    "partition": (("partition.csv", "centroids.sru"), "partition"),
-    "shard": (("shard_{:03d}.sru",), "train-shards"),
-    "shard_centroids": (("shard_centroids.sru",), "train-agg"),
-    "aggregation": (("aggregation.sru",), "train-agg"),
-    "audit": (("audit.json",), "unlearn"),
+    "dataset": ("dataset.sru", "preprocess"),
+    "reference": ("reference.sru", "pretrain"),
+    "partition": ("partition.sru", "partition"),
+    "shard": ("shard_{:03d}.sru", "train-shards"),
+    "shard_centroids": ("shard_centroids.sru", "train-agg"),
+    "aggregation": ("aggregation.sru", "train-agg"),
+    "audit": ("audit.json", "unlearn"),
 }
 
 
-def _paths(run_dir, name: str, k: int = 0) -> list[str]:
-    return [os.path.join(run_dir, pattern.format(k)) for pattern in ARTIFACTS[name][0]]
+def _path(run_dir, name: str, k: int = 0) -> str:
+    return os.path.join(run_dir, ARTIFACTS[name][0].format(k))
 
 
 def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0, **options):
-    """Load one artifact: every file of it must exist (else
-    ``StageDependencyError`` naming the stage that writes it), and it must
-    carry the config's hash. ``options`` go to the loader, such as the
-    ``splits`` of the dataset."""
-    paths = _paths(run_dir, name, k)
-    for path in paths:
-        if not os.path.exists(path):
-            raise StageDependencyError(f"missing artifact {os.path.basename(path)}; "
-                                       f"run the '{ARTIFACTS[name][1]}' stage first")
+    """Load one artifact: its file must exist (else ``StageDependencyError``
+    naming the stage that writes it), and it must carry the config's hash.
+    ``options`` go to the loader, such as the ``splits`` of the dataset."""
+    path = _path(run_dir, name, k)
+    if not os.path.exists(path):
+        raise StageDependencyError(f"missing artifact {os.path.basename(path)}; "
+                                   f"run the '{ARTIFACTS[name][1]}' stage first")
     # Looked up on each call, so that a patched loader is the one called.
     loader = {"dataset": load_datasets, "partition": load_assignment,
               "shard_centroids": load_centroid_state,
               "audit": _read_audit}.get(name, load_checkpoint)
-    return loader(*paths, expected_config_hash=config.config_hash(), **options)
+    return loader(path, expected_config_hash=config.config_hash(), **options)
 
 
 def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None:
     """Write one artifact, stamped with the config hash and its stage;
     model checkpoints also carry their training seed, shards their index."""
-    paths = _paths(run_dir, name, k)
+    path = _path(run_dir, name, k)
     stamp = {"config_hash": config.config_hash(), "stage": ARTIFACTS[name][1]}
     if name in ("reference", "shard", "aggregation"):
         stamp["seed"] = obj.config.seed
         if name == "shard":
             stamp["shard_id"] = k
-        save_checkpoint(obj, *paths, stamp)
+        save_checkpoint(obj, path, stamp)
     else:
         saver = {"dataset": save_datasets, "partition": save_assignment,
                  "shard_centroids": save_centroid_state, "audit": _write_audit}[name]
-        saver(*paths, obj, stamp)
+        saver(path, obj, stamp)
 
 
 def _write_audit(path, deletions, stamp: dict) -> None:
@@ -250,7 +248,7 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
     model = load_model(run_dir, config)
     if assignment.k != model.aggregation.k:
         raise ContractError(
-            f"partition.csv has K={assignment.k} shards but aggregation.sru "
+            f"partition.sru has K={assignment.k} shards but aggregation.sru "
             f"has K={model.aggregation.k}"
         )
     state = SruState(reference_model=reference, corpus=splits["train"], assignment=assignment,
@@ -286,7 +284,7 @@ def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None, **_) 
 def _cmd_effectiveness(run_dir, config: ExperimentConfig, **_) -> None:
     records = _load(run_dir, config, "audit")
     model = load_model(run_dir, config)
-    _check_audit_items(_paths(run_dir, "audit")[0], records, model.num_items)
+    _check_audit_items(_path(run_dir, "audit"), records, model.num_items)
     report = hit_effectiveness(model, records,
                                ks=config["effectiveness.ks"],
                                context=config["effectiveness.context"])

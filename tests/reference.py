@@ -6,6 +6,8 @@ batched path to it:
 
 - ``softmax``, ``cross_entropy_with_grad`` and ``cross_entropy_rows``
   for the output-layer-and-loss kernel ``numerics._softmax_loss``;
+- ``gru_cell_forward`` and ``gru_cell_backward``, one GRU step over the
+  library's step kernels, whose gradients C2 holds to finite differences;
 - ``gru_cell`` and ``encode``, the one-prefix GRU pass, for
   ``backbone.encode_batch`` and ``backbone.encode_stacked``;
 - ``project``, ``attention_scores``, ``fuse`` and ``predict_output``,
@@ -19,8 +21,10 @@ batched path to it:
 - ``assign``, the capacity-bounded scan over numpy scalars, for
   ``partition._assign``.
 
-Every one of them was library code once and moved here unchanged.
-``assignment_from_members`` builds test partitions from member lists.
+Every one of them was library code once and moved here unchanged, as
+was ``finite_difference_check``, the central-difference oracle for every
+hand-written backward pass. ``assignment_from_members`` builds test
+partitions from member lists.
 """
 
 from __future__ import annotations
@@ -29,10 +33,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sru.backbone import GruModel, gru_cell_forward, pad_prefixes
+from sru.backbone import (
+    GATE_NAMES,
+    GruModel,
+    _add_weight_grads,
+    _gate_weights,
+    _input_side,
+    _step_backward,
+    _step_forward,
+    pad_prefixes,
+)
 from sru.corpus import SessionDataset
-from sru.errors import ContractError, DimensionError
-from sru.numerics import _Buffers, _logits, _softmax_loss
+from sru.errors import ContractError, DeterminismError, DimensionError
+from sru.numerics import ParamStore, _Buffers, _logits, _softmax_loss
 from sru.partition import ShardAssignment
 
 
@@ -90,6 +103,46 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     dlogits /= total[:, None]
     dlogits[rows, targets] -= 1.0
     return losses, dlogits
+
+
+def gru_cell_forward(params, x, h_prev):
+    """One GRU step on row vectors; x and h_prev are (B, d).
+
+    z = sigmoid(x Wz + h Uz + bz)
+    r = sigmoid(x Wr + h Ur + br)
+    n = tanh(x Wn + (r * h) Un + bn)
+    h_new = (1 - z) * h + z * n
+    """
+    x = np.atleast_2d(np.asarray(x))
+    h = np.atleast_2d(np.asarray(h_prev))
+    if x.shape != h.shape or x.shape[1] != params["W_z"].shape[0]:
+        raise DimensionError(f"gru_cell shapes do not conform: x {x.shape}, h {h.shape}")
+    w = _gate_weights(params)
+    zr, n = _input_side(w, x)
+    rh = np.empty_like(n)
+    h_new = np.empty_like(n)
+    _step_forward(w, zr, n, h, rh, h_new)
+    d = h.shape[1]
+    return h_new, (x, h, zr[:, :d], zr[:, d:], rh, n)
+
+
+def gru_cell_backward(params, cache, dh_new, out_grads=None):
+    """Backward pass of one GRU step.
+
+    Accumulates parameter gradients into out_grads (a name -> array
+    mapping; created if omitted) and returns (dx, dh_prev, out_grads).
+    """
+    x, h, z, r, rh, n = cache
+    dh_new = np.atleast_2d(np.asarray(dh_new))
+    if out_grads is None:
+        out_grads = {name: np.zeros_like(params[name]) for name in GATE_NAMES}
+    w = _gate_weights(params)
+    zr = np.concatenate([z, r], axis=1)
+    dzr = np.empty_like(zr)
+    dn = np.empty_like(n)
+    dh = _step_backward(w, zr, n, h, rh, dh_new, dzr, dn)
+    _add_weight_grads(out_grads, x, dzr, dn, h, rh, dzr, dn)
+    return dzr @ w.Wzr.T + dn @ w.Wn.T, dh, out_grads
 
 
 def gru_cell(params, x, h_prev) -> np.ndarray:
@@ -492,3 +545,40 @@ class FixedPredictor:
 
     def predict_batch(self, prefixes) -> np.ndarray:
         return np.tile(self.logits, (len(prefixes), 1))
+
+
+def finite_difference_check(loss_fn, store: ParamStore, epsilon: float = 1e-5) -> float:
+    """Compare analytic gradients in ``store.grads`` against central
+    finite differences of ``loss_fn``.
+
+    ``loss_fn`` is called as loss_fn(store) -> float and must be
+    deterministic; it is evaluated twice up front and a mismatch raises
+    DeterminismError. Returns the maximum over all coordinates of
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+
+    Run this with float64 parameters; float32 has too little headroom
+    for epsilon around 1e-5.
+    """
+    first = float(loss_fn(store))
+    second = float(loss_fn(store))
+    if first != second:
+        raise DeterminismError(
+            f"loss_fn returned {first!r} then {second!r} for identical parameters"
+        )
+    worst = 0.0
+    for name in store.names():
+        p = store.params[name]
+        analytic = store.grads[name]
+        flat = p.reshape(-1)
+        aflat = analytic.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            up = float(loss_fn(store))
+            flat[i] = orig - epsilon
+            down = float(loss_fn(store))
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * epsilon)
+            denom = max(1e-8, abs(aflat[i]) + abs(numeric))
+            worst = max(worst, abs(aflat[i] - numeric) / denom)
+    return worst

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sru.backbone import (
-    GATE_NAMES,
-    BackboneConfig,
-    gru_cell_backward,
-    gru_cell_forward,
-    train_backbone,
-)
+from sru.backbone import GATE_NAMES, BackboneConfig, train_backbone
 from sru.checkpoint import load_checkpoint, save_checkpoint
 from sru.config import ExperimentConfig
 from sru.corpus import generate_synthetic, split
@@ -31,14 +25,20 @@ from sru.evaluation import (
 from sru.numerics import (
     ParamStore,
     RngStream,
-    finite_difference_check,
     ndcg_gains,
     ranks_from_logits,
 )
 from sru.partition import PartitionConfig, balanced_kmeans, cluster_purity, embed_all
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests
-from reference import FixedPredictor, cross_entropy_rows, unfolded_forward
+from reference import (
+    FixedPredictor,
+    cross_entropy_rows,
+    finite_difference_check,
+    gru_cell_backward,
+    gru_cell_forward,
+    unfolded_forward,
+)
 from test_aggregation import fusion_forward, fusion_step
 
 CORPUS = dict(num_sessions=2000, vocab_size=200, num_clusters=8,

@@ -35,7 +35,6 @@ from sru.numerics import (
     RngStream,
     _Buffers,
     adam_step,
-    finite_difference_check,
 )
 from reference import (
     attention_scores,
@@ -43,6 +42,7 @@ from reference import (
     copying_train_step,
     cross_entropy_rows,
     encode,
+    finite_difference_check,
     fuse,
     predict_output,
     project,

@@ -17,10 +17,11 @@ from sru.unlearning import SruState
 
 SINGLE_PREFIX_NAMES = {
     "aggregation": ("attention_scores", "fuse", "predict_output", "project"),
-    "backbone": ("encode", "gru_cell", "score"),
+    "backbone": ("encode", "gru_cell", "gru_cell_backward", "gru_cell_forward", "score"),
     "corpus": ("dataset_to_raw",),
     "evaluation": ("metrics_at_k", "rank_from_logits", "rank_of_target"),
-    "numerics": ("linear_forward_backward", "rank_from_logits", "softmax"),
+    "numerics": ("finite_difference_check", "linear_forward_backward", "rank_from_logits",
+                 "softmax"),
 }
 
 

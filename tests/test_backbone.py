@@ -18,8 +18,6 @@ from sru.backbone import (
     _training_workers,
     encode_batch,
     encode_stacked,
-    gru_cell_backward,
-    gru_cell_forward,
     init_gru_model,
     pad_prefixes,
     padded_items,
@@ -30,8 +28,15 @@ from sru.backbone import (
 )
 from sru.corpus import generate_synthetic, split
 from sru.errors import ContractError, DimensionError
-from sru.numerics import ParamStore, _Buffers, finite_difference_check, sigmoid
-from reference import cross_entropy_rows, encode, gru_cell
+from sru.numerics import ParamStore, _Buffers, sigmoid
+from reference import (
+    cross_entropy_rows,
+    encode,
+    finite_difference_check,
+    gru_cell,
+    gru_cell_backward,
+    gru_cell_forward,
+)
 
 
 def zero_params(d):

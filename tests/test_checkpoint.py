@@ -94,12 +94,13 @@ MODEL_KINDS = {
 }
 CHANGES = [(kind, change) for kind, (_, _, _, sizes) in MODEL_KINDS.items()
            for change in (*sizes, "config size", "missing tensor", "extra tensor",
-                          "missing config")]
+                          "missing config", "float64 tensors")]
 
 
 class TestModelLoadChecks:
     """A model is read from its tensors and its config, so the loader
-    checks them against the sizes the file records."""
+    checks them against the sizes the file records and the dtype the
+    config gives."""
 
     @pytest.mark.parametrize("kind, change", CHANGES)
     def test_file_that_disagrees_with_itself_is_named(self, tmp_path, kind, change):
@@ -116,6 +117,10 @@ class TestModelLoadChecks:
             del tensors[sorted(tensors)[-1]]
         elif change == "extra tensor":
             tensors["extra"] = np.zeros(2, dtype=np.float32)
+        elif change == "float64 tensors":
+            # a model of a float32 config would predict in float64, and so
+            # never equal a retrain under its config
+            tensors = {name: t.astype(np.float64) for name, t in tensors.items()}
         else:
             del metadata[config_key]
         save_container(path, tensors, metadata)
@@ -142,9 +147,11 @@ class TestModelLoadChecks:
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 6), num_items=st.integers(1, 9), max_len=st.integers(2, 20),
-           k=st.integers(1, 4), f=st.integers(1, 6), d_ff=st.integers(0, 6))
-    def test_sizes_are_read_from_the_tensors(self, d, num_items, max_len, k, f, d_ff):
-        gru = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=1))
+           k=st.integers(1, 4), f=st.integers(1, 6), d_ff=st.integers(0, 6),
+           dtype=st.sampled_from(["float32", "float64"]))
+    def test_sizes_are_read_from_the_tensors(self, d, num_items, max_len, k, f, d_ff, dtype):
+        gru = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=1,
+                                                       dtype=dtype))
         assert (gru.d, gru.num_items, gru.max_len) == (d, num_items, max_len)
         agg = init_aggregation_model(k, d, num_items,
                                      AggregationConfig(f=f, d_ff=d_ff or None, seed=2))
@@ -158,52 +165,60 @@ class TestModelLoadChecks:
 
 
 class TestCorruption:
+    """Each way a container can be corrupt raises its error type, with a
+    message that starts with the file's path."""
+
     def saved(self, tmp_path):
         model = init_gru_model(12, BackboneConfig(d=6, max_len=10, seed=2))
         path = tmp_path / "m.sru"
         save_checkpoint(model, path)
         return path
 
+    def rejected(self, path, error):
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as info:
+            load_checkpoint(path)
+        return info.value
+
     def test_truncated_file_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(IntegrityError):
-            load_checkpoint(path)
+        assert "checksum mismatch" in str(self.rejected(path, IntegrityError))
 
     def test_flipped_byte_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(IntegrityError):
-            load_checkpoint(path)
+        error = self.rejected(path, IntegrityError)
+        assert "checksum mismatch" in str(error) and error.offset == len(blob) - 4
 
     def test_foreign_magic_is_version_error(self, tmp_path):
         path = self.saved(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError):
-            load_checkpoint(path)
+        assert "unrecognized magic bytes b'NOPE'" in str(self.rejected(path, VersionError))
 
     def test_unknown_version_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99  # version field, little-endian u32
         # fix the checksum so only the version is wrong
-        import struct
-        import zlib
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(VersionError):
-            load_checkpoint(path)
+        assert "unsupported checkpoint version 99" in str(self.rejected(path, VersionError))
 
     def test_trailing_garbage_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(IntegrityError):
-            load_checkpoint(path)
+        assert "checksum mismatch" in str(self.rejected(path, IntegrityError))
+
+    def test_file_too_short(self, tmp_path):
+        path = tmp_path / "m.sru"
+        path.write_bytes(b"SRU1")
+        error = self.rejected(path, IntegrityError)
+        assert "file too short" in str(error) and error.offset == 4
 
 
 class TestConfigHashGate:
@@ -316,9 +331,9 @@ class TestAssignmentRoundTrip:
     def test_round_trip(self, tmp_path):
         H = np.random.default_rng(3).normal(size=(20, 4))
         assignment = balanced_kmeans(H, PartitionConfig(k=3, seed=2))
-        csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
-        save_assignment(csv_path, bin_path, assignment)
-        loaded = load_assignment(csv_path, bin_path)
+        path = tmp_path / "p.sru"
+        save_assignment(path, assignment)
+        loaded = load_assignment(path)
         assert loaded.members == assignment.members
         np.testing.assert_array_equal(loaded.shard_of, assignment.shard_of)
         np.testing.assert_array_equal(loaded.centroids, assignment.centroids)
@@ -328,125 +343,109 @@ class TestAssignmentRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_partitions_keep_shard_of_and_bytes(self, data):
-        # Empty shards allowed; the CSV is shard_of as text, in index order.
+        # Empty shards allowed; the file stores shard_of as it is.
         k = data.draw(st.integers(1, 5), label="shards")
         shard_of = data.draw(st.lists(st.integers(0, k - 1), max_size=40), label="shard_of")
         delta = max(shard_of.count(c) for c in range(k)) + data.draw(st.integers(0, 2))
         centroids = np.arange(k * 3.0).reshape(k, 3) / 7
         assignment = ShardAssignment(shard_of, centroids, 5, delta, ((2, 0, 1),))
         with tempfile.TemporaryDirectory() as tmp:
-            first = Path(tmp, "p.csv"), Path(tmp, "c.sru")
-            again = Path(tmp, "p2.csv"), Path(tmp, "c2.sru")
-            save_assignment(*first, assignment)
-            loaded = load_assignment(*first)
-            save_assignment(*again, loaded)
-            assert first[0].read_text() == "session_index,shard_id\n" + "".join(
-                f"{i},{c}\n" for i, c in enumerate(shard_of))
-            assert [p.read_bytes() for p in first] == [p.read_bytes() for p in again]
+            first, again = Path(tmp, "p.sru"), Path(tmp, "p2.sru")
+            save_assignment(first, assignment)
+            loaded = load_assignment(first)
+            save_assignment(again, loaded)
+            assert first.read_bytes() == again.read_bytes()
         assert loaded.shard_of.dtype == np.int64 and loaded.shard_of.tolist() == shard_of
         assert loaded.members == assignment.members
         np.testing.assert_array_equal(loaded.centroids, centroids)
         assert (loaded.iterations_run, loaded.delta, loaded.reseeds) == (5, delta, ((2, 0, 1),))
 
-    def test_holed_partition_rejected(self, tmp_path):
-        # Indices 1 and 3 are in no shard; the first gap is named.
-        csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
-        H = np.random.default_rng(3).normal(size=(6, 2))
-        save_assignment(csv_path, bin_path, balanced_kmeans(H, PartitionConfig(k=2, seed=0)))
-        csv_path.write_text("session_index,shard_id\n0,0\n2,1\n4,0\n5,1\n")
-        with pytest.raises(ParseError, match="no row for session index 1"):
-            load_assignment(csv_path, bin_path)
-
-    def test_csv_is_sorted_with_header(self, tmp_path):
+    def test_counts_are_the_tensor_shapes(self, tmp_path):
+        # k and the session count are read from the tensors, not stored.
         H = np.random.default_rng(4).normal(size=(6, 2))
-        assignment = balanced_kmeans(H, PartitionConfig(k=2, seed=0))
-        csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
-        save_assignment(csv_path, bin_path, assignment)
-        lines = csv_path.read_text().strip().split("\n")
-        assert lines[0] == "session_index,shard_id"
-        indices = [int(line.split(",")[0]) for line in lines[1:]]
-        assert indices == sorted(indices) == list(range(6))
+        path = tmp_path / "p.sru"
+        save_assignment(path, balanced_kmeans(H, PartitionConfig(k=2, seed=0)),
+                        {"config_hash": "h"})
+        tensors, metadata = load_container(path)
+        assert {name: t.shape for name, t in tensors.items()} == {
+            "shard_of": (6,), "centroids": (2, 2)}
+        assert sorted(metadata) == ["config_hash", "delta", "iterations_run", "kind",
+                                    "reseeds"]
 
 
-class TestAssignmentParsing:
-    """Malformed partition.csv rows raise ParseError naming their line, and
-    a missing row names its session index."""
+class TestAssignmentLoadChecks:
+    """A partition container that is not one int64 shard_of vector plus
+    its centroids, or whose partition is invalid, raises IntegrityError
+    naming the file; a container of another kind raises VersionError."""
 
     def saved(self, tmp_path):
         H = np.random.default_rng(5).normal(size=(6, 2))
-        assignment = balanced_kmeans(H, PartitionConfig(k=2, seed=0))
-        csv_path, bin_path = tmp_path / "p.csv", tmp_path / "c.sru"
-        save_assignment(csv_path, bin_path, assignment)
-        return csv_path, bin_path
+        path = tmp_path / "p.sru"
+        save_assignment(path, balanced_kmeans(H, PartitionConfig(k=2, seed=0)))
+        tensors, metadata = load_container(path)
+        return path, dict(tensors), metadata
 
-    def assert_line_rejected(self, tmp_path, bad_row, match):
-        csv_path, bin_path = self.saved(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        lines[3] = bad_row                      # file line 4
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=match) as info:
-            load_assignment(csv_path, bin_path)
-        assert info.value.line_number == 4
+    def test_other_kind_is_version_error(self, tmp_path):
+        path, tensors, metadata = self.saved(tmp_path)
+        save_container(path, tensors, {**metadata, "kind": "centroids"})
+        with pytest.raises(VersionError, match=f"^{re.escape(str(path))}: expected a "
+                                               "partition container, found kind 'centroids'"):
+            load_assignment(path)
 
-    def test_missing_row_names_its_session_index(self, tmp_path):
-        csv_path, bin_path = self.saved(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        del lines[3]                            # the row of session index 2
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="no row for session index 2"):
-            load_assignment(csv_path, bin_path)
+    @pytest.mark.parametrize("change", ["extra tensor", "missing shard_of", "missing centroids",
+                                        "float shard_of", "2-D shard_of", "1-D centroids"])
+    def test_wrong_tensors_are_named(self, tmp_path, change):
+        path, tensors, metadata = self.saved(tmp_path)
+        if change == "extra tensor":
+            tensors["sessions"] = np.array([6])
+        elif change.startswith("missing"):
+            del tensors[change.split()[1]]
+        elif change == "float shard_of":
+            tensors["shard_of"] = tensors["shard_of"].astype(np.float64)
+        elif change == "2-D shard_of":
+            tensors["shard_of"] = tensors["shard_of"].reshape(2, 3)
+        else:
+            tensors["centroids"] = tensors["centroids"].reshape(-1)
+        save_container(path, tensors, metadata)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: expected an int64 "
+                                                 "shard_of vector and a 2-D centroids matrix"):
+            load_assignment(path)
 
-    def test_row_count_differs_from_metadata(self, tmp_path):
-        # Without its last row the file is a whole partition of 5 sessions,
-        # but the centroid container records 6.
-        csv_path, bin_path = self.saved(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        csv_path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ParseError, match=r"p\.csv: 5 rows, but .*c\.sru records 6 sessions"):
-            load_assignment(csv_path, bin_path)
+    @pytest.mark.parametrize("shard_of, match", [
+        ([0, 1, 2, 0, 1, 0], r"shard ids in 0\.\.1"),
+        ([0, 1, -1, 0, 1, 0], r"shard ids in 0\.\.1"),
+        ([0, 0, 0, 0, 1, 1], "shard 0 exceeds capacity 3"),
+    ], ids=["id of k", "negative id", "shard over delta"])
+    def test_invalid_partition_is_named(self, tmp_path, shard_of, match):
+        path, tensors, metadata = self.saved(tmp_path)
+        save_container(path, {**tensors, "shard_of": np.array(shard_of, dtype=np.int64)},
+                       metadata)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: not a valid "
+                                                 f"partition \\(ContractError: .*{match}"):
+            load_assignment(path)
 
-    def test_file_without_row_count_still_loads(self, tmp_path):
-        csv_path, bin_path = self.saved(tmp_path)
-        tensors, metadata = load_container(bin_path)
-        assert metadata.pop("sessions") == 6
-        save_container(bin_path, tensors, metadata)
-        assert len(load_assignment(csv_path, bin_path).shard_of) == 6
+    def test_missing_diagnostic_is_named(self, tmp_path):
+        path, tensors, metadata = self.saved(tmp_path)
+        del metadata["delta"]
+        save_container(path, tensors, metadata)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: not a valid "
+                                                 "partition \\(KeyError: 'delta'\\)"):
+            load_assignment(path)
 
-    def test_shard_count_differs_from_centroid_rows(self, tmp_path):
-        # K is the number of centroid rows; a container whose k disagrees
-        # is rejected by name before any row is checked against either.
-        csv_path, bin_path = self.saved(tmp_path)
-        tensors, metadata = load_container(bin_path)
-        metadata["k"] = 3
-        save_container(bin_path, tensors, metadata)
-        with pytest.raises(ParseError, match=r"c\.sru: records k=3, but holds 2 centroid rows"):
-            load_assignment(csv_path, bin_path)
-
-    @pytest.mark.parametrize("text", ["", "index,shard\n0,0\n", "0,0\n1,1\n"])
-    def test_missing_or_wrong_header_names_file_and_line_1(self, tmp_path, text):
-        csv_path, bin_path = self.saved(tmp_path)
-        csv_path.write_text(text)
-        with pytest.raises(ParseError, match="p.csv: expected the header") as info:
-            load_assignment(csv_path, bin_path)
-        assert info.value.line_number == 1
-
-    def test_negative_shard_id(self, tmp_path):
-        self.assert_line_rejected(tmp_path, "2,-1", "shard id -1")
-
-    def test_shard_id_not_below_k(self, tmp_path):
-        self.assert_line_rejected(tmp_path, "2,2", "shard id 2")
-
-    def test_non_integer_field(self, tmp_path):
-        self.assert_line_rejected(tmp_path, "2,one", "non-integer")
-
-    def test_wrong_field_count(self, tmp_path):
-        self.assert_line_rejected(tmp_path, "2,0,1", "session_index,shard_id")
-
-    def test_negative_session_index(self, tmp_path):
-        self.assert_line_rejected(tmp_path, "-1,0", "negative session index")
-
-    def test_duplicated_session_index(self, tmp_path):
-        self.assert_line_rejected(tmp_path, "0,1", "session index 0 listed twice")
+    def test_swapped_shard_ids_fail_to_load(self, tmp_path):
+        # Two sessions trade shards in place: the checksum no longer holds.
+        path, tensors, _ = self.saved(tmp_path)
+        shard_of = tensors["shard_of"]
+        i, j = 0, int(np.flatnonzero(shard_of != shard_of[0])[0])
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 4 - shard_of.nbytes    # shard_of is the last tensor
+        assert blob[start : len(blob) - 4] == shard_of.tobytes()
+        swapped = shard_of.copy()
+        swapped[[i, j]] = swapped[[j, i]]
+        blob[start : len(blob) - 4] = swapped.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: checksum mismatch"):
+            load_assignment(path)
 
 
 class TestWriteAtomic:
@@ -542,15 +541,15 @@ class TestContainerHeaders:
         with pytest.raises(IntegrityError) as info:
             self.load_sealed(tmp_path, body)
         assert info.value.offset == start, name
-        assert str(info.value) == (f"file truncated: wanted {size} bytes, {kept} remain "
-                                   f"(at byte offset {start})")
+        assert str(info.value) == (f"{tmp_path / 'y.sru'}: file truncated: wanted {size} "
+                                   f"bytes, {kept} remain (at byte offset {start})")
 
     def test_unknown_dtype_tag(self, tmp_path):
         body = bytearray(self.body(tmp_path))
         body[19 + len(self.META)] = 9
         with pytest.raises(IntegrityError) as info:
             self.load_sealed(tmp_path, bytes(body))
-        assert str(info.value) == (f"unknown dtype tag 9 for tensor 't' "
+        assert str(info.value) == (f"{tmp_path / 'y.sru'}: unknown dtype tag 9 for tensor 't' "
                                    f"(at byte offset {21 + len(self.META)})")
 
     def test_size_mismatch(self, tmp_path):
@@ -558,26 +557,28 @@ class TestContainerHeaders:
         body[37 + len(self.META)] = 20
         with pytest.raises(IntegrityError) as info:
             self.load_sealed(tmp_path, bytes(body))
-        assert str(info.value) == (f"tensor 't': 20 bytes stored but shape (2, 3) needs 24 "
-                                   f"(at byte offset {45 + len(self.META)})")
+        assert str(info.value) == (f"{tmp_path / 'y.sru'}: tensor 't': 20 bytes stored but "
+                                   f"shape (2, 3) needs 24 (at byte offset {45 + len(self.META)})")
 
     def test_trailing_bytes(self, tmp_path):
         body = self.body(tmp_path)
         with pytest.raises(IntegrityError) as info:
             self.load_sealed(tmp_path, body + b"xy")
-        assert str(info.value) == f"2 unexpected trailing bytes (at byte offset {len(body)})"
+        assert str(info.value) == (f"{tmp_path / 'y.sru'}: 2 unexpected trailing bytes "
+                                   f"(at byte offset {len(body)})")
 
     def test_checksum_and_magic_messages(self, tmp_path):
         body = self.body(tmp_path)
         path = tmp_path / "y.sru"
         path.write_bytes(body + b"\0\0\0\0")
-        with pytest.raises(IntegrityError, match="checksum mismatch") as info:
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: checksum "
+                                                 "mismatch") as info:
             load_container(path)
         assert info.value.offset == len(body)
         path.write_bytes(b"NOPE" + body[4:] + b"\0\0\0\0")
         with pytest.raises(VersionError) as info:
             load_container(path)
-        assert str(info.value) == "unrecognized magic bytes b'NOPE'; expected b'SRU1'"
+        assert str(info.value) == f"{path}: unrecognized magic bytes b'NOPE'; expected b'SRU1'"
 
     def test_tensors_are_writable_views_of_one_buffer(self, tmp_path):
         path = tmp_path / "x.sru"

@@ -18,10 +18,14 @@ from sru.numerics import (
     _softmax_loss,
     adam_step,
     derive_seed,
-    finite_difference_check,
     sigmoid,
 )
-from reference import cross_entropy_rows, cross_entropy_with_grad, softmax
+from reference import (
+    cross_entropy_rows,
+    cross_entropy_with_grad,
+    finite_difference_check,
+    softmax,
+)
 
 
 class TestSigmoid:

@@ -28,7 +28,15 @@ from sru.errors import (
 )
 from sru.numerics import derive_seed
 from sru.partition import PartitionConfig
-from sru.pipeline import _check_audit_items, _load, _save, fit_state, load_state, run_pipeline
+from sru.pipeline import (
+    ARTIFACTS,
+    _check_audit_items,
+    _load,
+    _save,
+    fit_state,
+    load_state,
+    run_pipeline,
+)
 from sru.unlearning import (
     DeletionResult,
     UnlearnRequest,
@@ -142,7 +150,7 @@ class TestStages:
     def test_full_pipeline_produces_artifacts_and_eval(self, tmp_path):
         config = tiny_config()
         run_stages(tmp_path, config, ALL_TRAIN_STAGES + ("eval",))
-        for name in ("dataset.sru", "reference.sru", "partition.csv", "centroids.sru",
+        for name in ("dataset.sru", "reference.sru", "partition.sru",
                      "shard_000.sru", "shard_001.sru", "shard_centroids.sru",
                      "aggregation.sru", "eval.json", "eval.csv"):
             assert (tmp_path / name).exists(), name
@@ -154,7 +162,7 @@ class TestStages:
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         for run_dir in (dir_a, dir_b):
             run_stages(run_dir, config, ALL_TRAIN_STAGES + ("eval",))
-        for name in ("dataset.sru", "reference.sru", "partition.csv", "centroids.sru",
+        for name in ("dataset.sru", "reference.sru", "partition.sru",
                      "shard_000.sru", "shard_001.sru", "shard_centroids.sru",
                      "aggregation.sru", "eval.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
@@ -200,26 +208,30 @@ def copied_run(source, tmp_path):
 
 class TestStageDependencies:
     """A stage whose input is missing names the file and the stage that
-    writes it, whichever file of a multi-file artifact is gone."""
+    writes it."""
+
+    def test_run_directory_holds_one_file_per_artifact(self, unlearned_run):
+        artifacts = {pattern.format(k) for pattern, _ in ARTIFACTS.values() for k in range(2)}
+        assert {p.name for p in unlearned_run.iterdir()} == \
+            artifacts | {"requests.csv", "unlearn_timing.json"}
 
     @pytest.mark.parametrize("stage, missing, producer", [
         ("pretrain", "dataset.sru", "preprocess"),
         ("partition", "reference.sru", "pretrain"),
-        ("train-shards", "partition.csv", "partition"),
-        ("train-shards", "centroids.sru", "partition"),
-        ("train-agg", "centroids.sru", "partition"),
+        ("train-shards", "partition.sru", "partition"),
+        ("train-agg", "partition.sru", "partition"),
         ("train-agg", "shard_001.sru", "train-shards"),
         ("eval", "dataset.sru", "preprocess"),
         ("eval", "aggregation.sru", "train-agg"),
         ("eval", "shard_001.sru", "train-shards"),
         ("eval", "shard_centroids.sru", "train-agg"),
         ("unlearn", "reference.sru", "pretrain"),
-        ("unlearn", "centroids.sru", "partition"),
+        ("unlearn", "partition.sru", "partition"),
         ("unlearn", "shard_001.sru", "train-shards"),
         ("unlearn", "shard_centroids.sru", "train-agg"),
         ("effectiveness", "audit.json", "unlearn"),
         ("effectiveness", "shard_centroids.sru", "train-agg"),
-        ("bench", "centroids.sru", "partition"),
+        ("bench", "partition.sru", "partition"),
     ])
     def test_missing_input_names_file_and_producing_stage(self, unlearned_run, tmp_path,
                                                          stage, missing, producer):
@@ -415,7 +427,7 @@ class TestUnlearnStage:
         position = {s.session_id: i for i, s in enumerate(corpus.sessions)}
         old = state.assignment
         members = [[position[s.session_id] for s in shard.sessions] for shard in state.shards]
-        save_assignment(memory / "partition.csv", memory / "centroids.sru",
+        save_assignment(memory / "partition.sru",
                         assignment_from_members(members, old.centroids, old.iterations_run,
                                                 old.delta, old.reseeds),
                         {"config_hash": chash, "stage": "partition"})
@@ -426,7 +438,7 @@ class TestUnlearnStage:
         save_checkpoint(state.aggregation, memory / "aggregation.sru",
                         {"config_hash": chash, "stage": "train-agg",
                          "seed": state.agg_config.seed})
-        for name in ("dataset.sru", "partition.csv", "shard_000.sru", "shard_001.sru",
+        for name in ("dataset.sru", "partition.sru", "shard_000.sru", "shard_001.sru",
                      "aggregation.sru"):
             assert (tmp_path / name).read_bytes() == (memory / name).read_bytes(), name
 
@@ -475,7 +487,7 @@ class TestReadPath:
         assert run_pipeline("unlearn", config, tmp_path,
                             requests_path=tmp_path / "requests.csv") == 0
         (tmp_path / "reference.sru").unlink()
-        (tmp_path / "partition.csv").unlink()
+        (tmp_path / "partition.sru").unlink()
 
         def refuse(*args, **kwargs):
             raise AssertionError("effectiveness read the dataset or the partition")
@@ -497,12 +509,12 @@ class TestReadPath:
     def test_partition_with_other_k_is_contract_error(self, tmp_path):
         config = tiny_config()
         run_stages(tmp_path, config, ALL_TRAIN_STAGES)
-        csv_path, bin_path = tmp_path / "partition.csv", tmp_path / "centroids.sru"
-        old = load_assignment(csv_path, bin_path)
+        path = tmp_path / "partition.sru"
+        old = load_assignment(path)
         half = len(old.members[1]) // 2
         members = [old.members[0], old.members[1][:half], old.members[1][half:]]
         centroids = np.vstack([old.centroids, old.centroids[1:]])
-        save_assignment(csv_path, bin_path,
+        save_assignment(path,
                         assignment_from_members(members, centroids, old.iterations_run,
                                                 old.delta, old.reseeds),
                         {"config_hash": config.config_hash(), "stage": "partition"})
@@ -536,24 +548,31 @@ class TestReadPath:
         # A whole partition that is one session short of the corpus.
         config = tiny_config()
         run_stages(tmp_path, config, ALL_TRAIN_STAGES)
-        csv_path, bin_path = tmp_path / "partition.csv", tmp_path / "centroids.sru"
-        old = load_assignment(csv_path, bin_path)
+        path = tmp_path / "partition.sru"
+        old = load_assignment(path)
         last = len(old.shard_of) - 1
         members = [[i for i in m if i != last] for m in old.members]
-        save_assignment(csv_path, bin_path,
+        save_assignment(path,
                         assignment_from_members(members, old.centroids, old.iterations_run,
                                                 old.delta, old.reseeds),
                         {"config_hash": config.config_hash(), "stage": "partition"})
         with pytest.raises(ContractError, match="covers"):
             load_state(tmp_path, config)
 
-    def test_partition_missing_its_last_row_is_parse_error(self, tmp_path):
-        config = tiny_config()
-        run_stages(tmp_path, config, ALL_TRAIN_STAGES)
-        csv_path = tmp_path / "partition.csv"
-        csv_path.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
-        with pytest.raises(ParseError, match=r"partition\.csv: \d+ rows, but .*centroids\.sru"):
-            load_state(tmp_path, config)
+    def test_cli_names_a_corrupt_partition(self, unlearned_run, tmp_path, capsys):
+        # One flipped byte: exit status 1 and an error line naming the file.
+        run_dir = copied_run(unlearned_run, tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        path = run_dir / "partition.sru"
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 1
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["train-agg", "--config", str(config_path),
+                     "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: checksum mismatch") and "Traceback" not in err
 
 
 class TestAuditFile:
