@@ -103,11 +103,13 @@ class ShardCentroids:
 
 @dataclass
 class AggregationModel:
-    """The fusion parameters plus the config they were trained under;
-    every size is read from a parameter's shape."""
+    """The fusion parameters, the config they were trained under and the
+    shard centroids they were trained against, without which they are not
+    valid; every size is read from a parameter's shape."""
 
     store: ParamStore
     config: AggregationConfig
+    centroids: ShardCentroids
     loss_history: list = field(default_factory=list)
 
     @property
@@ -372,7 +374,8 @@ class _FusionPass:
 
 def init_aggregation_model(k: int, d: int, num_items: int,
                            config: AggregationConfig) -> AggregationModel:
-    """Fresh fusion parameters from the config's named stream.
+    """Fresh fusion parameters from the config's named stream, with zero
+    centroids under the config's source.
 
     Projections start at identity plus small noise so that the initial
     fused state stays in the sub-models' own scale.
@@ -391,7 +394,8 @@ def init_aggregation_model(k: int, d: int, num_items: int,
     store.add("b1", np.zeros(d_ff, dtype=dtype))
     store.add("W2", xavier_uniform(stream, d_ff, num_items, (d_ff, num_items), dtype))
     store.add("b2", np.zeros(num_items, dtype=dtype))
-    return AggregationModel(store=store, config=config)
+    centroids = ShardCentroids(np.zeros((k, d), dtype=dtype), config.centroid_source)
+    return AggregationModel(store=store, config=config, centroids=centroids)
 
 
 @dataclass
@@ -577,7 +581,9 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
                       train_data: SessionDataset,
                       config: AggregationConfig,
                       precomputed=None) -> AggregationModel:
-    """Train the fusion parameters on every training point of the corpus.
+    """Train the fusion parameters on every training point of the corpus,
+    against ``centroids``, which the returned model keeps; centroids of
+    another source than the config's are a ContractError.
 
     Sub-model states are precomputed once (the sub-models are frozen, so
     they never change during these epochs) and the fusion stack is
@@ -592,6 +598,9 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
         raise ContractError("need at least one sub-model")
     if centroids.c.shape[0] != k:
         raise ContractError(f"{k} sub-models but {centroids.c.shape[0]} centroids")
+    if centroids.source != config.centroid_source:
+        raise ContractError(f"centroids from source {centroids.source!r}, but the config "
+                            f"trains against {config.centroid_source!r}")
     d = sub_models[0].d
     num_items = train_data.num_items()
 
@@ -602,6 +611,7 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     _check_table(features, targets, k, d)
     C = centroids.c.astype(features.dtype)
     model = init_aggregation_model(k, d, num_items, config)
+    model.centroids = centroids
     store = model.store
     adam = AdamState.for_store(store)
     shuffle = RngStream(config.seed, "aggregation/shuffle")
@@ -662,7 +672,6 @@ class SruModel:
     """Frozen sub-models plus trained fusion; the full predictor."""
 
     sub_models: tuple
-    centroids: ShardCentroids
     aggregation: AggregationModel
 
     @property
@@ -681,7 +690,7 @@ class SruModel:
         H = encode_stacked(self.sub_models, *pad_prefixes(self.sub_models[0], prefixes))
         n, k, d = H.shape
         params = self.aggregation.store.params
-        C = self.centroids.c.astype(H.dtype)
+        C = self.aggregation.centroids.c.astype(H.dtype)
         out = np.empty((n, self.num_items + 1), dtype=np.result_type(H, params["W_proj"]))
         out[:, 0] = -np.inf
         block = np.empty((min(n, _PREDICT_ROWS), k, d + 1), dtype=H.dtype)

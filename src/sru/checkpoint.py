@@ -1,4 +1,4 @@
-"""Bit-exact binary persistence for models, datasets, partitions and centroids.
+"""Bit-exact binary persistence for models, datasets and partitions.
 
 Container layout (little-endian throughout):
 
@@ -206,18 +206,22 @@ def check_config_hash(metadata: dict, expected: str | None, path) -> None:
 
 def _gru_layout(config: BackboneConfig, d, num_items, max_len):
     """The tensor shapes that a GRU checkpoint's recorded sizes give, the
-    sizes its training config fixes, and the dtype it trains in."""
+    sizes its training config fixes, and each tensor's dtypes: the one it
+    trains in."""
     shapes = {name: (d,) if name.startswith("b") else (d, d) for name in GATE_NAMES}
-    return ({**shapes, "E": (num_items + 1, d)}, {"d": config.d, "max_len": config.max_len},
-            config.np_dtype())
+    shapes["E"] = (num_items + 1, d)
+    return (shapes, {"d": config.d, "max_len": config.max_len},
+            dict.fromkeys(shapes, (config.np_dtype(),)))
 
 
 def _aggregation_layout(config: AggregationConfig, k, d, f, d_ff, num_items):
-    """``_gru_layout`` for a fusion checkpoint, which is always float32."""
-    return ({"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
-             "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
-             "b2": (num_items,)},
-            {"f": config.f, "d_ff": config.d_ff or d}, np.float32)
+    """``_gru_layout`` for a fusion checkpoint: float32 parameters, and the
+    centroids they were trained against in the sub-models' dtype."""
+    params = {"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
+              "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
+              "b2": (num_items,)}
+    return ({**params, "centroids": (k, d)}, {"f": config.f, "d_ff": config.d_ff or d},
+            {**dict.fromkeys(params, (np.float32,)), "centroids": (np.float32, np.float64)})
 
 
 # kind -> (model class, config class, the config's metadata key, the
@@ -233,8 +237,9 @@ _MODELS = {
 def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
     """Persist a GruModel or AggregationModel: its tensors, and in the
     metadata its training config, its sizes and its per-epoch training
-    loss curve (``loss_history``), and for a GruModel the epoch that early
-    stopping restored (``best_epoch``, null without one)."""
+    loss curve (``loss_history``); for a GruModel the epoch that early
+    stopping restored (``best_epoch``, null without one), for an
+    AggregationModel its centroids as one more tensor."""
     kind = next((kind for kind, spec in _MODELS.items() if isinstance(obj, spec[0])), None)
     if kind is None:
         raise ContractError(f"cannot checkpoint object of type {type(obj).__name__}")
@@ -242,9 +247,12 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
     meta = {"kind": kind, config_key: obj.config.as_dict(),
             **{key: getattr(obj, key) for key in size_keys},
             "loss_history": list(obj.loss_history)}
+    tensors = dict(obj.store.params)
     if kind == "gru":
         meta["best_epoch"] = obj.best_epoch
-    return save_container(path, dict(obj.store.params), {**meta, **(extra_metadata or {})})
+    else:
+        tensors["centroids"] = obj.centroids.c
+    return save_container(path, tensors, {**meta, **(extra_metadata or {})})
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None):
@@ -257,7 +265,8 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     config, tensors other than the model's, a recorded size that
     disagrees with the tensor shapes or the config, or a tensor in
     another dtype than the model trains in raise IntegrityError naming
-    the file.
+    the file. A fusion layer's centroids may be float32 or float64, the
+    dtype of the sub-models they were computed with.
     """
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
@@ -274,7 +283,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     if not {int}.issuperset(map(type, sizes.values())):
         raise IntegrityError(f"{path}: recorded sizes {sizes} are not all integers")
     found = {name: t.shape for name, t in tensors.items()}
-    expected, fixed, dtype = layout(config, **sizes)
+    expected, fixed, dtypes = layout(config, **sizes)
     if found != expected:
         wrong = sorted(name for name in found.keys() | expected.keys()
                        if found.get(name) != expected.get(name))
@@ -284,15 +293,15 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     if not fixed.items() <= sizes.items():
         raise IntegrityError(f"{path}: recorded sizes {sizes} disagree with the "
                              f"training config's {fixed}")
-    wrong = sorted(name for name, t in tensors.items() if t.dtype != dtype)
+    wrong = sorted(name for name, t in tensors.items() if t.dtype not in dtypes[name])
     if wrong:
-        raise IntegrityError(f"{path}: the model trains in {np.dtype(dtype)}, but "
-                             + ", ".join(f"{name} is {tensors[name].dtype}" for name in wrong))
-    model = model_class(store=ParamStore(tensors), config=config,
-                        loss_history=list(metadata.get("loss_history", [])))
-    if kind == "gru":
-        model.best_epoch = metadata.get("best_epoch")
-    return model
+        raise IntegrityError(f"{path}: " + ", ".join(
+            f"{name} is {tensors[name].dtype}, expected "
+            + " or ".join(np.dtype(t).name for t in dtypes[name]) for name in wrong))
+    own = ({"best_epoch": metadata.get("best_epoch")} if kind == "gru" else
+           {"centroids": ShardCentroids(tensors.pop("centroids"), config.centroid_source)})
+    return model_class(store=ParamStore(tensors), config=config,
+                       loss_history=list(metadata.get("loss_history", [])), **own)
 
 
 def save_datasets(path, splits: dict[str, SessionDataset],
@@ -425,16 +434,3 @@ def load_assignment(path, expected_config_hash: str | None = None) -> ShardAssig
         raise IntegrityError(f"{path}: not a valid partition "
                              f"({type(exc).__name__}: {exc})") from None
 
-
-def save_centroid_state(path, centroids: ShardCentroids,
-                        extra_metadata: dict | None = None) -> int:
-    meta = {"kind": "shard_centroids", "source": centroids.source, **(extra_metadata or {})}
-    return save_container(path, {"c": centroids.c}, meta)
-
-
-def load_centroid_state(path, expected_config_hash: str | None = None) -> ShardCentroids:
-    tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, path)
-    if metadata.get("kind") != "shard_centroids":
-        raise VersionError(f"{path}: expected shard centroids, found {metadata.get('kind')!r}")
-    return ShardCentroids(c=tensors["c"], source=metadata["source"])

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from .aggregation import AggregationConfig, CENTROID_SOURCES
 from .backbone import BackboneConfig
+from .corpus import read_text
 from .errors import ContractError, ParseError
 from .numerics import derive_seed
 from .partition import PartitionConfig
@@ -110,8 +111,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        return cls.from_text(read_text(path))
 
     @classmethod
     def defaults(cls, **overrides) -> "ExperimentConfig":

@@ -141,6 +141,16 @@ class SessionDataset:
         )
 
 
+def read_text(path) -> str:
+    """An input file's UTF-8 text, newlines as stored; a file that cannot
+    be read as such is a ParseError whose message starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def ingest_log(source) -> dict[str, list[tuple[str, int]]]:
     """Parse raw TSV interaction lines into per-session event lists.
 

@@ -170,9 +170,6 @@ class ParamStore:
             out._pack(self.params, self.grads)
         return out
 
-    def num_values(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def tobytes(self) -> bytes:
         """Canonical byte image of the parameter values (sorted by name):
         the value buffer itself."""

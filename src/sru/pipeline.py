@@ -26,17 +26,15 @@ from .backbone import train_backbone, train_many
 from .checkpoint import (
     check_config_hash,
     load_assignment,
-    load_centroid_state,
     load_checkpoint,
     load_datasets,
     save_assignment,
-    save_centroid_state,
     save_checkpoint,
     save_datasets,
     write_atomic,
 )
 from .config import ExperimentConfig
-from .corpus import generate_synthetic, ingest_log, preprocess, split
+from .corpus import generate_synthetic, ingest_log, preprocess, read_text, split
 from .errors import ContractError, ParseError, StageDependencyError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
@@ -58,7 +56,6 @@ ARTIFACTS = {
     "reference": ("reference.sru", "pretrain"),
     "partition": ("partition.sru", "partition"),
     "shard": ("shard_{:03d}.sru", "train-shards"),
-    "shard_centroids": ("shard_centroids.sru", "train-agg"),
     "aggregation": ("aggregation.sru", "train-agg"),
     "audit": ("audit.json", "unlearn"),
 }
@@ -78,7 +75,6 @@ def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0, **options):
                                    f"run the '{ARTIFACTS[name][1]}' stage first")
     # Looked up on each call, so that a patched loader is the one called.
     loader = {"dataset": load_datasets, "partition": load_assignment,
-              "shard_centroids": load_centroid_state,
               "audit": _read_audit}.get(name, load_checkpoint)
     return loader(path, expected_config_hash=config.config_hash(), **options)
 
@@ -94,9 +90,8 @@ def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None
             stamp["shard_id"] = k
         save_checkpoint(obj, path, stamp)
     else:
-        saver = {"dataset": save_datasets, "partition": save_assignment,
-                 "shard_centroids": save_centroid_state, "audit": _write_audit}[name]
-        saver(path, obj, stamp)
+        savers = {"dataset": save_datasets, "partition": save_assignment, "audit": _write_audit}
+        savers[name](path, obj, stamp)
 
 
 def _write_audit(path, deletions, stamp: dict) -> None:
@@ -144,7 +139,7 @@ def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfi
     cache = build_feature_cache(sub_models, train)
     aggregation = train_aggregation(sub_models, centroids, train, agg_cfg,
                                     precomputed=(cache.features, cache.targets))
-    return centroids, cache, aggregation
+    return cache, aggregation
 
 
 # -- in-memory pipeline (also used by the ablation recipes and tests) ----------
@@ -161,10 +156,10 @@ def fit_state(train, validation, config: ExperimentConfig,
     assignment = _partition(reference, train, config, k_override)
     shards = make_shards(train, assignment)
     sub_models = _train_shards(shards, config)
-    centroids, cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
+    cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
     return SruState(reference_model=reference, corpus=train, assignment=assignment,
-                    sub_models=sub_models, centroids=centroids, aggregation=aggregation,
-                    seed=config.seed, feature_cache=cache)
+                    sub_models=sub_models, aggregation=aggregation, seed=config.seed,
+                    feature_cache=cache)
 
 
 # -- stage implementations -------------------------------------------------------
@@ -183,9 +178,7 @@ def _cmd_preprocess(run_dir, config: ExperimentConfig, **_) -> None:
             max_len=config["synthetic.max_len"],
         )
     else:
-        with open(source, "rb") as handle:
-            raw = ingest_log(handle)
-        dataset = preprocess(raw, min_count=config["data.min_count"],
+        dataset = preprocess(ingest_log(read_text(source)), min_count=config["data.min_count"],
                              max_len=config["data.max_len"])
     train, validation, test = split(dataset, seed=derive_seed(config.seed, "split"))
     _save(run_dir, config, "dataset", {"train": train, "validation": validation, "test": test})
@@ -214,21 +207,19 @@ def _cmd_train_agg(run_dir, config: ExperimentConfig, **_) -> None:
     train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     assignment = _load(run_dir, config, "partition")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(assignment.k)]
-    centroids, _, aggregation = _train_fusion(sub_models, make_shards(train, assignment),
-                                              assignment, train, config)
-    _save(run_dir, config, "shard_centroids", centroids)
+    _, aggregation = _train_fusion(sub_models, make_shards(train, assignment),
+                                   assignment, train, config)
     _save(run_dir, config, "aggregation", aggregation)
 
 
 def load_model(run_dir, config: ExperimentConfig) -> SruModel:
-    """Load the predictor alone: the fusion layer, then its
-    ``aggregation.k`` shard checkpoints, then the shard centroids, each
-    checked against the config hash. The dataset, the reference encoder
-    and the partition are not read."""
+    """Load the predictor alone: the fusion layer with the centroids it
+    was trained against, then its ``aggregation.k`` shard checkpoints,
+    each checked against the config hash. The dataset, the reference
+    encoder and the partition are not read."""
     aggregation = _load(run_dir, config, "aggregation")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(aggregation.k)]
-    centroids = _load(run_dir, config, "shard_centroids")
-    return SruModel(sub_models=tuple(sub_models), centroids=centroids, aggregation=aggregation)
+    return SruModel(sub_models=tuple(sub_models), aggregation=aggregation)
 
 
 def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
@@ -252,8 +243,8 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
             f"has K={model.aggregation.k}"
         )
     state = SruState(reference_model=reference, corpus=splits["train"], assignment=assignment,
-                     sub_models=list(model.sub_models), centroids=model.centroids,
-                     aggregation=model.aggregation, seed=config.seed)
+                     sub_models=list(model.sub_models), aggregation=model.aggregation,
+                     seed=config.seed)
     return state, splits
 
 
@@ -267,15 +258,15 @@ def _cmd_eval(run_dir, config: ExperimentConfig, *, split_tag: str = "test", **_
 def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None, **_) -> None:
     if not requests_path:
         raise ContractError("unlearn requires --requests FILE")
+    requests = load_requests(requests_path)
     state, splits = load_state(run_dir, config)
-    outcome = execute_unlearn(state, load_requests(requests_path))
+    outcome = execute_unlearn(state, requests)
     new = outcome.state
     _save(run_dir, config, "dataset", {**splits, "train": new.corpus})
     _save(run_dir, config, "partition", new.assignment)
     for k, model in enumerate(new.sub_models):
         if model is not state.sub_models[k]:
             _save(run_dir, config, "shard", model, k)
-    _save(run_dir, config, "shard_centroids", new.centroids)
     _save(run_dir, config, "aggregation", new.aggregation)
     _save(run_dir, config, "audit", outcome.deletions)
     emit_report(outcome.timing, "json", os.path.join(run_dir, "unlearn_timing.json"))
@@ -309,8 +300,9 @@ def _check_audit_items(path, records, num_items: int) -> None:
 def _cmd_bench(run_dir, config: ExperimentConfig, *, requests_path=None, **_) -> None:
     if not requests_path:
         raise ContractError("bench requires --requests FILE")
+    requests = load_requests(requests_path)
     state, _ = load_state(run_dir, config)
-    report = benchmark_unlearn(state, load_requests(requests_path))
+    report = benchmark_unlearn(state, requests)
     emit_report(report, "json", os.path.join(run_dir, "bench.json"))
 
 

@@ -34,7 +34,7 @@ from .aggregation import (
     updated_feature_cache,
 )
 from .backbone import BackboneConfig, GruModel, _training_workers, train_many_timed
-from .corpus import Session, SessionDataset
+from .corpus import Session, SessionDataset, read_text
 from .errors import ContractError, ParseError, PositionError, UnknownSessionError
 from .numerics import RngStream, derive_seed
 from .partition import ShardAssignment, make_shards
@@ -262,7 +262,6 @@ class SruState:
     corpus: SessionDataset
     assignment: ShardAssignment
     sub_models: list[GruModel]
-    centroids: ShardCentroids
     aggregation: AggregationModel
     seed: int = 0
     # Per-shard state table of the current corpus, owned by this state
@@ -286,6 +285,12 @@ class SruState:
     def agg_config(self) -> AggregationConfig:
         return self.aggregation.config
 
+    @property
+    def centroids(self) -> ShardCentroids:
+        """The centroids the fusion layer keeps. The property stays only
+        because the benchmark harness (``bench/workloads.py``) reads it."""
+        return self.aggregation.centroids
+
     @cached_property
     def shards(self) -> list[SessionDataset]:
         """One dataset per sub-model: ``make_shards(corpus, assignment)``."""
@@ -298,11 +303,7 @@ class SruState:
         return self.corpus
 
     def sru_model(self) -> SruModel:
-        return SruModel(
-            sub_models=tuple(self.sub_models),
-            centroids=self.centroids,
-            aggregation=self.aggregation,
-        )
+        return SruModel(sub_models=tuple(self.sub_models), aggregation=self.aggregation)
 
 
 @dataclass
@@ -412,12 +413,8 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     # Refresh centroids of the affected shards, retrain the fusion layer.
     agg_started = time.perf_counter()
     centroids = compute_centroids(
-        new_models, new_shards,
-        source=state.centroids.source,
-        reference_centroids=state.assignment.centroids,
-        previous=state.centroids, affected=affected,
-    )
-    new_state.centroids = centroids
+        new_models, new_shards, state.aggregation.config.centroid_source,
+        state.assignment.centroids, previous=state.aggregation.centroids, affected=affected)
     cache_started = time.perf_counter()
     if state.feature_cache is not None:
         # updated in its own buffer, so the input state lets go of it
@@ -465,11 +462,7 @@ def save_requests(requests, path) -> None:
 
 def load_requests(source) -> list[UnlearnRequest]:
     """Parse the request CSV ``session_id,target_position,strategy,N``."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    text = source.read() if hasattr(source, "read") else read_text(source)
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != REQUEST_HEADER:
         raise ParseError(f"request file must start with header {','.join(REQUEST_HEADER)}", 1)

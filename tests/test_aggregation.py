@@ -481,6 +481,18 @@ class TestTrainAggregation:
             train_aggregation([], ShardCentroids(c=np.zeros((0, 8))), data,
                               AggregationConfig(seed=0))
 
+    def test_keeps_the_centroids_it_trained_against(self):
+        data, _, models, centroids = small_setup(k=2)
+        agg = train_aggregation(models, centroids, data, AggregationConfig(f=8, epochs=1))
+        assert agg.centroids is centroids
+
+    def test_centroids_of_another_source_rejected(self):
+        # the fusion layer would carry centroids its config does not make
+        data, _, models, centroids = small_setup(k=2)
+        reference = ShardCentroids(c=centroids.c, source="reference")
+        with pytest.raises(ContractError, match="source 'reference'.*'submodel'"):
+            train_aggregation(models, reference, data, AggregationConfig(f=8, epochs=1))
+
 
 class TestCopyingStepOracle:
     """The library's pass reads each batch through a view of the
@@ -523,7 +535,7 @@ class TestCopyingStepOracle:
 
     def test_predict_batch_gives_the_copying_forwards_bytes(self):
         _, models, centroids, _, _, agg = self.fitted()
-        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg)
+        sru = SruModel(sub_models=tuple(models), aggregation=agg)
         rng = np.random.default_rng(8)
         prefixes = [tuple(rng.integers(1, 31, size=rng.integers(1, 15)).tolist())
                     for _ in range(300)]                       # a full and a short block
@@ -605,7 +617,7 @@ class TestSruModelPredict:
         data, shards, models, centroids = small_setup(num_sessions=12, k=2)
         config = AggregationConfig(f=8, lr=5e-3, epochs=2, seed=2)
         agg = train_aggregation(models, centroids, data, config)
-        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg)
+        sru = SruModel(sub_models=tuple(models), aggregation=agg)
 
         prefix = data.sessions[0].items[:4]
         params = agg.store.params
@@ -630,7 +642,7 @@ class TestSruModelPredict:
         data, _, models, centroids = small_setup(num_sessions=12, k=2)
         agg = train_aggregation(models, centroids, data,
                                 AggregationConfig(f=8, lr=5e-3, epochs=1, seed=2))
-        sru = SruModel(sub_models=tuple(models), centroids=centroids, aggregation=agg)
+        sru = SruModel(sub_models=tuple(models), aggregation=agg)
 
         def oracle(prefixes):
             H = np.stack([old_encode_batch(m, prefixes) for m in models], axis=1)
@@ -705,7 +717,7 @@ class TestPredictBlocks:
         got = sru.predict_batch(prefixes)
         H = encode_stacked(models, *pad_prefixes(models[0], prefixes))
         logits, _ = fusion_forward(sru.aggregation.store.params, H,
-                                   sru.centroids.c.astype(H.dtype))
+                                   sru.aggregation.centroids.c.astype(H.dtype))
         assert got.shape == (n, 31) and got.dtype == logits.dtype
         assert np.all(got[:, 0] == -np.inf)
         assert got[:, 1:].tobytes() == logits.tobytes()
@@ -732,7 +744,7 @@ class TestPredictBlocks:
         monkeypatch.setattr(numerics, "_logits", spy)
         store = sru.aggregation.store
         buffers = _Buffers()
-        C = sru.centroids.c.astype(H.dtype)
+        C = sru.aggregation.centroids.c.astype(H.dtype)
         for start in range(0, len(prefixes), 256):
             rows = ones_block(H[start : start + 256])
             fusion = _FusionPass(store.params, C, rows, buffers, store.copy().grads)

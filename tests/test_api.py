@@ -49,12 +49,14 @@ def test_model_predicts_only_in_batches(model_class):
 
 # Each fact has one stored form: a model stores its parameters and its
 # config, and every size, config list and phase sum is read from them.
+# The fusion layer also stores the centroids it was trained against,
+# which the predictor and the state read from it.
 STORED_FIELDS = {
     GruModel: {"store", "config", "loss_history", "best_epoch"},
-    AggregationModel: {"store", "config", "loss_history"},
-    SruModel: {"sub_models", "centroids", "aggregation"},
-    SruState: {"reference_model", "corpus", "assignment", "sub_models", "centroids",
-               "aggregation", "seed", "feature_cache"},
+    AggregationModel: {"store", "config", "centroids", "loss_history"},
+    SruModel: {"sub_models", "aggregation"},
+    SruState: {"reference_model", "corpus", "assignment", "sub_models", "aggregation",
+               "seed", "feature_cache"},
     TimingReport: {"sub_model_retrain_ms", "total_ms", "full_retrain_reference_ms",
                    "per_shard_ms", "retrain_workers", "centroid_refresh_ms",
                    "feature_cache_ms", "fusion_training_ms"},

@@ -12,12 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sru.aggregation import AggregationConfig, init_aggregation_model
+from sru.aggregation import (
+    CENTROID_SOURCES,
+    AggregationConfig,
+    compute_centroids,
+    init_aggregation_model,
+    train_aggregation,
+)
 from sru.backbone import BackboneConfig, init_gru_model
 from sru.checkpoint import (
     check_config_hash,
     load_assignment,
-    load_centroid_state,
     load_checkpoint,
     load_container,
     load_datasets,
@@ -75,6 +80,29 @@ class TestModelRoundTrip:
         assert models_equal(model, loaded)
         assert (loaded.k, loaded.d, loaded.f) == (4, 8, 6)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("source", CENTROID_SOURCES)
+    def test_trained_fusion_keeps_its_centroids(self, tmp_path, dtype, source):
+        # The fusion parameters are float32 whatever the sub-models' dtype;
+        # the centroids keep the sub-models' dtype, and their source is
+        # the config's.
+        data = generate_synthetic(16, 20, 2, noise_rate=0.1, seed=1)
+        shards = [data.with_sessions(data.sessions[:8]), data.with_sessions(data.sessions[8:])]
+        models = [init_gru_model(data.num_items(),
+                                 BackboneConfig(d=4, max_len=10, seed=k, dtype=dtype))
+                  for k in range(2)]
+        centroids = compute_centroids(models, shards, source=source,
+                                      reference_centroids=np.arange(8.0).reshape(2, 4) / 3)
+        model = train_aggregation(models, centroids, data,
+                                  AggregationConfig(f=3, epochs=1, centroid_source=source))
+        path = tmp_path / "a.sru"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert models_equal(model, loaded)
+        assert loaded.centroids.c.dtype == np.dtype(dtype)
+        assert loaded.centroids.c.tobytes() == model.centroids.c.tobytes()
+        assert loaded.centroids.source == source
+
     def test_save_is_deterministic(self, tmp_path):
         model = init_gru_model(10, BackboneConfig(d=4, max_len=10, seed=1))
         p1, p2 = tmp_path / "one.sru", tmp_path / "two.sru"
@@ -95,6 +123,8 @@ MODEL_KINDS = {
 CHANGES = [(kind, change) for kind, (_, _, _, sizes) in MODEL_KINDS.items()
            for change in (*sizes, "config size", "missing tensor", "extra tensor",
                           "missing config", "float64 tensors")]
+CHANGES += [("aggregation", change)
+            for change in ("centroids absent", "k + 1 centroids", "int64 centroids")]
 
 
 class TestModelLoadChecks:
@@ -121,11 +151,20 @@ class TestModelLoadChecks:
             # a model of a float32 config would predict in float64, and so
             # never equal a retrain under its config
             tensors = {name: t.astype(np.float64) for name, t in tensors.items()}
+        elif change == "centroids absent":
+            # a fusion layer stored apart from its centroids
+            del tensors["centroids"]
+        elif change == "k + 1 centroids":
+            tensors["centroids"] = np.zeros((metadata["k"] + 1, metadata["d"]), np.float32)
+        elif change == "int64 centroids":
+            tensors["centroids"] = tensors["centroids"].astype(np.int64)
         else:
             del metadata[config_key]
         save_container(path, tensors, metadata)
-        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: ") as info:
             load_checkpoint(path)
+        if "centroids" in change:
+            assert "centroids is " in str(info.value)
 
     @pytest.mark.parametrize("value", [None, "4", 4.5, True])
     def test_size_that_is_not_an_integer(self, tmp_path, value):
@@ -243,8 +282,7 @@ class TestConfigHashGate:
         assert "force" not in message
 
     def test_no_loader_takes_a_force_option(self):
-        for fn in (check_config_hash, load_assignment, load_centroid_state,
-                   load_checkpoint, load_datasets):
+        for fn in (check_config_hash, load_assignment, load_checkpoint, load_datasets):
             assert "force" not in inspect.signature(fn).parameters, fn.__name__
 
 

@@ -96,6 +96,14 @@ class TestConfig:
         with pytest.raises(ParseError, match="line 2"):
             ExperimentConfig.from_text("seed = 1\nbackbone.d = tiny\n")
 
+    def test_unreadable_file_is_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r\xe9sum\xe9\nseed = 3\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*decode"):
+            ExperimentConfig.from_file(path)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path))}: Is a directory"):
+            ExperimentConfig.from_file(tmp_path)
+
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ContractError):
             ExperimentConfig.defaults(**{"unlearn.strategy": "ALL"})
@@ -151,8 +159,8 @@ class TestStages:
         config = tiny_config()
         run_stages(tmp_path, config, ALL_TRAIN_STAGES + ("eval",))
         for name in ("dataset.sru", "reference.sru", "partition.sru",
-                     "shard_000.sru", "shard_001.sru", "shard_centroids.sru",
-                     "aggregation.sru", "eval.json", "eval.csv"):
+                     "shard_000.sru", "shard_001.sru", "aggregation.sru",
+                     "eval.json", "eval.csv"):
             assert (tmp_path / name).exists(), name
         report = json.loads((tmp_path / "eval.json").read_text())
         assert "recall" in report and "ndcg" in report
@@ -163,8 +171,7 @@ class TestStages:
         for run_dir in (dir_a, dir_b):
             run_stages(run_dir, config, ALL_TRAIN_STAGES + ("eval",))
         for name in ("dataset.sru", "reference.sru", "partition.sru",
-                     "shard_000.sru", "shard_001.sru", "shard_centroids.sru",
-                     "aggregation.sru", "eval.json"):
+                     "shard_000.sru", "shard_001.sru", "aggregation.sru", "eval.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
     def test_stale_artifact_refused_on_config_change(self, tmp_path):
@@ -224,13 +231,12 @@ class TestStageDependencies:
         ("eval", "dataset.sru", "preprocess"),
         ("eval", "aggregation.sru", "train-agg"),
         ("eval", "shard_001.sru", "train-shards"),
-        ("eval", "shard_centroids.sru", "train-agg"),
         ("unlearn", "reference.sru", "pretrain"),
         ("unlearn", "partition.sru", "partition"),
         ("unlearn", "shard_001.sru", "train-shards"),
-        ("unlearn", "shard_centroids.sru", "train-agg"),
+        ("unlearn", "aggregation.sru", "train-agg"),
         ("effectiveness", "audit.json", "unlearn"),
-        ("effectiveness", "shard_centroids.sru", "train-agg"),
+        ("effectiveness", "aggregation.sru", "train-agg"),
         ("bench", "partition.sru", "partition"),
     ])
     def test_missing_input_names_file_and_producing_stage(self, unlearned_run, tmp_path,
@@ -475,7 +481,8 @@ class TestUnlearnStage:
 
 class TestReadPath:
     """eval and effectiveness load the predictor alone: the fusion layer,
-    its shard checkpoints and the shard centroids."""
+    with the centroids it was trained against, and its shard
+    checkpoints."""
 
     def test_effectiveness_reads_no_dataset_reference_or_partition(self, tmp_path,
                                                                    monkeypatch):
@@ -543,6 +550,22 @@ class TestReadPath:
         with pytest.raises(IntegrityError, match=r"aggregation\.sru: the tensors disagree "
                                                  r"with the recorded sizes \{'k': 1,"):
             load_state(run_dir, tiny_config())
+
+    def test_cli_names_a_fusion_file_without_centroids(self, unlearned_run, tmp_path,
+                                                       capsys):
+        # A fusion layer stored apart from its centroids, as run directories
+        # once held it, could be paired with centroids of another generation.
+        run_dir = copied_run(unlearned_run, tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        path = run_dir / "aggregation.sru"
+        tensors, metadata = load_container(path)
+        save_container(path, {n: t for n, t in tensors.items() if n != "centroids"}, metadata)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path), "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: the tensors disagree") and "Traceback" not in err
+        assert "centroids is absent, expected (2, 8)" in err
 
     def test_partition_of_another_corpus_is_contract_error(self, tmp_path):
         # A whole partition that is one session short of the corpus.
@@ -735,6 +758,35 @@ class TestCli:
                      "--requests", str(requests)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["eval", "--config", "{tmp}/nope.cfg"], "nope.cfg"),
+        (["unlearn", "--requests", "{tmp}/nope.csv"], "nope.csv"),
+        (["bench", "--requests", "{tmp}/nope.csv"], "nope.csv"),
+        (["preprocess", "--config", "{tmp}/tsv.cfg"], "nope.tsv"),
+    ], ids=["config", "unlearn-requests", "bench-requests", "data-source"])
+    def test_cli_names_a_missing_input_file(self, unlearned_run, tmp_path, capsys,
+                                            monkeypatch, argv, missing):
+        # exit status 1, one error line that starts with the path, and the
+        # run directory untouched; the requests are read before any artifact
+        run_dir = copied_run(unlearned_run, tmp_path)
+        (tmp_path / "tsv.cfg").write_text(f"data.source = {tmp_path / 'nope.tsv'}\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--config" not in argv:
+            (tmp_path / "exp.cfg").write_text(CONFIG_TEXT)
+            argv += ["--config", str(tmp_path / "exp.cfg")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("artifacts were read before the requests")
+
+        monkeypatch.setattr("sru.pipeline.load_state", refuse)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / missing}: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_cli_env_seed_changes_artifacts(self, tmp_path, monkeypatch):
