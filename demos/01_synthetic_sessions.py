@@ -12,7 +12,8 @@ from sru import generate_synthetic, ingest_log, preprocess, split
 print("=== synthetic corpus ===")
 data = generate_synthetic(num_sessions=300, vocab_size=60, num_clusters=3,
                           noise_rate=0.1, seed=7)
-print(f"{len(data)} sessions over {data.num_items()} items, max_len={data.max_len}")
+print(f"{len(data)} sessions over {data.num_items()} items, "
+      f"longest session {max(map(len, data.sessions))} items")
 
 by_cluster = collections.Counter(s.cluster for s in data.sessions)
 print("sessions per planted cluster:", dict(sorted(by_cluster.items())))

@@ -17,8 +17,10 @@ data = generate_synthetic(num_sessions=500, vocab_size=80, num_clusters=4,
 print(f"corpus: {len(data)} sessions, {data.num_items()} items, 4 planted clusters")
 
 print("\ntraining the reference encoder...")
+# the encoder reads whole sessions: its max_len is the longest one
 reference = train_backbone(
-    data, BackboneConfig(d=32, max_len=data.max_len, epochs=20, lr=3e-3, seed=5))
+    data, BackboneConfig(d=32, max_len=max(map(len, data.sessions)), epochs=20, lr=3e-3,
+                         seed=5))
 print(f"final training loss {reference.loss_history[-1]:.3f}")
 
 H = embed_all(reference, data)

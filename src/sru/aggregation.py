@@ -78,6 +78,8 @@ class AggregationConfig:
     centroid_source: str = "submodel"
 
     def __post_init__(self):
+        if self.f < 1 or self.batch_size < 1:
+            raise ContractError("f and batch_size must be >= 1")
         if self.centroid_source not in CENTROID_SOURCES:
             raise ContractError(
                 f"centroid_source must be one of {CENTROID_SOURCES}, "

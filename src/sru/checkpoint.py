@@ -204,48 +204,46 @@ def check_config_hash(metadata: dict, expected: str | None, path) -> None:
 # -- typed wrappers ----------------------------------------------------------------
 
 
-def _gru_layout(config: BackboneConfig, d, num_items, max_len):
-    """The tensor shapes that a GRU checkpoint's recorded sizes give, the
-    sizes its training config fixes, and each tensor's dtypes: the one it
-    trains in."""
-    shapes = {name: (d,) if name.startswith("b") else (d, d) for name in GATE_NAMES}
-    shapes["E"] = (num_items + 1, d)
-    return (shapes, {"d": config.d, "max_len": config.max_len},
-            dict.fromkeys(shapes, (config.np_dtype(),)))
+def _gru_layout(config: BackboneConfig, E):
+    """A GRU checkpoint's tensor shapes, from its config's ``d`` and E's
+    rows, and each tensor's dtypes: the one it trains in."""
+    shapes = {name: (config.d,) * (1 if name.startswith("b") else 2) for name in GATE_NAMES}
+    shapes["E"] = (E.shape[0], config.d)
+    return shapes, dict.fromkeys(shapes, (config.np_dtype(),))
 
 
-def _aggregation_layout(config: AggregationConfig, k, d, f, d_ff, num_items):
-    """``_gru_layout`` for a fusion checkpoint: float32 parameters, and the
-    centroids they were trained against in the sub-models' dtype."""
+def _aggregation_layout(config: AggregationConfig, W_proj, b2):
+    """``_gru_layout`` for a fusion checkpoint, from W_proj, b2 and its
+    config: float32 parameters, and centroids in the sub-models' dtype."""
+    (k, d, _), num_items = W_proj.shape, len(b2)
+    f, d_ff = config.f, config.d_ff or d
     params = {"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
               "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
               "b2": (num_items,)}
-    return ({**params, "centroids": (k, d)}, {"f": config.f, "d_ff": config.d_ff or d},
+    return ({**params, "centroids": (k, d)},
             {**dict.fromkeys(params, (np.float32,)), "centroids": (np.float32, np.float64)})
 
 
 # kind -> (model class, config class, the config's metadata key, the
-# sizes the metadata records, the layout those sizes give)
+# anchor tensors the layout reads sizes from with their ndim, the layout)
 _MODELS = {
-    "gru": (GruModel, BackboneConfig, "backbone_config", ("d", "num_items", "max_len"),
-            _gru_layout),
-    "aggregation": (AggregationModel, AggregationConfig, "agg_config",
-                    ("k", "d", "f", "d_ff", "num_items"), _aggregation_layout),
+    "gru": (GruModel, BackboneConfig, "backbone_config", {"E": 2}, _gru_layout),
+    "aggregation": (AggregationModel, AggregationConfig, "agg_config", {"W_proj": 3, "b2": 1},
+                    _aggregation_layout),
 }
 
 
 def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
-    """Persist a GruModel or AggregationModel: its tensors, and in the
-    metadata its training config, its sizes and its per-epoch training
-    loss curve (``loss_history``); for a GruModel the epoch that early
-    stopping restored (``best_epoch``, null without one), for an
+    """Persist a GruModel or AggregationModel: its tensors, whose shapes
+    are its sizes, and in the metadata its training config and per-epoch
+    training loss curve (``loss_history``); for a GruModel the epoch that
+    early stopping restored (``best_epoch``, null without one), for an
     AggregationModel its centroids as one more tensor."""
     kind = next((kind for kind, spec in _MODELS.items() if isinstance(obj, spec[0])), None)
     if kind is None:
         raise ContractError(f"cannot checkpoint object of type {type(obj).__name__}")
-    _, _, config_key, size_keys, _ = _MODELS[kind]
+    config_key = _MODELS[kind][2]
     meta = {"kind": kind, config_key: obj.config.as_dict(),
-            **{key: getattr(obj, key) for key in size_keys},
             "loss_history": list(obj.loss_history)}
     tensors = dict(obj.store.params)
     if kind == "gru":
@@ -261,38 +259,37 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     checkpoint without a ``best_epoch`` loads with None.
 
     The model is read from its tensors and its training config, so both
-    are checked against the recorded sizes first: a missing or unreadable
-    config, tensors other than the model's, a recorded size that
-    disagrees with the tensor shapes or the config, or a tensor in
-    another dtype than the model trains in raise IntegrityError naming
-    the file. A fusion layer's centroids may be float32 or float64, the
-    dtype of the sub-models they were computed with.
+    are checked first. A missing or unreadable config, an anchor tensor
+    (E; W_proj, b2) absent or of another ndim, other tensors than the
+    layout that the anchors and config give, or a tensor in another dtype
+    than the model trains in raise IntegrityError naming the file. A
+    fusion layer's centroids may be float32 or float64, the dtype of the
+    sub-models they were computed with. Other metadata keys are ignored.
     """
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
     kind = metadata.get("kind")
     if kind not in _MODELS:
         raise VersionError(f"{path}: checkpoint kind {kind!r} is not a model")
-    model_class, config_class, config_key, size_keys, layout = _MODELS[kind]
+    model_class, config_class, config_key, anchors, layout = _MODELS[kind]
     try:
         config = config_class(**metadata[config_key])
     except (KeyError, TypeError, ContractError) as exc:
         raise IntegrityError(f"{path}: no readable training config {config_key!r} "
                              f"({type(exc).__name__}: {exc})") from None
-    sizes = {key: metadata.get(key) for key in size_keys}
-    if not {int}.issuperset(map(type, sizes.values())):
-        raise IntegrityError(f"{path}: recorded sizes {sizes} are not all integers")
     found = {name: t.shape for name, t in tensors.items()}
-    expected, fixed, dtypes = layout(config, **sizes)
+    wrong = ", ".join(f"{name} is {found.get(name, 'absent')}, expected {ndim}-D"
+                      for name, ndim in anchors.items() if len(found.get(name, ())) != ndim)
+    if wrong:
+        raise IntegrityError(f"{path}: {wrong}")
+    expected, dtypes = layout(config, **{name: tensors[name] for name in anchors})
     if found != expected:
         wrong = sorted(name for name in found.keys() | expected.keys()
                        if found.get(name) != expected.get(name))
-        raise IntegrityError(f"{path}: the tensors disagree with the recorded sizes {sizes}: "
-                             + ", ".join(f"{name} is {found.get(name, 'absent')}, expected "
-                                         f"{expected.get(name, 'absent')}" for name in wrong))
-    if not fixed.items() <= sizes.items():
-        raise IntegrityError(f"{path}: recorded sizes {sizes} disagree with the "
-                             f"training config's {fixed}")
+        raise IntegrityError(f"{path}: the tensors disagree with each other or with "
+                             f"{config_key}: " + ", ".join(
+                                 f"{name} is {found.get(name, 'absent')}, expected "
+                                 f"{expected.get(name, 'absent')}" for name in wrong))
     wrong = sorted(name for name, t in tensors.items() if t.dtype not in dtypes[name])
     if wrong:
         raise IntegrityError(f"{path}: " + ", ".join(
@@ -317,7 +314,6 @@ def save_datasets(path, splits: dict[str, SessionDataset],
     meta: dict = {
         "kind": "dataset",
         "vocab": list(any_ds.vocab.tokens),
-        "max_len": any_ds.max_len,
         "splits": sorted(splits),
         "session_ids": {},
         **(extra_metadata or {}),
@@ -379,8 +375,8 @@ def load_datasets(path, expected_config_hash: str | None = None,
                 cluster=None if clusters[i] < 0 else clusters[i],
             ))
         sessions = tuple(sessions)
-        out[tag] = SessionDataset(sessions=sessions, vocab=vocab, max_len=metadata["max_len"],
-                                  split_tag=tag, checked=sessions)
+        out[tag] = SessionDataset(sessions=sessions, vocab=vocab, split_tag=tag,
+                                  checked=sessions)
     return out
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from .aggregation import AggregationConfig, CENTROID_SOURCES
 from .backbone import BackboneConfig
-from .corpus import read_text
+from .corpus import parse_file
 from .errors import ContractError, ParseError
 from .numerics import derive_seed
 from .partition import PartitionConfig
@@ -111,7 +111,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_text(read_text(path))
+        return parse_file(path, cls.from_text)
 
     @classmethod
     def defaults(cls, **overrides) -> "ExperimentConfig":
@@ -179,16 +179,12 @@ class ExperimentConfig:
         payload = self.canonical_text() + f"effective_seed = {self.seed}\n"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-    def model_max_len(self) -> int:
-        if self.values["data.source"] == "synthetic":
-            return self.values["synthetic.max_len"]
-        return self.values["data.max_len"]
-
     def backbone_config(self, label: str) -> BackboneConfig:
         v = self.values
         return BackboneConfig(
             d=v["backbone.d"],
-            max_len=self.model_max_len(),
+            max_len=v["synthetic.max_len" if v["data.source"] == "synthetic"
+                      else "data.max_len"],
             epochs=v["backbone.epochs"],
             batch_size=v["backbone.batch_size"],
             lr=v["backbone.lr"],

@@ -105,20 +105,17 @@ class SessionDataset:
     Each session is checked against the vocabulary once: ``checked``
     holds sessions that are known to pass (those of a dataset over the
     same vocabulary, or ones the caller has checked), and only the others
-    are checked here.
+    are checked here. Models cut sessions to their config's ``max_len``.
     """
 
     sessions: tuple[Session, ...]
     vocab: ItemVocab
-    max_len: int
     split_tag: str = "train"
     checked: InitVar[tuple[Session, ...]] = ()
 
     def __post_init__(self, checked):
         if self.split_tag not in SPLIT_TAGS:
             raise ContractError(f"split_tag must be one of {SPLIT_TAGS}, got {self.split_tag!r}")
-        if self.max_len < 2:
-            raise ContractError(f"max_len must be >= 2, got {self.max_len}")
         if checked is not self.sessions:
             known = {id(s) for s in checked}
             check_sessions((s for s in self.sessions if id(s) not in known), len(self.vocab))
@@ -135,7 +132,6 @@ class SessionDataset:
         return SessionDataset(
             sessions=tuple(sessions),
             vocab=self.vocab,
-            max_len=self.max_len,
             split_tag=split_tag or self.split_tag,
             checked=self.sessions,
         )
@@ -149,6 +145,17 @@ def read_text(path) -> str:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def parse_file(path, parse):
+    """``parse`` of the text that ``read_text`` reads from ``path``; a
+    ParseError that ``parse`` raises gets the path in front of its message."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def ingest_log(source) -> dict[str, list[tuple[str, int]]]:
@@ -240,7 +247,7 @@ def preprocess(raw: dict[str, list[tuple[str, int]]], min_count: int = 5,
         )
         for sid, events in surviving
     )
-    return SessionDataset(sessions=sessions, vocab=vocab, max_len=max_len, split_tag="train")
+    return SessionDataset(sessions=sessions, vocab=vocab, split_tag="train")
 
 
 def _split_sizes(n: int, ratios: tuple[int, int, int]) -> list[int]:
@@ -368,7 +375,5 @@ def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
         )
 
     vocab = ItemVocab.from_tokens(f"item{i:05d}" for i in range(1, vocab_size + 1))
-    return SessionDataset(
-        sessions=tuple(sessions), vocab=vocab, max_len=max_len, split_tag="train"
-    )
+    return SessionDataset(sessions=tuple(sessions), vocab=vocab, split_tag="train")
 

@@ -1,6 +1,6 @@
 """Dense numeric kernels: activations, the output layer with its softmax
-cross-entropy, rankings of id-indexed logits, Adam, named random streams,
-and a finite-difference gradient oracle.
+cross-entropy, rankings of id-indexed logits, Adam and named random
+streams.
 
 All kernels are deterministic. Parameter iteration follows lexicographic
 name order so that repeated runs are bitwise identical, which the

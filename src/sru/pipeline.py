@@ -34,7 +34,7 @@ from .checkpoint import (
     write_atomic,
 )
 from .config import ExperimentConfig
-from .corpus import generate_synthetic, ingest_log, preprocess, read_text, split
+from .corpus import generate_synthetic, ingest_log, parse_file, preprocess, split
 from .errors import ContractError, ParseError, StageDependencyError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
@@ -80,18 +80,15 @@ def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0, **options):
 
 
 def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None:
-    """Write one artifact, stamped with the config hash and its stage;
-    model checkpoints also carry their training seed, shards their index."""
+    """Write one artifact, stamped with the config hash and its stage. A
+    model's seed is in its config, and a shard's index in its file name."""
     path = _path(run_dir, name, k)
     stamp = {"config_hash": config.config_hash(), "stage": ARTIFACTS[name][1]}
-    if name in ("reference", "shard", "aggregation"):
-        stamp["seed"] = obj.config.seed
-        if name == "shard":
-            stamp["shard_id"] = k
-        save_checkpoint(obj, path, stamp)
-    else:
-        savers = {"dataset": save_datasets, "partition": save_assignment, "audit": _write_audit}
+    savers = {"dataset": save_datasets, "partition": save_assignment, "audit": _write_audit}
+    if name in savers:
         savers[name](path, obj, stamp)
+    else:
+        save_checkpoint(obj, path, stamp)
 
 
 def _write_audit(path, deletions, stamp: dict) -> None:
@@ -100,15 +97,16 @@ def _write_audit(path, deletions, stamp: dict) -> None:
 
 
 def _read_audit(path, expected_config_hash: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    def decode(text):
         try:
-            payload = json.load(handle)
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg}", line_number=exc.lineno) from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
-        raise ParseError(f"{path}: expected an object with a records list")
-    check_config_hash(payload, expected_config_hash, path)
-    return deletions_from_json(payload["records"])
+            raise ParseError(exc.msg, line_number=exc.lineno) from None
+        if not isinstance(payload, dict) or not isinstance(payload.get("records"), list):
+            raise ParseError("expected an object with a records list")
+        check_config_hash(payload, expected_config_hash, path)
+        return deletions_from_json(payload["records"])
+    return parse_file(path, decode)
 
 
 # -- phases, shared by the in-memory pipeline and the stages --------------------
@@ -178,7 +176,7 @@ def _cmd_preprocess(run_dir, config: ExperimentConfig, **_) -> None:
             max_len=config["synthetic.max_len"],
         )
     else:
-        dataset = preprocess(ingest_log(read_text(source)), min_count=config["data.min_count"],
+        dataset = preprocess(parse_file(source, ingest_log), min_count=config["data.min_count"],
                              max_len=config["data.max_len"])
     train, validation, test = split(dataset, seed=derive_seed(config.seed, "split"))
     _save(run_dir, config, "dataset", {"train": train, "validation": validation, "test": test})

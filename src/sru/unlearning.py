@@ -34,7 +34,7 @@ from .aggregation import (
     updated_feature_cache,
 )
 from .backbone import BackboneConfig, GruModel, _training_workers, train_many_timed
-from .corpus import Session, SessionDataset, read_text
+from .corpus import Session, SessionDataset, parse_file
 from .errors import ContractError, ParseError, PositionError, UnknownSessionError
 from .numerics import RngStream, derive_seed
 from .partition import ShardAssignment, make_shards
@@ -461,9 +461,11 @@ def save_requests(requests, path) -> None:
 
 
 def load_requests(source) -> list[UnlearnRequest]:
-    """Parse the request CSV ``session_id,target_position,strategy,N``."""
-    text = source.read() if hasattr(source, "read") else read_text(source)
-    rows = list(csv.reader(io.StringIO(text)))
+    """Parse the request CSV ``session_id,target_position,strategy,N``
+    from a file object or a path; errors in a file at a path name it."""
+    if not hasattr(source, "read"):
+        return parse_file(source, lambda text: load_requests(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(source.read())))
     if not rows or tuple(rows[0]) != REQUEST_HEADER:
         raise ParseError(f"request file must start with header {','.join(REQUEST_HEADER)}", 1)
     requests = []

@@ -481,6 +481,15 @@ class TestTrainAggregation:
             train_aggregation([], ShardCentroids(c=np.zeros((0, 8))), data,
                               AggregationConfig(seed=0))
 
+    @pytest.mark.parametrize("size", ["f", "batch_size"])
+    def test_config_with_a_size_below_one_rejected(self, size):
+        # batch_size 0 once failed in training as a modulo by zero, and f 0
+        # trained a zero-wide attention
+        with pytest.raises(ContractError, match="f and batch_size must be >= 1"):
+            AggregationConfig(**{size: 0})
+        with pytest.raises(ContractError):
+            ExperimentConfig.defaults(**{f"agg.{size}": 0}).aggregation_config()
+
     def test_keeps_the_centroids_it_trained_against(self):
         data, _, models, centroids = small_setup(k=2)
         agg = train_aggregation(models, centroids, data, AggregationConfig(f=8, epochs=1))

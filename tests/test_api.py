@@ -10,6 +10,7 @@ import pytest
 import sru
 from sru.aggregation import AggregationConfig, AggregationModel, SruModel
 from sru.backbone import BackboneConfig, GruModel
+from sru.corpus import SessionDataset
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore
 from sru.reports import TimingReport
@@ -55,6 +56,7 @@ STORED_FIELDS = {
     GruModel: {"store", "config", "loss_history", "best_epoch"},
     AggregationModel: {"store", "config", "centroids", "loss_history"},
     SruModel: {"sub_models", "aggregation"},
+    SessionDataset: {"sessions", "vocab", "split_tag"},
     SruState: {"reference_model", "corpus", "assignment", "sub_models", "aggregation",
                "seed", "feature_cache"},
     TimingReport: {"sub_model_retrain_ms", "total_ms", "full_retrain_reference_ms",

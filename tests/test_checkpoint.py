@@ -111,36 +111,51 @@ class TestModelRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# kind -> (a fresh model, its config's metadata key and size field, the
-# sizes it records)
+# kind -> (a fresh model, its config's metadata key and one size field)
 MODEL_KINDS = {
     "gru": (lambda: init_gru_model(12, BackboneConfig(d=4, max_len=10, seed=1)),
-            "backbone_config", "d", ("d", "num_items", "max_len")),
+            "backbone_config", "d"),
     "aggregation": (lambda: init_aggregation_model(3, 4, 12,
                                                    AggregationConfig(f=5, d_ff=6, seed=2)),
-                    "agg_config", "f", ("k", "d", "f", "d_ff", "num_items")),
+                    "agg_config", "f"),
 }
-CHANGES = [(kind, change) for kind, (_, _, _, sizes) in MODEL_KINDS.items()
-           for change in (*sizes, "config size", "missing tensor", "extra tensor",
+# change -> (how it rewrites the tensors, the tensor the error names)
+TENSOR_CHANGES = {
+    "1-D E": (lambda t: {**t, "E": t["E"][:, 0]}, "E"),
+    "narrow E": (lambda t: {**t, "E": t["E"][:, :-1]}, "E"),
+    "2-D W_proj": (lambda t: {**t, "W_proj": t["W_proj"][0]}, "W_proj"),
+    "2-D b2": (lambda t: {**t, "b2": t["b2"][None]}, "b2"),
+    "b_attn off f": (lambda t: {**t, "b_attn": np.zeros(6, np.float32)}, "b_attn"),
+    "b1 off d_ff": (lambda t: {**t, "b1": np.zeros(7, np.float32)}, "b1"),
+    # a fusion layer stored apart from its centroids
+    "centroids absent": (lambda t: {n: v for n, v in t.items() if n != "centroids"},
+                         "centroids"),
+    "k + 1 centroids": (lambda t: {**t, "centroids": np.zeros((4, 4), np.float32)},
+                        "centroids"),
+    "int64 centroids": (lambda t: {**t, "centroids": t["centroids"].astype(np.int64)},
+                        "centroids"),
+}
+CHANGES = [(kind, change) for kind in MODEL_KINDS
+           for change in ("config size", "missing tensor", "extra tensor",
                           "missing config", "float64 tensors")]
-CHANGES += [("aggregation", change)
-            for change in ("centroids absent", "k + 1 centroids", "int64 centroids")]
+CHANGES += [("gru" if change in ("1-D E", "narrow E") else "aggregation", change)
+            for change in TENSOR_CHANGES]
 
 
 class TestModelLoadChecks:
     """A model is read from its tensors and its config, so the loader
-    checks them against the sizes the file records and the dtype the
-    config gives."""
+    checks every tensor against the layout that the config and the
+    anchor tensors (E; W_proj, b2) give, and the dtype the config gives."""
 
     @pytest.mark.parametrize("kind, change", CHANGES)
     def test_file_that_disagrees_with_itself_is_named(self, tmp_path, kind, change):
-        make, config_key, config_size, sizes = MODEL_KINDS[kind]
+        make, config_key, config_size = MODEL_KINDS[kind]
         path = tmp_path / f"{kind}.sru"
         save_checkpoint(make(), path)
         tensors, metadata = load_container(path)
         tensors = dict(tensors)
-        if change in sizes:
-            metadata[change] += 1
+        if change in TENSOR_CHANGES:
+            tensors = TENSOR_CHANGES[change][0](tensors)
         elif change == "config size":
             metadata[config_key][config_size] += 1
         elif change == "missing tensor":
@@ -151,29 +166,25 @@ class TestModelLoadChecks:
             # a model of a float32 config would predict in float64, and so
             # never equal a retrain under its config
             tensors = {name: t.astype(np.float64) for name, t in tensors.items()}
-        elif change == "centroids absent":
-            # a fusion layer stored apart from its centroids
-            del tensors["centroids"]
-        elif change == "k + 1 centroids":
-            tensors["centroids"] = np.zeros((metadata["k"] + 1, metadata["d"]), np.float32)
-        elif change == "int64 centroids":
-            tensors["centroids"] = tensors["centroids"].astype(np.int64)
         else:
             del metadata[config_key]
         save_container(path, tensors, metadata)
         with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: ") as info:
             load_checkpoint(path)
-        if "centroids" in change:
-            assert "centroids is " in str(info.value)
+        if change in TENSOR_CHANGES:
+            assert f"{TENSOR_CHANGES[change][1]} is " in str(info.value)
 
-    @pytest.mark.parametrize("value", [None, "4", 4.5, True])
-    def test_size_that_is_not_an_integer(self, tmp_path, value):
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_stamps_that_files_once_stored_are_ignored(self, tmp_path, kind):
+        # Older files also recorded the sizes, the training seed and the
+        # shard index; the loader reads none of them.
+        model = MODEL_KINDS[kind][0]()
         path = tmp_path / "m.sru"
-        save_checkpoint(MODEL_KINDS["gru"][0](), path)
+        save_checkpoint(model, path)
         tensors, metadata = load_container(path)
-        save_container(path, tensors, {**metadata, "d": value})
-        with pytest.raises(IntegrityError, match="are not all integers"):
-            load_checkpoint(path)
+        save_container(path, tensors, {**metadata, "d": None, "num_items": "4", "k": 4.5,
+                                       "max_len": True, "seed": 1, "shard_id": 3})
+        assert models_equal(load_checkpoint(path), model)
 
     def test_config_with_an_unknown_field(self, tmp_path):
         path = tmp_path / "m.sru"
@@ -307,7 +318,6 @@ class TestDatasetRoundTrip:
             assert list(alone) == [tag]
             assert alone[tag].split_tag == tag
             assert alone[tag].vocab.tokens == full[tag].vocab.tokens
-            assert alone[tag].max_len == full[tag].max_len
             assert alone[tag].sessions == full[tag].sessions
 
     def test_unknown_split_is_parse_error_naming_file_and_tag(self, tmp_path):
@@ -329,7 +339,7 @@ def write_train_split(path, rows):
     """A dataset container whose train split holds the given (id, items)
     rows over the vocabulary 1..5, unchecked."""
     vocab = ItemVocab.from_tokens(["a", "b", "c", "d", "e"])
-    save_datasets(path, {"train": SessionDataset((Session("x", (1, 2)),), vocab, 10)})
+    save_datasets(path, {"train": SessionDataset((Session("x", (1, 2)),), vocab)})
     tensors, metadata = load_container(path)
     tensors["train/items"] = np.array([i for _, items in rows for i in items], dtype=np.int64)
     tensors["train/offsets"] = np.cumsum([0] + [len(items) for _, items in rows])

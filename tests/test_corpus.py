@@ -200,18 +200,18 @@ class TestTypes:
     def test_dataset_rejects_short_sessions(self):
         vocab = ItemVocab.from_tokens(["a", "b"])
         with pytest.raises(ContractError):
-            SessionDataset(sessions=(Session("s", (1,)),), vocab=vocab, max_len=10)
+            SessionDataset(sessions=(Session("s", (1,)),), vocab=vocab)
 
     def test_dataset_rejects_out_of_vocab(self):
         vocab = ItemVocab.from_tokens(["a", "b"])
         with pytest.raises(ContractError):
-            SessionDataset(sessions=(Session("s", (1, 3)),), vocab=vocab, max_len=10)
+            SessionDataset(sessions=(Session("s", (1, 3)),), vocab=vocab)
 
 
 class TestSessionChecks:
     def dataset(self):
         vocab = ItemVocab.from_tokens(["a", "b", "c", "d", "e"])
-        return SessionDataset((Session("ok", (1, 5)), Session("ok2", (2, 3, 4))), vocab, 10)
+        return SessionDataset((Session("ok", (1, 5)), Session("ok2", (2, 3, 4))), vocab)
 
     @pytest.mark.parametrize("items, problem", [
         ((1, 0, 2), "contains the pad id"), ((1, 6), "has an out-of-vocabulary id"),

@@ -21,7 +21,8 @@ from reference import assign, assignment_from_members, encode
 
 
 def trained_reference(data, d=16, epochs=6, seed=5):
-    config = BackboneConfig(d=d, max_len=data.max_len, epochs=epochs, lr=3e-3, seed=seed)
+    # 14 is generate_synthetic's default longest session
+    config = BackboneConfig(d=d, max_len=14, epochs=epochs, lr=3e-3, seed=seed)
     return train_backbone(data, config)
 
 

@@ -222,6 +222,18 @@ class TestStageDependencies:
         assert {p.name for p in unlearned_run.iterdir()} == \
             artifacts | {"requests.csv", "unlearn_timing.json"}
 
+    def test_each_artifact_stores_each_fact_once(self, unlearned_run):
+        # Sizes are tensor shapes, a model's seed is in its config, and a
+        # shard's index is in its file name; models cut sessions to their
+        # config's max_len, so the dataset stores none.
+        stamps = {"config_hash", "stage"}
+        gru = {"kind", "backbone_config", "loss_history", "best_epoch"} | stamps
+        keys = {"reference.sru": gru, "shard_000.sru": gru, "shard_001.sru": gru,
+                "aggregation.sru": {"kind", "agg_config", "loss_history"} | stamps,
+                "dataset.sru": {"kind", "vocab", "splits", "session_ids"} | stamps}
+        for name, expected in keys.items():
+            assert set(load_container(unlearned_run / name)[1]) == expected, name
+
     @pytest.mark.parametrize("stage, missing, producer", [
         ("pretrain", "dataset.sru", "preprocess"),
         ("partition", "reference.sru", "pretrain"),
@@ -398,8 +410,7 @@ class TestUnlearnStage:
         outcome = execute_unlearn(fitted, requests)
         in_memory = tmp_path / "in_memory_aggregation.sru"
         save_checkpoint(outcome.state.aggregation, in_memory,
-                        {"config_hash": config.config_hash(), "stage": "train-agg",
-                         "seed": outcome.state.agg_config.seed})
+                        {"config_hash": config.config_hash(), "stage": "train-agg"})
         assert (tmp_path / "aggregation.sru").read_bytes() == in_memory.read_bytes()
 
     def test_chained_unlearn_stages_match_in_memory(self, tmp_path):
@@ -439,11 +450,9 @@ class TestUnlearnStage:
                         {"config_hash": chash, "stage": "partition"})
         for k, model in enumerate(state.sub_models):
             save_checkpoint(model, memory / f"shard_{k:03d}.sru",
-                            {"config_hash": chash, "stage": "train-shards", "shard_id": k,
-                             "seed": state.shard_configs[k].seed})
+                            {"config_hash": chash, "stage": "train-shards"})
         save_checkpoint(state.aggregation, memory / "aggregation.sru",
-                        {"config_hash": chash, "stage": "train-agg",
-                         "seed": state.agg_config.seed})
+                        {"config_hash": chash, "stage": "train-agg"})
         for name in ("dataset.sru", "partition.sru", "shard_000.sru", "shard_001.sru",
                      "aggregation.sru"):
             assert (tmp_path / name).read_bytes() == (memory / name).read_bytes(), name
@@ -540,15 +549,17 @@ class TestReadPath:
                                                  r"config 'agg_config'"):
             load_state(run_dir, tiny_config())
 
-    def test_fusion_checkpoint_recording_another_k_is_integrity_error(self, unlearned_run,
-                                                                      tmp_path):
-        # Read as recorded, k=1 would load one shard and then fail as a
-        # partition mismatch; the loader names the file that is wrong.
+    def test_fusion_checkpoint_projecting_another_k_is_integrity_error(self, unlearned_run,
+                                                                        tmp_path):
+        # K is read from W_proj: a W_proj of one shard would load one shard
+        # and then fail as a partition mismatch; the loader names the file
+        # whose other tensors still hold two.
         run_dir = copied_run(unlearned_run, tmp_path)
         tensors, metadata = load_container(run_dir / "aggregation.sru")
-        save_container(run_dir / "aggregation.sru", tensors, {**metadata, "k": 1})
+        save_container(run_dir / "aggregation.sru",
+                       {**tensors, "W_proj": tensors["W_proj"][:1]}, metadata)
         with pytest.raises(IntegrityError, match=r"aggregation\.sru: the tensors disagree "
-                                                 r"with the recorded sizes \{'k': 1,"):
+                                                 r".*b_proj is \(2, 8\), expected \(1, 8\)"):
             load_state(run_dir, tiny_config())
 
     def test_cli_names_a_fusion_file_without_centroids(self, unlearned_run, tmp_path,
@@ -643,13 +654,34 @@ class TestAuditFile:
         with pytest.raises(ParseError, match="records list"):
             run_pipeline("effectiveness", config, tmp_path)
 
+    def test_unreadable_audit_is_parse_error_naming_it(self, unlearned_run, tmp_path,
+                                                       capsys):
+        # one byte flipped to 0xff is not UTF-8; a directory is no file
+        run_dir = copied_run(unlearned_run, tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        path = run_dir / "audit.json"
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] = 0xFF
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["effectiveness", "--config", str(config_path),
+                     "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "decode" in err
+        assert len(err.splitlines()) == 1
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: Is a directory"):
+            run_pipeline("effectiveness", tiny_config(), run_dir)
+
     def test_cli_reports_bad_audit_without_traceback(self, tmp_path, capsys):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(CONFIG_TEXT)
         (tmp_path / "audit.json").write_text('{"config_hash": ')
         assert main(["effectiveness", "--config", str(config_path),
                      "--run-dir", str(tmp_path)]) == 1
-        assert "error: line 1:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'audit.json'}: line 1:")
 
 
 class TestAuditVocabulary:
@@ -787,6 +819,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / missing}: ") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, name, text, message", [
+        (["eval", "--config", "{tmp}/bad.cfg"], "bad.cfg", "seed = 7\nbogus = 1\n",
+         "line 2: unknown configuration key 'bogus'"),
+        (["unlearn", "--requests", "{tmp}/bad.csv"], "bad.csv",
+         "session_id,target_position,strategy,N\ns1,2,CED\n", "line 2: expected 4 fields, got 3"),
+        (["preprocess", "--config", "{tmp}/tsv.cfg"], "bad.tsv", "s1\ta\tx\n",
+         "line 1: timestamp 'x' is not an integer"),
+    ], ids=["config", "requests", "data-source"])
+    def test_cli_names_a_malformed_input_file(self, unlearned_run, tmp_path, capsys,
+                                              argv, name, text, message):
+        # each file reader puts the path in front of the parser's line
+        run_dir = copied_run(unlearned_run, tmp_path)
+        (tmp_path / name).write_text(text)
+        (tmp_path / "tsv.cfg").write_text(f"data.source = {tmp_path / 'bad.tsv'}\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--config" not in argv:
+            (tmp_path / "exp.cfg").write_text(CONFIG_TEXT)
+            argv += ["--config", str(tmp_path / "exp.cfg")]
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--run-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_cli_env_seed_changes_artifacts(self, tmp_path, monkeypatch):

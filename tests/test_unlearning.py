@@ -124,7 +124,7 @@ class TestApplyDeletion:
             Session("s1", (1, 2, 3, 4, 5)),
             Session("s2", (5, 4, 3, 2)),
         )
-        return SessionDataset(sessions=sessions, vocab=vocab4(), max_len=10)
+        return SessionDataset(sessions=sessions, vocab=vocab4())
 
     def test_survivors_keep_order(self):
         shard = self.make_shard()
@@ -182,7 +182,7 @@ class TestApplyDeletion:
 class TestDeletionJson:
     def results(self):
         shard = SessionDataset(sessions=(Session("s1", (1, 2, 3, 4, 5)), Session("s2", (5, 4))),
-                               vocab=vocab4(), max_len=10)
+                               vocab=vocab4())
         _, results = apply_deletion(shard, [(UnlearnRequest("s1", 3, "NED", 2), (1, 2, 3)),
                                             (UnlearnRequest("s2", 0, "CED", 1), (0, 1))])
         return results
