@@ -80,6 +80,8 @@ class AggregationConfig:
     def __post_init__(self):
         if self.f < 1 or self.batch_size < 1:
             raise ContractError("f and batch_size must be >= 1")
+        if self.d_ff is not None and self.d_ff < 1:
+            raise ContractError(f"d_ff must be >= 1 or None, got {self.d_ff}")
         if self.centroid_source not in CENTROID_SOURCES:
             raise ContractError(
                 f"centroid_source must be one of {CENTROID_SOURCES}, "

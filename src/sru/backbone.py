@@ -586,7 +586,9 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
     model = init_gru_model(dataset.num_items(), config)
     adam = AdamState.for_store(model.store)
     shuffle = RngStream(config.seed, "backbone/shuffle")
-    ids_all, _ = padded_items([s.items for s in dataset.sessions], config.max_len)
+    ids_all, lengths = padded_items([s.items for s in dataset.sessions], config.max_len)
+    if lengths.max() < 2:
+        raise ContractError(f"no training point: max_len {config.max_len} leaves no session 2 items")
     n = ids_all.shape[0]
     buffers = _Buffers()
 

@@ -14,8 +14,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sru",
         description="Sharded session-recommendation unlearning pipeline. "
-                    "Stages communicate through artifacts in --run-dir; the "
-                    "SRU_SEED environment variable overrides the config seed.",
+                    "Stages communicate through artifacts in --run-dir.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -5,10 +5,12 @@ validation, plus the canonical hash that stamps every pipeline artifact.
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
-from .aggregation import AggregationConfig, CENTROID_SOURCES
+from .aggregation import AggregationConfig
 from .backbone import BackboneConfig
 from .corpus import parse_file
 from .errors import ContractError, ParseError
@@ -71,23 +73,27 @@ SCHEMA: dict = {
 }
 
 
+def _text(value) -> str:
+    """A value as the config text writes it."""
+    if isinstance(value, tuple):
+        return ",".join(str(x) for x in value)
+    return str(value)
+
+
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
-    values = dict()
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if key not in SCHEMA:
             raise ParseError(f"unknown configuration key {key!r}", lineno)
-        parser, _default = SCHEMA[key]
         try:
-            values[key] = parser(value)
+            values[key] = SCHEMA[key][0](value)
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {exc}", lineno) from None
     return values
@@ -95,19 +101,28 @@ def parse_config_text(text: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration for one experiment run."""
+    """Validated, read-only configuration for one experiment run. Every
+    value, given or default, is parsed from the text the config format
+    writes for it, so however a config is built, equal values hash alike."""
 
-    values: dict
-    # (effective seed, config hash) as ``for_stage`` fixed them
-    _pinned: tuple[int, str] | None = field(default=None, init=False, compare=False, repr=False)
+    values: Mapping
+
+    def __post_init__(self):
+        unknown = sorted(self.values.keys() - SCHEMA.keys())
+        if unknown:
+            raise ContractError(f"unknown configuration key {unknown[0]!r}")
+        values = {}
+        for key, (parser, default) in SCHEMA.items():
+            try:
+                values[key] = parser(_text(self.values.get(key, default)))
+            except ValueError as exc:
+                raise ContractError(f"bad value for {key!r}: {exc}") from None
+        object.__setattr__(self, "values", MappingProxyType(values))
+        self.validate()
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        merged = {key: default for key, (_, default) in SCHEMA.items()}
-        merged.update(parse_config_text(text))
-        config = cls(values=merged)
-        config.validate()
-        return config
+        return cls(parse_config_text(text))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -115,69 +130,48 @@ class ExperimentConfig:
 
     @classmethod
     def defaults(cls, **overrides) -> "ExperimentConfig":
-        merged = {key: default for key, (_, default) in SCHEMA.items()}
-        for key, value in overrides.items():
-            if key not in SCHEMA:
-                raise ContractError(f"unknown configuration key {key!r}")
-            merged[key] = value
-        config = cls(values=merged)
-        config.validate()
-        return config
+        return cls(overrides)
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     def validate(self) -> None:
+        """The checks no typed config makes, then each typed config's own,
+        its message led by its section."""
         v = self.values
         if v["data.max_len"] < 2 or v["synthetic.max_len"] < 2:
             raise ContractError("max_len values must be >= 2")
-        if v["partition.k"] < 1:
-            raise ContractError("partition.k must be >= 1")
-        if v["agg.centroid_source"] not in CENTROID_SOURCES:
-            raise ContractError(f"agg.centroid_source must be one of {CENTROID_SOURCES}")
         if v["unlearn.strategy"] not in STRATEGIES:
             raise ContractError(f"unlearn.strategy must be one of {STRATEGIES}")
         if v["effectiveness.context"] not in ("prefix", "full"):
             raise ContractError("effectiveness.context must be 'prefix' or 'full'")
         if v["data.source"] != "synthetic" and not v["data.source"]:
             raise ContractError("data.source must be 'synthetic' or a TSV path")
+        sections = {"backbone": lambda: self.backbone_config("pretrain"),
+                    "partition": self.partition_config, "agg": self.aggregation_config}
+        for section, build in sections.items():
+            try:
+                build()
+            except ContractError as exc:
+                raise ContractError(f"{section}: {exc}") from None
 
     # -- derived views -----------------------------------------------------
 
-    def for_stage(self) -> "ExperimentConfig":
-        """This config with its effective seed and hash fixed now: SRU_SEED
-        is read and the canonical text hashed once, and every artifact a
-        stage reads or writes reuses them."""
-        stage = replace(self)
-        object.__setattr__(stage, "_pinned", (self.seed, self.config_hash()))
-        return stage
-
     @property
     def seed(self) -> int:
-        if self._pinned is not None:
-            return self._pinned[0]
-        override = os.environ.get("SRU_SEED")
-        if override is not None:
-            try:
-                return int(override)
-            except ValueError:
-                raise ContractError(f"SRU_SEED must be an integer, got {override!r}") from None
         return self.values["seed"]
 
     def canonical_text(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if isinstance(value, tuple):
-                value = ",".join(str(x) for x in value)
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_text(self.values[key])}\n" for key in sorted(self.values))
 
-    def config_hash(self) -> str:
-        if self._pinned is not None:
-            return self._pinned[1]
+    @cached_property
+    def _hash(self) -> str:
         payload = self.canonical_text() + f"effective_seed = {self.seed}\n"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    def config_hash(self) -> str:
+        """The hash that stamps every artifact, computed once per config."""
+        return self._hash
 
     def backbone_config(self, label: str) -> BackboneConfig:
         v = self.values

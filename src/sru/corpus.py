@@ -149,11 +149,12 @@ def read_text(path) -> str:
 
 def parse_file(path, parse):
     """``parse`` of the text that ``read_text`` reads from ``path``; a
-    ParseError that ``parse`` raises gets the path in front of its message."""
+    ParseError or ContractError that ``parse`` raises gets the path in
+    front of its message."""
     text = read_text(path)
     try:
         return parse(text)
-    except ParseError as exc:
+    except (ParseError, ContractError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 

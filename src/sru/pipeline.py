@@ -380,12 +380,10 @@ STAGES = {
 def run_pipeline(subcommand: str, config: ExperimentConfig, run_dir,
                  requests_path=None, split_tag: str = "test",
                  ablate_mode: str | None = None) -> int:
-    """Dispatch one pipeline stage; returns a process exit status. The
-    stage runs under ``config.for_stage()``: its seed and hash are fixed
-    when it starts."""
+    """Dispatch one pipeline stage; returns a process exit status."""
     if subcommand not in STAGES:
         raise ContractError(f"unknown subcommand {subcommand!r}")
     os.makedirs(run_dir, exist_ok=True)
-    STAGES[subcommand](run_dir, config.for_stage(), requests_path=requests_path,
+    STAGES[subcommand](run_dir, config, requests_path=requests_path,
                        split_tag=split_tag, mode=ablate_mode)
     return 0

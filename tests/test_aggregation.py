@@ -490,6 +490,12 @@ class TestTrainAggregation:
         with pytest.raises(ContractError):
             ExperimentConfig.defaults(**{f"agg.{size}": 0}).aggregation_config()
 
+    def test_config_with_a_negative_output_width_rejected(self):
+        # None means the sub-models' d; a negative width once reached training
+        with pytest.raises(ContractError, match="d_ff must be >= 1 or None, got -3"):
+            AggregationConfig(d_ff=-3)
+        assert AggregationConfig(d_ff=1).d_ff == 1
+
     def test_keeps_the_centroids_it_trained_against(self):
         data, _, models, centroids = small_setup(k=2)
         agg = train_aggregation(models, centroids, data, AggregationConfig(f=8, epochs=1))

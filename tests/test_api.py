@@ -10,6 +10,7 @@ import pytest
 import sru
 from sru.aggregation import AggregationConfig, AggregationModel, SruModel
 from sru.backbone import BackboneConfig, GruModel
+from sru.config import ExperimentConfig
 from sru.corpus import SessionDataset
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore
@@ -57,6 +58,7 @@ STORED_FIELDS = {
     AggregationModel: {"store", "config", "centroids", "loss_history"},
     SruModel: {"sub_models", "aggregation"},
     SessionDataset: {"sessions", "vocab", "split_tag"},
+    ExperimentConfig: {"values"},
     SruState: {"reference_model", "corpus", "assignment", "sub_models", "aggregation",
                "seed", "feature_cache"},
     TimingReport: {"sub_model_retrain_ms", "total_ms", "full_retrain_reference_ms",

@@ -279,6 +279,14 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_backbone(empty, BackboneConfig(d=4, max_len=10, epochs=1, seed=0))
 
+    def test_max_len_without_a_training_point_rejected(self):
+        # max_len 1 cuts every session to one item, which leaves no
+        # (prefix, next item) pair; it once trained every epoch at loss 0
+        data = generate_synthetic(12, 30, 2, seed=0)
+        train, _, _ = split(data, seed=0)
+        with pytest.raises(ContractError, match="no training point.*max_len 1"):
+            train_backbone(train, BackboneConfig(d=4, max_len=1, epochs=1, seed=0))
+
     def test_wrong_split_tag_rejected(self):
         data = generate_synthetic(12, 30, 2, seed=0)
         _, val, _ = split(data, seed=0)

@@ -26,7 +26,6 @@ from sru.errors import (
     StageDependencyError,
     StaleArtifactError,
 )
-from sru.numerics import derive_seed
 from sru.partition import PartitionConfig
 from sru.pipeline import (
     ARTIFACTS,
@@ -108,16 +107,44 @@ class TestConfig:
         with pytest.raises(ContractError):
             ExperimentConfig.defaults(**{"unlearn.strategy": "ALL"})
 
-    def test_seed_env_override(self, monkeypatch):
+    def test_overrides_and_text_build_the_same_value(self):
+        # an override goes through its key's parser as text does, so an
+        # int learning rate and "1" in a file are one value with one hash
+        from_overrides = ExperimentConfig.defaults(**{"agg.lr": 1})
+        from_text = ExperimentConfig.from_text("agg.lr = 1")
+        assert from_overrides == from_text
+        assert from_overrides.config_hash() == from_text.config_hash()
+        assert ExperimentConfig.defaults(**{"eval.ks": "10,20"})["eval.ks"] == (10, 20)
+        assert ExperimentConfig({"seed": 41}) == ExperimentConfig.defaults(seed=41)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("backbone.d", "eight", "bad value for 'backbone.d'"),
+        ("seed", 7.5, "bad value for 'seed'"),
+        ("eval.ks", [10, 20], "bad value for 'eval.ks'"),
+        ("backbone.d", True, "bad value for 'backbone.d'"),
+        ("bogus", 1, "unknown configuration key 'bogus'"),
+    ])
+    def test_a_bad_override_names_its_key(self, key, value, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+            ExperimentConfig.defaults(**{key: value})
+
+    def test_values_are_read_only(self):
+        config = tiny_config()
+        with pytest.raises(TypeError):
+            config.values["seed"] = 8
+        assert config.seed == 7
+
+    def test_the_seed_is_the_seed_value_alone(self, monkeypatch):
+        monkeypatch.setenv("SRU_SEED", "99")
         config = tiny_config()
         assert config.seed == 7
-        base_hash = config.config_hash()
-        monkeypatch.setenv("SRU_SEED", "99")
-        assert config.seed == 99
-        assert config.config_hash() != base_hash
-        monkeypatch.setenv("SRU_SEED", "seven")
-        with pytest.raises(ContractError):
-            _ = config.seed
+        assert config.config_hash() == ExperimentConfig.from_text(CONFIG_TEXT).config_hash()
+
+    def test_default_hashes_are_pinned(self):
+        # every artifact's stamp is this hash: a change here rewrites
+        # every run directory
+        assert ExperimentConfig.defaults().config_hash() == "ca45db7a5073cdab"
+        assert ExperimentConfig.defaults(seed=41).config_hash() == "2a9bb8785a223cda"
 
     def test_hash_changes_with_values(self):
         assert tiny_config().config_hash() != tiny_config(seed=8).config_hash()
@@ -263,6 +290,8 @@ class TestStageDependencies:
 
 class TestStageConfig:
     def test_each_stage_hashes_the_config_once(self, tmp_path, monkeypatch):
+        # a config hashes its canonical text at most once; a stage that
+        # runs under it adds no hash
         calls = []
         canonical_text = ExperimentConfig.canonical_text
         monkeypatch.setattr(ExperimentConfig, "canonical_text",
@@ -274,21 +303,8 @@ class TestStageConfig:
                 train = load_datasets(tmp_path / "dataset.sru")["train"]
                 save_requests(sample_requests(train, count=2, strategy="CED", n_extra=1,
                                               seed=3, min_target_position=2), requests)
-            calls.clear()
             assert run_pipeline(stage, config, tmp_path, requests_path=requests) == 0
-            assert len(calls) == 1, stage
-
-    def test_stage_config_reads_the_seed_override_once(self, monkeypatch):
-        config = tiny_config()
-        monkeypatch.setenv("SRU_SEED", "99")
-        stage_config = config.for_stage()
-        override_hash = config.config_hash()
-        monkeypatch.delenv("SRU_SEED")
-        assert stage_config == config
-        assert stage_config.seed == 99 and config.seed == 7
-        assert stage_config.config_hash() == override_hash != config.config_hash()
-        assert stage_config.backbone_config("pretrain") == replace(
-            config.backbone_config("pretrain"), seed=derive_seed(99, "pretrain"))
+            assert len(calls) == 1 and calls[0] is config, stage
 
 
 class TestDispatch:
@@ -845,11 +861,28 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
-    def test_cli_env_seed_changes_artifacts(self, tmp_path, monkeypatch):
+    def test_cli_ignores_a_seed_in_the_environment(self, tmp_path, monkeypatch):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(CONFIG_TEXT)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         assert main(["preprocess", "--config", str(config_path), "--run-dir", str(dir_a)]) == 0
         monkeypatch.setenv("SRU_SEED", "123")
         assert main(["preprocess", "--config", str(config_path), "--run-dir", str(dir_b)]) == 0
-        assert (dir_a / "dataset.sru").read_bytes() != (dir_b / "dataset.sru").read_bytes()
+        assert (dir_a / "dataset.sru").read_bytes() == (dir_b / "dataset.sru").read_bytes()
+
+    @pytest.mark.parametrize("stage", ["preprocess", "pretrain", "train-agg", "eval"])
+    @pytest.mark.parametrize("line, message", [
+        ("backbone.d = 0", "backbone: d and batch_size must be >= 1"),
+        ("partition.k = 0", "partition: shard count must be >= 1, got 0"),
+        ("agg.d_ff = -3", "agg: d_ff must be >= 1 or None, got -3"),
+    ], ids=["backbone", "partition", "agg"])
+    def test_cli_names_the_config_file_of_a_bad_value(self, tmp_path, capsys, stage,
+                                                      line, message):
+        # each typed config checks its section when the file is read, so
+        # every stage fails before it reads or writes an artifact
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text(CONFIG_TEXT + line + "\n")
+        run_dir = tmp_path / "run"
+        assert main([stage, "--config", str(config_path), "--run-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+        assert not run_dir.exists()
