@@ -80,6 +80,8 @@ class AggregationConfig:
     def __post_init__(self):
         if self.f < 1 or self.batch_size < 1:
             raise ContractError("f and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.d_ff is not None and self.d_ff < 1:
             raise ContractError(f"d_ff must be >= 1 or None, got {self.d_ff}")
         if self.centroid_source not in CENTROID_SOURCES:
@@ -682,16 +684,28 @@ class SruModel:
     def num_items(self) -> int:
         return self.aggregation.num_items
 
+    @property
+    def max_len(self) -> int:
+        return self.sub_models[0].max_len
+
     def predict_batch(self, prefixes) -> np.ndarray:
         """Id-indexed logits rows; index 0 is the pad slot at -inf.
 
         Prefixes are cleaned and padded once, each shared prefix chain
-        as one row; the sub-models read the same id matrix (they share
-        the vocabulary and max_len) in one stacked pass. The fusion then
-        runs on blocks of ``_PREDICT_ROWS`` rows, each copied into one
-        reused block whose last column is 1, the feature table's layout.
+        as one row (the sub-models share the vocabulary and max_len), and
+        scored by ``predict_padded``.
         """
-        H = encode_stacked(self.sub_models, *pad_prefixes(self.sub_models[0], prefixes))
+        return self.predict_padded(*pad_prefixes(self.sub_models[0], prefixes))
+
+    def predict_padded(self, ids, rows, lengths) -> np.ndarray:
+        """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple.
+
+        The sub-models read the id matrix in one stacked pass. The fusion
+        then runs on blocks of ``_PREDICT_ROWS`` prefixes, each copied
+        into one reused block whose last column is 1, the feature table's
+        layout.
+        """
+        H = encode_stacked(self.sub_models, ids, rows, lengths)
         n, k, d = H.shape
         params = self.aggregation.store.params
         C = self.aggregation.centroids.c.astype(H.dtype)

@@ -51,16 +51,17 @@ class BackboneConfig:
     lr: float = 3e-3
     seed: int = 0
     patience: int = 3          # early stopping, only when a validation set is given
-    # "float64" is for gradient checks. Byte-exact unlearning (C1) holds
-    # in float32, the pipeline's dtype, and not in float64: there a row's
-    # state can change in the last bit with the rows that share its steps
-    # in ``encode_stacked``, so the feature cache that unlearning updates
-    # in place can differ from a rebuilt one by about 1e-16.
+    # "float64" is for gradient checks; byte-exact unlearning (C1) is
+    # checked in float32, the pipeline's dtype. In either dtype a row's
+    # state in ``encode_stacked`` does not depend on the rows that share
+    # its steps, so an in-place feature-cache update equals a rebuild.
     dtype: str = "float32"
 
     def __post_init__(self):
         if self.d < 1 or self.batch_size < 1:
             raise ContractError("d and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"unsupported dtype {self.dtype!r}")
 
@@ -110,9 +111,13 @@ class GruModel:
 
     def predict_batch(self, prefixes) -> np.ndarray:
         """Id-indexed logits rows; index 0 is the pad slot at -inf."""
-        h = encode_batch(self, prefixes)
+        return self.predict_padded(*pad_prefixes(self, prefixes))
+
+    def predict_padded(self, ids, rows, lengths) -> np.ndarray:
+        """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple."""
+        h = encode_stacked([self], ids, rows, lengths)[:, 0]
         logits = h @ self.embeddings[1:].T
-        out = np.full((len(prefixes), self.num_items + 1), -np.inf, dtype=logits.dtype)
+        out = np.full((len(rows), self.num_items + 1), -np.inf, dtype=logits.dtype)
         out[:, 1:] = logits
         return out
 
@@ -144,8 +149,9 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 # pass, ``sequence_loss_and_grads``, the single-step cell, and the one
 # packed inference pass, ``encode_stacked``, for one model or several
 # stacked. Every state that is read rather than trained comes from that
-# pass: predictions and centroids through ``pad_prefixes``, the feature
-# table and the validation metric through ``training_points``. The input side
+# pass: predictions and centroids through ``pad_prefixes``, a split's
+# evaluation points through ``prefix_points``, the feature table and the
+# validation metric through ``training_points``. The input side
 # of a step, x W + b for all three gates, does not depend on the
 # recurrence, so it is computed before the time loop: for an id matrix
 # as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and E W_n + b_n
@@ -338,6 +344,39 @@ def training_points(sequences, limit: int):
     return (ids, rows, lengths), ids[rows, lengths]
 
 
+def prefix_points(sequences, limit: int):
+    """Every (prefix, next item) point of each whole sequence, sequence by
+    sequence and shortest prefix first, each prefix cut to its last
+    ``limit`` items as ``pad_prefixes`` cuts it.
+
+    Returns ((ids, rows, lengths), targets), a ``pad_prefixes`` triple
+    and the item after each prefix. The rows go sequence by sequence:
+    first the sequence's first ``limit`` items, the row of every prefix
+    that fits, then one window row of ``limit`` items for each longer
+    prefix. So the points of any contiguous range run over a contiguous
+    range of rows.
+    """
+    sequences = list(sequences)
+    sizes = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    items = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64,
+                        count=int(sizes.sum()))
+    offsets = np.cumsum(sizes) - sizes
+    head = np.minimum(sizes, limit)
+    counts = np.maximum(sizes - 1, 0)
+    windows = np.maximum(counts - limit, 0)
+    # row r is number r - row_start[seq] of its sequence: 0 is the head row
+    row_counts = windows + 1
+    row_start = np.cumsum(row_counts) - row_counts
+    row_seq = np.repeat(np.arange(sizes.size), row_counts)
+    row_stop = offsets[row_seq] + head[row_seq] + np.arange(row_seq.size) - row_start[row_seq]
+    ids = _right_padded(items, row_stop, head[row_seq])
+    # point j reads the first t[j] items of its sequence
+    seq = np.repeat(np.arange(sizes.size), counts)
+    t = np.arange(1, seq.size + 1) - (np.cumsum(counts) - counts)[seq]
+    rows = row_start[seq] + np.maximum(t - limit, 0)
+    return (ids, rows, np.minimum(t, limit)), items[offsets[seq] + t]
+
+
 def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pad each shared prefix chain once; returns (ids, rows, lengths).
 
@@ -407,8 +446,8 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
     runs on those alone. Each prefix's state is taken as soon as the
     pass reaches its length, so no (L, n, d) block of states is kept.
     Besides the result, the pass holds the input tables (K, V+1, 3d in
-    all) and 6 K n d floats of step buffers, each step using a leading
-    part of each.
+    all) and 6 K max(n, 2) d floats of step buffers, each step using a
+    leading part of each.
     """
     w = _stacked_gate_weights(models)
     table_zr, table_n = _input_side(w, np.stack([m.embeddings for m in models]))
@@ -425,19 +464,26 @@ def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
     where = np.empty(n, dtype=np.int64)      # where[r]: row r's place in order
     where[order] = np.arange(n)
     active = np.count_nonzero(steps[:, None] > np.arange(L), axis=0)
-    cols = ids.T.take(order, axis=1)         # (L, n): step t's ids, longest row first
+    # A step never runs on one row alone: BLAS takes a one-row product
+    # through its matrix-vector kernel, whose rounding can differ from its
+    # matrix kernel's in the last bit, and a row's state would then depend
+    # on the rows that share its steps. A lone active row runs beside a
+    # spare one (a finished row, or pads), whose result is never read.
+    width = max(n, 2)
+    cols = np.zeros((L, width), dtype=ids.dtype)  # step t's ids, longest row first
+    cols[:, :n] = ids.T[:, order]
     by_length = np.argsort(lengths, kind="stable")
     # prefixes of length t + 1 are by_length[ends[t] : ends[t + 1]]
     ends = np.searchsorted(lengths[by_length], np.arange(L + 1), side="right")
     out[by_length[: ends[0]]] = 0.0          # empty prefixes keep the zero state
-    zr_buf = np.empty(K * n * 2 * d, dtype=out.dtype)
-    n_buf, rh_buf, h_new_buf = (np.empty(K * n * d, dtype=out.dtype) for _ in range(3))
-    h_buf = np.zeros(K * n * d, dtype=out.dtype)
-    h = h_buf.reshape(K, n, d)      # the zero state
+    zr_buf = np.empty(K * width * 2 * d, dtype=out.dtype)
+    n_buf, rh_buf, h_new_buf = (np.empty(K * width * d, dtype=out.dtype) for _ in range(3))
+    h_buf = np.zeros(K * width * d, dtype=out.dtype)
+    h = h_buf.reshape(K, width, d)  # the zero state
     for t in range(L):
-        a = int(active[t])
-        if a == 0:
+        if active[t] == 0:
             break
+        a = max(int(active[t]), 2)
         zr = zr_buf[: K * a * 2 * d].reshape(K, a, 2 * d)
         gate_n = n_buf[: K * a * d].reshape(K, a, d)
         h_new = h_new_buf[: K * a * d].reshape(K, a, d)

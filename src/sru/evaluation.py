@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import build_feature_cache
-from .backbone import BackboneConfig, train_backbone, train_many
+from .backbone import BackboneConfig, pad_prefixes, prefix_points, train_backbone, train_many
 from .corpus import SessionDataset
 from .errors import ContractError
 from .numerics import RngStream, derive_seed, ndcg_gains, ranks_from_logits
@@ -42,41 +42,65 @@ def _predict_batch_of(predictor):
     return predict_batch
 
 
-def _ranks_for_points(predict_batch, points, chunk: int = 4096) -> np.ndarray:
+def _ranks_in_chunks(score, targets, chunk: int = 4096) -> np.ndarray:
+    """Rank of each target in its row of score(start, stop), the logits
+    block of points start:stop, taken at most ``chunk`` points a call."""
+    ranks = np.empty(len(targets), dtype=np.int64)
+    for start in range(0, len(targets), chunk):
+        stop = min(start + chunk, len(targets))
+        ranks[start:stop] = ranks_from_logits(score(start, stop), targets[start:stop])
+    return ranks
+
+
+def _ranks_for_points(predict_batch, points) -> np.ndarray:
     prefixes = [p for p, _ in points]
     targets = np.array([t for _, t in points], dtype=np.int64)
-    ranks = np.empty(len(points), dtype=np.int64)
-    for start in range(0, len(points), chunk):
-        block = predict_batch(prefixes[start : start + chunk])
-        ranks[start : start + chunk] = ranks_from_logits(block, targets[start : start + chunk])
-    return ranks
+    return _ranks_in_chunks(lambda start, stop: predict_batch(prefixes[start:stop]), targets)
+
+
+def _ranks_for_split(model, dataset: SessionDataset) -> np.ndarray:
+    # the points of a contiguous range read a contiguous range of rows
+    (ids, rows, lengths), targets = prefix_points(
+        [s.items for s in dataset.sessions], model.max_len)
+
+    def score(start, stop):
+        first = rows[start]
+        return model.predict_padded(ids[first : rows[stop - 1] + 1], rows[start:stop] - first,
+                                    lengths[start:stop])
+
+    return _ranks_in_chunks(score, targets)
 
 
 def evaluate(predictor, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingReport:
     """Score every (prefix, next-item) point of a held-out split.
 
-    The predictor's ``predict_batch`` maps a list of prefixes to rows of
-    id-indexed logits; the points are scored in chunks. The points of
-    one session are prefixes of each other, so a model padding through
-    ``backbone.pad_prefixes`` runs the GRU once per session in a chunk,
-    not once per point. Points are visited in session index order so the
-    reduction is reproducible.
+    A predictor is read through one of two entry points. The library's
+    models have ``predict_padded(ids, rows, lengths)``, which scores a
+    ``backbone.pad_prefixes`` triple, and a ``max_len``: the split's
+    points are built straight from its sessions by
+    ``backbone.prefix_points``, one padded row per session plus a window
+    row for each prefix longer than ``max_len``, so the GRU runs once
+    per session and no prefix is sliced out. Any other predictor's
+    ``predict_batch`` maps a list of the prefixes themselves to rows of
+    id-indexed logits. Either way the points go in chunks of at most
+    4096, in session index order, so the reduction is reproducible.
     """
-    predict_batch = _predict_batch_of(predictor)
     if dataset.split_tag not in ("validation", "test"):
         raise ContractError(
             f"evaluate expects a validation or test split, got {dataset.split_tag!r}"
         )
-    points = list(_eval_points(dataset))
-    if not points:
+    if hasattr(predictor, "predict_padded"):
+        ranks = _ranks_for_split(predictor, dataset)
+    else:
+        ranks = _ranks_for_points(_predict_batch_of(predictor), list(_eval_points(dataset)))
+    if not ranks.size:
         raise ContractError("no evaluation points in dataset")
-    ranks = _ranks_for_points(predict_batch, points)
     recall = {}
     ndcg = {}
     for k in ks:
         recall[k] = float(np.mean(ranks <= k))
         ndcg[k] = float(ndcg_gains(ranks, k).mean())
-    return RankingReport(recall=recall, ndcg=ndcg, evaluation_points=len(points))
+    return RankingReport(recall=recall, ndcg=ndcg, evaluation_points=ranks.size)
 
 
 def hit_effectiveness(predictor, deletion_results, ks=DEFAULT_HIT_KS,
@@ -120,10 +144,20 @@ class SisaModel:
     sub_models: tuple
     num_items: int
 
+    @property
+    def max_len(self) -> int:
+        return self.sub_models[0].max_len
+
     def predict_batch(self, prefixes) -> np.ndarray:
+        """The sub-models share the vocabulary and max_len, so the
+        prefixes are padded once for all of them."""
+        return self.predict_padded(*pad_prefixes(self.sub_models[0], prefixes))
+
+    def predict_padded(self, ids, rows, lengths) -> np.ndarray:
+        """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple."""
         acc = None
         for m in self.sub_models:
-            block = m.predict_batch(prefixes)
+            block = m.predict_padded(ids, rows, lengths)
             acc = block if acc is None else acc + block
         return acc / len(self.sub_models)
 

@@ -45,6 +45,8 @@ class PartitionConfig:
             raise ContractError(f"shard count must be >= 1, got {self.k}")
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
+        if self.delta is not None and self.delta < 1:
+            raise ContractError(f"delta must be >= 1 or None, got {self.delta}")
 
     def capacity(self, n: int) -> int:
         delta = self.delta if self.delta is not None else math.ceil(n / self.k)

@@ -490,6 +490,12 @@ class TestTrainAggregation:
         with pytest.raises(ContractError):
             ExperimentConfig.defaults(**{f"agg.{size}": 0}).aggregation_config()
 
+    def test_config_with_no_epoch_rejected(self):
+        # epochs 0 once wrote the untrained fusion layer, which eval scored
+        with pytest.raises(ContractError, match="epochs must be >= 1, got 0"):
+            AggregationConfig(epochs=0)
+        assert AggregationConfig(epochs=1).epochs == 1
+
     def test_config_with_a_negative_output_width_rejected(self):
         # None means the sub-models' d; a negative width once reached training
         with pytest.raises(ContractError, match="d_ff must be >= 1 or None, got -3"):
@@ -839,6 +845,25 @@ class TestFeatureCache:
         assert updated.features.tobytes() == full.features.tobytes()
         assert updated.targets.tobytes() == full.targets.tobytes()
         assert updated.row_slices == full.row_slices
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_session_update_matches_rebuild_in_either_dtype(self, dtype):
+        # The update encodes the one rewritten session alone, the rebuild
+        # among all sessions; a one-row product rounds differently from a
+        # many-row one in float64, so the pass never runs a step on one row.
+        data = generate_synthetic(12, 30, 2, noise_rate=0.1, seed=3)
+        models = [init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=s, dtype=dtype))
+                  for s in (1, 2)]
+        cache = build_feature_cache(models, data)
+        sessions = list(data.sessions)
+        victim = sessions[4]
+        sessions[4] = victim.__class__(session_id=victim.session_id, items=victim.items[1:])
+        modified = data.with_sessions(sessions)
+        updated = updated_feature_cache(cache, models, modified, dirty_shards=[],
+                                        changed_session_ids={victim.session_id})
+        full = build_feature_cache(models, modified)
+        assert updated.features.dtype == np.dtype(dtype)
+        assert updated.features.tobytes() == full.features.tobytes()
 
     @staticmethod
     def wide_setup():

@@ -279,6 +279,12 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_backbone(empty, BackboneConfig(d=4, max_len=10, epochs=1, seed=0))
 
+    def test_config_with_no_epoch_rejected(self):
+        # epochs 0 once returned the initial parameters as a trained model
+        with pytest.raises(ContractError, match="epochs must be >= 1, got 0"):
+            BackboneConfig(epochs=0)
+        assert BackboneConfig(epochs=1).epochs == 1
+
     def test_max_len_without_a_training_point_rejected(self):
         # max_len 1 cuts every session to one item, which leaves no
         # (prefix, next item) pair; it once trained every epoch at loss 0

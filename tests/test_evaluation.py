@@ -1,12 +1,24 @@
+import functools
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sru.backbone import BackboneConfig, train_backbone
-from sru.corpus import generate_synthetic
+from sru import evaluation
+from sru.aggregation import (
+    AggregationConfig,
+    ShardCentroids,
+    SruModel,
+    init_aggregation_model,
+)
+from sru.backbone import BackboneConfig, init_gru_model, prefix_points, train_backbone
+from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import ContractError
 from sru.evaluation import (
+    SisaModel,
     evaluate,
     hit_effectiveness,
     random_equal_shards,
@@ -194,6 +206,86 @@ class TestEvaluate:
         data = self.held_out().with_sessions([])
         with pytest.raises(ContractError):
             evaluate(FixedPredictor(np.zeros(31)), data, ks=(10,))
+
+
+@st.composite
+def ragged_splits(draw):
+    """(num_items, max_len, sessions): a held-out split of one or more
+    sessions of two items or more, some longer than max_len."""
+    num_items = draw(st.integers(2, 12))
+    max_len = draw(st.integers(2, 5))
+    session = st.lists(st.integers(1, num_items), min_size=2, max_size=3 * max_len)
+    return num_items, max_len, draw(st.lists(session, min_size=1, max_size=6))
+
+
+def held_out_split(num_items, items):
+    vocab = ItemVocab.from_tokens(str(v) for v in range(1, num_items + 1))
+    sessions = tuple(Session(f"s{i}", tuple(row)) for i, row in enumerate(items))
+    return SessionDataset(sessions, vocab, split_tag="test")
+
+
+class PrefixesOnly:
+    """A model seen only through ``predict_batch``, as an outside
+    predictor is."""
+
+    def __init__(self, model):
+        self.predict_batch = model.predict_batch
+
+
+def library_models(num_items, max_len, seed):
+    """A GruModel, an SruModel and a SisaModel over one vocabulary, in
+    float32, the pipeline's dtype."""
+    grus = [init_gru_model(num_items, BackboneConfig(d=4, max_len=max_len, seed=seed + j))
+            for j in range(3)]
+    fusion = init_aggregation_model(3, 4, num_items, AggregationConfig(f=4, seed=seed))
+    c = np.random.default_rng(seed).normal(size=(3, 4)).astype(np.float32)
+    fusion = replace(fusion, centroids=ShardCentroids(c))
+    return grus[0], SruModel(tuple(grus), fusion), SisaModel(tuple(grus[1:]), num_items)
+
+
+class TestPointsPath:
+    @settings(max_examples=60, deadline=None)
+    @given(split=ragged_splits(), seed=st.integers(0, 2**16), chunk=st.integers(1, 7))
+    @example(split=(6, 3, [[1, 2]]), seed=0, chunk=4096)
+    @example(split=(6, 3, [[1, 2], [3, 4, 5, 6, 1, 2, 3], [2, 2, 2, 2, 2]]), seed=1, chunk=3)
+    def test_points_score_as_their_prefixes(self, split, seed, chunk):
+        # the triple built from the sessions gives each model the logits,
+        # byte for byte, and the report of predict_batch over the points'
+        # prefixes, however the points are chunked
+        num_items, max_len, items = split
+        held_out = held_out_split(num_items, items)
+        points = [(row[:t], row[t]) for row in items for t in range(1, len(row))]
+        triple, targets = prefix_points(items, max_len)
+        assert targets.tolist() == [target for _, target in points]
+        chunked = functools.partial(evaluation._ranks_in_chunks, chunk=chunk)
+        for model in library_models(num_items, max_len, seed):
+            got = model.predict_padded(*triple)
+            want = model.predict_batch([prefix for prefix, _ in points])
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), type(model).__name__
+            with mock.patch.object(evaluation, "_ranks_in_chunks", chunked):
+                assert evaluate(model, held_out) == evaluate(PrefixesOnly(model), held_out)
+
+    def test_chunks_hold_at_most_the_chunk_of_points(self):
+        # a chunk boundary inside a session reads that session's rows in
+        # both chunks
+        model, _, _ = library_models(9, 3, seed=2)
+        items = [[1, 2, 3, 4, 5, 6, 7], [8, 9, 1]]
+        held_out = held_out_split(9, items)
+        seen = []
+
+        def predict_padded(ids, rows, lengths):
+            seen.append([tuple(ids[r, :n]) for r, n in zip(rows, lengths)])
+            return model.predict_padded(ids, rows, lengths)
+
+        recording = mock.Mock(spec=["predict_padded", "max_len"],
+                              predict_padded=predict_padded, max_len=3)
+        chunked = functools.partial(evaluation._ranks_in_chunks, chunk=4)
+        with mock.patch.object(evaluation, "_ranks_in_chunks", chunked):
+            report = evaluate(recording, held_out)
+        assert seen == [[(1,), (1, 2), (1, 2, 3), (2, 3, 4)],
+                        [(3, 4, 5), (4, 5, 6), (8,), (8, 9)]]
+        assert report.evaluation_points == 8
 
 
 class FakeResult:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sru.backbone import BackboneConfig, train_backbone
+from sru.config import ExperimentConfig
 from sru.corpus import generate_synthetic
 from sru.errors import ContractError
 from sru.partition import (
@@ -87,6 +88,15 @@ class TestBalancedKmeans:
     def test_more_shards_than_points_rejected(self):
         with pytest.raises(ContractError):
             balanced_kmeans(np.zeros((2, 3)), PartitionConfig(k=3, seed=0))
+
+    @pytest.mark.parametrize("delta", [0, -3])
+    def test_capacity_below_one_rejected(self, delta):
+        # a negative capacity once passed the config check and failed only
+        # in the partition stage, after the reference encoder had trained;
+        # None means ceil(|D| / k), which the config key writes as 0
+        with pytest.raises(ContractError, match=f"delta must be >= 1 or None, got {delta}"):
+            PartitionConfig(k=2, delta=delta)
+        assert ExperimentConfig.defaults(**{"partition.delta": 0}).partition_config().delta is None
 
     def test_capacity_below_points_rejected(self):
         with pytest.raises(ContractError):

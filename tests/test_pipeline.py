@@ -875,7 +875,11 @@ class TestCli:
         ("backbone.d = 0", "backbone: d and batch_size must be >= 1"),
         ("partition.k = 0", "partition: shard count must be >= 1, got 0"),
         ("agg.d_ff = -3", "agg: d_ff must be >= 1 or None, got -3"),
-    ], ids=["backbone", "partition", "agg"])
+        ("partition.delta = -3", "partition: delta must be >= 1 or None, got -3"),
+        ("backbone.epochs = 0", "backbone: epochs must be >= 1, got 0"),
+        ("agg.epochs = 0", "agg: epochs must be >= 1, got 0"),
+    ], ids=["backbone", "partition", "agg", "partition_delta", "backbone_epochs",
+            "agg_epochs"])
     def test_cli_names_the_config_file_of_a_bad_value(self, tmp_path, capsys, stage,
                                                       line, message):
         # each typed config checks its section when the file is read, so
