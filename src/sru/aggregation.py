@@ -48,7 +48,7 @@ from .backbone import (
     encode_batch,
     encode_stacked,
     pad_prefixes,
-    training_points,
+    prefix_points,
 )
 from .corpus import SessionDataset
 from .errors import ContractError
@@ -438,18 +438,18 @@ class FeatureCache:
                             row_slices=self.row_slices)
 
 
-def _layout(sessions, max_len: int):
-    """(starts, counts, row_slices) of the training rows of sessions:
-    session i holds rows starts[i] : starts[i] + counts[i], one for each
-    (prefix, next item) point of its last max_len items, in the order of
-    ``training_points``; row_slices maps its id to that (start, count)."""
-    sizes = np.fromiter(map(len, map(attrgetter("items"), sessions)), dtype=np.int64,
-                        count=len(sessions))
-    counts = np.maximum(np.minimum(sizes, max_len) - 1, 0)
+def _session_points(sessions, max_len: int):
+    """The training points of sessions, from ``backbone.prefix_points``
+    over each one's last max_len items: ((ids, rows, lengths), targets,
+    starts, counts, row_slices). Row i of ids is session i, so point j
+    is of session rows[j]; session i holds points starts[i] : starts[i]
+    + counts[i], and row_slices maps its id to that (start, count)."""
+    points, targets = prefix_points([s.items[-max_len:] for s in sessions], max_len)
+    counts = np.bincount(points[1], minlength=len(sessions))
     starts = np.cumsum(counts) - counts
     slices = dict(zip(map(attrgetter("session_id"), sessions),
                       zip(starts.tolist(), counts.tolist())))
-    return starts, counts, slices
+    return points, targets, starts, counts, slices
 
 
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
@@ -460,9 +460,7 @@ def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     sub-model runs its own ``encode_stacked`` pass, which writes straight
     into the states of its column of the one table, so no pass makes a
     second table or a copy. Sub-models are only read, never written."""
-    max_len = sub_models[0].max_len
-    points, targets = training_points([s.items for s in dataset.sessions], max_len)
-    _, _, slices = _layout(dataset.sessions, max_len)
+    points, targets, _, _, slices = _session_points(dataset.sessions, sub_models[0].max_len)
     dtype = np.result_type(*(m.embeddings.dtype for m in sub_models))
     d = sub_models[0].d
     features = np.empty((len(targets), len(sub_models), d + 1), dtype=dtype)
@@ -493,23 +491,24 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
     rows that carry their ones column, then the states of the fresh rows
     and dirty columns are overwritten (``[..., :d]``; every row of the
     buffer already holds its ones): the fresh rows of all clean columns
-    by one stacked pass over the clean sub-models, each dirty column by a
-    pass of its own over all rows that writes straight into it. The
-    targets move and fill alike, into an array of their own. The
-    result's table is a prefix of ``cache.features``, whose rows are
-    overwritten, so ``cache`` gives up its buffer (its ``features``
-    becomes None) and updating it again raises ContractError. So does a
-    layout that needs more rows than the buffer holds, or that moves a
-    reused session to a later row.
+    by one stacked pass over the clean sub-models on the fresh sessions'
+    rows of the id matrix alone, each dirty column by a pass of its own
+    over all rows that writes straight into it. Layout, id matrix and
+    targets all come from one ``backbone.prefix_points`` table, as in
+    ``build_feature_cache``. The result's table is a prefix of
+    ``cache.features``, whose rows are overwritten, so ``cache`` gives
+    up its buffer (its ``features`` becomes None) and updating it again
+    raises ContractError. So does a layout that needs more rows than the
+    buffer holds, or that moves a reused session to a later row.
     """
     k = len(sub_models)
     d = sub_models[0].d
-    max_len = sub_models[0].max_len
     dirty = sorted(set(dirty_shards))
     changed = set(changed_session_ids)
     sessions = dataset.sessions
-    starts, counts, slices = _layout(sessions, max_len)
-    rows = int(counts.sum())
+    (ids_all, point_rows, lengths), targets, starts, counts, slices = _session_points(
+        sessions, sub_models[0].max_len)
+    rows = len(targets)
     buffer = cache.features
     if buffer is None:
         raise ContractError(
@@ -550,31 +549,23 @@ def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDatas
 
     cache.features = None
     clean_cols = [c for c in range(k) if c not in dirty]
-    targets = np.empty(rows, dtype=cache.targets.dtype)
     for old_first, new_first, m in runs:
-        targets[new_first : new_first + m] = cache.targets[old_first : old_first + m]
         if not clean_cols or old_first == new_first:
             continue
         for i in range(0, m, _MOVE_ROWS):
             step = min(_MOVE_ROWS, m - i)
             dst, src = new_first + i, old_first + i
             features[dst : dst + step] = buffer[src : src + step]
-    fresh = np.flatnonzero(fresh)
-    if fresh.size:
-        fresh_points, targets_fresh = training_points([sessions[i].items for i in fresh],
-                                                      max_len)
-        # the rows of the fresh sessions, in the order of their points
-        first = np.cumsum(counts[fresh]) - counts[fresh]
-        fresh_rows = (np.repeat(starts[fresh] - first, counts[fresh])
-                      + np.arange(len(targets_fresh)))
-        targets[fresh_rows] = targets_fresh
-        if clean_cols:
-            features[fresh_rows[:, None], clean_cols, :d] = encode_stacked(
-                [sub_models[c] for c in clean_cols], *fresh_points)
-    if dirty:
-        points, _ = training_points([s.items for s in sessions], max_len)
-        for c in dirty:
-            encode_stacked([sub_models[c]], *points, out=features[:, c : c + 1, :d])
+    if clean_cols and fresh.any():
+        # the fresh sessions' points, encoded over their own rows of ids
+        fresh_points = np.flatnonzero(fresh[point_rows])
+        fresh_row = np.cumsum(fresh) - 1
+        features[fresh_points[:, None], clean_cols, :d] = encode_stacked(
+            [sub_models[c] for c in clean_cols], ids_all[fresh],
+            fresh_row[point_rows[fresh_points]], lengths[fresh_points])
+    for c in dirty:
+        encode_stacked([sub_models[c]], ids_all, point_rows, lengths,
+                       out=features[:, c : c + 1, :d])
     return FeatureCache(features=features, targets=targets, row_slices=slices)
 
 

@@ -30,6 +30,7 @@ from .numerics import (
     ParamStore,
     RngStream,
     _Buffers,
+    _logits,
     _sigmoid_of_half,
     _softmax_loss,
     adam_step,
@@ -52,9 +53,12 @@ class BackboneConfig:
     seed: int = 0
     patience: int = 3          # early stopping, only when a validation set is given
     # "float64" is for gradient checks; byte-exact unlearning (C1) is
-    # checked in float32, the pipeline's dtype. In either dtype a row's
-    # state in ``encode_stacked`` does not depend on the rows that share
-    # its steps, so an in-place feature-cache update equals a rebuild.
+    # checked in float32, the pipeline's dtype. An in-place feature-cache
+    # update equals a rebuild only where BLAS rounds a row alike at every
+    # row count. In either dtype that fails for some shapes: with
+    # OpenBLAS 0.3.31 SkylakeX kernels at d = 100, 13 of 6383 updated
+    # rows differed from a rebuild (ROADMAP.md, item 1, "C1 by
+    # construction").
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -62,6 +66,8 @@ class BackboneConfig:
             raise ContractError("d and batch_size must be >= 1")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_len < 1:
+            raise ContractError(f"max_len must be >= 1, got {self.max_len}")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"unsupported dtype {self.dtype!r}")
 
@@ -116,9 +122,9 @@ class GruModel:
     def predict_padded(self, ids, rows, lengths) -> np.ndarray:
         """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple."""
         h = encode_stacked([self], ids, rows, lengths)[:, 0]
-        logits = h @ self.embeddings[1:].T
-        out = np.full((len(rows), self.num_items + 1), -np.inf, dtype=logits.dtype)
-        out[:, 1:] = logits
+        out = np.empty((len(rows), self.num_items + 1), dtype=h.dtype)
+        out[:, 0] = -np.inf
+        _logits(h, self.embeddings[1:], None, out[:, 1:])
         return out
 
 
@@ -149,17 +155,17 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 # pass, ``sequence_loss_and_grads``, the single-step cell, and the one
 # packed inference pass, ``encode_stacked``, for one model or several
 # stacked. Every state that is read rather than trained comes from that
-# pass: predictions and centroids through ``pad_prefixes``, a split's
-# evaluation points through ``prefix_points``, the feature table and the
-# validation metric through ``training_points``. The input side
-# of a step, x W + b for all three gates, does not depend on the
-# recurrence, so it is computed before the time loop: for an id matrix
-# as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and E W_n + b_n
-# (V+1, d), whose rows each inference step gathers, and the training
-# pass gathers for all its steps at once; for the single-step cell from
-# x. Inside the loop a step costs one (d, 2d) product for the packed z|r
-# gates and one (d, d) product for the candidate. The z|r and n blocks
-# are kept apart so that every whole-block operation runs over
+# pass: predictions and centroids through ``pad_prefixes``; a split's
+# evaluation points, the feature table and the validation metric through
+# ``prefix_points``, the last two on each session's last ``max_len``
+# items. The input side of a step, x W + b for all three gates, does
+# not depend on the recurrence, so it is computed before the time loop:
+# for an id matrix as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and
+# E W_n + b_n (V+1, d), whose rows each inference step gathers, and the
+# training pass gathers for all its steps at once; for the single-step
+# cell from x. Inside the loop a step costs one (d, 2d) product for the
+# packed z|r gates and one (d, d) product for the candidate. The z|r and
+# n blocks are kept apart so that every whole-block operation runs over
 # contiguous memory; numpy is several times slower over the strided
 # column slices of a (n, 3d) buffer. The training backward pass leaves
 # every weight gradient to products over all steps after its loop.
@@ -311,39 +317,6 @@ def _right_padded(items: np.ndarray, stop: np.ndarray, lengths: np.ndarray) -> n
     return padded
 
 
-def padded_items(rows, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad item sequences, each cut to its last ``limit`` items.
-
-    Returns (ids, lengths): ids is (n, L) with L >= 1 and lengths[i] is
-    the number of items kept in row i.
-    """
-    rows = list(rows)
-    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    items = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                        count=int(sizes.sum()))
-    lengths = np.minimum(sizes, limit)
-    return _right_padded(items, np.cumsum(sizes), lengths), lengths
-
-
-def training_points(sequences, limit: int):
-    """Every (prefix, next item) point of each sequence's last ``limit``
-    items, sequence by sequence and shortest prefix first.
-
-    Returns ((ids, rows, lengths), targets): a ``pad_prefixes`` triple
-    with one padded row per sequence, in which point j is the first
-    lengths[j] items of row rows[j], and targets[j] is the item after
-    them. ``encode_stacked(models, *points)`` is then the table of
-    states at every point, each row running one step short of its end.
-    """
-    ids, sizes = padded_items(sequences, limit)
-    counts = np.maximum(sizes - 1, 0)
-    rows = np.repeat(np.arange(sizes.size), counts)
-    # point j is number j - first[rows[j]] of its row, counted from 0
-    first = np.cumsum(counts) - counts
-    lengths = np.arange(1, rows.size + 1) - first[rows]
-    return (ids, rows, lengths), ids[rows, lengths]
-
-
 def prefix_points(sequences, limit: int):
     """Every (prefix, next item) point of each whole sequence, sequence by
     sequence and shortest prefix first, each prefix cut to its last
@@ -355,6 +328,13 @@ def prefix_points(sequences, limit: int):
     that fits, then one window row of ``limit`` items for each longer
     prefix. So the points of any contiguous range run over a contiguous
     range of rows.
+
+    This is the library's one builder of points from whole sessions.
+    Evaluation passes a split's sessions as they are. Training, the
+    feature table and the validation metric pass each session's last
+    ``limit`` items: then no prefix needs a window row, row i is
+    sequence i right-padded (the id matrix ``train_backbone`` trains
+    on), and rows[j] is the sequence of point j.
     """
     sequences = list(sequences)
     sizes = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
@@ -603,13 +583,13 @@ def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float,
     return loss_sum, positions
 
 
-def validation_ndcg(model: GruModel, dataset: SessionDataset, k: int = 20) -> float:
-    """Mean NDCG@k over every (prefix, next-item) point of a dataset."""
-    points, targets = training_points([s.items for s in dataset.sessions], model.max_len)
-    H = encode_stacked([model], *points)[:, 0]
-    # Id-indexed: column 0 scores the zero pad row and is never ranked.
-    ranks = ranks_from_logits(H @ model.embeddings.T, targets)
-    return float(ndcg_gains(ranks, k).mean())
+def validation_ndcg(model: GruModel, dataset: SessionDataset) -> float:
+    """Mean NDCG@20 over every (prefix, next-item) point of each
+    session's last ``max_len`` items, the points the model trains on."""
+    L = model.max_len
+    points, targets = prefix_points([s.items[-L:] for s in dataset.sessions], L)
+    ranks = ranks_from_logits(model.predict_padded(*points), targets)
+    return float(ndcg_gains(ranks, 20).mean())
 
 
 def train_backbone(dataset: SessionDataset, config: BackboneConfig,
@@ -632,9 +612,11 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
     model = init_gru_model(dataset.num_items(), config)
     adam = AdamState.for_store(model.store)
     shuffle = RngStream(config.seed, "backbone/shuffle")
-    ids_all, lengths = padded_items([s.items for s in dataset.sessions], config.max_len)
-    if lengths.max() < 2:
-        raise ContractError(f"no training point: max_len {config.max_len} leaves no session 2 items")
+    L = config.max_len
+    # the id matrix of the points: row i is session i's last L items
+    ids_all = prefix_points([s.items[-L:] for s in dataset.sessions], L)[0][0]
+    if ids_all.shape[1] < 2:
+        raise ContractError(f"no training point: max_len {L} leaves no session 2 items")
     n = ids_all.shape[0]
     buffers = _Buffers()
 

@@ -117,11 +117,8 @@ def _pretrain(train, validation, config: ExperimentConfig):
     return train_backbone(train, config.backbone_config("pretrain"), val_dataset=val)
 
 
-def _partition(reference, train, config: ExperimentConfig, k: int | None = None):
-    part_cfg = config.partition_config()
-    if k is not None:
-        part_cfg = replace(part_cfg, k=k)
-    return balanced_kmeans(embed_all(reference, train), part_cfg)
+def _partition(reference, train, config: ExperimentConfig):
+    return balanced_kmeans(embed_all(reference, train), config.partition_config())
 
 
 def _train_shards(shards, config: ExperimentConfig):
@@ -143,15 +140,14 @@ def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfi
 # -- in-memory pipeline (also used by the ablation recipes and tests) ----------
 
 
-def fit_state(train, validation, config: ExperimentConfig,
-              k_override: int | None = None) -> SruState:
+def fit_state(train, validation, config: ExperimentConfig) -> SruState:
     """Run pretraining, partitioning, shard training, and fusion training
     in memory and return the assembled framework state. Each model keeps
     the config it was trained under, and unlearning retrains it under that.
     The shards train across as many processes as ``train_many`` finds
     free cores for, with the same bytes as in process."""
     reference = _pretrain(train, validation, config)
-    assignment = _partition(reference, train, config, k_override)
+    assignment = _partition(reference, train, config)
     shards = make_shards(train, assignment)
     sub_models = _train_shards(shards, config)
     cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
@@ -320,7 +316,8 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
     if mode == "shards":
         rows = []
         for k in shard_counts:
-            state = fit_state(train, validation, config, k_override=k)
+            state = fit_state(train, validation,
+                              ExperimentConfig({**config.values, "partition.k": k}))
             report = evaluate(state.sru_model(), test, ks=(20,))
             requests = sample_requests(state.corpus,
                                        count=min(20, len(train) // 4),

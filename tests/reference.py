@@ -16,15 +16,20 @@ batched path to it:
   before the attention fold, and ``copying_forward`` and
   ``copying_train_step``, the folded passes before the feature table
   carried its ones column, for ``aggregation._FusionPass``;
+- ``padded_items``, the right-padded id matrix of item sequences, for
+  the id matrices the tests feed ``backbone.sequence_loss_and_grads``
+  and the recurrence oracles;
 - ``dataset_to_raw``, the inverse of ``corpus.preprocess``'s input, for
   its idempotence;
 - ``assign``, the capacity-bounded scan over numpy scalars, for
   ``partition._assign``.
 
-Every one of them was library code once and moved here unchanged, as
-was ``finite_difference_check``, the central-difference oracle for every
-hand-written backward pass. ``assignment_from_members`` builds test
-partitions from member lists.
+Every one of them was library code once. All but ``padded_items`` moved
+here unchanged, as did ``finite_difference_check``, the
+central-difference oracle for every hand-written backward pass;
+``padded_items`` is a loop in place of the library's vectorized one,
+which ``backbone.prefix_points`` made redundant.
+``assignment_from_members`` builds test partitions from member lists.
 """
 
 from __future__ import annotations
@@ -486,6 +491,16 @@ def copying_train_step(params, grads, H, C, targets, buffers: _Buffers) -> float
         dW=grads["W2"].T, db=grads["b2"])
     copying_backward(params, grads, cache, dhidden, buffers)
     return loss_sum
+
+
+def padded_items(rows, limit: int) -> np.ndarray:
+    """(n, L) id matrix, L >= 1, whose row i holds the last ``limit``
+    items of rows[i], then pads."""
+    rows = [list(row)[-limit:] for row in rows]
+    ids = np.zeros((len(rows), max([1, *map(len, rows)])), dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids
 
 
 def dataset_to_raw(dataset: SessionDataset) -> dict[str, list[tuple[str, int]]]:

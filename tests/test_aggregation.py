@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sru.aggregation import (
     AggregationConfig,
@@ -20,13 +22,15 @@ from sru.aggregation import (
 )
 from sru.backbone import (
     BackboneConfig,
+    _batch_step as batch_step,
     encode_stacked,
     init_gru_model,
     pad_prefixes,
     train_backbone,
+    validation_ndcg,
 )
 from sru.config import ExperimentConfig
-from sru.corpus import generate_synthetic
+from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import ContractError, DimensionError
 from sru.evaluation import evaluate
 from sru.numerics import (
@@ -989,3 +993,92 @@ class TestFeatureCache:
         finally:
             tracemalloc.stop()
         assert peak - start < 1.75 * cache.features.nbytes
+
+
+VOCAB = ItemVocab.from_tokens(str(i) for i in range(1, 10))
+
+
+@st.composite
+def corpora_past_max_len(draw):
+    """(max_len, items, deleted, shortened): ragged sessions over a
+    9-item vocabulary, at least one of them longer than max_len; the
+    sessions an update deletes; and one it shortens, by the item at a
+    drawn position, or None."""
+    max_len = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(2, 3 * max_len), min_size=1, max_size=7))
+    sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(max_len + 1, 3 * max_len))
+    items = [tuple(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))) for m in sizes]
+    deleted = draw(st.sets(st.integers(0, len(items) - 1), max_size=len(items) - 1))
+    longer = [i for i, s in enumerate(items) if i not in deleted and len(s) > 2]
+    shortened = None
+    if longer:
+        i = draw(st.sampled_from(longer))
+        shortened = (i, draw(st.integers(0, len(items[i]) - 1)))
+    return max_len, items, deleted, shortened
+
+
+def corpus(items, split_tag="train", limit=None):
+    """A dataset of the sessions, each cut to its last ``limit`` items
+    when a limit is given."""
+    return SessionDataset(tuple(Session(f"s{i}", s[-limit:] if limit else s)
+                                for i, s in enumerate(items)), VOCAB, split_tag)
+
+
+class TestSessionsPastMaxLen:
+    """Pipeline corpora hold no session longer than max_len, so this pins
+    the cut at every call site that builds training points: a corpus
+    whose sessions run past max_len trains, tabulates and validates byte
+    for byte as the same sessions cut to their last max_len items."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=corpora_past_max_len(), seed=st.integers(0, 2**16))
+    def test_training_batches(self, case, seed):
+        max_len, items, _, _ = case
+        config = BackboneConfig(d=3, max_len=max_len, epochs=2, batch_size=3, seed=seed)
+        runs = []
+        for limit in (None, max_len):
+            batches = []
+
+            def recorded(model, adam, ids, lr, buffers):
+                batches.append((ids.shape, ids.tobytes()))
+                return batch_step(model, adam, ids, lr, buffers)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("sru.backbone._batch_step", recorded)
+                model = train_backbone(corpus(items, limit=limit), config)
+            runs.append((batches, model.params_bytes()))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=corpora_past_max_len(), seed=st.integers(0, 2**16))
+    def test_feature_table_and_its_update(self, case, seed):
+        max_len, items, deleted, shortened = case
+        models = [init_gru_model(9, BackboneConfig(d=3, max_len=max_len, seed=seed + j))
+                  for j in range(2)]
+        edited = list(items)
+        if shortened is not None:
+            i, at = shortened
+            edited[i] = edited[i][:at] + edited[i][at + 1 :]
+        kept = [i for i in range(len(items)) if i not in deleted]
+        changed = {f"s{i}" for i in deleted} | ({f"s{shortened[0]}"} if shortened else set())
+        retrained = [models[0], init_gru_model(9, replace(models[1].config, seed=seed + 9))]
+        tables = []
+        for limit in (None, max_len):
+            cut = corpus(items, limit=limit)
+            cache = build_feature_cache(models, cut)
+            built = (cache.features.tobytes(), cache.targets.tobytes(), cache.row_slices)
+            after = cut.with_sessions(
+                Session(f"s{i}", edited[i][-limit:] if limit else edited[i]) for i in kept)
+            updated = updated_feature_cache(cache, retrained, after, dirty_shards=[1],
+                                            changed_session_ids=changed)
+            tables.append((built, updated.features.tobytes(), updated.targets.tobytes(),
+                           updated.row_slices))
+        assert tables[0] == tables[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=corpora_past_max_len(), seed=st.integers(0, 2**16))
+    def test_validation_ndcg(self, case, seed):
+        max_len, items, _, _ = case
+        model = init_gru_model(9, BackboneConfig(d=3, max_len=max_len, seed=seed))
+        whole = validation_ndcg(model, corpus(items, "validation"))
+        assert whole == validation_ndcg(model, corpus(items, "validation", max_len))

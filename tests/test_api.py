@@ -1,9 +1,13 @@
-"""The library keeps one path per operation: predictors are scored only
-through ``predict_batch``, and the single-prefix reference versions of the
-batched paths live in ``tests/reference.py``, not under ``sru``."""
+"""The library keeps one path per operation: a model scores prefixes in
+batches, through ``predict_batch`` or, for a padded triple, through
+``predict_padded``, never one prefix at a time; sessions become padded
+rows and points through ``backbone.prefix_points`` alone; and the
+single-prefix reference versions of the batched paths live in
+``tests/reference.py``, not under ``sru``."""
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -14,6 +18,7 @@ from sru.config import ExperimentConfig
 from sru.corpus import SessionDataset
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore
+from sru.pipeline import _partition, fit_state
 from sru.reports import TimingReport
 from sru.unlearning import SruState
 
@@ -45,8 +50,28 @@ def test_package_exports_no_single_prefix_twin():
                          ids=lambda c: c.__name__)
 def test_model_predicts_only_in_batches(model_class):
     assert callable(getattr(model_class, "predict_batch", None))
+    assert callable(getattr(model_class, "predict_padded", None))
     for name in ("predict", "__call__", "encode"):
         assert name not in vars(model_class), name
+
+
+# Whole sessions become padded rows and points in backbone.prefix_points
+# alone; the builders that once did it beside it are gone.
+REMOVED_POINT_BUILDERS = {
+    "backbone": ("padded_items", "training_points"),
+    "aggregation": ("_layout",),
+}
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED_POINT_BUILDERS))
+def test_sessions_have_one_point_builder(module):
+    namespace = vars(importlib.import_module(f"sru.{module}"))
+    assert [n for n in REMOVED_POINT_BUILDERS[module] if n in namespace] == []
+
+
+def test_fit_state_takes_the_shard_count_from_its_config():
+    assert list(inspect.signature(fit_state).parameters) == ["train", "validation", "config"]
+    assert list(inspect.signature(_partition).parameters) == ["reference", "train", "config"]
 
 
 # Each fact has one stored form: a model stores its parameters and its

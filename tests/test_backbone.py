@@ -20,11 +20,10 @@ from sru.backbone import (
     encode_stacked,
     init_gru_model,
     pad_prefixes,
-    padded_items,
+    prefix_points,
     sequence_loss_and_grads,
     train_backbone,
     train_many,
-    training_points,
 )
 from sru.corpus import generate_synthetic, split
 from sru.errors import ContractError, DimensionError
@@ -36,6 +35,7 @@ from reference import (
     gru_cell,
     gru_cell_backward,
     gru_cell_forward,
+    padded_items,
 )
 
 
@@ -217,7 +217,7 @@ class TestUnrolledGradients:
                                   min_len=4, max_len=6)
         config = BackboneConfig(d=6, max_len=6, seed=seed, dtype="float64")
         model = init_gru_model(20, config)
-        ids, _ = padded_items([s.items for s in data.sessions], 6)
+        ids = padded_items([s.items for s in data.sessions], 6)
 
         _, positions = sequence_loss_and_grads(model, ids)
         assert positions > 0
@@ -284,6 +284,12 @@ class TestTraining:
         with pytest.raises(ContractError, match="epochs must be >= 1, got 0"):
             BackboneConfig(epochs=0)
         assert BackboneConfig(epochs=1).epochs == 1
+
+    def test_config_with_no_max_len_rejected(self):
+        # training reads each session's last max_len items, and a slice
+        # from -0 would keep every item
+        with pytest.raises(ContractError, match="max_len must be >= 1, got 0"):
+            BackboneConfig(max_len=0)
 
     def test_max_len_without_a_training_point_rejected(self):
         # max_len 1 cuts every session to one item, which leaves no
@@ -446,7 +452,7 @@ def parent_pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarr
             kept.append(prefix)
         rows[i] = len(kept) - 1
         successor = prefix
-    ids, _ = padded_items(kept, model.max_len)
+    ids = padded_items(kept, model.max_len)
     lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
     return ids, np.array(rows, dtype=np.int64), lengths
 
@@ -553,9 +559,9 @@ SHAPES = [(1, 1), (1, 7), (6, 1), (9, 2), (13, 9), (40, 14)]
 
 
 def point_states(model, ids):
-    """``encode_stacked`` over the ``training_points`` of the rows of a
+    """``encode_stacked`` over the ``prefix_points`` of the rows of a
     right-padded id matrix: (states (P, d), points)."""
-    points, targets = training_points([row[row != 0] for row in ids], ids.shape[1])
+    points, targets = prefix_points([row[row != 0] for row in ids], ids.shape[1])
     _, rows, lengths = points
     np.testing.assert_array_equal(targets, ids[rows, lengths])
     return encode_stacked([model], *points)[:, 0], points
@@ -578,7 +584,7 @@ def training_batches(draw):
     else:
         sizes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     rows = [draw(st.lists(st.integers(1, num_items), min_size=m, max_size=m)) for m in sizes]
-    ids, _ = padded_items(rows, max_len)
+    ids = padded_items(rows, max_len)
     return num_items, max_len, ids
 
 
@@ -706,7 +712,7 @@ class TestRecurrenceMatchesParent:
         sequences = [row[row != 0] for row in ragged_ids(np.random.default_rng(2), n, L, 200)]
         tracemalloc.start()
         try:
-            points, _ = training_points(sequences, L)
+            points, _ = prefix_points(sequences, L)
             states = encode_stacked([model], *points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -732,7 +738,7 @@ class TestEncodeStacked:
         model = random_model(20, 6, 9, seed=4)
         prefixes = self.prefixes()
         cleaned = [[i for i in p if i][-9:] for p in prefixes]
-        ids, _ = padded_items(cleaned, 9)
+        ids = padded_items(cleaned, 9)
         states = parent_prefix_states(model, ids)
         for i, c in enumerate(cleaned):
             want = states[i, len(c) - 1] if c else np.zeros(6)
@@ -922,10 +928,12 @@ class TestPackedMatchesAllRows:
     @given(batch=ragged_batches(), k=st.integers(1, 3), seed=st.integers(0, 2**16))
     @example(batch=RAGGED, k=2, seed=0)
     def test_float32_bit_equal_to_allrows(self, batch, k, seed):
-        # A float32 row's state does not depend on which other rows share
-        # its steps, so a cache updated from a few rows equals a rebuilt
-        # one bit for bit (C1). Float64 is only held to its bound: with
-        # OpenBLAS 0.3.31 some ragged float64 batches differ at ~1e-16.
+        # At these shapes (d = 3) a float32 row's state does not depend on
+        # which other rows share its steps, so a cache updated from a few
+        # rows equals a rebuilt one bit for bit (C1). That is not so at
+        # every shape: at d = 100 some rows differ (ROADMAP.md, item 1).
+        # Float64 is only held to its bound: with OpenBLAS 0.3.31 some
+        # ragged float64 batches differ at ~1e-16.
         num_items, max_len, _, prefixes = batch
         models = [random_model(num_items, 3, max_len, seed + j, "float32") for j in range(k)]
         triple = pad_prefixes(models[0], prefixes)
@@ -941,7 +949,7 @@ class TestPackedMatchesAllRows:
         # every training point of each cleaned prefix, read as a session
         num_items, max_len, dtype, prefixes = batch
         model = random_model(num_items, 3, max_len, seed, dtype)
-        ids, _ = padded_items([[i for i in p if i] for p in prefixes], max_len)
+        ids = padded_items([[i for i in p if i] for p in prefixes], max_len)
         got, (_, rows, lengths) = point_states(model, ids)
         want = allrows_prefix_states(model, ids)[rows, lengths - 1]
         assert got.shape == want.shape and got.dtype == want.dtype == np.dtype(dtype)

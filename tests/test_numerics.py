@@ -24,6 +24,7 @@ from reference import (
     cross_entropy_rows,
     cross_entropy_with_grad,
     finite_difference_check,
+    padded_items,
     softmax,
 )
 
@@ -283,12 +284,12 @@ class TestSoftmaxLoss:
         # trained default-config models must take the block shift on a
         # shard batch and on a fusion batch.
         from sru.aggregation import _FusionPass
-        from sru.backbone import padded_items, sequence_loss_and_grads
+        from sru.backbone import sequence_loss_and_grads
 
         calls = self.fallbacks(monkeypatch)
         state = default_state
         model = state.sub_models[0]
-        ids, _ = padded_items([s.items for s in state.shards[0].sessions], model.max_len)
+        ids = padded_items([s.items for s in state.shards[0].sessions], model.max_len)
         _, positions = sequence_loss_and_grads(model, ids)
         assert positions > 1000
         store = state.aggregation.store.copy()
