@@ -33,7 +33,7 @@ print(f"split sizes: {len(train)}/{len(validation)}/{len(test)} (8:1:1, disjoint
 print("\n=== the TSV ingestion path ===")
 lines = []
 for s in data.sessions[:50]:
-    for item, ts in zip(s.items, s.times):
+    for ts, item in enumerate(s.items):  # a dataset keeps item order only
         lines.append(f"{s.session_id}\t{data.vocab.token_of(item)}\t{ts}")
 raw_text = "\n".join(lines) + "\n"
 print(f"serialized 50 sessions to {len(lines)} TSV rows; parsing them back...")

@@ -47,7 +47,6 @@ from .corpus import (
 from .errors import (
     CheckpointError,
     ContractError,
-    DeterminismError,
     DimensionError,
     EmptyDatasetError,
     IntegrityError,

@@ -682,9 +682,9 @@ class SruModel:
     def predict_batch(self, prefixes) -> np.ndarray:
         """Id-indexed logits rows; index 0 is the pad slot at -inf.
 
-        Prefixes are cleaned and padded once, each shared prefix chain
-        as one row (the sub-models share the vocabulary and max_len), and
-        scored by ``predict_padded``.
+        Prefixes are cleaned and padded once, one row per prefix (the
+        sub-models share the vocabulary and max_len), and scored by
+        ``predict_padded``.
         """
         return self.predict_padded(*pad_prefixes(self.sub_models[0], prefixes))
 

@@ -358,20 +358,14 @@ def prefix_points(sequences, limit: int):
 
 
 def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad each shared prefix chain once; returns (ids, rows, lengths).
+    """Pad each prefix on a row of its own; returns (ids, rows, lengths).
 
     Each prefix is cleaned first: its pad ids are skipped, its last
     max_len items are kept, and every id is checked against the
-    vocabulary (IndexError naming the first one outside it).
-    A cleaned prefix that is a prefix of another one in the batch, or a
-    duplicate of it, is not padded on its own: prefix i is the first
-    lengths[i] items of row rows[i] of ids, and ids holds only the
-    longest distinct prefixes. Sorting finds every such prefix without
-    hashing each one: a prefix of any prefix in the batch is a prefix of
-    its sorted successor, so one comparison with the next row in reverse
-    sorted order suffices. Cleaning, sorting and the comparison each run
+    vocabulary (IndexError naming the first one outside it). Prefix i is
+    the first lengths[i] items of row rows[i] == i of ids. Cleaning runs
     once over all prefixes together, in time linear in their total
-    number of items (plus the sort).
+    number of items.
     """
     prefixes = list(prefixes)
     n = len(prefixes)
@@ -389,18 +383,7 @@ def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     stop = kept[bounds[1:]]
     lengths = np.minimum(stop - kept[bounds[:-1]], model.max_len)
-    padded = _right_padded(flat[keep], stop, lengths)
-    # Pads (0) sort below every item, so row order is list order; the
-    # narrowest key type makes the sort several times faster.
-    keys = padded.astype(np.min_scalar_type(model.num_items))
-    walk = np.lexsort(keys.T[::-1])[::-1]
-    ordered = padded[walk]
-    within = np.arange(padded.shape[1]) >= lengths[walk][1:, None]
-    new = np.ones(n, dtype=bool)
-    new[1:] = ~np.all((ordered[1:] == ordered[:-1]) | within, axis=1)
-    rows = np.empty(n, dtype=np.int64)
-    rows[walk] = np.cumsum(new) - 1
-    return ordered[new], rows, lengths
+    return _right_padded(flat[keep], stop, lengths), np.arange(n), lengths
 
 
 def encode_batch(model: GruModel, prefixes) -> np.ndarray:
@@ -412,18 +395,20 @@ def encode_batch(model: GruModel, prefixes) -> np.ndarray:
 
 def encode_stacked(models, ids: np.ndarray, rows: np.ndarray,
                    lengths: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Final state of every prefix of a ``pad_prefixes`` triple under each
-    of several models that share a vocabulary: (len(rows), K, d), written
-    into ``out`` when given (any view of that shape and the models'
-    dtype, such as one column of a wider table) and returned.
+    """Final state of every prefix of a ``pad_prefixes`` or
+    ``prefix_points`` triple under each of several models that share a
+    vocabulary: (len(rows), K, d), written into ``out`` when given (any
+    view of that shape and the models' dtype, such as one column of a
+    wider table) and returned.
 
-    Prefix i is row rows[i] of ids after lengths[i] items; an empty
-    prefix keeps the zero state. This is the one packed inference pass.
-    The models run stacked, one batched product per gate block and step
-    for all of them, and a row runs only as far as its longest prefix:
-    the rows go longest first (ties in row order), so at step t the rows
-    with more than t steps are the leading active[t] ones, and the step
-    runs on those alone. Each prefix's state is taken as soon as the
+    Prefix i is row rows[i] of ids after lengths[i] items: a row of its
+    own from ``pad_prefixes``, its session's row from ``prefix_points``.
+    An empty prefix keeps the zero state. This is the one packed
+    inference pass. The models run stacked, one batched product per gate
+    block and step for all of them, and a row runs only as far as its
+    longest prefix: the rows go longest first (ties in row order), so at
+    step t the rows with more than t steps are the leading active[t]
+    ones, and the step runs on those alone. Each prefix's state is taken as soon as the
     pass reaches its length, so no (L, n, d) block of states is kept.
     Besides the result, the pass holds the input tables (K, V+1, 3d in
     all) and 6 K max(n, 2) d floats of step buffers, each step using a

@@ -328,10 +328,6 @@ def save_datasets(path, splits: dict[str, SessionDataset],
         tensors[f"{tag}/items"] = items
         tensors[f"{tag}/offsets"] = offsets
         tensors[f"{tag}/clusters"] = clusters
-        if all(s.times is not None for s in ds.sessions):
-            times = np.concatenate([np.asarray(s.times, dtype=np.int64) for s in ds.sessions]) \
-                if ds.sessions else np.zeros(0, dtype=np.int64)
-            tensors[f"{tag}/times"] = times
         meta["session_ids"][tag] = [s.session_id for s in ds.sessions]
     return save_container(path, tensors, meta)
 
@@ -363,15 +359,12 @@ def load_datasets(path, expected_config_hash: str | None = None,
         offsets = tensors[f"{tag}/offsets"].tolist()
         items = tensors[f"{tag}/items"].tolist()
         clusters = tensors[f"{tag}/clusters"].tolist()
-        times = tensors.get(f"{tag}/times")
-        times = None if times is None else times.tolist()
         sessions = []
         for i, sid in enumerate(session_ids):
             lo, hi = offsets[i], offsets[i + 1]
             sessions.append(Session(
                 session_id=sid,
                 items=tuple(items[lo:hi]),
-                times=None if times is None else tuple(times[lo:hi]),
                 cluster=None if clusters[i] < 0 else clusters[i],
             ))
         sessions = tuple(sessions)

@@ -10,7 +10,6 @@ when they batch.
 from __future__ import annotations
 
 import io
-import operator
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -72,17 +71,11 @@ class Session:
 
     session_id: str
     items: tuple[int, ...]
-    times: tuple[int, ...] | None = None
     cluster: int | None = None
 
     def __post_init__(self):
         if PAD_ID in self.items:
             raise ContractError(f"session {self.session_id!r} contains the pad id")
-        if self.times is not None:
-            if len(self.times) != len(self.items):
-                raise ContractError(f"session {self.session_id!r}: times/items length mismatch")
-            if any(map(operator.lt, self.times[1:], self.times)):
-                raise ContractError(f"session {self.session_id!r}: timestamps decrease")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -244,7 +237,6 @@ def preprocess(raw: dict[str, list[tuple[str, int]]], min_count: int = 5,
         Session(
             session_id=sid,
             items=tuple(vocab.id_of(tok) for tok, _ in events),
-            times=tuple(ts for _, ts in events),
         )
         for sid, events in surviving
     )
@@ -370,7 +362,6 @@ def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
             Session(
                 session_id=f"syn{idx:05d}",
                 items=tuple(items),
-                times=tuple(range(length)),
                 cluster=cluster,
             )
         )

@@ -27,10 +27,6 @@ class ContractError(SruError):
     """A documented precondition or invariant was violated."""
 
 
-class DeterminismError(SruError):
-    """A function that must be deterministic returned differing values."""
-
-
 class CheckpointError(SruError):
     """Base class for checkpoint persistence failures."""
 

@@ -150,7 +150,7 @@ class SisaModel:
 
     def predict_batch(self, prefixes) -> np.ndarray:
         """The sub-models share the vocabulary and max_len, so the
-        prefixes are padded once for all of them."""
+        prefixes are padded once for all of them, one row per prefix."""
         return self.predict_padded(*pad_prefixes(self.sub_models[0], prefixes))
 
     def predict_padded(self, ids, rows, lengths) -> np.ndarray:

@@ -377,10 +377,16 @@ STAGES = {
 def run_pipeline(subcommand: str, config: ExperimentConfig, run_dir,
                  requests_path=None, split_tag: str = "test",
                  ablate_mode: str | None = None) -> int:
-    """Dispatch one pipeline stage; returns a process exit status."""
+    """Dispatch one pipeline stage; returns a process exit status. A run
+    directory that cannot be made (an existing file, or a path beneath
+    one) is a ContractError whose message starts with its path."""
     if subcommand not in STAGES:
         raise ContractError(f"unknown subcommand {subcommand!r}")
-    os.makedirs(run_dir, exist_ok=True)
+    try:
+        os.makedirs(run_dir, exist_ok=True)
+    except OSError as exc:
+        raise ContractError(f"{run_dir}: not a usable run directory "
+                            f"({exc.strerror or exc})") from None
     STAGES[subcommand](run_dir, config, requests_path=requests_path,
                        split_tag=split_tag, mode=ablate_mode)
     return 0

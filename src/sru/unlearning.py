@@ -234,8 +234,6 @@ def apply_deletion(corpus: SessionDataset,
             session = Session(
                 session_id=session.session_id,
                 items=tuple(session.items[p] for p in survivors),
-                times=None if session.times is None
-                else tuple(session.times[p] for p in survivors),
                 cluster=session.cluster,
             )
         sessions.append(session)

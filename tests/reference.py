@@ -24,11 +24,14 @@ batched path to it:
 - ``assign``, the capacity-bounded scan over numpy scalars, for
   ``partition._assign``.
 
-Every one of them was library code once. All but ``padded_items`` moved
-here unchanged, as did ``finite_difference_check``, the
-central-difference oracle for every hand-written backward pass;
+Every one of them was library code once. All but ``padded_items`` and
+``dataset_to_raw`` moved here unchanged, as did
+``finite_difference_check``, the central-difference oracle for every
+hand-written backward pass, and ``DeterminismError``, which it raises;
 ``padded_items`` is a loop in place of the library's vectorized one,
-which ``backbone.prefix_points`` made redundant.
+which ``backbone.prefix_points`` made redundant, and ``dataset_to_raw``
+writes each item's position as its timestamp, since a dataset keeps
+item order only.
 ``assignment_from_members`` builds test partitions from member lists.
 """
 
@@ -49,7 +52,7 @@ from sru.backbone import (
     pad_prefixes,
 )
 from sru.corpus import SessionDataset
-from sru.errors import ContractError, DeterminismError, DimensionError
+from sru.errors import ContractError, DimensionError, SruError
 from sru.numerics import ParamStore, _Buffers, _logits, _softmax_loss
 from sru.partition import ShardAssignment
 
@@ -504,14 +507,13 @@ def padded_items(rows, limit: int) -> np.ndarray:
 
 
 def dataset_to_raw(dataset: SessionDataset) -> dict[str, list[tuple[str, int]]]:
-    """Rebuild the raw event-group form of a dataset (token space)."""
-    out: dict[str, list[tuple[str, int]]] = {}
-    for s in dataset.sessions:
-        times = s.times if s.times is not None else tuple(range(len(s)))
-        out[s.session_id] = [
-            (dataset.vocab.token_of(item), ts) for item, ts in zip(s.items, times)
-        ]
-    return out
+    """Rebuild the raw event-group form of a dataset (token space); a
+    dataset keeps item order only, so each item's position stands in for
+    its timestamp."""
+    return {
+        s.session_id: [(dataset.vocab.token_of(item), ts) for ts, item in enumerate(s.items)]
+        for s in dataset.sessions
+    }
 
 
 def assign(dist: np.ndarray, delta: int) -> np.ndarray:
@@ -560,6 +562,10 @@ class FixedPredictor:
 
     def predict_batch(self, prefixes) -> np.ndarray:
         return np.tile(self.logits, (len(prefixes), 1))
+
+
+class DeterminismError(SruError):
+    """A function that must be deterministic returned differing values."""
 
 
 def finite_difference_check(loss_fn, store: ParamStore, epsilon: float = 1e-5) -> float:

@@ -2,8 +2,9 @@
 batches, through ``predict_batch`` or, for a padded triple, through
 ``predict_padded``, never one prefix at a time; sessions become padded
 rows and points through ``backbone.prefix_points`` alone; and the
-single-prefix reference versions of the batched paths live in
-``tests/reference.py``, not under ``sru``."""
+single-prefix reference versions of the batched paths, like every name
+that only the tests use, live in ``tests/reference.py``, not under
+``sru``."""
 
 import dataclasses
 import importlib
@@ -26,6 +27,7 @@ SINGLE_PREFIX_NAMES = {
     "aggregation": ("attention_scores", "fuse", "predict_output", "project"),
     "backbone": ("encode", "gru_cell", "gru_cell_backward", "gru_cell_forward", "score"),
     "corpus": ("dataset_to_raw",),
+    "errors": ("DeterminismError",),
     "evaluation": ("metrics_at_k", "rank_from_logits", "rank_of_target"),
     "numerics": ("finite_difference_check", "linear_forward_backward", "rank_from_logits",
                  "softmax"),

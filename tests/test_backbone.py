@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sru.aggregation import AggregationConfig, SruModel, init_aggregation_model
 from sru.backbone import (
     GATE_NAMES,
     BackboneConfig,
@@ -27,6 +28,7 @@ from sru.backbone import (
 )
 from sru.corpus import generate_synthetic, split
 from sru.errors import ContractError, DimensionError
+from sru.evaluation import SisaModel
 from sru.numerics import ParamStore, _Buffers, sigmoid
 from reference import (
     cross_entropy_rows,
@@ -152,31 +154,11 @@ class TestEncode:
         for row, prefix in zip(batch, prefixes):
             np.testing.assert_allclose(row, encode(model, prefix), rtol=1e-12, atol=1e-15)
 
-    def test_shared_prefixes_padded_once(self):
-        # Prefixes of one chain share its row; an empty prefix shares any
-        # row at length 0; a windowed prefix is cleaned before matching.
-        model = tiny_model(max_len=4)
-        prefixes = [[1, 2], [5], [1, 2, 3], [], [1], [0, 1, 0, 2], [1, 2, 3],
-                    [6, 1, 2, 3, 4], [5, 6], [2, 3], [1, 4], [1, 3]]
-        ids, rows, lengths = pad_prefixes(model, prefixes)
-        assert sorted(map(tuple, ids.tolist())) == [
-            (1, 2, 3, 4), (1, 3, 0, 0), (1, 4, 0, 0), (2, 3, 0, 0), (5, 6, 0, 0)]
-        np.testing.assert_array_equal(lengths, [2, 1, 3, 0, 1, 2, 3, 4, 2, 2, 2, 2])
-        for prefix, row, length in zip(prefixes, rows, lengths):
-            cleaned = [i for i in prefix if i][-4:]
-            assert ids[row, :length].tolist() == cleaned
-        assert rows[0] == rows[2] == rows[4] == rows[5] == rows[6] == rows[7]
-        assert rows[1] == rows[8] != rows[9]
-        assert len({rows[0], rows[10], rows[11]}) == 3
-        batch = encode_batch(model, prefixes)
-        for row, prefix in zip(batch, prefixes):
-            np.testing.assert_allclose(row, encode(model, prefix), rtol=1e-12, atol=1e-15)
-
     def test_pad_prefixes_of_nothing(self):
         ids, rows, lengths = pad_prefixes(tiny_model(), [])
         assert ids.shape[0] == rows.size == lengths.size == 0
         ids, rows, lengths = pad_prefixes(tiny_model(), [[], [0]])
-        assert ids.shape == (1, 1) and rows.tolist() == [0, 0] and lengths.tolist() == [0, 0]
+        assert ids.shape == (2, 1) and rows.tolist() == [0, 1] and lengths.tolist() == [0, 0]
 
 
 class TestScore:
@@ -428,33 +410,6 @@ def parent_clean_prefix(model: GruModel, prefix) -> list[int]:
         bad = next(i for i in items if i > model.num_items)
         raise IndexError(f"item id {bad} outside vocabulary of size {model.num_items}")
     return items[-model.max_len:]
-
-
-def parent_pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad each shared prefix chain once; returns (ids, rows, lengths).
-
-    Prefixes are cleaned as ``encode`` cleans them (pad ids skipped,
-    last max_len items kept, every id checked against the vocabulary).
-    A cleaned prefix that is a prefix of another one in the batch, or a
-    duplicate of it, is not padded on its own: prefix i is the first
-    lengths[i] items of row rows[i] of ids, and ids holds only the
-    longest distinct prefixes. Sorting finds every such prefix without
-    hashing each one: a prefix of any prefix in the batch is a prefix of
-    its sorted successor, so one walk in reverse sorted order suffices.
-    """
-    cleaned = [parent_clean_prefix(model, p) for p in prefixes]
-    rows = [0] * len(cleaned)
-    kept: list[list[int]] = []
-    successor = None
-    for i in sorted(range(len(cleaned)), key=cleaned.__getitem__, reverse=True):
-        prefix = cleaned[i]
-        if successor is None or successor[: len(prefix)] != prefix:
-            kept.append(prefix)
-        rows[i] = len(kept) - 1
-        successor = prefix
-    ids = padded_items(kept, model.max_len)
-    lengths = np.array([len(c) for c in cleaned], dtype=np.int64)
-    return ids, np.array(rows, dtype=np.int64), lengths
 
 
 def parent_prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
@@ -794,23 +749,44 @@ def random_prefixes(rng, count, num_items):
     return prefixes
 
 
-class TestPadPrefixesMatchesParent:
+class TestPadPrefixes:
     @pytest.mark.parametrize("seed", range(8))
-    def test_same_ids_rows_and_lengths(self, seed):
+    def test_one_row_per_cleaned_prefix(self, seed):
         rng = np.random.default_rng(seed)
         model = tiny_model(num_items=5 + seed, max_len=2 + seed % 5)
         prefixes = random_prefixes(rng, int(rng.integers(0, 60)), model.num_items)
-        got = pad_prefixes(model, prefixes)
-        want = parent_pad_prefixes(model, prefixes)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        ids, rows, lengths = pad_prefixes(model, prefixes)
+        assert ids.shape[0] == len(prefixes)
+        np.testing.assert_array_equal(rows, np.arange(len(prefixes)))
+        for i, prefix in enumerate(prefixes):
+            assert ids[i, : lengths[i]].tolist() == parent_clean_prefix(model, prefix)
+            assert not ids[i, lengths[i] :].any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_score_alike(self, seed):
+        # A prefix's logits do not depend on which of its copies they are:
+        # every copy gets its own row, and the rows come out byte-identical.
+        rng = np.random.default_rng(seed)
+        models = [random_model(12, 6, 2 + seed, seed=10 * seed + s, dtype="float32")
+                  for s in range(3)]
+        prefixes = random_prefixes(rng, 60, 12)
+        agg = init_aggregation_model(3, 6, 12, AggregationConfig(f=5, seed=seed))
+        predictors = [models[0], SruModel(sub_models=tuple(models), aggregation=agg),
+                      SisaModel(sub_models=tuple(models), num_items=12)]
+        cleaned = [tuple(parent_clean_prefix(models[0], p)) for p in prefixes]
+        first = {c: cleaned.index(c) for c in cleaned}
+        assert len(first) < len(cleaned)
+        for predictor in predictors:
+            logits = predictor.predict_batch(prefixes)
+            for i, c in enumerate(cleaned):
+                assert logits[i].tobytes() == logits[first[c]].tobytes()
 
     def test_tuples_and_arrays_are_cleaned_alike(self):
         model = tiny_model(max_len=3)
         prefixes = [(1, 0, 2), np.array([5, 6, 1, 2]), [], (0,), [4, 4]]
-        for a, b in zip(pad_prefixes(model, prefixes), parent_pad_prefixes(model, prefixes)):
-            np.testing.assert_array_equal(a, b)
+        ids, _, lengths = pad_prefixes(model, prefixes)
+        for i, prefix in enumerate(prefixes):
+            assert ids[i, : lengths[i]].tolist() == parent_clean_prefix(model, prefix)
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_id_outside_vocabulary_raises(self, bad):

@@ -193,10 +193,6 @@ class TestTypes:
         with pytest.raises(ContractError):
             Session("s", (1, 0, 2))
 
-    def test_session_rejects_decreasing_times(self):
-        with pytest.raises(ContractError):
-            Session("s", (1, 2), times=(5, 1))
-
     def test_dataset_rejects_short_sessions(self):
         vocab = ItemVocab.from_tokens(["a", "b"])
         with pytest.raises(ContractError):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sru import numerics
-from sru.errors import ContractError, DeterminismError, DimensionError
+from sru.errors import ContractError, DimensionError
 from sru.numerics import (
     AdamState,
     ParamStore,
@@ -21,6 +21,7 @@ from sru.numerics import (
     sigmoid,
 )
 from reference import (
+    DeterminismError,
     cross_entropy_rows,
     cross_entropy_with_grad,
     finite_difference_check,

@@ -861,6 +861,21 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
+    @pytest.mark.parametrize("below", ["", "run"], ids=["is-file", "under-file"])
+    def test_cli_names_a_run_dir_that_is_not_a_directory(self, tmp_path, capsys, below):
+        # an existing file, or a path beneath one: exit status 1, one error
+        # line that starts with the run-dir path, the file untouched
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        (tmp_path / "taken").write_text("not a directory\n")
+        run_dir = tmp_path / "taken" / below if below else tmp_path / "taken"
+        assert main(["preprocess", "--config", str(config_path),
+                     "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir}: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert (tmp_path / "taken").read_text() == "not a directory\n"
+
     def test_cli_ignores_a_seed_in_the_environment(self, tmp_path, monkeypatch):
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(CONFIG_TEXT)
