@@ -1,29 +1,34 @@
 """Shard sessions by similarity and inspect the result.
 
-A reference encoder is trained on the whole corpus, every session is
-embedded as its final hidden state, and a capacity-bounded k-means
-splits the embeddings: all (session, shard) pairs are scanned in one
+The corpus embedding is fit on the whole corpus (a truncated SVD of the
+L2-normalised session-by-item count matrix), every session is embedded
+as its row of U S, and a capacity-bounded k-means splits the
+embeddings: all (session, shard) pairs are scanned in one
 ascending-distance order and a session blocked by a full shard falls
 through to its next-nearest shard with room.
 """
 
 import collections
 
-from sru import BackboneConfig, generate_synthetic, train_backbone
-from sru.partition import PartitionConfig, balanced_kmeans, cluster_purity, embed_all, make_shards
+from sru import generate_synthetic
+from sru.partition import (
+    PartitionConfig,
+    balanced_kmeans,
+    cluster_purity,
+    embed_all,
+    fit_corpus_embedding,
+    make_shards,
+)
 
 data = generate_synthetic(num_sessions=500, vocab_size=80, num_clusters=4,
                           noise_rate=0.0, seed=13)
 print(f"corpus: {len(data)} sessions, {data.num_items()} items, 4 planted clusters")
 
-print("\ntraining the reference encoder...")
-# the encoder reads whole sessions: its max_len is the longest one
-reference = train_backbone(
-    data, BackboneConfig(d=32, max_len=max(map(len, data.sessions)), epochs=20, lr=3e-3,
-                         seed=5))
-print(f"final training loss {reference.loss_history[-1]:.3f}")
+embedding = fit_corpus_embedding(data, 32)
+print(f"\ncorpus embedding: {embedding.d} components, leading singular values "
+      + ", ".join(f"{v:.2f}" for v in embedding.scale[:4]))
 
-H = embed_all(reference, data)
+H = embed_all(embedding, data)
 print(f"embedded all sessions: {H.shape}")
 
 config = PartitionConfig(k=4, seed=11)

@@ -72,6 +72,6 @@ k = touched[0]
 fresh = train_backbone(outcome.state.shards[k], state.shard_configs[k])
 match = fresh.params_bytes() == outcome.state.sub_models[k].params_bytes()
 print(f"retrained sub-model == fresh training on the deleted shard: {match}")
-print("\nnote: the reference encoder keeps its original parameters; it only "
-      "serves partitioning and collaborative distances, and it did see the "
-      "deleted interaction during pretraining.")
+print("\nnote: the corpus embedding is not refit; it only serves partitioning "
+      "and collaborative distances, and it was fit on the deleted interaction "
+      "too.")

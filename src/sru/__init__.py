@@ -30,9 +30,11 @@ from .checkpoint import (
     load_assignment,
     load_checkpoint,
     load_datasets,
+    load_embedding,
     save_assignment,
     save_checkpoint,
     save_datasets,
+    save_embedding,
 )
 from .config import ExperimentConfig
 from .corpus import (
@@ -74,11 +76,13 @@ from .numerics import (
     ranks_from_logits,
 )
 from .partition import (
+    CorpusEmbedding,
     PartitionConfig,
     ShardAssignment,
     balanced_kmeans,
     cluster_purity,
     embed_all,
+    fit_corpus_embedding,
     make_shards,
 )
 from .pipeline import fit_state, load_model, load_state, run_pipeline

@@ -100,7 +100,7 @@ class ShardCentroids:
 
     With source "submodel" (the default) centroid k lives in sub-model
     k's own hidden space; with "reference" all centroids come from the
-    partition step in the reference model's space.
+    partition step, in the corpus embedding's space.
     """
 
     c: np.ndarray          # (k, d)

@@ -1,7 +1,7 @@
 """GRU session encoder with a tied item-embedding output head.
 
-The same model class serves as the pretrained reference encoder and as
-every per-shard sub-model. Training is plain full-softmax next-item
+The same model class serves as every per-shard sub-model and as the
+SISA baseline's. Training is plain full-softmax next-item
 prediction; all gradients are hand-derived and checked against finite
 differences in the test suite.
 
@@ -34,8 +34,6 @@ from .numerics import (
     _sigmoid_of_half,
     _softmax_loss,
     adam_step,
-    ndcg_gains,
-    ranks_from_logits,
     sigmoid,  # noqa: F401 -- unused; bench/test_bench.py checks its tracer patches it here
     xavier_uniform,
 )
@@ -51,7 +49,6 @@ class BackboneConfig:
     batch_size: int = 256
     lr: float = 3e-3
     seed: int = 0
-    patience: int = 3          # early stopping, only when a validation set is given
     # "float64" is for gradient checks; byte-exact unlearning (C1) is
     # checked in float32, the pipeline's dtype. An in-place feature-cache
     # update equals a rebuild only where BLAS rounds a row alike at every
@@ -84,9 +81,7 @@ class GruModel:
 
     Embedding row 0 is the padding row; it never contributes to the loss
     or to rankings. Scores for item v are h . E[v]. ``loss_history``
-    holds one mean training loss per epoch run; ``best_epoch`` is the
-    1-based epoch whose parameters early stopping restored, or None for a
-    model trained without a validation set. A model is its parameters
+    holds one mean training loss per epoch. A model is its parameters
     plus the config it was trained under: ``d`` and ``num_items`` are
     read from E's shape, ``max_len`` from the config.
     """
@@ -94,7 +89,6 @@ class GruModel:
     store: ParamStore
     config: BackboneConfig
     loss_history: list = field(default_factory=list)
-    best_epoch: int | None = None
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -156,9 +150,8 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 # packed inference pass, ``encode_stacked``, for one model or several
 # stacked. Every state that is read rather than trained comes from that
 # pass: predictions and centroids through ``pad_prefixes``; a split's
-# evaluation points, the feature table and the validation metric through
-# ``prefix_points``, the last two on each session's last ``max_len``
-# items. The input side of a step, x W + b for all three gates, does
+# evaluation points and the feature table through ``prefix_points``, the
+# feature table on each session's last ``max_len`` items. The input side of a step, x W + b for all three gates, does
 # not depend on the recurrence, so it is computed before the time loop:
 # for an id matrix as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and
 # E W_n + b_n (V+1, d), whose rows each inference step gathers, and the
@@ -330,9 +323,8 @@ def prefix_points(sequences, limit: int):
     range of rows.
 
     This is the library's one builder of points from whole sessions.
-    Evaluation passes a split's sessions as they are. Training, the
-    feature table and the validation metric pass each session's last
-    ``limit`` items: then no prefix needs a window row, row i is
+    Evaluation passes a split's sessions as they are. Training and the
+    feature table pass each session's last ``limit`` items: then no prefix needs a window row, row i is
     sequence i right-padded (the id matrix ``train_backbone`` trains
     on), and rows[j] is the sequence of point j.
     """
@@ -568,26 +560,12 @@ def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float,
     return loss_sum, positions
 
 
-def validation_ndcg(model: GruModel, dataset: SessionDataset) -> float:
-    """Mean NDCG@20 over every (prefix, next-item) point of each
-    session's last ``max_len`` items, the points the model trains on."""
-    L = model.max_len
-    points, targets = prefix_points([s.items[-L:] for s in dataset.sessions], L)
-    ranks = ranks_from_logits(model.predict_padded(*points), targets)
-    return float(ndcg_gains(ranks, 20).mean())
-
-
-def train_backbone(dataset: SessionDataset, config: BackboneConfig,
-                   val_dataset: SessionDataset | None = None) -> GruModel:
+def train_backbone(dataset: SessionDataset, config: BackboneConfig) -> GruModel:
     """Train a GRU next-item model on every (prefix, next item) pair.
 
     Deterministic: the result is a pure function of the dataset content,
     the config, and the seed. Session order is shuffled each epoch from
-    the model's named stream; with a validation set, training stops once
-    NDCG@20 fails to improve for ``config.patience`` epochs and the best
-    parameters are restored, and ``best_epoch`` records their epoch.
-    ``loss_history`` has one entry for every epoch run, the ones after
-    the best included.
+    the model's named stream; ``loss_history`` has one entry per epoch.
     """
     if dataset.split_tag != "train":
         raise ContractError(f"training data must be tagged 'train', got {dataset.split_tag!r}")
@@ -604,11 +582,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
         raise ContractError(f"no training point: max_len {L} leaves no session 2 items")
     n = ids_all.shape[0]
     buffers = _Buffers()
-
-    best_metric = -np.inf
-    best_params = None
-    stale = 0
-    for epoch in range(1, config.epochs + 1):
+    for _ in range(config.epochs):
         perm = shuffle.permutation(n)
         loss_sum = 0.0
         positions = 0
@@ -618,21 +592,6 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig,
             loss_sum += ls
             positions += p
         model.loss_history.append(loss_sum / max(1, positions))
-
-        if val_dataset is not None and len(val_dataset) > 0:
-            metric = validation_ndcg(model, val_dataset)
-            if metric > best_metric:
-                best_metric = metric
-                best_params = {k: v.copy() for k, v in model.store.params.items()}
-                model.best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-    if best_params is not None:
-        for k, v in best_params.items():
-            model.store.params[k][...] = v
     return model
 
 

@@ -37,7 +37,7 @@ from .errors import (
     VersionError,
 )
 from .numerics import ParamStore
-from .partition import ShardAssignment
+from .partition import CorpusEmbedding, ShardAssignment
 
 MAGIC = b"SRU1"
 VERSION = 1
@@ -236,9 +236,8 @@ _MODELS = {
 def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
     """Persist a GruModel or AggregationModel: its tensors, whose shapes
     are its sizes, and in the metadata its training config and per-epoch
-    training loss curve (``loss_history``); for a GruModel the epoch that
-    early stopping restored (``best_epoch``, null without one), for an
-    AggregationModel its centroids as one more tensor."""
+    training loss curve (``loss_history``); for an AggregationModel its
+    centroids as one more tensor."""
     kind = next((kind for kind, spec in _MODELS.items() if isinstance(obj, spec[0])), None)
     if kind is None:
         raise ContractError(f"cannot checkpoint object of type {type(obj).__name__}")
@@ -246,17 +245,14 @@ def save_checkpoint(obj, path, extra_metadata: dict | None = None) -> int:
     meta = {"kind": kind, config_key: obj.config.as_dict(),
             "loss_history": list(obj.loss_history)}
     tensors = dict(obj.store.params)
-    if kind == "gru":
-        meta["best_epoch"] = obj.best_epoch
-    else:
+    if kind == "aggregation":
         tensors["centroids"] = obj.centroids.c
     return save_container(path, tensors, {**meta, **(extra_metadata or {})})
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None):
     """Load a model checkpoint back into its typed object; a checkpoint
-    written without a loss curve loads with an empty one, and a GRU
-    checkpoint without a ``best_epoch`` loads with None.
+    written without a loss curve loads with an empty one.
 
     The model is read from its tensors and its training config, so both
     are checked first. A missing or unreadable config, an anchor tensor
@@ -295,7 +291,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
         raise IntegrityError(f"{path}: " + ", ".join(
             f"{name} is {tensors[name].dtype}, expected "
             + " or ".join(np.dtype(t).name for t in dtypes[name]) for name in wrong))
-    own = ({"best_epoch": metadata.get("best_epoch")} if kind == "gru" else
+    own = ({} if kind == "gru" else
            {"centroids": ShardCentroids(tensors.pop("centroids"), config.centroid_source)})
     return model_class(store=ParamStore(tensors), config=config,
                        loss_history=list(metadata.get("loss_history", [])), **own)
@@ -354,6 +350,7 @@ def load_datasets(path, expected_config_hash: str | None = None,
     out: dict[str, SessionDataset] = {}
     for tag in tags:
         session_ids = metadata["session_ids"][tag]
+        _check_split_layout(path, tag, tensors, len(session_ids))
         _check_item_array(session_ids, tensors[f"{tag}/items"], tensors[f"{tag}/offsets"],
                           len(vocab))
         offsets = tensors[f"{tag}/offsets"].tolist()
@@ -373,6 +370,36 @@ def load_datasets(path, expected_config_hash: str | None = None,
     return out
 
 
+def _check_split_layout(path, tag: str, tensors: dict, sessions: int) -> None:
+    """One split's tensors hold ``sessions`` sessions: int64 items,
+    offsets and clusters vectors, offsets running from 0 to len(items)
+    without decreasing, one more offset than sessions and one cluster per
+    session. The first breach raises IntegrityError naming the file and
+    the split."""
+    names = [f"{tag}/{part}" for part in ("items", "offsets", "clusters")]
+    missing = [name for name in names if name not in tensors]
+    if missing:
+        raise IntegrityError(f"{path}: split {tag!r}: no tensor {missing[0]}")
+    items, offsets, clusters = (tensors[name] for name in names)
+    wrong = [f"{name} is {t.dtype} {t.shape}" for name, t in zip(names, (items, offsets, clusters))
+             if t.dtype != np.int64 or t.ndim != 1]
+    if wrong:
+        problem = "expected int64 vectors: " + ", ".join(wrong)
+    elif len(offsets) != sessions + 1:
+        problem = f"{len(offsets)} offsets for {sessions} session ids, expected {sessions + 1}"
+    elif offsets[0] != 0:
+        problem = f"offsets start at {offsets[0]}, not 0"
+    elif np.any(np.diff(offsets) < 0):
+        problem = f"offsets decrease after offset {int(np.argmax(np.diff(offsets) < 0))}"
+    elif offsets[-1] != len(items):
+        problem = f"offsets end at {offsets[-1]}, but there are {len(items)} items"
+    elif len(clusters) != sessions:
+        problem = f"{len(clusters)} clusters for {sessions} session ids"
+    else:
+        return
+    raise IntegrityError(f"{path}: split {tag!r}: {problem}")
+
+
 def _check_item_array(session_ids, items: np.ndarray, offsets: np.ndarray,
                       num_items: int) -> None:
     """The dataset's session check over one split's flat id array, in one
@@ -386,6 +413,33 @@ def _check_item_array(session_ids, items: np.ndarray, offsets: np.ndarray,
         i = int(np.argmax(bad))
         session = Session(session_ids[i], tuple(items[offsets[i] : offsets[i + 1]].tolist()))
         check_sessions((session,), num_items)
+
+
+def save_embedding(path, embedding: CorpusEmbedding,
+                   extra_metadata: dict | None = None) -> int:
+    """Persist the corpus embedding: its basis and scale as tensors, and
+    no metadata of its own beyond the kind."""
+    return save_container(path, {"basis": embedding.basis, "scale": embedding.scale},
+                          {"kind": "embedding", **(extra_metadata or {})})
+
+
+def load_embedding(path, expected_config_hash: str | None = None) -> CorpusEmbedding:
+    """Load an embedding container. Another kind raises VersionError;
+    tensors other than a float64 basis (V+1, d) with V >= 1 and d >= 1
+    and a float64 scale (d,) raise IntegrityError naming the file."""
+    tensors, metadata = load_container(path)
+    check_config_hash(metadata, expected_config_hash, path)
+    if metadata.get("kind") != "embedding":
+        raise VersionError(f"{path}: expected an embedding container, "
+                           f"found kind {metadata.get('kind')!r}")
+    basis, scale = tensors.get("basis"), tensors.get("scale")
+    if (tensors.keys() != {"basis", "scale"} or basis.dtype != np.float64
+            or scale.dtype != np.float64 or basis.ndim != 2 or basis.shape[0] < 2
+            or basis.shape[1] < 1 or scale.shape != basis.shape[1:]):
+        found = ", ".join(f"{name} {t.dtype} {t.shape}" for name, t in sorted(tensors.items()))
+        raise IntegrityError(f"{path}: expected a float64 basis (V+1, d) and a float64 "
+                             f"scale (d,), found {found or 'no tensors'}")
+    return CorpusEmbedding(basis=basis, scale=scale)
 
 
 def save_assignment(path, assignment: ShardAssignment,

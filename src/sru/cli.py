@@ -29,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add_stage("preprocess", "build the train/validation/test dataset artifact")
-    add_stage("pretrain", "train the reference session encoder")
-    add_stage("partition", "shard sessions by balanced k-means over reference states")
+    add_stage("pretrain", "fit the corpus embedding of the training sessions")
+    add_stage("partition", "shard sessions by balanced k-means over their embeddings")
     add_stage("train-shards", "train one sub-model per shard")
     add_stage("train-agg", "train the attentive fusion layer")
     add_stage("eval", "score the fused model on a held-out split",

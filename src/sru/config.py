@@ -19,15 +19,6 @@ from .partition import PartitionConfig
 from .unlearning import STRATEGIES
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_ks(text: str) -> tuple[int, ...]:
     ks = tuple(int(part.strip()) for part in text.split(",") if part.strip())
     if not ks or any(k < 1 for k in ks):
@@ -53,8 +44,6 @@ SCHEMA: dict = {
     "backbone.epochs": (int, BackboneConfig.epochs),
     "backbone.batch_size": (int, BackboneConfig.batch_size),
     "backbone.lr": (float, BackboneConfig.lr),
-    "backbone.early_stop": (_parse_bool, False),
-    "backbone.patience": (int, BackboneConfig.patience),
     "partition.k": (int, PartitionConfig.k),
     "partition.delta": (int, 0),       # 0 means ceil(|D| / k)
     "partition.max_iters": (int, PartitionConfig.max_iters),
@@ -147,7 +136,7 @@ class ExperimentConfig:
             raise ContractError("effectiveness.context must be 'prefix' or 'full'")
         if v["data.source"] != "synthetic" and not v["data.source"]:
             raise ContractError("data.source must be 'synthetic' or a TSV path")
-        sections = {"backbone": lambda: self.backbone_config("pretrain"),
+        sections = {"backbone": lambda: self.backbone_config("validate"),
                     "partition": self.partition_config, "agg": self.aggregation_config}
         for section, build in sections.items():
             try:
@@ -183,7 +172,6 @@ class ExperimentConfig:
             batch_size=v["backbone.batch_size"],
             lr=v["backbone.lr"],
             seed=derive_seed(self.seed, label),
-            patience=v["backbone.patience"],
         )
 
     def partition_config(self) -> PartitionConfig:

@@ -22,15 +22,17 @@ from .aggregation import (
     compute_centroids,
     train_aggregation,
 )
-from .backbone import train_backbone, train_many
+from .backbone import train_many
 from .checkpoint import (
     check_config_hash,
     load_assignment,
     load_checkpoint,
     load_datasets,
+    load_embedding,
     save_assignment,
     save_checkpoint,
     save_datasets,
+    save_embedding,
     write_atomic,
 )
 from .config import ExperimentConfig
@@ -38,7 +40,7 @@ from .corpus import generate_synthetic, ingest_log, parse_file, preprocess, spli
 from .errors import ContractError, ParseError, StageDependencyError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
-from .partition import balanced_kmeans, embed_all, make_shards
+from .partition import balanced_kmeans, embed_all, fit_corpus_embedding, make_shards
 from .reports import emit_report
 from .unlearning import (
     SruState,
@@ -74,8 +76,8 @@ def _load(run_dir, config: ExperimentConfig, name: str, k: int = 0, **options):
         raise StageDependencyError(f"missing artifact {os.path.basename(path)}; "
                                    f"run the '{ARTIFACTS[name][1]}' stage first")
     # Looked up on each call, so that a patched loader is the one called.
-    loader = {"dataset": load_datasets, "partition": load_assignment,
-              "audit": _read_audit}.get(name, load_checkpoint)
+    loader = {"dataset": load_datasets, "reference": load_embedding,
+              "partition": load_assignment, "audit": _read_audit}.get(name, load_checkpoint)
     return loader(path, expected_config_hash=config.config_hash(), **options)
 
 
@@ -84,7 +86,8 @@ def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None
     model's seed is in its config, and a shard's index in its file name."""
     path = _path(run_dir, name, k)
     stamp = {"config_hash": config.config_hash(), "stage": ARTIFACTS[name][1]}
-    savers = {"dataset": save_datasets, "partition": save_assignment, "audit": _write_audit}
+    savers = {"dataset": save_datasets, "reference": save_embedding,
+              "partition": save_assignment, "audit": _write_audit}
     if name in savers:
         savers[name](path, obj, stamp)
     else:
@@ -112,9 +115,8 @@ def _read_audit(path, expected_config_hash: str):
 # -- phases, shared by the in-memory pipeline and the stages --------------------
 
 
-def _pretrain(train, validation, config: ExperimentConfig):
-    val = validation if config["backbone.early_stop"] else None
-    return train_backbone(train, config.backbone_config("pretrain"), val_dataset=val)
+def _pretrain(train, config: ExperimentConfig):
+    return fit_corpus_embedding(train, config["backbone.d"])
 
 
 def _partition(reference, train, config: ExperimentConfig):
@@ -141,12 +143,14 @@ def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfi
 
 
 def fit_state(train, validation, config: ExperimentConfig) -> SruState:
-    """Run pretraining, partitioning, shard training, and fusion training
-    in memory and return the assembled framework state. Each model keeps
-    the config it was trained under, and unlearning retrains it under that.
-    The shards train across as many processes as ``train_many`` finds
-    free cores for, with the same bytes as in process."""
-    reference = _pretrain(train, validation, config)
+    """Fit the corpus embedding, then run partitioning, shard training,
+    and fusion training in memory and return the assembled framework
+    state. Each model keeps the config it was trained under, and
+    unlearning retrains it under that. The shards train across as many
+    processes as ``train_many`` finds free cores for, with the same bytes
+    as in process. No phase reads ``validation``: it stays for callers of
+    the three-argument form, and the ablate recipes pass None."""
+    reference = _pretrain(train, config)
     assignment = _partition(reference, train, config)
     shards = make_shards(train, assignment)
     sub_models = _train_shards(shards, config)
@@ -179,9 +183,8 @@ def _cmd_preprocess(run_dir, config: ExperimentConfig, **_) -> None:
 
 
 def _cmd_pretrain(run_dir, config: ExperimentConfig, **_) -> None:
-    splits = _load(run_dir, config, "dataset", splits=["train", "validation"])
-    _save(run_dir, config, "reference",
-          _pretrain(splits["train"], splits["validation"], config))
+    train = _load(run_dir, config, "dataset", splits=["train"])["train"]
+    _save(run_dir, config, "reference", _pretrain(train, config))
 
 
 def _cmd_partition(run_dir, config: ExperimentConfig, **_) -> None:
@@ -209,8 +212,8 @@ def _cmd_train_agg(run_dir, config: ExperimentConfig, **_) -> None:
 def load_model(run_dir, config: ExperimentConfig) -> SruModel:
     """Load the predictor alone: the fusion layer with the centroids it
     was trained against, then its ``aggregation.k`` shard checkpoints,
-    each checked against the config hash. The dataset, the reference
-    encoder and the partition are not read."""
+    each checked against the config hash. The dataset, the corpus
+    embedding and the partition are not read."""
     aggregation = _load(run_dir, config, "aggregation")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(aggregation.k)]
     return SruModel(sub_models=tuple(sub_models), aggregation=aggregation)
@@ -219,7 +222,7 @@ def load_model(run_dir, config: ExperimentConfig) -> SruModel:
 def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
     """Reassemble the framework state from on-disk artifacts.
 
-    Loads the dataset splits, the reference encoder and the partition,
+    Loads the dataset splits, the corpus embedding and the partition,
     and takes the predictor from ``load_model``; K is the fusion layer's,
     and a partition with another K is a ``ContractError``. Each model
     carries the training config from its checkpoint, which unlearning
@@ -309,14 +312,14 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
                 shard_counts=(2, 4, 8, 16), deletion_range=(0, 1, 2, 3, 4, 5), **_) -> None:
     if mode not in ("shards", "partition", "deletion"):
         raise ContractError(f"unknown ablation {mode!r}; use shards, partition, or deletion")
-    splits = _load(run_dir, config, "dataset")
-    train, validation, test = splits["train"], splits["validation"], splits["test"]
+    splits = _load(run_dir, config, "dataset", splits=["train", "test"])
+    train, test = splits["train"], splits["test"]
     strategy = config["unlearn.strategy"]
 
     if mode == "shards":
         rows = []
         for k in shard_counts:
-            state = fit_state(train, validation,
+            state = fit_state(train, None,
                               ExperimentConfig({**config.values, "partition.k": k}))
             report = evaluate(state.sru_model(), test, ks=(20,))
             requests = sample_requests(state.corpus,
@@ -329,7 +332,7 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
         _write_csv(os.path.join(run_dir, "ablate_shards.csv"),
                    "k,ndcg_at_20,unlearn_ms", rows)
     elif mode == "partition":
-        state = fit_state(train, validation, config)
+        state = fit_state(train, None, config)
         sru_report = evaluate(state.sru_model(), test, ks=(20,))
         sisa = sisa_baseline(train, config["partition.k"],
                              config.backbone_config("sisa"),
@@ -340,7 +343,7 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
                    [("similarity_partition", f"{sru_report.recall[20]:.6g}"),
                     ("random_partition", f"{sisa_report.recall[20]:.6g}")])
     else:
-        state = fit_state(train, validation, config)
+        state = fit_state(train, None, config)
         base = sample_requests(state.corpus,
                                count=min(200, len(train) // 2),
                                strategy=strategy, n_extra=0,

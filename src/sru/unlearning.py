@@ -5,10 +5,10 @@ Exactness comes from determinism rather than parameter surgery: a
 retrained sub-model is the output of the ordinary training function on
 the post-deletion shard with the original config and seed, so it is
 bitwise identical to a model that never saw the deleted items. The
-pretrained reference encoder is NOT retrained here; it only serves
-partitioning and the collaborative-deletion distances. Its hidden states
-did see the deleted interactions, which is a deliberate, documented
-privacy caveat of this design.
+corpus embedding (the state's ``reference_model``) is NOT refit here; it
+only serves partitioning and the collaborative-deletion distances. It
+was fit on the deleted interactions too, which is a deliberate,
+documented privacy caveat of this design.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .backbone import BackboneConfig, GruModel, _training_workers, train_many_ti
 from .corpus import Session, SessionDataset, parse_file
 from .errors import ContractError, ParseError, PositionError, UnknownSessionError
 from .numerics import RngStream, derive_seed
-from .partition import ShardAssignment, make_shards
+from .partition import CorpusEmbedding, ShardAssignment, make_shards
 from .reports import TimingReport
 
 STRATEGIES = ("CED", "NED", "RED")
@@ -125,11 +125,11 @@ def _check_target(session: Session, target_position: int) -> None:
 
 
 def ced_select(session: Session, target_position: int, n_extra: int,
-               reference_model: GruModel) -> tuple[int, ...]:
+               reference_model: CorpusEmbedding) -> tuple[int, ...]:
     """Collaborative extra deletion: also drop the n_extra items whose
-    reference embeddings are closest to the target item's embedding.
+    embeddings are closest to the target item's embedding.
 
-    Distances use the pretrained reference encoder's item embeddings;
+    Distances use the corpus embedding's item factors (``embeddings``);
     ties break toward earlier positions.
     """
     _check_target(session, target_position)
@@ -164,11 +164,11 @@ def red_select(session: Session, target_position: int, n_extra: int,
 
 
 def select_positions(session: Session, request: UnlearnRequest,
-                     reference_model: GruModel | None = None,
+                     reference_model: CorpusEmbedding | None = None,
                      stream: RngStream | None = None) -> tuple[int, ...]:
     if request.strategy == "CED":
         if reference_model is None:
-            raise ContractError("CED needs the pretrained reference model")
+            raise ContractError("CED needs the corpus embedding")
         return ced_select(session, request.target_position, request.n_extra, reference_model)
     if request.strategy == "NED":
         return ned_select(session, request.target_position, request.n_extra)
@@ -256,7 +256,7 @@ class SruState:
     ``agg_config`` read them.
     """
 
-    reference_model: GruModel
+    reference_model: CorpusEmbedding
     corpus: SessionDataset
     assignment: ShardAssignment
     sub_models: list[GruModel]

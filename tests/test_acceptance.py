@@ -28,7 +28,13 @@ from sru.numerics import (
     ndcg_gains,
     ranks_from_logits,
 )
-from sru.partition import PartitionConfig, balanced_kmeans, cluster_purity, embed_all
+from sru.partition import (
+    PartitionConfig,
+    balanced_kmeans,
+    cluster_purity,
+    embed_all,
+    fit_corpus_embedding,
+)
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests
 from reference import (
@@ -230,9 +236,7 @@ def test_c3_partition_invariants():
 
     data = generate_synthetic(400, 60, 2, noise_rate=0.0, seed=21,
                               min_len=8, max_len=14)
-    reference = train_backbone(
-        data, BackboneConfig(d=32, max_len=14, epochs=20, lr=3e-3, seed=5))
-    assignment = balanced_kmeans(embed_all(reference, data),
+    assignment = balanced_kmeans(embed_all(fit_corpus_embedding(data, 32), data),
                                  PartitionConfig(k=2, seed=7))
     purity = cluster_purity(assignment, [s.cluster for s in data.sessions])
     assert purity >= 0.9, f"noise-free 2-cluster purity {purity:.3f}"

@@ -19,6 +19,7 @@ from sru.config import ExperimentConfig
 from sru.corpus import SessionDataset
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore
+from sru.partition import CorpusEmbedding
 from sru.pipeline import _partition, fit_state
 from sru.reports import TimingReport
 from sru.unlearning import SruState
@@ -81,7 +82,8 @@ def test_fit_state_takes_the_shard_count_from_its_config():
 # The fusion layer also stores the centroids it was trained against,
 # which the predictor and the state read from it.
 STORED_FIELDS = {
-    GruModel: {"store", "config", "loss_history", "best_epoch"},
+    GruModel: {"store", "config", "loss_history"},
+    CorpusEmbedding: {"basis", "scale"},
     AggregationModel: {"store", "config", "centroids", "loss_history"},
     SruModel: {"sub_models", "aggregation"},
     SessionDataset: {"sessions", "vocab", "split_tag"},

@@ -26,10 +26,12 @@ from sru.checkpoint import (
     load_checkpoint,
     load_container,
     load_datasets,
+    load_embedding,
     save_assignment,
     save_checkpoint,
     save_container,
     save_datasets,
+    save_embedding,
     write_atomic,
 )
 from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic, split
@@ -40,7 +42,13 @@ from sru.errors import (
     StaleArtifactError,
     VersionError,
 )
-from sru.partition import PartitionConfig, ShardAssignment, balanced_kmeans
+from sru.partition import (
+    CorpusEmbedding,
+    PartitionConfig,
+    ShardAssignment,
+    balanced_kmeans,
+    fit_corpus_embedding,
+)
 from sru.reports import EffectivenessReport, RankingReport, TimingReport, emit_report
 
 
@@ -58,19 +66,14 @@ class TestModelRoundTrip:
         assert loaded.config == model.config
         assert loaded.num_items == 20
 
-    def test_gru_best_epoch_round_trip(self, tmp_path):
-        model = init_gru_model(20, BackboneConfig(d=8, max_len=10, seed=3))
-        path = tmp_path / "m.sru"
-        save_checkpoint(model, path)
-        assert load_checkpoint(path).best_epoch is None
-        model.best_epoch = 4
-        save_checkpoint(model, path)
-        assert load_checkpoint(path).best_epoch == 4
-        # a checkpoint written before the field existed loads with None
-        tensors, metadata = load_container(path)
-        del metadata["best_epoch"]
-        save_container(path, tensors, metadata)
-        assert load_checkpoint(path).best_epoch is None
+    def test_embedding_round_trip_bitwise(self, tmp_path):
+        embedding = fit_corpus_embedding(generate_synthetic(40, 20, 2, seed=1), 6)
+        path = tmp_path / "e.sru"
+        save_embedding(path, embedding, {"config_hash": "abc"})
+        loaded = load_embedding(path, expected_config_hash="abc")
+        assert isinstance(loaded, CorpusEmbedding)
+        assert loaded.params_bytes() == embedding.params_bytes()
+        assert (loaded.num_items, loaded.d) == (20, 6)
 
     def test_aggregation_round_trip_bitwise(self, tmp_path):
         model = init_aggregation_model(4, 8, 30, AggregationConfig(f=6, seed=5))
@@ -293,7 +296,8 @@ class TestConfigHashGate:
         assert "force" not in message
 
     def test_no_loader_takes_a_force_option(self):
-        for fn in (check_config_hash, load_assignment, load_checkpoint, load_datasets):
+        for fn in (check_config_hash, load_assignment, load_checkpoint, load_datasets,
+                   load_embedding):
             assert "force" not in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -333,6 +337,95 @@ class TestDatasetRoundTrip:
         save_datasets(path, {"train": data})
         loaded = load_datasets(path)["train"]
         assert [s.cluster for s in loaded.sessions] == [s.cluster for s in data.sessions]
+
+
+class TestEmbeddingLoadChecks:
+    """An embedding checkpoint holds exactly a float64 basis (V+1, d) and a
+    float64 scale (d,); anything else raises IntegrityError naming the
+    file."""
+
+    @pytest.mark.parametrize("change", [
+        lambda t: {**t, "scale": t["scale"][:-1]},
+        lambda t: {**t, "scale": t["scale"][None]},
+        lambda t: {**t, "basis": t["basis"][:, 0]},
+        lambda t: {**t, "basis": t["basis"][:1]},
+        lambda t: {**t, "basis": t["basis"].astype(np.float32)},
+        lambda t: {**t, "scale": t["scale"].astype(np.float32)},
+        lambda t: {"basis": t["basis"]},
+        lambda t: {**t, "E": t["basis"]},
+    ], ids=["short scale", "2-D scale", "1-D basis", "no item rows", "float32 basis",
+            "float32 scale", "no scale", "extra tensor"])
+    def test_wrong_tensors_are_named(self, tmp_path, change):
+        path = tmp_path / "e.sru"
+        save_embedding(path, fit_corpus_embedding(generate_synthetic(40, 20, 2, seed=1), 4))
+        tensors, metadata = load_container(path)
+        save_container(path, change(dict(tensors)), metadata)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: expected a "
+                                                 "float64 basis"):
+            load_embedding(path)
+
+    def test_a_model_file_is_not_an_embedding(self, tmp_path):
+        path = tmp_path / "m.sru"
+        save_checkpoint(init_gru_model(20, BackboneConfig(d=8, max_len=10, seed=3)), path)
+        with pytest.raises(VersionError, match="expected an embedding container, "
+                                               "found kind 'gru'"):
+            load_embedding(path)
+
+    def test_an_embedding_file_is_not_a_model(self, tmp_path):
+        path = tmp_path / "e.sru"
+        save_embedding(path, fit_corpus_embedding(generate_synthetic(40, 20, 2, seed=1), 4))
+        with pytest.raises(VersionError, match="checkpoint kind 'embedding' is not a model"):
+            load_checkpoint(path)
+
+
+# change -> (how it rewrites the test split's tensors and session ids, the
+# problem the error names)
+SPLIT_LAYOUT_CHANGES = {
+    "short offsets": (lambda t, ids: ({**t, "test/offsets": t["test/offsets"][:-2]}, ids),
+                      r"\d+ offsets for \d+ session ids"),
+    "short clusters": (lambda t, ids: ({**t, "test/clusters": t["test/clusters"][:-1]}, ids),
+                       r"\d+ clusters for \d+ session ids"),
+    "offsets end early": (lambda t, ids: ({**t, "test/items": np.concatenate(
+                              [t["test/items"], [1, 2, 3]])}, ids),
+                          r"offsets end at \d+, but there are \d+ items"),
+    "one id fewer": (lambda t, ids: (t, ids[:-1]), r"\d+ offsets for \d+ session ids"),
+    "float items": (lambda t, ids: ({**t, "test/items": t["test/items"].astype(np.float64)},
+                                    ids), "expected int64 vectors: test/items is float64"),
+    "float offsets": (lambda t, ids: ({**t, "test/offsets": t["test/offsets"] + 0.0}, ids),
+                      "expected int64 vectors: test/offsets is float64"),
+    "2-D clusters": (lambda t, ids: ({**t, "test/clusters": t["test/clusters"][:, None]}, ids),
+                     "expected int64 vectors: test/clusters is int64"),
+    "offsets start late": (lambda t, ids: ({**t, "test/offsets": np.concatenate(
+                               [[2], t["test/offsets"][1:]])}, ids),
+                           "offsets start at 2, not 0"),
+    "offsets decrease": (lambda t, ids: ({**t, "test/offsets": np.concatenate(
+                             [[0, 5, 3], t["test/offsets"][3:]])}, ids),
+                         "offsets decrease after offset 1"),
+    "no clusters": (lambda t, ids: ({k: v for k, v in t.items() if k != "test/clusters"}, ids),
+                    "no tensor test/clusters"),
+}
+
+
+class TestSplitLayoutChecks:
+    """Each requested split's tensors must describe its session ids:
+    otherwise loading raises IntegrityError naming the file and the split,
+    and a split that is not requested is not checked."""
+
+    @pytest.mark.parametrize("change", sorted(SPLIT_LAYOUT_CHANGES))
+    def test_broken_split_is_named(self, tmp_path, change):
+        data = generate_synthetic(30, 30, 3, noise_rate=0.2, seed=4)
+        train, val, test = split(data, seed=1)
+        path = tmp_path / "d.sru"
+        save_datasets(path, {"train": train, "validation": val, "test": test})
+        tensors, metadata = load_container(path)
+        rewrite, problem = SPLIT_LAYOUT_CHANGES[change]
+        tensors, ids = rewrite(dict(tensors), metadata["session_ids"]["test"])
+        metadata["session_ids"]["test"] = ids
+        save_container(path, tensors, metadata)
+        with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: split 'test': "
+                                                 f"{problem}"):
+            load_datasets(path, splits=["test"])
+        assert load_datasets(path, splits=["train"])["train"] == train
 
 
 def write_train_split(path, rows):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sru.backbone import BackboneConfig, train_backbone
+import sru.partition
 from sru.config import ExperimentConfig
-from sru.corpus import generate_synthetic
+from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import ContractError
 from sru.partition import (
     PartitionConfig,
@@ -16,49 +16,133 @@ from sru.partition import (
     balanced_kmeans,
     cluster_purity,
     embed_all,
+    fit_corpus_embedding,
     make_shards,
 )
-from reference import assign, assignment_from_members, encode
+from reference import assign, assignment_from_members
 
 
-def trained_reference(data, d=16, epochs=6, seed=5):
-    # 14 is generate_synthetic's default longest session
-    config = BackboneConfig(d=d, max_len=14, epochs=epochs, lr=3e-3, seed=seed)
-    return train_backbone(data, config)
+def count_rows(data):
+    """The dense L2-normalised session-by-item count matrix (n, V+1)."""
+    X = np.zeros((len(data), data.num_items() + 1))
+    for i, session in enumerate(data.sessions):
+        for item in session.items:
+            X[i, item] += 1.0
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def svd_factors(data, d):
+    """U S and V of the count matrix's top d components, each V column
+    flipped so that its largest-magnitude entry is positive."""
+    U, S, Vt = np.linalg.svd(count_rows(data), full_matrices=False)
+    V = Vt[:d].T
+    signs = np.where(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    return U[:, :d] * S[:d] * signs, V * signs, S[:d]
+
+
+class TestCorpusEmbedding:
+    def test_two_fits_give_the_same_bytes(self):
+        data = generate_synthetic(150, 30, 3, seed=4)
+        assert fit_corpus_embedding(data, 8).params_bytes() == \
+            fit_corpus_embedding(data, 8).params_bytes()
+
+    @pytest.mark.parametrize("entries", [1 << 16, 100])
+    def test_basis_is_the_svd_right_singular_vectors(self, entries, monkeypatch):
+        # 100 entries make blocks of 3 sessions, so the Gram matrix is
+        # summed over many blocks
+        monkeypatch.setattr(sru.partition, "_BLOCK_ENTRIES", entries)
+        data = generate_synthetic(200, 30, 3, seed=6)
+        embedding = fit_corpus_embedding(data, 10)
+        US, V, S = svd_factors(data, 10)
+        assert embedding.basis.shape == (31, 10) and embedding.scale.shape == (10,)
+        assert embedding.basis.dtype == embedding.scale.dtype == np.float64
+        np.testing.assert_allclose(embedding.basis, V, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(embedding.scale, S, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(embed_all(embedding, data), US, rtol=0, atol=1e-10)
+
+    def test_item_factors_have_a_zero_pad_row(self):
+        data = generate_synthetic(60, 20, 2, seed=2)
+        embedding = fit_corpus_embedding(data, 6)
+        assert not embedding.basis[0].any()
+        np.testing.assert_array_equal(embedding.embeddings,
+                                      embedding.basis * embedding.scale)
+        assert not embedding.embeddings[0].any()
+
+    def test_components_beyond_the_vocabulary_are_zero(self):
+        rng = np.random.default_rng(3)                   # V + 1 = 6 < d = 9
+        data = SessionDataset(
+            sessions=tuple(Session(f"s{i}", tuple(rng.integers(1, 6, size=rng.integers(2, 7))))
+                           for i in range(40)),
+            vocab=ItemVocab.from_tokens("abcde"))
+        embedding = fit_corpus_embedding(data, 9)
+        assert embedding.basis.shape == (6, 9)
+        assert not embedding.basis[:, 5:].any() and not embedding.scale[5:].any()
+        US, V, S = svd_factors(data, 5)
+        np.testing.assert_allclose(embedding.basis[:, :5], V, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(embed_all(embedding, data)[:, :5], US, rtol=0, atol=1e-10)
+
+    def test_components_beyond_the_rank_are_zero(self):
+        # two distinct sessions span two directions
+        data = generate_synthetic(2, 30, 2, seed=1)
+        data = data.with_sessions([data.sessions[0], data.sessions[1]] * 3)
+        embedding = fit_corpus_embedding(data, 4)
+        assert np.count_nonzero(embedding.scale) == 2
+        assert not embedding.basis[:, 2:].any()
+
+    def test_a_vocabulary_past_the_krylov_cap_keeps_the_leading_components(self, monkeypatch):
+        # 200 items > 8 d: the Gram matrix is never formed, and the four
+        # planted-cluster components come out as the SVD's
+        def no_gram(self):
+            raise AssertionError("formed the (V, V) Gram matrix")
+
+        monkeypatch.setattr(sru.partition._CountRows, "gram", no_gram)
+        data = generate_synthetic(600, 200, 4, seed=0)
+        embedding = fit_corpus_embedding(data, 8)
+        assert fit_corpus_embedding(data, 8).params_bytes() == embedding.params_bytes()
+        US, V, S = svd_factors(data, 8)
+        np.testing.assert_allclose(embedding.basis[:, :4], V[:, :4], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(embedding.scale[:4], S[:4], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(embedding.scale, S, rtol=0, atol=1e-3)
+
+    def test_a_krylov_basis_that_stops_growing_is_exact(self, monkeypatch):
+        # rank 2: the basis holds the d = 4 seeded vectors and the two
+        # directions of X^T X's range, then stops short of its 8-vector cap
+        monkeypatch.setattr(sru.partition, "_KRYLOV_BLOCKS", 2)
+        monkeypatch.setattr(sru.partition._CountRows, "gram", None)
+        data = generate_synthetic(2, 30, 2, seed=1)
+        data = data.with_sessions([data.sessions[0], data.sessions[1]] * 3)
+        embedding = fit_corpus_embedding(data, 4)
+        US, V, S = svd_factors(data, 2)
+        assert np.count_nonzero(embedding.scale) == 2 and not embedding.basis[:, 2:].any()
+        np.testing.assert_allclose(embedding.basis[:, :2], V, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(embedding.scale[:2], S, rtol=0, atol=1e-10)
+
+    def test_width_below_one_rejected(self):
+        with pytest.raises(ContractError, match="width must be >= 1"):
+            fit_corpus_embedding(generate_synthetic(5, 20, 2, seed=0), 0)
 
 
 class TestEmbedAll:
-    def test_single_session(self):
-        data = generate_synthetic(1, 30, 2, seed=0)
-        model = trained_reference(data, epochs=1)
-        H = embed_all(model, data)
-        assert H.shape == (1, 16)
-        np.testing.assert_allclose(H[0], encode(model, data.sessions[0].items),
-                                   rtol=1e-6, atol=1e-7)
-
     def test_identical_sessions_identical_rows(self):
         data = generate_synthetic(6, 30, 2, seed=1)
         twin = data.sessions[0]
         clone = data.with_sessions([twin] * 4)
-        model = trained_reference(data, epochs=1)
-        H = embed_all(model, clone)
+        H = embed_all(fit_corpus_embedding(data, 8), clone)
         for row in H[1:]:
             np.testing.assert_array_equal(row, H[0])
 
-    def test_rows_match_per_session_encode(self):
-        data = generate_synthetic(12, 30, 2, seed=2)
-        model = trained_reference(data, epochs=2)
-        H = embed_all(model, data)
-        for row, session in zip(H, data.sessions):
-            np.testing.assert_allclose(row, encode(model, session.items),
-                                       rtol=1e-5, atol=1e-6)
+    def test_other_sessions_are_their_count_rows_times_the_basis(self):
+        data = generate_synthetic(50, 30, 2, seed=2)
+        embedding = fit_corpus_embedding(data.with_sessions(data.sessions[:30]), 8)
+        held_out = data.with_sessions(data.sessions[30:])
+        np.testing.assert_allclose(embed_all(embedding, held_out),
+                                   count_rows(held_out) @ embedding.basis, rtol=0, atol=1e-12)
 
     def test_vocab_mismatch_rejected(self):
         data = generate_synthetic(5, 30, 2, seed=0)
         other = generate_synthetic(5, 40, 2, seed=0)
-        model = trained_reference(data, epochs=1)
         with pytest.raises(ContractError):
-            embed_all(model, other)
+            embed_all(fit_corpus_embedding(data, 4), other)
 
 
 class TestBalancedKmeans:
@@ -129,8 +213,7 @@ class TestBalancedKmeans:
 
     def test_noise_free_two_clusters_recovered(self):
         data = generate_synthetic(400, 60, 2, noise_rate=0.0, seed=21)
-        model = trained_reference(data, d=32, epochs=20)
-        assignment = balanced_kmeans(embed_all(model, data),
+        assignment = balanced_kmeans(embed_all(fit_corpus_embedding(data, 32), data),
                                      PartitionConfig(k=2, seed=7))
         purity = cluster_purity(assignment, [s.cluster for s in data.sessions])
         assert purity >= 0.9

@@ -16,7 +16,7 @@ from sru.checkpoint import (
     save_datasets,
 )
 from sru.aggregation import AggregationConfig
-from sru.backbone import BackboneConfig, train_backbone
+from sru.backbone import BackboneConfig
 from sru.cli import main
 from sru.config import ExperimentConfig
 from sru.errors import (
@@ -25,6 +25,7 @@ from sru.errors import (
     ParseError,
     StageDependencyError,
     StaleArtifactError,
+    VersionError,
 )
 from sru.partition import PartitionConfig
 from sru.pipeline import (
@@ -143,8 +144,8 @@ class TestConfig:
     def test_default_hashes_are_pinned(self):
         # every artifact's stamp is this hash: a change here rewrites
         # every run directory
-        assert ExperimentConfig.defaults().config_hash() == "ca45db7a5073cdab"
-        assert ExperimentConfig.defaults(seed=41).config_hash() == "2a9bb8785a223cda"
+        assert ExperimentConfig.defaults().config_hash() == "de28abd9b5ffd096"
+        assert ExperimentConfig.defaults(seed=41).config_hash() == "261115bb706f55a3"
 
     def test_hash_changes_with_values(self):
         assert tiny_config().config_hash() != tiny_config(seed=8).config_hash()
@@ -155,7 +156,7 @@ class TestConfig:
         # comes from the data keys, so neither is a default of its own.
         config = ExperimentConfig.defaults()
         derived = {"seed", "max_len"}
-        for built, bare in ((config.backbone_config("pretrain"), BackboneConfig()),
+        for built, bare in ((config.backbone_config("shard-0"), BackboneConfig()),
                             (config.partition_config(), PartitionConfig()),
                             (config.aggregation_config(), AggregationConfig())):
             got = {k: v for k, v in asdict(built).items() if k not in derived}
@@ -254,8 +255,8 @@ class TestStageDependencies:
         # shard's index is in its file name; models cut sessions to their
         # config's max_len, so the dataset stores none.
         stamps = {"config_hash", "stage"}
-        gru = {"kind", "backbone_config", "loss_history", "best_epoch"} | stamps
-        keys = {"reference.sru": gru, "shard_000.sru": gru, "shard_001.sru": gru,
+        gru = {"kind", "backbone_config", "loss_history"} | stamps
+        keys = {"reference.sru": {"kind"} | stamps, "shard_000.sru": gru, "shard_001.sru": gru,
                 "aggregation.sru": {"kind", "agg_config", "loss_history"} | stamps,
                 "dataset.sru": {"kind", "vocab", "splits", "session_ids"} | stamps}
         for name, expected in keys.items():
@@ -286,6 +287,18 @@ class TestStageDependencies:
         with pytest.raises(StageDependencyError, match=re.escape(expected)):
             run_pipeline(stage, tiny_config(), run_dir,
                          requests_path=run_dir / "requests.csv")
+
+
+    @pytest.mark.parametrize("stage, copied, over, expected", [
+        ("partition", "shard_000.sru", "reference.sru", "expected an embedding container"),
+        ("eval", "reference.sru", "shard_001.sru", "checkpoint kind 'embedding' is not a model"),
+    ])
+    def test_an_artifact_of_another_kind_is_refused(self, unlearned_run, tmp_path,
+                                                    stage, copied, over, expected):
+        run_dir = copied_run(unlearned_run, tmp_path)
+        shutil.copyfile(run_dir / copied, run_dir / over)
+        with pytest.raises(VersionError, match=re.escape(f"{run_dir / over}: {expected}")):
+            run_pipeline(stage, tiny_config(), run_dir)
 
 
 class TestStageConfig:
@@ -332,12 +345,11 @@ class TestDispatch:
 
 class TestLossHistory:
     def test_loss_curves_survive_save_and_load(self, tmp_path):
-        config = tiny_config(**{"backbone.early_stop": True})
+        config = tiny_config()
         run_stages(tmp_path, config, ("preprocess",))
         data = _load(tmp_path, config, "dataset")
         state = fit_state(data["train"], data["validation"], config)
-        models = [("reference", state.reference_model, 0),
-                  *(("shard", m, k) for k, m in enumerate(state.sub_models)),
+        models = [*(("shard", m, k) for k, m in enumerate(state.sub_models)),
                   ("aggregation", state.aggregation, 0)]
         for name, model, k in models:
             assert model.loss_history
@@ -345,20 +357,6 @@ class TestLossHistory:
             loaded = _load(tmp_path, config, name, k)
             assert loaded.loss_history == model.loss_history, (name, k)
             assert all(type(x) is float for x in loaded.loss_history)
-
-    def test_best_epoch_survives_save_and_load(self, tmp_path):
-        config = tiny_config(**{"backbone.early_stop": True, "backbone.epochs": 20,
-                                "backbone.patience": 2, "backbone.lr": 0.1})
-        run_stages(tmp_path, config, ("preprocess", "pretrain"))
-        reference = _load(tmp_path, config, "reference")
-        # one loss per epoch run, the epochs after the best included
-        assert 1 <= reference.best_epoch < len(reference.loss_history) < 20
-        # the restored parameters are the best epoch's: as many epochs
-        # without a validation set give the same bytes
-        train = _load(tmp_path, config, "dataset", splits=["train"])["train"]
-        plain = train_backbone(train, replace(reference.config, epochs=reference.best_epoch))
-        assert plain.best_epoch is None
-        assert plain.params_bytes() == reference.params_bytes()
 
 
 class TestUnlearnStage:

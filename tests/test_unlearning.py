@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sru.aggregation import build_feature_cache
-from sru.backbone import BackboneConfig, init_gru_model, train_backbone
+from sru.backbone import train_backbone
 from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import (
     ContractError,
@@ -21,7 +21,7 @@ from sru.errors import (
     UnknownSessionError,
 )
 from sru.numerics import RngStream
-from sru.partition import make_shards
+from sru.partition import CorpusEmbedding, make_shards
 from sru.pipeline import _write_audit
 from sru.unlearning import (
     STRATEGIES,
@@ -45,14 +45,12 @@ def vocab4():
 
 
 def reference_with_line_embeddings():
-    # 1-D geometry on the first embedding axis:
+    # 1-D geometry on the first item-factor axis, scaled by 2:
     # a=5, b=1.5, c=9, x=1, d=20 so dist(b,x) < dist(a,x) < dist(c,x)
-    model = init_gru_model(5, BackboneConfig(d=2, max_len=10, seed=0))
-    E = model.store.params["E"]
-    E[...] = 0.0
+    basis = np.zeros((6, 2))
     for item, value in ((1, 5.0), (2, 1.5), (3, 9.0), (4, 1.0), (5, 20.0)):
-        E[item, 0] = value
-    return model
+        basis[item, 0] = value / 2
+    return CorpusEmbedding(basis=basis, scale=np.array([2.0, 1.0]))
 
 
 class TestCedSelect:
