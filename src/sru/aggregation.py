@@ -84,6 +84,8 @@ class AggregationConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.d_ff is not None and self.d_ff < 1:
             raise ContractError(f"d_ff must be >= 1 or None, got {self.d_ff}")
+        if not self.lr > 0:
+            raise ContractError(f"lr must be > 0, got {self.lr}")
         if self.centroid_source not in CENTROID_SOURCES:
             raise ContractError(
                 f"centroid_source must be one of {CENTROID_SOURCES}, "
@@ -680,16 +682,12 @@ class SruModel:
         return self.sub_models[0].max_len
 
     def predict_batch(self, prefixes) -> np.ndarray:
-        """Id-indexed logits rows; index 0 is the pad slot at -inf.
-
-        Prefixes are cleaned and padded once, one row per prefix (the
-        sub-models share the vocabulary and max_len), and scored by
-        ``predict_padded``.
-        """
-        return self.predict_padded(*pad_prefixes(self.sub_models[0], prefixes))
+        """``predict_padded`` of the prefixes that ``pad_prefixes`` pads."""
+        return self.predict_padded(*pad_prefixes(self, prefixes))
 
     def predict_padded(self, ids, rows, lengths) -> np.ndarray:
-        """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple.
+        """Id-indexed logits of the prefixes of a ``pad_prefixes`` triple;
+        index 0 is the pad slot at -inf.
 
         The sub-models read the id matrix in one stacked pass. The fusion
         then runs on blocks of ``_PREDICT_ROWS`` prefixes, each copied

@@ -65,6 +65,8 @@ class BackboneConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {self.max_len}")
+        if not self.lr > 0:
+            raise ContractError(f"lr must be > 0, got {self.lr}")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"unsupported dtype {self.dtype!r}")
 
@@ -110,13 +112,17 @@ class GruModel:
         return self.store.tobytes()
 
     def predict_batch(self, prefixes) -> np.ndarray:
-        """Id-indexed logits rows; index 0 is the pad slot at -inf."""
+        """``predict_padded`` of the prefixes that ``pad_prefixes`` pads."""
         return self.predict_padded(*pad_prefixes(self, prefixes))
 
     def predict_padded(self, ids, rows, lengths) -> np.ndarray:
-        """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple."""
-        h = encode_stacked([self], ids, rows, lengths)[:, 0]
-        out = np.empty((len(rows), self.num_items + 1), dtype=h.dtype)
+        """Id-indexed logits of the prefixes of a ``pad_prefixes`` triple."""
+        return self.logits_of_states(encode_stacked([self], ids, rows, lengths)[:, 0])
+
+    def logits_of_states(self, h: np.ndarray) -> np.ndarray:
+        """Id-indexed logits rows of GRU states h (n, d): item v scores
+        h . E[v], and index 0, the pad slot, is -inf."""
+        out = np.empty((len(h), self.num_items + 1), dtype=h.dtype)
         out[:, 0] = -np.inf
         _logits(h, self.embeddings[1:], None, out[:, 1:])
         return out
@@ -349,8 +355,9 @@ def prefix_points(sequences, limit: int):
     return (ids, rows, np.minimum(t, limit)), items[offsets[seq] + t]
 
 
-def pad_prefixes(model: GruModel, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad each prefix on a row of its own; returns (ids, rows, lengths).
+def pad_prefixes(model, prefixes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad each prefix on a row of its own for a model, anything with a
+    ``num_items`` and a ``max_len``; returns (ids, rows, lengths).
 
     Each prefix is cleaned first: its pad ids are skipped, its last
     max_len items are kept, and every id is checked against the

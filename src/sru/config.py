@@ -136,6 +136,20 @@ class ExperimentConfig:
             raise ContractError("effectiveness.context must be 'prefix' or 'full'")
         if v["data.source"] != "synthetic" and not v["data.source"]:
             raise ContractError("data.source must be 'synthetic' or a TSV path")
+        syn = {key.partition(".")[2]: v[key] for key in v if key.startswith("synthetic.")}
+        for ok, message in (
+            (syn["sessions"] >= 1, f"sessions must be >= 1, got {syn['sessions']}"),
+            (syn["clusters"] >= 1, f"clusters must be >= 1, got {syn['clusters']}"),
+            (syn["items"] >= 10 * syn["clusters"],
+             f"items must be >= 10 * clusters ({10 * syn['clusters']}), got {syn['items']}"),
+            (0.0 <= syn["noise"] <= 1.0, f"noise must be in [0, 1], got {syn['noise']}"),
+            (2 <= syn["min_len"] <= syn["max_len"],
+             f"min_len must be in 2..max_len ({syn['max_len']}), got {syn['min_len']}"),
+        ):
+            if not ok:
+                raise ContractError(f"synthetic: {message}")
+        if v["unlearn.n_extra"] < 0:
+            raise ContractError(f"unlearn: n_extra must be >= 0, got {v['unlearn.n_extra']}")
         sections = {"backbone": lambda: self.backbone_config("validate"),
                     "partition": self.partition_config, "agg": self.aggregation_config}
         for section, build in sections.items():

@@ -320,6 +320,8 @@ def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
     chain state still advances). The generating cluster is recorded on
     every session for partition-quality diagnostics.
     """
+    if num_clusters < 1:
+        raise ContractError(f"num_clusters must be >= 1, got {num_clusters}")
     if vocab_size < num_clusters * 10:
         raise ContractError(
             f"vocab_size must be >= 10 * num_clusters ({num_clusters * 10}), got {vocab_size}"

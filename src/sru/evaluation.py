@@ -15,7 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import build_feature_cache
-from .backbone import BackboneConfig, pad_prefixes, prefix_points, train_backbone, train_many
+from .backbone import (
+    BackboneConfig,
+    encode_stacked,
+    pad_prefixes,
+    prefix_points,
+    train_backbone,
+    train_many,
+)
 from .corpus import SessionDataset
 from .errors import ContractError
 from .numerics import RngStream, derive_seed, ndcg_gains, ranks_from_logits
@@ -26,73 +33,50 @@ DEFAULT_KS = (10, 20)
 DEFAULT_HIT_KS = (1, 5, 10, 20)
 
 
-def _eval_points(dataset: SessionDataset):
-    for session in dataset.sessions:
-        for t in range(1, len(session)):
-            yield session.items[:t], session.items[t]
+def _check_predictor(predictor) -> None:
+    """ContractError naming the first of ``predict_padded``, ``max_len``
+    and ``num_items``, the predictor protocol, that the predictor lacks."""
+    for name in ("predict_padded", "max_len", "num_items"):
+        if not hasattr(predictor, name):
+            raise ContractError(f"a predictor needs predict_padded, max_len and num_items; "
+                                f"{type(predictor).__name__} has no {name}")
 
 
-def _predict_batch_of(predictor):
-    """The predictor's ``predict_batch``, which maps a list of prefixes to
-    an (n, |V| + 1) block of id-indexed logits; ContractError without one."""
-    predict_batch = getattr(predictor, "predict_batch", None)
-    if predict_batch is None:
-        raise ContractError(f"a predictor needs a predict_batch method; "
-                            f"{type(predictor).__name__} has none")
-    return predict_batch
-
-
-def _ranks_in_chunks(score, targets, chunk: int = 4096) -> np.ndarray:
-    """Rank of each target in its row of score(start, stop), the logits
-    block of points start:stop, taken at most ``chunk`` points a call."""
+def _ranks_in_chunks(predictor, padded, targets, chunk: int = 4096) -> np.ndarray:
+    """Rank of each target in the row ``predictor.predict_padded`` gives
+    its prefix of the triple (ids, rows, lengths), at most ``chunk``
+    prefixes a call; rows is nondecreasing, as both builders of a triple
+    make it, so a chunk reads a contiguous range of rows."""
+    ids, rows, lengths = padded
     ranks = np.empty(len(targets), dtype=np.int64)
     for start in range(0, len(targets), chunk):
         stop = min(start + chunk, len(targets))
-        ranks[start:stop] = ranks_from_logits(score(start, stop), targets[start:stop])
-    return ranks
-
-
-def _ranks_for_points(predict_batch, points) -> np.ndarray:
-    prefixes = [p for p, _ in points]
-    targets = np.array([t for _, t in points], dtype=np.int64)
-    return _ranks_in_chunks(lambda start, stop: predict_batch(prefixes[start:stop]), targets)
-
-
-def _ranks_for_split(model, dataset: SessionDataset) -> np.ndarray:
-    # the points of a contiguous range read a contiguous range of rows
-    (ids, rows, lengths), targets = prefix_points(
-        [s.items for s in dataset.sessions], model.max_len)
-
-    def score(start, stop):
         first = rows[start]
-        return model.predict_padded(ids[first : rows[stop - 1] + 1], rows[start:stop] - first,
-                                    lengths[start:stop])
-
-    return _ranks_in_chunks(score, targets)
+        logits = predictor.predict_padded(ids[first : rows[stop - 1] + 1],
+                                          rows[start:stop] - first, lengths[start:stop])
+        ranks[start:stop] = ranks_from_logits(logits, targets[start:stop])
+    return ranks
 
 
 def evaluate(predictor, dataset: SessionDataset, ks=DEFAULT_KS) -> RankingReport:
     """Score every (prefix, next-item) point of a held-out split.
 
-    A predictor is read through one of two entry points. The library's
-    models have ``predict_padded(ids, rows, lengths)``, which scores a
-    ``backbone.pad_prefixes`` triple, and a ``max_len``: the split's
-    points are built straight from its sessions by
-    ``backbone.prefix_points``, one padded row per session plus a window
-    row for each prefix longer than ``max_len``, so the GRU runs once
-    per session and no prefix is sliced out. Any other predictor's
-    ``predict_batch`` maps a list of the prefixes themselves to rows of
-    id-indexed logits. Either way the points go in chunks of at most
-    4096, in session index order, so the reduction is reproducible.
+    A predictor has ``predict_padded(ids, rows, lengths)``, which maps a
+    ``backbone.pad_prefixes`` triple to rows of id-indexed logits, a
+    ``max_len`` and a ``num_items``. The split's points are built
+    straight from its sessions by ``backbone.prefix_points``, one padded
+    row per session plus a window row for each prefix longer than
+    ``max_len``, so the GRU runs once per session and no prefix is
+    sliced out. The points go in chunks of at most 4096, in session
+    index order, so the reduction is reproducible.
     """
+    _check_predictor(predictor)
     if dataset.split_tag not in ("validation", "test"):
         raise ContractError(
             f"evaluate expects a validation or test split, got {dataset.split_tag!r}"
         )
-    if hasattr(predictor, "predict_padded"):
-        ranks = _ranks_for_split(predictor, dataset)
-    else:
-        ranks = _ranks_for_points(_predict_batch_of(predictor), list(_eval_points(dataset)))
+    padded, targets = prefix_points([s.items for s in dataset.sessions], predictor.max_len)
+    ranks = _ranks_in_chunks(predictor, padded, targets)
     if not ranks.size:
         raise ContractError("no evaluation points in dataset")
     recall = {}
@@ -110,14 +94,15 @@ def hit_effectiveness(predictor, deletion_results, ks=DEFAULT_HIT_KS,
     Each audited request feeds the unlearned model the items that
     survived deletion (by default only those before the target's
     original position) and checks whether the deleted target still ranks
-    within K, ranked through the predictor's ``predict_batch``. Requests
-    with an empty surviving context are skipped and counted separately.
-    Lower hit ratios mean better unlearning.
+    within K. The contexts are padded once by ``backbone.pad_prefixes``
+    and ranked as ``evaluate`` ranks a split's points. Requests with an
+    empty surviving context are skipped and counted separately. Lower
+    hit ratios mean better unlearning.
     """
-    predict_batch = _predict_batch_of(predictor)
+    _check_predictor(predictor)
     if context not in ("prefix", "full"):
         raise ContractError(f"context must be 'prefix' or 'full', got {context!r}")
-    audited: list[tuple[tuple[int, ...], int]] = []
+    audited = []
     skipped = 0
     for result in deletion_results:
         ctx = result.context_prefix if context == "prefix" else result.context_full
@@ -127,7 +112,9 @@ def hit_effectiveness(predictor, deletion_results, ks=DEFAULT_HIT_KS,
         audited.append((ctx, result.target_item))
     if not audited:
         raise ContractError("no requests with non-empty context to audit")
-    ranks = _ranks_for_points(predict_batch, audited)
+    contexts, targets = zip(*audited)
+    ranks = _ranks_in_chunks(predictor, pad_prefixes(predictor, contexts),
+                             np.array(targets, dtype=np.int64))
     hit = {k: float(np.mean(ranks <= k)) for k in ks}
     return EffectivenessReport(hit=hit, audited_requests=len(audited),
                                skipped_empty_prefix=skipped)
@@ -149,15 +136,20 @@ class SisaModel:
         return self.sub_models[0].max_len
 
     def predict_batch(self, prefixes) -> np.ndarray:
-        """The sub-models share the vocabulary and max_len, so the
-        prefixes are padded once for all of them, one row per prefix."""
-        return self.predict_padded(*pad_prefixes(self.sub_models[0], prefixes))
+        """``predict_padded`` of the prefixes that ``pad_prefixes`` pads."""
+        return self.predict_padded(*pad_prefixes(self, prefixes))
 
     def predict_padded(self, ids, rows, lengths) -> np.ndarray:
-        """``predict_batch`` of the prefixes of a ``pad_prefixes`` triple."""
+        """Id-indexed logits of the prefixes of a ``pad_prefixes`` triple.
+
+        The sub-models read the id matrix in one stacked pass; their
+        logits rows are then summed in sub-model order and divided by
+        their count.
+        """
+        H = encode_stacked(self.sub_models, ids, rows, lengths)
         acc = None
-        for m in self.sub_models:
-            block = m.predict_padded(ids, rows, lengths)
+        for j, m in enumerate(self.sub_models):
+            block = m.logits_of_states(H[:, j])
             acc = block if acc is None else acc + block
         return acc / len(self.sub_models)
 

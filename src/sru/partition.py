@@ -51,6 +51,8 @@ class PartitionConfig:
             raise ContractError("max_iters must be >= 1")
         if self.delta is not None and self.delta < 1:
             raise ContractError(f"delta must be >= 1 or None, got {self.delta}")
+        if not self.centroid_tol >= 0:
+            raise ContractError(f"centroid_tol must be >= 0, got {self.centroid_tol}")
 
     def capacity(self, n: int) -> int:
         delta = self.delta if self.delta is not None else math.ceil(n / self.k)
@@ -129,10 +131,13 @@ class CorpusEmbedding:
     def num_items(self) -> int:
         return self.basis.shape[0] - 1
 
-    @property
+    @cached_property
     def embeddings(self) -> np.ndarray:
-        """Item factors V S, one row per item id; the pad row is zero."""
-        return self.basis * self.scale
+        """Item factors V S, one row per item id; the pad row is zero.
+        Computed once per embedding, and read-only."""
+        embeddings = self.basis * self.scale
+        embeddings.flags.writeable = False
+        return embeddings
 
     def params_bytes(self) -> bytes:
         return self.basis.tobytes() + self.scale.tobytes()

@@ -33,6 +33,10 @@ which ``backbone.prefix_points`` made redundant, and ``dataset_to_raw``
 writes each item's position as its timestamp, since a dataset keeps
 item order only.
 ``assignment_from_members`` builds test partitions from member lists.
+``evaluate_by_prefixes`` and ``hit_effectiveness_by_prefixes`` rank
+each prefix as a list of items through ``predict_batch``, as
+``evaluation`` did before it ranked every predictor from a padded
+triple; ``FixedPredictor`` is a predictor that reads no prefix.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ from sru.backbone import (
 )
 from sru.corpus import SessionDataset
 from sru.errors import ContractError, DimensionError, SruError
-from sru.numerics import ParamStore, _Buffers, _logits, _softmax_loss
+from sru.numerics import ParamStore, _Buffers, _logits, _softmax_loss, ndcg_gains, ranks_from_logits
 from sru.partition import ShardAssignment
+from sru.reports import EffectivenessReport, RankingReport
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -554,14 +559,53 @@ def assignment_from_members(members, centroids, iterations_run, delta,
 
 
 class FixedPredictor:
-    """A predictor whose ``predict_batch`` gives every prefix the same
-    id-indexed logits row."""
+    """A predictor that gives every prefix the same id-indexed logits
+    row; it reads no prefix, so any ``max_len`` covers them."""
 
-    def __init__(self, logits):
+    def __init__(self, logits, max_len: int = 64):
         self.logits = np.asarray(logits)
+        self.num_items = self.logits.size - 1
+        self.max_len = max_len
 
-    def predict_batch(self, prefixes) -> np.ndarray:
-        return np.tile(self.logits, (len(prefixes), 1))
+    def predict_padded(self, ids, rows, lengths) -> np.ndarray:
+        return np.tile(self.logits, (len(rows), 1))
+
+
+def prefix_ranks(predict_batch, points, chunk: int = 4096) -> np.ndarray:
+    """Rank of the target of each (prefix, target) point in the row that
+    ``predict_batch`` gives the list of its chunk's prefixes, ``chunk``
+    points a call."""
+    prefixes = [prefix for prefix, _ in points]
+    targets = np.array([target for _, target in points], dtype=np.int64)
+    ranks = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), chunk):
+        logits = predict_batch(prefixes[start : start + chunk])
+        ranks[start : start + chunk] = ranks_from_logits(logits, targets[start : start + chunk])
+    return ranks
+
+
+def evaluate_by_prefixes(predictor, dataset: SessionDataset, ks, chunk: int = 4096):
+    """``evaluation.evaluate`` through ``predict_batch`` over each point's
+    whole prefix, the chunk-by-chunk path it took before every predictor
+    was scored from a padded triple."""
+    points = [(s.items[:t], s.items[t]) for s in dataset.sessions for t in range(1, len(s))]
+    ranks = prefix_ranks(predictor.predict_batch, points, chunk)
+    return RankingReport(recall={k: float(np.mean(ranks <= k)) for k in ks},
+                         ndcg={k: float(ndcg_gains(ranks, k).mean()) for k in ks},
+                         evaluation_points=ranks.size)
+
+
+def hit_effectiveness_by_prefixes(predictor, deletion_results, ks, context: str = "prefix",
+                                  chunk: int = 4096):
+    """``evaluation.hit_effectiveness`` through ``predict_batch``, as
+    ``evaluate_by_prefixes`` is ``evaluate``."""
+    contexts = [r.context_prefix if context == "prefix" else r.context_full
+                for r in deletion_results]
+    audited = [(c, r.target_item) for c, r in zip(contexts, deletion_results) if c]
+    ranks = prefix_ranks(predictor.predict_batch, audited, chunk)
+    return EffectivenessReport(hit={k: float(np.mean(ranks <= k)) for k in ks},
+                               audited_requests=len(audited),
+                               skipped_empty_prefix=len(contexts) - len(audited))
 
 
 class DeterminismError(SruError):

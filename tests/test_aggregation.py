@@ -499,6 +499,11 @@ class TestTrainAggregation:
             AggregationConfig(epochs=0)
         assert AggregationConfig(epochs=1).epochs == 1
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_config_with_a_learning_rate_not_above_zero_rejected(self, lr):
+        with pytest.raises(ContractError, match=f"lr must be > 0, got {lr}"):
+            AggregationConfig(lr=lr)
+
     def test_config_with_a_negative_output_width_rejected(self):
         # None means the sub-models' d; a negative width once reached training
         with pytest.raises(ContractError, match="d_ff must be >= 1 or None, got -3"):

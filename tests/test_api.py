@@ -1,7 +1,9 @@
 """The library keeps one path per operation: a model scores prefixes in
-batches, through ``predict_batch`` or, for a padded triple, through
-``predict_padded``, never one prefix at a time; sessions become padded
-rows and points through ``backbone.prefix_points`` alone; and the
+batches, never one prefix at a time, and ``evaluate`` and
+``hit_effectiveness`` rank every predictor from a padded triple through
+its ``predict_padded`` (``predict_batch`` pads a list of prefixes for
+it); sessions become padded rows and points through
+``backbone.prefix_points`` alone; and the
 single-prefix reference versions of the batched paths, like every name
 that only the tests use, live in ``tests/reference.py``, not under
 ``sru``."""
@@ -56,6 +58,18 @@ def test_model_predicts_only_in_batches(model_class):
     assert callable(getattr(model_class, "predict_padded", None))
     for name in ("predict", "__call__", "encode"):
         assert name not in vars(model_class), name
+
+
+# Every predictor is ranked through predict_padded by one chunked ranker;
+# the second protocol, predict_batch over lists of prefixes, and its
+# helpers are gone from evaluation.
+REMOVED_RANKING_PATHS = ("_eval_points", "_predict_batch_of", "_ranks_for_points",
+                         "_ranks_for_split")
+
+
+def test_predictors_have_one_ranking_path():
+    namespace = vars(importlib.import_module("sru.evaluation"))
+    assert [n for n in REMOVED_RANKING_PATHS if n in namespace] == []
 
 
 # Whole sessions become padded rows and points in backbone.prefix_points

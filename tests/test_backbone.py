@@ -267,6 +267,12 @@ class TestTraining:
             BackboneConfig(epochs=0)
         assert BackboneConfig(epochs=1).epochs == 1
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_config_with_a_learning_rate_not_above_zero_rejected(self, lr):
+        # a negative rate once trained, ascending the loss, and exited 0
+        with pytest.raises(ContractError, match=f"lr must be > 0, got {lr}"):
+            BackboneConfig(lr=lr)
+
     def test_config_with_no_max_len_rejected(self):
         # training reads each session's last max_len items, and a slice
         # from -0 would keep every item

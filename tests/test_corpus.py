@@ -183,6 +183,12 @@ class TestSynthetic:
         data = generate_synthetic(50, 30, 3, seed=0)
         assert all(s.cluster in (0, 1, 2) for s in data.sessions)
 
+    @pytest.mark.parametrize("clusters", [0, -2])
+    def test_no_cluster_rejected(self, clusters):
+        # 0 clusters once divided the vocabulary by zero
+        with pytest.raises(ContractError, match=f"num_clusters must be >= 1, got {clusters}"):
+            generate_synthetic(10, 30, clusters, seed=0)
+
     def test_small_vocab_rejected(self):
         with pytest.raises(ContractError):
             generate_synthetic(10, 19, 2, seed=0)

@@ -1,4 +1,5 @@
 import functools
+import types
 from dataclasses import replace
 from unittest import mock
 
@@ -14,7 +15,13 @@ from sru.aggregation import (
     SruModel,
     init_aggregation_model,
 )
-from sru.backbone import BackboneConfig, init_gru_model, prefix_points, train_backbone
+from sru.backbone import (
+    BackboneConfig,
+    init_gru_model,
+    pad_prefixes,
+    prefix_points,
+    train_backbone,
+)
 from sru.corpus import ItemVocab, Session, SessionDataset, generate_synthetic
 from sru.errors import ContractError
 from sru.evaluation import (
@@ -25,7 +32,7 @@ from sru.evaluation import (
     sisa_baseline,
 )
 from sru.numerics import ndcg_gains, ranks_from_logits
-from reference import FixedPredictor
+from reference import FixedPredictor, evaluate_by_prefixes, hit_effectiveness_by_prefixes
 
 
 def sort_rank_oracle(logits, target):
@@ -90,13 +97,13 @@ class TestRank:
             ranks_from_logits(np.zeros((2, 4)), [0, 1])
 
     def test_rank_of_target_calls_predictor(self):
-        # the target is ranked in the row predict_batch gives its prefix
+        # the target is ranked in the row predict_padded gives its prefix
         seen = []
 
         class Recording(FixedPredictor):
-            def predict_batch(self, prefixes):
-                seen.extend(tuple(p) for p in prefixes)
-                return super().predict_batch(prefixes)
+            def predict_padded(self, ids, rows, lengths):
+                seen.extend(decoded_prefixes(ids, rows, lengths))
+                return super().predict_padded(ids, rows, lengths)
 
         fixed = np.array([-np.inf, 1.0, 3.0, 2.0])
         report = hit_effectiveness(Recording(fixed), [FakeResult((1, 2), 3)], ks=(1, 2))
@@ -129,21 +136,28 @@ class TestMetricsAtK:
             assert ndcg <= recall
 
 
+def decoded_prefixes(ids, rows, lengths):
+    """The prefixes of a ``pad_prefixes`` triple, as tuples of item ids."""
+    return [tuple(ids[r, :n].tolist()) for r, n in zip(rows, lengths)]
+
+
 class MemorizingPredictor:
-    """Returns max logit at the true next item of the memorized session."""
+    """Returns max logit at the true next item of the memorized session;
+    its max_len covers the longest session, so no prefix is cut."""
 
     def __init__(self, dataset):
         self.lookup = {}
-        self.v = dataset.num_items()
+        self.num_items = dataset.num_items()
+        self.max_len = max(map(len, dataset.sessions))
         for s in dataset.sessions:
             for t in range(1, len(s)):
                 self.lookup[s.items[:t]] = s.items[t]
 
-    def predict_batch(self, prefixes):
-        logits = np.zeros((len(prefixes), self.v + 1))
+    def predict_padded(self, ids, rows, lengths):
+        logits = np.zeros((len(rows), self.num_items + 1))
         logits[:, 0] = -np.inf
-        for row, prefix in zip(logits, prefixes):
-            row[self.lookup[tuple(prefix)]] = 10.0
+        for row, prefix in zip(logits, decoded_prefixes(ids, rows, lengths)):
+            row[self.lookup[prefix]] = 10.0
         return logits
 
 
@@ -172,8 +186,11 @@ class TestEvaluate:
             return table[key]
 
         class Predictor:
-            def predict_batch(self, prefixes):
-                return np.stack([logits_of(p) for p in prefixes])
+            num_items = 30
+            max_len = max(map(len, data.sessions))
+
+            def predict_padded(self, ids, rows, lengths):
+                return np.stack([logits_of(p) for p in decoded_prefixes(ids, rows, lengths)])
 
         report = evaluate(Predictor(), data, ks=(5, 10))
         points = [(s.items[:t], s.items[t]) for s in data.sessions
@@ -224,14 +241,6 @@ def held_out_split(num_items, items):
     return SessionDataset(sessions, vocab, split_tag="test")
 
 
-class PrefixesOnly:
-    """A model seen only through ``predict_batch``, as an outside
-    predictor is."""
-
-    def __init__(self, model):
-        self.predict_batch = model.predict_batch
-
-
 def library_models(num_items, max_len, seed):
     """A GruModel, an SruModel and a SisaModel over one vocabulary, in
     float32, the pipeline's dtype."""
@@ -243,28 +252,61 @@ def library_models(num_items, max_len, seed):
     return grus[0], SruModel(tuple(grus), fusion), SisaModel(tuple(grus[1:]), num_items)
 
 
+@st.composite
+def audits(draw, num_items, max_len):
+    """Deletion results whose contexts, some empty, some longer than
+    max_len and some holding pad ids, lie in a vocabulary of num_items."""
+    context = st.lists(st.integers(0, num_items), max_size=3 * max_len)
+    result = st.builds(FakeResult, context, st.integers(1, num_items), context)
+    return draw(st.lists(result, min_size=1, max_size=8))
+
+
 class TestPointsPath:
     @settings(max_examples=60, deadline=None)
-    @given(split=ragged_splits(), seed=st.integers(0, 2**16), chunk=st.integers(1, 7))
-    @example(split=(6, 3, [[1, 2]]), seed=0, chunk=4096)
-    @example(split=(6, 3, [[1, 2], [3, 4, 5, 6, 1, 2, 3], [2, 2, 2, 2, 2]]), seed=1, chunk=3)
-    def test_points_score_as_their_prefixes(self, split, seed, chunk):
-        # the triple built from the sessions gives each model the logits,
-        # byte for byte, and the report of predict_batch over the points'
-        # prefixes, however the points are chunked
+    @given(split=ragged_splits(), seed=st.integers(0, 2**16), chunk=st.integers(1, 7),
+           data=st.data())
+    @example(split=(6, 3, [[1, 2]]), seed=0, chunk=4096, data=None)
+    @example(split=(6, 3, [[1, 2], [3, 4, 5, 6, 1, 2, 3], [2, 2, 2, 2, 2]]), seed=1, chunk=3,
+             data=None)
+    def test_reports_equal_those_of_the_prefix_lists(self, split, seed, chunk, data):
+        # ranking each model from a padded triple gives the reports of
+        # predict_batch over each point's prefix, however the points are
+        # chunked
         num_items, max_len, items = split
         held_out = held_out_split(num_items, items)
+        results = ([FakeResult((1, 2), 2), FakeResult((), 1, (3,) * 7)] if data is None
+                   else data.draw(audits(num_items, max_len)))
+        chunked = functools.partial(evaluation._ranks_in_chunks, chunk=chunk)
+        for model in library_models(num_items, max_len, seed):
+            name = type(model).__name__
+            with mock.patch.object(evaluation, "_ranks_in_chunks", chunked):
+                report = evaluate(model, held_out)
+                audits_of = {context: hit_effectiveness(model, results, context=context)
+                             for context in ("prefix", "full")
+                             if any(getattr(r, f"context_{context}") for r in results)}
+            assert report == evaluate_by_prefixes(model, held_out, evaluation.DEFAULT_KS,
+                                                  chunk), name
+            for context, audit in audits_of.items():
+                assert audit == hit_effectiveness_by_prefixes(
+                    model, results, evaluation.DEFAULT_HIT_KS, context, chunk), (name, context)
+
+    @settings(max_examples=60, deadline=None)
+    @given(split=ragged_splits(), seed=st.integers(0, 2**16))
+    @example(split=(6, 3, [[1, 2]]), seed=0)
+    @example(split=(6, 3, [[1, 2], [3, 4, 5, 6, 1, 2, 3], [2, 2, 2, 2, 2]]), seed=1)
+    def test_points_score_as_their_prefixes(self, split, seed):
+        # the triple built from the sessions gives each model the logits
+        # of predict_batch over the points' prefixes, byte for byte
+        num_items, max_len, items = split
         points = [(row[:t], row[t]) for row in items for t in range(1, len(row))]
         triple, targets = prefix_points(items, max_len)
         assert targets.tolist() == [target for _, target in points]
-        chunked = functools.partial(evaluation._ranks_in_chunks, chunk=chunk)
         for model in library_models(num_items, max_len, seed):
             got = model.predict_padded(*triple)
             want = model.predict_batch([prefix for prefix, _ in points])
             assert got.dtype == want.dtype == np.float32
             assert got.tobytes() == want.tobytes(), type(model).__name__
-            with mock.patch.object(evaluation, "_ranks_in_chunks", chunked):
-                assert evaluate(model, held_out) == evaluate(PrefixesOnly(model), held_out)
+
 
     def test_chunks_hold_at_most_the_chunk_of_points(self):
         # a chunk boundary inside a session reads that session's rows in
@@ -278,8 +320,8 @@ class TestPointsPath:
             seen.append([tuple(ids[r, :n]) for r, n in zip(rows, lengths)])
             return model.predict_padded(ids, rows, lengths)
 
-        recording = mock.Mock(spec=["predict_padded", "max_len"],
-                              predict_padded=predict_padded, max_len=3)
+        recording = mock.Mock(spec=["predict_padded", "max_len", "num_items"],
+                              predict_padded=predict_padded, max_len=3, num_items=9)
         chunked = functools.partial(evaluation._ranks_in_chunks, chunk=4)
         with mock.patch.object(evaluation, "_ranks_in_chunks", chunked):
             report = evaluate(recording, held_out)
@@ -342,19 +384,21 @@ class TestHitEffectiveness:
         assert values == sorted(values)
 
 
+@pytest.mark.parametrize("missing", ["predict_padded", "max_len", "num_items"])
 @pytest.mark.parametrize("entry", ["evaluate", "hit_effectiveness"])
-def test_predictor_without_predict_batch_is_contract_error(entry):
+def test_predictor_missing_a_protocol_part_is_contract_error(entry, missing):
     data = generate_synthetic(5, 30, 2, seed=0)
     held_out = data.with_sessions(data.sessions, split_tag="test")
+    parts = {"predict_padded": FixedPredictor(np.zeros(31)).predict_padded,
+             "max_len": 14, "num_items": 30}
+    del parts[missing]
+    predictor = types.SimpleNamespace(**parts)
 
-    def plain(prefix):
-        return np.zeros(31)
-
-    with pytest.raises(ContractError, match="predict_batch"):
+    with pytest.raises(ContractError, match=f"SimpleNamespace has no {missing}$"):
         if entry == "evaluate":
-            evaluate(plain, held_out, ks=(10,))
+            evaluate(predictor, held_out, ks=(10,))
         else:
-            hit_effectiveness(plain, [FakeResult((1, 2), 3)], ks=(1,))
+            hit_effectiveness(predictor, [FakeResult((1, 2), 3)], ks=(1,))
 
 
 class TestSisaBaseline:
@@ -383,3 +427,22 @@ class TestSisaBaseline:
         prefix = data.sessions[0].items[:4]
         manual = np.mean([m.predict_batch([prefix])[0] for m in sisa.sub_models], axis=0)
         np.testing.assert_allclose(sisa.predict_batch([prefix])[0][1:], manual[1:], rtol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_items=st.integers(2, 40), d=st.sampled_from([3, 4, 8, 32]),
+           k=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+    def test_logits_are_the_mean_of_the_sub_models_bytes(self, num_items, d, k, seed, data):
+        # one stacked pass over all sub-models gives, byte for byte, the
+        # sum of their own logits in sub-model order over their count
+        config = BackboneConfig(d=d, max_len=4)
+        models = tuple(init_gru_model(num_items, replace(config, seed=seed + j))
+                       for j in range(k))
+        sisa = SisaModel(models, num_items)
+        prefix = st.lists(st.integers(0, num_items), max_size=9)
+        triple = pad_prefixes(sisa, data.draw(st.lists(prefix, min_size=1, max_size=40)))
+        total = models[0].predict_padded(*triple)
+        for model in models[1:]:
+            total = total + model.predict_padded(*triple)
+        got = sisa.predict_padded(*triple)
+        assert got.dtype == np.float32
+        assert got.tobytes() == (total / k).tobytes()

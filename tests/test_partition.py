@@ -68,6 +68,15 @@ class TestCorpusEmbedding:
                                       embedding.basis * embedding.scale)
         assert not embedding.embeddings[0].any()
 
+    def test_item_factors_are_computed_once(self):
+        # every CED request reads them; they are formed once per embedding
+        embedding = fit_corpus_embedding(generate_synthetic(60, 20, 2, seed=2), 6)
+        first = embedding.embeddings
+        assert embedding.embeddings is first
+        assert first.tobytes() == (embedding.basis * embedding.scale).tobytes()
+        with pytest.raises(ValueError):
+            first[1, 0] = 1.0
+
     def test_components_beyond_the_vocabulary_are_zero(self):
         rng = np.random.default_rng(3)                   # V + 1 = 6 < d = 9
         data = SessionDataset(
@@ -181,6 +190,12 @@ class TestBalancedKmeans:
         with pytest.raises(ContractError, match=f"delta must be >= 1 or None, got {delta}"):
             PartitionConfig(k=2, delta=delta)
         assert ExperimentConfig.defaults(**{"partition.delta": 0}).partition_config().delta is None
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    def test_negative_centroid_tolerance_rejected(self, tol):
+        with pytest.raises(ContractError, match=f"centroid_tol must be >= 0, got {tol}"):
+            PartitionConfig(k=2, centroid_tol=tol)
+        assert PartitionConfig(k=2, centroid_tol=0.0).centroid_tol == 0.0
 
     def test_capacity_below_points_rejected(self):
         with pytest.raises(ContractError):

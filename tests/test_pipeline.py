@@ -891,8 +891,22 @@ class TestCli:
         ("partition.delta = -3", "partition: delta must be >= 1 or None, got -3"),
         ("backbone.epochs = 0", "backbone: epochs must be >= 1, got 0"),
         ("agg.epochs = 0", "agg: epochs must be >= 1, got 0"),
+        ("backbone.lr = -1", "backbone: lr must be > 0, got -1.0"),
+        ("agg.lr = 0", "agg: lr must be > 0, got 0.0"),
+        ("partition.tol = -1e-3", "partition: centroid_tol must be >= 0, got -0.001"),
+        ("synthetic.sessions = 0", "synthetic: sessions must be >= 1, got 0"),
+        ("synthetic.clusters = 0", "synthetic: clusters must be >= 1, got 0"),
+        ("synthetic.clusters = 5", "synthetic: items must be >= 10 * clusters (50), got 40"),
+        ("synthetic.noise = 2", "synthetic: noise must be in [0, 1], got 2.0"),
+        ("synthetic.noise = -0.5", "synthetic: noise must be in [0, 1], got -0.5"),
+        ("synthetic.min_len = 1", "synthetic: min_len must be in 2..max_len (10), got 1"),
+        ("synthetic.min_len = 11", "synthetic: min_len must be in 2..max_len (10), got 11"),
+        ("unlearn.n_extra = -1", "unlearn: n_extra must be >= 0, got -1"),
     ], ids=["backbone", "partition", "agg", "partition_delta", "backbone_epochs",
-            "agg_epochs"])
+            "agg_epochs", "backbone_lr", "agg_lr", "partition_tol", "synthetic_sessions",
+            "synthetic_clusters", "synthetic_items", "synthetic_noise_above_one",
+            "synthetic_noise_below_zero", "synthetic_min_len_below_two",
+            "synthetic_min_len_above_max_len", "unlearn_n_extra"])
     def test_cli_names_the_config_file_of_a_bad_value(self, tmp_path, capsys, stage,
                                                       line, message):
         # each typed config checks its section when the file is read, so
