@@ -92,7 +92,6 @@ from .unlearning import (
     SruState,
     UnlearnOutcome,
     UnlearnRequest,
-    apply_deletion,
     ced_select,
     execute_unlearn,
     load_requests,

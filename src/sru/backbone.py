@@ -157,8 +157,9 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 # stacked. Every state that is read rather than trained comes from that
 # pass: predictions and centroids through ``pad_prefixes``; a split's
 # evaluation points and the feature table through ``prefix_points``, the
-# feature table on each session's last ``max_len`` items. The input side of a step, x W + b for all three gates, does
-# not depend on the recurrence, so it is computed before the time loop:
+# feature table on each session's last ``max_len`` items. The input side
+# of a step, x W + b for all three gates, does not depend on the
+# recurrence, so it is computed before the time loop:
 # for an id matrix as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and
 # E W_n + b_n (V+1, d), whose rows each inference step gathers, and the
 # training pass gathers for all its steps at once; for the single-step
@@ -330,9 +331,10 @@ def prefix_points(sequences, limit: int):
 
     This is the library's one builder of points from whole sessions.
     Evaluation passes a split's sessions as they are. Training and the
-    feature table pass each session's last ``limit`` items: then no prefix needs a window row, row i is
-    sequence i right-padded (the id matrix ``train_backbone`` trains
-    on), and rows[j] is the sequence of point j.
+    feature table pass each session's last ``limit`` items: then no
+    prefix needs a window row, row i is sequence i right-padded (the id
+    matrix ``train_backbone`` trains on), and rows[j] is the sequence of
+    point j.
     """
     sequences = list(sequences)
     sizes = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))

@@ -128,8 +128,10 @@ class ExperimentConfig:
         """The checks no typed config makes, then each typed config's own,
         its message led by its section."""
         v = self.values
-        if v["data.max_len"] < 2 or v["synthetic.max_len"] < 2:
-            raise ContractError("max_len values must be >= 2")
+        for section in ("data", "synthetic"):
+            max_len = v[f"{section}.max_len"]
+            if max_len < 2:
+                raise ContractError(f"{section}: max_len must be >= 2, got {max_len}")
         if v["unlearn.strategy"] not in STRATEGIES:
             raise ContractError(f"unlearn.strategy must be one of {STRATEGIES}")
         if v["effectiveness.context"] not in ("prefix", "full"):

@@ -291,7 +291,8 @@ def split(dataset: SessionDataset, ratios: tuple[int, int, int] = (8, 1, 1),
     return tuple(out)
 
 
-def _cluster_transitions(block: list[int], stream: RngStream) -> dict[int, tuple[list[int], list[float]]]:
+def _cluster_transitions(block: list[int],
+                         stream: RngStream) -> dict[int, tuple[list[int], list[float]]]:
     # A random cycle through the block carries most of the mass, with two
     # random escapes per item. The cycle keeps the stationary distribution
     # near uniform (so popularity alone predicts little) while each step

@@ -163,83 +163,6 @@ def red_select(session: Session, target_position: int, n_extra: int,
     return tuple(sorted([target_position, *chosen]))
 
 
-def select_positions(session: Session, request: UnlearnRequest,
-                     reference_model: CorpusEmbedding | None = None,
-                     stream: RngStream | None = None) -> tuple[int, ...]:
-    if request.strategy == "CED":
-        if reference_model is None:
-            raise ContractError("CED needs the corpus embedding")
-        return ced_select(session, request.target_position, request.n_extra, reference_model)
-    if request.strategy == "NED":
-        return ned_select(session, request.target_position, request.n_extra)
-    if stream is None:
-        raise ContractError("RED needs a random stream")
-    return red_select(session, request.target_position, request.n_extra, stream)
-
-
-def _result_for(session: Session, request: UnlearnRequest, own_positions,
-                union_positions) -> DeletionResult:
-    """Record one request; contexts reflect the union of all deletions
-    applied to the session (== own_positions for a lone request)."""
-    survivors = [p for p in range(len(session)) if p not in union_positions]
-    return DeletionResult(
-        session_id=session.session_id,
-        strategy=request.strategy,
-        n_extra=request.n_extra,
-        target_position=request.target_position,
-        target_item=session.items[request.target_position],
-        deleted_positions=tuple(sorted(set(own_positions))),
-        original_length=len(session),
-        dropped=len(survivors) < 2,
-        context_prefix=tuple(session.items[p] for p in survivors if p < request.target_position),
-        context_full=tuple(session.items[p] for p in survivors),
-    )
-
-
-def apply_deletion(corpus: SessionDataset,
-                   deletions) -> tuple[SessionDataset, list[DeletionResult]]:
-    """Rewrite a corpus without the deleted positions, in one pass.
-
-    ``deletions`` holds (request, positions) pairs whose positions index
-    the sessions as stored in ``corpus``. The positions of all pairs that
-    name one session are unioned and deleted once, and each result's
-    contexts reflect that union. Sessions left with fewer than 2 items
-    are dropped and flagged; every other session is carried over
-    untouched, in corpus order. Results follow the order of ``deletions``.
-    """
-    index = {s.session_id: i for i, s in enumerate(corpus.sessions)}
-    union: dict[int, set[int]] = {}
-    for request, positions in deletions:
-        if request.session_id not in index:
-            raise UnknownSessionError(f"session {request.session_id!r} not found in the corpus")
-        i = index[request.session_id]
-        length = len(corpus.sessions[i])
-        for p in positions:
-            if not 0 <= p < length:
-                raise PositionError(f"deletion position {p} outside session of length {length}")
-        if request.target_position not in set(positions):
-            raise ContractError("the target position must be among the deletions")
-        union.setdefault(i, set()).update(positions)
-
-    results = []
-    for request, positions in deletions:
-        i = index[request.session_id]
-        results.append(_result_for(corpus.sessions[i], request, positions, union[i]))
-    sessions = []
-    for i, session in enumerate(corpus.sessions):
-        if i in union:
-            survivors = [p for p in range(len(session)) if p not in union[i]]
-            if len(survivors) < 2:
-                continue
-            session = Session(
-                session_id=session.session_id,
-                items=tuple(session.items[p] for p in survivors),
-                cluster=session.cluster,
-            )
-        sessions.append(session)
-    return corpus.with_sessions(sessions), results
-
-
 # -- framework state -------------------------------------------------------------
 
 
@@ -318,9 +241,12 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     the call starts; per session, deletions from multiple requests are
     unioned and applied once, and a request whose target position was
     already deleted by an earlier request in the batch is skipped with a
-    warning. The corpus is rewritten in one pass (``apply_deletion``);
-    a dropped session leaves it, and the partition is re-indexed to the
-    rewritten corpus, so it stays a full partition without holes.
+    warning. A request's positions are chosen among the survivors of the
+    earlier requests on its session. The corpus is rewritten in one pass:
+    sessions keep corpus order, untouched ones are carried over as the
+    same objects, and one left with fewer than 2 items is dropped. The
+    partition is re-indexed to the rewritten corpus, so it stays a full
+    partition without holes.
     Affected sub-models are retrained from scratch on their modified
     shards with their original configs and seeds; untouched sub-models
     are returned as-is, bit for bit; several of them train across processes
@@ -341,16 +267,18 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     if not requests:
         return UnlearnOutcome(state=state, timing=TimingReport(), deletions=[])
 
-    # Resolve every request against the call-start sessions.
+    # Resolve every request against the call-start sessions, building
+    # each session's union of deleted positions once.
     corpus = state.corpus
     index = {s.session_id: i for i, s in enumerate(corpus.sessions)}
-    deletions_by_session: dict[str, set[int]] = {}
-    resolved: list[tuple[UnlearnRequest, tuple[int, ...]]] = []
+    deleted: dict[int, set[int]] = {}
+    resolved: list[tuple[int, UnlearnRequest, tuple[int, ...]]] = []
     for request in requests:
         if request.session_id not in index:
             raise UnknownSessionError(f"session {request.session_id!r} not found in any shard")
-        session = corpus.sessions[index[request.session_id]]
-        already = deletions_by_session.setdefault(request.session_id, set())
+        i = index[request.session_id]
+        session = corpus.sessions[i]
+        already = deleted.setdefault(i, set())
         if request.target_position in already:
             warnings.warn(
                 f"position {request.target_position} of session "
@@ -359,39 +287,53 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
             )
             continue
         _check_target(session, request.target_position)
+        # the selector sees the positions no earlier request deleted
         surviving = [p for p in range(len(session)) if p not in already]
-        view = Session(
-            session_id=session.session_id,
-            items=tuple(session.items[p] for p in surviving),
-            cluster=session.cluster,
-        )
-        view_target = surviving.index(request.target_position)
-        stream = None
-        if request.strategy == "RED":
-            stream = RngStream(
-                derive_seed(state.seed, f"unlearn/red/{request.session_id}"),
-                f"red/{request.target_position}",
-            )
-        view_positions = select_positions(
-            view,
-            replace(request, target_position=view_target),
-            reference_model=state.reference_model,
-            stream=stream,
-        )
-        positions = tuple(surviving[p] for p in view_positions)
+        view = replace(session, items=tuple(session.items[p] for p in surviving))
+        target = surviving.index(request.target_position)
+        if request.strategy == "CED":
+            chosen = ced_select(view, target, request.n_extra, state.reference_model)
+        elif request.strategy == "NED":
+            chosen = ned_select(view, target, request.n_extra)
+        else:
+            stream = RngStream(derive_seed(state.seed, f"unlearn/red/{request.session_id}"),
+                               f"red/{request.target_position}")
+            chosen = red_select(view, target, request.n_extra, stream)
+        positions = tuple(surviving[p] for p in chosen)
         already.update(positions)
-        resolved.append((request, positions))
+        resolved.append((i, request, positions))
 
     if not resolved:
         return UnlearnOutcome(state=state, timing=TimingReport(), deletions=[])
 
-    # Rewrite the corpus once. Results, and so the audit trail, are
-    # grouped by shard in ascending order, in request order within one.
+    # Rewrite the corpus once; each result's contexts are its session's
+    # survivors. Results, and so the audit trail, are grouped by shard in
+    # ascending order, in request order within one.
+    kept = {i: [p for p in range(len(corpus.sessions[i])) if p not in union]
+            for i, union in deleted.items()}
     shard_of = state.assignment.shard_of
-    resolved.sort(key=lambda pair: shard_of[index[pair[0].session_id]])
-    affected = sorted({int(shard_of[index[r.session_id]]) for r, _ in resolved})
-    new_corpus, results = apply_deletion(corpus, resolved)
-    dropped = {index[r.session_id] for r in results if r.dropped}
+    resolved.sort(key=lambda r: shard_of[r[0]])
+    affected = sorted({int(shard_of[i]) for i in kept})
+    results = []
+    for i, request, positions in resolved:
+        session, survivors = corpus.sessions[i], kept[i]
+        results.append(DeletionResult(
+            session_id=session.session_id,
+            strategy=request.strategy,
+            n_extra=request.n_extra,
+            target_position=request.target_position,
+            target_item=session.items[request.target_position],
+            deleted_positions=positions,
+            original_length=len(session),
+            dropped=len(survivors) < 2,
+            context_prefix=tuple(session.items[p] for p in survivors
+                                 if p < request.target_position),
+            context_full=tuple(session.items[p] for p in survivors),
+        ))
+    dropped = {i for i, survivors in kept.items() if len(survivors) < 2}
+    new_corpus = corpus.with_sessions(
+        replace(s, items=tuple(s.items[p] for p in kept[i])) if i in kept else s
+        for i, s in enumerate(corpus.sessions) if i not in dropped)
     new_state = replace(state, corpus=new_corpus,
                         assignment=state.assignment.without(dropped),
                         sub_models=list(state.sub_models))
@@ -419,7 +361,7 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
         old_cache, state.feature_cache = state.feature_cache, None
         cache = updated_feature_cache(old_cache, new_models, new_corpus,
                                       dirty_shards=affected,
-                                      changed_session_ids=set(deletions_by_session))
+                                      changed_session_ids={r.session_id for r in results})
     else:
         cache = build_feature_cache(new_models, new_corpus)
     new_state.feature_cache = cache

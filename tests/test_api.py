@@ -3,7 +3,8 @@ batches, never one prefix at a time, and ``evaluate`` and
 ``hit_effectiveness`` rank every predictor from a padded triple through
 its ``predict_padded`` (``predict_batch`` pads a list of prefixes for
 it); sessions become padded rows and points through
-``backbone.prefix_points`` alone; and the
+``backbone.prefix_points`` alone; ``execute_unlearn`` resolves and
+applies a batch of deletions in one pass; and the
 single-prefix reference versions of the batched paths, like every name
 that only the tests use, live in ``tests/reference.py``, not under
 ``sru``."""
@@ -70,6 +71,17 @@ REMOVED_RANKING_PATHS = ("_eval_points", "_predict_batch_of", "_ranks_for_points
 def test_predictors_have_one_ranking_path():
     namespace = vars(importlib.import_module("sru.evaluation"))
     assert [n for n in REMOVED_RANKING_PATHS if n in namespace] == []
+
+
+# execute_unlearn checks, selects and rewrites each request in one pass;
+# the second pass over the batch and the strategy dispatcher are gone.
+REMOVED_DELETION_PATHS = ("apply_deletion", "select_positions")
+
+
+def test_unlearning_has_one_deletion_pass():
+    namespace = vars(importlib.import_module("sru.unlearning"))
+    assert [n for n in REMOVED_DELETION_PATHS if n in namespace] == []
+    assert [n for n in REMOVED_DELETION_PATHS if n in dir(sru)] == []
 
 
 # Whole sessions become padded rows and points in backbone.prefix_points

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sru import corpus
+from sru.config import ExperimentConfig
 from sru.corpus import (
     ItemVocab,
     Session,
@@ -17,7 +18,8 @@ from sru.corpus import (
 )
 from sru.errors import ContractError, EmptyDatasetError, ParseError
 from sru.partition import make_shards
-from sru.unlearning import UnlearnRequest, apply_deletion
+from sru.pipeline import fit_state
+from sru.unlearning import UnlearnRequest, execute_unlearn
 from reference import assignment_from_members, dataset_to_raw
 
 
@@ -251,8 +253,12 @@ class TestSessionChecks:
 
     def test_deletion_checks_only_the_rewritten_session(self, checked):
         data = generate_synthetic(20, 30, 2, seed=1)
+        config = ExperimentConfig.defaults(**{"partition.k": 2, "backbone.d": 4,
+                                              "backbone.epochs": 1, "agg.f": 4,
+                                              "agg.epochs": 1})
+        state = fit_state(data, None, config)
         victim = data.sessions[3]
         checked.clear()
-        after, _ = apply_deletion(data, [(UnlearnRequest(victim.session_id, 1, "CED", 0), [1])])
+        outcome = execute_unlearn(state, [UnlearnRequest(victim.session_id, 1, "CED", 0)])
         assert checked == [victim.session_id]
-        assert after.sessions[3].items == victim.items[:1] + victim.items[2:]
+        assert outcome.state.corpus.sessions[3].items == victim.items[:1] + victim.items[2:]

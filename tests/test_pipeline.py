@@ -902,11 +902,14 @@ class TestCli:
         ("synthetic.min_len = 1", "synthetic: min_len must be in 2..max_len (10), got 1"),
         ("synthetic.min_len = 11", "synthetic: min_len must be in 2..max_len (10), got 11"),
         ("unlearn.n_extra = -1", "unlearn: n_extra must be >= 0, got -1"),
+        ("data.max_len = 1", "data: max_len must be >= 2, got 1"),
+        ("synthetic.max_len = 1", "synthetic: max_len must be >= 2, got 1"),
     ], ids=["backbone", "partition", "agg", "partition_delta", "backbone_epochs",
             "agg_epochs", "backbone_lr", "agg_lr", "partition_tol", "synthetic_sessions",
             "synthetic_clusters", "synthetic_items", "synthetic_noise_above_one",
             "synthetic_noise_below_zero", "synthetic_min_len_below_two",
-            "synthetic_min_len_above_max_len", "unlearn_n_extra"])
+            "synthetic_min_len_above_max_len", "unlearn_n_extra", "data_max_len",
+            "synthetic_max_len"])
     def test_cli_names_the_config_file_of_a_bad_value(self, tmp_path, capsys, stage,
                                                       line, message):
         # each typed config checks its section when the file is read, so

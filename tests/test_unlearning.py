@@ -1,13 +1,15 @@
+import functools
 import io
 import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sru.aggregation import build_feature_cache
@@ -27,7 +29,6 @@ from sru.unlearning import (
     STRATEGIES,
     DeletionResult,
     UnlearnRequest,
-    apply_deletion,
     ced_select,
     deletions_from_json,
     deletions_to_json,
@@ -116,19 +117,34 @@ class TestRedSelect:
         assert len(set(out)) == len(out)
 
 
-class TestApplyDeletion:
-    def make_shard(self):
-        sessions = (
-            Session("s1", (1, 2, 3, 4, 5)),
-            Session("s2", (5, 4, 3, 2)),
-        )
-        return SessionDataset(sessions=sessions, vocab=vocab4())
+@functools.cache
+def tiny_state():
+    """Two shards over s1 = (a, b, c, x, d), s2 = (d, x, c, b) and ten
+    short filler sessions, small enough that a batch unlearns in
+    milliseconds. Shared, so a test must not change it in place."""
+    from sru.config import ExperimentConfig
+    from sru.pipeline import fit_state
+
+    filler = [(1, 2, 3), (2, 3, 4, 5), (5, 1), (3, 4), (4, 5, 1, 2), (1, 3, 5), (2, 4),
+              (5, 4, 3), (1, 2), (3, 5, 2, 4)]
+    sessions = (Session("s1", (1, 2, 3, 4, 5)), Session("s2", (5, 4, 3, 2)),
+                *(Session(f"f{j}", items) for j, items in enumerate(filler)))
+    config = ExperimentConfig.defaults(**{"seed": 3, "partition.k": 2, "backbone.d": 4,
+                                          "backbone.epochs": 1, "agg.f": 4, "agg.epochs": 1})
+    return fit_state(SessionDataset(sessions=sessions, vocab=vocab4()), None, config)
+
+
+def stored(state, session_id):
+    return next((s for s in state.corpus.sessions if s.session_id == session_id), None)
+
+
+class TestRewrite:
+    """``execute_unlearn`` rewrites the corpus once for the whole batch."""
 
     def test_survivors_keep_order(self):
-        shard = self.make_shard()
-        request = UnlearnRequest("s1", 3, "NED", 2)
-        updated, (result,) = apply_deletion(shard, [(request, (1, 2, 3))])
-        assert updated.sessions[0].items == (1, 5)  # [a, d]
+        outcome = execute_unlearn(tiny_state(), [UnlearnRequest("s1", 3, "NED", 2)])
+        (result,) = outcome.deletions
+        assert stored(outcome.state, "s1").items == (1, 5)  # [a, d]
         assert result.deleted_positions == (1, 2, 3)
         assert not result.dropped
         assert result.context_prefix == (1,)
@@ -136,54 +152,92 @@ class TestApplyDeletion:
         assert result.target_item == 4
 
     def test_session_dropped_below_two_items(self):
-        shard = self.make_shard()
-        request = UnlearnRequest("s2", 1, "NED", 0)
-        updated, (result,) = apply_deletion(shard, [(request, (0, 1, 2))])
-        assert result.dropped
-        assert [s.session_id for s in updated.sessions] == ["s1"]
+        state = tiny_state()
+        outcome = execute_unlearn(state, [UnlearnRequest("s2", 2, "NED", 2)])
+        (result,) = outcome.deletions
+        assert result.dropped and result.deleted_positions == (0, 1, 2)
+        assert ([s.session_id for s in outcome.state.corpus.sessions]
+                == [s.session_id for s in state.corpus.sessions if s.session_id != "s2"])
 
     def test_untouched_sessions_identical(self):
-        shard = self.make_shard()
-        updated, _ = apply_deletion(shard, [(UnlearnRequest("s1", 0, "RED", 0), (0,))])
-        assert updated.sessions[1] is shard.sessions[1]
-
-    def test_unknown_session_rejected(self):
-        with pytest.raises(KeyError):
-            apply_deletion(self.make_shard(), [(UnlearnRequest("zz", 0, "NED", 0), (0,))])
-
-    def test_target_must_be_deleted(self):
-        with pytest.raises(ContractError):
-            apply_deletion(self.make_shard(), [(UnlearnRequest("s1", 2, "NED", 0), (1,))])
-
-    def test_request_errors_are_typed(self):
-        # Typed as SruError for the CLI, and still as IndexError / KeyError.
-        with pytest.raises(PositionError, match="deletion position 7") as info:
-            apply_deletion(self.make_shard(), [(UnlearnRequest("s1", 0, "NED", 0), (0, 7))])
-        assert isinstance(info.value, SruError) and isinstance(info.value, IndexError)
-        with pytest.raises(UnknownSessionError) as info:
-            apply_deletion(self.make_shard(), [(UnlearnRequest("zz", 0, "NED", 0), (0,))])
-        assert isinstance(info.value, SruError) and isinstance(info.value, KeyError)
-        assert str(info.value) == "session 'zz' not found in the corpus"
-        with pytest.raises(PositionError, match="must be >= 0"):
-            UnlearnRequest("s1", -1, "NED", 0)
+        state = tiny_state()
+        outcome = execute_unlearn(state, [UnlearnRequest("s1", 0, "RED", 0)])
+        before, after = state.corpus.sessions, outcome.state.corpus.sessions
+        assert after[0].items == before[0].items[1:]
+        assert len(after) == len(before)
+        assert all(a is b for a, b in zip(after[1:], before[1:]))
 
     def test_requests_on_one_session_share_one_rewrite(self):
-        shard = self.make_shard()
-        updated, results = apply_deletion(shard, [(UnlearnRequest("s1", 1, "NED", 0), (1,)),
-                                                  (UnlearnRequest("s1", 3, "NED", 0), (3,))])
-        assert updated.sessions[0].items == (1, 3, 5)
+        outcome = execute_unlearn(tiny_state(), [UnlearnRequest("s1", 1, "NED", 0),
+                                                 UnlearnRequest("s1", 3, "NED", 0)])
+        results = outcome.deletions
+        assert stored(outcome.state, "s1").items == (1, 3, 5)
         assert [r.deleted_positions for r in results] == [(1,), (3,)]
         assert all(r.context_full == (1, 3, 5) for r in results)
         assert results[1].context_prefix == (1, 3)
 
+    def test_a_later_request_selects_among_the_survivors(self):
+        # after position 1 goes, the two neighbours before position 3 are
+        # positions 2 and 0
+        outcome = execute_unlearn(tiny_state(), [UnlearnRequest("s1", 1, "NED", 0),
+                                                 UnlearnRequest("s1", 3, "NED", 2)])
+        assert [r.deleted_positions for r in outcome.deletions] == [(1,), (0, 2, 3)]
+        assert all(r.dropped and r.context_full == (5,) for r in outcome.deletions)
+        assert stored(outcome.state, "s1") is None
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_each_session_loses_the_union_of_its_results(self, cores, data):
+        cores(1)
+        state = tiny_state()
+        sessions = state.corpus.sessions
+        pool = data.draw(st.lists(st.integers(0, len(sessions) - 1), min_size=1, max_size=4,
+                                  unique=True), label="sessions")
+        requests = []
+        for i in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8),
+                           label="picks"):
+            s = sessions[i]
+            requests.append(UnlearnRequest(s.session_id, data.draw(st.integers(0, len(s) - 1)),
+                                           data.draw(st.sampled_from(STRATEGIES)),
+                                           data.draw(st.integers(0, 5))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            outcome = execute_unlearn(state, requests)
+
+        union = {}
+        for r in outcome.deletions:
+            assert r.target_position in r.deleted_positions
+            union.setdefault(r.session_id, set()).update(r.deleted_positions)
+        # a request is skipped only when an earlier one deleted its target
+        for request in requests:
+            assert request.target_position in union[request.session_id]
+        assert len(outcome.deletions) <= len(requests)
+        after = {s.session_id: s for s in outcome.state.corpus.sessions}
+        assert list(after) == [s.session_id for s in sessions if s.session_id in after]
+        for s in sessions:
+            if s.session_id not in union:
+                assert after[s.session_id] is s
+                continue
+            survivors = [p for p in range(len(s)) if p not in union[s.session_id]]
+            items = tuple(s.items[p] for p in survivors)
+            if len(items) < 2:
+                assert s.session_id not in after
+            else:
+                assert after[s.session_id].items == items
+            for r in outcome.deletions:
+                if r.session_id == s.session_id:
+                    assert r.dropped == (len(items) < 2)
+                    assert r.context_full == items
+                    assert r.context_prefix == tuple(s.items[p] for p in survivors
+                                                     if p < r.target_position)
+
 
 class TestDeletionJson:
     def results(self):
-        shard = SessionDataset(sessions=(Session("s1", (1, 2, 3, 4, 5)), Session("s2", (5, 4))),
-                               vocab=vocab4())
-        _, results = apply_deletion(shard, [(UnlearnRequest("s1", 3, "NED", 2), (1, 2, 3)),
-                                            (UnlearnRequest("s2", 0, "CED", 1), (0, 1))])
-        return results
+        requests = [UnlearnRequest("s1", 3, "NED", 2), UnlearnRequest("s2", 0, "CED", 3)]
+        results = execute_unlearn(tiny_state(), requests).deletions
+        return sorted(results, key=lambda r: r.session_id)
 
     def test_round_trip_through_json_text(self):
         results = self.results()
@@ -386,8 +440,10 @@ class TestExecuteUnlearn:
         state, _ = small_state
         sid = state.shards[0].sessions[0].session_id
         requests = [UnlearnRequest(sid, 2, "NED", 0), UnlearnRequest(sid, 2, "NED", 0)]
-        with pytest.warns(UserWarning, match="already deleted"):
+        with pytest.warns(UserWarning, match="already deleted") as record:
             outcome = execute_unlearn(state, requests)
+        skips = [w for w in record if "already deleted" in str(w.message)]
+        assert [w.filename for w in skips] == [__file__]  # points at the caller
         assert len(outcome.deletions) == 1
 
     def test_results_grouped_by_shard_in_request_order(self, small_state):
@@ -425,6 +481,8 @@ class TestExecuteUnlearn:
         with pytest.raises(UnknownSessionError) as info:
             execute_unlearn(state, [UnlearnRequest("nope", 0, "NED", 0)])
         assert isinstance(info.value, SruError) and isinstance(info.value, KeyError)
+        with pytest.raises(PositionError, match="must be >= 0"):
+            UnlearnRequest(session.session_id, -1, "NED", 0)
 
     def test_unknown_session_among_known_ones_names_it(self, small_state):
         state, _ = small_state
