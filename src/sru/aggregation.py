@@ -64,9 +64,6 @@ from .numerics import (
     xavier_uniform,
 )
 
-CENTROID_SOURCES = ("submodel", "reference")
-
-
 @dataclass(frozen=True)
 class AggregationConfig:
     f: int = 64                 # attention width
@@ -75,7 +72,6 @@ class AggregationConfig:
     epochs: int = 3
     batch_size: int = 256
     seed: int = 0
-    centroid_source: str = "submodel"
 
     def __post_init__(self):
         if self.f < 1 or self.batch_size < 1:
@@ -86,11 +82,6 @@ class AggregationConfig:
             raise ContractError(f"d_ff must be >= 1 or None, got {self.d_ff}")
         if not self.lr > 0:
             raise ContractError(f"lr must be > 0, got {self.lr}")
-        if self.centroid_source not in CENTROID_SOURCES:
-            raise ContractError(
-                f"centroid_source must be one of {CENTROID_SOURCES}, "
-                f"got {self.centroid_source!r}"
-            )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -98,15 +89,12 @@ class AggregationConfig:
 
 @dataclass
 class ShardCentroids:
-    """Mean hidden state of each shard's sessions.
-
-    With source "submodel" (the default) centroid k lives in sub-model
-    k's own hidden space; with "reference" all centroids come from the
-    partition step, in the corpus embedding's space.
-    """
+    """Mean hidden state of each shard's sessions: centroid k lives in
+    sub-model k's own hidden space, and is refit from its shard whenever
+    that sub-model retrains. ``source`` names that one source."""
 
     c: np.ndarray          # (k, d)
-    source: str = "submodel"
+    source = "submodel"    # a class constant, not a field
 
 
 @dataclass
@@ -152,30 +140,28 @@ def compute_centroid(sub_model: GruModel, shard: SessionDataset) -> np.ndarray:
     return states.mean(axis=0)
 
 
-def compute_centroids(sub_models, shards, source: str = "submodel",
-                      reference_centroids: np.ndarray | None = None,
-                      previous: ShardCentroids | None = None,
+def compute_centroids(sub_models, shards, source: str = ShardCentroids.source,
+                      reference_centroids=None, previous: ShardCentroids | None = None,
                       affected=()) -> ShardCentroids:
-    """Centroids of every shard under ``source``.
+    """Each shard's centroid under its own sub-model.
 
-    Given the ``previous`` centroids, a "submodel" refresh re-encodes
-    only the ``affected`` shards and copies every other row: a shard
-    whose sessions and sub-model are unchanged keeps its centroid.
+    Given the ``previous`` centroids, a refresh re-encodes only the
+    ``affected`` shards and copies every other row: a shard whose
+    sessions and sub-model are unchanged keeps its centroid.
+    ``source`` must be ``ShardCentroids.source``, and
+    ``reference_centroids`` is not read; both stay for callers that
+    still pass them.
     """
-    if source == "submodel":
-        if previous is not None:
-            c = previous.c.copy()
-            for k in affected:
-                c[k] = compute_centroid(sub_models[k], shards[k])
-        else:
-            c = np.stack([compute_centroid(m, s) for m, s in zip(sub_models, shards)])
-    elif source == "reference":
-        if reference_centroids is None:
-            raise ContractError("reference centroids requested but none provided")
-        c = np.asarray(reference_centroids, dtype=sub_models[0].embeddings.dtype).copy()
+    if source != ShardCentroids.source:
+        raise ContractError(f"unknown centroid source {source!r}; "
+                            f"only {ShardCentroids.source!r} remains")
+    if previous is not None:
+        c = previous.c.copy()
+        for k in affected:
+            c[k] = compute_centroid(sub_models[k], shards[k])
     else:
-        raise ContractError(f"unknown centroid source {source!r}")
-    return ShardCentroids(c=c, source=source)
+        c = np.stack([compute_centroid(m, s) for m, s in zip(sub_models, shards)])
+    return ShardCentroids(c=c)
 
 
 # -- forward and backward passes -----------------------------------------------
@@ -383,7 +369,7 @@ class _FusionPass:
 def init_aggregation_model(k: int, d: int, num_items: int,
                            config: AggregationConfig) -> AggregationModel:
     """Fresh fusion parameters from the config's named stream, with zero
-    centroids under the config's source.
+    centroids.
 
     Projections start at identity plus small noise so that the initial
     fused state stays in the sub-models' own scale.
@@ -402,7 +388,7 @@ def init_aggregation_model(k: int, d: int, num_items: int,
     store.add("b1", np.zeros(d_ff, dtype=dtype))
     store.add("W2", xavier_uniform(stream, d_ff, num_items, (d_ff, num_items), dtype))
     store.add("b2", np.zeros(num_items, dtype=dtype))
-    centroids = ShardCentroids(np.zeros((k, d), dtype=dtype), config.centroid_source)
+    centroids = ShardCentroids(np.zeros((k, d), dtype=dtype))
     return AggregationModel(store=store, config=config, centroids=centroids)
 
 
@@ -581,8 +567,7 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
                       config: AggregationConfig,
                       precomputed=None) -> AggregationModel:
     """Train the fusion parameters on every training point of the corpus,
-    against ``centroids``, which the returned model keeps; centroids of
-    another source than the config's are a ContractError.
+    against ``centroids``, which the returned model keeps.
 
     Sub-model states are precomputed once (the sub-models are frozen, so
     they never change during these epochs) and the fusion stack is
@@ -597,9 +582,6 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
         raise ContractError("need at least one sub-model")
     if centroids.c.shape[0] != k:
         raise ContractError(f"{k} sub-models but {centroids.c.shape[0]} centroids")
-    if centroids.source != config.centroid_source:
-        raise ContractError(f"centroids from source {centroids.source!r}, but the config "
-                            f"trains against {config.centroid_source!r}")
     d = sub_models[0].d
     num_items = train_data.num_items()
 

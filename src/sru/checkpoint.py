@@ -260,7 +260,9 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     layout that the anchors and config give, or a tensor in another dtype
     than the model trains in raise IntegrityError naming the file. A
     fusion layer's centroids may be float32 or float64, the dtype of the
-    sub-models they were computed with. Other metadata keys are ignored.
+    sub-models they were computed with. A fusion layer whose config still
+    has the removed ``centroid_source`` key raises VersionError. Other
+    metadata keys are ignored.
     """
     tensors, metadata = load_container(path)
     check_config_hash(metadata, expected_config_hash, path)
@@ -268,6 +270,10 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     if kind not in _MODELS:
         raise VersionError(f"{path}: checkpoint kind {kind!r} is not a model")
     model_class, config_class, config_key, anchors, layout = _MODELS[kind]
+    stored = metadata.get(config_key)
+    if kind == "aggregation" and isinstance(stored, dict) and "centroid_source" in stored:
+        raise VersionError(f"{path}: written before agg.centroid_source was removed; "
+                           f"retrain the fusion layer with train-agg")
     try:
         config = config_class(**metadata[config_key])
     except (KeyError, TypeError, ContractError) as exc:
@@ -292,7 +298,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
             f"{name} is {tensors[name].dtype}, expected "
             + " or ".join(np.dtype(t).name for t in dtypes[name]) for name in wrong))
     own = ({} if kind == "gru" else
-           {"centroids": ShardCentroids(tensors.pop("centroids"), config.centroid_source)})
+           {"centroids": ShardCentroids(tensors.pop("centroids"))})
     return model_class(store=ParamStore(tensors), config=config,
                        loss_history=list(metadata.get("loss_history", [])), **own)
 

@@ -53,7 +53,6 @@ SCHEMA: dict = {
     "agg.lr": (float, AggregationConfig.lr),
     "agg.epochs": (int, AggregationConfig.epochs),
     "agg.batch_size": (int, AggregationConfig.batch_size),
-    "agg.centroid_source": (str, AggregationConfig.centroid_source),
     "unlearn.strategy": (str, "CED"),
     "unlearn.n_extra": (int, 2),
     "eval.ks": (_parse_ks, (10, 20)),
@@ -209,5 +208,4 @@ class ExperimentConfig:
             epochs=v["agg.epochs"],
             batch_size=v["agg.batch_size"],
             seed=derive_seed(self.seed, "aggregation"),
-            centroid_source=v["agg.centroid_source"],
         )

@@ -128,11 +128,10 @@ def _train_shards(shards, config: ExperimentConfig):
     return train_many(shards, configs)
 
 
-def _train_fusion(sub_models, shards, assignment, train, config: ExperimentConfig):
+def _train_fusion(sub_models, shards, train, config: ExperimentConfig):
     """Centroid refresh, feature cache and fusion training."""
     agg_cfg = config.aggregation_config()
-    centroids = compute_centroids(sub_models, shards, source=agg_cfg.centroid_source,
-                                  reference_centroids=assignment.centroids)
+    centroids = compute_centroids(sub_models, shards)
     cache = build_feature_cache(sub_models, train)
     aggregation = train_aggregation(sub_models, centroids, train, agg_cfg,
                                     precomputed=(cache.features, cache.targets))
@@ -154,7 +153,7 @@ def fit_state(train, validation, config: ExperimentConfig) -> SruState:
     assignment = _partition(reference, train, config)
     shards = make_shards(train, assignment)
     sub_models = _train_shards(shards, config)
-    cache, aggregation = _train_fusion(sub_models, shards, assignment, train, config)
+    cache, aggregation = _train_fusion(sub_models, shards, train, config)
     return SruState(reference_model=reference, corpus=train, assignment=assignment,
                     sub_models=sub_models, aggregation=aggregation, seed=config.seed,
                     feature_cache=cache)
@@ -204,8 +203,7 @@ def _cmd_train_agg(run_dir, config: ExperimentConfig, **_) -> None:
     train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     assignment = _load(run_dir, config, "partition")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(assignment.k)]
-    _, aggregation = _train_fusion(sub_models, make_shards(train, assignment),
-                                   assignment, train, config)
+    _, aggregation = _train_fusion(sub_models, make_shards(train, assignment), train, config)
     _save(run_dir, config, "aggregation", aggregation)
 
 

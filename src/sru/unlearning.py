@@ -352,9 +352,8 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
 
     # Refresh centroids of the affected shards, retrain the fusion layer.
     agg_started = time.perf_counter()
-    centroids = compute_centroids(
-        new_models, new_shards, state.aggregation.config.centroid_source,
-        state.assignment.centroids, previous=state.aggregation.centroids, affected=affected)
+    centroids = compute_centroids(new_models, new_shards,
+                                  previous=state.aggregation.centroids, affected=affected)
     cache_started = time.perf_counter()
     if state.feature_cache is not None:
         # updated in its own buffer, so the input state lets go of it

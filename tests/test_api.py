@@ -16,14 +16,14 @@ import inspect
 import pytest
 
 import sru
-from sru.aggregation import AggregationConfig, AggregationModel, SruModel
+from sru.aggregation import AggregationConfig, AggregationModel, ShardCentroids, SruModel
 from sru.backbone import BackboneConfig, GruModel
-from sru.config import ExperimentConfig
+from sru.config import SCHEMA, ExperimentConfig
 from sru.corpus import SessionDataset
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore
 from sru.partition import CorpusEmbedding
-from sru.pipeline import _partition, fit_state
+from sru.pipeline import _partition, _train_fusion, fit_state
 from sru.reports import TimingReport
 from sru.unlearning import SruState
 
@@ -98,6 +98,17 @@ def test_sessions_have_one_point_builder(module):
     assert [n for n in REMOVED_POINT_BUILDERS[module] if n in namespace] == []
 
 
+# The fusion layer attends to one kind of centroid, each shard's mean
+# state under its own sub-model, refit whenever that sub-model retrains;
+# the partition's k-means centroids no longer reach it.
+def test_centroids_have_one_source():
+    assert not hasattr(importlib.import_module("sru.aggregation"), "CENTROID_SOURCES")
+    assert "centroid_source" not in {f.name for f in dataclasses.fields(AggregationConfig)}
+    assert [key for key in SCHEMA if "centroid" in key] == []
+    assert list(inspect.signature(_train_fusion).parameters) == [
+        "sub_models", "shards", "train", "config"]
+
+
 def test_fit_state_takes_the_shard_count_from_its_config():
     assert list(inspect.signature(fit_state).parameters) == ["train", "validation", "config"]
     assert list(inspect.signature(_partition).parameters) == ["reference", "train", "config"]
@@ -111,6 +122,7 @@ STORED_FIELDS = {
     GruModel: {"store", "config", "loss_history"},
     CorpusEmbedding: {"basis", "scale"},
     AggregationModel: {"store", "config", "centroids", "loss_history"},
+    ShardCentroids: {"c"},
     SruModel: {"sub_models", "aggregation"},
     SessionDataset: {"sessions", "vocab", "split_tag"},
     ExperimentConfig: {"values"},

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sru.aggregation import (
-    CENTROID_SOURCES,
     AggregationConfig,
     compute_centroids,
     init_aggregation_model,
@@ -84,27 +83,22 @@ class TestModelRoundTrip:
         assert (loaded.k, loaded.d, loaded.f) == (4, 8, 6)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("source", CENTROID_SOURCES)
-    def test_trained_fusion_keeps_its_centroids(self, tmp_path, dtype, source):
+    def test_trained_fusion_keeps_its_centroids(self, tmp_path, dtype):
         # The fusion parameters are float32 whatever the sub-models' dtype;
-        # the centroids keep the sub-models' dtype, and their source is
-        # the config's.
+        # the centroids keep the sub-models' dtype.
         data = generate_synthetic(16, 20, 2, noise_rate=0.1, seed=1)
         shards = [data.with_sessions(data.sessions[:8]), data.with_sessions(data.sessions[8:])]
         models = [init_gru_model(data.num_items(),
                                  BackboneConfig(d=4, max_len=10, seed=k, dtype=dtype))
                   for k in range(2)]
-        centroids = compute_centroids(models, shards, source=source,
-                                      reference_centroids=np.arange(8.0).reshape(2, 4) / 3)
-        model = train_aggregation(models, centroids, data,
-                                  AggregationConfig(f=3, epochs=1, centroid_source=source))
+        centroids = compute_centroids(models, shards)
+        model = train_aggregation(models, centroids, data, AggregationConfig(f=3, epochs=1))
         path = tmp_path / "a.sru"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert models_equal(model, loaded)
         assert loaded.centroids.c.dtype == np.dtype(dtype)
         assert loaded.centroids.c.tobytes() == model.centroids.c.tobytes()
-        assert loaded.centroids.source == source
 
     def test_save_is_deterministic(self, tmp_path):
         model = init_gru_model(10, BackboneConfig(d=4, max_len=10, seed=1))
@@ -196,6 +190,19 @@ class TestModelLoadChecks:
         metadata["backbone_config"]["width"] = 3
         save_container(path, tensors, metadata)
         with pytest.raises(IntegrityError, match="no readable training config 'backbone_config'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("source", ["submodel", "reference"])
+    def test_fusion_layer_with_the_removed_centroid_source(self, tmp_path, source):
+        # Fusion layers written while agg.centroid_source existed store
+        # it in their config; the error names the removed key.
+        path = tmp_path / "a.sru"
+        save_checkpoint(MODEL_KINDS["aggregation"][0](), path)
+        tensors, metadata = load_container(path)
+        metadata["agg_config"]["centroid_source"] = source
+        save_container(path, tensors, metadata)
+        with pytest.raises(VersionError, match=f"^{re.escape(str(path))}: written before "
+                                               "agg.centroid_source was removed"):
             load_checkpoint(path)
 
     @settings(max_examples=30, deadline=None)

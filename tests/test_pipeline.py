@@ -124,6 +124,7 @@ class TestConfig:
         ("eval.ks", [10, 20], "bad value for 'eval.ks'"),
         ("backbone.d", True, "bad value for 'backbone.d'"),
         ("bogus", 1, "unknown configuration key 'bogus'"),
+        ("agg.centroid_source", "submodel", "unknown configuration key 'agg.centroid_source'"),
     ])
     def test_a_bad_override_names_its_key(self, key, value, message):
         with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
@@ -144,8 +145,8 @@ class TestConfig:
     def test_default_hashes_are_pinned(self):
         # every artifact's stamp is this hash: a change here rewrites
         # every run directory
-        assert ExperimentConfig.defaults().config_hash() == "de28abd9b5ffd096"
-        assert ExperimentConfig.defaults(seed=41).config_hash() == "261115bb706f55a3"
+        assert ExperimentConfig.defaults().config_hash() == "462a2f276800a5d9"
+        assert ExperimentConfig.defaults(seed=41).config_hash() == "bc6d99889938fdca"
 
     def test_hash_changes_with_values(self):
         assert tiny_config().config_hash() != tiny_config(seed=8).config_hash()
