@@ -49,14 +49,6 @@ class BackboneConfig:
     batch_size: int = 256
     lr: float = 3e-3
     seed: int = 0
-    # "float64" is for gradient checks; byte-exact unlearning (C1) is
-    # checked in float32, the pipeline's dtype. An in-place feature-cache
-    # update equals a rebuild only where BLAS rounds a row alike at every
-    # row count. In either dtype that fails for some shapes: with
-    # OpenBLAS 0.3.31 SkylakeX kernels at d = 100, 13 of 6383 updated
-    # rows differed from a rebuild (ROADMAP.md, item 1, "C1 by
-    # construction").
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.d < 1 or self.batch_size < 1:
@@ -67,11 +59,6 @@ class BackboneConfig:
             raise ContractError(f"max_len must be >= 1, got {self.max_len}")
         if not self.lr > 0:
             raise ContractError(f"lr must be > 0, got {self.lr}")
-        if self.dtype not in ("float32", "float64"):
-            raise ContractError(f"unsupported dtype {self.dtype!r}")
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -129,23 +116,23 @@ class GruModel:
 
 
 def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
-    """Fresh model; every weight drawn from the config's named stream.
+    """Fresh float32 model; every weight drawn from the config's named
+    stream.
 
     The draw order (embeddings first, then gates in GATE_NAMES order) is
     fixed so that a seed pins the exact initial parameters.
     """
     d = config.d
-    dtype = config.np_dtype()
     stream = RngStream(config.seed, "backbone/init")
     store = ParamStore()
-    emb = xavier_uniform(stream, num_items + 1, d, (num_items + 1, d), dtype)
+    emb = xavier_uniform(stream, num_items + 1, d, (num_items + 1, d), np.float32)
     emb[0] = 0.0
     store.add("E", emb)
     for name in GATE_NAMES:
         if name.startswith("b"):
-            store.add(name, np.zeros(d, dtype=dtype))
+            store.add(name, np.zeros(d, dtype=np.float32))
         else:
-            store.add(name, xavier_uniform(stream, d, d, (d, d), dtype))
+            store.add(name, xavier_uniform(stream, d, d, (d, d), np.float32))
     return GruModel(store=store, config=config)
 
 

@@ -131,15 +131,22 @@ class _Reader:
     def unpack(self, fmt: struct.Struct):
         return fmt.unpack_from(self.blob, self.skip(fmt.size))
 
-    def text(self, count: int) -> str:
+    def text(self, count: int, what: str) -> str:
+        """The next ``count`` bytes, the file's ``what``, decoded as UTF-8."""
         start = self.skip(count)
-        return self.blob[start : self.offset].decode("utf-8")
+        try:
+            return self.blob[start : self.offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IntegrityError(f"{self.path}: {what} is not UTF-8: {exc.reason}",
+                                 offset=start + exc.start) from None
 
 
-def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read and fully validate one container. The tensors are views of
-    the one buffer the file was read into. Every ``IntegrityError`` and
-    ``VersionError`` message starts with the path."""
+def load_container(path, kinds: tuple[str, ...] | None = None,
+                   expected_config_hash: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
+    """Read and fully check one container: magic, checksum, version,
+    framing, a metadata object, the config-hash stamp and a ``kind`` in
+    ``kinds`` (any when None). The tensors are views of the one buffer the
+    file was read into. Every error's message starts with the path."""
     with open(path, "rb") as handle:
         blob = bytearray(handle.read())
     if len(blob) < len(MAGIC) + 8:
@@ -164,14 +171,16 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = reader.unpack(_U32)
     try:
-        metadata = json.loads(reader.text(meta_len))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        metadata = json.loads(reader.text(meta_len, "metadata block"))
+    except json.JSONDecodeError as exc:
         raise reader.error(f"metadata block unreadable: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise reader.error(f"metadata block is a JSON {type(metadata).__name__}, not an object")
     (count,) = reader.unpack(_U32)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack(_U16)
-        name = reader.text(name_len)
+        name = reader.text(name_len, "tensor name")
         tag, ndim = reader.unpack(_TAG_NDIM)
         if tag not in _TAG_DTYPES:
             raise reader.error(f"unknown dtype tag {tag} for tensor {name!r}")
@@ -187,6 +196,10 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
                                       offset=start).reshape(shape)
     if reader.offset != end:
         raise reader.error(f"{end - reader.offset} unexpected trailing bytes")
+    check_config_hash(metadata, expected_config_hash, path)
+    if kinds is not None and metadata.get("kind") not in kinds:
+        raise VersionError(f"{path}: expected kind {' or '.join(map(repr, kinds))}, "
+                           f"found kind {metadata.get('kind')!r}")
     return tensors, metadata
 
 
@@ -205,23 +218,20 @@ def check_config_hash(metadata: dict, expected: str | None, path) -> None:
 
 
 def _gru_layout(config: BackboneConfig, E):
-    """A GRU checkpoint's tensor shapes, from its config's ``d`` and E's
-    rows, and each tensor's dtypes: the one it trains in."""
+    """A GRU checkpoint's tensor shapes, from its config's ``d`` and E's rows."""
     shapes = {name: (config.d,) * (1 if name.startswith("b") else 2) for name in GATE_NAMES}
     shapes["E"] = (E.shape[0], config.d)
-    return shapes, dict.fromkeys(shapes, (config.np_dtype(),))
+    return shapes
 
 
 def _aggregation_layout(config: AggregationConfig, W_proj, b2):
     """``_gru_layout`` for a fusion checkpoint, from W_proj, b2 and its
-    config: float32 parameters, and centroids in the sub-models' dtype."""
+    config; the centroids are one more tensor."""
     (k, d, _), num_items = W_proj.shape, len(b2)
     f, d_ff = config.f, config.d_ff or d
-    params = {"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
-              "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
-              "b2": (num_items,)}
-    return ({**params, "centroids": (k, d)},
-            {**dict.fromkeys(params, (np.float32,)), "centroids": (np.float32, np.float64)})
+    return {"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
+            "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
+            "b2": (num_items,), "centroids": (k, d)}
 
 
 # kind -> (model class, config class, the config's metadata key, the
@@ -257,26 +267,24 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     The model is read from its tensors and its training config, so both
     are checked first. A missing or unreadable config, an anchor tensor
     (E; W_proj, b2) absent or of another ndim, other tensors than the
-    layout that the anchors and config give, or a tensor in another dtype
-    than the model trains in raise IntegrityError naming the file. A
-    fusion layer's centroids may be float32 or float64, the dtype of the
-    sub-models they were computed with. A fusion layer whose config still
+    layout that the anchors and config give, or a tensor that is not
+    float32 raise IntegrityError naming the file. The ``dtype`` key that
+    GRU configs once stored is dropped. A fusion layer whose config still
     has the removed ``centroid_source`` key raises VersionError. Other
     metadata keys are ignored.
     """
-    tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, path)
-    kind = metadata.get("kind")
-    if kind not in _MODELS:
-        raise VersionError(f"{path}: checkpoint kind {kind!r} is not a model")
+    tensors, metadata = load_container(path, tuple(_MODELS), expected_config_hash)
+    kind = metadata["kind"]
     model_class, config_class, config_key, anchors, layout = _MODELS[kind]
     stored = metadata.get(config_key)
     if kind == "aggregation" and isinstance(stored, dict) and "centroid_source" in stored:
         raise VersionError(f"{path}: written before agg.centroid_source was removed; "
                            f"retrain the fusion layer with train-agg")
+    if kind == "gru" and isinstance(stored, dict):
+        stored = {key: value for key, value in stored.items() if key != "dtype"}
     try:
-        config = config_class(**metadata[config_key])
-    except (KeyError, TypeError, ContractError) as exc:
+        config = config_class(**stored)
+    except (TypeError, ContractError) as exc:
         raise IntegrityError(f"{path}: no readable training config {config_key!r} "
                              f"({type(exc).__name__}: {exc})") from None
     found = {name: t.shape for name, t in tensors.items()}
@@ -284,7 +292,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
                       for name, ndim in anchors.items() if len(found.get(name, ())) != ndim)
     if wrong:
         raise IntegrityError(f"{path}: {wrong}")
-    expected, dtypes = layout(config, **{name: tensors[name] for name in anchors})
+    expected = layout(config, **{name: tensors[name] for name in anchors})
     if found != expected:
         wrong = sorted(name for name in found.keys() | expected.keys()
                        if found.get(name) != expected.get(name))
@@ -292,11 +300,10 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
                              f"{config_key}: " + ", ".join(
                                  f"{name} is {found.get(name, 'absent')}, expected "
                                  f"{expected.get(name, 'absent')}" for name in wrong))
-    wrong = sorted(name for name, t in tensors.items() if t.dtype not in dtypes[name])
+    wrong = sorted(name for name, t in tensors.items() if t.dtype != np.float32)
     if wrong:
         raise IntegrityError(f"{path}: " + ", ".join(
-            f"{name} is {tensors[name].dtype}, expected "
-            + " or ".join(np.dtype(t).name for t in dtypes[name]) for name in wrong))
+            f"{name} is {tensors[name].dtype}, expected float32" for name in wrong))
     own = ({} if kind == "gru" else
            {"centroids": ShardCentroids(tensors.pop("centroids"))})
     return model_class(store=ParamStore(tensors), config=config,
@@ -342,11 +349,8 @@ def load_datasets(path, expected_config_hash: str | None = None,
     whole container is still read and checksummed; a tag the container
     does not hold is a ``ParseError`` naming the file and the tag.
     """
-    tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, path)
-    if metadata.get("kind") != "dataset":
-        raise VersionError(f"{path}: expected a dataset container, "
-                           f"found kind {metadata.get('kind')!r}")
+    tensors, metadata = load_container(path, ("dataset",), expected_config_hash)
+    _check_dataset_metadata(path, metadata)
     tags = metadata["splits"] if splits is None else list(splits)
     for tag in tags:
         if tag not in metadata["splits"]:
@@ -374,6 +378,22 @@ def load_datasets(path, expected_config_hash: str | None = None,
         out[tag] = SessionDataset(sessions=sessions, vocab=vocab, split_tag=tag,
                                   checked=sessions)
     return out
+
+
+def _check_dataset_metadata(path, metadata: dict) -> None:
+    """``splits`` and ``vocab`` are lists of strings and ``session_ids`` an
+    object with one for each split; the first field that is not raises
+    IntegrityError naming the file and the field."""
+    def strings(value):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    splits, session_ids = metadata.get("splits"), metadata.get("session_ids")
+    valid = {"splits": strings(splits), "vocab": strings(metadata.get("vocab")),
+             "session_ids": isinstance(session_ids, dict) and strings(splits)
+             and all(strings(session_ids.get(tag)) for tag in splits)}
+    bad = [field for field, ok in valid.items() if not ok]
+    if bad:
+        raise IntegrityError(f"{path}: dataset metadata field {bad[0]!r} is missing or malformed")
 
 
 def _check_split_layout(path, tag: str, tensors: dict, sessions: int) -> None:
@@ -433,11 +453,7 @@ def load_embedding(path, expected_config_hash: str | None = None) -> CorpusEmbed
     """Load an embedding container. Another kind raises VersionError;
     tensors other than a float64 basis (V+1, d) with V >= 1 and d >= 1
     and a float64 scale (d,) raise IntegrityError naming the file."""
-    tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, path)
-    if metadata.get("kind") != "embedding":
-        raise VersionError(f"{path}: expected an embedding container, "
-                           f"found kind {metadata.get('kind')!r}")
+    tensors, _ = load_container(path, ("embedding",), expected_config_hash)
     basis, scale = tensors.get("basis"), tensors.get("scale")
     if (tensors.keys() != {"basis", "scale"} or basis.dtype != np.float64
             or scale.dtype != np.float64 or basis.ndim != 2 or basis.shape[0] < 2
@@ -465,11 +481,7 @@ def load_assignment(path, expected_config_hash: str | None = None) -> ShardAssig
     ``shard_of`` vector and a 2-D ``centroids`` matrix, or a partition
     that ``ShardAssignment`` rejects, raise IntegrityError naming the
     file."""
-    tensors, metadata = load_container(path)
-    check_config_hash(metadata, expected_config_hash, path)
-    if metadata.get("kind") != "partition":
-        raise VersionError(f"{path}: expected a partition container, "
-                           f"found kind {metadata.get('kind')!r}")
+    tensors, metadata = load_container(path, ("partition",), expected_config_hash)
     shard_of, centroids = tensors.get("shard_of"), tensors.get("centroids")
     if (tensors.keys() != {"shard_of", "centroids"} or shard_of.dtype != np.int64
             or shard_of.ndim != 1 or centroids.ndim != 2):

@@ -33,6 +33,9 @@ which ``backbone.prefix_points`` made redundant, and ``dataset_to_raw``
 writes each item's position as its timestamp, since a dataset keeps
 item order only.
 ``assignment_from_members`` builds test partitions from member lists.
+``as_float64`` casts a GRU model to float64, the dtype of the float64
+oracles: the library trains and loads float32 models only, and its
+kernels compute in the dtype of their arrays.
 ``evaluate_by_prefixes`` and ``hit_effectiveness_by_prefixes`` rank
 each prefix as a list of items through ``predict_batch``, as
 ``evaluation`` did before it ranked every predictor from a padded
@@ -162,6 +165,12 @@ def gru_cell(params, x, h_prev) -> np.ndarray:
     """Single-vector convenience wrapper around gru_cell_forward."""
     h_new, _ = gru_cell_forward(params, x, h_prev)
     return h_new[0]
+
+
+def as_float64(model: GruModel) -> GruModel:
+    """The model with every parameter cast to float64, under its config."""
+    store = ParamStore({name: v.astype(np.float64) for name, v in model.store.params.items()})
+    return GruModel(store=store, config=model.config)
 
 
 def encode(model: GruModel, prefix) -> np.ndarray:

@@ -40,6 +40,7 @@ from sru.numerics import (
     adam_step,
 )
 from reference import (
+    as_float64,
     attention_scores,
     copying_forward,
     copying_train_step,
@@ -853,8 +854,9 @@ class TestFeatureCache:
         # among all sessions; a one-row product rounds differently from a
         # many-row one in float64, so the pass never runs a step on one row.
         data = generate_synthetic(12, 30, 2, noise_rate=0.1, seed=3)
-        models = [init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=s, dtype=dtype))
-                  for s in (1, 2)]
+        models = [init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=s)) for s in (1, 2)]
+        if dtype == "float64":
+            models = [as_float64(m) for m in models]
         cache = build_feature_cache(models, data)
         sessions = list(data.sessions)
         victim = sessions[4]

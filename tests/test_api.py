@@ -117,8 +117,10 @@ def test_fit_state_takes_the_shard_count_from_its_config():
 # Each fact has one stored form: a model stores its parameters and its
 # config, and every size, config list and phase sum is read from them.
 # The fusion layer also stores the centroids it was trained against,
-# which the predictor and the state read from it.
+# which the predictor and the state read from it. A GRU config holds no
+# dtype: every model is float32.
 STORED_FIELDS = {
+    BackboneConfig: {"d", "max_len", "epochs", "batch_size", "lr", "seed"},
     GruModel: {"store", "config", "loss_history"},
     CorpusEmbedding: {"basis", "scale"},
     AggregationModel: {"store", "config", "centroids", "loss_history"},
@@ -137,6 +139,10 @@ STORED_FIELDS = {
 @pytest.mark.parametrize("cls", STORED_FIELDS, ids=lambda c: c.__name__)
 def test_stored_fields_are_exactly_these(cls):
     assert {f.name for f in dataclasses.fields(cls)} == STORED_FIELDS[cls]
+
+
+def test_models_have_one_dtype():
+    assert not hasattr(BackboneConfig, "np_dtype")
 
 
 @pytest.mark.parametrize("cls", [BackboneConfig, AggregationConfig], ids=lambda c: c.__name__)

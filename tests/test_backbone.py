@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from sru.errors import ContractError, DimensionError
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore, _Buffers, sigmoid
 from reference import (
+    as_float64,
     cross_entropy_rows,
     encode,
     finite_difference_check,
@@ -102,9 +102,9 @@ class TestGruCell:
         assert finite_difference_check(loss_fn, store) < 1e-4
 
 
-def tiny_model(num_items=6, d=4, seed=3, max_len=10, dtype="float64"):
-    config = BackboneConfig(d=d, max_len=max_len, seed=seed, dtype=dtype)
-    return init_gru_model(num_items, config)
+def tiny_model(num_items=6, d=4, seed=3, max_len=10):
+    config = BackboneConfig(d=d, max_len=max_len, seed=seed)
+    return as_float64(init_gru_model(num_items, config))
 
 
 class TestEncode:
@@ -197,8 +197,7 @@ class TestUnrolledGradients:
     def test_sequence_loss_passes_finite_differences(self, seed):
         data = generate_synthetic(3, 20, 2, noise_rate=0.3, seed=seed,
                                   min_len=4, max_len=6)
-        config = BackboneConfig(d=6, max_len=6, seed=seed, dtype="float64")
-        model = init_gru_model(20, config)
+        model = as_float64(init_gru_model(20, BackboneConfig(d=6, max_len=6, seed=seed)))
         ids = padded_items([s.items for s in data.sessions], 6)
 
         _, positions = sequence_loss_and_grads(model, ids)
@@ -480,18 +479,14 @@ def parent_sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
 
 def random_model(num_items, d, max_len, seed, dtype="float64"):
     """A model whose every parameter, biases included, is random."""
-    model = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=seed,
-                                                     dtype=dtype))
+    model = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=seed))
+    if dtype == "float64":
+        model = as_float64(model)
     rng = np.random.default_rng(seed)
     for name, value in model.store.params.items():
         value[...] = rng.normal(scale=0.5, size=value.shape)
     model.store.params["E"][0] = 0.0
     return model
-
-
-def as_float64(model):
-    store = ParamStore({k: v.astype(np.float64) for k, v in model.store.params.items()})
-    return GruModel(store=store, config=replace(model.config, dtype="float64"))
 
 
 def ragged_ids(rng, n, L, num_items):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sru import checkpoint
 from sru.aggregation import (
     AggregationConfig,
     compute_centroids,
@@ -38,6 +39,7 @@ from sru.errors import (
     ContractError,
     IntegrityError,
     ParseError,
+    SruError,
     StaleArtifactError,
     VersionError,
 )
@@ -82,14 +84,10 @@ class TestModelRoundTrip:
         assert models_equal(model, loaded)
         assert (loaded.k, loaded.d, loaded.f) == (4, 8, 6)
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_trained_fusion_keeps_its_centroids(self, tmp_path, dtype):
-        # The fusion parameters are float32 whatever the sub-models' dtype;
-        # the centroids keep the sub-models' dtype.
+    def test_trained_fusion_keeps_its_centroids(self, tmp_path):
         data = generate_synthetic(16, 20, 2, noise_rate=0.1, seed=1)
         shards = [data.with_sessions(data.sessions[:8]), data.with_sessions(data.sessions[8:])]
-        models = [init_gru_model(data.num_items(),
-                                 BackboneConfig(d=4, max_len=10, seed=k, dtype=dtype))
+        models = [init_gru_model(data.num_items(), BackboneConfig(d=4, max_len=10, seed=k))
                   for k in range(2)]
         centroids = compute_centroids(models, shards)
         model = train_aggregation(models, centroids, data, AggregationConfig(f=3, epochs=1))
@@ -97,7 +95,7 @@ class TestModelRoundTrip:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert models_equal(model, loaded)
-        assert loaded.centroids.c.dtype == np.dtype(dtype)
+        assert loaded.centroids.c.dtype == np.float32
         assert loaded.centroids.c.tobytes() == model.centroids.c.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
@@ -131,6 +129,9 @@ TENSOR_CHANGES = {
                         "centroids"),
     "int64 centroids": (lambda t: {**t, "centroids": t["centroids"].astype(np.int64)},
                         "centroids"),
+    # centroids of float64 sub-models, which the library no longer makes
+    "float64 centroids": (lambda t: {**t, "centroids": t["centroids"].astype(np.float64)},
+                          "centroids"),
 }
 CHANGES = [(kind, change) for kind in MODEL_KINDS
            for change in ("config size", "missing tensor", "extra tensor",
@@ -192,6 +193,24 @@ class TestModelLoadChecks:
         with pytest.raises(IntegrityError, match="no readable training config 'backbone_config'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gru_file_that_stores_its_dtype(self, tmp_path, dtype):
+        # GRU configs once had a dtype field, so older shards store
+        # "dtype": "float32"; the loader drops it. A float64 model's
+        # tensors are refused whatever its config says.
+        model = MODEL_KINDS["gru"][0]()
+        path = tmp_path / "m.sru"
+        save_checkpoint(model, path)
+        tensors, metadata = load_container(path)
+        metadata["backbone_config"]["dtype"] = dtype
+        save_container(path, {name: t.astype(dtype) for name, t in tensors.items()}, metadata)
+        if dtype == "float32":
+            assert models_equal(load_checkpoint(path), model)
+        else:
+            with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: E is float64, "
+                                                     "expected float32, U_n is float64"):
+                load_checkpoint(path)
+
     @pytest.mark.parametrize("source", ["submodel", "reference"])
     def test_fusion_layer_with_the_removed_centroid_source(self, tmp_path, source):
         # Fusion layers written while agg.centroid_source existed store
@@ -207,11 +226,9 @@ class TestModelLoadChecks:
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 6), num_items=st.integers(1, 9), max_len=st.integers(2, 20),
-           k=st.integers(1, 4), f=st.integers(1, 6), d_ff=st.integers(0, 6),
-           dtype=st.sampled_from(["float32", "float64"]))
-    def test_sizes_are_read_from_the_tensors(self, d, num_items, max_len, k, f, d_ff, dtype):
-        gru = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=1,
-                                                       dtype=dtype))
+           k=st.integers(1, 4), f=st.integers(1, 6), d_ff=st.integers(0, 6))
+    def test_sizes_are_read_from_the_tensors(self, d, num_items, max_len, k, f, d_ff):
+        gru = init_gru_model(num_items, BackboneConfig(d=d, max_len=max_len, seed=1))
         assert (gru.d, gru.num_items, gru.max_len) == (d, num_items, max_len)
         agg = init_aggregation_model(k, d, num_items,
                                      AggregationConfig(f=f, d_ff=d_ff or None, seed=2))
@@ -279,6 +296,69 @@ class TestCorruption:
         path.write_bytes(b"SRU1")
         error = self.rejected(path, IntegrityError)
         assert "file too short" in str(error) and error.offset == 4
+
+
+# loader -> how to write a well-formed container of the kind it loads
+WELL_FORMED = {
+    "load_checkpoint": lambda path: save_checkpoint(MODEL_KINDS["gru"][0](), path),
+    "load_datasets": lambda path: save_datasets(path, {"train": generate_synthetic(8, 30, 2,
+                                                                                   seed=5)}),
+    "load_embedding": lambda path: save_embedding(
+        path, fit_corpus_embedding(generate_synthetic(40, 20, 2, seed=1), 4)),
+    "load_assignment": lambda path: save_assignment(
+        path, balanced_kmeans(np.random.default_rng(5).normal(size=(6, 2)),
+                              PartitionConfig(k=2, seed=0))),
+}
+# A tensor name whose UTF-8 bytes are rewritten to bytes that are not UTF-8.
+ODD_NAME = "\u00e9" * 3
+
+
+def without(field):
+    return lambda tensors, metadata: (tensors, {k: v for k, v in metadata.items()
+                                                if k != field})
+
+
+# malformation -> (how it rewrites tensors and metadata, the loaders it
+# breaks, what the error names besides the path)
+MALFORMED = {
+    "metadata a list": (lambda t, m: (t, [m]), sorted(WELL_FORMED), "not an object"),
+    "kind a list": (lambda t, m: (t, {**m, "kind": [m["kind"]]}), ["load_checkpoint"],
+                    "found kind ['gru']"),
+    "tensor name not UTF-8": (lambda t, m: ({**t, ODD_NAME: np.zeros(1)}, m),
+                              sorted(WELL_FORMED), "tensor name is not UTF-8"),
+    **{f"no {field}": (without(field), ["load_datasets"], f"field {field!r}")
+       for field in ("session_ids", "splits", "vocab")},
+    "session_ids a list": (lambda t, m: (t, {**m, "session_ids": [m["session_ids"]]}),
+                           ["load_datasets"], "field 'session_ids'"),
+    "session_ids without the split": (lambda t, m: (t, {**m, "session_ids": {}}),
+                                      ["load_datasets"], "field 'session_ids'"),
+    "splits a string": (lambda t, m: (t, {**m, "splits": "train"}), ["load_datasets"],
+                        "field 'splits'"),
+    "vocab a number": (lambda t, m: (t, {**m, "vocab": 5}), ["load_datasets"],
+                       "field 'vocab'"),
+}
+
+
+class TestMalformedMetadata:
+    """A container with a valid checksum whose metadata or tensor names
+    the loaders cannot read raises an SruError naming the file, never a
+    bare Python exception."""
+
+    @pytest.mark.parametrize("malformation, loader", [
+        (malformation, loader) for malformation, (_, loaders, _) in MALFORMED.items()
+        for loader in loaders])
+    def test_error_is_typed_and_names_the_file(self, tmp_path, malformation, loader):
+        rewrite, _, named = MALFORMED[malformation]
+        path = tmp_path / "c.sru"
+        WELL_FORMED[loader](path)
+        save_container(path, *rewrite(*load_container(path)))
+        blob = path.read_bytes()
+        if ODD_NAME.encode() in blob:
+            body = blob[:-4].replace(ODD_NAME.encode(), b"\xff" * len(ODD_NAME.encode()))
+            path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(SruError, match=f"^{re.escape(str(path))}: ") as info:
+            getattr(checkpoint, loader)(path)
+        assert named in str(info.value)
 
 
 class TestConfigHashGate:
@@ -374,14 +454,14 @@ class TestEmbeddingLoadChecks:
     def test_a_model_file_is_not_an_embedding(self, tmp_path):
         path = tmp_path / "m.sru"
         save_checkpoint(init_gru_model(20, BackboneConfig(d=8, max_len=10, seed=3)), path)
-        with pytest.raises(VersionError, match="expected an embedding container, "
-                                               "found kind 'gru'"):
+        with pytest.raises(VersionError, match="expected kind 'embedding', found kind 'gru'"):
             load_embedding(path)
 
     def test_an_embedding_file_is_not_a_model(self, tmp_path):
         path = tmp_path / "e.sru"
         save_embedding(path, fit_corpus_embedding(generate_synthetic(40, 20, 2, seed=1), 4))
-        with pytest.raises(VersionError, match="checkpoint kind 'embedding' is not a model"):
+        with pytest.raises(VersionError, match="expected kind 'gru' or 'aggregation', "
+                                               "found kind 'embedding'"):
             load_checkpoint(path)
 
 
@@ -536,8 +616,8 @@ class TestAssignmentLoadChecks:
     def test_other_kind_is_version_error(self, tmp_path):
         path, tensors, metadata = self.saved(tmp_path)
         save_container(path, tensors, {**metadata, "kind": "centroids"})
-        with pytest.raises(VersionError, match=f"^{re.escape(str(path))}: expected a "
-                                               "partition container, found kind 'centroids'"):
+        with pytest.raises(VersionError, match=f"^{re.escape(str(path))}: expected kind "
+                                               "'partition', found kind 'centroids'"):
             load_assignment(path)
 
     @pytest.mark.parametrize("change", ["extra tensor", "missing shard_of", "missing centroids",

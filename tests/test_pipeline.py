@@ -291,8 +291,9 @@ class TestStageDependencies:
 
 
     @pytest.mark.parametrize("stage, copied, over, expected", [
-        ("partition", "shard_000.sru", "reference.sru", "expected an embedding container"),
-        ("eval", "reference.sru", "shard_001.sru", "checkpoint kind 'embedding' is not a model"),
+        ("partition", "shard_000.sru", "reference.sru", "expected kind 'embedding'"),
+        ("eval", "reference.sru", "shard_001.sru",
+         "expected kind 'gru' or 'aggregation', found kind 'embedding'"),
     ])
     def test_an_artifact_of_another_kind_is_refused(self, unlearned_run, tmp_path,
                                                     stage, copied, over, expected):
