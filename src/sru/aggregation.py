@@ -377,17 +377,18 @@ def init_aggregation_model(k: int, d: int, num_items: int,
     d_ff = config.d_ff if config.d_ff else d
     dtype = np.float32
     stream = RngStream(config.seed, "aggregation/init")
-    store = ParamStore()
     eye = np.broadcast_to(np.eye(d, dtype=dtype), (k, d, d))
-    store.add("W_proj", eye + stream.uniform(-0.01, 0.01, (k, d, d)).astype(dtype))
-    store.add("b_proj", np.zeros((k, d), dtype=dtype))
-    store.add("W_attn", xavier_uniform(stream, d, config.f, (d, config.f), dtype))
-    store.add("b_attn", np.zeros(config.f, dtype=dtype))
-    store.add("g_attn", xavier_uniform(stream, config.f, 1, (config.f,), dtype))
-    store.add("W1", xavier_uniform(stream, d, d_ff, (d, d_ff), dtype))
-    store.add("b1", np.zeros(d_ff, dtype=dtype))
-    store.add("W2", xavier_uniform(stream, d_ff, num_items, (d_ff, num_items), dtype))
-    store.add("b2", np.zeros(num_items, dtype=dtype))
+    store = ParamStore({
+        "W_proj": eye + stream.uniform(-0.01, 0.01, (k, d, d)).astype(dtype),
+        "b_proj": np.zeros((k, d), dtype=dtype),
+        "W_attn": xavier_uniform(stream, d, config.f, (d, config.f), dtype),
+        "b_attn": np.zeros(config.f, dtype=dtype),
+        "g_attn": xavier_uniform(stream, config.f, 1, (config.f,), dtype),
+        "W1": xavier_uniform(stream, d, d_ff, (d, d_ff), dtype),
+        "b1": np.zeros(d_ff, dtype=dtype),
+        "W2": xavier_uniform(stream, d_ff, num_items, (d_ff, num_items), dtype),
+        "b2": np.zeros(num_items, dtype=dtype),
+    })
     centroids = ShardCentroids(np.zeros((k, d), dtype=dtype))
     return AggregationModel(store=store, config=config, centroids=centroids)
 

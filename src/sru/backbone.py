@@ -124,16 +124,15 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
     """
     d = config.d
     stream = RngStream(config.seed, "backbone/init")
-    store = ParamStore()
     emb = xavier_uniform(stream, num_items + 1, d, (num_items + 1, d), np.float32)
     emb[0] = 0.0
-    store.add("E", emb)
+    arrays = {"E": emb}
     for name in GATE_NAMES:
         if name.startswith("b"):
-            store.add(name, np.zeros(d, dtype=np.float32))
+            arrays[name] = np.zeros(d, dtype=np.float32)
         else:
-            store.add(name, xavier_uniform(stream, d, d, (d, d), np.float32))
-    return GruModel(store=store, config=config)
+            arrays[name] = xavier_uniform(stream, d, d, (d, d), np.float32)
+    return GruModel(store=ParamStore(arrays), config=config)
 
 
 # -- GRU recurrence -----------------------------------------------------------
@@ -242,8 +241,8 @@ def _step_backward(w: _GateWeights, zr, n, h, rh, dh_new, dzr, dn) -> np.ndarray
 
 
 def _add_weight_grads(out, x, dx_zr, dx_n, h, rh, dzr, dn) -> None:
-    """Add gate-weight gradients to out (name -> array), one product per
-    packed block.
+    """Add gate-weight gradients in place to the arrays of out (name ->
+    array), one product per packed block.
 
     W_* and b_* come from inputs x (m, d) against the gradients of their
     input side dx_zr (m, 2d) and dx_n (m, d); U_* from states h and
@@ -254,15 +253,11 @@ def _add_weight_grads(out, x, dx_zr, dx_n, h, rh, dzr, dn) -> None:
     dWzr = x.T @ dx_zr
     dbzr = ones @ dx_zr
     dUzr = h.T @ dzr
-    out["W_z"] += dWzr[:, :d]
-    out["W_r"] += dWzr[:, d:]
-    out["b_z"] += dbzr[:d]
-    out["b_r"] += dbzr[d:]
-    out["U_z"] += dUzr[:, :d]
-    out["U_r"] += dUzr[:, d:]
-    out["W_n"] += x.T @ dx_n
-    out["b_n"] += ones @ dx_n
-    out["U_n"] += rh.T @ dn
+    for name, grad in (("W_z", dWzr[:, :d]), ("W_r", dWzr[:, d:]), ("b_z", dbzr[:d]),
+                       ("b_r", dbzr[d:]), ("U_z", dUzr[:, :d]), ("U_r", dUzr[:, d:]),
+                       ("W_n", x.T @ dx_n), ("b_n", ones @ dx_n), ("U_n", rh.T @ dn)):
+        target = out[name]
+        target += grad
 
 
 def _check_ids(ids: np.ndarray, rows: int) -> None:
@@ -542,9 +537,10 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
         carry = _step_backward(w, zr[p], n[p], h_in[p], rh[p], dh, dzr[p], dn[p])
     dtable_zr, dtable_n = _grouped_rows(keys, (dzr, dn), E.shape[0])
     _add_weight_grads(grads, E, dtable_zr, dtable_n, h_in, rh, dzr, dn)
-    grads["E"] += dtable_zr @ w.Wzr.T
-    grads["E"] += dtable_n @ w.Wn.T
-    grads["E"][0] = 0.0   # the pad row stays frozen
+    dE = grads["E"]
+    dE += dtable_zr @ w.Wzr.T
+    dE += dtable_n @ w.Wn.T
+    dE[0] = 0.0   # the pad row stays frozen
     return loss_sum, positions
 
 

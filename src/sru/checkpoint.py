@@ -267,8 +267,9 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     The model is read from its tensors and its training config, so both
     are checked first. A missing or unreadable config, an anchor tensor
     (E; W_proj, b2) absent or of another ndim, other tensors than the
-    layout that the anchors and config give, or a tensor that is not
-    float32 raise IntegrityError naming the file. The ``dtype`` key that
+    layout that the anchors and config give, a tensor that is not
+    float32, or a ``loss_history`` that is not a list of numbers raise
+    IntegrityError naming the file. The ``dtype`` key that
     GRU configs once stored is dropped. A fusion layer whose config still
     has the removed ``centroid_source`` key raises VersionError. Other
     metadata keys are ignored.
@@ -304,10 +305,13 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     if wrong:
         raise IntegrityError(f"{path}: " + ", ".join(
             f"{name} is {tensors[name].dtype}, expected float32" for name in wrong))
+    history = metadata.get("loss_history", [])
+    if not isinstance(history, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in history):
+        raise IntegrityError(f"{path}: metadata field 'loss_history' is not a list of numbers")
     own = ({} if kind == "gru" else
            {"centroids": ShardCentroids(tensors.pop("centroids"))})
-    return model_class(store=ParamStore(tensors), config=config,
-                       loss_history=list(metadata.get("loss_history", [])), **own)
+    return model_class(store=ParamStore(tensors), config=config, loss_history=history, **own)
 
 
 def save_datasets(path, splits: dict[str, SessionDataset],
@@ -383,7 +387,9 @@ def load_datasets(path, expected_config_hash: str | None = None,
 def _check_dataset_metadata(path, metadata: dict) -> None:
     """``splits`` and ``vocab`` are lists of strings and ``session_ids`` an
     object with one for each split; the first field that is not raises
-    IntegrityError naming the file and the field."""
+    IntegrityError naming the file and the field. So does a token that
+    ``vocab`` repeats, and a session id that one split repeats, which
+    the error also names with its split."""
     def strings(value):
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -394,6 +400,24 @@ def _check_dataset_metadata(path, metadata: dict) -> None:
     bad = [field for field, ok in valid.items() if not ok]
     if bad:
         raise IntegrityError(f"{path}: dataset metadata field {bad[0]!r} is missing or malformed")
+    token = _first_repeat(metadata["vocab"])
+    if token is not None:
+        raise IntegrityError(f"{path}: dataset metadata field 'vocab' repeats token {token!r}")
+    for tag in splits:
+        sid = _first_repeat(session_ids[tag])
+        if sid is not None:
+            raise IntegrityError(f"{path}: dataset metadata field 'session_ids': split {tag!r} "
+                                 f"repeats session id {sid!r}")
+
+
+def _first_repeat(values):
+    """The first value that occurs a second time, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
 
 
 def _check_split_layout(path, tag: str, tensors: dict, sessions: int) -> None:

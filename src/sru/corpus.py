@@ -129,6 +129,13 @@ class SessionDataset:
             checked=self.sessions,
         )
 
+    def subset(self, indices) -> "SessionDataset":
+        """The dataset of this one's sessions at ``indices``, in that
+        order; they are all carried over, so none is checked again."""
+        sessions = tuple(self.sessions[i] for i in indices)
+        return SessionDataset(sessions=sessions, vocab=self.vocab,
+                              split_tag=self.split_tag, checked=sessions)
+
 
 def read_text(path) -> str:
     """An input file's UTF-8 text, newlines as stored; a file that cannot

@@ -160,10 +160,7 @@ def random_equal_shards(dataset: SessionDataset, k: int, seed: int) -> list[Sess
         raise ContractError(f"shard count must be >= 1, got {k}")
     stream = RngStream(seed, "sisa/partition")
     perm = stream.permutation(len(dataset))
-    return [
-        dataset.with_sessions(dataset.sessions[int(i)] for i in np.sort(chunk))
-        for chunk in np.array_split(perm, k)
-    ]
+    return [dataset.subset(np.sort(chunk).tolist()) for chunk in np.array_split(perm, k)]
 
 
 def sisa_baseline(dataset: SessionDataset, k: int, config: BackboneConfig,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -79,101 +80,54 @@ class RngStream:
 class ParamStore:
     """Named parameters with matching gradient slots, packed flat.
 
-    Names are unique; every gradient has the shape and dtype of its
-    parameter, and all parameters share one dtype. Values live in one
-    contiguous buffer (``values``) and gradients in another
-    (``grad_values``), both in sorted-name order; ``params[name]`` and
-    ``grads[name]`` are views into them. The whole-store operations
-    (``zero_grads``, ``copy``, ``tobytes`` and ``adam_step``) work on the
-    two buffers at once, so their cost does not grow with the number of
-    parameters.
-
-    ``ParamStore(arrays)`` packs a name -> array mapping at once; ``add``
-    repacks both buffers, which detaches the arrays handed out before
-    it: read through ``params`` once the last parameter is added.
-    Entries are written in place (``params[name][...] = x``); a whole-store
-    operation on a store whose ``params`` or ``grads`` entry was replaced
-    or removed raises ContractError naming it. Stores assembled entry by
-    entry (``params[name] = x`` without ``add``) still serve per-name
-    reads, such as the test suite's finite-difference check.
+    ``ParamStore(arrays)`` is the one way to build a store: it copies a
+    name -> array mapping, all of one dtype, into one contiguous buffer
+    (``values``) in sorted-name order, and makes a zeroed gradient buffer
+    of the same layout (``grad_values``). ``params[name]`` and
+    ``grads[name]`` are views into them, and both mappings are read-only:
+    an entry is written in place through its view
+    (``params[name][...] = x``), never replaced, removed or added
+    (``grads[name] += g`` adds in place, then raises TypeError). So the
+    whole-store operations (``zero_grads``, ``copy``, ``tobytes`` and
+    ``adam_step``) work on the two buffers at once, and their cost does
+    not grow with the number of parameters. A store pickles as its
+    parameters and is packed again when loaded; its gradients load as
+    zeros.
     """
 
-    def __init__(self, arrays: dict | None = None):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.values = np.zeros(0)
-        self.grad_values = np.zeros(0)
-        self._views: tuple = ()   # (name, value view, gradient view), sorted
-        if arrays:
-            self._pack({n: np.asarray(a) for n, a in arrays.items()}, {})
-
-    def add(self, name: str, value) -> np.ndarray:
-        if name in self.params:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        self._check_packed()
-        self._pack({**self.params, name: np.asarray(value)}, self.grads)
-        return self.params[name]
-
-    def _pack(self, values: dict, grads: dict) -> None:
-        """Copy values, and the gradients present in grads (zeros for the
-        rest), into fresh buffers in sorted-name order."""
-        names = sorted(values)
-        dtype = values[names[0]].dtype
-        odd = [n for n in names if values[n].dtype != dtype]
+    def __init__(self, arrays):
+        names = sorted(arrays)
+        values = [np.asarray(arrays[n]) for n in names]
+        odd = [(n, v.dtype) for n, v in zip(names, values) if v.dtype != values[0].dtype]
         if odd:
-            raise ContractError(f"parameter {odd[0]!r} has dtype {values[odd[0]].dtype} "
-                                f"but {names[0]!r} has {dtype}; a store holds one dtype")
-        total = sum(values[n].size for n in names)
-        self.values = np.empty(total, dtype=dtype)
-        self.grad_values = np.zeros(total, dtype=dtype)
-        views = []
+            raise ContractError(f"parameter {odd[0][0]!r} has dtype {odd[0][1]} but "
+                                f"{names[0]!r} has {values[0].dtype}; a store holds one dtype")
+        self.values = np.concatenate([v.ravel() for v in values])
+        self.grad_values = np.zeros_like(self.values)
+        params, grads = {}, {}
         offset = 0
-        for n in names:
-            shape = values[n].shape
-            end = offset + values[n].size
-            p = self.values[offset:end].reshape(shape)
-            g = self.grad_values[offset:end].reshape(shape)
-            p[...] = values[n]
-            if n in grads:
-                g[...] = grads[n]
-            self.params[n] = p
-            self.grads[n] = g
-            views.append((n, p, g))
+        for n, v in zip(names, values):
+            end = offset + v.size
+            params[n] = self.values[offset:end].reshape(v.shape)
+            grads[n] = self.grad_values[offset:end].reshape(v.shape)
             offset = end
-        self._views = tuple(views)
+        self.params = MappingProxyType(params)
+        self.grads = MappingProxyType(grads)
 
-    def _check_packed(self) -> None:
-        """Every entry must still be the view into the flat buffers."""
-        for name, p, g in self._views:
-            if self.params.get(name) is not p:
-                raise ContractError(f"parameter {name!r} was replaced or removed; "
-                                    f"write parameters in place")
-            if self.grads.get(name) is not g:
-                raise ContractError(f"parameter {name!r} has no gradient in the store's "
-                                    f"buffer; write gradients in place")
-        if len(self.params) != len(self._views) or len(self.grads) != len(self._views):
-            packed = {n for n, _, _ in self._views}
-            extra = sorted((set(self.params) | set(self.grads)) - packed)
-            raise ContractError(f"parameters {extra} are not packed into the store's buffers")
-
-    def names(self) -> list[str]:
-        return sorted(self.params)
+    def __reduce__(self):
+        return ParamStore, (dict(self.params),)
 
     def zero_grads(self) -> None:
-        self._check_packed()
         self.grad_values[...] = 0
 
     def copy(self) -> "ParamStore":
-        self._check_packed()
-        out = ParamStore()
-        if self._views:
-            out._pack(self.params, self.grads)
+        out = ParamStore(self.params)
+        out.grad_values[...] = self.grad_values
         return out
 
     def tobytes(self) -> bytes:
         """Canonical byte image of the parameter values (sorted by name):
         the value buffer itself."""
-        self._check_packed()
         return self.values.tobytes()
 
 
@@ -371,10 +325,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float,
     elementwise, so this is bit for bit the per-parameter update
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     p -= lr m_hat / (sqrt(v_hat) + eps), with the same operation order.
-    A store whose entries are no longer views of its buffers raises
-    ContractError naming the parameter.
     """
-    store._check_packed()
     if state.m.shape != store.values.shape:
         raise ContractError(f"Adam state holds {state.m.size} values, "
                             f"the store {store.values.size}")

@@ -364,10 +364,7 @@ def make_shards(dataset: SessionDataset, assignment: ShardAssignment) -> list[Se
             f"assignment covers {assignment.shard_of.shape[0]} sessions, "
             f"dataset has {len(dataset)}"
         )
-    return [
-        dataset.with_sessions(dataset.sessions[i] for i in member)
-        for member in assignment.members
-    ]
+    return [dataset.subset(member) for member in assignment.members]
 
 
 def cluster_purity(assignment: ShardAssignment, labels) -> float:

@@ -621,9 +621,12 @@ class DeterminismError(SruError):
     """A function that must be deterministic returned differing values."""
 
 
-def finite_difference_check(loss_fn, store: ParamStore, epsilon: float = 1e-5) -> float:
+def finite_difference_check(loss_fn, store, epsilon: float = 1e-5) -> float:
     """Compare analytic gradients in ``store.grads`` against central
-    finite differences of ``loss_fn``.
+    finite differences of ``loss_fn``. ``store`` is a ``ParamStore``, or
+    any object with ``params`` and ``grads`` mappings of the same names,
+    such as one over a subset of a store's views; each parameter is
+    perturbed in place.
 
     ``loss_fn`` is called as loss_fn(store) -> float and must be
     deterministic; it is evaluated twice up front and a mismatch raises
@@ -640,7 +643,7 @@ def finite_difference_check(loss_fn, store: ParamStore, epsilon: float = 1e-5) -
             f"loss_fn returned {first!r} then {second!r} for identical parameters"
         )
     worst = 0.0
-    for name in store.names():
+    for name in sorted(store.params):
         p = store.params[name]
         analytic = store.grads[name]
         flat = p.reshape(-1)

@@ -7,6 +7,7 @@ bitwise criteria need no model quality; the quality criteria do).
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,11 +127,10 @@ def test_c1_exact_unlearning_equivalence():
 
 
 def fd_error_for_subset(loss_fn, full_store, names, epsilon=1e-5):
-    """Finite differences over a subset of parameters, the rest fixed."""
-    sub = ParamStore()
-    for name in names:
-        sub.params[name] = full_store.params[name]   # shared storage
-        sub.grads[name] = full_store.grads[name]
+    """Finite differences over a subset of parameters, the rest fixed:
+    the subset's params and grads are views of the full store's."""
+    sub = SimpleNamespace(params={name: full_store.params[name] for name in names},
+                          grads={name: full_store.grads[name] for name in names})
     return finite_difference_check(loss_fn, sub, epsilon=epsilon)
 
 
@@ -148,14 +148,9 @@ def test_c2_gradient_fidelity():
         x = rng.normal(size=(1, d))
         h_prev = rng.normal(size=(1, d))
         probe = rng.normal(size=(1, d))
-        store = ParamStore()
-        for name in GATE_NAMES:
-            store.params[name] = params[name]
-            store.grads[name] = np.zeros_like(params[name])
         _, cache = gru_cell_forward(params, x, h_prev)
         _, _, grads = gru_cell_backward(params, cache, probe)
-        for name in GATE_NAMES:
-            store.grads[name][...] = grads[name]
+        store = SimpleNamespace(params=params, grads=grads)
 
         def cell_loss(s):
             h_new, _ = gru_cell_forward(s.params, x, h_prev)
@@ -171,16 +166,17 @@ def test_c2_gradient_fidelity():
         d = 5 + trial % 3
         f, d_ff, v, batch = 4, 6, 7, 3
         for attempt in range(50):
-            full = ParamStore()
-            full.add("W_proj", rng.normal(scale=0.5, size=(k, d, d)))
-            full.add("b_proj", rng.normal(scale=0.2, size=(k, d)))
-            full.add("W_attn", rng.normal(scale=0.5, size=(d, f)))
-            full.add("b_attn", rng.normal(scale=0.2, size=f))
-            full.add("g_attn", rng.normal(scale=0.5, size=f))
-            full.add("W1", rng.normal(scale=0.5, size=(d, d_ff)))
-            full.add("b1", rng.normal(scale=0.2, size=d_ff))
-            full.add("W2", rng.normal(scale=0.5, size=(d_ff, v)))
-            full.add("b2", rng.normal(scale=0.2, size=v))
+            full = ParamStore({
+                "W_proj": rng.normal(scale=0.5, size=(k, d, d)),
+                "b_proj": rng.normal(scale=0.2, size=(k, d)),
+                "W_attn": rng.normal(scale=0.5, size=(d, f)),
+                "b_attn": rng.normal(scale=0.2, size=f),
+                "g_attn": rng.normal(scale=0.5, size=f),
+                "W1": rng.normal(scale=0.5, size=(d, d_ff)),
+                "b1": rng.normal(scale=0.2, size=d_ff),
+                "W2": rng.normal(scale=0.5, size=(d_ff, v)),
+                "b2": rng.normal(scale=0.2, size=v),
+            })
             H = rng.normal(size=(batch, k, d))
             C = rng.normal(size=(k, d))
             targets = rng.integers(0, v, size=batch)
@@ -213,7 +209,7 @@ def test_c2_gradient_fidelity():
         for names in (("W_proj", "b_proj"),
                       ("W_attn", "b_attn", "g_attn"),
                       ("W1", "b1", "W2", "b2"),
-                      tuple(full.names())):
+                      tuple(sorted(full.params))):
             worst = max(worst, fd_error_for_subset(fusion_loss, full, names))
     assert worst < 1e-4, f"max relative gradient error {worst:.2e}"
 

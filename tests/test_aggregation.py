@@ -224,17 +224,17 @@ class TestPredictOutput:
 
 
 def random_fusion_store(k, d, f, d_ff, v, rng) -> ParamStore:
-    store = ParamStore()
-    store.add("W_proj", rng.normal(scale=0.5, size=(k, d, d)))
-    store.add("b_proj", rng.normal(scale=0.2, size=(k, d)))
-    store.add("W_attn", rng.normal(scale=0.5, size=(d, f)))
-    store.add("b_attn", rng.normal(scale=0.2, size=f))
-    store.add("g_attn", rng.normal(scale=0.5, size=f))
-    store.add("W1", rng.normal(scale=0.5, size=(d, d_ff)))
-    store.add("b1", rng.normal(scale=0.2, size=d_ff))
-    store.add("W2", rng.normal(scale=0.5, size=(d_ff, v)))
-    store.add("b2", rng.normal(scale=0.2, size=v))
-    return store
+    return ParamStore({
+        "W_proj": rng.normal(scale=0.5, size=(k, d, d)),
+        "b_proj": rng.normal(scale=0.2, size=(k, d)),
+        "W_attn": rng.normal(scale=0.5, size=(d, f)),
+        "b_attn": rng.normal(scale=0.2, size=f),
+        "g_attn": rng.normal(scale=0.5, size=f),
+        "W1": rng.normal(scale=0.5, size=(d, d_ff)),
+        "b1": rng.normal(scale=0.2, size=d_ff),
+        "W2": rng.normal(scale=0.5, size=(d_ff, v)),
+        "b2": rng.normal(scale=0.2, size=v),
+    })
 
 
 def ones_block(H):
@@ -306,7 +306,7 @@ class TestFusionBackward:
         reference_grads(store.params, want, H, C, dlogits)
         got = {n: np.full_like(p, np.nan) for n, p in store.params.items()}
         fusion_step(store.params, got, H, C, targets)
-        for name in store.names():
+        for name in sorted(store.params):
             scale = np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
 
@@ -330,7 +330,7 @@ class TestFusionBackward:
         params32 = {n: p.astype(np.float32) for n, p in store.params.items()}
         got = {n: np.zeros_like(p) for n, p in params32.items()}
         fusion_step(params32, got, H.astype(np.float32), C.astype(np.float32), targets)
-        for name in store.names():
+        for name in sorted(store.params):
             assert got[name].dtype == np.float32, name
             scale = np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-4 * scale, name

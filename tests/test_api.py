@@ -52,6 +52,12 @@ def test_package_exports_no_single_prefix_twin():
     assert not hasattr(ParamStore, "accumulate")
 
 
+def test_param_store_has_one_constructor():
+    # ParamStore(arrays) packs once; no store grows, repacks or checks
+    # its own packing afterwards
+    assert [n for n in ("add", "names", "_check_packed", "_pack") if hasattr(ParamStore, n)] == []
+
+
 @pytest.mark.parametrize("model_class", [GruModel, SisaModel, SruModel],
                          ids=lambda c: c.__name__)
 def test_model_predicts_only_in_batches(model_class):

@@ -81,11 +81,7 @@ class TestGruCell:
         h_prev = rng.normal(size=(1, d))
         probe = rng.normal(size=(1, d))  # loss = h_new . probe
 
-        store = ParamStore()
-        for name in GATE_NAMES:
-            store.add(name, params[name])
-        store.add("x", x)
-        store.add("h_prev", h_prev)
+        store = ParamStore({**params, "x": x, "h_prev": h_prev})
 
         def loss_fn(s):
             gates = {name: s.params[name] for name in GATE_NAMES}

@@ -336,6 +336,16 @@ MALFORMED = {
                         "field 'splits'"),
     "vocab a number": (lambda t, m: (t, {**m, "vocab": 5}), ["load_datasets"],
                        "field 'vocab'"),
+    "vocab repeats a token": (lambda t, m: (t, {**m, "vocab": m["vocab"][:1] * 2
+                                                 + m["vocab"][2:]}),
+                              ["load_datasets"], "field 'vocab' repeats token"),
+    "a split repeats a session id": (
+        lambda t, m: (t, {**m, "session_ids": {"train": m["session_ids"]["train"][:1] * 8}}),
+        ["load_datasets"], "field 'session_ids': split 'train' repeats session id"),
+    **{f"loss_history {name}": (lambda t, m, value=value: (t, {**m, "loss_history": value}),
+                                ["load_checkpoint"], "field 'loss_history'")
+       for name, value in (("a number", 3), ("null", None), ("an object", {"0": 1.5}),
+                           ("holding a string", [1.5, "2"]), ("holding a boolean", [True]))},
 }
 
 

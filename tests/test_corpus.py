@@ -251,6 +251,14 @@ class TestSessionChecks:
         shards = make_shards(data, assignment)
         assert checked == [] and sum(len(s) for s in shards) == 20
 
+    def test_a_subset_checks_no_session(self, checked):
+        data = generate_synthetic(20, 30, 2, seed=1)
+        checked.clear()
+        part = data.subset([5, 2, 7])
+        assert checked == []
+        assert all(a is b for a, b in zip(part.sessions, (data.sessions[i] for i in (5, 2, 7))))
+        assert len(part) == 3 and part.vocab is data.vocab and part.split_tag == data.split_tag
+
     def test_deletion_checks_only_the_rewritten_session(self, checked):
         data = generate_synthetic(20, 30, 2, seed=1)
         config = ExperimentConfig.defaults(**{"partition.k": 2, "backbone.d": 4,
