@@ -9,7 +9,7 @@ get by training from scratch on the post-deletion shard.
 import time
 
 from sru import ExperimentConfig, generate_synthetic, split, train_backbone
-from sru.numerics import RngStream, derive_seed
+from sru.numerics import derive_seed, rng_stream
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, ced_select, execute_unlearn, ned_select, red_select
 
@@ -39,7 +39,7 @@ print(f"deleting the item at position {target} (item {session.items[target]}) "
 
 ced = ced_select(session, target, 2, state.reference_model)
 ned = ned_select(session, target, 2)
-red = red_select(session, target, 2, RngStream(1, "demo/red"))
+red = red_select(session, target, 2, rng_stream(1, "demo/red"))
 print(f"  collaborative (embedding-nearest items): positions {ced}")
 print(f"  neighbor (immediately preceding items):  positions {ned}")
 print(f"  random (uniform over other positions):   positions {red}")

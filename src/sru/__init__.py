@@ -70,10 +70,10 @@ from .evaluation import (
 from .numerics import (
     AdamState,
     ParamStore,
-    RngStream,
     adam_step,
     derive_seed,
     ranks_from_logits,
+    rng_stream,
 )
 from .partition import (
     CorpusEmbedding,

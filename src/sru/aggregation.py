@@ -55,12 +55,12 @@ from .errors import ContractError
 from .numerics import (
     AdamState,
     ParamStore,
-    RngStream,
     _Buffers,
     _logits,
     _loss_consts,
     _softmax_loss,
     adam_step,
+    rng_stream,
     xavier_uniform,
 )
 
@@ -376,7 +376,7 @@ def init_aggregation_model(k: int, d: int, num_items: int,
     """
     d_ff = config.d_ff if config.d_ff else d
     dtype = np.float32
-    stream = RngStream(config.seed, "aggregation/init")
+    stream = rng_stream(config.seed, "aggregation/init")
     eye = np.broadcast_to(np.eye(d, dtype=dtype), (k, d, d))
     store = ParamStore({
         "W_proj": eye + stream.uniform(-0.01, 0.01, (k, d, d)).astype(dtype),
@@ -596,7 +596,7 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     model.centroids = centroids
     store = model.store
     adam = AdamState.for_store(store)
-    shuffle = RngStream(config.seed, "aggregation/shuffle")
+    shuffle = rng_stream(config.seed, "aggregation/shuffle")
 
     P = features.shape[0]
     # Each batch is gathered into one reused buffer, so no shuffled copy

@@ -28,12 +28,12 @@ from .errors import ContractError, DimensionError
 from .numerics import (
     AdamState,
     ParamStore,
-    RngStream,
     _Buffers,
     _logits,
     _sigmoid_of_half,
     _softmax_loss,
     adam_step,
+    rng_stream,
     sigmoid,  # noqa: F401 -- unused; bench/test_bench.py checks its tracer patches it here
     xavier_uniform,
 )
@@ -123,7 +123,7 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
     fixed so that a seed pins the exact initial parameters.
     """
     d = config.d
-    stream = RngStream(config.seed, "backbone/init")
+    stream = rng_stream(config.seed, "backbone/init")
     emb = xavier_uniform(stream, num_items + 1, d, (num_items + 1, d), np.float32)
     emb[0] = 0.0
     arrays = {"E": emb}
@@ -544,14 +544,6 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
     return loss_sum, positions
 
 
-def _batch_step(model: GruModel, adam: AdamState, ids: np.ndarray, lr: float,
-                buffers: _Buffers):
-    loss_sum, positions = sequence_loss_and_grads(model, ids, buffers)
-    if positions:
-        adam_step(model.store, adam, lr)
-    return loss_sum, positions
-
-
 def train_backbone(dataset: SessionDataset, config: BackboneConfig) -> GruModel:
     """Train a GRU next-item model on every (prefix, next item) pair.
 
@@ -566,7 +558,7 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig) -> GruModel:
 
     model = init_gru_model(dataset.num_items(), config)
     adam = AdamState.for_store(model.store)
-    shuffle = RngStream(config.seed, "backbone/shuffle")
+    shuffle = rng_stream(config.seed, "backbone/shuffle")
     L = config.max_len
     # the id matrix of the points: row i is session i's last L items
     ids_all = prefix_points([s.items[-L:] for s in dataset.sessions], L)[0][0]
@@ -580,10 +572,11 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig) -> GruModel:
         positions = 0
         for start in range(0, n, config.batch_size):
             batch = ids_all[perm[start : start + config.batch_size]]
-            ls, p = _batch_step(model, adam, batch, config.lr, buffers)
+            ls, p = sequence_loss_and_grads(model, batch, buffers)
+            adam_step(model.store, adam, config.lr)
             loss_sum += ls
             positions += p
-        model.loss_history.append(loss_sum / max(1, positions))
+        model.loss_history.append(loss_sum / positions)
     return model
 
 

@@ -13,8 +13,10 @@ import io
 import warnings
 from dataclasses import InitVar, dataclass, field
 
+import numpy as np
+
 from .errors import ContractError, EmptyDatasetError, ParseError
-from .numerics import RngStream
+from .numerics import rng_stream
 
 PAD_ID = 0
 SPLIT_TAGS = ("train", "validation", "test")
@@ -280,7 +282,7 @@ def split(dataset: SessionDataset, ratios: tuple[int, int, int] = (8, 1, 1),
             f"splitting only {n} sessions; ratios {ratios} are approximate",
             stacklevel=2,
         )
-    stream = RngStream(seed, "corpus/split")
+    stream = rng_stream(seed, "corpus/split")
     perm = stream.permutation(n)
     sizes = _split_sizes(n, ratios)
     if sizes[0] == 0:
@@ -299,7 +301,7 @@ def split(dataset: SessionDataset, ratios: tuple[int, int, int] = (8, 1, 1),
 
 
 def _cluster_transitions(block: list[int],
-                         stream: RngStream) -> dict[int, tuple[list[int], list[float]]]:
+                         stream: np.random.Generator) -> dict[int, tuple[list[int], list[float]]]:
     # A random cycle through the block carries most of the mass, with two
     # random escapes per item. The cycle keeps the stationary distribution
     # near uniform (so popularity alone predicts little) while each step
@@ -339,7 +341,7 @@ def generate_synthetic(num_sessions: int, vocab_size: int, num_clusters: int,
     if not 2 <= min_len <= max_len:
         raise ContractError(f"need 2 <= min_len <= max_len, got {min_len}..{max_len}")
 
-    stream = RngStream(seed, "corpus/synthetic")
+    stream = rng_stream(seed, "corpus/synthetic")
     block_size = vocab_size // num_clusters
     blocks = [
         list(range(1 + c * block_size, 1 + (c + 1) * block_size))

@@ -25,7 +25,7 @@ from .backbone import (
 )
 from .corpus import SessionDataset
 from .errors import ContractError
-from .numerics import RngStream, derive_seed, ndcg_gains, ranks_from_logits
+from .numerics import derive_seed, ndcg_gains, ranks_from_logits, rng_stream
 from .reports import EffectivenessReport, RankingReport, TimingReport
 from .unlearning import execute_unlearn
 
@@ -158,7 +158,7 @@ def random_equal_shards(dataset: SessionDataset, k: int, seed: int) -> list[Sess
     """Seeded shuffle into k shards whose sizes differ by at most one."""
     if k < 1:
         raise ContractError(f"shard count must be >= 1, got {k}")
-    stream = RngStream(seed, "sisa/partition")
+    stream = rng_stream(seed, "sisa/partition")
     perm = stream.permutation(len(dataset))
     return [dataset.subset(np.sort(chunk).tolist()) for chunk in np.array_split(perm, k)]
 

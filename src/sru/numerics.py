@@ -21,10 +21,10 @@ from .errors import ContractError, DimensionError
 __all__ = [
     "AdamState",
     "ParamStore",
-    "RngStream",
     "adam_step",
     "derive_seed",
     "ranks_from_logits",
+    "rng_stream",
     "sigmoid",
     "xavier_uniform",
 ]
@@ -36,45 +36,19 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-class RngStream:
-    """Named deterministic random stream.
+def rng_stream(seed: int, name: str) -> np.random.Generator:
+    """Named deterministic random stream: a numpy Generator fully
+    determined by (seed, name) and its call sequence.
 
-    A stream is fully determined by (seed, name, call sequence). Streams
-    with different names never share state, so independent consumers
-    (e.g. per-shard trainings running in parallel) reproduce the exact
-    sequences they would see when run serially.
+    Streams with different names never share state, so independent
+    consumers (e.g. per-shard trainings running in parallel) reproduce
+    the exact sequences they would see when run serially.
     """
-
-    def __init__(self, seed: int, name: str):
-        if seed < 0:
-            raise ContractError(f"stream seed must be non-negative, got {seed}")
-        self.seed = seed
-        self.name = name
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-        self._rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, *words]))
-        )
-
-    def random(self, size=None):
-        """Uniform floats in [0, 1)."""
-        return self._rng.random(size)
-
-    def uniform(self, low, high, size=None):
-        return self._rng.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        """Integers in [low, high) (or [0, low) when high is None)."""
-        return self._rng.integers(low, high, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._rng.permutation(n)
-
-    def choice(self, n, size, replace=False) -> np.ndarray:
-        return self._rng.choice(n, size=size, replace=replace)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, name={self.name!r})"
+    if seed < 0:
+        raise ContractError(f"stream seed must be non-negative, got {seed}")
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *words])))
 
 
 class ParamStore:
@@ -148,7 +122,8 @@ class _Buffers:
         return flat[:size].reshape(shape)
 
 
-def xavier_uniform(stream: RngStream, fan_in: int, fan_out: int, shape, dtype) -> np.ndarray:
+def xavier_uniform(stream: np.random.Generator, fan_in: int, fan_out: int, shape,
+                   dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return stream.uniform(-limit, limit, shape).astype(dtype)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import SessionDataset
 from .errors import ContractError
-from .numerics import RngStream
+from .numerics import rng_stream
 
 __all__ = [
     "CorpusEmbedding",
@@ -217,7 +217,7 @@ def _ritz_pairs(X: _CountRows, d: int, width: int) -> tuple[np.ndarray, np.ndarr
     num_items = X.shape[1]
     K = np.zeros((width, num_items))      # one basis vector per row
     T = np.zeros((width, width))
-    start = RngStream(0, "partition/embedding").uniform(-1.0, 1.0, (num_items, d))
+    start = rng_stream(0, "partition/embedding").uniform(-1.0, 1.0, (num_items, d))
     Q, m = np.linalg.qr(start)[0], 0
     while Q.shape[1]:
         b = Q.shape[1]
@@ -319,7 +319,7 @@ def balanced_kmeans(H: np.ndarray, config: PartitionConfig,
     delta = config.capacity(n)
 
     if init_indices is None:
-        stream = RngStream(config.seed, "partition/init")
+        stream = rng_stream(config.seed, "partition/init")
         init_indices = np.sort(stream.choice(n, size=k, replace=False))
     else:
         init_indices = np.asarray(list(init_indices), dtype=np.int64)

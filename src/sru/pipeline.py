@@ -41,7 +41,7 @@ from .errors import ContractError, ParseError, StageDependencyError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
 from .partition import balanced_kmeans, embed_all, fit_corpus_embedding, make_shards
-from .reports import emit_report
+from .reports import emit_report, write_csv
 from .unlearning import (
     SruState,
     deletions_from_json,
@@ -301,11 +301,6 @@ def _cmd_bench(run_dir, config: ExperimentConfig, *, requests_path=None, **_) ->
     emit_report(report, "json", os.path.join(run_dir, "bench.json"))
 
 
-def _write_csv(path, header: str, rows) -> None:
-    body = "\n".join([header, *(",".join(str(v) for v in row) for row in rows)])
-    write_atomic(path, (body + "\n").encode("utf-8"))
-
-
 def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
                 shard_counts=(2, 4, 8, 16), deletion_range=(0, 1, 2, 3, 4, 5), **_) -> None:
     if mode not in ("shards", "partition", "deletion"):
@@ -327,8 +322,8 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
                                        seed=derive_seed(config.seed, f"ablate-shards-{k}"))
             outcome = execute_unlearn(state, requests)
             rows.append((k, f"{report.ndcg[20]:.6g}", f"{outcome.timing.total_ms:.6g}"))
-        _write_csv(os.path.join(run_dir, "ablate_shards.csv"),
-                   "k,ndcg_at_20,unlearn_ms", rows)
+        write_csv(os.path.join(run_dir, "ablate_shards.csv"),
+                  ("k", "ndcg_at_20", "unlearn_ms"), rows)
     elif mode == "partition":
         state = fit_state(train, None, config)
         sru_report = evaluate(state.sru_model(), test, ks=(20,))
@@ -336,10 +331,10 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
                              config.backbone_config("sisa"),
                              seed=derive_seed(config.seed, "sisa"))
         sisa_report = evaluate(sisa, test, ks=(20,))
-        _write_csv(os.path.join(run_dir, "ablate_partition.csv"),
-                   "method,recall_at_20",
-                   [("similarity_partition", f"{sru_report.recall[20]:.6g}"),
-                    ("random_partition", f"{sisa_report.recall[20]:.6g}")])
+        write_csv(os.path.join(run_dir, "ablate_partition.csv"),
+                  ("method", "recall_at_20"),
+                  [("similarity_partition", f"{sru_report.recall[20]:.6g}"),
+                   ("random_partition", f"{sisa_report.recall[20]:.6g}")])
     else:
         state = fit_state(train, None, config)
         base = sample_requests(state.corpus,
@@ -357,8 +352,8 @@ def _cmd_ablate(run_dir, config: ExperimentConfig, mode: str | None,
             report = hit_effectiveness(outcome.state.sru_model(), outcome.deletions,
                                        ks=ks, context=config["effectiveness.context"])
             rows.append((n, *(f"{report.hit[k]:.6g}" for k in ks)))
-        _write_csv(os.path.join(run_dir, "ablate_deletion.csv"),
-                   "n_extra," + ",".join(f"hit_at_{k}" for k in ks), rows)
+        write_csv(os.path.join(run_dir, "ablate_deletion.csv"),
+                  ("n_extra", *(f"hit_at_{k}" for k in ks)), rows)
 
 
 STAGES = {

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 
 from .checkpoint import write_atomic
 from .errors import ContractError
 
-__all__ = ["EffectivenessReport", "RankingReport", "TimingReport", "emit_report"]
+__all__ = ["EffectivenessReport", "RankingReport", "TimingReport", "emit_report", "write_csv"]
 
 
 @dataclass
@@ -140,6 +142,16 @@ def _rounded(obj):
     return _six_digits(obj)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and rows as CSV with "\n" line ends, atomically
+    (``write_atomic``); a field that holds a comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, out.getvalue().encode("utf-8"))
+
+
 def emit_report(report, fmt: str, path) -> None:
     """Write a report as CSV or JSON with a stable field order.
 
@@ -150,16 +162,16 @@ def emit_report(report, fmt: str, path) -> None:
     data = report.as_dict() if hasattr(report, "as_dict") else dict(report)
     if fmt == "json":
         text = json.dumps(_rounded(data), sort_keys=True, indent=2) + "\n"
+        write_atomic(path, text.encode("utf-8"))
     elif fmt == "csv":
-        lines = ["metric,k,value"]
+        rows = []
         for metric in sorted(data):
             value = data[metric]
             if isinstance(value, dict):
-                for k in sorted(value, key=lambda s: (len(s), s)):
-                    lines.append(f"{metric},{k},{_six_digits(value[k])}")
+                rows.extend((metric, k, _six_digits(value[k]))
+                            for k in sorted(value, key=lambda s: (len(s), s)))
             else:
-                lines.append(f"{metric},,{_six_digits(value)}")
-        text = "\n".join(lines) + "\n"
+                rows.append((metric, "", _six_digits(value)))
+        write_csv(path, ("metric", "k", "value"), rows)
     else:
         raise ContractError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
-    write_atomic(path, text.encode("utf-8"))

@@ -36,9 +36,9 @@ from .aggregation import (
 from .backbone import BackboneConfig, GruModel, _training_workers, train_many_timed
 from .corpus import Session, SessionDataset, parse_file
 from .errors import ContractError, ParseError, PositionError, UnknownSessionError
-from .numerics import RngStream, derive_seed
+from .numerics import derive_seed, rng_stream
 from .partition import CorpusEmbedding, ShardAssignment, make_shards
-from .reports import TimingReport
+from .reports import TimingReport, write_csv
 
 STRATEGIES = ("CED", "NED", "RED")
 
@@ -153,13 +153,13 @@ def ned_select(session: Session, target_position: int, n_extra: int) -> tuple[in
 
 
 def red_select(session: Session, target_position: int, n_extra: int,
-               stream: RngStream) -> tuple[int, ...]:
+               stream: np.random.Generator) -> tuple[int, ...]:
     """Random extra deletion: also drop n_extra other positions sampled
     uniformly without replacement from the named stream."""
     _check_target(session, target_position)
     candidates = [p for p in range(len(session)) if p != target_position]
     take = min(n_extra, len(candidates))
-    chosen = [candidates[int(i)] for i in stream.choice(len(candidates), size=take)] if take else []
+    chosen = [candidates[int(i)] for i in stream.choice(len(candidates), size=take, replace=False)]
     return tuple(sorted([target_position, *chosen]))
 
 
@@ -296,8 +296,8 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
         elif request.strategy == "NED":
             chosen = ned_select(view, target, request.n_extra)
         else:
-            stream = RngStream(derive_seed(state.seed, f"unlearn/red/{request.session_id}"),
-                               f"red/{request.target_position}")
+            stream = rng_stream(derive_seed(state.seed, f"unlearn/red/{request.session_id}"),
+                                f"red/{request.target_position}")
             chosen = red_select(view, target, request.n_extra, stream)
         positions = tuple(surviving[p] for p in chosen)
         already.update(positions)
@@ -392,11 +392,9 @@ REQUEST_HEADER = ("session_id", "target_position", "strategy", "N")
 
 
 def save_requests(requests, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REQUEST_HEADER)
-        for r in requests:
-            writer.writerow([r.session_id, r.target_position, r.strategy, r.n_extra])
+    """Write requests in the format ``load_requests`` reads, atomically."""
+    write_csv(path, REQUEST_HEADER,
+              ((r.session_id, r.target_position, r.strategy, r.n_extra) for r in requests))
 
 
 def load_requests(source) -> list[UnlearnRequest]:
@@ -434,13 +432,13 @@ def sample_requests(dataset: SessionDataset, count: int, strategy: str, n_extra:
     uniform in [min_target_position, len - 1]. Sessions shorter than
     min_target_position + 1 are not eligible.
     """
-    stream = RngStream(seed, "unlearn/sample")
+    stream = rng_stream(seed, "unlearn/sample")
     eligible = [i for i, s in enumerate(dataset.sessions) if len(s) > min_target_position]
     if count > len(eligible):
         raise ContractError(
             f"cannot sample {count} requests from {len(eligible)} eligible sessions"
         )
-    picks = stream.choice(len(eligible), size=count)
+    picks = stream.choice(len(eligible), size=count, replace=False)
     requests = []
     for pick in picks:
         session = dataset.sessions[eligible[int(pick)]]

@@ -25,9 +25,9 @@ from sru.evaluation import (
 )
 from sru.numerics import (
     ParamStore,
-    RngStream,
     ndcg_gains,
     ranks_from_logits,
+    rng_stream,
 )
 from sru.partition import (
     PartitionConfig,
@@ -79,12 +79,12 @@ def test_c1_exact_unlearning_equivalence():
     config = experiment(seed, backbone_epochs=5, agg_epochs=2, noise=0.1)
     state = fit_state(train, val, config)
 
-    stream = RngStream(seed, "acceptance/c1")
+    stream = rng_stream(seed, "acceptance/c1")
     strategies = ("CED", "NED", "RED")
     sessions = train.sessions
     for batch_id in range(20):
         count = int(stream.integers(1, 9))
-        picks = stream.choice(len(sessions), size=count)
+        picks = stream.choice(len(sessions), size=count, replace=False)
         requests = []
         for j, pick in enumerate(picks):
             session = sessions[int(pick)]

@@ -22,10 +22,10 @@ from sru.aggregation import (
 )
 from sru.backbone import (
     BackboneConfig,
-    _batch_step as batch_step,
     encode_stacked,
     init_gru_model,
     pad_prefixes,
+    sequence_loss_and_grads,
     train_backbone,
 )
 from sru.config import ExperimentConfig
@@ -35,9 +35,9 @@ from sru.evaluation import evaluate
 from sru.numerics import (
     AdamState,
     ParamStore,
-    RngStream,
     _Buffers,
     adam_step,
+    rng_stream,
 )
 from reference import (
     as_float64,
@@ -460,7 +460,7 @@ class TestTrainAggregation:
 
         model = init_aggregation_model(2, 8, data.num_items(), config)
         store, adam = model.store, AdamState.for_store(model.store)
-        shuffle = RngStream(config.seed, "aggregation/shuffle")
+        shuffle = rng_stream(config.seed, "aggregation/shuffle")
         P = cache.features.shape[0]
         losses = []
         for _ in range(config.epochs):
@@ -541,7 +541,7 @@ class TestCopyingStepOracle:
         C = centroids.c.astype(H.dtype)
         model = init_aggregation_model(2, 8, data.num_items(), config)
         store, adam = model.store, AdamState.for_store(model.store)
-        shuffle = RngStream(config.seed, "aggregation/shuffle")
+        shuffle = rng_stream(config.seed, "aggregation/shuffle")
         buffers = _Buffers()
         losses = []
         for _ in range(config.epochs):
@@ -1038,12 +1038,12 @@ class TestSessionsPastMaxLen:
         for limit in (None, max_len):
             batches = []
 
-            def recorded(model, adam, ids, lr, buffers):
+            def recorded(model, ids, buffers):
                 batches.append((ids.shape, ids.tobytes()))
-                return batch_step(model, adam, ids, lr, buffers)
+                return sequence_loss_and_grads(model, ids, buffers)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr("sru.backbone._batch_step", recorded)
+                patch.setattr("sru.backbone.sequence_loss_and_grads", recorded)
                 model = train_backbone(corpus(items, limit=limit), config)
             runs.append((batches, model.params_bytes()))
         assert runs[0] == runs[1]

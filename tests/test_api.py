@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import sru
@@ -77,6 +78,18 @@ REMOVED_RANKING_PATHS = ("_eval_points", "_predict_batch_of", "_ranks_for_points
 def test_predictors_have_one_ranking_path():
     namespace = vars(importlib.import_module("sru.evaluation"))
     assert [n for n in REMOVED_RANKING_PATHS if n in namespace] == []
+
+
+# A named random stream is a plain numpy Generator from
+# numerics.rng_stream; no class forwards to one, and the GRU trainer
+# calls its loss and Adam step itself.
+def test_random_streams_are_numpy_generators():
+    numerics = importlib.import_module("sru.numerics")
+    assert "RngStream" not in dir(sru)
+    assert "RngStream" not in vars(numerics) and "RngStream" not in numerics.__all__
+    assert sru.rng_stream is numerics.rng_stream
+    assert isinstance(sru.rng_stream(0, "x"), np.random.Generator)
+    assert "_batch_step" not in vars(importlib.import_module("sru.backbone"))
 
 
 # execute_unlearn checks, selects and rewrites each request in one pass;

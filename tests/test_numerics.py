@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import warnings
@@ -12,13 +13,13 @@ from sru.errors import ContractError, DimensionError
 from sru.numerics import (
     AdamState,
     ParamStore,
-    RngStream,
     _Buffers,
     _exp_sum_floor,
     _loss_consts,
     _softmax_loss,
     adam_step,
     derive_seed,
+    rng_stream,
     sigmoid,
 )
 from reference import (
@@ -405,22 +406,35 @@ class TestFiniteDifferenceCheck:
 
 class TestRngStream:
     def test_same_seed_and_name_repeats(self):
-        a = RngStream(9, "abc").random(16)
-        b = RngStream(9, "abc").random(16)
+        a = rng_stream(9, "abc").random(16)
+        b = rng_stream(9, "abc").random(16)
         np.testing.assert_array_equal(a, b)
 
     def test_stream_names_separate(self):
-        a = RngStream(9, "abc").random(16)
-        b = RngStream(9, "abd").random(16)
+        a = rng_stream(9, "abc").random(16)
+        b = rng_stream(9, "abd").random(16)
         assert not np.array_equal(a, b)
 
     def test_mean_of_uniform_draws(self):
-        draws = RngStream(123, "stats").random(100_000)
+        draws = rng_stream(123, "stats").random(100_000)
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ContractError):
-            RngStream(-1, "x")
+            rng_stream(-1, "x")
+
+    # The recipe is pinned through the bit generator's state, which is the
+    # same on every platform and numpy release; the distributions drawn
+    # from it, and so the trained models, are not pinned here.
+    @pytest.mark.parametrize("seed,name", [
+        (0, "backbone/shuffle"), (41, "aggregation/init"), (7, "partition/embedding"),
+        (2**63 - 1, "red/3"), (3, ""), (12, "unlearn/red/sé"),
+    ])
+    def test_seeded_by_the_sha256_words_of_its_name(self, seed, name):
+        digest = hashlib.sha256(name.encode("utf-8")).digest()
+        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+        expected = np.random.PCG64(np.random.SeedSequence([seed, *words]))
+        assert rng_stream(seed, name).bit_generator.state == expected.state
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, "shard-0") == derive_seed(7, "shard-0")

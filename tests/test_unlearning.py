@@ -22,7 +22,7 @@ from sru.errors import (
     SruError,
     UnknownSessionError,
 )
-from sru.numerics import RngStream
+from sru.numerics import rng_stream
 from sru.partition import CorpusEmbedding, make_shards
 from sru.pipeline import _write_audit
 from sru.unlearning import (
@@ -94,24 +94,24 @@ class TestNedSelect:
 
 class TestRedSelect:
     def test_zero_extras(self):
-        stream = RngStream(0, "red")
+        stream = rng_stream(0, "red")
         assert red_select(Session("s", (1, 2, 3)), 1, 0, stream) == (1,)
 
     def test_same_stream_same_selection(self):
         session = Session("s", (1, 2, 3, 4, 5))
-        a = red_select(session, 2, 2, RngStream(5, "red"))
-        b = red_select(session, 2, 2, RngStream(5, "red"))
+        a = red_select(session, 2, 2, rng_stream(5, "red"))
+        b = red_select(session, 2, 2, rng_stream(5, "red"))
         assert a == b
 
     def test_saturates_to_whole_session(self):
-        stream = RngStream(1, "red")
+        stream = rng_stream(1, "red")
         assert red_select(Session("s", (1, 2, 3, 4)), 1, 3, stream) == (0, 1, 2, 3)
 
     @given(st.integers(2, 12), st.integers(0, 15), st.integers(0, 100))
     def test_selection_size_is_one_plus_min(self, length, n_extra, seed):
         session = Session("s", tuple([1] * length))
         target = seed % length
-        out = red_select(session, target, n_extra, RngStream(seed, "red"))
+        out = red_select(session, target, n_extra, rng_stream(seed, "red"))
         assert len(out) == 1 + min(n_extra, length - 1)
         assert target in out
         assert len(set(out)) == len(out)
@@ -632,6 +632,27 @@ class TestRequestFile:
         path = tmp_path / "requests.csv"
         save_requests(requests, path)
         assert load_requests(path) == requests
+
+    def test_session_id_with_comma_and_quote_round_trips(self, tmp_path):
+        requests = [UnlearnRequest('a,"b"', 1, "NED", 0), UnlearnRequest("c", 2, "RED", 3)]
+        path = tmp_path / "requests.csv"
+        save_requests(requests, path)
+        assert load_requests(path) == requests
+
+    def test_write_failing_at_rename_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "requests.csv"
+        save_requests([UnlearnRequest("s1", 3, "CED", 2)], path)
+        previous = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_requests([UnlearnRequest("s2", 1, "NED", 0)] * 3, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["requests.csv"]
 
     def test_header_required(self):
         with pytest.raises(ParseError, match="header"):
