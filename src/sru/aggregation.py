@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -133,9 +132,10 @@ class AggregationModel:
 
 
 def compute_centroid(sub_model: GruModel, shard: SessionDataset) -> np.ndarray:
-    """Mean encoding of a shard's full sessions under its own sub-model."""
+    """Mean encoding of a shard's full sessions under its own sub-model;
+    zero, ``init_aggregation_model``'s centroid, for an emptied shard."""
     if len(shard) == 0:
-        raise ContractError("cannot compute the centroid of an empty shard")
+        return np.zeros(sub_model.d, dtype=sub_model.embeddings.dtype)
     states = encode_batch(sub_model, [s.items for s in shard.sessions])
     return states.mean(axis=0)
 
@@ -397,12 +397,15 @@ def init_aggregation_model(k: int, d: int, num_items: int,
 class FeatureCache:
     """Precomputed per-shard state table, reusable across unlearn calls.
 
-    Rows follow the training corpus session order; row_slices maps each
-    session id to its (start, count) block. After a deletion only the
-    retrained shard's column and the rewritten sessions' rows need
-    recomputation, which is what keeps selective unlearning cheap
-    relative to full retraining. ``updated_feature_cache`` does that in
-    the table's own buffer, so a cache has one owner at a time: the
+    ``build_feature_cache`` gives each session a block of rows, in corpus
+    order, and blocks never move: ``rows`` is each training point's row,
+    in corpus order (``arange(P)`` after a build), and row_slices maps
+    each session id to its block's start and current number of points.
+    After a deletion only the retrained shard's column and the rewritten
+    sessions' rows need recomputation, which keeps selective unlearning
+    cheap; the rows no point reads (dropped sessions' blocks, shortened
+    ones' tails) are never read again. ``updated_feature_cache`` writes
+    in the table's own buffer, so a cache has one owner at a time: the
     ``SruState`` that holds it, which hands it over to the state that
     ``execute_unlearn`` returns. The update leaves the old cache with
     ``features = None``, so a second holder of it (a ``replace`` copy of
@@ -411,34 +414,30 @@ class FeatureCache:
     trained the fusion layer on; a state loaded from disk has none, and
     ``execute_unlearn`` builds it lazily on the post-deletion sub-models.
 
-    Each row holds one training point's K states with a ones column
-    after them, the layout the fusion pass reads (see the module
-    docstring): ``features[:, :, :d]`` are the states and
-    ``features[:, :, d]`` is 1.
+    Each row, read or not, holds K states with a ones column after them,
+    the layout the fusion pass reads (see the module docstring):
+    ``features[:, :, :d]`` are the states and ``features[:, :, d]`` is 1.
     """
 
-    features: np.ndarray | None               # (P, K, d + 1); None once updated
+    features: np.ndarray | None               # (R, K, d + 1); None once updated
     targets: np.ndarray                       # (P,)
     row_slices: dict[str, tuple[int, int]]
+    rows: np.ndarray                          # (P,), each point's row of features
 
     def copy(self) -> FeatureCache:
         """A cache with its own buffer, for unlearning one state twice."""
         return FeatureCache(features=self.features.copy(), targets=self.targets,
-                            row_slices=self.row_slices)
+                            row_slices=self.row_slices, rows=self.rows)
 
 
 def _session_points(sessions, max_len: int):
     """The training points of sessions, from ``backbone.prefix_points``
     over each one's last max_len items: ((ids, rows, lengths), targets,
-    starts, counts, row_slices). Row i of ids is session i, so point j
-    is of session rows[j]; session i holds points starts[i] : starts[i]
-    + counts[i], and row_slices maps its id to that (start, count)."""
+    counts, session ids). Row i of ids is session i, so point j is of
+    session rows[j], and session i holds counts[i] consecutive points."""
     points, targets = prefix_points([s.items[-max_len:] for s in sessions], max_len)
     counts = np.bincount(points[1], minlength=len(sessions))
-    starts = np.cumsum(counts) - counts
-    slices = dict(zip(map(attrgetter("session_id"), sessions),
-                      zip(starts.tolist(), counts.tolist())))
-    return points, targets, starts, counts, slices
+    return points, targets, counts, [s.session_id for s in sessions]
 
 
 def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
@@ -449,118 +448,88 @@ def build_feature_cache(sub_models, dataset: SessionDataset) -> FeatureCache:
     sub-model runs its own ``encode_stacked`` pass, which writes straight
     into the states of its column of the one table, so no pass makes a
     second table or a copy. Sub-models are only read, never written."""
-    points, targets, _, _, slices = _session_points(dataset.sessions, sub_models[0].max_len)
+    points, targets, counts, ids = _session_points(dataset.sessions, sub_models[0].max_len)
+    starts = np.cumsum(counts) - counts
     dtype = np.result_type(*(m.embeddings.dtype for m in sub_models))
     d = sub_models[0].d
     features = np.empty((len(targets), len(sub_models), d + 1), dtype=dtype)
     features[:, :, d] = 1.0
     for c, model in enumerate(sub_models):
         encode_stacked([model], *points, out=features[:, c : c + 1, :d])
-    return FeatureCache(features=features, targets=targets, row_slices=slices)
-
-
-# Rows per copy when reused rows move down the table: numpy copies an
-# overlapping slice assignment through a temporary of the whole source.
-_MOVE_ROWS = 1024
+    return FeatureCache(features=features, targets=targets,
+                        row_slices=dict(zip(ids, zip(starts.tolist(), counts.tolist()))),
+                        rows=np.arange(len(targets)))
 
 
 def updated_feature_cache(cache: FeatureCache, sub_models, dataset: SessionDataset,
                           dirty_shards, changed_session_ids) -> FeatureCache:
     """Update a cache after deletions in its own buffer, keeping every
-    row that cannot have changed.
+    row that cannot have changed; no row moves.
 
     dirty_shards lists sub-models that were retrained (their whole
     column is recomputed); changed_session_ids lists sessions whose item
     sequence was rewritten (their rows are recomputed under every clean
-    sub-model too). Deletions only remove rows and keep the session
-    order, so each reused session moves to an equal or lower row. The
-    reused runs come from two arrays over the sessions in corpus order,
-    their old and new first rows: a run goes on while both stay
-    contiguous. The runs are moved first, in ascending order, as whole
-    rows that carry their ones column, then the states of the fresh rows
-    and dirty columns are overwritten (``[..., :d]``; every row of the
-    buffer already holds its ones): the fresh rows of all clean columns
-    by one stacked pass over the clean sub-models on the fresh sessions'
-    rows of the id matrix alone, each dirty column by a pass of its own
-    over all rows that writes straight into it. Layout, id matrix and
-    targets all come from one ``backbone.prefix_points`` table, as in
-    ``build_feature_cache``. The result's table is a prefix of
-    ``cache.features``, whose rows are overwritten, so ``cache`` gives
-    up its buffer (its ``features`` becomes None) and updating it again
-    raises ContractError. So does a layout that needs more rows than the
-    buffer holds, or that moves a reused session to a later row.
+    sub-model too). Each session keeps its block, and its points fill it
+    from the start: the result's ``rows``. Only states are written: the
+    fresh rows of all clean columns by one stacked pass over the clean
+    sub-models on the rewritten sessions' rows of the id matrix alone,
+    each dirty column by a pass of its own that writes straight into it,
+    over a triple as long as the table whose unread rows are empty
+    prefixes (they keep the zero state, and the id matrix runs a
+    rebuild's steps, so the read rows get its bits). Layout, id matrix
+    and targets come from one ``prefix_points`` table, as in a build.
+    ``cache`` gives up its buffer (its ``features`` becomes None), and
+    updating it again raises ContractError. So does a session the cache
+    holds no block for, one whose points outgrow its block, or one not
+    marked changed whose number of points changed.
     """
     k = len(sub_models)
     d = sub_models[0].d
     dirty = sorted(set(dirty_shards))
     changed = set(changed_session_ids)
-    sessions = dataset.sessions
-    (ids_all, point_rows, lengths), targets, starts, counts, slices = _session_points(
-        sessions, sub_models[0].max_len)
-    rows = len(targets)
-    buffer = cache.features
-    if buffer is None:
+    (ids_all, point_rows, lengths), targets, counts, ids = _session_points(
+        dataset.sessions, sub_models[0].max_len)
+    features = cache.features
+    if features is None:
         raise ContractError(
             "this feature cache was already updated in place and its buffer belongs "
             "to the cache that update returned; rebuild it (feature_cache=None)"
         )
-    if rows > buffer.shape[0] or buffer.shape[1:] != (k, d + 1):
+    if features.shape[1:] != (k, d + 1):
+        raise ContractError(f"a cached table of shape {features.shape} has no rows "
+                            f"of {k} sub-models of d = {d}")
+    # each session's (start, count) in the cache; (0, 0) where it has none
+    block = np.fromiter(chain.from_iterable(map(cache.row_slices.get, ids, repeat((0, 0)))),
+                        dtype=np.int64, count=2 * len(ids)).reshape(len(ids), 2)
+    fresh = np.fromiter(map(changed.__contains__, ids), dtype=bool, count=len(ids))
+    misfit = np.where(fresh, counts > block[:, 1], counts != block[:, 1])
+    if misfit.any():
+        i = int(np.argmax(misfit))
         raise ContractError(
-            f"a ({rows}, {k}, {d + 1}) table does not fit the cached "
-            f"buffer of shape {buffer.shape}"
-        )
-    features = buffer[:rows]
-
-    ids = list(map(attrgetter("session_id"), sessions))
-    # each session's (start, count) in the cache; (-1, 0) where it has none
-    old = np.fromiter(chain.from_iterable(map(cache.row_slices.get, ids, repeat((-1, 0)))),
-                      dtype=np.int64, count=2 * len(ids)).reshape(len(ids), 2)
-    fresh = old[:, 0] < 0
-    if changed:
-        fresh |= np.fromiter(map(changed.__contains__, ids), dtype=bool, count=len(ids))
-    kept = np.flatnonzero(~fresh)
-    old_start, new_start, n = old[kept, 0], starts[kept], counts[kept]
-    moved_up = (old_start < new_start) | (old[kept, 1] != n)
-    if moved_up.any():
-        i = int(kept[np.argmax(moved_up)])
-        raise ContractError(
-            f"session {ids[i]!r} moves from rows {_span(old[i])} to "
-            f"{_span((starts[i], counts[i]))}; an in-place update only moves rows down"
-        )
-    runs = []                         # (old start, new start, rows)
-    if kept.size:
-        head = np.ones(kept.size, dtype=bool)
-        head[1:] = ((old_start[1:] != old_start[:-1] + n[:-1])
-                    | (new_start[1:] != new_start[:-1] + n[:-1]))
-        heads = np.flatnonzero(head)
-        runs = list(zip(old_start[heads].tolist(), new_start[heads].tolist(),
-                        np.add.reduceat(n, heads).tolist()))
+            f"session {ids[i]!r} has {counts[i]} training points for a block of "
+            f"{block[i, 1]} rows; an update only removes points, from changed sessions")
+    # each point at its offset in its session, from its block's start
+    rows = np.arange(len(targets)) + (block[:, 0] - np.cumsum(counts) + counts)[point_rows]
 
     cache.features = None
     clean_cols = [c for c in range(k) if c not in dirty]
-    for old_first, new_first, m in runs:
-        if not clean_cols or old_first == new_first:
-            continue
-        for i in range(0, m, _MOVE_ROWS):
-            step = min(_MOVE_ROWS, m - i)
-            dst, src = new_first + i, old_first + i
-            features[dst : dst + step] = buffer[src : src + step]
     if clean_cols and fresh.any():
         # the fresh sessions' points, encoded over their own rows of ids
         fresh_points = np.flatnonzero(fresh[point_rows])
         fresh_row = np.cumsum(fresh) - 1
-        features[fresh_points[:, None], clean_cols, :d] = encode_stacked(
+        features[rows[fresh_points, None], clean_cols, :d] = encode_stacked(
             [sub_models[c] for c in clean_cols], ids_all[fresh],
             fresh_row[point_rows[fresh_points]], lengths[fresh_points])
-    for c in dirty:
-        encode_stacked([sub_models[c]], ids_all, point_rows, lengths,
-                       out=features[:, c : c + 1, :d])
-    return FeatureCache(features=features, targets=targets, row_slices=slices)
-
-
-def _span(slice_pair):
-    start, n = (int(v) for v in slice_pair)
-    return start, start + n
+    if dirty:
+        table_rows = np.zeros(len(features), dtype=np.int64)
+        table_lengths = np.zeros_like(table_rows)
+        table_rows[rows], table_lengths[rows] = point_rows, lengths
+        for c in dirty:
+            encode_stacked([sub_models[c]], ids_all, table_rows, table_lengths,
+                           out=features[:, c : c + 1, :d])
+    return FeatureCache(features=features, targets=targets,
+                        row_slices=dict(zip(ids, zip(block[:, 0].tolist(), counts.tolist()))),
+                        rows=rows)
 
 
 def train_aggregation(sub_models, centroids: ShardCentroids,
@@ -573,10 +542,12 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     Sub-model states are precomputed once (the sub-models are frozen, so
     they never change during these epochs) and the fusion stack is
     optimized with Adam under the config's seed. ``precomputed`` may
-    carry a (features, targets) pair from a FeatureCache to skip the
-    state computation; it is checked once per call, and a table that is
-    not (P, K, d + 1) for these sub-models, whose last column is not 1,
-    or whose P is not the number of targets is a ContractError.
+    carry a (features, targets, rows) triple from a FeatureCache to skip
+    the state computation: point j's states are row rows[j] of the
+    table, and no other row is read. It is checked once per call, and a
+    table that is not (R, K, d + 1) for these sub-models, whose last
+    column is not 1, or rows that do not give each target one row of it
+    are a ContractError.
     """
     k = len(sub_models)
     if k == 0:
@@ -588,9 +559,9 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
 
     if precomputed is None:
         cache = build_feature_cache(sub_models, train_data)
-        precomputed = (cache.features, cache.targets)
-    features, targets = precomputed
-    _check_table(features, targets, k, d)
+        precomputed = (cache.features, cache.targets, cache.rows)
+    features, targets, table_rows = precomputed
+    _check_table(features, targets, table_rows, k, d)
     C = centroids.c.astype(features.dtype)
     model = init_aggregation_model(k, d, num_items, config)
     model.centroids = centroids
@@ -598,13 +569,13 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     adam = AdamState.for_store(store)
     shuffle = rng_stream(config.seed, "aggregation/shuffle")
 
-    P = features.shape[0]
-    # Each batch is gathered into one reused buffer, so no shuffled copy
-    # of the table is made. perm is a permutation, so mode="clip" only
-    # skips take's buffered bounds check. A batch has one of at most two
-    # row counts, the full one and the last one's, and each gets its
-    # pass (the full one first, so that the other's arrays are a prefix
-    # of its buffers) and its slice of the target buffer.
+    P = len(targets)
+    # Each batch is gathered through table_rows into one reused buffer,
+    # so no shuffled copy of the table is made. Every index was checked,
+    # so mode="clip" only skips take's buffered bounds check. A batch has
+    # one of at most two row counts, the full one and the last one's, and
+    # each gets its pass (the full one first, so that the other's arrays
+    # are a prefix of its buffers) and its slice of the target buffer.
     batch = np.empty((min(config.batch_size, P), k, d + 1), dtype=features.dtype)
     batch_targets = np.empty(len(batch), dtype=targets.dtype)
     buffers = _Buffers()
@@ -616,10 +587,10 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
         perm = shuffle.permutation(P)
         loss_sum = 0.0
         for start in range(0, P, config.batch_size):
-            rows = perm[start : start + config.batch_size]
-            fusion, step_targets = steps[len(rows)]
-            np.take(features, rows, axis=0, out=fusion.H, mode="clip")
-            np.take(targets, rows, out=step_targets, mode="clip")
+            points = perm[start : start + config.batch_size]
+            fusion, step_targets = steps[len(points)]
+            np.take(features, table_rows[points], axis=0, out=fusion.H, mode="clip")
+            np.take(targets, points, out=step_targets, mode="clip")
             step_targets -= 1
             loss_sum += fusion.step(step_targets)
             adam_step(store, adam, config.lr)
@@ -627,13 +598,16 @@ def train_aggregation(sub_models, centroids: ShardCentroids,
     return model
 
 
-def _check_table(features, targets, k: int, d: int) -> None:
-    """A precomputed (features, targets) pair must be a (P, k, d + 1)
-    table whose last column is 1 and P targets."""
-    if targets.ndim != 1 or features.shape != (len(targets), k, d + 1):
+def _check_table(features, targets, rows, k: int, d: int) -> None:
+    """A precomputed (features, targets, rows) triple must be an
+    (R, k, d + 1) table whose last column is 1, P targets and P rows in
+    0..R-1."""
+    if (targets.ndim != 1 or features.shape[1:] != (k, d + 1) or rows.shape != targets.shape
+            or rows.size and not 0 <= rows.min() <= rows.max() < len(features)):
         raise ContractError(
-            f"expected a (P, {k}, {d + 1}) feature table and (P,) targets for one P, "
-            f"found {features.shape} and {targets.shape}"
+            f"expected an (R, {k}, {d + 1}) feature table, (P,) targets and (P,) rows in "
+            f"0..R-1 for one P, found {features.shape}, {targets.shape} and {rows.shape} "
+            f"rows from {rows.min(initial=0)} to {rows.max(initial=0)}"
         )
     ones = features[:, :, d] == 1.0
     if not ones.all():

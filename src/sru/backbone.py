@@ -550,13 +550,14 @@ def train_backbone(dataset: SessionDataset, config: BackboneConfig) -> GruModel:
     Deterministic: the result is a pure function of the dataset content,
     the config, and the seed. Session order is shuffled each epoch from
     the model's named stream; ``loss_history`` has one entry per epoch.
+    A dataset of no sessions (a shard that unlearning emptied) trains
+    nothing: it gives the seeded initialisation and no loss curve.
     """
     if dataset.split_tag != "train":
         raise ContractError(f"training data must be tagged 'train', got {dataset.split_tag!r}")
-    if len(dataset) == 0:
-        raise ContractError("cannot train on an empty dataset")
-
     model = init_gru_model(dataset.num_items(), config)
+    if len(dataset) == 0:
+        return model
     adam = AdamState.for_store(model.store)
     shuffle = rng_stream(config.seed, "backbone/shuffle")
     L = config.max_len

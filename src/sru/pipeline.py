@@ -134,7 +134,7 @@ def _train_fusion(sub_models, shards, train, config: ExperimentConfig):
     centroids = compute_centroids(sub_models, shards)
     cache = build_feature_cache(sub_models, train)
     aggregation = train_aggregation(sub_models, centroids, train, agg_cfg,
-                                    precomputed=(cache.features, cache.targets))
+                                    precomputed=(cache.features, cache.targets, cache.rows))
     return cache, aggregation
 
 

@@ -367,7 +367,7 @@ def execute_unlearn(state: SruState, requests) -> UnlearnOutcome:
     fusion_started = time.perf_counter()
     new_state.aggregation = train_aggregation(
         new_models, centroids, new_corpus, state.aggregation.config,
-        precomputed=(cache.features, cache.targets),
+        precomputed=(cache.features, cache.targets, cache.rows),
     )
     agg_ended = time.perf_counter()
 

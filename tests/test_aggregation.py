@@ -71,11 +71,13 @@ class TestCentroid:
         manual = np.mean([encode(model, s.items) for s in data.sessions], axis=0)
         np.testing.assert_allclose(c, manual, rtol=1e-5, atol=1e-6)
 
-    def test_empty_shard_rejected(self):
+    def test_empty_shard_is_the_zero_centroid(self):
+        # the centroid init_aggregation_model starts from
         data = generate_synthetic(2, 30, 2, seed=0)
         model = init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=1))
-        with pytest.raises(ContractError):
-            compute_centroid(model, data.with_sessions([]))
+        c = compute_centroid(model, data.with_sessions([]))
+        assert c.dtype == model.embeddings.dtype
+        assert c.tobytes() == np.zeros(8, dtype=c.dtype).tobytes()
 
     def test_source_keywords_accept_only_the_submodel_source(self):
         # The benchmark harness still passes both keywords: "submodel"
@@ -434,6 +436,7 @@ class TestTrainAggregation:
         rows, k, d, v = 20000, 2, 16, 20
         features = ones_block(rng.normal(size=(rows, k, d)).astype(np.float32))
         targets = rng.integers(1, v + 1, size=rows)
+        table_rows = np.arange(rows)
         centroids = ShardCentroids(c=rng.normal(size=(k, d)).astype(np.float32))
         sub_models = [SimpleNamespace(d=d)] * k
         corpus = SimpleNamespace(num_items=lambda: v)
@@ -442,7 +445,7 @@ class TestTrainAggregation:
         try:
             start, _ = tracemalloc.get_traced_memory()
             train_aggregation(sub_models, centroids, corpus, config,
-                              precomputed=(features, targets))
+                              precomputed=(features, targets, table_rows))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -456,7 +459,7 @@ class TestTrainAggregation:
         config = AggregationConfig(f=8, lr=5e-3, epochs=3, batch_size=64, seed=6)
         cache = build_feature_cache(models, data)
         got = train_aggregation(models, centroids, data, config,
-                                precomputed=(cache.features, cache.targets))
+                                precomputed=(cache.features, cache.targets, cache.rows))
 
         model = init_aggregation_model(2, 8, data.num_items(), config)
         store, adam = model.store, AdamState.for_store(model.store)
@@ -478,6 +481,27 @@ class TestTrainAggregation:
             losses.append(loss_sum / P)
         assert got.loss_history == losses
         assert got.params_bytes() == store.tobytes()
+
+    def test_a_scattered_table_trains_as_the_compact_one(self):
+        # The points at shuffled rows of a longer table, every spare row
+        # NaN states with a ones column: reading the table through rows
+        # gives the compact table's parameters and loss curve, bit for
+        # bit, and no spare row is ever read.
+        data, _, models, centroids = small_setup(num_sessions=30, k=2)
+        config = AggregationConfig(f=8, lr=5e-3, epochs=2, batch_size=64, seed=6)
+        cache = build_feature_cache(models, data)
+        P, K, d1 = cache.features.shape
+        rows = np.random.default_rng(0).permutation(P + 37)[:P]
+        scattered = np.full((P + 37, K, d1), np.nan, dtype=cache.features.dtype)
+        scattered[:, :, -1] = 1.0
+        scattered[rows] = cache.features
+        want = train_aggregation(models, centroids, data, config,
+                                 precomputed=(cache.features, cache.targets, cache.rows))
+        got = train_aggregation(models, centroids, data, config,
+                                precomputed=(scattered, cache.targets, rows))
+        assert np.isfinite(want.loss_history).all()
+        assert got.loss_history == want.loss_history
+        assert got.params_bytes() == want.params_bytes()
 
     def test_no_sub_models_rejected(self):
         data, _, _, _ = small_setup(k=1)
@@ -530,7 +554,7 @@ class TestCopyingStepOracle:
         config = AggregationConfig(f=8, epochs=3, batch_size=64, seed=6)
         cache = build_feature_cache(models, data)
         model = train_aggregation(models, centroids, data, config,
-                                  precomputed=(cache.features, cache.targets))
+                                  precomputed=(cache.features, cache.targets, cache.rows))
         return data, models, centroids, config, cache, model
 
     def test_training_gives_the_copying_steps_bytes(self):
@@ -574,41 +598,47 @@ class TestPrecomputedTable:
     """train_aggregation checks a precomputed table once per call."""
 
     @staticmethod
-    def train(table, targets):
+    def train(table, targets, rows):
         data, _, models, centroids = small_setup(num_sessions=12, k=2)
         return train_aggregation(models, centroids, data,
                                  AggregationConfig(f=8, epochs=1, seed=1),
-                                 precomputed=(table, targets))
+                                 precomputed=(table, targets, rows))
 
     @staticmethod
     def table():
         data, _, models, _ = small_setup(num_sessions=12, k=2)
         cache = build_feature_cache(models, data)
-        return cache.features, cache.targets
+        return cache.features, cache.targets, cache.rows
 
-    @pytest.mark.parametrize("case", ["old layout", "wrong d", "wrong K", "short targets"])
+    @pytest.mark.parametrize("case", ["old layout", "wrong d", "wrong K", "short targets",
+                                      "short rows", "row past the table", "negative row"])
     def test_a_wrong_shape_is_contract_error(self, case):
-        features, targets = self.table()
+        features, targets, rows = self.table()
         P, K, d1 = features.shape
         assert (K, d1) == (2, 9)
-        table, targets = {
-            "old layout": (features[:, :, :-1], targets),
-            "wrong d": (np.ones((P, K, d1 + 1), features.dtype), targets),
-            "wrong K": (np.ones((P, K + 1, d1), features.dtype), targets),
-            "short targets": (features, targets[:-1]),
+        past, negative = rows.copy(), rows.copy()
+        past[3], negative[5] = P, -1
+        table, targets, rows = {
+            "old layout": (features[:, :, :-1], targets, rows),
+            "wrong d": (np.ones((P, K, d1 + 1), features.dtype), targets, rows),
+            "wrong K": (np.ones((P, K + 1, d1), features.dtype), targets, rows),
+            "short targets": (features, targets[:-1], rows),
+            "short rows": (features, targets, rows[:-1]),
+            "row past the table": (features, targets, past),
+            "negative row": (features, targets, negative),
         }[case]
         with pytest.raises(ContractError) as err:
-            self.train(table, targets)
+            self.train(table, targets, rows)
         message = str(err.value)
-        assert "(P, 2, 9)" in message
-        assert f"found {table.shape} and {targets.shape}" in message
+        assert "(R, 2, 9)" in message
+        assert f"found {table.shape}, {targets.shape} and {rows.shape}" in message
 
     def test_a_last_column_other_than_one_is_contract_error(self):
-        features, targets = self.table()
+        features, targets, rows = self.table()
         features = features.copy()
         features[3, 1, -1] = 0.5
         with pytest.raises(ContractError, match=r"must be 1\.0, found 0\.5 in row 3, shard 1"):
-            self.train(features, targets)
+            self.train(features, targets, rows)
 
 
 class TestDefaultSchedule:
@@ -629,7 +659,7 @@ class TestDefaultSchedule:
         cache = state.feature_cache
         old = train_aggregation(state.sub_models, state.centroids, state.corpus,
                                 replace(state.agg_config, lr=5e-3, epochs=5),
-                                precomputed=(cache.features, cache.targets))
+                                precomputed=(cache.features, cache.targets, cache.rows))
         new_ndcg = evaluate(state.sru_model(), test, ks=(20,)).ndcg[20]
         old_ndcg = evaluate(replace(state.sru_model(), aggregation=old), test, ks=(20,)).ndcg[20]
         assert new_ndcg >= old_ndcg
@@ -776,6 +806,17 @@ class TestPredictBlocks:
         assert got[:, 1:].tobytes() == np.concatenate(seen).tobytes()
 
 
+def assert_table_is_rebuild(updated, full):
+    """The points of an updated cache, read through its rows, equal a
+    rebuild's compact table, and so do its targets and each session's
+    number of points."""
+    assert updated.features.dtype == full.features.dtype
+    assert updated.features[updated.rows].tobytes() == full.features.tobytes()
+    assert updated.targets.tobytes() == full.targets.tobytes()
+    assert ({sid: n for sid, (_, n) in updated.row_slices.items()}
+            == {sid: n for sid, (_, n) in full.row_slices.items()})
+
+
 class TestFeatureCache:
     def test_table_matches_layout(self):
         data, _, models, _ = small_setup(num_sessions=10, k=2)
@@ -798,6 +839,7 @@ class TestFeatureCache:
         np.testing.assert_array_equal(cache.targets, targets)
         total = sum(min(len(s), 14) - 1 for s in data.sessions)
         assert cache.features.shape[0] == total
+        np.testing.assert_array_equal(cache.rows, np.arange(total))
 
     def test_incremental_update_matches_full_rebuild(self):
         data, shards, models, _ = small_setup(num_sessions=10, k=2)
@@ -820,11 +862,7 @@ class TestFeatureCache:
 
         updated = updated_feature_cache(cache, new_models, modified,
                                         dirty_shards=[1], changed_session_ids=changed)
-        full = build_feature_cache(new_models, modified)
-        np.testing.assert_array_equal(updated.targets, full.targets)
-        assert updated.features.dtype == full.features.dtype
-        assert updated.features.tobytes() == full.features.tobytes()
-        assert updated.row_slices == full.row_slices
+        assert_table_is_rebuild(updated, build_feature_cache(new_models, modified))
 
     @pytest.mark.parametrize("where", [0, -1])
     @pytest.mark.parametrize("dirty", [[], [1]])
@@ -843,10 +881,7 @@ class TestFeatureCache:
             models = [models[0], init_gru_model(30, BackboneConfig(d=8, max_len=14, seed=5))]
         updated = updated_feature_cache(cache, models, modified, dirty_shards=dirty,
                                         changed_session_ids={victim.session_id})
-        full = build_feature_cache(models, modified)
-        assert updated.features.tobytes() == full.features.tobytes()
-        assert updated.targets.tobytes() == full.targets.tobytes()
-        assert updated.row_slices == full.row_slices
+        assert_table_is_rebuild(updated, build_feature_cache(models, modified))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_one_session_update_matches_rebuild_in_either_dtype(self, dtype):
@@ -864,9 +899,8 @@ class TestFeatureCache:
         modified = data.with_sessions(sessions)
         updated = updated_feature_cache(cache, models, modified, dirty_shards=[],
                                         changed_session_ids={victim.session_id})
-        full = build_feature_cache(models, modified)
         assert updated.features.dtype == np.dtype(dtype)
-        assert updated.features.tobytes() == full.features.tobytes()
+        assert_table_is_rebuild(updated, build_feature_cache(models, modified))
 
     @staticmethod
     def wide_setup():
@@ -895,9 +929,8 @@ class TestFeatureCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        full = build_feature_cache(models, modified)
-        assert updated.features.tobytes() == full.features.tobytes()
-        assert np.shares_memory(updated.features, buffer)
+        assert_table_is_rebuild(updated, build_feature_cache(models, modified))
+        assert updated.features is buffer
         # one recomputed column and its prefix states; a second table
         # (the former copy-into-a-new-table update) measured 2.1x
         assert peak - start < 1.0 * buffer.nbytes
@@ -925,28 +958,7 @@ class TestFeatureCache:
                                         changed_session_ids={sessions[7].session_id})
         assert passes == [7, 1]
         monkeypatch.undo()
-        full = build_feature_cache(models, modified)
-        assert updated.features.tobytes() == full.features.tobytes()
-        np.testing.assert_array_equal(updated.targets, full.targets)
-        assert updated.row_slices == full.row_slices
-
-    def test_long_moves_are_chunked(self, monkeypatch):
-        # Dropping one item of the first session moves every later row
-        # down by one. With five-row chunks each run is moved in many
-        # chunks, and each chunk overlaps its destination.
-        monkeypatch.setattr("sru.aggregation._MOVE_ROWS", 5)
-        data, _, models, _ = small_setup(num_sessions=12, k=2)
-        first = data.sessions[0]
-        assert 3 <= len(first) <= 14
-        shorter = first.__class__(session_id=first.session_id, items=first.items[1:])
-        modified = data.with_sessions([shorter, *data.sessions[1:]])
-        cache = build_feature_cache(models, data)
-        rows = cache.features.shape[0]
-        updated = updated_feature_cache(cache, models, modified, dirty_shards=[],
-                                        changed_session_ids={first.session_id})
-        full = build_feature_cache(models, modified)
-        assert updated.features.shape[0] == rows - 1
-        assert updated.features.tobytes() == full.features.tobytes()
+        assert_table_is_rebuild(updated, build_feature_cache(models, modified))
 
     def test_updated_cache_gives_up_its_buffer(self):
         data, _, models, _ = small_setup(num_sessions=12, k=2)
@@ -958,7 +970,7 @@ class TestFeatureCache:
         with pytest.raises(ContractError, match="already updated in place"):
             updated_feature_cache(cache, models, shorter, dirty_shards=[],
                                   changed_session_ids=())
-        assert first.features.tobytes() == build_feature_cache(models, shorter).features.tobytes()
+        assert_table_is_rebuild(first, build_feature_cache(models, shorter))
 
     def test_copy_owns_its_buffer(self):
         data, _, models, _ = small_setup(num_sessions=12, k=2)
@@ -969,16 +981,31 @@ class TestFeatureCache:
         updated_feature_cache(copy, models, shorter, dirty_shards=[], changed_session_ids=())
         assert cache.features.tobytes() == build_feature_cache(models, data).features.tobytes()
 
-    def test_layout_that_does_not_fit_is_contract_error(self):
+    def test_session_that_does_not_fit_its_block_is_contract_error(self):
+        # a session the cache holds no block for
         data, _, models, _ = small_setup(num_sessions=12, k=2)
-        smaller = data.with_sessions(data.sessions[:6])
-        with pytest.raises(ContractError, match="does not fit"):
-            updated_feature_cache(build_feature_cache(models, smaller), models, data,
-                                  dirty_shards=[], changed_session_ids=())
-        reordered = data.with_sessions(data.sessions[::-1])
-        with pytest.raises(ContractError, match="only moves rows down"):
-            updated_feature_cache(build_feature_cache(models, data), models, reordered,
-                                  dirty_shards=[], changed_session_ids=())
+        first, victim = data.sessions[6], data.sessions[4]
+        assert len(first) <= 14 and 3 <= len(victim) <= 14
+        smaller = build_feature_cache(models, data.with_sessions(data.sessions[:6]))
+        with pytest.raises(ContractError, match=f"session {first.session_id!r} has "
+                                                f"{len(first) - 1} training points for a "
+                                                f"block of 0 rows"):
+            updated_feature_cache(smaller, models, data, dirty_shards=[],
+                                  changed_session_ids=())
+        # a changed session that gains a point outgrows its block, and an
+        # unchanged one whose points change in number is not unchanged
+        shorter = victim.__class__(session_id=victim.session_id, items=victim.items[1:])
+        cut = data.with_sessions([*data.sessions[:4], shorter, *data.sessions[5:]])
+        for changed in ({victim.session_id}, ()):
+            with pytest.raises(ContractError, match=f"session {victim.session_id!r} has "
+                                                    f"{len(victim) - 1} training points for "
+                                                    f"a block of {len(victim) - 2} rows"):
+                updated_feature_cache(build_feature_cache(models, cut), models, data,
+                                      dirty_shards=[], changed_session_ids=changed)
+        # a table of other sub-models
+        with pytest.raises(ContractError, match="has no rows of 3 sub-models of d = 8"):
+            updated_feature_cache(build_feature_cache(models, data), models + models[:1],
+                                  data, dirty_shards=[], changed_session_ids=())
 
     def test_build_allocates_one_table(self):
         # each column is written into the one table; stacking a list of
@@ -1070,6 +1097,6 @@ class TestSessionsPastMaxLen:
                 Session(f"s{i}", edited[i][-limit:] if limit else edited[i]) for i in kept)
             updated = updated_feature_cache(cache, retrained, after, dirty_shards=[1],
                                             changed_session_ids=changed)
-            tables.append((built, updated.features.tobytes(), updated.targets.tobytes(),
-                           updated.row_slices))
+            tables.append((built, updated.features[updated.rows].tobytes(),
+                           updated.targets.tobytes(), updated.row_slices))
         assert tables[0] == tables[1]

@@ -92,6 +92,16 @@ def test_random_streams_are_numpy_generators():
     assert "_batch_step" not in vars(importlib.import_module("sru.backbone"))
 
 
+# The feature table never moves a row: each session keeps its block, and
+# the fusion trainer reads the points through the cache's rows, so the
+# chunked in-place compaction and its row-span helper are gone.
+def test_feature_table_rows_never_move():
+    aggregation = importlib.import_module("sru.aggregation")
+    assert "_MOVE_ROWS" not in vars(aggregation)
+    assert "_span" not in vars(aggregation)
+    assert "rows" in {f.name for f in dataclasses.fields(aggregation.FeatureCache)}
+
+
 # execute_unlearn checks, selects and rewrites each request in one pass;
 # the second pass over the batch and the strategy dispatcher are gone.
 REMOVED_DELETION_PATHS = ("apply_deletion", "select_positions")

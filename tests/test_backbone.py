@@ -250,11 +250,17 @@ class TestTraining:
             pop_hits += target in top10
         assert model_hits > 5 * max(1, pop_hits)
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_dataset_gives_the_seeded_initialisation(self):
+        # a shard that unlearning emptied: retraining it from scratch
+        # trains nothing, so the state and a retrain agree on it
         data = generate_synthetic(5, 30, 2, seed=0)
         empty = data.with_sessions([])
-        with pytest.raises(ContractError):
-            train_backbone(empty, BackboneConfig(d=4, max_len=10, epochs=1, seed=0))
+        config = BackboneConfig(d=4, max_len=10, epochs=1, seed=0)
+        model = train_backbone(empty, config)
+        assert model.params_bytes() == init_gru_model(30, config).params_bytes()
+        assert model.loss_history == []
+        with pytest.raises(ContractError, match="must be tagged 'train'"):
+            train_backbone(data.with_sessions([], split_tag="test"), config)
 
     def test_config_with_no_epoch_rejected(self):
         # epochs 0 once returned the initial parameters as a trained model
