@@ -9,7 +9,8 @@ train.
 
 Both passes compute the attention in folded form. For shard k with
 state rows H_k (B, d), centroid c_k, projection (Wp_k, bp_k) and
-Cp_k = c_k Wp_k + bp_k, the pre-activation is
+Cp_k = c_k Wp_k + bp_k (stored as one block W_proj_k = [Wp_k; bp_k]),
+the pre-activation is
 
     T_pre_k = ((H_k Wp_k + bp_k) * Cp_k) W_attn + b_attn = H_k M_k + m_k,
     M_k = N_k W_attn,  N_k = Wp_k diag(Cp_k),
@@ -113,7 +114,7 @@ class AggregationModel:
 
     @property
     def d(self) -> int:
-        return self.store.params["W_proj"].shape[1]
+        return self.store.params["W_proj"].shape[2]
 
     @property
     def f(self) -> int:
@@ -176,11 +177,12 @@ class _FusionPass:
     whose last column is 1. The caller writes each batch into it, and
     its shard-major (K, B, d + 1) view feeds every per-shard product
     without a copy, carrying the bias as one more weight row:
-    Hp_k = [H_k 1] [Wp_k; bp_k] and T_pre_k = [H_k 1] [M_k; m_k], with
-    [Wp_k; bp_k], [N_k; n_k] and [M_k; m_k] rebuilt from the parameters
-    each step (see the module docstring); U is never formed. The scores
-    and attention weights are (K, B), so the softmax over shards runs
-    down the columns.
+    Hp_k = [H_k 1] W_proj_k and T_pre_k = [H_k 1] [M_k; m_k]. W_proj_k
+    is stored as [Wp_k; bp_k], so products read it and its gradient as
+    they are; [N_k; n_k] and [M_k; m_k] are rebuilt from the parameters
+    each step (see the module docstring), and U is never formed. The
+    scores and attention weights are (K, B), so the softmax over shards
+    runs down the columns.
 
     Everything else is built here: the arrays of both passes, taken from
     buffers (which passes over fewer rows share), their reshaped and
@@ -199,7 +201,8 @@ class _FusionPass:
         f = params["b_attn"].shape[0]
         d_ff = params["b1"].shape[0]
         V = params["b2"].shape[0]
-        dtype = np.result_type(H, params["W_proj"])
+        Wp = params["W_proj"]
+        dtype = np.result_type(H, Wp)
         take = buffers.take
         self.params, self.grads, self.B = params, grads, B
         self.H = H
@@ -207,8 +210,7 @@ class _FusionPass:
         self.C3 = C[:, None, :]
         self.Cp3 = take("Cp", (K, 1, d), dtype)
         self.Cp = self.Cp3[:, 0, :]
-        self.Wp1 = take("Wp1", (K, d + 1, d), dtype)         # [W_proj_k; b_proj_k]
-        self.Wp1_top, self.Wp1_bias = self.Wp1[:, :d], self.Wp1[:, d]
+        self.Wp, self.Wp_top, self.Wp_bias = Wp, Wp[:, :d], Wp[:, d]
         self.N1_2d = take("N1", (K * (d + 1), d), dtype)     # [N_k; n_k]
         self.N1 = self.N1_2d.reshape(K, d + 1, d)
         self.M1_2d = take("M1", (K * (d + 1), f), dtype)     # [M_k; m_k]
@@ -263,23 +265,18 @@ class _FusionPass:
         self.dCp = take("dCp", (K, d), dtype)
         self.dCp3 = self.dCp[:, None, :]
         self.weighted = take("KBd", (K, B, d), dtype)
-        self.dWp1 = take("dWp1", (K, d + 1, d), dtype)
-        self.dWp1_top, self.dWp1_bias = self.dWp1[:, :d], self.dWp1[:, d]
 
     def forward(self) -> np.ndarray:
         """The pass up to the output layer's hidden rows, (B, d_ff), on
         the rows in H. Both ReLUs run in place, so T and hidden hold the
         activations and their pre-activations are not kept."""
         p = self.params
-        Wp, bp = p["W_proj"], p["b_proj"]
-        np.matmul(self.C3, Wp, out=self.Cp3)
-        self.Cp += bp
-        np.copyto(self.Wp1_top, Wp)
-        np.copyto(self.Wp1_bias, bp)
-        np.multiply(self.Wp1, self.Cp3, out=self.N1)
+        np.matmul(self.C3, self.Wp_top, out=self.Cp3)
+        self.Cp += self.Wp_bias
+        np.multiply(self.Wp, self.Cp3, out=self.N1)
         np.matmul(self.N1_2d, p["W_attn"], out=self.M1_2d)
         self.M1_bias += p["b_attn"]
-        np.matmul(self.H1, self.Wp1, out=self.Hp)
+        np.matmul(self.H1, self.Wp, out=self.Hp)
         T = np.matmul(self.H1, self.M1, out=self.T)
         np.maximum(T, self.zero_T, out=T)
         A = self.A
@@ -328,9 +325,9 @@ class _FusionPass:
 
         The last terms of dWp and dbp come from the fused state's Hp;
         they are one product, [H_k 1]^T (A_k dh_fused), whose result is
-        laid out like [dWp_k; dbp_k] so that it adds over contiguous
-        memory, and so is [c_k 1]^T dCp_k. The ReLU masks are written
-        over hidden and T.
+        laid out like W_proj_k = [Wp_k; bp_k], so it is written straight
+        into grads["W_proj"], and [c_k 1]^T dCp_k and the other terms add
+        to it over contiguous memory. The ReLU masks go over hidden and T.
         """
         p, g = self.params, self.grads
         hidden = self.forward()
@@ -355,14 +352,12 @@ class _FusionPass:
         np.matmul(self.ones_K, self.dM1_bias, out=g["b_attn"])
         np.matmul(self.N1_T, self.dM1_2d, out=g["W_attn"])
         np.matmul(self.dM1_2d, self.W_attn_T, out=self.dN1_2d)
-        np.einsum("kij,kij->kj", self.dN1, self.Wp1, out=self.dCp)
+        np.einsum("kij,kij->kj", self.dN1, self.Wp, out=self.dCp)
         np.multiply(self.A3, self.dh_fused, out=self.weighted)
-        dWp1 = np.matmul(self.H1_T, self.weighted, out=self.dWp1)
+        dWp = np.matmul(self.H1_T, self.weighted, out=g["W_proj"])
         self.dN1 *= self.Cp3
-        dWp1 += self.dN1
-        dWp1 += np.multiply(self.C1_3, self.dCp3, out=self.dN1)
-        np.copyto(g["W_proj"], self.dWp1_top)
-        np.copyto(g["b_proj"], self.dWp1_bias)
+        dWp += self.dN1
+        dWp += np.multiply(self.C1_3, self.dCp3, out=self.dN1)
         return loss_sum
 
 
@@ -372,15 +367,16 @@ def init_aggregation_model(k: int, d: int, num_items: int,
     centroids.
 
     Projections start at identity plus small noise so that the initial
-    fused state stays in the sub-models' own scale.
+    fused state stays in the sub-models' own scale, and their biases,
+    the last row of each (d + 1, d) block of W_proj, at zero.
     """
     d_ff = config.d_ff if config.d_ff else d
     dtype = np.float32
     stream = rng_stream(config.seed, "aggregation/init")
-    eye = np.broadcast_to(np.eye(d, dtype=dtype), (k, d, d))
+    W_proj = np.zeros((k, d + 1, d), dtype=dtype)
+    W_proj[:, :d] = np.eye(d, dtype=dtype) + stream.uniform(-0.01, 0.01, (k, d, d)).astype(dtype)
     store = ParamStore({
-        "W_proj": eye + stream.uniform(-0.01, 0.01, (k, d, d)).astype(dtype),
-        "b_proj": np.zeros((k, d), dtype=dtype),
+        "W_proj": W_proj,
         "W_attn": xavier_uniform(stream, d, config.f, (d, config.f), dtype),
         "b_attn": np.zeros(config.f, dtype=dtype),
         "g_attn": xavier_uniform(stream, config.f, 1, (config.f,), dtype),

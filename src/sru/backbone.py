@@ -19,7 +19,6 @@ import itertools
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,8 @@ from .numerics import (
     xavier_uniform,
 )
 
-GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_n", "U_n", "b_n")
+# the z and r gates packed: W_zr = [W_z | W_r] (d, 2d), b_zr and U_zr alike
+GATE_NAMES = ("W_zr", "U_zr", "b_zr", "W_n", "U_n", "b_n")
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,20 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
     """Fresh float32 model; every weight drawn from the config's named
     stream.
 
-    The draw order (embeddings first, then gates in GATE_NAMES order) is
-    fixed so that a seed pins the exact initial parameters.
+    The draw order (embeddings first, then W_z, U_z, W_r, U_r, W_n and
+    U_n, each (d, d)) is fixed so that a seed pins the exact initial
+    parameters; the z and r blocks are packed after the draws, and the
+    biases start at zero.
     """
     d = config.d
     stream = rng_stream(config.seed, "backbone/init")
     emb = xavier_uniform(stream, num_items + 1, d, (num_items + 1, d), np.float32)
     emb[0] = 0.0
-    arrays = {"E": emb}
-    for name in GATE_NAMES:
-        if name.startswith("b"):
-            arrays[name] = np.zeros(d, dtype=np.float32)
-        else:
-            arrays[name] = xavier_uniform(stream, d, d, (d, d), np.float32)
+    w = {name: xavier_uniform(stream, d, d, (d, d), np.float32)
+         for name in ("W_z", "U_z", "W_r", "U_r", "W_n", "U_n")}
+    arrays = {"E": emb, "W_zr": np.hstack([w["W_z"], w["W_r"]]), "W_n": w["W_n"],
+              "U_zr": np.hstack([w["U_z"], w["U_r"]]), "U_n": w["U_n"],
+              "b_zr": np.zeros(2 * d, dtype=np.float32), "b_n": np.zeros(d, dtype=np.float32)}
     return GruModel(store=ParamStore(arrays), config=config)
 
 
@@ -146,55 +147,38 @@ def init_gru_model(num_items: int, config: BackboneConfig) -> GruModel:
 # feature table on each session's last ``max_len`` items. The input side
 # of a step, x W + b for all three gates, does not depend on the
 # recurrence, so it is computed before the time loop:
-# for an id matrix as the tables E [W_z|W_r] + [b_z|b_r] (V+1, 2d) and
+# for an id matrix as the tables E W_zr + b_zr (V+1, 2d) and
 # E W_n + b_n (V+1, d), whose rows each inference step gathers, and the
 # training pass gathers for all its steps at once; for the single-step
 # cell from x. Inside the loop a step costs one (d, 2d) product for the
-# packed z|r gates and one (d, d) product for the candidate. The z|r and
-# n blocks are kept apart so that every whole-block operation runs over
-# contiguous memory; numpy is several times slower over the strided
-# column slices of a (n, 3d) buffer. The training backward pass leaves
-# every weight gradient to products over all steps after its loop.
+# packed z|r gates and one (d, d) product for the candidate, both read
+# from the store as it is. The z|r and n blocks are kept apart so that
+# every whole-block operation runs over contiguous memory; numpy is
+# several times slower over the strided column slices of a (n, 3d)
+# buffer. The training backward pass leaves every weight gradient to
+# products over all steps after its loop.
 
 
-class _GateWeights(NamedTuple):
-    Wzr: np.ndarray   # (d, 2d): [W_z | W_r]
-    bzr: np.ndarray   # (2d,): [b_z | b_r]
-    Wn: np.ndarray    # (d, d)
-    bn: np.ndarray    # (d,)
-    Uzr: np.ndarray   # (d, 2d): [U_z | U_r]
-    Un: np.ndarray    # (d, d)
+def _stacked_gate_weights(models) -> dict:
+    """The gate weights of several models along a leading K axis; biases
+    are (K, 1, .) so that they broadcast over rows."""
+    stacked = {name: np.stack([m.store.params[name] for m in models]) for name in GATE_NAMES}
+    for name in ("b_zr", "b_n"):
+        stacked[name] = stacked[name][:, None]
+    return stacked
 
 
-def _gate_weights(params) -> _GateWeights:
-    return _GateWeights(
-        np.concatenate([params["W_z"], params["W_r"]], axis=1),
-        np.concatenate([params["b_z"], params["b_r"]]),
-        params["W_n"],
-        params["b_n"],
-        np.concatenate([params["U_z"], params["U_r"]], axis=1),
-        params["U_n"],
-    )
-
-
-def _stacked_gate_weights(models) -> _GateWeights:
-    """Gate weights of several models along a leading K axis; biases are
-    (K, 1, .) so that they broadcast over rows."""
-    parts = zip(*(_gate_weights(m.store.params) for m in models))
-    Wzr, bzr, Wn, bn, Uzr, Un = (np.stack(p) for p in parts)
-    return _GateWeights(Wzr, bzr[:, None], Wn, bn[:, None], Uzr, Un)
-
-
-def _input_side(w: _GateWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x W + b for rows x (m, d): the z|r block (m, 2d) and the n block (m, d)."""
-    zr = x @ w.Wzr
-    zr += w.bzr
-    n = x @ w.Wn
-    n += w.bn
+def _input_side(w, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x W + b for rows x (m, d) under gate weights w (name -> array, as
+    in a store): the z|r block (m, 2d) and the n block (m, d)."""
+    zr = x @ w["W_zr"]
+    zr += w["b_zr"]
+    n = x @ w["W_n"]
+    n += w["b_n"]
     return zr, n
 
 
-def _step_forward(w: _GateWeights, zr, n, h, rh, h_new) -> None:
+def _step_forward(w, zr, n, h, rh, h_new) -> None:
     """One GRU step over rows h (b, d), or over a stack of models: h
     (K, b, d) with weights stacked along a leading K axis.
 
@@ -208,18 +192,18 @@ def _step_forward(w: _GateWeights, zr, n, h, rh, h_new) -> None:
     h_new = (1 - z) * h + z * n
     """
     d = h.shape[-1]
-    zr += h @ w.Uzr
+    zr += h @ w["U_zr"]
     zr *= 0.5
     _sigmoid_of_half(zr)
     z = zr[..., :d]
     np.multiply(zr[..., d:], h, out=rh)
-    n += rh @ w.Un
+    n += rh @ w["U_n"]
     np.tanh(n, out=n)
     np.multiply(z, n, out=h_new)
     h_new += (1.0 - z) * h
 
 
-def _step_backward(w: _GateWeights, zr, n, h, rh, dh_new, dzr, dn) -> np.ndarray:
+def _step_backward(w, zr, n, h, rh, dh_new, dzr, dn) -> np.ndarray:
     """Backward of ``_step_forward``: zr and n hold the step's
     activations, h and rh its input state and r * h. Writes the gradients
     of the input side x W + b into dzr (b, 2d) and dn (b, d) and returns
@@ -228,7 +212,7 @@ def _step_backward(w: _GateWeights, zr, n, h, rh, dh_new, dzr, dn) -> np.ndarray
     z, r = zr[:, :d], zr[:, d:]
     np.multiply(dh_new, z, out=dn)
     dn *= 1.0 - n * n
-    drh = dn @ w.Un.T
+    drh = dn @ w["U_n"].T
     dh = dh_new * (1.0 - z)
     dh += drh * r
     np.multiply(drh, h, out=dzr[:, d:])
@@ -236,28 +220,23 @@ def _step_backward(w: _GateWeights, zr, n, h, rh, dh_new, dzr, dn) -> np.ndarray
     dzr[:, :d] *= dh_new
     dzr *= zr
     dzr *= 1.0 - zr
-    dh += dzr @ w.Uzr.T
+    dh += dzr @ w["U_zr"].T
     return dh
 
 
 def _add_weight_grads(out, x, dx_zr, dx_n, h, rh, dzr, dn) -> None:
     """Add gate-weight gradients in place to the arrays of out (name ->
-    array), one product per packed block.
+    array), one product per gradient.
 
     W_* and b_* come from inputs x (m, d) against the gradients of their
     input side dx_zr (m, 2d) and dx_n (m, d); U_* from states h and
     r * h (m', d) against the gate gradients dzr and dn of the same steps.
     """
-    d = h.shape[1]
     ones = np.ones(x.shape[0], dtype=dx_zr.dtype)
-    dWzr = x.T @ dx_zr
-    dbzr = ones @ dx_zr
-    dUzr = h.T @ dzr
-    for name, grad in (("W_z", dWzr[:, :d]), ("W_r", dWzr[:, d:]), ("b_z", dbzr[:d]),
-                       ("b_r", dbzr[d:]), ("U_z", dUzr[:, :d]), ("U_r", dUzr[:, d:]),
-                       ("W_n", x.T @ dx_n), ("b_n", ones @ dx_n), ("U_n", rh.T @ dn)):
+    for name, left, right in (("W_zr", x.T, dx_zr), ("b_zr", ones, dx_zr), ("U_zr", h.T, dzr),
+                              ("W_n", x.T, dx_n), ("b_n", ones, dx_n), ("U_n", rh.T, dn)):
         target = out[name]
-        target += grad
+        target += left @ right
 
 
 def _check_ids(ids: np.ndarray, rows: int) -> None:
@@ -503,12 +482,11 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
 
     buffers = _Buffers() if buffers is None else buffers
     d = model.d
-    w = _gate_weights(params)
     # per step: its first packed row, its rows, and the next step's rows
     active = active.tolist()
     firsts = np.cumsum([0] + active[:-1]).tolist()
     steps = list(zip(firsts, active, active[1:] + [0]))
-    table_zr, table_n = _input_side(w, E)
+    table_zr, table_n = _input_side(params, E)
     zr = np.take(table_zr, keys, axis=0, out=buffers.take("zr", (positions, 2 * d), E.dtype),
                  mode="clip")
     n = np.take(table_n, keys, axis=0, out=buffers.take("n", (positions, d), E.dtype),
@@ -519,7 +497,7 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
     h_in[: active[0]] = 0.0
     for first, a, nxt in steps:
         p = slice(first, first + a)
-        _step_forward(w, zr[p], n[p], h_in[p], rh[p], hs[p])
+        _step_forward(params, zr[p], n[p], h_in[p], rh[p], hs[p])
         h_in[first + a : first + a + nxt] = hs[first : first + nxt]
 
     logits = buffers.take("logits", (positions, E.shape[0] - 1), E.dtype)
@@ -534,12 +512,12 @@ def sequence_loss_and_grads(model: GruModel, ids: np.ndarray,
         p = slice(first, first + a)
         dh = dH[p]
         dh[:nxt] += carry
-        carry = _step_backward(w, zr[p], n[p], h_in[p], rh[p], dh, dzr[p], dn[p])
+        carry = _step_backward(params, zr[p], n[p], h_in[p], rh[p], dh, dzr[p], dn[p])
     dtable_zr, dtable_n = _grouped_rows(keys, (dzr, dn), E.shape[0])
     _add_weight_grads(grads, E, dtable_zr, dtable_n, h_in, rh, dzr, dn)
     dE = grads["E"]
-    dE += dtable_zr @ w.Wzr.T
-    dE += dtable_n @ w.Wn.T
+    dE += dtable_zr @ params["W_zr"].T
+    dE += dtable_n @ params["W_n"].T
     dE[0] = 0.0   # the pad row stays frozen
     return loss_sum, positions
 

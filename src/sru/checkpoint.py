@@ -27,7 +27,7 @@ import zlib
 import numpy as np
 
 from .aggregation import AggregationConfig, AggregationModel, ShardCentroids
-from .backbone import GATE_NAMES, BackboneConfig, GruModel
+from .backbone import BackboneConfig, GruModel
 from .corpus import ItemVocab, Session, SessionDataset, check_sessions
 from .errors import (
     ContractError,
@@ -219,27 +219,29 @@ def check_config_hash(metadata: dict, expected: str | None, path) -> None:
 
 def _gru_layout(config: BackboneConfig, E):
     """A GRU checkpoint's tensor shapes, from its config's ``d`` and E's rows."""
-    shapes = {name: (config.d,) * (1 if name.startswith("b") else 2) for name in GATE_NAMES}
-    shapes["E"] = (E.shape[0], config.d)
-    return shapes
+    d = config.d
+    return {"E": (E.shape[0], d), "W_zr": (d, 2 * d), "U_zr": (d, 2 * d), "b_zr": (2 * d,),
+            "W_n": (d, d), "U_n": (d, d), "b_n": (d,)}
 
 
 def _aggregation_layout(config: AggregationConfig, W_proj, b2):
     """``_gru_layout`` for a fusion checkpoint, from W_proj, b2 and its
-    config; the centroids are one more tensor."""
-    (k, d, _), num_items = W_proj.shape, len(b2)
+    config: W_proj carries each projection's bias as its last row, and
+    the centroids are one more tensor."""
+    (k, _, d), num_items = W_proj.shape, len(b2)
     f, d_ff = config.f, config.d_ff or d
-    return {"W_proj": (k, d, d), "b_proj": (k, d), "W_attn": (d, f), "b_attn": (f,),
+    return {"W_proj": (k, d + 1, d), "W_attn": (d, f), "b_attn": (f,),
             "g_attn": (f,), "W1": (d, d_ff), "b1": (d_ff,), "W2": (d_ff, num_items),
             "b2": (num_items,), "centroids": (k, d)}
 
 
 # kind -> (model class, config class, the config's metadata key, the
-# anchor tensors the layout reads sizes from with their ndim, the layout)
+# anchor tensors the layout reads sizes from with their ndim, the layout,
+# a tensor that only files of the old, unpacked layout hold)
 _MODELS = {
-    "gru": (GruModel, BackboneConfig, "backbone_config", {"E": 2}, _gru_layout),
+    "gru": (GruModel, BackboneConfig, "backbone_config", {"E": 2}, _gru_layout, "W_z"),
     "aggregation": (AggregationModel, AggregationConfig, "agg_config", {"W_proj": 3, "b2": 1},
-                    _aggregation_layout),
+                    _aggregation_layout, "b_proj"),
 }
 
 
@@ -269,20 +271,18 @@ def load_checkpoint(path, expected_config_hash: str | None = None):
     (E; W_proj, b2) absent or of another ndim, other tensors than the
     layout that the anchors and config give, a tensor that is not
     float32, or a ``loss_history`` that is not a list of numbers raise
-    IntegrityError naming the file. The ``dtype`` key that
-    GRU configs once stored is dropped. A fusion layer whose config still
-    has the removed ``centroid_source`` key raises VersionError. Other
-    metadata keys are ignored.
+    IntegrityError naming the file. A file of the old layout, a GRU with
+    per-gate tensors (W_z) or a fusion layer with b_proj, first raises
+    VersionError naming the file; ``train-shards`` and ``train-agg``
+    rewrite it with the same values. Other metadata keys are ignored.
     """
     tensors, metadata = load_container(path, tuple(_MODELS), expected_config_hash)
     kind = metadata["kind"]
-    model_class, config_class, config_key, anchors, layout = _MODELS[kind]
+    model_class, config_class, config_key, anchors, layout, old_tensor = _MODELS[kind]
+    if old_tensor in tensors:
+        raise VersionError(f"{path}: a model file in the old layout (it holds {old_tensor}); "
+                           f"rerun train-shards and train-agg to rewrite it")
     stored = metadata.get(config_key)
-    if kind == "aggregation" and isinstance(stored, dict) and "centroid_source" in stored:
-        raise VersionError(f"{path}: written before agg.centroid_source was removed; "
-                           f"retrain the fusion layer with train-agg")
-    if kind == "gru" and isinstance(stored, dict):
-        stored = {key: value for key, value in stored.items() if key != "dtype"}
     try:
         config = config_class(**stored)
     except (TypeError, ContractError) as exc:

@@ -37,7 +37,7 @@ from .checkpoint import (
 )
 from .config import ExperimentConfig
 from .corpus import generate_synthetic, ingest_log, parse_file, preprocess, split
-from .errors import ContractError, ParseError, StageDependencyError
+from .errors import ContractError, ParseError, StageDependencyError, StaleArtifactError
 from .evaluation import benchmark_unlearn, evaluate, hit_effectiveness, sisa_baseline
 from .numerics import derive_seed
 from .partition import balanced_kmeans, embed_all, fit_corpus_embedding, make_shards
@@ -92,6 +92,18 @@ def _save(run_dir, config: ExperimentConfig, name: str, obj, k: int = 0) -> None
         savers[name](path, obj, stamp)
     else:
         save_checkpoint(obj, path, stamp)
+
+
+def _check_vocabulary(run_dir, dataset, name: str, num_items: int, k: int = 0) -> None:
+    """An artifact fit on ``dataset.sru`` must have its vocabulary size.
+    A dataset that ``preprocess`` rebuilt from a changed log under the
+    same config carries the same hash, so this is what tells that the
+    artifact is stale: a StaleArtifactError naming both files."""
+    if num_items != dataset.num_items():
+        raise StaleArtifactError(
+            f"{_path(run_dir, 'dataset')} has {dataset.num_items()} items but "
+            f"{_path(run_dir, name, k)} was fit on {num_items}; rerun the stages after "
+            f"preprocess")
 
 
 def _write_audit(path, deletions, stamp: dict) -> None:
@@ -189,6 +201,7 @@ def _cmd_pretrain(run_dir, config: ExperimentConfig, **_) -> None:
 def _cmd_partition(run_dir, config: ExperimentConfig, **_) -> None:
     train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     reference = _load(run_dir, config, "reference")
+    _check_vocabulary(run_dir, train, "reference", reference.num_items)
     _save(run_dir, config, "partition", _partition(reference, train, config))
 
 
@@ -203,6 +216,8 @@ def _cmd_train_agg(run_dir, config: ExperimentConfig, **_) -> None:
     train = _load(run_dir, config, "dataset", splits=["train"])["train"]
     assignment = _load(run_dir, config, "partition")
     sub_models = [_load(run_dir, config, "shard", k) for k in range(assignment.k)]
+    for k, model in enumerate(sub_models):
+        _check_vocabulary(run_dir, train, "shard", model.num_items, k)
     _, aggregation = _train_fusion(sub_models, make_shards(train, assignment), train, config)
     _save(run_dir, config, "aggregation", aggregation)
 
@@ -222,9 +237,11 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
 
     Loads the dataset splits, the corpus embedding and the partition,
     and takes the predictor from ``load_model``; K is the fusion layer's,
-    and a partition with another K is a ``ContractError``. Each model
-    carries the training config from its checkpoint, which unlearning
-    retrains it under. The returned state has no feature cache:
+    and a partition with another K is a ``ContractError``. A corpus
+    embedding or fusion layer of another vocabulary size than the
+    dataset's is a ``StaleArtifactError``. Each model carries the
+    training config from its checkpoint, which unlearning retrains it
+    under. The returned state has no feature cache:
     ``execute_unlearn`` builds it lazily, once, on the post-deletion
     sub-models.
     """
@@ -232,6 +249,8 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
     reference = _load(run_dir, config, "reference")
     assignment = _load(run_dir, config, "partition")
     model = load_model(run_dir, config)
+    _check_vocabulary(run_dir, splits["train"], "reference", reference.num_items)
+    _check_vocabulary(run_dir, splits["train"], "aggregation", model.num_items)
     if assignment.k != model.aggregation.k:
         raise ContractError(
             f"partition.sru has K={assignment.k} shards but aggregation.sru "
@@ -245,7 +264,9 @@ def load_state(run_dir, config: ExperimentConfig) -> tuple[SruState, dict]:
 
 def _cmd_eval(run_dir, config: ExperimentConfig, *, split_tag: str = "test", **_) -> None:
     split_data = _load(run_dir, config, "dataset", splits=[split_tag])[split_tag]
-    report = evaluate(load_model(run_dir, config), split_data, ks=config["eval.ks"])
+    model = load_model(run_dir, config)
+    _check_vocabulary(run_dir, split_data, "aggregation", model.num_items)
+    report = evaluate(model, split_data, ks=config["eval.ks"])
     emit_report(report, "json", os.path.join(run_dir, "eval.json"))
     emit_report(report, "csv", os.path.join(run_dir, "eval.csv"))
 
@@ -256,6 +277,8 @@ def _cmd_unlearn(run_dir, config: ExperimentConfig, *, requests_path=None, **_) 
     requests = load_requests(requests_path)
     state, splits = load_state(run_dir, config)
     outcome = execute_unlearn(state, requests)
+    if not outcome.deletions:
+        return   # nothing deleted: the run directory stays as it is
     new = outcome.state
     _save(run_dir, config, "dataset", {**splits, "train": new.corpus})
     _save(run_dir, config, "partition", new.assignment)

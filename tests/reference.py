@@ -32,6 +32,10 @@ hand-written backward pass, and ``DeterminismError``, which it raises;
 which ``backbone.prefix_points`` made redundant, and ``dataset_to_raw``
 writes each item's position as its timestamp, since a dataset keeps
 item order only.
+``per_gate`` and ``projection`` give the gate-by-gate and (W, b) views
+of the packed weights the library stores, which the oracles compute
+with, and ``packed_gates`` and ``packed_projection`` pack per-gate and
+(W, b) draws the way the library stores them.
 ``assignment_from_members`` builds test partitions from member lists.
 ``as_float64`` casts a GRU model to float64, the dtype of the float64
 oracles: the library trains and loads float32 models only, and its
@@ -52,7 +56,6 @@ from sru.backbone import (
     GATE_NAMES,
     GruModel,
     _add_weight_grads,
-    _gate_weights,
     _input_side,
     _step_backward,
     _step_forward,
@@ -121,6 +124,39 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     return losses, dlogits
 
 
+# The GRU's gate weights one gate at a time, the oracles' layout; the
+# library's store packs the z and r gates side by side (``GATE_NAMES``).
+PER_GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_n", "U_n", "b_n")
+
+
+def packed_gates(gates) -> dict:
+    """The store layout of per-gate weights: W_zr = [W_z | W_r] and so
+    on, with the n gate as it is."""
+    packed = {name: gates[name] for name in ("W_n", "U_n", "b_n")}
+    for kind in "WUb":
+        packed[f"{kind}_zr"] = np.concatenate([gates[f"{kind}_z"], gates[f"{kind}_r"]], axis=-1)
+    return packed
+
+
+def per_gate(packed) -> dict:
+    """The per-gate views of packed gate weights (or of their
+    gradients): W_z = W_zr[:, :d], W_r = W_zr[:, d:] and so on, so that
+    writing a view writes the packed array."""
+    d = packed["W_n"].shape[-1]
+    gates = {name: packed[name] for name in ("W_n", "U_n", "b_n")}
+    for kind in "WUb":
+        gates[f"{kind}_z"], gates[f"{kind}_r"] = (packed[f"{kind}_zr"][..., :d],
+                                                  packed[f"{kind}_zr"][..., d:])
+    return gates
+
+
+def packed_projection(W, b) -> np.ndarray:
+    """The store layout of per-shard projections W (K, d, d) and biases
+    b (K, d): one (K, d + 1, d) array, each bias the last row of its
+    block."""
+    return np.concatenate([W, b[:, None, :]], axis=1)
+
+
 def gru_cell_forward(params, x, h_prev):
     """One GRU step on row vectors; x and h_prev are (B, d).
 
@@ -131,13 +167,12 @@ def gru_cell_forward(params, x, h_prev):
     """
     x = np.atleast_2d(np.asarray(x))
     h = np.atleast_2d(np.asarray(h_prev))
-    if x.shape != h.shape or x.shape[1] != params["W_z"].shape[0]:
+    if x.shape != h.shape or x.shape[1] != params["W_n"].shape[0]:
         raise DimensionError(f"gru_cell shapes do not conform: x {x.shape}, h {h.shape}")
-    w = _gate_weights(params)
-    zr, n = _input_side(w, x)
+    zr, n = _input_side(params, x)
     rh = np.empty_like(n)
     h_new = np.empty_like(n)
-    _step_forward(w, zr, n, h, rh, h_new)
+    _step_forward(params, zr, n, h, rh, h_new)
     d = h.shape[1]
     return h_new, (x, h, zr[:, :d], zr[:, d:], rh, n)
 
@@ -152,13 +187,12 @@ def gru_cell_backward(params, cache, dh_new, out_grads=None):
     dh_new = np.atleast_2d(np.asarray(dh_new))
     if out_grads is None:
         out_grads = {name: np.zeros_like(params[name]) for name in GATE_NAMES}
-    w = _gate_weights(params)
     zr = np.concatenate([z, r], axis=1)
     dzr = np.empty_like(zr)
     dn = np.empty_like(n)
-    dh = _step_backward(w, zr, n, h, rh, dh_new, dzr, dn)
+    dh = _step_backward(params, zr, n, h, rh, dh_new, dzr, dn)
     _add_weight_grads(out_grads, x, dzr, dn, h, rh, dzr, dn)
-    return dzr @ w.Wzr.T + dn @ w.Wn.T, dh, out_grads
+    return dzr @ params["W_zr"].T + dn @ params["W_n"].T, dh, out_grads
 
 
 def gru_cell(params, x, h_prev) -> np.ndarray:
@@ -250,7 +284,17 @@ def predict_output(h_fused: np.ndarray, W1, b1, W2, b2) -> np.ndarray:
 
 # The oracle for the folded passes of sru.aggregation: the unfolded
 # _forward and _backward, which form U = Hp * Cp and its gradient dU,
-# copied verbatim (renamed).
+# copied verbatim (renamed), except that each reads the projection
+# (Wp_k, bp_k) from the rows of the packed W_proj (K, d + 1, d) and
+# writes their gradients there.
+
+
+def projection(params):
+    """The projection weights and biases, (K, d, d) and (K, d), as views
+    of the rows of the packed W_proj (K, d + 1, d)."""
+    W_proj = params["W_proj"]
+    d = W_proj.shape[2]
+    return W_proj[:, :d], W_proj[:, d]
 
 
 def unfolded_forward(params, H, C, with_cache=False):
@@ -261,7 +305,7 @@ def unfolded_forward(params, H, C, with_cache=False):
     as stacked matmuls; the per-shard axis K rides along as the batch
     dimension of the BLAS calls.
     """
-    Wp, bp = params["W_proj"], params["b_proj"]
+    Wp, bp = projection(params)
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
     # Hp is written through a shard-major view so that it stays
@@ -328,9 +372,10 @@ def unfolded_backward(params, grads, cache, dlogits):
     dHp += dU * Cp
     dU *= Hp
     dCp = (ones @ dU.reshape(B, K * d)).reshape(K, d)
-    grads["W_proj"] += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
-    grads["W_proj"] += C[:, :, None] * dCp[:, None, :]
-    grads["b_proj"] += (ones @ dHp.reshape(B, K * d)).reshape(K, d) + dCp
+    dWp, dbp = projection(grads)
+    dWp += np.matmul(H.transpose(1, 2, 0), dHp.transpose(1, 0, 2))
+    dWp += C[:, :, None] * dCp[:, None, :]
+    dbp += (ones @ dHp.reshape(B, K * d)).reshape(K, d) + dCp
 
 
 def reference_grads(params, grads, H, C, dlogits):
@@ -343,8 +388,9 @@ def reference_grads(params, grads, H, C, dlogits):
 # the step as it was before the feature table carried its ones column,
 # which copies each (B, K, d) batch into a shard-major (K, B, d + 1)
 # block and takes every array from named buffers per call, copied
-# verbatim (renamed). "The module docstring" below is that of
-# ``sru.aggregation``.
+# verbatim (renamed), except that W_proj carries the biases as its last
+# row, as it does in the library. "The module docstring" below is
+# that of ``sru.aggregation``.
 
 
 class FusionCache(NamedTuple):
@@ -358,7 +404,7 @@ class FusionCache(NamedTuple):
     C: np.ndarray          # (K, d) centroids
     Hp: np.ndarray         # (K, B, d) projected states
     Cp: np.ndarray         # (K, d) projected centroids
-    Wp: np.ndarray         # (K, d + 1, d): W_proj_k, then the row b_proj_k
+    Wp: np.ndarray         # (K, d + 1, d): Wp_k, then the row bp_k
     N: np.ndarray          # (K, d + 1, d): N_k, then the row n_k
     T: np.ndarray          # (K, B, f) ReLU of the attention pre-activations
     A: np.ndarray          # (K, B) attention weights
@@ -379,7 +425,7 @@ def copying_hidden_pass(params, H, C, buffers: _Buffers) -> FusionCache:
     and attention weights are (K, B), so the softmax over shards runs
     down the columns. Every array the pass makes is taken from buffers.
     """
-    Wp, bp, W_attn = params["W_proj"], params["b_proj"], params["W_attn"]
+    (Wp, bp), W_attn = projection(params), params["W_attn"]
     B, K, d = H.shape
     f = params["b_attn"].shape[0]
     d_ff = params["b1"].shape[0]
@@ -490,8 +536,7 @@ def copying_backward(params, grads, cache: FusionCache, dhidden, buffers: _Buffe
     dWp1 += dN1
     dWp1[:, :d] += C[:, :, None] * dCp[:, None, :]
     dWp1[:, d] += dCp
-    grads["W_proj"][...] = dWp1[:, :d]
-    grads["b_proj"][...] = dWp1[:, d]
+    grads["W_proj"][...] = dWp1
 
 
 def copying_train_step(params, grads, H, C, targets, buffers: _Buffers) -> float:

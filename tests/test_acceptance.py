@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sru.backbone import GATE_NAMES, BackboneConfig, train_backbone
+from sru.backbone import BackboneConfig, train_backbone
 from sru.checkpoint import load_checkpoint, save_checkpoint
 from sru.config import ExperimentConfig
 from sru.corpus import generate_synthetic, split
@@ -24,7 +24,6 @@ from sru.evaluation import (
     sisa_baseline,
 )
 from sru.numerics import (
-    ParamStore,
     ndcg_gains,
     ranks_from_logits,
     rng_stream,
@@ -39,14 +38,16 @@ from sru.partition import (
 from sru.pipeline import fit_state
 from sru.unlearning import UnlearnRequest, execute_unlearn, sample_requests
 from reference import (
+    PER_GATE_NAMES,
     FixedPredictor,
     cross_entropy_rows,
     finite_difference_check,
     gru_cell_backward,
     gru_cell_forward,
+    packed_gates,
     unfolded_forward,
 )
-from test_aggregation import fusion_forward, fusion_step
+from test_aggregation import fusion_forward, fusion_step, random_fusion_store
 
 CORPUS = dict(num_sessions=2000, vocab_size=200, num_clusters=8,
               min_len=8, max_len=14)
@@ -139,12 +140,13 @@ def test_c2_gradient_fidelity():
     for trial in range(10):
         rng = np.random.default_rng(trial)
 
-        # GRU cell at d = 8
+        # GRU cell at d = 8, drawn gate by gate and packed as the store
+        # keeps it
         d = 8
-        params = {
+        params = packed_gates({
             name: rng.normal(scale=0.4, size=(d,) if name.startswith("b") else (d, d))
-            for name in GATE_NAMES
-        }
+            for name in PER_GATE_NAMES
+        })
         x = rng.normal(size=(1, d))
         h_prev = rng.normal(size=(1, d))
         probe = rng.normal(size=(1, d))
@@ -166,17 +168,7 @@ def test_c2_gradient_fidelity():
         d = 5 + trial % 3
         f, d_ff, v, batch = 4, 6, 7, 3
         for attempt in range(50):
-            full = ParamStore({
-                "W_proj": rng.normal(scale=0.5, size=(k, d, d)),
-                "b_proj": rng.normal(scale=0.2, size=(k, d)),
-                "W_attn": rng.normal(scale=0.5, size=(d, f)),
-                "b_attn": rng.normal(scale=0.2, size=f),
-                "g_attn": rng.normal(scale=0.5, size=f),
-                "W1": rng.normal(scale=0.5, size=(d, d_ff)),
-                "b1": rng.normal(scale=0.2, size=d_ff),
-                "W2": rng.normal(scale=0.5, size=(d_ff, v)),
-                "b2": rng.normal(scale=0.2, size=v),
-            })
+            full = random_fusion_store(k, d, f, d_ff, v, rng)
             H = rng.normal(size=(batch, k, d))
             C = rng.normal(size=(k, d))
             targets = rng.integers(0, v, size=batch)
@@ -206,7 +198,7 @@ def test_c2_gradient_fidelity():
         full.zero_grads()
         fusion_step(full.params, full.grads, H, C, targets)
 
-        for names in (("W_proj", "b_proj"),
+        for names in (("W_proj",),
                       ("W_attn", "b_attn", "g_attn"),
                       ("W1", "b1", "W2", "b2"),
                       tuple(sorted(full.params))):

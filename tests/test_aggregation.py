@@ -48,8 +48,10 @@ from reference import (
     encode,
     finite_difference_check,
     fuse,
+    packed_projection,
     predict_output,
     project,
+    projection,
     reference_grads,
     unfolded_forward,
 )
@@ -227,8 +229,8 @@ class TestPredictOutput:
 
 def random_fusion_store(k, d, f, d_ff, v, rng) -> ParamStore:
     return ParamStore({
-        "W_proj": rng.normal(scale=0.5, size=(k, d, d)),
-        "b_proj": rng.normal(scale=0.2, size=(k, d)),
+        "W_proj": packed_projection(rng.normal(scale=0.5, size=(k, d, d)),
+                                    rng.normal(scale=0.2, size=(k, d))),
         "W_attn": rng.normal(scale=0.5, size=(d, f)),
         "b_attn": rng.normal(scale=0.2, size=f),
         "g_attn": rng.normal(scale=0.5, size=f),
@@ -349,7 +351,6 @@ class TestFusionInvariants:
 
         params_p = {name: v.copy() for name, v in store.params.items()}
         params_p["W_proj"] = store.params["W_proj"][perm]
-        params_p["b_proj"] = store.params["b_proj"][perm]
 
         logits, cache = fusion_forward(store.params, H, C)
         logits_p, cache_p = fusion_forward(params_p, H[:, perm], C[perm])
@@ -365,8 +366,7 @@ class TestFusionInvariants:
         W = rng.normal(size=(d, d))
         b = rng.normal(size=d)
         store = random_fusion_store(k, d, 5, d, 6, rng)
-        store.params["W_proj"][...] = W
-        store.params["b_proj"][...] = b
+        store.params["W_proj"][...] = packed_projection(W[None], b[None])
         H = np.tile(h, (1, k, 1))
         C = np.tile(c, (k, 1))
         _, cache = fusion_forward(store.params, H, C)
@@ -674,15 +674,10 @@ class TestSruModelPredict:
 
         prefix = data.sessions[0].items[:4]
         params = agg.store.params
+        Wp, bp = projection(params)
         h_list = np.stack([encode(m, prefix) for m in models])
-        hp = np.stack([
-            project(h_list[i], centroids.c[i], params["W_proj"][i], params["b_proj"][i])[0]
-            for i in range(2)
-        ])
-        cp = np.stack([
-            project(h_list[i], centroids.c[i], params["W_proj"][i], params["b_proj"][i])[1]
-            for i in range(2)
-        ])
+        hp = np.stack([project(h_list[i], centroids.c[i], Wp[i], bp[i])[0] for i in range(2)])
+        cp = np.stack([project(h_list[i], centroids.c[i], Wp[i], bp[i])[1] for i in range(2)])
         a = attention_scores(hp, cp, params["W_attn"], params["b_attn"], params["g_attn"])
         fused = fuse(a, hp)
         logits = predict_output(fused, params["W1"], params["b1"],

@@ -178,3 +178,23 @@ def test_models_have_one_dtype():
 def test_configs_are_built_by_their_constructor_alone(cls):
     assert not hasattr(cls, "from_dict")
     assert cls(**cls().as_dict()) == cls()
+
+
+# Each model has one layout, the one its kernels compute with: the GRU
+# stores its z and r gates packed side by side, and the fusion layer
+# each projection's bias as the last row of W_proj. No kernel repacks
+# a weight, so the per-call converter is gone.
+def test_models_are_stored_in_the_layout_their_kernels_read():
+    backbone = importlib.import_module("sru.backbone")
+    gru = backbone.init_gru_model(5, BackboneConfig(d=3))
+    assert backbone.GATE_NAMES == ("W_zr", "U_zr", "b_zr", "W_n", "U_n", "b_n")
+    assert {name: v.shape for name, v in gru.store.params.items()} == {
+        "E": (6, 3), "W_zr": (3, 6), "U_zr": (3, 6), "b_zr": (6,),
+        "W_n": (3, 3), "U_n": (3, 3), "b_n": (3,)}
+    assert "_GateWeights" not in vars(backbone) and "_gate_weights" not in vars(backbone)
+    aggregation = importlib.import_module("sru.aggregation")
+    agg = aggregation.init_aggregation_model(2, 3, 5, AggregationConfig(f=4, d_ff=6))
+    assert sorted(agg.store.params) == ["W1", "W2", "W_attn", "W_proj", "b1", "b2",
+                                        "b_attn", "g_attn"]
+    assert agg.store.params["W_proj"].shape == (2, 4, 3)
+    assert (agg.k, agg.d) == (2, 3)

@@ -11,7 +11,6 @@ from sru.backbone import (
     BackboneConfig,
     GruModel,
     _check_ids,
-    _gate_weights,
     _input_side,
     _stacked_gate_weights,
     _step_forward,
@@ -30,6 +29,7 @@ from sru.errors import ContractError, DimensionError
 from sru.evaluation import SisaModel
 from sru.numerics import ParamStore, _Buffers, sigmoid
 from reference import (
+    PER_GATE_NAMES,
     as_float64,
     cross_entropy_rows,
     encode,
@@ -37,19 +37,23 @@ from reference import (
     gru_cell,
     gru_cell_backward,
     gru_cell_forward,
+    packed_gates,
     padded_items,
+    per_gate,
 )
 
 
 def zero_params(d):
-    return {name: np.zeros(d if name.startswith("b") else (d, d)) for name in GATE_NAMES}
+    return packed_gates({name: np.zeros(d if name.startswith("b") else (d, d))
+                         for name in PER_GATE_NAMES})
 
 
 def random_gate_params(d, rng):
-    return {
+    """Gate weights drawn gate by gate, packed as the store keeps them."""
+    return packed_gates({
         name: rng.normal(scale=0.4, size=(d,) if name.startswith("b") else (d, d))
-        for name in GATE_NAMES
-    }
+        for name in PER_GATE_NAMES
+    })
 
 
 class TestGruCell:
@@ -342,7 +346,9 @@ class TestTraining:
 
 # -- oracles: the per-step recurrence and the per-prefix padder that the
 # library used before its time-major kernels, copied verbatim (renamed
-# with a parent_ prefix), run in float64.
+# with a parent_ prefix), run in float64. The recurrence still computes
+# gate by gate: its callers hand it the per-gate views (``per_gate``) of
+# the store's packed weights and gradients.
 
 def parent_gru_cell_forward(params, x, h_prev):
     """One GRU step on row vectors; x and h_prev are (B, d).
@@ -373,7 +379,7 @@ def parent_gru_cell_backward(params, cache, dh_new, out_grads=None):
     x, h, z, r, rh, n = cache
     dh_new = np.atleast_2d(np.asarray(dh_new))
     if out_grads is None:
-        out_grads = {name: np.zeros_like(params[name]) for name in GATE_NAMES}
+        out_grads = {name: np.zeros_like(params[name]) for name in PER_GATE_NAMES}
 
     dz = dh_new * (n - h)
     dn = dh_new * z
@@ -417,7 +423,7 @@ def parent_prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
     states[i, t] is the encoding of ids[i, : t + 1]; entries at or past a
     row's padding are meaningless and must be masked by the caller.
     """
-    params = model.store.params
+    params = per_gate(model.store.params)
     n, L = ids.shape
     dtype = model.embeddings.dtype
     states = np.zeros((n, L, model.d), dtype=dtype)
@@ -436,7 +442,7 @@ def parent_sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
     into the model's store and returns (loss_sum, positions).
     """
     store = model.store
-    params = store.params
+    params = {"E": store.params["E"], **per_gate(store.params)}
     E = params["E"]
     inp = ids[:, :-1]
     tgt = ids[:, 1:]
@@ -470,7 +476,7 @@ def parent_sequence_loss_and_grads(model: GruModel, ids: np.ndarray):
 
     dX = np.zeros_like(X)
     dh = np.zeros((B, model.d), dtype=E.dtype)
-    gate_grads = {name: grads[name] for name in GATE_NAMES}
+    gate_grads = per_gate(grads)
     for t in reversed(range(T)):
         dx, dh, _ = parent_gru_cell_backward(params, caches[t], dh + dH[:, t], gate_grads)
         dX[:, t] = dx
@@ -797,7 +803,7 @@ def allrows_prefix_states(model: GruModel, ids: np.ndarray) -> np.ndarray:
     """The all-rows state table that the feature cache was built from:
     every row runs all L steps, pads included, and states[i, t] is the
     state after ids[i, : t + 1]."""
-    w = _gate_weights(model.store.params)
+    w = model.store.params
     states = np.empty((ids.shape[1], ids.shape[0], model.d), dtype=model.embeddings.dtype)
     tables = _input_side(w, model.embeddings)
     _check_ids(ids, len(tables[0]))

@@ -19,7 +19,7 @@ from sru.aggregation import (
     init_aggregation_model,
     train_aggregation,
 )
-from sru.backbone import BackboneConfig, init_gru_model
+from sru.backbone import GATE_NAMES, BackboneConfig, init_gru_model
 from sru.checkpoint import (
     check_config_hash,
     load_assignment,
@@ -51,6 +51,7 @@ from sru.partition import (
     fit_corpus_embedding,
 )
 from sru.reports import EffectivenessReport, RankingReport, TimingReport, emit_report
+from reference import per_gate, projection
 
 
 def models_equal(a, b):
@@ -193,36 +194,35 @@ class TestModelLoadChecks:
         with pytest.raises(IntegrityError, match="no readable training config 'backbone_config'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_gru_file_that_stores_its_dtype(self, tmp_path, dtype):
-        # GRU configs once had a dtype field, so older shards store
-        # "dtype": "float32"; the loader drops it. A float64 model's
-        # tensors are refused whatever its config says.
-        model = MODEL_KINDS["gru"][0]()
+    @pytest.mark.parametrize("kind, old_config", [
+        ("gru", {}), ("gru", {"dtype": "float32"}),
+        ("aggregation", {}), ("aggregation", {"centroid_source": "submodel"})],
+        ids=["gru", "gru-dtype", "aggregation", "aggregation-centroid_source"])
+    def test_model_file_in_the_old_layout(self, tmp_path, kind, old_config):
+        # Before the GRU stored its z and r gates packed and the fusion
+        # layer its projection biases as W_proj's last row, a GRU file
+        # held W_z and the other per-gate tensors, and a fusion file held
+        # b_proj. The oldest also store a config key that is gone since
+        # (dtype, centroid_source). Each is one VersionError naming the
+        # file and the stages that rewrite it.
+        make, config_key, _ = MODEL_KINDS[kind]
         path = tmp_path / "m.sru"
-        save_checkpoint(model, path)
+        save_checkpoint(make(), path)
         tensors, metadata = load_container(path)
-        metadata["backbone_config"]["dtype"] = dtype
-        save_container(path, {name: t.astype(dtype) for name, t in tensors.items()}, metadata)
-        if dtype == "float32":
-            assert models_equal(load_checkpoint(path), model)
+        tensors = dict(tensors)
+        if kind == "gru":
+            tensors.update(per_gate({name: tensors.pop(name) for name in GATE_NAMES}))
+            old = "W_z"
         else:
-            with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: E is float64, "
-                                                     "expected float32, U_n is float64"):
-                load_checkpoint(path)
-
-    @pytest.mark.parametrize("source", ["submodel", "reference"])
-    def test_fusion_layer_with_the_removed_centroid_source(self, tmp_path, source):
-        # Fusion layers written while agg.centroid_source existed store
-        # it in their config; the error names the removed key.
-        path = tmp_path / "a.sru"
-        save_checkpoint(MODEL_KINDS["aggregation"][0](), path)
-        tensors, metadata = load_container(path)
-        metadata["agg_config"]["centroid_source"] = source
+            tensors["W_proj"], tensors["b_proj"] = projection(tensors)
+            old = "b_proj"
+        metadata[config_key].update(old_config)
         save_container(path, tensors, metadata)
-        with pytest.raises(VersionError, match=f"^{re.escape(str(path))}: written before "
-                                               "agg.centroid_source was removed"):
+        with pytest.raises(VersionError, match=f"^{re.escape(str(path))}: a model file in the "
+                                               rf"old layout \(it holds {old}\); rerun "
+                                               "train-shards and train-agg") as info:
             load_checkpoint(path)
+        assert "\n" not in str(info.value)
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 6), num_items=st.integers(1, 9), max_len=st.integers(2, 20),

@@ -575,7 +575,7 @@ class TestReadPath:
         save_container(run_dir / "aggregation.sru",
                        {**tensors, "W_proj": tensors["W_proj"][:1]}, metadata)
         with pytest.raises(IntegrityError, match=r"aggregation\.sru: the tensors disagree "
-                                                 r".*b_proj is \(2, 8\), expected \(1, 8\)"):
+                                                 r".*centroids is \(2, 8\), expected \(1, 8\)"):
             load_state(run_dir, tiny_config())
 
     def test_cli_names_a_fusion_file_without_centroids(self, unlearned_run, tmp_path,
@@ -807,6 +807,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("stage, other", [
+        ("partition", "reference.sru"), ("train-agg", "shard_000.sru"),
+        ("eval", "aggregation.sru"), ("unlearn", "reference.sru"), ("bench", "reference.sru"),
+    ])
+    def test_cli_names_a_dataset_rebuilt_with_another_vocabulary(self, unlearned_run, tmp_path,
+                                                                 capsys, stage, other):
+        # preprocess on a changed log under the same config writes a
+        # dataset of the same stamp; each stage that pairs it with an
+        # artifact fit on the old one compares their vocabulary sizes
+        # first: exit status 1, one error line naming both files.
+        run_dir = copied_run(unlearned_run, tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        path = run_dir / "dataset.sru"
+        tensors, metadata = load_container(path)
+        metadata["vocab"] += [f"new-{i}" for i in range(5)]
+        save_container(path, tensors, metadata)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        argv = [stage, "--config", str(config_path), "--run-dir", str(run_dir)]
+        if stage in ("unlearn", "bench"):
+            argv += ["--requests", str(run_dir / "requests.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} has 45 items but {run_dir / other} was fit on 40; "
+                       f"rerun the stages after preprocess\n")
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_cli_unlearn_that_deletes_nothing_writes_nothing(self, unlearned_run, tmp_path):
+        # A request file of its header alone: exit status 0, and every
+        # file of the run directory keeps its bytes, the last call's audit
+        # trail and timings among them.
+        run_dir = copied_run(unlearned_run, tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(CONFIG_TEXT)
+        requests = tmp_path / "none.csv"
+        save_requests([], requests)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert main(["unlearn", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--requests", str(requests)]) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        assert run_pipeline("effectiveness", tiny_config(), run_dir) == 0
 
     @pytest.mark.parametrize("argv, missing", [
         (["eval", "--config", "{tmp}/nope.cfg"], "nope.cfg"),
